@@ -19,6 +19,21 @@ ranks sub-second.  The per-rank object path (``engine="ranks"``) is the
 differential baseline: bit-identical results, orders of magnitude
 slower.
 
+Lowering is batched per collective round.  A collective is a
+``(groups x g)`` rank matrix ``G`` (one group per row, the root in
+column 0) plus member-index pairs ``(pi, pj)`` precomputed once per
+group size — binomial broadcast rounds, chunked chain pipelines,
+mirrored binomial reductions, CAPS 7-way all-pairs exchanges.
+``G[:, pi].ravel()`` and ``G[:, pj].ravel()`` are the sources and
+destinations of every message of every group in group-major order,
+exactly the order a message-at-a-time loop over the groups emits, so a
+whole SUMMA step or CAPS BFS step costs one ``Topology.hops`` call, one
+``InterconnectSpec.message_time_s`` call and one
+:meth:`~repro.runtime.rankevents.EventStreamBuilder.messages` batch.
+The scalar loop survives only as the reference lowering in
+:mod:`repro.testing.netlowering`, which the ``network_sim`` verify
+family compares against this one column for column.
+
 Every simulated schedule is validated against the Ballard–Demmel
 communication lower bounds (Eq. 8, :mod:`repro.core.bounds`): the
 busiest rank must move at least the bound's floor, with the Strassen
@@ -33,6 +48,7 @@ this differential oracle in CI.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,8 +129,61 @@ class NetworkConfig:
             raise ValidationError("efficiency must be <= 1.0")
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _bcast_pairs(g: int, chunks: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` member-index pairs of a broadcast from member 0 of a
+    *g*-member group, in emission order: binomial rounds (round *r*
+    sends ``i -> i + 2**r``) when ``chunks == 1``, else *chunks*
+    passes down the chain ``0 -> 1 -> ... -> g-1``."""
+    if chunks > 1:
+        i = np.tile(np.arange(g - 1, dtype=np.int64), chunks)
+        return _frozen(i, i + 1)
+    pairs = []
+    have = 1
+    while have < g:
+        pairs.extend((i, i + have) for i in range(min(have, g - have)))
+        have *= 2
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    return _frozen(i, j)
+
+
+@functools.lru_cache(maxsize=None)
+def _reduce_pairs(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` pairs of a binomial reduction onto member 0: the
+    binomial broadcast mirrored, widest round first, edges reversed."""
+    pairs = []
+    have = 1
+    while have * 2 < g:
+        have *= 2
+    while have >= 1:
+        pairs.extend((i + have, i) for i in range(min(have, g - have)))
+        have //= 2
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    return _frozen(i, j)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_pairs(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(i, j)`` pairs of an all-to-all exchange, ``i``-major, no
+    self-pairs."""
+    i, j = np.divmod(np.arange(g * g, dtype=np.int64), g)
+    off = i != j
+    return _frozen(i[off], j[off])
+
+
 class _Emitter:
-    """Message/collective emission with topology-aware durations."""
+    """Batched message emission with topology-aware durations.
+
+    Collectives take ``(groups x g)`` rank matrices (see the module
+    docstring); each call lowers its whole round as one builder batch
+    priced with one ``Topology.hops`` and one ``message_time_s`` call.
+    """
 
     def __init__(
         self, builder: EventStreamBuilder, cluster: ClusterSpec, cfg: NetworkConfig
@@ -124,54 +193,50 @@ class _Emitter:
         self.topo = cluster.topology
         self.cfg = cfg
 
-    def message(self, src: int, dst: int, nbytes: float) -> None:
-        hops = self.topo.hop_count(src, dst, self.b.ranks)
+    def messages(self, src: np.ndarray, dst: np.ndarray, nbytes: float) -> None:
+        """Messages ``src[k] -> dst[k]`` of *nbytes* each, in order."""
+        if not len(src):
+            return
+        hops = self.topo.hops(src, dst, self.b.ranks)
         rdv = self.net.is_rendezvous(nbytes, self.cfg.protocol)
         dur = self.net.message_time_s(nbytes, hops, rdv)
-        self.b.message(src, dst, nbytes, dur, rdv)
+        self.b.messages(src, dst, nbytes, dur, rdv)
 
-    def bcast(self, group: Sequence[int], nbytes: float) -> None:
-        """Broadcast *nbytes* from ``group[0]`` to the rest.
+    def _collective(self, groups, pairs, nbytes: float) -> None:
+        src, dst = [], []
+        for grp in groups:
+            pi, pj = pairs(grp.shape[1])
+            src.append(grp[:, pi].ravel())
+            dst.append(grp[:, pj].ravel())
+        self.messages(np.concatenate(src), np.concatenate(dst), nbytes)
+
+    def bcast(self, *groups: np.ndarray, nbytes: float) -> None:
+        """Broadcast *nbytes* from column 0 of every row of each group
+        matrix to the rest of its row, as one batch.
 
         Binomial tree when ``chunks == 1``; a chunked pipeline down the
-        group chain otherwise."""
-        g = len(group)
-        if g <= 1:
-            return
-        if self.cfg.chunks > 1:
-            chunk = nbytes / self.cfg.chunks
-            for _ in range(self.cfg.chunks):
-                for i in range(g - 1):
-                    self.message(group[i], group[i + 1], chunk)
-            return
-        have = 1
-        while have < g:
-            for i in range(have):
-                j = i + have
-                if j < g:
-                    self.message(group[i], group[j], nbytes)
-            have *= 2
+        row otherwise."""
+        chunks = self.cfg.chunks
+        if chunks > 1:
+            nbytes = nbytes / chunks
+        self._collective(groups, lambda g: _bcast_pairs(g, chunks), nbytes)
 
-    def reduce(self, group: Sequence[int], nbytes: float) -> None:
-        """Binomial reduction onto ``group[0]`` (bcast mirrored)."""
-        g = len(group)
-        if g <= 1:
-            return
-        have = 1
-        while have * 2 < g:
-            have *= 2
-        while have >= 1:
-            for i in range(have):
-                j = i + have
-                if j < g:
-                    self.message(group[j], group[i], nbytes)
-            have //= 2
+    def reduce(self, groups: np.ndarray, nbytes: float) -> None:
+        """Binomial reduction onto column 0 of every row (bcast
+        mirrored)."""
+        self._collective((groups,), _reduce_pairs, nbytes)
+
+    def exchange(self, groups: np.ndarray, nbytes: float) -> None:
+        """Every member of every row sends *nbytes* to each other
+        member."""
+        self._collective((groups,), _all_pairs, nbytes)
 
 
-def _rotate(group: list[int], k: int) -> list[int]:
-    """Rotate so the step's owner (index *k*) becomes the bcast root."""
-    k %= len(group)
-    return group[k:] + group[:k]
+def _grid_bcasts(grid: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column broadcast groups of SUMMA step *k* on *grid*:
+    each row/column rotated so its step-*k* owner is the root."""
+    rot = (np.arange(grid.shape[1]) + k) % grid.shape[1]
+    return grid[:, rot], grid.T[:, rot]
 
 
 def _compute_rate(cluster: ClusterSpec, cfg: NetworkConfig) -> float:
@@ -202,13 +267,10 @@ def summa2d_events(
     rate = _compute_rate(cluster, cfg)
     step_dur = (2.0 * float(n) ** 3 / ranks / s) / rate
     panel = (n / s) * (n / s) * _WORD
+    grid = np.arange(ranks, dtype=np.int64).reshape(s, s)
     for k in range(s):
-        for r in range(s):
-            em.bcast(_rotate([r * s + c for c in range(s)], k), panel)
-        for c in range(s):
-            em.bcast(_rotate([r * s + c for r in range(s)], k), panel)
-        for p in range(ranks):
-            b.compute(p, step_dur)
+        em.bcast(*_grid_bcasts(grid, k), nbytes=panel)
+        b.computes(grid.ravel(), step_dur)
     return b.build(f"summa2d:n{n}:p{ranks}")
 
 
@@ -236,23 +298,17 @@ def summa25d_events(
     rate = _compute_rate(cluster, cfg)
     block = (n / p) * (n / p) * _WORD
     step_dur = (2.0 * (float(n) / p) ** 3) / rate
+    layers = np.arange(ranks, dtype=np.int64).reshape(c, p, p)
+    fibers = layers.reshape(c, p2).T  # fibers[i, l] = l * p2 + i
     if c > 1:
-        for i in range(p2):
-            em.bcast([l * p2 + i for l in range(c)], 2.0 * block)
+        em.bcast(fibers, nbytes=2.0 * block)
     steps_per_layer = p // c
     for l in range(c):
-        base = l * p2
         for t in range(steps_per_layer):
-            k = l * steps_per_layer + t
-            for r in range(p):
-                em.bcast(_rotate([base + r * p + cc for cc in range(p)], k), block)
-            for cc in range(p):
-                em.bcast(_rotate([base + rr * p + cc for rr in range(p)], k), block)
-            for idx in range(p2):
-                b.compute(base + idx, step_dur)
+            em.bcast(*_grid_bcasts(layers[l], l * steps_per_layer + t), nbytes=block)
+            b.computes(layers[l].ravel(), step_dur)
     if c > 1:
-        for i in range(p2):
-            em.reduce([l * p2 + i for l in range(c)], block)
+        em.reduce(fibers, block)
     return b.build(f"summa25d:n{n}:p{ranks}:c{c}")
 
 
@@ -278,17 +334,16 @@ def summa15d_events(
     block = (float(n) * n / p) * _WORD  # one B block-row (n/p x n)
     round_dur = (2.0 * float(n) ** 3 / p / p) / rate
     rounds = p // c
+    ring = np.arange(p, dtype=np.int64)
+    shifted = (ring + c) % p
     for l in range(c):
         base = l * p
         for t in range(rounds):
-            for i in range(p):
-                b.compute(base + i, round_dur)
+            b.computes(base + ring, round_dur)
             if t < rounds - 1:
-                for i in range(p):
-                    em.message(base + i, base + (i + c) % p, block)
+                em.messages(base + ring, base + shifted, block)
     if c > 1:
-        for i in range(p):
-            em.reduce([l * p + i for l in range(c)], block)
+        em.reduce(np.arange(ranks, dtype=np.int64).reshape(c, p).T, block)
     return b.build(f"summa15d:n{n}:p{ranks}:c{c}")
 
 
@@ -315,19 +370,15 @@ def caps_events(
             n, ranks, cluster.node_memory_words(), omega_for_algorithm("caps-dist")
         )
         per_partner = floor / k / 6.0
+        everyone = np.arange(ranks, dtype=np.int64)
         for step in range(k):
             stride = 7**step
-            for hi in range(ranks // (stride * 7)):
-                for lo in range(stride):
-                    group = [hi * stride * 7 + j * stride + lo for j in range(7)]
-                    for a in group:
-                        for z in group:
-                            if a != z:
-                                em.message(a, z, per_partner)
+            # groups[hi * stride + lo, j] = hi * stride * 7 + j * stride + lo
+            groups = everyone.reshape(-1, 7, stride).transpose(0, 2, 1).reshape(-1, 7)
+            em.exchange(groups, per_partner)
     rate = _compute_rate(cluster, cfg)
     dur = strassen_flops(n, cfg.leaf_cutoff) / ranks / rate
-    for r in range(ranks):
-        b.compute(r, dur)
+    b.computes(np.arange(ranks, dtype=np.int64), dur)
     return b.build(f"caps:n{n}:p{ranks}")
 
 
@@ -341,7 +392,9 @@ def broadcast_events(
     ``chunks == 1``, ``pipelined_broadcast`` otherwise) bit-for-bit."""
     require_positive(ranks, "ranks")
     b = EventStreamBuilder(ranks)
-    _Emitter(b, cluster, cfg or NetworkConfig()).bcast(list(range(ranks)), nbytes)
+    _Emitter(b, cluster, cfg or NetworkConfig()).bcast(
+        np.arange(ranks, dtype=np.int64)[None, :], nbytes=nbytes
+    )
     return b.build(f"bcast:p{ranks}")
 
 
@@ -424,8 +477,11 @@ def simulate(
             f"unknown net engine {engine!r}; expected one of {NET_ENGINES}"
         )
     cfg = cfg or NetworkConfig()
-    prog = build_events(cluster, algorithm, n, ranks, cfg)
-    agg = prog.simulate(engine)
+    with trace.span("netsim.lower", algorithm=algorithm, ranks=ranks) as sp:
+        prog = build_events(cluster, algorithm, n, ranks, cfg)
+        sp.set(events=prog.n_events)
+    with trace.span("netsim.events", engine=engine, events=prog.n_events):
+        agg = prog.simulate(engine)
     floor = communication_floor_bytes(
         n, ranks, cluster.node_memory_words(), omega_for_algorithm(algorithm)
     )
@@ -465,13 +521,11 @@ def bsp_events(cluster: ClusterSpec, program: Sequence[Superstep]) -> RankEventP
             )
     g, barrier_l = bsp_constants(cluster.interconnect, ranks)
     b = EventStreamBuilder(ranks)
+    everyone = np.arange(ranks, dtype=np.int64)
     for step in program:
-        for r in range(ranks):
-            b.compute(r, step.compute_s[r])
-        h = max(step.h_bytes)
-        b.barrier(g * h + barrier_l)
-        for r in range(ranks):
-            b.mark_recv(r, step.h_bytes[r])
+        b.computes(everyone, step.compute_s)
+        b.barrier(g * max(step.h_bytes) + barrier_l)
+        b.mark_recvs(everyone, step.h_bytes)
     return b.build("bsp-events")
 
 

@@ -81,7 +81,7 @@ class Topology:
         require_positive(ranks, "ranks")
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        if np.any(src < 0) or np.any(dst < 0) or np.any(src >= ranks) or np.any(dst >= ranks):
+        if ((src < 0) | (dst < 0) | (src >= ranks) | (dst >= ranks)).any():
             raise ValidationError(f"rank out of range for {ranks} ranks")
         if self.kind == "flat":
             d = np.ones_like(src)
@@ -102,10 +102,6 @@ class Topology:
                 d += x & 1
                 x >>= 1
         return np.where(src == dst, 0, np.maximum(d, 1))
-
-    def hop_count(self, src: int, dst: int, ranks: int) -> int:
-        """Scalar convenience over :meth:`hops`."""
-        return int(self.hops(np.int64(src), np.int64(dst), ranks))
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,12 @@ class InterconnectSpec:
         require_positive(messages, "messages")
         return messages * self.latency_s + nbytes / self.bandwidth_bytes_per_s
 
-    def message_time_s(
-        self, nbytes: float, hops: int = 1, rendezvous: bool = False
-    ) -> float:
-        """Wire time of one point-to-point message.
+    def message_time_s(self, nbytes, hops=1, rendezvous=False):
+        """Wire time of point-to-point messages.
 
-        At ``hops=1`` eager this is *bit-identical* to
+        Scalars or arrays (broadcast elementwise, same arithmetic per
+        element), so a lowering prices a whole collective round in one
+        call.  At ``hops=1`` eager this is *bit-identical* to
         ``transfer_time_s(nbytes)`` — the differential oracle between
         the event simulator and the closed-form models relies on it.
         Rendezvous pays the latency twice (request + payload).
@@ -169,12 +165,13 @@ class InterconnectSpec:
         require_positive(hops, "hops")
         lat = self.latency_s + (hops - 1) * self.hop_latency_s
         t = lat + nbytes / self.bandwidth_bytes_per_s
-        if rendezvous:
-            t = lat + t
-        return t
+        if np.ndim(rendezvous):
+            return np.where(rendezvous, lat + t, t)
+        return lat + t if rendezvous else t
 
-    def is_rendezvous(self, nbytes: float, protocol: str = "auto") -> bool:
-        """Resolve the send protocol for a message of *nbytes*."""
+    def is_rendezvous(self, nbytes, protocol: str = "auto"):
+        """Resolve the send protocol for messages of *nbytes* (a scalar
+        or an array; ``auto`` answers elementwise)."""
         if protocol == "eager":
             return False
         if protocol == "rendezvous":

@@ -10,6 +10,13 @@ then exactly the earliest-finish sweep the scheduler's arena already
 vectorizes: ``finish = max(dep finishes) + duration``, one
 ``np.maximum.reduceat`` per dependency level.
 
+Streams are built in batches (:class:`EventStreamBuilder`): a whole
+collective round is appended as numpy column chunks, and every event's
+chain predecessor in the batch is resolved at once by a stable argsort
+of the batch's (rank, event id) occurrences — the previous occurrence
+of the same rank, or the rank's head before the batch.  The result is
+exactly the stream a one-event-at-a-time builder would produce.
+
 Two engines share one event stream:
 
 * ``events`` — the hot path.  The stream lives as SoA columns
@@ -62,58 +69,178 @@ NET_ENGINES = ("events", "ranks")
 class EventStreamBuilder:
     """Appends rank events in program order, maintaining per-rank chains.
 
-    Events are kept as parallel scalar lists (SoA) — the builder never
-    creates an object per event.  ``_last[r]`` is the id of rank *r*'s
-    most recent event; chaining every new event on it models the
-    single-port serialization of a NIC.
+    Events are appended in *batches* — numpy column chunks, never an
+    object per event — and concatenated once by :meth:`build`.  Every
+    event depends on its rank's previous event (the single-port
+    serialization of a NIC); ``_last[r]`` holds the id of rank *r*'s
+    newest event.
+
+    A batch resolves all its chain predecessors at once, exactly as if
+    its events had been appended one at a time: the batch's (rank,
+    event id) occurrences are stably argsorted by rank, so each
+    occurrence's predecessor is the occurrence just before it in its
+    rank's run, and the first of each run falls back to ``_last``.
+    ``_last`` then advances to each run's final occurrence.  The scalar
+    :meth:`compute`, :meth:`message` and :meth:`mark_recv` are
+    length-1 batches through the same path.
+
+    A batch is validated whole before anything is appended, so one
+    that raises :class:`ValidationError` leaves the builder untouched.
     """
 
     def __init__(self, ranks: int):
         require_positive(ranks, "ranks")
         self.ranks = ranks
-        self._kind: list[int] = []
-        self._rank: list[int] = []
-        self._peer: list[int] = []
-        self._nbytes: list[float] = []
-        self._dur: list[float] = []
-        self._dep_flat: list[int] = []
-        self._dep_counts: list[int] = []
-        self._last: list[int] = [-1] * ranks
+        self._n = 0
+        self._kind: list[np.ndarray] = []
+        self._rank: list[np.ndarray] = []
+        self._peer: list[np.ndarray] = []
+        self._nbytes: list[np.ndarray] = []
+        self._dur: list[np.ndarray] = []
+        self._dep_flat: list[np.ndarray] = []
+        self._dep_counts: list[np.ndarray] = []
+        self._last = np.full(ranks, -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return self._n
 
-    def _emit(
-        self,
-        kind: int,
-        rank: int,
-        peer: int,
-        nbytes: float,
-        duration: float,
-        deps: list[int],
-    ) -> int:
-        eid = len(self._kind)
+    def _ranks(self, ranks) -> np.ndarray:
+        ranks = np.array(ranks, dtype=np.int64).ravel()
+        bad = (ranks < 0) | (ranks >= self.ranks)
+        if bad.any():
+            raise ValidationError(
+                f"rank {ranks[bad][0]} out of range for {self.ranks} ranks"
+            )
+        return ranks
+
+    @staticmethod
+    def _values(values, m: int, name: str) -> np.ndarray:
+        values = np.broadcast_to(np.asarray(values, dtype=np.float64), (m,))
+        return require_nonnegative(values, name)
+
+    def _heads(self, occ: np.ndarray) -> np.ndarray:
+        """Chain predecessor of each occurrence in *occ* (the ranks of
+        the next ``len(occ)`` event ids, in order); advances ``_last``."""
+        order = np.argsort(occ, kind="stable")
+        r = occ[order]
+        first = np.empty(len(r), dtype=bool)
+        first[0] = True
+        np.not_equal(r[1:], r[:-1], out=first[1:])
+        ids = self._n + order
+        pred_sorted = np.empty(len(r), dtype=np.int64)
+        pred_sorted[1:] = ids[:-1]
+        pred_sorted[first] = self._last[r[first]]
+        final = np.empty(len(r), dtype=bool)
+        final[-1] = True
+        final[:-1] = first[1:]
+        self._last[r[final]] = ids[final]
+        pred = np.empty(len(r), dtype=np.int64)
+        pred[order] = pred_sorted
+        return pred
+
+    def _append(self, kind, rank, peer, nbytes, dur, cand: np.ndarray) -> np.ndarray:
+        """Append one batch; *cand* holds each event's dependency
+        candidates in order, ``-1`` for none.  Returns the event ids."""
+        m = len(kind)
+        ids = np.arange(self._n, self._n + m, dtype=np.int64)
+        keep = cand >= 0
         self._kind.append(kind)
         self._rank.append(rank)
         self._peer.append(peer)
         self._nbytes.append(nbytes)
-        self._dur.append(duration)
-        self._dep_flat.extend(deps)
-        self._dep_counts.append(len(deps))
-        return eid
+        self._dur.append(dur)
+        self._dep_flat.append(cand[keep])
+        self._dep_counts.append(keep.sum(axis=1))
+        self._n += m
+        return ids
 
-    def _chain(self, rank: int) -> list[int]:
-        if not 0 <= rank < self.ranks:
-            raise ValidationError(f"rank {rank} out of range for {self.ranks} ranks")
-        head = self._last[rank]
-        return [head] if head >= 0 else []
+    def _local(self, kind: int, ranks, nbytes, dur) -> np.ndarray:
+        """A batch of single-rank events (no peer) chained per rank."""
+        m = len(ranks)
+        if not m:
+            return np.zeros(0, dtype=np.int64)
+        pred = self._heads(ranks)
+        return self._append(
+            np.full(m, kind, dtype=np.int64),
+            ranks,
+            np.full(m, -1, dtype=np.int64),
+            nbytes,
+            dur,
+            pred[:, None],
+        )
+
+    def computes(self, ranks, seconds) -> np.ndarray:
+        """Local work: one event per entry of *ranks*, each on its
+        rank's chain, in order.  Returns the event ids."""
+        ranks = self._ranks(ranks)
+        seconds = self._values(seconds, len(ranks), "seconds")
+        return self._local(KIND_COMPUTE, ranks, np.zeros(len(ranks)), seconds.copy())
+
+    def mark_recvs(self, ranks, nbytes) -> np.ndarray:
+        """Zero-duration accounting events: charge *nbytes* of received
+        traffic to each rank without advancing time (used by the BSP
+        lowering, whose h-relation volume is priced inside the
+        barrier).  Returns the event ids."""
+        ranks = self._ranks(ranks)
+        nbytes = self._values(nbytes, len(ranks), "nbytes")
+        return self._local(KIND_RECV, ranks, nbytes.copy(), np.zeros(len(ranks)))
+
+    def messages(self, src, dst, nbytes, durations, rendezvous=False) -> np.ndarray:
+        """Point-to-point messages ``src[k] -> dst[k]``, in order.
+
+        Each message is a send then a receive.  The send occupies the
+        sender's port for its *duration* (the full wire time is
+        charged there) and depends on the sender's chain head; under
+        *rendezvous* it then also waits for the receiver's chain head
+        (the handshake).  The receive is a zero-duration arrival on the
+        receiver's chain, depending on the receiver's head and then on
+        its send.  *nbytes*, *durations* and *rendezvous* broadcast
+        against *src*.  Returns the ``(m, 2)`` ``(send, recv)`` ids.
+        """
+        src = self._ranks(src)
+        dst = self._ranks(dst)
+        if len(src) != len(dst):
+            raise ValidationError(
+                f"messages: {len(src)} sources but {len(dst)} destinations"
+            )
+        if np.any(src == dst):
+            raise ValidationError("self-message: src == dst")
+        m = len(src)
+        nbytes = self._values(nbytes, m, "nbytes")
+        durations = self._values(durations, m, "duration")
+        rendezvous = np.broadcast_to(np.asarray(rendezvous, dtype=bool), (m,))
+        if not m:
+            return np.zeros((0, 2), dtype=np.int64)
+        occ = np.empty(2 * m, dtype=np.int64)
+        occ[0::2] = src
+        occ[1::2] = dst
+        pred = self._heads(occ).reshape(m, 2)
+        ids = self._n + np.arange(2 * m, dtype=np.int64).reshape(m, 2)
+        # Dependency candidates: send -> [src head, dst head if
+        # rendezvous]; recv -> [dst head, its send].
+        cand = np.empty((m, 2, 2), dtype=np.int64)
+        cand[:, 0, 0] = pred[:, 0]
+        cand[:, 0, 1] = np.where(rendezvous, pred[:, 1], -1)
+        cand[:, 1, 0] = pred[:, 1]
+        cand[:, 1, 1] = ids[:, 0]
+        kind = np.empty((m, 2), dtype=np.int64)
+        kind[:, 0] = KIND_SEND
+        kind[:, 1] = KIND_RECV
+        dur = np.zeros((m, 2))
+        dur[:, 0] = durations
+        self._append(
+            kind.ravel(),
+            occ,
+            np.stack([dst, src], axis=1).ravel(),
+            np.repeat(nbytes, 2),
+            dur.ravel(),
+            cand.reshape(2 * m, 2),
+        )
+        return ids
 
     def compute(self, rank: int, seconds: float) -> int:
         """Local work on *rank*'s chain."""
-        require_nonnegative(seconds, "seconds")
-        eid = self._emit(KIND_COMPUTE, rank, -1, 0.0, seconds, self._chain(rank))
-        self._last[rank] = eid
-        return eid
+        return int(self.computes([rank], [seconds])[0])
 
     def message(
         self,
@@ -123,76 +250,51 @@ class EventStreamBuilder:
         duration: float,
         rendezvous: bool = False,
     ) -> tuple[int, int]:
-        """One point-to-point message; returns ``(send_id, recv_id)``.
+        """One point-to-point message (see :meth:`messages`); returns
+        ``(send_id, recv_id)``."""
+        send, recv = self.messages([src], [dst], nbytes, duration, rendezvous)[0]
+        return int(send), int(recv)
 
-        The send occupies the sender's port for *duration* (the full
-        wire time is charged there).  Under rendezvous the send also
-        waits for the receiver's chain (the handshake).  The receive is
-        a zero-duration arrival on the receiver's chain — it completes
-        when both the wire and the receiver's previous operation have.
-        """
-        require_nonnegative(nbytes, "nbytes")
-        require_nonnegative(duration, "duration")
-        if src == dst:
-            raise ValidationError("self-message: src == dst")
-        deps = self._chain(src)
-        if rendezvous:
-            deps += self._chain(dst)
-        send = self._emit(KIND_SEND, src, dst, nbytes, duration, deps)
-        self._last[src] = send
-        recv = self._emit(
-            KIND_RECV, dst, src, nbytes, 0.0, self._chain(dst) + [send]
-        )
-        self._last[dst] = recv
-        return send, recv
+    def mark_recv(self, rank: int, nbytes: float) -> int:
+        """One accounting event (see :meth:`mark_recvs`)."""
+        return int(self.mark_recvs([rank], [nbytes])[0])
 
     def barrier(self, duration: float = 0.0) -> int:
         """Global join: one SYNC event depending on every rank's chain
         head, which then becomes every rank's new head.  *duration*
         models the barrier (or BSP comm-phase) cost."""
         require_nonnegative(duration, "duration")
-        deps = [h for h in self._last if h >= 0]
-        eid = self._emit(KIND_SYNC, 0, -1, 0.0, duration, deps)
-        for r in range(self.ranks):
-            self._last[r] = eid
-        return eid
-
-    def mark_recv(self, rank: int, nbytes: float) -> int:
-        """Zero-duration accounting event: charge *nbytes* of received
-        traffic to *rank* without advancing time (used by the BSP
-        lowering, whose h-relation volume is priced inside the
-        barrier)."""
-        require_nonnegative(nbytes, "nbytes")
-        eid = self._emit(KIND_RECV, rank, -1, nbytes, 0.0, self._chain(rank))
-        self._last[rank] = eid
-        return eid
+        heads = self._last[self._last >= 0]
+        eid = self._append(
+            np.array([KIND_SYNC], dtype=np.int64),
+            np.zeros(1, dtype=np.int64),
+            np.full(1, -1, dtype=np.int64),
+            np.zeros(1),
+            np.array([duration], dtype=np.float64),
+            heads[None, :],
+        )
+        self._last[:] = eid[0]
+        return int(eid[0])
 
     def build(self, name: str = "rank-events") -> "RankEventProgram":
         """Freeze the stream into a :class:`RankEventProgram`."""
-        n = len(self)
-        kind = np.asarray(self._kind, dtype=np.int64)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if n:
-            np.cumsum(self._dep_counts, out=indptr[1:])
-        zeros = np.zeros(n, dtype=np.float64)
-        arena = TaskArena(
-            name=name,
-            names=_KIND_NAMES,
-            name_ids=kind,
-            cost_columns={f: zeros for f in _COST_FIELDS},
-            untied=np.ones(n, dtype=bool),
-            created_by=np.full(n, NO_CREATOR, dtype=np.int64),
+
+        def cat(chunks, dtype):
+            return np.concatenate(chunks) if chunks else np.zeros(0, dtype=dtype)
+
+        counts = cat(self._dep_counts, np.int64)
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        return RankEventProgram.from_columns(
+            self.ranks,
+            kind=cat(self._kind, np.int64),
+            rank=cat(self._rank, np.int64),
+            peer=cat(self._peer, np.int64),
+            nbytes=cat(self._nbytes, np.float64),
+            durations=cat(self._dur, np.float64),
             dep_indptr=indptr,
-            dep_indices=np.asarray(self._dep_flat, dtype=np.int64),
-        )
-        return RankEventProgram(
-            ranks=self.ranks,
-            kind=kind,
-            rank=np.asarray(self._rank, dtype=np.int64),
-            peer=np.asarray(self._peer, dtype=np.int64),
-            nbytes=np.asarray(self._nbytes, dtype=np.float64),
-            durations=np.asarray(self._dur, dtype=np.float64),
-            arena=arena,
+            dep_indices=cat(self._dep_flat, np.int64),
+            name=name,
         )
 
 
@@ -236,6 +338,36 @@ class RankEventProgram:
     nbytes: np.ndarray
     durations: np.ndarray
     arena: TaskArena
+
+    @classmethod
+    def from_columns(
+        cls,
+        ranks: int,
+        *,
+        kind: np.ndarray,
+        rank: np.ndarray,
+        peer: np.ndarray,
+        nbytes: np.ndarray,
+        durations: np.ndarray,
+        dep_indptr: np.ndarray,
+        dep_indices: np.ndarray,
+        name: str = "rank-events",
+    ) -> "RankEventProgram":
+        """Wrap event columns and CSR deps in their arena lowering (all
+        six cost columns alias one shared zeros array)."""
+        n = len(kind)
+        zeros = np.zeros(n, dtype=np.float64)
+        arena = TaskArena(
+            name=name,
+            names=_KIND_NAMES,
+            name_ids=kind,
+            cost_columns={f: zeros for f in _COST_FIELDS},
+            untied=np.ones(n, dtype=bool),
+            created_by=np.full(n, NO_CREATOR, dtype=np.int64),
+            dep_indptr=dep_indptr,
+            dep_indices=dep_indices,
+        )
+        return cls(ranks, kind, rank, peer, nbytes, durations, arena)
 
     def __len__(self) -> int:
         return len(self.kind)

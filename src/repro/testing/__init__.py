@@ -15,6 +15,8 @@ agreement).  This package turns those identities into a harness:
 * :mod:`repro.testing.oracle` — differential oracles: ``engine="fast"``
   vs ``engine="reference"`` and ``parallel=N`` vs serial study
   execution, asserted bit-for-bit;
+* :mod:`repro.testing.netlowering` — the scalar reference network
+  lowering the batched one must equal column for column;
 * :mod:`repro.testing.faults` — fault injection for the simulated RAPL
   counters (wraparound, non-monotonic samples, dropped MSR reads, NaN
   power) against the hardened :class:`~repro.power.rapl.RaplReader`;
@@ -50,6 +52,7 @@ from .invariants import (
     check_network_bounds,
 )
 from .oracle import (
+    compare_event_programs,
     differential_compiled_check,
     differential_engine_check,
     differential_network_check,
@@ -74,6 +77,7 @@ __all__ = [
     "check_fault_modes",
     "check_measurement",
     "check_network_bounds",
+    "compare_event_programs",
     "differential_compiled_check",
     "differential_engine_check",
     "differential_network_check",

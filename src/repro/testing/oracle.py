@@ -21,7 +21,9 @@ hand-written expected values:
   schedule; on a contention-free topology the event lowering of a BSP
   program must equal :class:`~repro.distributed.bsp.BspSimulator` and a
   lone broadcast must equal its :mod:`repro.distributed.comm` closed
-  form — exactly, not approximately.
+  form — exactly, not approximately; and the batched network lowering
+  must equal the scalar reference lowering
+  (:mod:`repro.testing.netlowering`) column for column.
 
 Both oracles return :class:`~repro.testing.invariants.Violation` lists
 (empty = agreement), so the harness can aggregate and shrink.
@@ -39,6 +41,7 @@ from .invariants import Violation
 
 __all__ = [
     "canonical_intervals",
+    "compare_event_programs",
     "compare_schedules",
     "differential_compiled_check",
     "differential_engine_check",
@@ -526,18 +529,27 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
        :func:`~repro.distributed.comm.pipelined_broadcast` otherwise.
        Both sides are the same sequence of float additions, so equality
        is exact.
+    4. **Reference lowering** — the case's schedule, the BSP program
+       and the broadcast lowered by the batched builder and by the
+       scalar reference (:mod:`repro.testing.netlowering`): every event
+       column and the CSR dependency arrays must be byte-identical.
     """
     from ..distributed import (
         BspSimulator,
         ClusterSpec,
         NetworkConfig,
         broadcast,
-        broadcast_events,
         caps_program,
+        netsim,
         pipelined_broadcast,
         simulate,
         simulate_bsp,
         summa_program,
+    )
+    from .netlowering import (
+        reference_broadcast_events,
+        reference_bsp_events,
+        reference_events,
     )
 
     out: list[Violation] = []
@@ -610,7 +622,7 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
     cfg = NetworkConfig(protocol="eager", chunks=chunks)
     p = max(2, case.bsp_ranks)
     nbytes = 8.0 * case.bsp_n
-    prog = broadcast_events(flat, p, nbytes, cfg)
+    prog = netsim.broadcast_events(flat, p, nbytes, cfg)
     if chunks > 1:
         expect = pipelined_broadcast(flat.interconnect, nbytes, p, chunks).time_s
     else:
@@ -626,4 +638,53 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
                     f"{expect!r}",
                 )
             )
+
+    # 4. batched lowering vs the scalar reference, column for column.
+    for label, ref, got in (
+        (
+            case.describe(),
+            reference_events(case.cluster, case.algorithm, case.n, case.ranks, case.config),
+            netsim.build_events(
+                case.cluster, case.algorithm, case.n, case.ranks, case.config
+            ),
+        ),
+        (
+            f"bsp P={case.bsp_ranks}",
+            reference_bsp_events(case.cluster, program),
+            netsim.bsp_events(case.cluster, program),
+        ),
+        (
+            f"bcast P={p} chunks={chunks}",
+            reference_broadcast_events(flat, p, nbytes, cfg),
+            prog,
+        ),
+    ):
+        out.extend(compare_event_programs(ref, got, label))
     return out
+
+
+#: Columns of a :class:`~repro.runtime.rankevents.RankEventProgram`
+#: that fully determine its simulation.
+_EVENT_COLUMNS = ("kind", "rank", "peer", "nbytes", "durations")
+
+
+def compare_event_programs(ref, got, label: str) -> list[Violation]:
+    """Byte-for-byte comparison of two lowered event programs: every
+    event column plus ``dep_indptr``/``dep_indices``."""
+    columns = [(c, getattr(ref, c), getattr(got, c)) for c in _EVENT_COLUMNS]
+    columns += [
+        (c, getattr(ref.arena, c), getattr(got.arena, c))
+        for c in ("dep_indptr", "dep_indices")
+    ]
+    diverged = [c for c, a, b in columns if a.dtype != b.dtype or a.tobytes() != b.tobytes()]
+    if ref.ranks != got.ranks:
+        diverged.insert(0, "ranks")
+    if not diverged:
+        return []
+    return [
+        Violation(
+            "oracle.network_lowering",
+            f"{label}: batched lowering diverged from the scalar reference "
+            f"on {diverged} ({got.n_events} vs {ref.n_events} events)",
+        )
+    ]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 __all__ = [
@@ -25,18 +27,28 @@ __all__ = [
 ]
 
 
-def require_positive(value: float, name: str) -> float:
-    """Return *value* if it is strictly positive, else raise."""
-    if not value > 0:
-        raise ValidationError(f"{name} must be > 0, got {value!r}")
-    return value
+def _require(value, ok, name: str, rule: str):
+    """Raise unless the predicate result *ok* holds everywhere.
+
+    *ok* is ``value <op> bound``: a bool for a scalar, a bool array for
+    an array.  Predicates are written so NaN fails them (every
+    comparison with NaN is false)."""
+    if ok is True or np.all(ok):
+        return value
+    bad = value if np.ndim(ok) == 0 else np.asarray(value)[~ok][0].item()
+    raise ValidationError(f"{name} must be {rule}, got {bad!r}")
 
 
-def require_nonnegative(value: float, name: str) -> float:
-    """Return *value* if it is >= 0, else raise."""
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
+def require_positive(value, name: str):
+    """Return *value* if it is strictly positive (every element of an
+    array), else raise.  NaN is rejected."""
+    return _require(value, value > 0, name, "> 0")
+
+
+def require_nonnegative(value, name: str):
+    """Return *value* if it is >= 0 (every element of an array), else
+    raise.  NaN is rejected; ``inf`` is allowed."""
+    return _require(value, value >= 0, name, ">= 0")
 
 
 def require_in_range(value: float, lo: float, hi: float, name: str) -> float:

@@ -170,6 +170,21 @@ def test_sweep_validates_bounds_and_reports_curves():
     assert result.violations() == []
 
 
+def test_traced_simulate_splits_lowering_from_sweep():
+    from repro.observability import trace
+
+    with trace.tracing() as tr:
+        NetworkSweep(GNARLY, "caps-dist").run(1024, [7, 49])
+    spans = tr.spans
+    lower = [sp for sp in spans if sp.name == "netsim.lower"]
+    sweep = [sp for sp in spans if sp.name == "netsim.events"]
+    assert len(lower) == len(sweep) == 2
+    for lo, sw in zip(lower, sweep):
+        assert lo.attrs["events"] == sw.attrs["events"] > 0
+        assert spans[lo.parent].name == spans[sw.parent].name == "cell"
+        assert lo.t_end <= sw.t_start
+
+
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         NetworkSweep(ClusterSpec(), "cannon")

@@ -1,5 +1,7 @@
 """Rank-event streams and the two network-simulation engines."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.runtime.rankevents import (
     NET_ENGINES,
     EventStreamBuilder,
 )
+from repro.testing.netlowering import ReferenceEventBuilder
 from repro.util.errors import ValidationError
 
 
@@ -141,3 +144,165 @@ def test_unknown_engine_rejected():
     assert set(NET_ENGINES) == {"events", "ranks"}
     with pytest.raises(ValidationError):
         prog.finish_times("threads")
+
+
+# ---- batch semantics ----------------------------------------------------
+
+
+def deps(prog, eid):
+    ptr = prog.arena.dep_indptr
+    return prog.arena.dep_indices[ptr[eid] : ptr[eid + 1]].tolist()
+
+
+def columns(prog):
+    return [
+        a.tobytes()
+        for a in (
+            prog.kind,
+            prog.rank,
+            prog.peer,
+            prog.nbytes,
+            prog.durations,
+            prog.arena.dep_indptr,
+            prog.arena.dep_indices,
+        )
+    ]
+
+
+def test_ring_shift_batch_chains_repeated_ranks():
+    # Every rank sends and receives in one batch: each event must chain
+    # on the previous occurrence of its rank *within* the batch.
+    b = EventStreamBuilder(3)
+    ids = b.messages([0, 1, 2], [1, 2, 0], 8.0, [0.5, 0.25, 0.125])
+    assert ids.tolist() == [[0, 1], [2, 3], [4, 5]]
+    prog = b.build()
+    assert deps(prog, 0) == []  # send 0->1: rank 0 idle
+    assert deps(prog, 1) == [0]  # recv on 1: just its send
+    assert deps(prog, 2) == [1]  # send 1->2 waits for rank 1's recv
+    assert deps(prog, 3) == [2]
+    assert deps(prog, 4) == [3]  # send 2->0 waits for rank 2's recv
+    assert deps(prog, 5) == [0, 4]  # recv on 0: rank 0's send, then wire
+    scalar = EventStreamBuilder(3)
+    for s, d, t in ((0, 1, 0.5), (1, 2, 0.25), (2, 0, 0.125)):
+        scalar.message(s, d, 8.0, t)
+    assert columns(prog) == columns(scalar.build())
+
+
+def test_successive_bcast_rounds_in_one_batch():
+    # Binomial rounds 0->1, then 0->2 and 1->3: rank 1 forwards only
+    # after its receive, rank 0's second send follows its first.
+    b = EventStreamBuilder(4)
+    b.messages([0, 0, 1], [1, 2, 3], 64.0, 1.0)
+    prog = b.build()
+    assert deps(prog, 2) == [0]  # second send from rank 0
+    assert deps(prog, 4) == [1]  # rank 1 forwards after receiving
+    assert prog.finish_times().tolist() == [1.0, 1.0, 2.0, 2.0, 2.0, 2.0]
+
+
+def test_rendezvous_dependency_order():
+    b = EventStreamBuilder(2)
+    c0 = b.compute(0, 1.0)
+    c1 = b.compute(1, 2.0)
+    (send, recv), = b.messages([0], [1], 8.0, 0.5, rendezvous=[True])
+    prog = b.build()
+    assert deps(prog, send) == [c0, c1]  # own head, then the handshake
+    assert deps(prog, recv) == [c1, send]  # receiver's head, then the wire
+
+
+def test_mixed_protocols_in_one_batch():
+    b = EventStreamBuilder(3)
+    b.compute(2, 1.0)
+    ids = b.messages([0, 1], [2, 2], 8.0, 0.5, rendezvous=[False, True])
+    prog = b.build()
+    assert deps(prog, ids[0, 0]) == []  # eager: no handshake
+    assert deps(prog, ids[1, 0]) == [ids[0, 1]]  # waits on rank 2's recv
+
+
+def test_empty_batches_are_noops():
+    b = EventStreamBuilder(3)
+    b.compute(1, 1.0)
+    before = columns(b.build())
+    assert b.computes([], []).size == 0
+    assert b.mark_recvs([], []).size == 0
+    assert b.messages([], [], 8.0, 0.5).shape == (0, 2)
+    assert len(b) == 1
+    assert columns(b.build()) == before
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda b: b.computes([0, 3], [1.0, 1.0]),  # rank out of range
+        lambda b: b.computes([-1], [1.0]),
+        lambda b: b.computes([0, 1], [1.0, -1.0]),  # negative seconds
+        lambda b: b.computes([0], [math.nan]),
+        lambda b: b.messages([0, 1], [1, 1], 8.0, 0.5),  # self-message
+        lambda b: b.messages([0], [3], 8.0, 0.5),
+        lambda b: b.messages([0, 1], [1, 2], [8.0, -8.0], 0.5),
+        lambda b: b.messages([0, 1], [1, 2], 8.0, [0.5, math.nan]),
+        lambda b: b.messages([0, 1], [1, 2], math.nan, 0.5),
+        lambda b: b.mark_recvs([0, 2], [math.nan, 1.0]),
+        lambda b: b.barrier(math.nan),
+    ],
+)
+def test_failed_batch_leaves_builder_untouched(bad):
+    def seeded():
+        b = EventStreamBuilder(3)
+        b.compute(0, 1.0)
+        b.message(0, 1, 8.0, 0.5)
+        return b
+
+    b = seeded()
+    with pytest.raises(ValidationError):
+        bad(b)
+    # Same stream and same chain heads as a builder that never saw it.
+    ref = seeded()
+    for builder in (b, ref):
+        builder.computes([0, 1, 2], 1.0)
+    assert columns(b.build()) == columns(ref.build())
+
+
+def test_nan_duration_rejected_before_engines_diverge():
+    # A NaN duration used to be accepted and the engines then disagreed
+    # on the finish times downstream of it.
+    b = EventStreamBuilder(2)
+    b.compute(0, 1.0)
+    with pytest.raises(ValidationError, match="nan"):
+        b.message(0, 1, 8.0, math.nan)
+    with pytest.raises(ValidationError, match="nan"):
+        b.compute(1, math.nan)
+
+
+def test_random_batches_match_scalar_appends():
+    # Any batch equals the same events appended one at a time, by the
+    # scalar reference builder.
+    rng = np.random.default_rng(7)
+    ranks = 5
+    batched, scalar = EventStreamBuilder(ranks), ReferenceEventBuilder(ranks)
+    for _ in range(60):
+        op = rng.integers(4)
+        m = int(rng.integers(0, 6))
+        if op == 0:
+            rs, secs = rng.integers(0, ranks, m), rng.random(m)
+            batched.computes(rs, secs)
+            for r, t in zip(rs, secs):
+                scalar.compute(int(r), float(t))
+        elif op == 1:
+            src = rng.integers(0, ranks, m)
+            dst = (src + rng.integers(1, ranks, m)) % ranks
+            nb, dur, rdv = rng.random(m) * 64, rng.random(m), rng.random(m) < 0.5
+            batched.messages(src, dst, nb, dur, rdv)
+            for args in zip(src, dst, nb, dur, rdv):
+                scalar.message(int(args[0]), int(args[1]), *map(float, args[2:4]), bool(args[4]))
+        elif op == 2:
+            rs, nb = rng.integers(0, ranks, m), rng.random(m) * 64
+            batched.mark_recvs(rs, nb)
+            for r, x in zip(rs, nb):
+                scalar.mark_recv(int(r), float(x))
+        else:
+            t = float(rng.random())
+            batched.barrier(t)
+            scalar.barrier(t)
+    a, b = batched.build(), scalar.build()
+    assert columns(a) == columns(b)
+    assert a.finish_times("events").tobytes() == a.finish_times("ranks").tobytes()

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 
-from repro.distributed import simulate
+from repro.distributed import netsim, simulate
+from repro.runtime.rankevents import RankEventProgram
 from repro.testing import (
     check_network_bounds,
+    compare_event_programs,
     differential_network_check,
     gen_network_case,
     run_verify,
@@ -49,6 +51,62 @@ def test_describe_names_the_knobs():
 def test_differential_clean_on_many_seeds():
     for seed in range(20):
         assert differential_network_check(gen_network_case(seed)) == []
+
+
+def with_flipped_dependency(prog):
+    """*prog* with the last event's first dependency moved one event
+    earlier (still a valid DAG, so both engines can sweep it)."""
+    indices = prog.arena.dep_indices.copy()
+    k = int(prog.arena.dep_indptr[-2])
+    indices[k] = indices[k] - 1 if indices[k] > 0 else indices[k] + 1
+    return RankEventProgram.from_columns(
+        prog.ranks,
+        kind=prog.kind,
+        rank=prog.rank,
+        peer=prog.peer,
+        nbytes=prog.nbytes,
+        durations=prog.durations,
+        dep_indptr=prog.arena.dep_indptr,
+        dep_indices=indices,
+    )
+
+
+def test_flipped_dependency_breaks_lowering_oracle(monkeypatch):
+    case = next(
+        c for c in map(gen_network_case, range(50)) if c.algorithm != "caps-dist"
+    )
+    real = netsim.build_events
+    monkeypatch.setattr(
+        netsim, "build_events", lambda *a, **k: with_flipped_dependency(real(*a, **k))
+    )
+    found = [
+        v for v in differential_network_check(case)
+        if v.invariant == "oracle.network_lowering"
+    ]
+    assert len(found) == 1
+    assert "dep_indices" in found[0].detail
+    assert "dep_indptr" not in found[0].detail
+
+
+def test_lowering_oracle_compares_every_column():
+    case = gen_network_case(0)
+    prog = netsim.build_events(case.cluster, case.algorithm, case.n, case.ranks, case.config)
+    assert compare_event_programs(prog, prog, "same") == []
+    slower = prog.durations.copy()
+    slower[-1] = np.nextafter(slower[-1], np.inf)  # one ulp is enough
+    bad = RankEventProgram.from_columns(
+        prog.ranks,
+        kind=prog.kind,
+        rank=prog.rank,
+        peer=prog.peer,
+        nbytes=prog.nbytes,
+        durations=slower,
+        dep_indptr=prog.arena.dep_indptr,
+        dep_indices=prog.arena.dep_indices,
+    )
+    (v,) = compare_event_programs(prog, bad, "ulp")
+    assert v.invariant == "oracle.network_lowering"
+    assert "durations" in v.detail
 
 
 # ---- bound invariant ----------------------------------------------------

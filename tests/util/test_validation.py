@@ -1,5 +1,8 @@
 """Validation helper behaviour."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +34,33 @@ def test_require_nonnegative():
     assert require_nonnegative(0, "x") == 0
     with pytest.raises(ValidationError):
         require_nonnegative(-1e-9, "x")
+
+
+@pytest.mark.parametrize("helper", [require_nonnegative, require_positive])
+def test_nan_is_rejected(helper):
+    # Every comparison with NaN is false, so ``value < 0`` used to let
+    # NaN through; the predicates are now written so NaN fails them.
+    for bad in (math.nan, np.float64("nan")):
+        with pytest.raises(ValidationError, match="nan"):
+            helper(bad, "x")
+
+
+def test_inf_stays_legal():
+    assert require_nonnegative(math.inf, "x") == math.inf
+    assert require_positive(math.inf, "x") == math.inf
+
+
+def test_array_values_checked_elementwise():
+    ok = np.array([0.0, 1.0, math.inf])
+    assert require_nonnegative(ok, "x") is ok
+    assert require_positive(np.array([1, 2]), "x").tolist() == [1, 2]
+    assert require_nonnegative(np.zeros(0), "x").size == 0
+    with pytest.raises(ValidationError, match="got -2.0"):
+        require_nonnegative(np.array([1.0, -2.0, -3.0]), "x")
+    with pytest.raises(ValidationError, match="got nan"):
+        require_nonnegative(np.array([1.0, math.nan]), "x")
+    with pytest.raises(ValidationError, match="got 0"):
+        require_positive(np.array([3, 0]), "x")
 
 
 def test_require_in_range():

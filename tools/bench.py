@@ -50,7 +50,10 @@ and the trace-driven cache simulator:
     ``network_sim`` verify family asserts it); the gated ``ratio``
     (object/arena wall time) must stay above the absolute
     ``NETWORK_FLOOR`` (3x) — per-rank Python objects must never be the
-    hot path for P-sweeps.
+    hot path for P-sweeps.  ``lower_ratio`` times the lowering itself:
+    the scalar reference lowering (``repro.testing.netlowering``, one
+    message at a time) over the batched one (one builder batch per
+    collective round), gated at the absolute ``LOWER_FLOOR`` (10x).
 ``study_service``
     The async study service under load: 100 overlapping concurrent
     requests for the same cost-only grid (single-flight dedup must
@@ -123,6 +126,10 @@ COMPILED_FLOOR = 3.0
 #: per-rank object loop at thousand-rank scale (lowering excluded: both
 #: engines consume the same pre-built event program).
 NETWORK_FLOOR = 3.0
+
+#: Absolute floor on the batched network lowering's speedup over the
+#: scalar reference lowering of the same schedule.
+LOWER_FLOOR = 10.0
 
 #: Absolute gates on the study service (no baseline needed): a
 #: store-served cell lookup must average under this many milliseconds,
@@ -369,25 +376,28 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
     the gate pins the thousand-rank regime the sweeps run at.
     """
     from repro.distributed import ClusterSpec, NetworkConfig, Topology, build_events
+    from repro.testing.netlowering import reference_events
 
     cluster = ClusterSpec(node=machine, topology=Topology("torus2d"))
     cfg = NetworkConfig(c=2)
     ranks = 512 if smoke else 2048
     n = 16384
-    t0 = time.perf_counter()
-    prog = build_events(cluster, "summa25d", n, ranks, cfg)
-    lower_s = time.perf_counter() - t0
+    args = (cluster, "summa25d", n, ranks, cfg)
+    prog = build_events(*args)
     reps = min(repeats, 5)
     out = {
         "algorithm": "summa25d",
         "n": n,
         "ranks": ranks,
         "events": prog.n_events,
-        "lower_ms": lower_s * 1e3,
+        "lower_ms": _best_of(lambda: build_events(*args), reps) * 1e3,
+        "reference_lower_ms": _best_of(lambda: reference_events(*args), 2 if smoke else 1)
+        * 1e3,
         "events_ms": _best_of(lambda: prog.simulate("events"), reps) * 1e3,
         "ranks_ms": _best_of(lambda: prog.simulate("ranks"), min(reps, 3)) * 1e3,
     }
     out["ratio"] = out["ranks_ms"] / out["events_ms"]
+    out["lower_ratio"] = out["reference_lower_ms"] / out["lower_ms"]
     return out
 
 
@@ -599,6 +609,21 @@ def gate(current: dict, baseline: dict) -> int:
             failures.append(
                 f"network_sim: arena speedup {nratio:.2f}x below the "
                 f"absolute {NETWORK_FLOOR:.1f}x floor"
+            )
+    lratio = netsim.get("lower_ratio")
+    if lratio is None:
+        failures.append("network_sim: missing lower_ratio")
+    else:
+        status = "ok" if lratio >= LOWER_FLOOR else "TOO SLOW"
+        print(
+            f"  {'network_sim':20s} lower_ratio: {lratio:.2f}x batched-lowering "
+            f"speedup over the scalar reference at P={netsim.get('ranks', '?')} "
+            f"(floor {LOWER_FLOOR:.1f}x) {status}"
+        )
+        if lratio < LOWER_FLOOR:
+            failures.append(
+                f"network_sim: lowering speedup {lratio:.2f}x below the "
+                f"absolute {LOWER_FLOOR:.1f}x floor"
             )
     overhead = current.get("trace_overhead", {}).get("max_pct")
     if overhead is None:
