@@ -34,6 +34,7 @@ from .distributed import (
     NetworkSweepResult,
     Topology,
 )
+from .core.resultstore import ResultStore
 from .core.study import (
     PAPER_SIZES,
     PAPER_THREADS,
@@ -56,6 +57,7 @@ from .service.cells import StudyRequest
 from .service.service import ServiceConfig, StudyService
 from .sim.engine import Engine
 from .sim.measurement import RunMeasurement
+from .util.deprecation import warn_deprecated
 from .util.errors import ConfigurationError
 from .util.tables import TextTable
 
@@ -145,14 +147,17 @@ class RunOptions:
         — defers to the ``REPRO_STUDY_TRANSPORT`` environment variable,
         falling back to ``"auto"``.  Irrelevant to serial runs; results
         are bit-identical under every transport.
-    checkpoint:
-        Path of a completed-cell journal to write during the run (see
-        :mod:`repro.core.journal`).
-    resume:
-        Path of an existing journal whose cells are replayed instead of
-        re-simulated; combined with ``checkpoint`` pointing elsewhere,
-        the new journal is written complete.  A resumed run is
-        bit-identical to an uninterrupted one.
+    store:
+        A :class:`~repro.core.resultstore.ResultStore` or its directory
+        (created if missing) that checkpoints the run: stored cells are
+        served (MSR deposits included), the rest are simulated and
+        stored, so rerunning an interrupted sweep resumes it
+        bit-identically.  The cell key covers everything that changes a
+        number (see DESIGN.md §11.5); needs a plain
+        :class:`~repro.sim.engine.Engine`.
+    checkpoint / resume:
+        Deprecated spellings of ``store``; naming two different paths is
+        a :class:`ConfigurationError`.
     """
 
     engine: "str | Engine" = "fast"
@@ -161,10 +166,25 @@ class RunOptions:
     execute_max_n: int | None = None
     verify: bool | None = None
     transport: str | None = None
+    store: "ResultStore | str | Path | None" = None
     checkpoint: "str | Path | None" = None
     resume: "str | Path | None" = None
 
     def __post_init__(self) -> None:
+        for name in ("checkpoint", "resume"):
+            path = getattr(self, name)
+            if path is None:
+                continue
+            warn_deprecated(
+                f"RunOptions({name}=...)", "RunOptions(store=...)", stacklevel=4
+            )
+            if self.store is None:
+                object.__setattr__(self, "store", path)
+            elif _store_dir(self.store) != _store_dir(path):
+                raise ConfigurationError(
+                    f"RunOptions({name}={str(path)!r}) names a different path "
+                    f"than store {str(_store_dir(self.store))!r}; a run has one store"
+                )
         if isinstance(self.engine, str) and self.engine not in _ENGINES:
             raise ConfigurationError(
                 f"engine must be one of {_ENGINES} or an Engine instance, "
@@ -179,6 +199,10 @@ class RunOptions:
                 f"transport must be one of {TRANSPORTS} (or None for the "
                 f"environment default), got {self.transport!r}"
             )
+
+
+def _store_dir(store: "ResultStore | str | Path") -> Path:
+    return Path(store.root if isinstance(store, ResultStore) else store).resolve()
 
 
 @dataclass
@@ -305,11 +329,7 @@ class Study:
             config=cfg,
             _engine=self._engine(opts),
         )
-        run_kwargs = dict(
-            transport=opts.transport,
-            checkpoint=opts.checkpoint,
-            resume=opts.resume,
-        )
+        run_kwargs = dict(transport=opts.transport, store=opts.store)
         if not opts.trace:
             return StudyRun(
                 result=study._run(opts.parallel, **run_kwargs), options=opts

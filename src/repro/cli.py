@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import Sequence
 
 from .cliargs import (
@@ -26,7 +27,7 @@ from .cliargs import (
     add_machine_args,
     add_study_scale_args,
     add_trace_arg,
-    check_journal_path,
+    check_store_path,
     check_trace_path,
     emit,
     get_format,
@@ -112,7 +113,9 @@ def cmd_study(args) -> int:
     from .observability.metrics import registry as metrics_registry
 
     check_trace_path(args.trace)
-    check_journal_path(args.checkpoint, args.resume)
+    check_store_path(args.store)
+    # Only a store that existed before the run has cells to resume.
+    resuming = args.store is not None and Path(args.store).is_dir()
     study = Study(
         machine_from_args(args),
         sizes=tuple(args.sizes),
@@ -132,16 +135,15 @@ def cmd_study(args) -> int:
             parallel=args.parallel,
             trace=bool(args.trace),
             transport=args.transport,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
+            store=args.store,
         )
     )
-    if args.resume is not None:
+    if resuming:
         delta = metrics_registry().delta_since(snap)
         resumed = int(delta.get("study.cells_resumed", 0))
         total = len(run.result.runs)
         print(
-            f"resumed {resumed}/{total} cells from {args.resume} "
+            f"resumed {resumed}/{total} cells from {args.store} "
             f"({total - resumed} newly simulated)"
         )
         print()

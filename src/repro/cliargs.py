@@ -25,7 +25,7 @@ __all__ = [
     "add_machine_args",
     "add_study_scale_args",
     "add_trace_arg",
-    "check_journal_path",
+    "check_store_path",
     "check_trace_path",
     "emit",
     "get_format",
@@ -103,20 +103,21 @@ def check_trace_path(path: str | os.PathLike | None) -> None:
     as a clean ``error:`` line immediately, not as a traceback after
     minutes of simulation.
     """
-    if path is None:
-        return
+    if path is not None:
+        _check_parent_dir(path, "--trace")
+
+
+def _check_parent_dir(path: str | os.PathLike, flag: str) -> None:
     parent = Path(path).parent
     if not parent.is_dir():
-        raise ConfigurationError(
-            f"--trace: directory does not exist: {parent}"
-        )
+        raise ConfigurationError(f"{flag}: directory does not exist: {parent}")
     if not os.access(parent, os.W_OK):
-        raise ConfigurationError(f"--trace: directory not writable: {parent}")
+        raise ConfigurationError(f"{flag}: directory not writable: {parent}")
 
 
 def add_study_scale_args(parser: argparse.ArgumentParser) -> None:
-    """The huge-sweep argument group: worker transport and
-    checkpoint/resume journaling (shared by ``repro study`` and any
+    """The huge-sweep argument group: worker transport and the
+    checkpoint store (shared by ``repro study`` and any
     tool that drives a parallel study)."""
     from .core.study import TRANSPORTS
 
@@ -131,50 +132,25 @@ def add_study_scale_args(parser: argparse.ArgumentParser) -> None:
         "bit-identical either way)",
     )
     g.add_argument(
+        "--store",
         "--checkpoint",
-        metavar="JOURNAL.jsonl",
-        default=None,
-        help="journal completed cells to this JSONL file (fsynced in "
-        "batches) so an interrupted sweep can be resumed",
-    )
-    g.add_argument(
         "--resume",
-        metavar="JOURNAL.jsonl",
+        dest="store",
+        metavar="DIR",
         default=None,
-        help="replay completed cells from this journal instead of "
-        "re-simulating them; the resumed run is bit-identical to an "
-        "uninterrupted one",
+        help="run the study against the result store in DIR (created if "
+        "missing): cells already stored are served, the rest are "
+        "simulated and stored, so rerunning an interrupted sweep resumes "
+        "it bit-identically (--checkpoint/--resume are aliases)",
     )
 
 
-def check_journal_path(
-    checkpoint: str | os.PathLike | None, resume: str | os.PathLike | None
-) -> None:
-    """Fail fast on bad ``--checkpoint``/``--resume`` destinations —
-    before the sweep, not hours into it."""
-    if checkpoint is not None:
-        parent = Path(checkpoint).parent
-        if not parent.is_dir():
-            raise ConfigurationError(
-                f"--checkpoint: directory does not exist: {parent}"
-            )
-        if not os.access(parent, os.W_OK):
-            raise ConfigurationError(
-                f"--checkpoint: directory not writable: {parent}"
-            )
-    if resume is not None:
-        path = Path(resume)
-        # A missing resume file is legal — the first run of a resumable
-        # sweep starts the journal — but its directory must exist so a
-        # typo'd path fails now, not after the sweep.
-        if not path.parent.is_dir():
-            raise ConfigurationError(
-                f"--resume: directory does not exist: {path.parent}"
-            )
-        if not path.exists() and not os.access(path.parent, os.W_OK):
-            raise ConfigurationError(
-                f"--resume: directory not writable: {path.parent}"
-            )
+def check_store_path(path: str | os.PathLike | None) -> None:
+    """Fail fast on a bad ``--store`` destination — before the sweep,
+    not hours into it.  A store directory that does not exist yet (the
+    first run of a resumable sweep) needs a writable parent."""
+    if path is not None and not Path(path).is_dir():
+        _check_parent_dir(path, "--store")
 
 
 def add_machine_args(parser: argparse.ArgumentParser) -> None:

@@ -1,9 +1,10 @@
 """Persistent content-addressed store for study-cell results.
 
-The study service (:mod:`repro.service`) answers "hot" cells — ones any
-earlier request already computed — without re-simulating them.  That is
-only sound if the cache key captures *everything* the measurement
-depends on, and nothing it doesn't.  This module owns that key:
+The study service (:mod:`repro.service`) answers "hot" cells from it,
+and a checkpointed study resumes from it (a resumed cell is a store
+hit).  That is only sound if the cache key captures *everything* the
+measurement depends on, and nothing it doesn't.  This module owns that
+key:
 
 * :func:`machine_payload` — the physically meaningful content of a
   :class:`~repro.machine.specs.MachineSpec` as plain JSON types
@@ -15,30 +16,39 @@ depends on, and nothing it doesn't.  This module owns that key:
   payload.  Canonical means ``sort_keys`` plus fixed separators, so
   dict insertion order and formatting whitespace cannot perturb the
   digest (``tests/service/test_store_keys.py`` proves both properties).
-* :func:`cell_key` — sha256 over (machine fingerprint, algorithm, n,
-  threads, seed, execute flag, event-kernel name,
-  :data:`~repro.sim.engine.ENGINE_VERSION`, :data:`STORE_VERSION`).
+* :func:`algorithm_fingerprint` / :func:`engine_fingerprint` — the
+  algorithm's registry name, class and every constructor parameter read
+  back from the instance; the event kernel and ``max_trace_segments``
+  of a plain :class:`~repro.sim.engine.Engine`.  Whatever cannot be
+  read back (or a stateful wrapper such as
+  :class:`~repro.sim.noise.NoisyEngine`) raises instead of being left
+  out of the key.
+* :func:`cell_key` — sha256 over those three fingerprints plus n,
+  threads, seed, the execute and verify flags,
+  :data:`~repro.sim.engine.ENGINE_VERSION` and :data:`STORE_VERSION`.
   Bumping either version constant orphans every stored entry, which is
   exactly what a semantic change to the simulator must do.
 
 :class:`ResultStore` is the durable side: one file per key under a
 two-level fan-out directory (``root/ab/<key>.json``), each entry a
 single JSON document carrying the cell coordinates plus the pickled
-:class:`~repro.sim.measurement.RunMeasurement` (base64 — the same
-bit-exact encoding :mod:`repro.core.journal` uses) and a sha256
-checksum of the payload.  Writes go through a temp file and
-``os.replace`` so a crash can never leave a half-written entry under
-its final name; reads verify the checksum and unpickle, and *any*
-defect — truncation, bit rot, schema drift — degrades to a miss (the
-service recomputes and overwrites) with the ``store.corrupt`` counter
-bumped, never to a wrong answer.  A small in-memory LRU fronts the
-files so hot-cell lookups stay far under the service's 1 ms budget.
+:class:`~repro.sim.measurement.RunMeasurement` (base64 — pickling is
+the only encoding that round-trips its floats and numpy arrays
+bit-for-bit) and a sha256 checksum of the payload.  Writes go through
+a temp file that is fsynced before ``os.replace``, so a crash can
+never leave a half-written entry under its final name; reads verify
+the checksum and unpickle, and *any* defect — truncation, bit rot,
+schema drift — degrades to a miss (the caller recomputes and
+overwrites) with the ``store.corrupt`` counter bumped, never to a
+wrong answer.  A small in-memory LRU fronts the files so hot-cell
+lookups stay far under the service's 1 ms budget.
 """
 
 from __future__ import annotations
 
 import base64
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -49,16 +59,21 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..machine.specs import MachineSpec
 from ..observability.metrics import counter
+from ..runtime.scheduler import default_engine
+from ..sim import engine as sim_engine
 from ..util.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..algorithms.base import MatmulAlgorithm
     from ..sim.measurement import RunMeasurement
 
 __all__ = [
     "STORE_VERSION",
     "ResultStore",
+    "algorithm_fingerprint",
     "canonical_json",
     "cell_key",
+    "engine_fingerprint",
     "machine_fingerprint",
     "machine_payload",
 ]
@@ -66,7 +81,7 @@ __all__ = [
 #: Schema version of stored entries *and* a component of every cell key;
 #: bump on any format or key-derivation change so stale entries become
 #: unreachable instead of silently misread.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 _STORE_HITS = counter(
     "store.hits", description="result-store lookups answered from a stored entry"
@@ -114,49 +129,103 @@ def machine_payload(machine: MachineSpec) -> dict:
     return payload
 
 
+def _sha256(payload: object) -> str:
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
 def machine_fingerprint(machine: MachineSpec) -> str:
     """sha256 hex digest of the canonical machine payload."""
-    return hashlib.sha256(
-        canonical_json(machine_payload(machine)).encode("utf-8")
-    ).hexdigest()
+    return _sha256(machine_payload(machine))
+
+
+def algorithm_fingerprint(alg: "MatmulAlgorithm") -> str:
+    """sha256 over the algorithm's registry name, class and every
+    ``__init__`` parameter read back from the instance under the same
+    name (a machine contributes its :func:`machine_fingerprint`).
+
+    A parameter that is not readable, ``*args``/``**kwargs``, or a value
+    without a canonical JSON form raises :class:`ConfigurationError`:
+    skipping it would let differently configured instances share cells.
+    """
+    cls = type(alg)
+    params: dict[str, object] = {}
+    for name, param in list(inspect.signature(cls.__init__).parameters.items())[1:]:
+        value = getattr(alg, name, param)  # the Parameter itself marks "absent"
+        if value is param or param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            raise ConfigurationError(
+                f"cannot key algorithm {alg.name!r}: {cls.__qualname__}"
+                f".__init__ parameter {param} is not readable back"
+            )
+        params[name] = (
+            machine_fingerprint(value) if isinstance(value, MachineSpec) else value
+        )
+    try:
+        return _sha256(
+            {"name": alg.name, "class": f"{cls.__module__}.{cls.__qualname__}",
+             "params": params}
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot key algorithm {alg.name!r}: {params!r} has no canonical "
+            f"JSON form ({exc})"
+        ) from None
+
+
+def engine_fingerprint(engine: "sim_engine.Engine") -> str:
+    """sha256 over a plain engine's event kernel (``None`` resolves via
+    :func:`~repro.runtime.scheduler.default_engine`, as a run would) and
+    ``max_trace_segments``.  Any other engine type — e.g. a
+    :class:`~repro.sim.noise.NoisyEngine`, whose noise depends on the
+    runs before it — is a :class:`ConfigurationError`."""
+    if type(engine) is not sim_engine.Engine:
+        raise ConfigurationError(
+            f"cannot key cells simulated by {type(engine).__name__}: only a "
+            f"plain Engine is described by its kernel and max_trace_segments"
+        )
+    return _sha256(
+        {"kernel": str(engine.engine or default_engine()),
+         "max_trace_segments": int(engine.max_trace_segments)}
+    )
 
 
 def cell_key(
     machine: "MachineSpec | str",
-    algorithm: str,
+    algorithm: "MatmulAlgorithm | str",
     n: int,
     threads: int,
     *,
     seed: int,
     execute: bool,
-    engine: str = "fast",
+    verify: bool,
+    engine: "sim_engine.Engine | str",
 ) -> str:
     """Content address of one study cell.
 
-    *machine* may be a :class:`MachineSpec` or a precomputed
-    :func:`machine_fingerprint` (the service caches the fingerprint so
-    hot-path key derivation is a couple of microseconds).  The key
-    folds in :data:`~repro.sim.engine.ENGINE_VERSION` and
-    :data:`STORE_VERSION`, so a simulator semantics change or a store
-    format change each orphan old entries by construction.
+    *machine*, *algorithm* and *engine* may each be the object or its
+    precomputed fingerprint; the service and the study driver compute
+    those once, so a per-cell key is one small hash.  *verify* is keyed
+    so a verifying run is never served cells nobody verified.
     """
-    from ..sim.engine import ENGINE_VERSION
-
-    fingerprint = (
-        machine if isinstance(machine, str) else machine_fingerprint(machine)
+    if not isinstance(machine, str):
+        machine = machine_fingerprint(machine)
+    if not isinstance(algorithm, str):
+        algorithm = algorithm_fingerprint(algorithm)
+    if not isinstance(engine, str):
+        engine = engine_fingerprint(engine)
+    return _sha256(
+        {
+            "machine": machine,
+            "algorithm": algorithm,
+            "engine": engine,
+            "n": int(n),
+            "threads": int(threads),
+            "seed": int(seed),
+            "execute": bool(execute),
+            "verify": bool(verify),
+            "engine_version": sim_engine.ENGINE_VERSION,
+            "store_version": STORE_VERSION,
+        }
     )
-    payload = {
-        "machine": fingerprint,
-        "algorithm": str(algorithm),
-        "n": int(n),
-        "threads": int(threads),
-        "seed": int(seed),
-        "execute": bool(execute),
-        "engine": str(engine),
-        "engine_version": ENGINE_VERSION,
-        "store_version": STORE_VERSION,
-    }
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +250,9 @@ class ResultStore:
     ``put``, which atomically replaces whatever was on disk.  Entries
     are immutable by construction (same key ⇒ same bytes), so the LRU
     front cache never needs invalidation.
+
+    *root* is a directory, created on first use; an existing file there
+    (e.g. an old JSONL journal) is a :class:`ConfigurationError`.
     """
 
     def __init__(self, root: "str | Path", *, cache_entries: int = 1024):
@@ -189,6 +261,10 @@ class ResultStore:
                 f"cache_entries must be >= 0, got {cache_entries}"
             )
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise ConfigurationError(
+                f"{self.root} is a file; checkpoints are now store directories"
+            )
         self.root.mkdir(parents=True, exist_ok=True)
         self._cache_entries = cache_entries
         self._cache: "OrderedDict[str, RunMeasurement]" = OrderedDict()
@@ -240,9 +316,6 @@ class ResultStore:
         _STORE_HITS.add()
         return measurement
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._cache or self._path(key).exists()
-
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
@@ -262,7 +335,9 @@ class ResultStore:
         measurement: "RunMeasurement",
         meta: Mapping[str, object] | None = None,
     ) -> Path:
-        """Persist *measurement* under *key* (atomic replace).
+        """Persist *measurement* under *key*: write a temp file, fsync
+        it, then ``os.replace`` it over the final name — after a crash
+        the entry is either absent or complete, never torn.
 
         *meta* rides along for humans (`repro query` shows cell
         coordinates without unpickling payloads); it is not part of the
@@ -280,7 +355,10 @@ class ResultStore:
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{key}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._remember(key, measurement)
         _STORE_PUTS.add()

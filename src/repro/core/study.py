@@ -28,6 +28,7 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
 from ..observability.metrics import registry as metrics_registry
+from ..power.msr import deposit_planes
 from ..power.planes import Plane
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
@@ -35,7 +36,13 @@ from ..util.deprecation import warn_deprecated
 from ..util.errors import ConfigurationError, StudyCellError, ValidationError
 from ..util.validation import require_nonempty, require_positive
 from .ep import EPConvention, EPMeasurement
-from .journal import StudyJournal, study_fingerprint
+from .resultstore import (
+    ResultStore,
+    algorithm_fingerprint,
+    cell_key,
+    engine_fingerprint,
+    machine_fingerprint,
+)
 from .scaling import ScalingPoint, scaling_series
 
 __all__ = [
@@ -62,6 +69,12 @@ _PICKLE_BYTES_AVOIDED = counter(
     unit="B",
     description="arena column bytes shipped to workers by descriptor "
     "instead of pickle",
+)
+
+_CELLS_RESUMED = counter(
+    "study.cells_resumed",
+    description="study cells served from the run's result store instead "
+    "of simulated",
 )
 
 #: The paper's problem sizes and thread counts.
@@ -317,8 +330,7 @@ class EnergyPerformanceStudy:
         parallel: int | None = None,
         *,
         transport: str | None = None,
-        checkpoint: "str | Path | None" = None,
-        resume: "str | Path | None" = None,
+        store: "ResultStore | str | Path | None" = None,
     ) -> StudyResult:
         """Internal entry point (no deprecation shim; used by
         :mod:`repro.api`).  Instrumented: the whole matrix runs under a
@@ -327,10 +339,10 @@ class EnergyPerformanceStudy:
 
         *transport* picks how parallel runs ship pre-lowered arenas to
         workers (see :data:`TRANSPORTS`; ``None`` = env override or
-        ``"auto"``).  *checkpoint* writes a completed-cell journal;
-        *resume* additionally replays an existing journal's cells into
-        the merge — in serial order, MSR deposits included — so a
-        resumed run is bit-identical to an uninterrupted one.
+        ``"auto"``).  *store* (a :class:`ResultStore` or its directory)
+        checkpoints the sweep: a cell whose key is stored is served
+        from it, any other is simulated and stored, so rerunning an
+        interrupted sweep resumes it bit-identically.
         """
         result = StudyResult(
             machine=self.machine,
@@ -338,115 +350,93 @@ class EnergyPerformanceStudy:
             algorithm_names=[a.name for a in self.algorithms],
             display_names={a.name: a.display_name for a in self.algorithms},
         )
-        cells = [
+        cells = self._cells()
+        keys = None
+        if store is not None:
+            # Key first: an engine or algorithm no key can describe is
+            # refused before the store directory is even created.
+            keys = self._cell_keys(cells)
+            if not isinstance(store, ResultStore):
+                store = ResultStore(store)
+        with trace.span(
+            "study.run",
+            sizes=list(self.config.sizes),
+            threads=list(self.config.threads),
+            algorithms=[a.name for a in self.algorithms],
+            cells=len(cells),
+            parallel=int(parallel or 0),
+        ):
+            if parallel is not None and parallel > 1 and len(cells) > 1:
+                self._run_parallel(
+                    result, cells, parallel, transport=transport, store=store, keys=keys
+                )
+            else:
+                self._run_serial(result, cells, store, keys)
+        return result
+
+    def _cells(self) -> list[tuple[MatmulAlgorithm, int, int]]:
+        """The matrix in serial (table) order."""
+        return [
             (alg, n, p)
             for alg in self.algorithms
             for n in self.config.sizes
             for p in self.config.threads
         ]
-        journal = self._open_journal(checkpoint, resume)
-        try:
-            with trace.span(
-                "study.run",
-                sizes=list(self.config.sizes),
-                threads=list(self.config.threads),
-                algorithms=[a.name for a in self.algorithms],
-                cells=len(cells),
-                parallel=int(parallel or 0),
-            ):
-                if parallel is not None and parallel > 1 and len(cells) > 1:
-                    self._run_parallel(
-                        result, cells, parallel, transport=transport, journal=journal
-                    )
-                else:
-                    self._run_serial(result, cells, journal)
-        finally:
-            if journal is not None:
-                journal.close()
-        return result
 
     # ---- checkpoint/resume ---------------------------------------------
 
-    def _fingerprint(self) -> str:
-        """Digest of (machine, algorithms, config, kernel) — what must
-        match for a journal's cells to be replayable into this run."""
-        from dataclasses import asdict
-
-        return study_fingerprint(
-            self.machine.name,
-            [a.name for a in self.algorithms],
-            asdict(self.config),
-            str(getattr(self.engine, "engine", None) or "default"),
-        )
-
-    def _journal_meta(self) -> dict:
+    def _cell_keys(
+        self, cells: list[tuple[MatmulAlgorithm, int, int]]
+    ) -> dict[tuple[str, int, int], str]:
+        """Every cell's store key.  Raises :class:`ConfigurationError`
+        when the engine or an algorithm cannot be keyed."""
+        engine_fp = engine_fingerprint(self.engine)
+        machine_fp = machine_fingerprint(self.engine.machine)
+        alg_fps = {a.name: algorithm_fingerprint(a) for a in self.algorithms}
+        cfg = self.config
         return {
-            "machine": self.machine.name,
-            "algorithms": [a.name for a in self.algorithms],
-            "sizes": list(self.config.sizes),
-            "threads": list(self.config.threads),
-            "seed": self.config.seed,
+            (alg.name, n, p): cell_key(
+                machine_fp, alg_fps[alg.name], n, p, seed=cfg.seed,
+                execute=n <= cfg.execute_max_n, verify=cfg.verify, engine=engine_fp,
+            )
+            for alg, n, p in cells
         }
 
-    def _open_journal(
-        self, checkpoint: "str | Path | None", resume: "str | Path | None"
-    ) -> StudyJournal | None:
-        """Open the run's journal (``None`` when neither knob is set).
-
-        ``resume`` alone replays and appends to the same file;
-        ``checkpoint`` alone starts a fresh journal; both together seed
-        a fresh journal at *checkpoint* from *resume*'s entries (the
-        new file ends up complete, replayed cells included).
-        """
-        if checkpoint is None and resume is None:
-            return None
-        fingerprint = self._fingerprint()
-        meta = self._journal_meta()
-        if (
-            checkpoint is not None
-            and resume is not None
-            and Path(checkpoint).resolve() != Path(resume).resolve()
-        ):
-            source = StudyJournal.open(resume, fingerprint, resume=True)
-            source.close()
-            journal = StudyJournal.open(
-                checkpoint, fingerprint, resume=False, meta=meta
-            )
-            journal._entries.update(source._entries)
-            journal.replayed = source.replayed
-            return journal
-        path = resume if resume is not None else checkpoint
-        return StudyJournal.open(
-            path, fingerprint, resume=resume is not None, meta=meta
-        )
+    def _put(
+        self, store: ResultStore, key: str, coords: tuple[str, int, int],
+        measurement: RunMeasurement,
+    ) -> None:
+        alg, n, p = coords
+        meta = {"machine": self.machine.name, "algorithm": alg, "n": n, "threads": p}
+        store.put(key, measurement, meta=meta)
 
     def _run_serial(
         self,
         result: StudyResult,
         cells: list[tuple[MatmulAlgorithm, int, int]],
-        journal: StudyJournal | None,
+        store: ResultStore | None,
+        keys: dict[tuple[str, int, int], str] | None,
     ) -> None:
-        """The serial (table-order) sweep, with optional journal replay.
+        """The serial (table-order) sweep, optionally against a store.
 
-        Replayed cells skip simulation but still deposit their plane
+        Store hits skip simulation but still deposit their plane
         energies into the engine's MSR — in the same serial order the
         uninterrupted run would — so a RAPL/PAPI reader wrapped around
         the run observes an identical counter stream.
         """
         msr = getattr(self.engine, "msr", None)
         for alg, n, p in cells:
-            key = (alg.name, n, p)
-            measurement = journal.get(key) if journal is not None else None
+            coords = (alg.name, n, p)
+            measurement = store.get(keys[coords]) if store is not None else None
             if measurement is None:
                 measurement = self._run_one(alg, n, p)
-            elif msr is not None:
-                energy = measurement.energy
-                msr.deposit_energy(Plane.PACKAGE, energy.package)
-                msr.deposit_energy(Plane.PP0, energy.pp0)
-                msr.deposit_energy(Plane.DRAM, energy.dram)
-            result.runs[key] = measurement
-            if journal is not None:
-                journal.record(key, measurement)
+                if store is not None:
+                    self._put(store, keys[coords], coords, measurement)
+            else:
+                _CELLS_RESUMED.add()
+                if msr is not None:
+                    deposit_planes(msr, measurement.energy)
+            result.runs[coords] = measurement
 
     def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
         return _run_cell(
@@ -478,7 +468,8 @@ class EnergyPerformanceStudy:
         workers: int,
         *,
         transport: str | None = None,
-        journal: StudyJournal | None = None,
+        store: ResultStore | None = None,
+        keys: dict[tuple[str, int, int], str] | None = None,
     ) -> None:
         """Fan *cells* over a process pool; merge deterministically.
 
@@ -501,8 +492,9 @@ class EnergyPerformanceStudy:
         structure and metric totals are identical run to run, the same
         guarantee the measurements already have.
 
-        With a *journal*, already-completed cells are not resubmitted;
-        they re-enter the merge below from the journal, in serial order.
+        With a *store*, cells are prefetched with ``store.get`` (a corrupt
+        entry reads as a miss and is resubmitted); hits re-enter the merge
+        in serial order, computed cells are ``put`` as they are collected.
         """
         from concurrent.futures import ProcessPoolExecutor
 
@@ -515,11 +507,11 @@ class EnergyPerformanceStudy:
         worker_engine = copy.copy(self.engine)
         worker_engine.msr = None
         traced = trace.enabled()
-        pending = [
-            (alg, n, p)
-            for alg, n, p in cells
-            if journal is None or not journal.has((alg.name, n, p))
-        ]
+        hits: dict[tuple[str, int, int], RunMeasurement] = {}
+        if store is not None:
+            fetched = {coords: store.get(key) for coords, key in keys.items()}
+            hits = {coords: m for coords, m in fetched.items() if m is not None}
+        pending = [(alg, n, p) for alg, n, p in cells if (alg.name, n, p) not in hits]
         arena_pool = ArenaPool() if mode == "shm" and pending else None
         outcomes: dict[tuple[str, int, int], tuple] = {}
         try:
@@ -570,12 +562,15 @@ class EnergyPerformanceStudy:
                     # with the failing cell's coordinates instead of a
                     # bare pool traceback.
                     for (alg, n, p), future in zip(pending, futures):
+                        coords = (alg.name, n, p)
                         try:
-                            outcomes[(alg.name, n, p)] = future.result()
+                            outcomes[coords] = future.result()
                         except StudyCellError:
                             raise
                         except Exception as exc:
                             raise StudyCellError(alg.name, n, p, exc) from exc
+                        if store is not None:
+                            self._put(store, keys[coords], coords, outcomes[coords][0])
         finally:
             if arena_pool is not None:
                 arena_pool.close()
@@ -583,22 +578,18 @@ class EnergyPerformanceStudy:
         msr = getattr(self.engine, "msr", None)
         with trace.span("merge", cells=len(cells)):
             for alg, n, p in cells:
-                key = (alg.name, n, p)
-                outcome = outcomes.get(key)
+                coords = (alg.name, n, p)
+                outcome = outcomes.get(coords)
                 if outcome is not None:
                     measurement, _, metric_delta = outcome
                     if metric_delta:
                         metrics_registry().absorb(metric_delta)
                 else:
-                    measurement = journal.get(key)
-                result.runs[key] = measurement
-                if journal is not None:
-                    journal.record(key, measurement)
+                    measurement = hits[coords]
+                    _CELLS_RESUMED.add()
+                result.runs[coords] = measurement
                 if msr is not None:
-                    energy = measurement.energy
-                    msr.deposit_energy(Plane.PACKAGE, energy.package)
-                    msr.deposit_energy(Plane.PP0, energy.pp0)
-                    msr.deposit_energy(Plane.DRAM, energy.dram)
+                    deposit_planes(msr, measurement.energy)
         # Attach worker spans after the merge span closes so cells sit
         # at depth 1 under study.run, exactly like the serial path (the
         # default phase summary aggregates at max_depth=1).

@@ -37,6 +37,7 @@ __all__ = [
     "MSR_DRAM_ENERGY_STATUS",
     "ENERGY_STATUS_MASK",
     "MsrFile",
+    "deposit_planes",
 ]
 
 # Architectural MSR addresses (Intel SDM vol. 4).
@@ -125,3 +126,12 @@ class MsrFile:
     def wrap_joules(self) -> float:
         """Energy span after which a counter wraps (~262 kJ at 2^-14 J)."""
         return (ENERGY_STATUS_MASK + 1) * self.joules_per_unit
+
+
+def deposit_planes(msr, energy) -> None:
+    """Deposit one run's PACKAGE, PP0 and DRAM joules (a
+    :class:`~repro.machine.energy.PlaneEnergy`) into *msr*, in the
+    order every simulated or replayed run uses."""
+    msr.deposit_energy(Plane.PACKAGE, energy.package)
+    msr.deposit_energy(Plane.PP0, energy.pp0)
+    msr.deposit_energy(Plane.DRAM, energy.dram)

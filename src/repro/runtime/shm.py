@@ -34,8 +34,8 @@ Segment layout: one segment per arena, every column 16-byte aligned, in
 a fixed schema order (``name_ids``, ``untied``, ``created_by``,
 ``dep_indptr``, ``dep_indices``, then the six cost columns).  The
 layout is versioned by :data:`ARENA_SCHEMA_VERSION`; descriptors carry
-the version and attach refuses a mismatch, so a journal or a worker
-from a different build can never misread a segment.
+the version and attach refuses a mismatch, so a worker from a
+different build can never misread a segment.
 
 Resource-tracker note: CPython (< 3.13) registers *every*
 ``SharedMemory`` — attaches included — with the process-wide resource
@@ -72,8 +72,8 @@ __all__ = [
 ]
 
 #: Version of the segment layout + descriptor schema.  Bump whenever the
-#: column set, ordering, dtypes or alignment change; attach (and the
-#: study journal, which records it) refuse mismatched versions.
+#: column set, ordering, dtypes or alignment change; attach refuses
+#: mismatched versions.
 ARENA_SCHEMA_VERSION = 1
 
 #: Segment names start with this prefix (``/dev/shm/repro-arena-*``),

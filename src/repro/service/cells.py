@@ -24,6 +24,7 @@ from typing import Sequence
 
 from ..core.study import PAPER_THREADS, StudyConfig, StudyResult
 from ..machine.specs import MachineSpec
+from ..power.msr import deposit_planes
 from ..power.planes import Plane
 from ..sim.measurement import RunMeasurement
 from ..util.validation import require_nonempty, require_positive
@@ -169,10 +170,7 @@ class StudyResponse:
         :class:`~repro.core.study.EnergyPerformanceStudy` run produces,
         so RAPL/PAPI readers observe served results identically."""
         for cell in self.cells:
-            energy = cell.measurement.energy
-            msr.deposit_energy(Plane.PACKAGE, energy.package)
-            msr.deposit_energy(Plane.PP0, energy.pp0)
-            msr.deposit_energy(Plane.DRAM, energy.dram)
+            deposit_planes(msr, cell.measurement.energy)
 
     def to_study_result(
         self,

@@ -82,17 +82,12 @@ class CellExecutor:
         verify: bool = True,
     ):
         self.machine = machine
-        if isinstance(engine, Engine):
-            self.engine_name = str(engine.engine or "fast")
-            base = engine
-        else:
-            self.engine_name = engine
-            base = Engine(machine, engine=engine)
+        base = engine if isinstance(engine, Engine) else Engine(machine, engine=engine)
         # The service's engine never carries an MSR: measurements are
         # identical without one (the study's parallel workers prove it)
         # and served results replay deposits via StudyResponse.replay_msr.
-        self._engine = copy.copy(base)
-        self._engine.msr = None
+        self.engine = copy.copy(base)
+        self.engine.msr = None
         self.workers = workers
         self.transport = transport
         self.verify = verify
@@ -117,7 +112,7 @@ class CellExecutor:
 
     def _payload(self, spec: CellSpec, prebuilt=None) -> tuple:
         return (
-            self._engine,
+            self.engine,
             self.algorithm(spec.algorithm),
             spec.n,
             spec.threads,

@@ -25,7 +25,7 @@ Consistency guarantee: a served cell is *bit-identical* to the same
 cell freshly computed by a serial
 :class:`~repro.core.study.EnergyPerformanceStudy` run — the executor
 runs the study's own ``_run_cell``, the store round-trips measurements
-through the journal's bit-exact pickle encoding, and
+through its bit-exact pickle encoding, and
 :meth:`StudyResponse.replay_msr` reproduces the serial MSR stream.
 The ``study_service`` verify family (``python -m repro verify
 --require study_service``) enforces all three.
@@ -44,7 +44,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from ..core.resultstore import ResultStore, cell_key, machine_fingerprint
+from ..core.resultstore import (
+    ResultStore,
+    algorithm_fingerprint,
+    cell_key,
+    engine_fingerprint,
+    machine_fingerprint,
+)
 from ..core.study import TRANSPORTS
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
@@ -147,8 +153,11 @@ class StudyService:
             transport=self.config.transport,
             verify=self.config.verify,
         )
-        #: Cached so hot-path key derivation skips re-hashing the spec.
+        #: Cached so hot-path key derivation hashes only the cell: the
+        #: machine and engine once, each algorithm once per name.
         self._machine_fp = machine_fingerprint(self.machine)
+        self._engine_fp = engine_fingerprint(self._executor.engine)
+        self._algorithm_fps: dict[str, str] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[CellSpec, str, asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -181,14 +190,21 @@ class StudyService:
 
     def key_for(self, spec: CellSpec) -> str:
         """The content address this service uses for *spec*."""
+        algorithm_fp = self._algorithm_fps.get(spec.algorithm)
+        if algorithm_fp is None:
+            algorithm_fp = algorithm_fingerprint(
+                self._executor.algorithm(spec.algorithm)
+            )
+            self._algorithm_fps[spec.algorithm] = algorithm_fp
         return cell_key(
             self._machine_fp,
-            spec.algorithm,
+            algorithm_fp,
             spec.n,
             spec.threads,
             seed=spec.seed,
             execute=spec.execute,
-            engine=self._executor.engine_name,
+            verify=self.config.verify,
+            engine=self._engine_fp,
         )
 
     async def query(self, request: StudyRequest) -> StudyResponse:
@@ -307,7 +323,7 @@ class StudyService:
                         "threads": spec.threads,
                         "seed": spec.seed,
                         "execute": spec.execute,
-                        "engine": self._executor.engine_name,
+                        "engine": self._executor.engine.engine or "fast",
                     },
                 )
             _CELLS_COMPUTED.add()

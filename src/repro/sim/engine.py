@@ -19,7 +19,7 @@ from ..machine.specs import MachineSpec
 
 # Aliased: ``measure`` has a local ``trace`` (the PowerTrace).
 from ..observability import trace as obtrace
-from ..power.msr import MsrFile
+from ..power.msr import MsrFile, deposit_planes
 from ..power.planes import Plane
 from ..power.sampling import PowerSegment, PowerTrace
 from ..runtime.scheduler import (
@@ -148,9 +148,7 @@ class Engine:
 
         trace = PowerTrace(segments)
         if self.msr is not None:
-            self.msr.deposit_energy(Plane.PACKAGE, total.package)
-            self.msr.deposit_energy(Plane.PP0, total.pp0)
-            self.msr.deposit_energy(Plane.DRAM, total.dram)
+            deposit_planes(self.msr, total)
 
         measurement = RunMeasurement(
             label=label,
@@ -188,9 +186,7 @@ class Engine:
             # Deposit all three planes, mirroring Engine.measure — a
             # PAPI reader wrapped around the quiesce sleep must see a
             # consistent idle baseline on PP0 too.
-            self.msr.deposit_energy(Plane.PACKAGE, energy.package)
-            self.msr.deposit_energy(Plane.PP0, energy.pp0)
-            self.msr.deposit_energy(Plane.DRAM, energy.dram)
+            deposit_planes(self.msr, energy)
         from ..runtime.stats import RuntimeStats
 
         stats = RuntimeStats(

@@ -1,12 +1,14 @@
 """Property-based tests of the content-addressed cell key.
 
 The key (:func:`repro.core.resultstore.cell_key`) is the store's whole
-correctness story: two cells share a key **iff** they would simulate to
-the same measurement.  So the key must be *stable* under every
-representation accident (dict ordering, JSON whitespace, machine
-renames, fingerprint-vs-spec calling convention) and must *diverge*
-whenever any physically meaningful input changes — a collision serves
-a wrong answer, an instability wastes the store.
+correctness story — for the service and for resumed studies alike: two
+cells share a key **iff** they would simulate to the same measurement.
+So the key must be *stable* under every representation accident (dict
+ordering, JSON whitespace, machine renames, fingerprint-vs-object
+calling convention) and must *diverge* whenever any meaningful input
+changes — machine, algorithm parameters, engine settings, cell
+coordinates, execute or verify — since a collision serves a wrong
+answer and an instability wastes the store.
 """
 
 import dataclasses
@@ -17,16 +19,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.algorithms.registry import make_algorithm
 from repro.core.resultstore import (
+    algorithm_fingerprint,
     canonical_json,
     cell_key,
+    engine_fingerprint,
     machine_fingerprint,
     machine_payload,
 )
 from repro.machine.specs import dual_socket_haswell, haswell_e3_1225
+from repro.sim.engine import Engine
 from repro.testing.generators import gen_machine
 
-ALGORITHMS = ("openblas", "atlas", "strassen", "caps")
+ALGORITHMS = ("openblas", "strassen", "strassen-classic", "caps")
 
 cell_args = st.fixed_dictionaries(
     {
@@ -35,20 +41,36 @@ cell_args = st.fixed_dictionaries(
         "threads": st.integers(min_value=1, max_value=64),
         "seed": st.integers(min_value=0, max_value=2**31),
         "execute": st.booleans(),
+        "verify": st.booleans(),
         "engine": st.sampled_from(("fast", "reference")),
+        "max_trace_segments": st.integers(min_value=1, max_value=4096),
     }
 )
 
 
-def _key(machine, a):
+def _objects(machine, a):
+    """The algorithm instance and engine *a* describes."""
+    alg = make_algorithm(a["algorithm"], machine, **a.get("params", {}))
+    engine = Engine(
+        machine, engine=a["engine"], max_trace_segments=a["max_trace_segments"]
+    )
+    return alg, engine
+
+
+def _key(machine, a, fingerprints=False):
+    alg, engine = _objects(machine, a)
+    if fingerprints:
+        machine = machine_fingerprint(machine)
+        alg, engine = algorithm_fingerprint(alg), engine_fingerprint(engine)
     return cell_key(
         machine,
-        a["algorithm"],
+        alg,
         a["n"],
         a["threads"],
         seed=a["seed"],
         execute=a["execute"],
-        engine=a["engine"],
+        verify=a["verify"],
+        engine=engine,
     )
 
 
@@ -58,12 +80,13 @@ def _key(machine, a):
 
 @given(cell_args, st.integers())
 def test_key_is_deterministic_and_convention_independent(args, mseed):
-    """Same physical inputs → same key, whether the caller passes the
-    spec or its precomputed fingerprint (the service's hot path)."""
+    """Same inputs → same key, whether the caller passes the machine,
+    algorithm and engine objects or their precomputed fingerprints (the
+    service's hot path)."""
     machine = gen_machine(random.Random(mseed))
     k1 = _key(machine, args)
     k2 = _key(machine, args)
-    k3 = _key(machine_fingerprint(machine), args)
+    k3 = _key(machine, args, fingerprints=True)
     assert k1 == k2 == k3
     assert len(k1) == 64 and set(k1) <= set("0123456789abcdef")
 
@@ -106,8 +129,9 @@ def test_canonical_json_rejects_unhashable_objects():
 
 @given(cell_args)
 def test_key_diverges_when_any_field_changes(args):
-    """Flipping any single physically meaningful field must change the
-    key: algorithm, n, threads, seed, execute bound, event kernel."""
+    """Flipping any single meaningful field must change the key:
+    algorithm, its constructor parameters, n, threads, seed, execute
+    bound, verify flag, event kernel, trace resolution."""
     machine = haswell_e3_1225()
     base = _key(machine, args)
     mutations = {
@@ -116,11 +140,18 @@ def test_key_diverges_when_any_field_changes(args):
         "threads": args["threads"] + 1,
         "seed": args["seed"] + 1,
         "execute": not args["execute"],
+        "verify": not args["verify"],
         "engine": "reference" if args["engine"] == "fast" else "fast",
+        "max_trace_segments": args["max_trace_segments"] + 1,
     }
     for field, new_value in mutations.items():
         mutated = {**args, field: new_value}
         assert _key(machine, mutated) != base, field
+    # Same registry name, different constructor parameters.
+    strassen = {**args, "algorithm": "strassen"}
+    for param, value in (("cutoff", 16), ("classic", True), ("odd_strategy", "peel")):
+        mutated = {**strassen, "params": {param: value}}
+        assert _key(machine, mutated) != _key(machine, strassen), param
 
 
 @given(cell_args)
@@ -143,8 +174,8 @@ def test_key_tracks_engine_version(monkeypatch):
     import repro.sim.engine as engine_mod
 
     machine = haswell_e3_1225()
-    args = dict(algorithm="caps", n=256, threads=4, seed=2015,
-                execute=False, engine="fast")
+    args = dict(algorithm="caps", n=256, threads=4, seed=2015, execute=False,
+                verify=True, engine="fast", max_trace_segments=512)
     before = _key(machine, args)
     monkeypatch.setattr(engine_mod, "ENGINE_VERSION", engine_mod.ENGINE_VERSION + 1)
     assert _key(machine, args) != before

@@ -41,12 +41,12 @@ class TestRunOptions:
             RunOptions(transport="osmosis")
 
     def test_run_with_checkpoint_and_resume(self, machine, tmp_path):
-        """The facade plumbs checkpoint/resume through to the driver and
-        a resumed run reproduces the original result exactly."""
-        journal = tmp_path / "study.jsonl"
-        first = Study(machine, **CFG).run(RunOptions(checkpoint=journal))
-        assert journal.exists()
-        resumed = Study(machine, **CFG).run(RunOptions(resume=journal))
+        """The facade plumbs the store through to the driver: a rerun
+        against it serves every cell and reproduces the result exactly."""
+        store = tmp_path / "store"
+        first = Study(machine, **CFG).run(RunOptions(store=store))
+        assert store.is_dir()
+        resumed = Study(machine, **CFG).run(RunOptions(store=store))
         assert list(first.result.runs) == list(resumed.result.runs)
         for key in first.result.runs:
             a, b = first.result.runs[key], resumed.result.runs[key]
@@ -168,6 +168,16 @@ class TestDeprecationShims:
         with pytest.warns(DeprecationWarning, match="RunOptions"):
             result = study.run(parallel=1)
         assert len(result.runs) == 6
+
+    def test_checkpoint_resume_kwargs_warn_and_delegate(self, machine, tmp_path):
+        store = tmp_path / "store"
+        for name in ("checkpoint", "resume"):
+            with pytest.warns(DeprecationWarning, match=r"RunOptions\(store="):
+                opts = RunOptions(**{name: store})
+            assert opts.store == store
+            run = Study(machine, **CFG).run(opts)
+            assert len(run.result.runs) == 6
+        assert len(list(store.glob("*/*.json"))) == 6
 
     def test_avg_power_alias_warns_and_delegates(self, machine):
         result = Study(machine, **CFG).run().result

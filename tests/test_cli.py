@@ -144,20 +144,35 @@ def test_study_transports_match(capsys):
 
 
 def test_study_checkpoint_then_resume(capsys, tmp_path):
-    """An interrupted sweep resumes from its journal: the resumed run
-    reports replayed cells and prints the same tables."""
-    journal = tmp_path / "study.jsonl"
+    """An interrupted sweep resumes from its store: the resumed run
+    reports served cells and prints the same tables."""
+    store = tmp_path / "sweep"
     argv = ("study", "--sizes", "128", "--threads", "1", "2",
             "--execute-max-n", "0", "--no-verify")
-    code_full, out_full, _ = run(capsys, *argv, "--checkpoint", str(journal))
+    code_full, out_full, _ = run(capsys, *argv, "--checkpoint", str(store))
     assert code_full == 0
-    # simulate a crash: keep header + 2 cells
-    lines = journal.read_text().splitlines(True)
-    journal.write_text("".join(lines[:3]))
-    code_res, out_res, _ = run(capsys, *argv, "--resume", str(journal))
+    # simulate a crash: only 2 of the 6 entry files were written
+    entries = sorted(store.glob("*/*.json"))
+    assert len(entries) == 6
+    for path in entries[2:]:
+        path.unlink()
+    code_res, out_res, _ = run(capsys, *argv, "--resume", str(store))
     assert code_res == 0
-    assert f"resumed 2/6 cells from {journal}" in out_res
+    assert f"resumed 2/6 cells from {store}" in out_res
     assert out_res.split("\n\n", 1)[1] == out_full  # identical tables
+
+
+def test_study_store_rejects_journal_file(capsys, tmp_path):
+    """--store (and its --checkpoint/--resume aliases) name a directory;
+    an old JSONL journal file is refused before the sweep."""
+    journal = tmp_path / "study.jsonl"
+    journal.write_text("{}\n")
+    code, _, err = run(
+        capsys, "study", "--sizes", "128", "--threads", "1",
+        "--execute-max-n", "0", "--no-verify", "--store", str(journal),
+    )
+    assert code == 2
+    assert "checkpoints are now store directories" in err
 
 
 def test_study_resume_missing_directory_fails_fast(capsys):
