@@ -28,6 +28,8 @@ __all__ = [
     "read_trace_json",
     "validate_chrome_trace",
     "phase_table",
+    "layer_times",
+    "layer_table",
     "metrics_table",
 ]
 
@@ -229,6 +231,51 @@ def phase_table(
     ):
         share = 100.0 * wall / root_wall if root_wall > 0 else 0.0
         table.add_row(name, int(count), wall * 1e3, cpu * 1e3, share)
+    return table
+
+
+def layer_times(
+    spans: "Sequence[Span | dict] | Tracer", root: str = "cell", cpu: bool = False
+) -> dict[str, list[float]]:
+    """``{name: [count, self seconds]}`` over *root* spans and every span
+    nested in one; self time is a span's wall (or, with *cpu*, CPU)
+    time minus its direct children's.  Parents are recovered from span
+    order: spans are recorded and exported in pre-order, so a span's
+    parent is the latest earlier span one level up."""
+    resolved = [sp for sp in _spanlike(spans) if sp.finished]
+    own = [sp.cpu_s if cpu else sp.duration_s for sp in resolved]
+    covered = [0.0] * len(resolved)
+    inside = [sp.name == root for sp in resolved]
+    last: dict[int, int] = {}
+    for i, sp in enumerate(resolved):
+        parent = last.get(sp.depth - 1)
+        last[sp.depth] = i
+        if parent is not None:
+            covered[parent] += own[i]
+            inside[i] = inside[i] or inside[parent]
+    agg: dict[str, list[float]] = {}
+    for sp, t, inner, keep in zip(resolved, own, covered, inside):
+        if keep:
+            row = agg.setdefault(sp.name, [0.0, 0.0])
+            row[0] += 1
+            row[1] += t - inner
+    return agg
+
+
+def layer_table(
+    spans: "Sequence[Span | dict] | Tracer", root: str = "cell"
+) -> TextTable:
+    """:func:`layer_times` as a table: each study cell split into its
+    layers (``plan``, ``schedule`` — the event sweep plus schedule
+    assembly — ``measure``, lowering, verification, ...) with each
+    layer's share of the summed *root* time; the *root* row itself is
+    the cells' unattributed remainder."""
+    agg = layer_times(spans, root)
+    total = sum(self_s for _, self_s in agg.values())  # == root wall time
+    table = TextTable(["layer", "count", "self ms", f"% of {root}"], ndigits=3)
+    for name, (count, self_s) in sorted(agg.items(), key=lambda kv: -kv[1][1]):
+        share = 100.0 * self_s / total if total > 0 else 0.0
+        table.add_row(name, int(count), self_s * 1e3, share)
     return table
 
 

@@ -174,8 +174,8 @@ class TaskArena:
     """A task graph as structure-of-arrays columns + CSR dependencies.
 
     Immutable by convention: every consumer treats the arrays as
-    read-only (the fast engine caches its seat plan on the instance the
-    same way it does on a ``TaskGraph``).  Derived structures
+    read-only (the event kernels cache their plan bundle on the
+    instance, see :mod:`repro.runtime.plans`).  Derived structures
     (successor CSR, level order, resolved name lists) are cached under
     ``_c_*`` attributes and dropped on pickling.
     """
@@ -606,7 +606,7 @@ class TaskArena:
     # ---- pickling ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop derived caches (and any engine seat plan, and any
+        """Drop derived caches (and the engines' plan bundle, and any
         attached shared-memory handle) — workers rebuild them lazily;
         only the core columns cross the wire.  Pickling an shm-attached
         arena deep-copies the columns out of the mapping, which is
@@ -615,7 +615,7 @@ class TaskArena:
             k: v
             for k, v in self.__dict__.items()
             if not k.startswith("_c_")
-            and k not in ("_fastpath_plan", "_compiledpath_plan", "_shm")
+            and k not in ("_plan_bundle", "_shm")
         }
         return state
 

@@ -4,13 +4,13 @@ The third interchangeable engine: the incremental event sweep of
 :mod:`repro.runtime.fastpath` transcribed to C (source embedded in
 :mod:`repro.runtime._sweep_src`), compiled once per process with the
 system C compiler and driven through :mod:`ctypes`.  The hot loop
-touches only flat numeric buffers — the arena/graph is lowered once
-per ``(graph, machine)`` into a :class:`_CompiledPlan` of contiguous
-numpy arrays (CSR seat plans, successor CSR, per-task flags) cached on
-the graph exactly like fastpath's seat-plan cache, and the kernel
-writes records, interval rows and busy spans straight into
-preallocated output arrays.  No Python objects, dicts, or per-event
-allocation anywhere in the sweep.
+touches only flat numeric buffers — the arena's
+:class:`~repro.runtime.plans.PlanBundle` of contiguous numpy arrays
+(CSR seat plans, successor CSR, per-task flags), built vectorized once
+per ``(arena, machine)``; a cost-only object graph goes through its
+cached arena twin first — and the kernel writes records, interval rows
+and busy spans straight into preallocated output arrays.  No Python
+objects, dicts, or per-event allocation anywhere in the sweep.
 
 Numerics contract: the C kernel evaluates the same IEEE-754 double
 expressions in the same order as ``run_fast`` (compiled with
@@ -56,7 +56,7 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
-from .arena import TaskArena
+from .plans import arena_of, plan_bundle
 from .scheduler import Schedule
 from .stats import RuntimeStats
 
@@ -86,11 +86,6 @@ _CSWEEPS = counter(
     "engine.compiled_sweeps",
     description="contention intervals swept by the compiled event kernel",
 )
-
-#: Attribute under which the flattened plan bundle is cached on the
-#: graph/arena (sibling of fastpath's ``_fastpath_plan``; dropped from
-#: arena pickles the same way).
-_PLAN_ATTR = "_compiledpath_plan"
 
 _ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"
 _ENV_CACHE = "REPRO_JIT_CACHE"
@@ -378,131 +373,6 @@ _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 
 
 # ---------------------------------------------------------------------------
-# plan flattening
-
-#: Columns of one flattened plan bundle, all contiguous:
-#:   priv CSR over ``(dim, rate, dur, adj_dur, demand)`` rows,
-#:   shared CSR over ``(dim, work)`` rows, per-task flags/creators,
-#:   successor CSR, seed tids — everything the C kernel reads.
-
-
-class _CompiledPlan:
-    __slots__ = (
-        "key",            # machine-constant key (same as _GraphPlan.key)
-        "n",              # task count the bundle was built for
-        "priv_ptr", "priv_dim", "priv_rate", "priv_dur", "priv_adj",
-        "priv_dem",
-        "shr_ptr", "shr_dim", "shr_work",
-        "alive0", "affinity", "zeros", "created", "indeg0",
-        "succ_ptr", "succ_idx",
-        "seeds",
-        "any_created",
-        "total_entries",  # finite seat entries; bounds the interval count
-        "crit_prio",      # float64 priorities or None (lazy)
-    )
-
-
-def _flatten_plans(gp, graph) -> _CompiledPlan:
-    """Lower a fastpath ``_GraphPlan`` into contiguous arrays.
-
-    The plan floats are reused verbatim (``_build_plans`` already
-    hoisted the divisions), so the bundle is bit-identical to what the
-    fast kernel seats — flattening only changes the container.
-    """
-    plans = gp.plans
-    n = len(plans)
-    cp = _CompiledPlan()
-    cp.key = gp.key
-    cp.n = n
-    cp.any_created = gp.any_created
-    cp.crit_prio = None
-
-    priv_ptr = np.empty(n + 1, dtype=np.int64)
-    shr_ptr = np.empty(n + 1, dtype=np.int64)
-    priv_dim: list[int] = []
-    priv_rate: list[float] = []
-    priv_dur: list[float] = []
-    priv_adj: list[float] = []
-    priv_dem: list[float] = []
-    shr_dim: list[int] = []
-    shr_work: list[float] = []
-    alive0 = np.empty(n, dtype=np.int64)
-    affinity = np.empty(n, dtype=np.uint8)
-    priv_ptr[0] = 0
-    shr_ptr[0] = 0
-    for i, (priv, shr, al0, aff) in enumerate(plans):
-        for dim, rate, dur, adj, d in priv:
-            priv_dim.append(dim)
-            priv_rate.append(rate)
-            priv_dur.append(dur)
-            priv_adj.append(adj)
-            priv_dem.append(d)
-        for dim, work in shr:
-            shr_dim.append(dim)
-            shr_work.append(work)
-        priv_ptr[i + 1] = len(priv_dim)
-        shr_ptr[i + 1] = len(shr_dim)
-        alive0[i] = al0
-        affinity[i] = 1 if aff else 0
-
-    cp.priv_ptr = priv_ptr
-    cp.priv_dim = np.asarray(priv_dim, dtype=np.int64)
-    cp.priv_rate = np.asarray(priv_rate, dtype=np.float64)
-    cp.priv_dur = np.asarray(priv_dur, dtype=np.float64)
-    cp.priv_adj = np.asarray(priv_adj, dtype=np.float64)
-    cp.priv_dem = np.asarray(priv_dem, dtype=np.float64)
-    cp.shr_ptr = shr_ptr
-    cp.shr_dim = np.asarray(shr_dim, dtype=np.int64)
-    cp.shr_work = np.asarray(shr_work, dtype=np.float64)
-    cp.alive0 = alive0
-    cp.affinity = affinity
-    cp.zeros = np.asarray(gp.zeros, dtype=np.uint8)
-    cp.created = np.asarray(
-        [c if c is not None else -1 for c in gp.created], dtype=np.int64
-    )
-    cp.indeg0 = np.asarray(gp.indeg0, dtype=np.int64)
-    cp.seeds = np.asarray(gp.seeds, dtype=np.int64)
-    cp.total_entries = int(np.maximum(alive0, 0).sum())
-
-    if isinstance(graph, TaskArena):
-        sptr, sidx = graph.successors_csr()
-        cp.succ_ptr = np.ascontiguousarray(sptr, dtype=np.int64)
-        cp.succ_idx = np.ascontiguousarray(sidx, dtype=np.int64)
-    else:
-        succ = graph._successors
-        counts = np.fromiter(
-            (len(s) for s in succ), dtype=np.int64, count=n
-        )
-        sptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=sptr[1:])
-        flat: list[int] = []
-        for s in succ:
-            flat.extend(s)
-        cp.succ_ptr = sptr
-        cp.succ_idx = np.asarray(flat, dtype=np.int64)
-    return cp
-
-
-def _bundle_for(sched: "Scheduler", graph: "TaskGraph", gp) -> _CompiledPlan:
-    """Fetch or build the cached flattened bundle for *graph*.
-
-    Valid while the machine key matches and the graph has not grown
-    (growth rebuilds — append-flattening buys nothing over a rebuild at
-    this already-amortized cost).  Cached alongside fastpath's plan; an
-    arena drops both from pickles (see ``TaskArena.__getstate__``).
-    """
-    cp: _CompiledPlan | None = getattr(graph, _PLAN_ATTR, None)
-    if cp is not None and cp.key == gp.key and cp.n == len(gp.plans):
-        return cp
-    cp = _flatten_plans(gp, graph)
-    try:
-        setattr(graph, _PLAN_ATTR, cp)
-    except AttributeError:  # pragma: no cover - slotted graph subclass
-        pass
-    return cp
-
-
-# ---------------------------------------------------------------------------
 # run
 
 
@@ -516,22 +386,17 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     :class:`~repro.util.errors.SchedulingError` with the fast engine's
     exact messages and never fall back.
     """
-    from .fastpath import _ensure_crit_prio, _plans_for
-
     fn = _load_kernel()
     graph.validate()
     n = len(graph)
     threads = sched.threads
-    gp = _plans_for(sched, graph)
-    cp = _bundle_for(sched, graph, gp)
-
-    prio_ptr = None
-    if sched.policy == "critical":
-        if cp.crit_prio is None:
-            cp.crit_prio = np.asarray(
-                _ensure_crit_prio(sched, graph, gp), dtype=np.float64
-            )
-        prio_ptr = cp.crit_prio.ctypes.data
+    with trace.span("plan", tasks=n) as span:
+        arena = arena_of(graph)
+        cp, cached = plan_bundle(arena, sched._plan_key)
+        prio_ptr = None
+        if sched.policy == "critical":
+            prio_ptr = cp.priorities(arena).ctypes.data
+        span.set(cached=cached)
 
     socket_arr = np.asarray(sched._socket_of, dtype=np.int64)
 
@@ -591,8 +456,8 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     )
 
     rc = fn(ctypes.byref(args))
+    names = arena.names_list()
     if rc != _OK:
-        names = gp.names
         if rc == _ERR_ZERO_RATE:
             raise SchedulingError(
                 f"task {names[args.err_a]!r} has demand in dim {args.err_b} "
@@ -648,7 +513,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             rec_core[:rc_count].copy(),
             rec_start[:rc_count].copy(),
             rec_end[:rc_count].copy(),
-            gp.names,
+            names,
         ),
         interval_array=iv_rows[:ivc].copy(),
         raw_busy=(b_core, b_start, b_end),

@@ -27,15 +27,18 @@ event kernels:
     affected entries get new exhaust times (found by scanning the
     ``running`` dict — at most P entries, cheaper than maintaining
     membership sets per dispatch/exhaust).
-  - a per-``(graph, machine)`` **seat plan** is lazily cached on the
-    graph (:data:`_PLAN_ATTR`): for every task, the nonzero private
-    dimensions with their precomputed ``(rate, d/rate, d/rate -
-    EPS/rate)`` and the nonzero shared dimensions with their work.
-    Dispatch then seats a task with a couple of adds and stores
-    instead of re-deriving rates from ``TaskCost`` attributes on
-    every run.  Task lists are append-only and tasks immutable, so a
-    plan never goes stale; it is extended when the graph has grown
-    and rebuilt when the machine constants differ.
+  - a per-``(graph, machine)`` **seat plan** is lazily cached: for
+    every task, the nonzero private dimensions with their precomputed
+    ``(rate, d/rate, d/rate - EPS/rate)`` and the nonzero shared
+    dimensions with their work.  Dispatch then seats a task with a
+    couple of adds and stores instead of re-deriving rates from
+    ``TaskCost`` attributes on every run.  On an arena the tuples are
+    derived from the vectorized plan bundle the compiled kernel also
+    reads (:mod:`repro.runtime.plans`) and cached on it; an object
+    graph builds them task by task (:func:`_build_plans`, cached under
+    :data:`_PLAN_ATTR`; task lists are append-only and tasks
+    immutable, so the plan is extended when the graph has grown and
+    rebuilt when the machine constants differ).
 
   The ``texp_adj`` store is a numpy array when ``P*5`` is large
   (vectorized ``argmin`` + compare) and a plain Python list of floats
@@ -72,9 +75,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import SchedulingError
 from .arena import TaskArena
+from .plans import PlanBundle, arena_of, plan_bundle
 from .scheduler import Schedule, TaskRecord, _EPS
 from .stats import RuntimeStats
 from .timeline import CoreTimeline
@@ -96,7 +101,7 @@ _INF = float("inf")
 #: Entry count (threads * 5) above which the numpy event step beats the
 #: pure-Python one.  Below it, per-call numpy dispatch overhead dominates.
 _NUMPY_THRESHOLD = 96
-#: Attribute under which the per-(graph, machine) seat plan is cached.
+#: Attribute under which an object graph caches its seat plan.
 _PLAN_ATTR = "_fastpath_plan"
 
 _new = object.__new__
@@ -240,156 +245,106 @@ def _build_plans(
     gp.zero_seed = zero_seed
 
 
-def _build_plans_arena(
-    arena: TaskArena,
-    gp: _GraphPlan,
-    core_peak: float,
-    l1_bw: float,
-    l2_bw: float,
-) -> None:
-    """Arena twin of :func:`_build_plans`: same scalar expressions over
-    ``tolist()``'d columns (bit-identical plan floats — the hoisted
-    divisions match term for term), no ``Task`` objects touched.
+def _distinct_rows(arena: TaskArena, affinity: np.ndarray):
+    """``(first, inverse)`` over the distinct ``(cost row, affinity)``
+    keys, which determine a task's seat plan.  Rows group by a 64-bit
+    mix of their bits; if any group holds differing rows (a hash
+    collision) every task gets its own group, so grouping is exact."""
+    fields = ("flops", "efficiency", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
+    cols = [getattr(arena, f) for f in fields] + [affinity.astype(np.float64)]
+    bits = np.stack(cols, axis=1).view(np.uint64)
+    h = np.zeros(len(bits), dtype=np.uint64)
+    for col in bits.T:
+        h = (h ^ col) * np.uint64(0x9E3779B97F4A7C15)
+        h ^= h >> np.uint64(29)
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    if not np.array_equal(bits[first[inverse]], bits):
+        first = inverse = np.arange(len(bits))
+    return first, inverse
 
-    ``gp.computes`` is ``None``: arenas carry no closures (cost-only by
-    construction) and the kernel refuses ``execute=True`` up front.
-    """
-    eps = _EPS
-    plans_append = gp.plans.append
-    zeros_append = gp.zeros.append
-    seeds_append = gp.seeds.append
+
+def _entries(ptr: np.ndarray, cols, rows: np.ndarray) -> list[tuple]:
+    """Per-row tuples of *rows*' CSR entries, zipped across *cols*."""
+    lo = ptr[rows]
+    counts = ptr[rows + 1] - lo
+    bounds = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    idx = np.repeat(lo - bounds[:-1], counts) + np.arange(bounds[-1])
+    flat = list(zip(*(col[idx].tolist() for col in cols)))
+    b = bounds.tolist()
+    return [tuple(flat[b[k] : b[k + 1]]) for k in range(len(rows))]
+
+
+def _seat_plan(arena: TaskArena, cp: PlanBundle) -> _GraphPlan:
+    """The fast kernel's seat tuples, derived from *arena*'s plan bundle
+    (so both kernels seat identical floats).  Tasks with equal cost rows
+    share one tuple: the paper matrix's ~2.7e5 tasks have 432 distinct
+    rows, so the cached plan costs one pointer per task."""
+    gp = _GraphPlan(cp.key)
+    first, inverse = _distinct_rows(arena, cp.affinity)
+    priv_cols = (cp.priv_dim, cp.priv_rate, cp.priv_dur, cp.priv_adj, cp.priv_dem)
+    distinct = list(
+        zip(
+            _entries(cp.priv_ptr, priv_cols, first),
+            _entries(cp.shr_ptr, (cp.shr_dim, cp.shr_work), first),
+            cp.alive0[first].tolist(),
+            cp.affinity[first].astype(bool).tolist(),
+        )
+    )
+    gp.plans = [distinct[k] for k in inverse.tolist()]
+    gp.zeros = cp.zeros.astype(bool).tolist()
+    gp.seeds = cp.seeds.tolist()
+    gp.indeg0 = cp.indeg0.tolist()
     gp.names = arena.names_list()
     gp.created = arena.created_by_list()
     gp.computes = None
-    gp.indeg0 = arena.dep_counts.tolist()
-    flops_l = arena.flops.tolist()
-    eff_l = arena.efficiency.tolist()
-    b1_l = arena.bytes_l1.tolist()
-    b2_l = arena.bytes_l2.tolist()
-    b3_l = arena.bytes_l3.tolist()
-    bd_l = arena.bytes_dram.tolist()
-    untied_l = arena.untied.tolist()
-    created_l = gp.created
-    indeg0 = gp.indeg0
-    any_created = False
-    zero_seed = False
-    eps_l1 = eps / l1_bw if l1_bw > 0.0 else 0.0
-    eps_l2 = eps / l2_bw if l2_bw > 0.0 else 0.0
-    for i in range(len(flops_l)):
-        f = flops_l[i]
-        b1 = b1_l[i]
-        b2 = b2_l[i]
-        b3 = b3_l[i]
-        bd = bd_l[i]
-        zero = f == 0.0 and b1 == 0.0 and b2 == 0.0 and b3 == 0.0 and bd == 0.0
-        zeros_append(zero)
-        if not indeg0[i]:
-            seeds_append(i)
-            if zero:
-                zero_seed = True
-        priv = []
-        shared = []
-        bad = -1
-        if f > eps:
-            rate = eff_l[i] * core_peak
-            if rate <= 0.0:
-                bad = 0
-            else:
-                dur = f / rate
-                priv.append((0, rate, dur, dur - eps / rate, f))
-        if b1 > eps:
-            if l1_bw <= 0.0:
-                bad = bad if bad >= 0 else 1
-            else:
-                dur = b1 / l1_bw
-                priv.append((1, l1_bw, dur, dur - eps_l1, b1))
-        if b2 > eps:
-            if l2_bw <= 0.0:
-                bad = bad if bad >= 0 else 2
-            else:
-                dur = b2 / l2_bw
-                priv.append((2, l2_bw, dur, dur - eps_l2, b2))
-        if b3 > eps:
-            shared.append((3, b3))
-        if bd > eps:
-            shared.append((4, bd))
-        created = created_l[i] is not None
-        if created:
-            any_created = True
-        alive0 = -1 - bad if bad >= 0 else len(priv) + len(shared)
-        plans_append(
-            (
-                tuple(priv),
-                tuple(shared),
-                alive0,
-                (not untied_l[i]) and created,
-            )
-        )
-    gp.any_created = any_created
-    gp.zero_seed = zero_seed
+    gp.any_created = cp.any_created
+    gp.zero_seed = bool(cp.zeros[cp.seeds].any())
+    return gp
 
 
-def _plans_for(sched: "Scheduler", graph: "TaskGraph") -> _GraphPlan:
-    """Fetch or build the cached :class:`_GraphPlan` for *graph* on
-    this scheduler's machine.
+def _plans_for(sched: "Scheduler", graph: "TaskGraph") -> tuple[_GraphPlan, bool]:
+    """``(plan, cached)``: the :class:`_GraphPlan` for *graph* on this
+    scheduler's machine, built (or extended) on a miss.
 
     Caching each task's exactly-zero flag matters on its own:
     ``TaskCost.is_zero`` is a five-compare property, and the kernel
     consults it twice per task per run (seeding + completion cascade).
     """
-    core_peak = sched._core_peak
-    l1_bw = sched._l1_bw
-    l2_bw = sched._l2_bw
-    machine = sched.machine
-    key = (core_peak, l1_bw, l2_bw, machine.l3_bandwidth, machine.dram_bandwidth)
-    gp: _GraphPlan | None = getattr(graph, _PLAN_ATTR, None)
+    key = sched._plan_key
     if isinstance(graph, TaskArena):
-        # Arenas are immutable: no growth path to handle.
-        if gp is not None and gp.key == key:
-            return gp
-        gp = _GraphPlan(key)
-        _build_plans_arena(graph, gp, core_peak, l1_bw, l2_bw)
-        setattr(graph, _PLAN_ATTR, gp)
-        return gp
+        cp, _ = plan_bundle(graph, key)
+        gp = cp.seat_plan
+        if gp is not None:
+            return gp, True
+        gp = cp.seat_plan = _seat_plan(graph, cp)
+        return gp, False
+    core_peak, l1_bw, l2_bw = key[:3]
     tasks = graph.tasks
+    gp: _GraphPlan | None = getattr(graph, _PLAN_ATTR, None)
     if gp is not None and gp.key == key:
-        if len(gp.plans) < len(tasks):  # graph grew since last run
-            _build_plans(tasks, len(gp.plans), gp, core_peak, l1_bw, l2_bw)
-            gp.crit_prio = None  # whole-graph property; recompute
-        return gp
+        if len(gp.plans) == len(tasks):
+            return gp, True
+        # The graph grew since the last run: extend.
+        _build_plans(tasks, len(gp.plans), gp, core_peak, l1_bw, l2_bw)
+        gp.crit_prio = None  # whole-graph property; recompute
+        return gp, False
     gp = _GraphPlan(key)
     _build_plans(tasks, 0, gp, core_peak, l1_bw, l2_bw)
     setattr(graph, _PLAN_ATTR, gp)
-    return gp
+    return gp, False
 
 
-def _ensure_crit_prio(sched: "Scheduler", graph: "TaskGraph", gp: _GraphPlan):
-    """Fill (and cache on *gp*) the ``critical``-policy priorities:
-    longest path to any sink.  Shared by the fast and compiled kernels
-    so both price the heap identically."""
-    priority = gp.crit_prio
-    if priority is None:
-        if isinstance(graph, TaskArena):
-            # Vectorized reverse sweep — bit-identical to the scalar
-            # loop below (exact max, same add order).
-            durs = graph.uncontended_durations(
-                sched._core_peak,
-                sched._l1_bw,
-                sched._l2_bw,
-                sched.machine.l3_bandwidth,
-                sched.machine.dram_bandwidth,
-            )
-            priority = graph.critical_priorities(durs).tolist()
-        else:
-            successors = graph._successors
-            priority = [0.0] * len(graph)
-            for task in reversed(graph.tasks):
-                below = max(
-                    (priority[s] for s in successors[task.tid]), default=0.0
-                )
-                priority[task.tid] = sched.uncontended_duration(task) + below
-        gp.crit_prio = priority
-    return priority
+def _ensure_crit_prio(graph: "TaskGraph", gp: _GraphPlan) -> list[float]:
+    """Fill (and cache on *gp*) the ``critical``-policy priorities —
+    longest path to any sink — with the arena's vectorized reverse
+    sweep, bit-identical to the reference's scalar loop (exact max,
+    same add order)."""
+    if gp.crit_prio is None:
+        arena = arena_of(graph)
+        durations = arena.uncontended_durations(*gp.key)
+        gp.crit_prio = arena.critical_priorities(durations).tolist()
+    return gp.crit_prio
 
 
 def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
@@ -412,7 +367,12 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     l3_bw = sched.machine.l3_bandwidth
     dram_bw = sched.machine.dram_bandwidth
 
-    gp = _plans_for(sched, graph)
+    with trace.span("plan", tasks=n) as span:
+        gp, cached = _plans_for(sched, graph)
+        priority: list[float] | None = None
+        if policy == "critical":
+            priority = _ensure_crit_prio(graph, gp)
+        span.set(cached=cached)
     plans = gp.plans
     zeros = gp.zeros
     seeds = gp.seeds
@@ -423,16 +383,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     zero_seed = gp.zero_seed
     indegree = gp.indeg0.copy()
 
-    if execute and computes is None:
-        raise SchedulingError(
-            f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
-            f"closures); build with execute=True for the object path"
-        )
-
     # ---- ready-queue state (same discipline as the reference loop) ----
-    priority: list[float] | None = None
-    if policy == "critical":
-        priority = _ensure_crit_prio(sched, graph, gp)
 
     ready_fifo: deque[int] = deque()
     ready_lifo: list[int] = []

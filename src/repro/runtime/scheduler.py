@@ -29,7 +29,10 @@ import heapq
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Literal, Sequence
+
+import numpy as np
 
 from ..machine.specs import MachineSpec
 from ..observability import trace
@@ -161,10 +164,12 @@ class Schedule:
     Activity intervals exist in two interchangeable representations:
     :attr:`intervals` (a list of :class:`ActivityInterval` objects —
     the stable, ergonomic API) and :attr:`raw_intervals` (plain tuples
-    in :data:`_INTERVAL_FIELDS` order — what the fast engine emits and
-    what bulk consumers like trace coarsening read without paying a
-    million dataclass constructions).  Either may be passed at
-    construction; the other materializes lazily on first access.
+    in :data:`_INTERVAL_FIELDS` order — what the fast engine emits,
+    without paying a million dataclass constructions).  Either may be
+    passed at construction; the other materializes lazily on first
+    access.  Bulk consumers (trace coarsening, measurement) read
+    :meth:`interval_columns` instead: one ``(k, 8)`` float64 array,
+    whatever the schedule was built from.
 
     Task records follow the same pattern: :attr:`records` (a list of
     :class:`TaskRecord` objects) or ``raw_records`` — the compiled
@@ -313,6 +318,19 @@ class Schedule:
             ]
         return self._raw_intervals
 
+    def interval_columns(self) -> np.ndarray:
+        """Activity intervals as one ``(k, 8)`` float64 array in
+        ``_INTERVAL_FIELDS`` column order — the bulk consumers' view.
+
+        The compiled kernel's array is returned as it is (never turned
+        into tuples); tuple rows are packed with one ``np.fromiter``.
+        """
+        if self._interval_array is not None:
+            return self._interval_array
+        rows = self.raw_intervals
+        flat = np.fromiter(chain.from_iterable(rows), np.float64, 8 * len(rows))
+        return flat.reshape(len(rows), 8)
+
     @property
     def makespan(self) -> float:
         """Total simulated wall time."""
@@ -422,6 +440,12 @@ class Scheduler:
         self._core_peak = machine.core_peak_flops
         self._l1_bw = machine.caches.level("L1").bandwidth_bytes_per_s
         self._l2_bw = machine.caches.level("L2").bandwidth_bytes_per_s
+
+    @property
+    def _plan_key(self) -> tuple[float, float, float, float, float]:
+        """The machine constants a seat plan depends on (its cache key)."""
+        m = self.machine
+        return (self._core_peak, self._l1_bw, self._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
 
     # ---- per-task helpers ---------------------------------------------
 

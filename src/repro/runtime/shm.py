@@ -288,7 +288,7 @@ def detach_arena(arena: TaskArena) -> None:
         return
     arena._shm = None
     for attr in list(arena.__dict__):
-        if attr.startswith("_c_") or attr == "_fastpath_plan":
+        if attr.startswith("_c_") or attr == "_plan_bundle":
             arena.__dict__.pop(attr, None)
     for attr, _ in _COLUMN_SCHEMA:
         arena.__dict__.pop(attr, None)

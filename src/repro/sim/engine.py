@@ -217,22 +217,24 @@ class Engine:
         """Merge adjacent intervals into at most ``max_trace_segments``
         buckets, preserving every activity integral exactly.
 
-        Consumes the schedule's *raw* interval rows and groups them
-        vectorially: each bucket is closed by the first interval whose
-        end reaches ``bucket_start + bucket_dt`` (greedy accumulation,
-        same grouping as a scalar pass), located with a binary search
-        over the monotone interval-end column; each bucket's activity
-        sums are then single ``np.add.reduceat`` segments.  A ~300k
-        interval Strassen schedule coarsens in milliseconds instead of
-        a Python-loop second.
+        Consumes the schedule's ``(k, 8)`` interval array
+        (:meth:`Schedule.interval_columns` — no per-interval tuples or
+        objects are built, only the returned buckets) and groups it
+        vectorially: each bucket is
+        closed by the first interval whose end reaches ``bucket_start +
+        bucket_dt`` (greedy accumulation, same grouping as a scalar
+        pass), located with a binary search over the monotone
+        interval-end column; each bucket's activity sums are then
+        single ``np.add.reduceat`` segments.  A ~300k interval Strassen
+        schedule coarsens in milliseconds instead of a Python-loop
+        second.
         """
-        rows = schedule.raw_intervals
-        n = len(rows)
+        cols = schedule.interval_columns()
+        n = len(cols)
         if n <= self.max_trace_segments:
-            return schedule.intervals
+            return [ActivityInterval(*row) for row in cols.tolist()]
         makespan = schedule.makespan
         bucket_dt = makespan / self.max_trace_segments
-        cols = np.asarray(rows)
         t_start = cols[:, 0]
         t_end = cols[:, 1]
         busy_secs = cols[:, 2] * (t_end - t_start)  # busy-core-seconds

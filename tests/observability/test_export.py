@@ -7,6 +7,7 @@ import pytest
 from repro.observability import trace
 from repro.observability.export import (
     events_to_spans,
+    layer_table,
     metrics_table,
     phase_table,
     read_trace_json,
@@ -16,7 +17,7 @@ from repro.observability.export import (
     write_trace_json,
 )
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.trace import tracing
+from repro.observability.trace import Span, tracing
 from repro.util.errors import ValidationError
 
 
@@ -126,6 +127,37 @@ class TestTables:
     def test_phase_table_respects_max_depth(self, tracer):
         table = phase_table(tracer, max_depth=0)
         assert [row[0] for row in table.rows] == ["study.run"]
+
+    def test_layer_table_splits_cells_by_self_time(self):
+        def sp(name, t0, t1, depth):
+            return Span(name, t0, t1, 0.0, 0.0, depth, None, {})
+
+        # Pre-order, as recorded: two cells, each simulate holding a
+        # schedule (with a plan inside) and a measure.
+        spans = [
+            sp("study.run", 0.0, 10.0, 0),
+            sp("cell", 0.0, 4.0, 1),
+            sp("simulate", 0.0, 4.0, 2),
+            sp("schedule", 0.0, 3.0, 3),
+            sp("plan", 0.0, 1.0, 4),
+            sp("measure", 3.0, 3.5, 3),
+            sp("cell", 4.0, 10.0, 1),
+            sp("simulate", 4.0, 9.0, 2),
+            sp("schedule", 4.0, 6.0, 3),
+            sp("plan", 4.0, 4.5, 4),
+            sp("measure", 6.0, 9.0, 3),
+        ]
+        payload = {"traceEvents": spans_to_chrome_events(spans)}
+        for source in (spans, events_to_spans(payload)):
+            rows = {r[0]: r for r in layer_table(source).rows}
+            assert "study.run" not in rows  # outside every cell
+            self_ms = {k: float(r[2]) for k, r in rows.items()}
+            assert self_ms == pytest.approx(
+                {"plan": 1500.0, "schedule": 3500.0, "measure": 3500.0,
+                 "simulate": 500.0, "cell": 1000.0}, abs=1e-3
+            )
+            assert rows["plan"][1] == "2"
+            assert float(rows["schedule"][3]) == pytest.approx(35.0)
 
     def test_metrics_table_lists_sorted(self):
         reg = MetricsRegistry()

@@ -194,7 +194,7 @@ class TestPickle:
         Scheduler(case.machine, threads=1, execute=False, engine="fast").run(arena)
         state = arena.__getstate__()
         assert not any(k.startswith("_c_") for k in state)
-        assert "_fastpath_plan" not in state
+        assert "_plan_bundle" not in state
         clone = pickle.loads(pickle.dumps(arena))
         assert arena.structural_diff(clone) == []
 

@@ -26,6 +26,7 @@ import pytest
 from repro.machine import generic_smp, haswell_e3_1225
 from repro.machine.specs import dual_socket_haswell
 from repro.runtime import compiledpath as cp
+from repro.runtime import plans
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ENGINES, Scheduler, default_engine
 from repro.runtime.task import TaskGraph
@@ -144,15 +145,22 @@ def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     g = wide_graph(30)
     sched = Scheduler(machine, 2, execute=False, engine="compiled")
     sched.run(g)
-    bundle = getattr(g, cp._PLAN_ATTR)
+    # A cost-only object graph reaches the bundle through its arena
+    # twin; both are cached and reused across runs.
+    arena = plans.arena_of(g)
+    bundle = getattr(arena, plans._PLAN_ATTR)
     sched.run(g)
-    assert getattr(g, cp._PLAN_ATTR) is bundle  # reused, not rebuilt
+    assert plans.arena_of(g) is arena
+    assert getattr(arena, plans._PLAN_ATTR) is bundle  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
     fast = Scheduler(machine, 2, execute=False, engine="fast").run(g)
     comp = sched.run(g)
-    assert getattr(g, cp._PLAN_ATTR) is not bundle  # regrown for the new task
+    grown = getattr(plans.arena_of(g), plans._PLAN_ATTR)
+    assert grown is not bundle and grown.n == 31  # regrown for the new task
     assert_bit_identical(fast, comp)
+    clone = pickle.loads(pickle.dumps(plans.arena_of(g)))
+    assert getattr(clone, plans._PLAN_ATTR, None) is None
 
 
 @requires_cc
@@ -161,9 +169,13 @@ def test_arena_pickle_drops_plan_bundle(machine):
 
     arena = StrassenWinograd(machine).build_arena(128, 2).graph
     Scheduler(machine, 2, execute=False, engine="compiled").run(arena)
-    assert getattr(arena, cp._PLAN_ATTR, None) is not None
+    Scheduler(machine, 2, execute=False, engine="fast").run(arena)
+    # One cache attribute serves both kernels.
+    bundle = getattr(arena, plans._PLAN_ATTR)
+    assert bundle.seat_plan is not None
+    assert [k for k in vars(arena) if "plan" in k] == [plans._PLAN_ATTR]
     clone = pickle.loads(pickle.dumps(arena))
-    assert getattr(clone, cp._PLAN_ATTR, None) is None
+    assert getattr(clone, plans._PLAN_ATTR, None) is None
 
 
 # ---------------------------------------------------------------------------

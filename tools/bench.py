@@ -21,6 +21,16 @@ and the trace-driven cache simulator:
     ``COMPILED_FLOOR`` (3x).  The compiled wall time is small enough
     that run-to-run noise dominates the ratio, so this section is not
     held to the baseline-relative tolerance.
+``study_e2e``
+    The command users wait for: a cold cost-only ``Study.run`` of the
+    execution matrix per engine, best of five (fresh algorithm
+    instances each time, so lowering, plan bundles and measurement are
+    all paid; only the JIT compile is excluded), traced to split the
+    CPU time (steadier than wall time on a shared host) into the
+    ``plan``, ``sweep`` (the ``schedule`` span's self time) and
+    ``measure`` layers.  The gated ``ratio`` is fast/compiled
+    end-to-end CPU time: the kernel ratio above only counts if it
+    moves this one.
 ``lowering_cache``
     Strassen lowering cold (``build``) versus a warm ``build_cached``
     hit — the cost a protocol repetition or sweep re-run avoids.
@@ -77,6 +87,7 @@ Run:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -108,6 +119,7 @@ GATED = {
     "lowering_cache": "ratio",
     "graph_build": "ratio",
     "study_parallel": "bytes_ratio",
+    "study_e2e": "ratio",
 }
 #: Allowed regression before the gate fails (fraction of baseline).
 TOLERANCE = 0.25
@@ -229,6 +241,46 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     reps = min(repeats, 3)
     out["fast_s"] = _best_of(lambda: sweep("fast"), reps)
     out["compiled_s"] = _best_of(lambda: sweep("compiled"), reps)
+    out["ratio"] = out["fast_s"] / out["compiled_s"]
+    return out
+
+
+def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
+    """Cold cost-only ``Study.run`` per engine, split into layers
+    (best of *repeats* cold runs, each on fresh algorithm instances)."""
+    from repro.algorithms.registry import default_build_cache
+    from repro.api import RunOptions, Study
+    from repro.observability import trace as obtrace
+    from repro.observability.export import layer_times
+    from repro.runtime.compiledpath import compiled_available, warm_compile
+
+    ok, reason = compiled_available()
+    if not ok:
+        return {"available": False, "reason": reason, "ratio": 0.0}
+    warm_compile()  # JIT compile excluded from the timings
+    out = {"sizes": list(sizes), "available": True}
+    best: dict[str, tuple] = {}
+    # Engines alternate, so a slow stretch on a shared host hits both.
+    for _ in range(repeats):
+        for engine in ("fast", "compiled"):
+            # Cold like a fresh process: no cached lowerings or plans,
+            # and no garbage from the last pass for the collector.
+            default_build_cache().clear()
+            gc.collect()
+            study = Study(machine, sizes=sizes, execute_max_n=0, verify=False)
+            with obtrace.tracing() as tr:
+                t0 = time.process_time()
+                run = study.run(RunOptions(engine=engine))
+                cpu = time.process_time() - t0
+            if engine not in best or cpu < best[engine][0]:
+                best[engine] = (cpu, tr)
+    for engine, (cpu, tr) in best.items():
+        layers = layer_times(tr, cpu=True)
+        out[f"{engine}_s"] = cpu
+        for layer, span in (("plan", "plan"), ("sweep", "schedule"),
+                            ("measure", "measure")):
+            out[f"{engine}_{layer}_share"] = layers.get(span, (0, 0.0))[1] / cpu
+    out["cells"] = len(run.result.runs)
     out["ratio"] = out["fast_s"] / out["compiled_s"]
     return out
 
@@ -531,6 +583,7 @@ def run_suite(smoke: bool) -> dict:
         "scheduler_wide2000": bench_scheduler(machine, repeats),
         "matrix_cost": bench_matrix(machine, sizes),
         "compiled": bench_compiled(machine, sizes, repeats),
+        "study_e2e": bench_study_e2e(machine, sizes),
         "lowering_cache": bench_lowering_cache(machine, cache_n, repeats),
         "cache_sim64k": bench_cache_sim(repeats),
         "graph_build": bench_graph_build(machine, sizes, repeats),

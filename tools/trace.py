@@ -7,6 +7,11 @@ phase-summary table and the metrics dump, and optionally validates it::
 
   python tools/trace.py out.json               # summarize
   python tools/trace.py out.json --validate    # schema + wall-time check
+  python tools/trace.py out.json --depth 2     # + each cell split into layers
+
+From ``--depth 2`` on, a study trace also gets a per-cell layer table:
+the self time of every span inside the ``cell`` spans (``plan``,
+``schedule`` — the event sweep — ``measure``, lowering, verify).
 
 ``--validate`` fails (exit 1) when:
 
@@ -29,6 +34,7 @@ import argparse
 from repro.cliargs import add_format_arg, emit, get_format
 from repro.observability.export import (
     events_to_spans,
+    layer_table,
     metrics_table,
     phase_table,
     read_trace_json,
@@ -94,6 +100,10 @@ def main(argv=None) -> int:
     print()
     print("phase summary:")
     print(emit(phase_table(spans, max_depth=args.depth), fmt))
+    if args.depth >= 2 and any(sp.name == "cell" for sp in spans):
+        print()
+        print("cell layers (self time):")
+        print(emit(layer_table(spans), fmt))
     metrics = other.get("metrics", {})
     if metrics:
         print()
