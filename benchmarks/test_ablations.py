@@ -32,7 +32,7 @@ def engine_(machine_):
 
 def _measure(engine, alg, n=N, threads=THREADS):
     build = alg.build(n, threads, execute=False)
-    return engine.run(build.graph, threads, execute=False)
+    return engine.run(build.graph, threads)
 
 
 def test_winograd_vs_classic_adds(benchmark, machine_, engine_, results_dir):

@@ -24,7 +24,7 @@ def _wide_graph(tasks=2000):
 def test_scheduler_throughput(benchmark, machine):
     """Tasks scheduled per call over a 2000-task graph."""
     g = _wide_graph()
-    scheduler = Scheduler(machine, threads=4, execute=False)
+    scheduler = Scheduler(machine, threads=4)
     result = benchmark(scheduler.run, g)
     assert len(result.records) == 2000
 

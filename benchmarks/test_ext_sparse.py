@@ -63,6 +63,7 @@ def test_ext_spgemm(benchmark, machine_, results_dir):
     """SpGEMM (Gustavson): squaring a band vs a random pattern — the
     intermediate-product count, not nnz(A), governs cost."""
     from repro.sparse import CSRMatrix, banded, uniform_random
+    from repro.runtime.replay import replay_numerics
     from repro.sparse.spgemm import build_spgemm_graph, intermediate_products
     from repro.sim import Engine
 
@@ -76,8 +77,8 @@ def test_ext_spgemm(benchmark, machine_, results_dir):
         ):
             a = CSRMatrix.from_coo(pattern)
             build = build_spgemm_graph(a, a, machine_, threads=4, execute=True)
-            meas = engine.run(build.graph, threads=4)
-            build.verify()
+            meas, schedule = engine.simulate(build.graph, threads=4)
+            replay_numerics(lambda: build, schedule)
             inter = intermediate_products(a, a, 0, a.shape[0])
             rows.append(
                 (label, a.nnz, inter, build.result.nnz,

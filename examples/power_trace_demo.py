@@ -31,11 +31,12 @@ def main() -> None:
     eventset.start()
 
     alg = StrassenWinograd(machine)
-    build = alg.build(512, threads=4)
-    measurement = engine.run(build.graph, threads=4)
+    build = alg.build_cached(512, threads=4)
+    measurement, schedule = engine.simulate(build.graph, threads=4)
     pkg_nj, pp0_nj = eventset.stop()
 
-    report = build.verify()
+    # Numerics: replay the executed lowering in the simulated schedule.
+    report = alg.check_numerics(512, 4, schedule, build.graph)
     print(f"Strassen 512^2 on 4 threads: {measurement.summary()}")
     print(f"verified vs numpy: err={report.abs_error:.2e} (bound {report.bound:.2e})")
     print(f"PAPI readings: PACKAGE={pkg_nj / 1e9:.3f} J, PP0={pp0_nj / 1e9:.3f} J")
@@ -57,7 +58,7 @@ def main() -> None:
     # --- why CAPS keeps cores busier: Gantt views --------------------
     for algorithm in (StrassenWinograd(machine), CapsStrassen(machine)):
         b = algorithm.build(256, threads=4, execute=False)
-        schedule = Scheduler(machine, threads=4, execute=False).run(b.graph)
+        schedule = Scheduler(machine, threads=4).run(b.graph)
         print(render_gantt(schedule, width=68))
         print()
 
@@ -65,7 +66,7 @@ def main() -> None:
     from repro.sim import attribute_energy, attribution_table
 
     b = StrassenWinograd(machine).build(1024, threads=4, execute=False)
-    schedule = Scheduler(machine, threads=4, execute=False).run(b.graph)
+    schedule = Scheduler(machine, threads=4).run(b.graph)
     groups = attribute_energy(schedule, b.graph, machine)
     print("Strassen n=1024 energy attribution (multiplies vs communication):")
     print(attribution_table(groups).to_ascii())

@@ -69,7 +69,7 @@ def part2_governors() -> None:
         ("strassen (bandwidth-bound)", StrassenWinograd(machine)),
     ):
         build = alg.build(1024, threads=4, execute=False)
-        nominal = Engine(machine).run(build.graph, threads=4, execute=False)
+        nominal = Engine(machine).run(build.graph, threads=4)
         for governor in (
             PerformanceGovernor(),
             OndemandGovernor(),
@@ -78,7 +78,7 @@ def part2_governors() -> None:
             governed = governed_machine(
                 machine, governor, nominal.stats.utilization
             )
-            meas = Engine(governed).run(build.graph, threads=4, execute=False)
+            meas = Engine(governed).run(build.graph, threads=4)
             table.add_row(
                 label,
                 governor.name,

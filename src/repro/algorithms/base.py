@@ -12,6 +12,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,9 +22,14 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter, gauge
 from ..runtime.arena import TaskArena
+from ..runtime.replay import replay_numerics
 from ..runtime.task import TaskGraph
+from ..util.deprecation import warn_deprecated
 from ..util.errors import ConfigurationError, ValidationError
 from ..util.validation import require_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runtime.scheduler import Schedule
 
 __all__ = [
     "BuildCache",
@@ -45,9 +51,10 @@ _ARENA_BYTES = gauge("lowering.arena_bytes", unit="B", description="resident byt
 def record_lowering(build: BuildResult) -> BuildResult:
     """Tally a finished lowering into the process metrics.
 
-    Called by every ``build_arena`` implementation and by the cache's
-    object-path fallback, so ``lowering.tasks`` counts all lowered
-    tasks regardless of representation and ``lowering.arena_bytes``
+    Called by every ``build_arena`` implementation and by the cost-only
+    object-path fallback, so ``lowering.tasks`` counts every simulated
+    lowering regardless of representation (the numerics replay's
+    executed lowerings are not counted) and ``lowering.arena_bytes``
     tracks the columnar arenas' resident footprint.
     """
     graph = build.graph
@@ -64,16 +71,16 @@ class BuildResult:
     Attributes
     ----------
     graph:
-        The task graph to schedule — an object :class:`TaskGraph`
-        (always, for executed builds) or a columnar
+        The task graph — an object :class:`TaskGraph` (always, for
+        executed builds) or a columnar
         :class:`~repro.runtime.arena.TaskArena` (cost-only builds from
         a templated ``build_arena`` lowering).
     n:
         Problem dimension.
     a, b, c:
         Operands and output when built with ``execute=True``; ``None``
-        in cost-only mode (used for the largest study sizes, where the
-        simulator needs only the cost vectors).
+        in cost-only mode (all the simulator needs is the cost
+        vectors).
     variant:
         Stability-bound variant for verification ("classical",
         "strassen", "winograd").
@@ -96,8 +103,8 @@ class BuildResult:
 
     def verify(self) -> VerificationReport:
         """Check the computed product against numpy within the stability
-        bound.  Only valid after the graph has been *executed* (run
-        through the scheduler with ``execute=True``)."""
+        bound.  Only valid after the graph's closures have run (see
+        :func:`repro.runtime.replay.replay_numerics`)."""
         if self.cost_only:
             raise ValidationError(
                 "cannot verify a cost-only build (execute=False)"
@@ -106,30 +113,22 @@ class BuildResult:
 
 
 class BuildCache:
-    """Process-wide LRU of lowered problem instances.
+    """Process-wide LRU of cost-only lowerings.
 
     Lowering is a measured hot path (a Strassen 512² lowering costs
     milliseconds, and the protocol driver re-lowers the *same* cell for
     every repetition), so identical builds are memoized.  The key is
-    ``(algorithm instance, n, threads, seed, execute)`` — the instance
-    stands in for (machine, algorithm, configuration), which it
-    determines completely; entries keep a strong reference to the
-    instance so the identity can never be recycled while cached.
+    ``(algorithm instance, n, threads, seed)`` — the instance stands in
+    for (machine, algorithm, configuration), which it determines
+    completely; entries keep a strong reference to the instance so the
+    identity can never be recycled while cached.
 
-    Sharing semantics
-    -----------------
-    * **Cost-only builds** (``execute=False``) are immutable: their
-      graphs carry no compute closures and no operand arrays, and
-      scheduling one never mutates it.  The cache therefore returns the
-      *same* :class:`BuildResult` to every caller — which is also what
-      lets the fast engine's per-graph seat-plan cache amortize across
-      protocol repetitions and study repeats.
-    * **Executed builds** (``execute=True``) bind operand arrays into
-      task closures and accumulate into ``C`` when run, so a stored
-      instance would be corrupted by its first execution.  The cache
-      *re-lowers* on every request instead: deterministic operand
-      seeding makes each fresh build an exact clone, and mutating one
-      build can never leak into the next.
+    Cached builds carry no compute closures and no operand arrays, and
+    scheduling one never mutates it, so the cache returns the *same*
+    :class:`BuildResult` to every caller — treat it as immutable.
+    Lowerings with numerics bind operand arrays that a replay
+    accumulates into, so they are never cached: each numerics check
+    lowers its own (:mod:`repro.runtime.replay`).
     """
 
     def __init__(self, maxsize: int = 64):
@@ -163,63 +162,20 @@ class BuildCache:
         n: int,
         threads: int,
         seed: int = 0,
-        execute: bool = True,
     ) -> BuildResult:
-        """Return a build for *(alg, n, threads, seed, execute)*,
-        reusing a cached cost-only lowering when one exists.
-
-        The ``execute`` flag is part of the cache key *and* checked on
-        the way out: an executed request must never be satisfied by a
-        stored cost-only lowering (it has no operands or compute
-        closures, so running it would silently produce an empty C), and
-        a cost-only request must never observe an executed build's
-        mutable arrays.  Today executed builds are never stored at all,
-        but the guard keeps the isolation boundary machine-checked if
-        that ever changes.
-        """
-        if execute:
-            # Never cached — see the class docstring.
-            self.misses += 1
-            _CACHE_MISSES.add()
-            with trace.span(
-                "lower", alg=alg.name, n=n, threads=threads, execute=True
-            ):
-                build = alg.build(n, threads, seed=seed, execute=True)
-            record_lowering(build)
-            if build.cost_only:
-                raise ValidationError(
-                    f"{alg.name}: build(execute=True) returned a cost-only "
-                    f"lowering for (n={n}, threads={threads}, seed={seed})"
-                )
-            return build
-        key = (id(alg), n, threads, seed, False)
+        """Return the cost-only build for *(alg, n, threads, seed)*,
+        lowering it on a miss."""
+        key = (id(alg), n, threads, seed)
         entry = self._entries.get(key)
         if entry is not None and entry[0] is alg:
-            cached = entry[1]
-            if not cached.cost_only:
-                # An executed build leaked into the cost-only slot —
-                # drop it and re-lower rather than hand out a build
-                # whose arrays another caller may be mutating.
-                del self._entries[key]
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                _CACHE_HITS.add()
-                return cached
+            self._entries.move_to_end(key)
+            self.hits += 1
+            _CACHE_HITS.add()
+            return entry[1]
         self.misses += 1
         _CACHE_MISSES.add()
-        # Prefer the columnar templated lowering when the algorithm has
-        # one: same graph bit-for-bit (the differential oracle enforces
-        # it), a fraction of the build time and memory, and picklable
-        # across study workers.
-        with trace.span(
-            "lower", alg=alg.name, n=n, threads=threads, execute=False
-        ):
-            build = alg.build_arena(n, threads, seed=seed)
-            if build is None:
-                build = record_lowering(
-                    alg.build(n, threads, seed=seed, execute=False)
-                )
+        with trace.span("lower", alg=alg.name, n=n, threads=threads):
+            build = alg._lower_cost_only(n, threads, seed)
         self._entries[key] = (alg, build)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -262,7 +218,9 @@ class MatmulAlgorithm(ABC):
 
         ``threads`` informs work-sharing chunk counts (OpenMP static
         schedules depend on the team size); ``execute=False`` skips all
-        array allocation and numpy closures.
+        array allocation and numpy closures.  Both modes must emit the
+        same tasks in the same order: numerics replay the executed graph
+        in the cost-only lowering's schedule (:mod:`repro.runtime.replay`).
         """
 
     def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult | None:
@@ -277,24 +235,72 @@ class MatmulAlgorithm(ABC):
         """
         return None
 
+    def _lower_cost_only(self, n: int, threads: int, seed: int) -> BuildResult:
+        """The uncached lowering behind :meth:`build_cached`.  Prefers the
+        columnar templated lowering when the algorithm has one: same
+        graph bit-for-bit (the differential oracle enforces it), a
+        fraction of the build time and memory, and picklable across
+        study workers."""
+        build = self.build_arena(n, threads, seed=seed)
+        if build is None:
+            build = record_lowering(self.build(n, threads, seed=seed, execute=False))
+        return build
+
     def build_cached(
         self,
         n: int,
         threads: int,
         seed: int = 0,
-        execute: bool = True,
+        execute: bool | None = None,
         cache: BuildCache | None = None,
     ) -> BuildResult:
-        """Like :meth:`build`, but memoized through a :class:`BuildCache`
-        (the process-wide default unless *cache* is given).
+        """The cost-only lowering of :meth:`build`, memoized through a
+        :class:`BuildCache` (the process-wide default unless *cache* is
+        given).  Results are shared — treat them as immutable.
 
-        Cost-only results are shared — treat them as immutable.
-        Executed results are always freshly lowered (see
-        :class:`BuildCache` for why) and safe to run and mutate.
+        ``execute`` is deprecated: ``execute=True`` returns a fresh,
+        uncached ``build(..., execute=True)``, ``execute=False`` the
+        cached lowering.
         """
+        if execute is not None:
+            warn_deprecated(
+                "MatmulAlgorithm.build_cached(execute=...)",
+                "build_cached(...) for the cost-only lowering, "
+                "build(..., execute=True) for numerics",
+            )
+            if execute:
+                return self.build(n, threads, seed=seed, execute=True)
         if cache is None:
             cache = _DEFAULT_CACHE
-        return cache.get_or_build(self, n, threads, seed=seed, execute=execute)
+        return cache.get_or_build(self, n, threads, seed=seed)
+
+    def check_numerics(
+        self,
+        n: int,
+        threads: int,
+        schedule: "Schedule",
+        simulated: TaskGraph | TaskArena,
+        seed: int = 0,
+    ) -> VerificationReport:
+        """Lower the executed graph, replay it in the start order of
+        *schedule* (made from *simulated*, the cost-only lowering) and
+        verify the product (:func:`~repro.runtime.replay.replay_numerics`).
+        Raises :class:`ValidationError` when the error exceeds its
+        stability bound."""
+        report = replay_numerics(
+            lambda: self.build(n, threads, seed=seed, execute=True),
+            schedule,
+            simulated,
+            alg=self.name,
+            n=n,
+            threads=threads,
+        )
+        if not report.ok:
+            raise ValidationError(
+                f"{self.display_name} n={n} p={threads}: numerical error "
+                f"{report.abs_error:.3e} exceeds bound {report.bound:.3e}"
+            )
+        return report
 
     def memory_footprint_bytes(self, n: int) -> float:
         """Resident bytes the algorithm needs (operands + temporaries).

@@ -213,33 +213,18 @@ class CapsStrassen(MatmulAlgorithm):
         a, b, c = self._operands(n, seed, execute)
         m = self.padded_n(n)
 
-        ap = bp = cp = None
-        if execute:
-            if m == n:
-                # No padding needed (n is already a power of two, or the
-                # whole problem fits in one leaf).  Operate in place —
-                # padding here would hand the leaves m x m operand views
-                # with an n x n output.
-                ap, bp, cp = a, b, c
-            else:
-                ap, _ = pad_to_power_of_two(a)
-                bp, _ = pad_to_power_of_two(b)
-                cp = np.zeros((m, m), dtype=np.float64)
+        ap, bp, cp = a, b, c
+        if execute and m != n:
+            # The recursion runs on the padded problem; C is the valid
+            # region of the padded product (a view, so no extra task).
+            ap, _ = pad_to_power_of_two(a)
+            bp, _ = pad_to_power_of_two(b)
+            cp = np.zeros((m, m), dtype=np.float64)
+            c = cp[:n, :n]
 
         omp = OpenMP(f"caps[n={n}]", threads)
         self._threads = threads
-        terminal = self._recurse(omp, ap, bp, cp, m, depth=0, deps=(), execute=execute)
-        if execute and m != n:
-
-            def unpad():
-                c[:, :] = cp[:n, :n]
-
-            omp.task(
-                "unpad",
-                addition_cost(n, 1, self.machine, self.add_locality),
-                deps=[terminal],
-                compute=unpad,
-            )
+        self._recurse(omp, ap, bp, cp, m, depth=0, deps=(), execute=execute)
 
         return BuildResult(
             graph=omp.graph,

@@ -253,24 +253,17 @@ class StrassenWinograd(MatmulAlgorithm):
         a, b, c = self._operands(n, seed, execute)
         m = self.padded_n(n)
 
-        ap = bp = cp = None
-        if execute:
-            if self.odd_strategy == "peel" or m == n:
-                ap, bp, cp = a, b, c
-            else:
-                ap, _ = pad_to_power_of_two(a)
-                bp, _ = pad_to_power_of_two(b)
-                cp = np.zeros((m, m), dtype=np.float64)
+        ap, bp, cp = a, b, c
+        if execute and m != n:
+            # The recursion runs on the padded problem; C is the valid
+            # region of the padded product (a view, so no extra task).
+            ap, _ = pad_to_power_of_two(a)
+            bp, _ = pad_to_power_of_two(b)
+            cp = np.zeros((m, m), dtype=np.float64)
+            c = cp[:n, :n]
 
         omp = OpenMP(f"{self.name}[n={n}]", threads)
-        terminal = self._recurse(omp, ap, bp, cp, m, deps=(), execute=execute)
-        if execute and m != n:
-            # Copy the valid region of the padded product back out.
-            def unpad():
-                c[:, :] = cp[:n, :n]
-
-            omp.task("unpad", addition_cost(n, 1, self.machine, self.add_locality),
-                     deps=[terminal], compute=unpad)
+        self._recurse(omp, ap, bp, cp, m, deps=(), execute=execute)
 
         return BuildResult(
             graph=omp.graph,

@@ -454,10 +454,8 @@ def cmd_trace(args) -> int:
 
     machine = _machine_from_args(args)
     algorithm = make_algorithm(args.alg, machine)
-    build = algorithm.build(args.n, args.threads, execute=False)
-    schedule = Scheduler(machine, args.threads, policy=args.policy, execute=False).run(
-        build.graph
-    )
+    build = algorithm.build_cached(args.n, args.threads)
+    schedule = Scheduler(machine, args.threads, policy=args.policy).run(build.graph)
     measurement = Engine(machine).measure(schedule, label=f"{args.alg}[n={args.n}]")
     print(render_gantt(schedule, width=68))
     print()

@@ -116,7 +116,14 @@ class ExperimentProtocol:
         seed: int = 2015,
         execute: bool = False,
     ) -> ProtocolResult:
-        """Execute the matrix with quiesce + repetition discipline."""
+        """Execute the matrix with quiesce + repetition discipline.
+
+        Every trial simulates the cached cost-only lowering.  With
+        *execute*, each configuration also checks its numerics once
+        (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`):
+        noise perturbs only the measurements, so every repetition shares
+        one schedule.
+        """
         algorithms = require_nonempty(list(algorithms), "algorithms")
         sizes = require_nonempty(list(sizes), "sizes")
         threads = require_nonempty(list(threads), "threads")
@@ -125,22 +132,20 @@ class ExperimentProtocol:
             for n in sizes:
                 for p in threads:
                     trials = []
+                    # Repetitions share one lowering: the graph is
+                    # immutable under simulation.
+                    build = alg.build_cached(n, p, seed=seed)
                     for rep in range(self.repetitions):
                         if self.quiesce_s > 0:
                             self.engine.idle_measurement(
                                 self.quiesce_s, label="quiesce"
                             )
-                        # Repetitions reuse one lowering in cost-only
-                        # mode (the graph is immutable under simulation);
-                        # executed trials re-lower so each repetition
-                        # accumulates into its own fresh C.
-                        build = alg.build_cached(n, p, seed=seed, execute=execute)
-                        trials.append(
-                            self.engine.run(
-                                build.graph, p, execute=execute,
-                                label=f"{alg.name}[n={n},p={p}]#{rep}",
-                            )
+                        measurement, schedule = self.engine.simulate(
+                            build.graph, p, label=f"{alg.name}[n={n},p={p}]#{rep}"
                         )
+                        trials.append(measurement)
+                    if execute:
+                        alg.check_numerics(n, p, schedule, build.graph, seed=seed)
                     key = (alg.name, n, p)
                     result.trials[key] = trials
                     result.time_stats[key] = TrialStats.from_samples(

@@ -24,7 +24,8 @@ key:
   :class:`~repro.sim.noise.NoisyEngine`) raises instead of being left
   out of the key.
 * :func:`cell_key` — sha256 over those three fingerprints plus n,
-  threads, seed, the execute and verify flags,
+  threads, seed, the ``verified`` flag (whether the cell replayed and
+  checked its numerics — the measurement itself never depends on it),
   :data:`~repro.sim.engine.ENGINE_VERSION` and :data:`STORE_VERSION`.
   Bumping either version constant orphans every stored entry, which is
   exactly what a semantic change to the simulator must do.
@@ -80,8 +81,10 @@ __all__ = [
 
 #: Schema version of stored entries *and* a component of every cell key;
 #: bump on any format or key-derivation change so stale entries become
-#: unreachable instead of silently misread.
-STORE_VERSION = 2
+#: unreachable instead of silently misread.  3: one ``verified`` flag
+#: replaces ``execute``/``verify``; v2 entries of executed cells at
+#: non-power-of-two n measured an ``unpad`` task that no longer exists.
+STORE_VERSION = 3
 
 _STORE_HITS = counter(
     "store.hits", description="result-store lookups answered from a stored entry"
@@ -195,16 +198,15 @@ def cell_key(
     threads: int,
     *,
     seed: int,
-    execute: bool,
-    verify: bool,
+    verified: bool,
     engine: "sim_engine.Engine | str",
 ) -> str:
     """Content address of one study cell.
 
     *machine*, *algorithm* and *engine* may each be the object or its
     precomputed fingerprint; the service and the study driver compute
-    those once, so a per-cell key is one small hash.  *verify* is keyed
-    so a verifying run is never served cells nobody verified.
+    those once, so a per-cell key is one small hash.  *verified* is
+    keyed so a verifying run is never served cells nobody verified.
     """
     if not isinstance(machine, str):
         machine = machine_fingerprint(machine)
@@ -220,8 +222,7 @@ def cell_key(
             "n": int(n),
             "threads": int(threads),
             "seed": int(seed),
-            "execute": bool(execute),
-            "verify": bool(verify),
+            "verified": bool(verified),
             "engine_version": sim_engine.ENGINE_VERSION,
             "store_version": STORE_VERSION,
         }

@@ -93,11 +93,14 @@ class StudyConfig:
     seed:
         Operand RNG seed (same operands for every algorithm).
     execute_max_n:
-        Real numpy numerics (and verification) run for sizes up to this
-        bound; larger sizes simulate cost-only.  The simulated timings
-        and energies are identical either way.
+        Sizes up to this bound check their numerics: the cell lowers the
+        executed graph, replays its numpy closures in the simulated
+        schedule's start order and verifies the product
+        (:func:`repro.runtime.replay.replay_numerics`).  Every cell
+        simulates the same cost-only lowering, so the timings and
+        energies are identical either way.
     verify:
-        Check executed results against numpy within stability bounds.
+        Check numerics at all; ``False`` makes every cell cost-only.
     baseline:
         Algorithm name the slowdown tables normalise against.
     plane / convention:
@@ -397,7 +400,7 @@ class EnergyPerformanceStudy:
         return {
             (alg.name, n, p): cell_key(
                 machine_fp, alg_fps[alg.name], n, p, seed=cfg.seed,
-                execute=n <= cfg.execute_max_n, verify=cfg.verify, engine=engine_fp,
+                verified=self._verified(n), engine=engine_fp,
             )
             for alg, n, p in cells
         }
@@ -438,28 +441,17 @@ class EnergyPerformanceStudy:
                     deposit_planes(msr, measurement.energy)
             result.runs[coords] = measurement
 
+    def _verified(self, n: int) -> bool:
+        """Whether the cell at size *n* checks its numerics."""
+        return self.config.verify and n <= self.config.execute_max_n
+
     def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
         return _run_cell(
-            (
-                self.engine,
-                alg,
-                n,
-                threads,
-                self.config.seed,
-                n <= self.config.execute_max_n,
-                self.config.verify,
-                None,
-            )
+            (self.engine, alg, n, threads, self.config.seed, self._verified(n), None)
         )
 
     def _prebuild(self, alg: MatmulAlgorithm, n: int, threads: int):
-        return prebuild_arena_cell(
-            alg,
-            n,
-            threads,
-            seed=self.config.seed,
-            execute_max_n=self.config.execute_max_n,
-        )
+        return prebuild_arena_cell(alg, n, threads, seed=self.config.seed)
 
     def _run_parallel(
         self,
@@ -543,8 +535,7 @@ class EnergyPerformanceStudy:
                             n,
                             p,
                             self.config.seed,
-                            n <= self.config.execute_max_n,
-                            self.config.verify,
+                            self._verified(n),
                             prebuilt,
                         )
                     )
@@ -606,13 +597,14 @@ def prebuild_arena_cell(
     threads: int,
     *,
     seed: int,
-    execute_max_n: int,
 ):
-    """Lower a cost-only cell in the dispatching process when the result
-    is a columnar arena — those pickle compactly (plain numpy columns,
-    no ``Task`` objects or closures), so shipping the build saves every
-    worker from re-lowering the same cell.  Executed cells (operand
-    arrays, closures) and object-graph lowerings stay worker-side.
+    """Lower a cell in the dispatching process when the result is a
+    columnar arena — those pickle compactly (plain numpy columns, no
+    ``Task`` objects or closures), so shipping the build saves every
+    worker from re-lowering the same cell.  Every cell simulates its
+    cost-only lowering, numerics-checked ones included (their executed
+    graph is lowered worker-side by the replay); object-graph lowerings
+    stay worker-side.
 
     Returns ``None`` whenever the cell should be built by the worker
     instead; shared by the parallel study driver and the study
@@ -620,16 +612,14 @@ def prebuild_arena_cell(
     """
     from ..runtime.arena import TaskArena
 
-    if n <= execute_max_n:
-        return None
     try:
-        build = alg.build_cached(n, threads, seed=seed, execute=False)
+        build = alg.build_cached(n, threads, seed=seed)
     except Exception:
         # Let the worker hit the same failure so it surfaces with
         # the cell's coordinates via StudyCellError, not as a bare
         # dispatcher-side traceback during payload construction.
         return None
-    if build.cost_only and isinstance(build.graph, TaskArena):
+    if isinstance(build.graph, TaskArena):
         return build
     return None
 
@@ -682,11 +672,17 @@ class _ShmBuild:
 
 
 def _run_cell(payload) -> RunMeasurement:
-    """Build, simulate and (optionally) verify one matrix cell.
+    """Build, simulate and (optionally) check the numerics of one cell.
+
+    Every cell simulates its cost-only lowering.  A *verified* cell then
+    lowers the executed graph and replays it in the simulated schedule's
+    start order before verifying the product
+    (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`); the
+    measurement never depends on it.
 
     Module-level so the parallel driver can send it to worker
     processes; the serial path calls it in-process with the study's
-    own engine (MSR deposits then happen inside ``engine.run``).
+    own engine (MSR deposits then happen inside ``engine.simulate``).
 
     When tracing is active (serial: the study's tracer; parallel: the
     worker-local tracer installed by :func:`_run_cell_worker`), the
@@ -695,7 +691,7 @@ def _run_cell(payload) -> RunMeasurement:
     tasks lowered, kernel sweeps, ...); the span itself records the
     cell's wall and CPU time.
     """
-    engine, alg, n, threads, seed, execute, verify, prebuilt = payload
+    engine, alg, n, threads, seed, verified, prebuilt = payload
     attached = None
     if isinstance(prebuilt, _ShmBuild):
         from ..algorithms.base import BuildResult
@@ -718,30 +714,19 @@ def _run_cell(payload) -> RunMeasurement:
             cutoff=prebuilt.cutoff,
         )
     try:
-        with trace.span(
-            "cell", alg=alg.name, n=n, threads=threads, execute=bool(execute)
-        ) as cell_span:
+        with trace.span("cell", alg=alg.name, n=n, threads=threads) as cell_span:
             snap = metrics_registry().snapshot() if trace.enabled() else None
             if prebuilt is not None:
-                build = prebuilt  # parent-lowered cost-only arena (see _prebuild)
+                build = prebuilt  # parent-lowered arena (see _prebuild)
             else:
                 with trace.span("build", alg=alg.name, n=n, threads=threads):
-                    build = alg.build_cached(n, threads, seed=seed, execute=execute)
+                    build = alg.build_cached(n, threads, seed=seed)
             with trace.span("simulate", alg=alg.name, n=n, threads=threads):
-                measurement = engine.run(
-                    build.graph,
-                    threads,
-                    execute=execute,
-                    label=f"{alg.name}[n={n},p={threads}]",
+                measurement, schedule = engine.simulate(
+                    build.graph, threads, label=f"{alg.name}[n={n},p={threads}]"
                 )
-            if execute and verify:
-                with trace.span("verify", alg=alg.name, n=n):
-                    report = build.verify()
-                if not report.ok:
-                    raise ValidationError(
-                        f"{alg.display_name} n={n} p={threads}: numerical error "
-                        f"{report.abs_error:.3e} exceeds bound {report.bound:.3e}"
-                    )
+            if verified:
+                alg.check_numerics(n, threads, schedule, build.graph, seed=seed)
             if snap is not None:
                 cell_span.set(
                     sim_elapsed_s=measurement.elapsed_s,

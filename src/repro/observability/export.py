@@ -267,7 +267,7 @@ def layer_table(
 ) -> TextTable:
     """:func:`layer_times` as a table: each study cell split into its
     layers (``plan``, ``schedule`` — the event sweep plus schedule
-    assembly — ``measure``, lowering, verification, ...) with each
+    assembly — ``measure``, lowering, ``numerics``, ``verify``, ...) with each
     layer's share of the summed *root* time; the *root* row itself is
     the cells' unattributed remainder."""
     agg = layer_times(spans, root)

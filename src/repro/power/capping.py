@@ -90,18 +90,14 @@ def enforce_power_limit(
     if engine_factory is None:
         engine_factory = Engine
     states = list(range(len(machine.frequency.pstates) - 1, -1, -1))
-    uncapped = engine_factory(machine).run(
-        graph, threads, execute=False, label="uncapped"
-    )
+    uncapped = engine_factory(machine).run(graph, threads, label="uncapped")
     if limit.permits(uncapped.avg_power_w()):
         return CappedRun(limit, states[0], True, uncapped, uncapped)
 
     chosen = None
     for index in states[1:]:
         variant = replace(machine, frequency=machine.frequency.at_state(index))
-        meas = engine_factory(variant).run(
-            graph, threads, execute=False, label=f"pstate{index}"
-        )
+        meas = engine_factory(variant).run(graph, threads, label=f"pstate{index}")
         chosen = (index, meas)
         if limit.permits(meas.avg_power_w()):
             return CappedRun(limit, index, True, meas, uncapped)

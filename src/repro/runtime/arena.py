@@ -37,9 +37,10 @@ Three layers live here:
   reference event kernel consumes when handed an arena, keeping the
   object path alive as the differential oracle.
 
-Cost-only studies build arenas (no closures, no ``Task`` churn, cheap
-to pickle across study workers); ``execute=True`` builds keep the
-object path, whose closures cannot be columnized.
+Every study cell simulates an arena (no closures, no ``Task`` churn,
+cheap to pickle across study workers); numerics come from the object
+lowering, whose closures cannot be columnized, replayed in the arena's
+schedule order (:mod:`repro.runtime.replay`).
 """
 
 from __future__ import annotations

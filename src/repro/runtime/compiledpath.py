@@ -7,7 +7,7 @@ system C compiler and driven through :mod:`ctypes`.  The hot loop
 touches only flat numeric buffers — the arena's
 :class:`~repro.runtime.plans.PlanBundle` of contiguous numpy arrays
 (CSR seat plans, successor CSR, per-task flags), built vectorized once
-per ``(arena, machine)``; a cost-only object graph goes through its
+per ``(arena, machine)``; an object graph goes through its
 cached arena twin first — and the kernel writes records, interval rows
 and busy spans straight into preallocated output arrays.  No Python
 objects, dicts, or per-event allocation anywhere in the sweep.
@@ -27,8 +27,8 @@ Toolchain semantics mirror the shm transport (PR 5):
   (``$CC``, ``cc``, ``gcc``, ``clang``; ``REPRO_COMPILED_TOOLCHAIN=none``
   forces unavailability for testing the degraded path).
 * Resolution paths (``default_engine`` under ``REPRO_ENGINE=compiled``,
-  run-time JIT or internal kernel failures, ``execute=True``) degrade
-  to ``fast`` with a warn-once counter (``engine.compiled_fallbacks``).
+  run-time JIT or internal kernel failures) degrade to ``fast`` with a
+  warn-once counter (``engine.compiled_fallbacks``).
 * *Forcing* ``engine="compiled"`` when the toolchain is absent raises
   :class:`~repro.util.errors.ConfigurationError` at construction.
 
@@ -523,15 +523,11 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
 
 def run_compiled_or_fallback(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     """Run the compiled kernel, degrading to ``run_fast`` (counted,
-    warn-once) when it cannot: ``execute=True`` (the C kernel is
-    cost-only), JIT failure, or an internal kernel bound.  Workload
-    :class:`SchedulingError`\\ s propagate — falling back would just
-    re-raise the identical error slower."""
+    warn-once) when it cannot: JIT failure or an internal kernel bound.
+    Workload :class:`SchedulingError`\\ s propagate — falling back would
+    just re-raise the identical error slower."""
     from .fastpath import run_fast
 
-    if sched.execute:
-        record_fallback("execute=True (compiled kernel is cost-only)")
-        return run_fast(sched, graph)
     try:
         return run_compiled(sched, graph)
     except (_JitError, _KernelInternalError) as exc:

@@ -27,18 +27,17 @@ event kernels:
     affected entries get new exhaust times (found by scanning the
     ``running`` dict — at most P entries, cheaper than maintaining
     membership sets per dispatch/exhaust).
-  - a per-``(graph, machine)`` **seat plan** is lazily cached: for
+  - a per-``(arena, machine)`` **seat plan** is lazily cached: for
     every task, the nonzero private dimensions with their precomputed
     ``(rate, d/rate, d/rate - EPS/rate)`` and the nonzero shared
     dimensions with their work.  Dispatch then seats a task with a
     couple of adds and stores instead of re-deriving rates from
-    ``TaskCost`` attributes on every run.  On an arena the tuples are
-    derived from the vectorized plan bundle the compiled kernel also
-    reads (:mod:`repro.runtime.plans`) and cached on it; an object
-    graph builds them task by task (:func:`_build_plans`, cached under
-    :data:`_PLAN_ATTR`; task lists are append-only and tasks
-    immutable, so the plan is extended when the graph has grown and
-    rebuilt when the machine constants differ).
+    ``TaskCost`` attributes on every run.  The tuples are derived from
+    the vectorized plan bundle the compiled kernel also reads
+    (:mod:`repro.runtime.plans`) and cached on it; an object graph
+    reaches the bundle through its cached arena twin
+    (:func:`~repro.runtime.plans.arena_of`), exactly as it reaches the
+    compiled kernel.
 
   The ``texp_adj`` store is a numpy array when ``P*5`` is large
   (vectorized ``argmin`` + compare) and a plain Python list of floats
@@ -101,9 +100,6 @@ _INF = float("inf")
 #: Entry count (threads * 5) above which the numpy event step beats the
 #: pure-Python one.  Below it, per-call numpy dispatch overhead dominates.
 _NUMPY_THRESHOLD = 96
-#: Attribute under which an object graph caches its seat plan.
-_PLAN_ATTR = "_fastpath_plan"
-
 _new = object.__new__
 
 #: Seat plan of one task:
@@ -121,27 +117,19 @@ _new = object.__new__
 
 
 class _GraphPlan:
-    """Cached per-(graph, machine) lowering of task costs to seat plans.
-
-    Task lists are append-only and tasks immutable, so everything here
-    stays valid until the graph grows (handled by extending) or the
-    machine constants change (handled by rebuilding).  ``crit_prio``
-    is filled lazily on the first ``critical``-policy run and
-    invalidated by growth (priorities are a whole-graph property).
-    """
+    """Cached per-(arena, machine) lowering of task costs to seat plans,
+    derived from the arena's plan bundle (:func:`_seat_plan`)."""
 
     __slots__ = (
         "key",          # (core_peak, l1_bw, l2_bw, l3_bw, dram_bw)
-        "plans",        # list of per-task seat plans (see below)
+        "plans",        # list of per-task seat plans (see above)
         "zeros",        # list[bool]: task cost exactly zero (is_zero)
         "seeds",        # tids with no dependencies, in task order
         "indeg0",       # initial indegree per task (copied per run)
         "names",        # per-task name strings (tid-indexed)
         "created",      # per-task creator tid or None (tid-indexed)
-        "computes",     # per-task closures, or None for arena graphs
         "any_created",  # any task has a creator (affinity can fire)
         "zero_seed",    # any source is zero-cost (cascades interleave)
-        "crit_prio",    # critical-policy priorities or None (lazy)
     )
 
     def __init__(self, key):
@@ -152,97 +140,8 @@ class _GraphPlan:
         self.indeg0: list = []
         self.names: list = []
         self.created: list = []
-        self.computes: list | None = []
         self.any_created = False
         self.zero_seed = False
-        self.crit_prio: list | None = None
-
-
-def _build_plans(
-    tasks,
-    lo: int,
-    gp: _GraphPlan,
-    core_peak: float,
-    l1_bw: float,
-    l2_bw: float,
-) -> None:
-    """Append seat plans (and zero flags, source tids, indegrees) for
-    ``tasks[lo:]`` to *gp*."""
-    eps = _EPS
-    plans_append = gp.plans.append
-    zeros_append = gp.zeros.append
-    seeds_append = gp.seeds.append
-    indeg_append = gp.indeg0.append
-    names_append = gp.names.append
-    created_append = gp.created.append
-    computes_append = gp.computes.append
-    any_created = gp.any_created
-    zero_seed = gp.zero_seed
-    # ``eps / bw`` is loop-invariant for the fixed-bandwidth dims; the
-    # flops dim keeps ``eps / rate`` inline because the rate varies with
-    # per-task efficiency.  ``dur`` is hoisted so each demand divides
-    # once — the hoisted forms produce bit-identical floats.
-    eps_l1 = eps / l1_bw if l1_bw > 0.0 else 0.0
-    eps_l2 = eps / l2_bw if l2_bw > 0.0 else 0.0
-    for i in range(lo, len(tasks)):
-        task = tasks[i]
-        names_append(task.name)
-        created_append(task.created_by)
-        computes_append(task.compute)
-        cost = task.cost
-        f = cost.flops
-        b1 = cost.bytes_l1
-        b2 = cost.bytes_l2
-        b3 = cost.bytes_l3
-        bd = cost.bytes_dram
-        zero = f == 0.0 and b1 == 0.0 and b2 == 0.0 and b3 == 0.0 and bd == 0.0
-        zeros_append(zero)
-        deps = task.deps
-        indeg_append(len(deps))
-        if not deps:
-            seeds_append(i)
-            if zero:
-                zero_seed = True
-        priv = []
-        shared = []
-        bad = -1
-        if f > eps:
-            rate = cost.efficiency * core_peak
-            if rate <= 0.0:
-                bad = 0
-            else:
-                dur = f / rate
-                priv.append((0, rate, dur, dur - eps / rate, f))
-        if b1 > eps:
-            if l1_bw <= 0.0:
-                bad = bad if bad >= 0 else 1
-            else:
-                dur = b1 / l1_bw
-                priv.append((1, l1_bw, dur, dur - eps_l1, b1))
-        if b2 > eps:
-            if l2_bw <= 0.0:
-                bad = bad if bad >= 0 else 2
-            else:
-                dur = b2 / l2_bw
-                priv.append((2, l2_bw, dur, dur - eps_l2, b2))
-        if b3 > eps:
-            shared.append((3, b3))
-        if bd > eps:
-            shared.append((4, bd))
-        created = task.created_by is not None
-        if created:
-            any_created = True
-        alive0 = -1 - bad if bad >= 0 else len(priv) + len(shared)
-        plans_append(
-            (
-                tuple(priv),
-                tuple(shared),
-                alive0,
-                (not task.untied) and created,
-            )
-        )
-    gp.any_created = any_created
-    gp.zero_seed = zero_seed
 
 
 def _distinct_rows(arena: TaskArena, affinity: np.ndarray):
@@ -297,54 +196,20 @@ def _seat_plan(arena: TaskArena, cp: PlanBundle) -> _GraphPlan:
     gp.indeg0 = cp.indeg0.tolist()
     gp.names = arena.names_list()
     gp.created = arena.created_by_list()
-    gp.computes = None
     gp.any_created = cp.any_created
     gp.zero_seed = bool(cp.zeros[cp.seeds].any())
     return gp
 
 
-def _plans_for(sched: "Scheduler", graph: "TaskGraph") -> tuple[_GraphPlan, bool]:
-    """``(plan, cached)``: the :class:`_GraphPlan` for *graph* on this
-    scheduler's machine, built (or extended) on a miss.
-
-    Caching each task's exactly-zero flag matters on its own:
-    ``TaskCost.is_zero`` is a five-compare property, and the kernel
-    consults it twice per task per run (seeding + completion cascade).
-    """
-    key = sched._plan_key
-    if isinstance(graph, TaskArena):
-        cp, _ = plan_bundle(graph, key)
-        gp = cp.seat_plan
-        if gp is not None:
-            return gp, True
-        gp = cp.seat_plan = _seat_plan(graph, cp)
-        return gp, False
-    core_peak, l1_bw, l2_bw = key[:3]
-    tasks = graph.tasks
-    gp: _GraphPlan | None = getattr(graph, _PLAN_ATTR, None)
-    if gp is not None and gp.key == key:
-        if len(gp.plans) == len(tasks):
-            return gp, True
-        # The graph grew since the last run: extend.
-        _build_plans(tasks, len(gp.plans), gp, core_peak, l1_bw, l2_bw)
-        gp.crit_prio = None  # whole-graph property; recompute
-        return gp, False
-    gp = _GraphPlan(key)
-    _build_plans(tasks, 0, gp, core_peak, l1_bw, l2_bw)
-    setattr(graph, _PLAN_ATTR, gp)
-    return gp, False
-
-
-def _ensure_crit_prio(graph: "TaskGraph", gp: _GraphPlan) -> list[float]:
-    """Fill (and cache on *gp*) the ``critical``-policy priorities —
-    longest path to any sink — with the arena's vectorized reverse
-    sweep, bit-identical to the reference's scalar loop (exact max,
-    same add order)."""
-    if gp.crit_prio is None:
-        arena = arena_of(graph)
-        durations = arena.uncontended_durations(*gp.key)
-        gp.crit_prio = arena.critical_priorities(durations).tolist()
-    return gp.crit_prio
+def _plans_for(sched: "Scheduler", arena: TaskArena) -> tuple[PlanBundle, _GraphPlan, bool]:
+    """``(bundle, seat plan, cached)`` for *arena* on this scheduler's
+    machine, built on a miss."""
+    cp, _ = plan_bundle(arena, sched._plan_key)
+    gp = cp.seat_plan
+    if gp is not None:
+        return cp, gp, True
+    gp = cp.seat_plan = _seat_plan(arena, cp)
+    return cp, gp, False
 
 
 def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
@@ -355,12 +220,8 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     """
     graph.validate()
     n = len(graph)
-    is_arena = isinstance(graph, TaskArena)
-    # read-only in both shapes; skip the defensive copy
-    successors = graph.successors_lists() if is_arena else graph._successors
     policy = sched.policy
     threads = sched.threads
-    execute = sched.execute
     socket_of = sched._socket_of
     num_sockets = sched._num_sockets
     multi_socket = num_sockets > 1
@@ -368,17 +229,18 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     dram_bw = sched.machine.dram_bandwidth
 
     with trace.span("plan", tasks=n) as span:
-        gp, cached = _plans_for(sched, graph)
+        arena = arena_of(graph)
+        cp, gp, cached = _plans_for(sched, arena)
         priority: list[float] | None = None
         if policy == "critical":
-            priority = _ensure_crit_prio(graph, gp)
+            priority = cp.priorities(arena).tolist()
         span.set(cached=cached)
+    successors = arena.successors_lists()
     plans = gp.plans
     zeros = gp.zeros
     seeds = gp.seeds
     names = gp.names
     created = gp.created
-    computes = gp.computes
     any_created = gp.any_created
     zero_seed = gp.zero_seed
     indegree = gp.indeg0.copy()
@@ -513,8 +375,6 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 if zeros[succ]:
-                    if execute and computes[succ] is not None:
-                        computes[succ]()
                     rec = _new(TaskRecord)
                     d = rec.__dict__
                     d["tid"] = succ
@@ -546,8 +406,6 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                 if seed_buf:
                     batch_queue.extend(seed_buf)  # type: ignore[union-attr]
                     seed_buf.clear()
-                if execute and computes[tid] is not None:
-                    computes[tid]()
                 rec = _new(TaskRecord)
                 d = rec.__dict__
                 d["tid"] = tid
@@ -839,8 +697,6 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                 task_core[tid] = core
             else:
                 free_cores.pop()
-            if execute and computes[tid] is not None:
-                computes[tid]()
             running[core] = tid
             start_of[core] = t
             # Seat the demand entries from the precomputed plan.

@@ -6,12 +6,12 @@ adj_dur, demand)`` for the compute/L1/L2 demands above EPS, CSR shared
 ``(dim, work)`` L3/DRAM entries, per-task ``alive0`` codes, affinity and
 exactly-zero flags, indegrees, seeds and the successor CSR.
 :func:`build_bundle` derives them with whole-column numpy passes that
-evaluate the object builder ``fastpath._build_plans``'s IEEE
-expressions in its operand order, so every float is bit-identical
-(DESIGN.md §13.2).  ``compiled`` hands the arrays to C; ``fast``
+evaluate the object builder's IEEE expressions
+(:func:`repro.testing.seatplans.object_seat_plan`, the oracle) in its
+operand order, so every float is bit-identical (DESIGN.md §13.2).  ``compiled`` hands the arrays to C; ``fast``
 derives its seat tuples from them once.  The bundle is cached on the
-arena under :data:`_PLAN_ATTR` (dropped from pickles); a cost-only
-object graph reaches it through its cached arena twin (:func:`arena_of`).
+arena under :data:`_PLAN_ATTR` (dropped from pickles); an object graph
+reaches it through its cached arena twin (:func:`arena_of`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ __all__ = ["PlanBundle", "arena_of", "build_bundle", "plan_bundle"]
 
 #: Attribute under which the plan bundle is cached on an arena.
 _PLAN_ATTR = "_plan_bundle"
-#: Attribute under which a cost-only object graph caches its arena twin.
+#: Attribute under which an object graph caches its arena twin.
 _ARENA_ATTR = "_plan_arena"
 
 

@@ -1,7 +1,7 @@
 """Discrete-event task scheduler with shared-resource contention.
 
 This is the simulated analogue of the OpenMP runtime the paper runs on
-(BOTS tasking + work sharing, §IV-B/C).  ``P`` worker cores execute a
+(BOTS tasking + work sharing, §IV-B/C).  ``P`` worker cores run a
 :class:`~repro.runtime.task.TaskGraph`; each running task progresses
 simultaneously along its five cost dimensions:
 
@@ -336,6 +336,20 @@ class Schedule:
         """Total simulated wall time."""
         return self.stats.makespan
 
+    def start_order(self) -> list[int]:
+        """Task ids sorted by start time, stable over record order.
+
+        Records are appended as tasks complete, and a zero-cost task's
+        record follows the one that released it, so this order runs
+        every task after its dependencies — the order the numerics
+        replay (:mod:`repro.runtime.replay`) follows.
+        """
+        if self._records is None:
+            tids, _, starts, _, _ = self._raw_records
+            return tids[np.argsort(starts, kind="stable")].tolist()
+        ordered = sorted(self._records, key=lambda rec: rec.start)
+        return [rec.tid for rec in ordered]
+
     def record_for(self, tid: int) -> TaskRecord:
         """O(1) record lookup via a lazily built tid -> record index."""
         index = self._record_index
@@ -377,10 +391,6 @@ class Scheduler:
         creator's core; idle cores steal the *oldest* task from the
         most loaded victim — the discipline BOTS-era OpenMP runtimes
         approximate for untied tasks).
-    execute:
-        When ``True``, run each task's ``compute`` closure (real
-        numerics) as the task is dispatched; dependency order is
-        guaranteed by the DAG.
     engine:
         Event kernel: ``"fast"`` (vectorized, default — see
         :mod:`repro.runtime.fastpath`), ``"reference"`` (the original
@@ -397,7 +407,6 @@ class Scheduler:
         machine: MachineSpec,
         threads: int,
         policy: SchedulePolicy = "fifo",
-        execute: bool = True,
         engine: SchedulerEngine | None = None,
     ):
         if threads < 1:
@@ -427,7 +436,6 @@ class Scheduler:
         self.machine = machine
         self.threads = threads
         self.policy = policy
-        self.execute = execute
         self.engine = engine
         # Socket of each worker (socket-major core numbering): the
         # shared LLC is per *socket*, so a dual-socket machine has two
@@ -477,22 +485,17 @@ class Scheduler:
     def run(self, graph: TaskGraph) -> Schedule:
         """Simulate *graph* to completion and return the schedule.
 
-        Dispatches to the configured event kernel; both kernels take
+        Dispatches to the configured event kernel; all kernels take
         identical scheduling decisions (see ``repro.runtime.fastpath``).
         Accepts a columnar :class:`~repro.runtime.arena.TaskArena` too:
-        the fast engine consumes its CSR arrays natively, while the
-        reference oracle inflates it to ``Task`` objects first (arenas
-        are cost-only, so ``execute=True`` on one is rejected).
+        the fast and compiled engines consume its CSR arrays natively,
+        while the reference oracle inflates it to ``Task`` objects
+        first.  Scheduling only prices costs; ``compute`` closures never
+        run here (numerics replay the schedule afterwards — see
+        :mod:`repro.runtime.replay`).
         """
         from .arena import TaskArena
 
-        is_arena = isinstance(graph, TaskArena)
-        if is_arena and self.execute:
-            raise SchedulingError(
-                f"graph {graph.name!r} is a TaskArena (cost-only, no "
-                f"compute closures); lower with execute=True to run "
-                f"real numerics"
-            )
         with trace.span(
             "schedule",
             graph=graph.name,
@@ -509,7 +512,7 @@ class Scheduler:
                 from .compiledpath import run_compiled_or_fallback
 
                 return run_compiled_or_fallback(self, graph)
-            if is_arena:
+            if isinstance(graph, TaskArena):
                 graph = graph.to_graph()
             return self._run_reference(graph)
 
@@ -603,8 +606,6 @@ class Scheduler:
                 if indegree[succ] == 0:
                     stask = graph.tasks[succ]
                     if stask.cost.is_zero:
-                        if self.execute and stask.compute is not None:
-                            stask.compute()
                         records.append(TaskRecord(succ, stask.name, -1, when, when))
                         complete(succ, when)
                     else:
@@ -613,8 +614,6 @@ class Scheduler:
         # Seed: sources (zero-cost sources cascade immediately).
         for task in graph.sources():
             if task.cost.is_zero:
-                if self.execute and task.compute is not None:
-                    task.compute()
                 records.append(TaskRecord(task.tid, task.name, -1, 0.0, 0.0))
                 complete(task.tid, 0.0)
             else:
@@ -647,8 +646,6 @@ class Scheduler:
                     and task_core[task.created_by] != core
                 ):
                     migrations += 1
-                if self.execute and task.compute is not None:
-                    task.compute()
                 running[core] = _Running(
                     task, core, t, self._remaining_vector(task.cost)
                 )

@@ -3,8 +3,8 @@
 A :class:`TaskGraph` is the intermediate representation every algorithm
 in :mod:`repro.algorithms` lowers to: a DAG of :class:`Task` nodes, each
 carrying a :class:`~repro.runtime.cost.TaskCost` and (optionally) a
-``compute`` closure that performs the real numpy numerics when the run
-executes with verification enabled.
+``compute`` closure that performs the real numpy numerics when a
+verified run replays the schedule (:mod:`repro.runtime.replay`).
 
 The graph validates itself (no unknown dependencies, no cycles) and can
 compute structural metrics — total work, critical path, average
@@ -40,8 +40,8 @@ class Task:
         Ids of tasks that must complete first.
     compute:
         Optional zero-argument closure performing the real numerics.
-        Executed in dependency order when the engine runs with
-        ``execute=True``.
+        Schedulers never call it; :func:`repro.runtime.replay.replay`
+        runs the closures in a finished schedule's start order.
     untied:
         OpenMP ``untied`` semantics: the simulated scheduler may start
         the task on any core regardless of which core created it.  Tied
@@ -266,7 +266,7 @@ class TaskGraph:
         """A JSON-able dump of the graph's structure and costs.
 
         Compute closures are not serializable and are dropped; a
-        round-tripped graph is cost-only (``execute=False`` semantics).
+        round-tripped graph is cost-only.
         """
         return {
             "name": self.name,

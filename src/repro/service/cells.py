@@ -40,8 +40,9 @@ class CellSpec:
     """One point of the study grid: the unit of dedup and caching.
 
     ``execute`` mirrors the study's ``n <= execute_max_n`` decision —
-    it changes what the cell *does* (real numerics + verification), so
-    it is part of the spec and of the content key, even though the
+    it changes what the cell *does* (a numerics replay + verification
+    when the service verifies), so it is part of the spec, and the
+    content key records whether the cell was verified, even though the
     simulated timings and energies are identical either way.
     """
 

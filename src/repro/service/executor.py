@@ -117,8 +117,7 @@ class CellExecutor:
             spec.n,
             spec.threads,
             spec.seed,
-            spec.execute,
-            self.verify,
+            spec.execute and self.verify,
             prebuilt,
         )
 
@@ -158,9 +157,6 @@ class CellExecutor:
                     spec.n,
                     spec.threads,
                     seed=spec.seed,
-                    # The spec's execute flag already encodes the
-                    # study-level bound; only cost-only cells prebuild.
-                    execute_max_n=spec.n if spec.execute else 0,
                 )
                 if prebuilt is not None and arena_pool is not None:
                     arena = prebuilt.graph

@@ -202,8 +202,7 @@ class StudyService:
             spec.n,
             spec.threads,
             seed=spec.seed,
-            execute=spec.execute,
-            verify=self.config.verify,
+            verified=spec.execute and self.config.verify,
             engine=self._engine_fp,
         )
 

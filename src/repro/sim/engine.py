@@ -29,7 +29,9 @@ from ..runtime.scheduler import (
     Scheduler,
     SchedulerEngine,
 )
+from ..runtime.replay import replay
 from ..runtime.task import TaskGraph
+from ..util.deprecation import warn_deprecated
 from ..util.errors import ConfigurationError
 from ..util.validation import require_positive
 from .measurement import RunMeasurement
@@ -85,15 +87,37 @@ class Engine:
         graph: TaskGraph,
         threads: int,
         policy: SchedulePolicy = "fifo",
-        execute: bool = True,
+        execute: bool | None = None,
         label: str | None = None,
     ) -> RunMeasurement:
-        """Simulate *graph* with *threads* workers and measure it."""
-        scheduler = Scheduler(
-            self.machine, threads, policy, execute, engine=self.engine
-        )
-        schedule = scheduler.run(graph)
-        return self.measure(schedule, label=label or graph.name)
+        """Simulate *graph* with *threads* workers and measure it.
+
+        ``execute`` is deprecated: simulation never runs ``compute``
+        closures.  ``execute=True`` still replays them after the run
+        (:func:`repro.runtime.replay.replay`, in the schedule's start
+        order), as the old in-scheduler execution did.
+        """
+        measurement, schedule = self.simulate(graph, threads, policy, label)
+        if execute is not None:
+            warn_deprecated(
+                "Engine.run(execute=...)",
+                "Engine.simulate(...) and repro.runtime.replay.replay_numerics",
+            )
+            if execute:
+                replay(graph, schedule.start_order())
+        return measurement
+
+    def simulate(
+        self,
+        graph: TaskGraph,
+        threads: int,
+        policy: SchedulePolicy = "fifo",
+        label: str | None = None,
+    ) -> tuple[RunMeasurement, Schedule]:
+        """Like :meth:`run`, but also return the schedule — whose start
+        order a numerics replay follows."""
+        schedule = Scheduler(self.machine, threads, policy, engine=self.engine).run(graph)
+        return self.measure(schedule, label=label or graph.name), schedule
 
     def measure(self, schedule: Schedule, label: str) -> RunMeasurement:
         """Convert a finished schedule into a measurement."""

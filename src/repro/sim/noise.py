@@ -131,6 +131,11 @@ class NoisyEngine:
         exact = self.engine.run(graph, threads, **kwargs)
         return self.noise.perturb(exact, self._rng)
 
+    def simulate(self, graph, threads, policy="fifo", label=None):
+        """:meth:`Engine.simulate` with the measurement perturbed."""
+        exact, schedule = self.engine.simulate(graph, threads, policy, label)
+        return self.noise.perturb(exact, self._rng), schedule
+
     def idle_measurement(self, duration_s: float, label: str = "idle") -> RunMeasurement:
         exact = self.engine.idle_measurement(duration_s, label)
         return self.noise.perturb(exact, self._rng)

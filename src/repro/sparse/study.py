@@ -17,6 +17,7 @@ from ..core.scaling import ScalingPoint, scaling_series
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..power.planes import Plane
+from ..runtime.replay import replay_numerics
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError, ValidationError
@@ -173,11 +174,11 @@ class SparseEPStudy:
                             matrix, self.machine, p,
                             repeats=self.repeats, execute=self.verify,
                         )
-                    meas = self.engine.run(
-                        build.graph, p, execute=self.verify,
-                        label=f"{self.kernel}[{fmt},p={p}]",
+                    meas, schedule = self.engine.simulate(
+                        build.graph, p, label=f"{self.kernel}[{fmt},p={p}]"
                     )
                     if self.verify:
-                        build.verify()
+                        # The executed graph is the simulated one.
+                        replay_numerics(lambda: build, schedule, fmt=fmt, threads=p)
                     result.runs[(fmt, p)] = meas
         return result

@@ -153,7 +153,7 @@ def verify_case(
     """
     try:
         scheduler = Scheduler(
-            case.machine, case.threads, case.policy, execute=False, engine="fast"
+            case.machine, case.threads, case.policy, engine="fast"
         )
         schedule = scheduler.run(case.graph)
         measurement = Engine(case.machine).measure(schedule, label=case.graph.name)
@@ -171,9 +171,9 @@ def verify_case(
 def _verify_algorithm_case(case: AlgorithmCase) -> list[Violation]:
     """One Eq. 8 bound cell: lower cost-only, simulate, check totals."""
     alg = make_algorithm(case.algorithm, case.machine)
-    build = alg.build_cached(case.n, case.threads, execute=False)
+    build = alg.build_cached(case.n, case.threads)
     measurement = Engine(case.machine).run(
-        build.graph, case.threads, execute=False, label=case.describe()
+        build.graph, case.threads, label=case.describe()
     )
     return check_comm_bounds(
         case.machine,
@@ -206,9 +206,9 @@ def _verify_scaling_case(case: ScalingCase) -> list[Violation]:
     engine = Engine(case.machine)
     series = []
     for p in case.threads:
-        build = alg.build_cached(case.n, p, execute=False)
+        build = alg.build_cached(case.n, p)
         series.append(
-            (p, engine.run(build.graph, p, execute=False, label=f"p={p}"))
+            (p, engine.run(build.graph, p, label=f"p={p}"))
         )
     return check_ep_scaling(series)
 

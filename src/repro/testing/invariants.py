@@ -228,7 +228,7 @@ def _check_schedule_feasibility(
         return out
 
     # Critical path: contention can only slow tasks, never speed them up.
-    duration_of = Scheduler(machine, threads, "fifo", execute=False).uncontended_duration
+    duration_of = Scheduler(machine, threads, "fifo").uncontended_duration
     critical = graph.critical_path_seconds(duration_of)
     if makespan < critical * (1 - _REL):
         out.append(

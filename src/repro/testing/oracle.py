@@ -199,10 +199,10 @@ def compare_schedules(ref: Schedule, fast: Schedule) -> list[Violation]:
 def differential_engine_check(case: GraphCase) -> list[Violation]:
     """Replay one generated case through both event kernels."""
     ref = Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine="reference"
+        case.machine, case.threads, case.policy, engine="reference"
     ).run(case.graph)
     fast = Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine="fast"
+        case.machine, case.threads, case.policy, engine="fast"
     ).run(case.graph)
     return compare_schedules(ref, fast)
 
@@ -223,13 +223,13 @@ def differential_compiled_check(case: GraphCase) -> list[Violation]:
     host without a toolchain raises ``ConfigurationError`` by design.
     """
     ref = Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine="reference"
+        case.machine, case.threads, case.policy, engine="reference"
     ).run(case.graph)
     fast = Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine="fast"
+        case.machine, case.threads, case.policy, engine="fast"
     ).run(case.graph)
     compiled = Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine="compiled"
+        case.machine, case.threads, case.policy, engine="compiled"
     ).run(case.graph)
     return compare_schedules(ref, compiled) + compare_schedules(fast, compiled)
 
@@ -286,7 +286,7 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
         return out
 
     # Vectorized metrics vs the object graph's scalar sweeps.
-    sched = Scheduler(case.machine, threads=case.threads, execute=False)
+    sched = Scheduler(case.machine, threads=case.threads)
     durs = arena.uncontended_durations(
         sched._core_peak,
         sched._l1_bw,

@@ -17,9 +17,9 @@ def test_flop_count(alg):
     assert alg.flop_count(512) == 2 * 512**3
 
 
-def test_numerics_exact(machine, alg, engine):
+def test_numerics_exact(machine, alg, run_numerics):
     build = alg.build(96, threads=4)
-    engine.run(build.graph, threads=4)
+    run_numerics(build.graph, 4)
     assert np.allclose(build.c, build.a @ build.b)
     assert build.verify().ok
 
@@ -62,14 +62,14 @@ def test_near_linear_scaling(machine, alg, engine):
     times = {}
     for p in (1, 2, 4):
         build = alg.build(512, threads=p, execute=False)
-        times[p] = engine.run(build.graph, threads=p, execute=False).elapsed_s
+        times[p] = engine.run(build.graph, threads=p).elapsed_s
     assert times[1] / times[2] == pytest.approx(2.0, rel=0.15)
     assert times[1] / times[4] == pytest.approx(4.0, rel=0.15)
 
 
-def test_high_efficiency_throughput(machine, alg, engine):
+def test_high_efficiency_throughput(machine, alg, run_numerics):
     build = alg.build(512, threads=1, execute=False)
-    meas = engine.run(build.graph, threads=1, execute=False)
+    meas = run_numerics(build.graph, 1)
     # Should sustain close to 0.92 of the 51.2 Gflop/s core peak.
     assert meas.gflops > 0.8 * 51.2
 

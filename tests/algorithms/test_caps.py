@@ -9,34 +9,34 @@ from repro.runtime.scheduler import Scheduler
 from repro.util.errors import ConfigurationError
 
 
-def test_numerics_bfs_only(machine, engine):
+def test_numerics_bfs_only(machine, run_numerics):
     # cutoff_depth large enough that everything is BFS.
     alg = CapsStrassen(machine, cutoff_depth=4, leaf_cutoff=32, dfs_grain=32)
     build = alg.build(128, threads=4)
-    engine.run(build.graph, threads=4)
+    run_numerics(build.graph, 4)
     assert build.verify().ok
 
 
-def test_numerics_with_dfs_region(machine, engine):
+def test_numerics_with_dfs_region(machine, run_numerics):
     # cutoff_depth=1: depth 0 BFS, everything below DFS.
     alg = CapsStrassen(machine, cutoff_depth=1, leaf_cutoff=16, dfs_grain=32)
     build = alg.build(128, threads=3)
-    engine.run(build.graph, threads=3)
+    run_numerics(build.graph, 3)
     assert build.verify().ok
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
-def test_numerics_without_packing(machine, engine):
+def test_numerics_without_packing(machine, run_numerics):
     alg = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=32, pack=False)
     build = alg.build(128, threads=2)
-    engine.run(build.graph, threads=2)
+    run_numerics(build.graph, 2)
     assert build.verify().ok
 
 
-def test_numerics_padding(machine, engine):
+def test_numerics_padding(machine, run_numerics):
     alg = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=16)
     build = alg.build(96, threads=2)  # pads to 128
-    engine.run(build.graph, threads=2)
+    run_numerics(build.graph, 2)
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
@@ -91,7 +91,7 @@ def test_dfs_children_are_sequential(machine):
     # seven 64-wide sub-problems, each a work-shared grain stage.
     alg = CapsStrassen(machine, cutoff_depth=0, leaf_cutoff=32, dfs_grain=64)
     build = alg.build(128, threads=4, execute=False)
-    sched = Scheduler(machine, threads=4, execute=False).run(build.graph)
+    sched = Scheduler(machine, threads=4).run(build.graph)
     grains = [r for r in sched.records if r.name.startswith("dfs-grain/64[")]
     assert len(grains) == 7 * 4  # 7 stages x 4 work-sharing chunks
     # The seven stages run strictly one after another: their chunk

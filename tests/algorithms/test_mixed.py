@@ -14,19 +14,19 @@ def lu(machine):
 
 
 class TestNumerics:
-    def test_factorization_correct(self, machine, lu):
+    def test_factorization_correct(self, lu, run_numerics):
         build = lu.build(256, threads=4)
-        Engine(machine).run(build.graph, threads=4)
+        run_numerics(build.graph, 4)
         assert build.verify() < 1e-10
 
-    def test_single_block_case(self, machine, lu):
+    def test_single_block_case(self, lu, run_numerics):
         build = lu.build(64, threads=1)
-        Engine(machine).run(build.graph, threads=1)
+        run_numerics(build.graph, 1)
         assert build.verify() < 1e-12
 
-    def test_lu_reconstruction_shape(self, machine, lu):
+    def test_lu_reconstruction_shape(self, lu, run_numerics):
         build = lu.build(128, threads=2)
-        Engine(machine).run(build.graph, threads=2)
+        run_numerics(build.graph, 2)
         lower = np.tril(build.lu, -1) + np.eye(128)
         upper = np.triu(build.lu)
         assert np.allclose(lower @ upper, build.original, atol=1e-6 * 128)
@@ -49,7 +49,7 @@ class TestStructure:
         from repro.runtime.scheduler import Scheduler
 
         build = lu.build(256, threads=4, execute=False)
-        sched = Scheduler(machine, threads=4, execute=False).run(build.graph)
+        sched = Scheduler(machine, threads=4).run(build.graph)
         panels = sorted(
             (r for r in sched.records if r.name.startswith("seq-panel")),
             key=lambda r: r.start,
@@ -118,7 +118,7 @@ class TestEq2:
         meas = {}
         for p in (1, 4):
             b = gemm.build(512, threads=p, execute=False)
-            meas[p] = EPMeasurement(eng.run(b.graph, p, execute=False)).ep
+            meas[p] = EPMeasurement(eng.run(b.graph, p)).ep
         gemm_s = meas[4] / meas[1]
         assert lu_s < gemm_s
 

@@ -34,31 +34,31 @@ def test_classic_variant_has_18_adds(machine):
     assert winograd.pre_adds + winograd.post_adds == 15
 
 
-def test_numerics_winograd(machine, alg, engine):
+def test_numerics_winograd(machine, alg, run_numerics):
     build = alg.build(128, threads=4)
-    engine.run(build.graph, threads=4)
+    run_numerics(build.graph, 4)
     assert build.verify().ok
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
-def test_numerics_classic(machine, engine):
+def test_numerics_classic(machine, run_numerics):
     alg = StrassenWinograd(machine, cutoff=16, grain=16, classic=True)
     build = alg.build(64, threads=2)
-    engine.run(build.graph, threads=2)
+    run_numerics(build.graph, 2)
     assert build.verify().ok
 
 
-def test_numerics_with_grain(machine, engine):
+def test_numerics_with_grain(machine, run_numerics):
     alg = StrassenWinograd(machine, cutoff=16, grain=64)
     build = alg.build(256, threads=4)
-    engine.run(build.graph, threads=4)
+    run_numerics(build.graph, 4)
     assert build.verify().ok
 
 
-def test_padding_non_power_of_two(machine, engine):
+def test_padding_non_power_of_two(machine, run_numerics):
     alg = StrassenWinograd(machine, cutoff=16, grain=16)
     build = alg.build(48, threads=2)  # pads to 64
-    engine.run(build.graph, threads=2)
+    run_numerics(build.graph, 2)
     assert build.c.shape == (48, 48)
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
@@ -87,7 +87,7 @@ def test_pre_before_children_before_post(machine):
 
     alg = StrassenWinograd(machine, cutoff=64, grain=64)
     build = alg.build(128, threads=4, execute=False)
-    sched = Scheduler(machine, threads=4, execute=False).run(build.graph)
+    sched = Scheduler(machine, threads=4).run(build.graph)
 
     def records(prefix):
         return [r for r in sched.records if r.name.startswith(prefix)]
@@ -136,10 +136,10 @@ def test_variant_name(machine):
 
 
 class TestPeelStrategy:
-    def test_peel_numerics(self, machine, engine):
+    def test_peel_numerics(self, machine, run_numerics):
         alg = StrassenWinograd(machine, cutoff=32, grain=48, odd_strategy="peel")
         build = alg.build(100, threads=4)
-        engine.run(build.graph, threads=4)
+        run_numerics(build.graph, 4)
         import numpy as np
 
         assert np.allclose(build.c, build.a @ build.b, atol=1e-9)

@@ -78,10 +78,10 @@ class TestScheduling:
                 arena = alg.build_arena(256, 3).graph
                 obj = alg.build(256, 3, execute=False).graph
                 fa = Scheduler(
-                    machine, 3, policy, execute=False, engine="fast"
+                    machine, 3, policy, engine="fast"
                 ).run(arena)
                 fo = Scheduler(
-                    machine, 3, policy, execute=False, engine="fast"
+                    machine, 3, policy, engine="fast"
                 ).run(obj)
                 assert compare_schedules(fa, fo) == [], (alg.name, policy)
                 # The measured quantities are *exactly* equal, not just
@@ -96,23 +96,29 @@ class TestCacheRouting:
 
         cache = BuildCache()
         alg = StrassenWinograd(machine)
-        build = alg.build_cached(256, 2, execute=False, cache=cache)
+        build = alg.build_cached(256, 2, cache=cache)
         assert isinstance(build.graph, TaskArena)
         # Shared instance on a repeat hit.
-        again = alg.build_cached(256, 2, execute=False, cache=cache)
+        again = alg.build_cached(256, 2, cache=cache)
         assert again is build
         assert cache.stats()["hits"] == 1
 
     def test_executed_builds_stay_object_graphs(self, machine):
+        """Numerics come from the object lowering, replayed in the
+        schedule of the cached arena it matches task for task."""
         from repro.algorithms.base import BuildCache
+        from repro.runtime.replay import replay
         from repro.runtime.task import TaskGraph
 
         cache = BuildCache()
         alg = StrassenWinograd(machine)
-        build = alg.build_cached(96, 2, execute=True, cache=cache)
+        arena = alg.build_cached(96, 2, cache=cache).graph
+        assert isinstance(arena, TaskArena)
+        build = alg.build(96, 2)
         assert isinstance(build.graph, TaskGraph)
-        schedule = Scheduler(machine, 2, execute=True).run(build.graph)
+        schedule = Scheduler(machine, 2).run(arena)
         assert schedule.makespan > 0
+        replay(build.graph, schedule.start_order(), arena)
         assert build.verify().ok
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.machine import haswell_e3_1225, generic_smp
+from repro.runtime.replay import replay
 from repro.sim import Engine
 
 
@@ -21,6 +22,19 @@ def big_machine():
 @pytest.fixture()
 def engine(machine):
     return Engine(machine)
+
+
+@pytest.fixture()
+def run_numerics(machine):
+    """Simulate a graph on the paper machine, then replay its compute
+    closures in the schedule's start order; returns the measurement."""
+
+    def run(graph, threads, policy="fifo"):
+        measurement, schedule = Engine(machine).simulate(graph, threads, policy)
+        replay(graph, schedule.start_order())
+        return measurement
+
+    return run
 
 
 @pytest.fixture(autouse=True)

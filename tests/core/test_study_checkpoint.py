@@ -315,18 +315,20 @@ def test_fingerprint_covers_engine_and_config(machine):
     variants = {
         "seed": _study(machine, cfg=StudyConfig(
             sizes=(128, 256), threads=(1, 2), execute_max_n=128, seed=7)),
-        "verify": _study(machine, cfg=StudyConfig(
-            sizes=(128, 256), threads=(1, 2), execute_max_n=128, verify=False)),
         "kernel": _study(machine, engine=Engine(machine, engine="reference")),
         "segments": _study(machine, engine=Engine(machine, max_trace_segments=4)),
         "machine": _study(dual_socket_haswell()),
     }
     for name, study in variants.items():
         assert not set(_keys(study)) & set(base), name
-    # execute_max_n only moves the cells whose execute flag flips
-    flipped = _keys(_study(machine, cfg=StudyConfig(
-        sizes=(128, 256), threads=(1, 2), execute_max_n=0)))
-    assert [a == b for a, b in zip(flipped, base)] == [False, False, True, True] * 3
+    # verify and execute_max_n only move the cells whose verified flag
+    # flips (n=128 here); cost-only cells keep their keys.
+    for cfg in (
+        StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=0),
+        StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128, verify=False),
+    ):
+        flipped = _keys(_study(machine, cfg=cfg))
+        assert [a == b for a, b in zip(flipped, base)] == [False, False, True, True] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +377,14 @@ def test_resumed_trace_segment_change_is_recomputed(machine, tmp_path):
 
 def test_verify_rerun_recomputes_unverified_cells(machine, tmp_path):
     """Cells stored by a verify=False run are never served to a
-    verify=True run: all of them are simulated (and verified) again."""
+    verify=True run that verifies them: those 6 cells (n=128) are
+    simulated and verified again.  The 6 cost-only cells (n=256) are
+    the same cell under both runs and are served."""
     root = tmp_path / "store"
     unverified = StudyConfig(
         sizes=(128, 256), threads=(1, 2), execute_max_n=128, verify=False
     )
     _study(machine, cfg=unverified)._run(None, store=root)
     _, delta = _counting(lambda: _study(machine)._run(None, store=root))
-    assert delta.get("study.cells_resumed", 0) == 0
-    assert delta.get("store.puts") == 12
+    assert delta.get("study.cells_resumed", 0) == 6
+    assert delta.get("store.puts") == 6

@@ -101,7 +101,7 @@ def _run_at_state(domain: FrequencyDomain, index: int):
     build = BlockedGemm(machine).build(128, threads=2, execute=False)
     from repro.sim import Engine
 
-    return Engine(machine).run(build.graph, threads=2, execute=False)
+    return Engine(machine).run(build.graph, threads=2)
 
 
 def test_frequency_and_dynamic_power_monotone_along_ladder():

@@ -111,7 +111,7 @@ def test_governed_energy_continuous_in_utilization():
     energies = []
     for u in range(0, 21, 2):
         gm = governed_machine(m, gov, utilization=u / 20)
-        energies.append(Engine(gm).run(build.graph, threads=2, execute=False).energy.package)
+        energies.append(Engine(gm).run(build.graph, threads=2).energy.package)
     for a, b in zip(energies, energies[1:]):
         assert abs(b - a) / max(a, b) < 0.35, energies
 
@@ -137,8 +137,8 @@ def test_governed_run_trades_time_for_power(machine):
     m = dvfs_machine()
     alg = BlockedGemm(m)
     build = alg.build(256, threads=4, execute=False)
-    nominal = Engine(m).run(build.graph, threads=4, execute=False)
+    nominal = Engine(m).run(build.graph, threads=4)
     slow_m = governed_machine(m, PowersaveGovernor(), nominal.stats.utilization)
-    slow = Engine(slow_m).run(build.graph, threads=4, execute=False)
+    slow = Engine(slow_m).run(build.graph, threads=4)
     assert slow.elapsed_s > nominal.elapsed_s
     assert slow.avg_power_w() < nominal.avg_power_w()

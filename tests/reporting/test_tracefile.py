@@ -17,7 +17,7 @@ def schedule(machine):
     a = g.add("work-a", TaskCost(flops=1e9))
     b = g.add("work-b", TaskCost(flops=2e9), deps=[a])
     g.join("sync", [b])
-    return Scheduler(machine, threads=2, execute=False).run(g)
+    return Scheduler(machine, threads=2).run(g)
 
 
 def test_events_cover_tasks(schedule):

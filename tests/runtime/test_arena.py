@@ -78,7 +78,7 @@ class TestRoundTrip:
 
 class TestMetrics:
     def _durations(self, machine, graph, arena):
-        sched = Scheduler(machine, threads=1, execute=False)
+        sched = Scheduler(machine, threads=1)
         durs = arena.uncontended_durations(
             sched._core_peak,
             sched._l1_bw,
@@ -191,7 +191,7 @@ class TestPickle:
         # Warm the lazy caches and a fastpath plan.
         arena.names_list()
         arena.successors_lists()
-        Scheduler(case.machine, threads=1, execute=False, engine="fast").run(arena)
+        Scheduler(case.machine, threads=1, engine="fast").run(arena)
         state = arena.__getstate__()
         assert not any(k.startswith("_c_") for k in state)
         assert "_plan_bundle" not in state
@@ -203,10 +203,10 @@ class TestPickle:
         arena = case.graph.to_arena()
         clone = pickle.loads(pickle.dumps(arena))
         s1 = Scheduler(
-            case.machine, case.threads, case.policy, execute=False
+            case.machine, case.threads, case.policy
         ).run(arena)
         s2 = Scheduler(
-            case.machine, case.threads, case.policy, execute=False
+            case.machine, case.threads, case.policy
         ).run(clone)
         assert compare_schedules(s1, s2) == []
 
@@ -224,14 +224,12 @@ class TestSchedulerBridge:
                 case.machine,
                 case.threads,
                 case.policy,
-                execute=False,
                 engine="fast",
             ).run(arena)
             fast_obj = Scheduler(
                 case.machine,
                 case.threads,
                 case.policy,
-                execute=False,
                 engine="fast",
             ).run(case.graph)
             assert compare_schedules(fast_arena, fast_obj) == [], seed
@@ -240,22 +238,25 @@ class TestSchedulerBridge:
         case = gen_graph_case(6, max_tasks=40)
         arena = case.graph.to_arena()
         ref_arena = Scheduler(
-            case.machine, case.threads, case.policy, execute=False,
-            engine="reference",
+            case.machine, case.threads, case.policy, engine="reference",
         ).run(arena)
         ref_obj = Scheduler(
-            case.machine, case.threads, case.policy, execute=False,
-            engine="reference",
+            case.machine, case.threads, case.policy, engine="reference",
         ).run(case.graph)
         assert compare_schedules(ref_arena, ref_obj) == []
 
     def test_execute_on_arena_raises(self, machine):
+        """An arena carries no closures: replaying one as the executed
+        graph raises instead of silently computing nothing."""
+        from repro.runtime.replay import replay
+
         g = TaskGraph("g")
         g.add("t", TaskCost(flops=1.0))
         arena = g.to_arena()
         for engine in ("fast", "reference"):
+            schedule = Scheduler(machine, 1, engine=engine).run(arena)
             with pytest.raises(SchedulingError, match="cost-only"):
-                Scheduler(machine, 1, execute=True, engine=engine).run(arena)
+                replay(arena, schedule.start_order())
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,7 @@ class TestMetricsMemo:
     def test_memo_hits_across_fresh_bound_methods(self, machine):
         g = TaskGraph("memo")
         g.add("a", TaskCost(flops=1e6, efficiency=1.0))
-        sched = Scheduler(machine, threads=1, execute=False)
+        sched = Scheduler(machine, threads=1)
         first = g.critical_path_seconds(sched.uncontended_duration)
         calls = []
 

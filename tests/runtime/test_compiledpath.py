@@ -15,11 +15,13 @@ Availability semantics mirror the shm transport's (PR 5):
 * ``REPRO_ENGINE=compiled`` (an environment *preference*) degrades to
   the fast engine with a once-per-process ``RuntimeWarning`` and a
   counted ``engine.compiled_fallbacks``.
-* ``execute=True`` runs real numerics the C kernel does not carry, so
-  it falls back (counted, warned once) while staying correct.
+* An executed object graph schedules on the C kernel like any other:
+  scheduling never runs closures, numerics replay the schedule after.
 """
 
 import pickle
+
+import numpy as np
 
 import pytest
 
@@ -42,7 +44,7 @@ requires_cc = pytest.mark.skipif(
 
 def _run(machine, graph, policy, threads, engine):
     return Scheduler(
-        machine, threads, policy, execute=False, engine=engine
+        machine, threads, policy, engine=engine
     ).run(graph)
 
 
@@ -143,7 +145,7 @@ def test_zero_cost_only(machine):
 @requires_cc
 def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     g = wide_graph(30)
-    sched = Scheduler(machine, 2, execute=False, engine="compiled")
+    sched = Scheduler(machine, 2, engine="compiled")
     sched.run(g)
     # A cost-only object graph reaches the bundle through its arena
     # twin; both are cached and reused across runs.
@@ -154,7 +156,7 @@ def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     assert getattr(arena, plans._PLAN_ATTR) is bundle  # reused, not rebuilt
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
-    fast = Scheduler(machine, 2, execute=False, engine="fast").run(g)
+    fast = Scheduler(machine, 2, engine="fast").run(g)
     comp = sched.run(g)
     grown = getattr(plans.arena_of(g), plans._PLAN_ATTR)
     assert grown is not bundle and grown.n == 31  # regrown for the new task
@@ -168,8 +170,8 @@ def test_arena_pickle_drops_plan_bundle(machine):
     from repro.algorithms import StrassenWinograd
 
     arena = StrassenWinograd(machine).build_arena(128, 2).graph
-    Scheduler(machine, 2, execute=False, engine="compiled").run(arena)
-    Scheduler(machine, 2, execute=False, engine="fast").run(arena)
+    Scheduler(machine, 2, engine="compiled").run(arena)
+    Scheduler(machine, 2, engine="fast").run(arena)
     # One cache attribute serves both kernels.
     bundle = getattr(arena, plans._PLAN_ATTR)
     assert bundle.seat_plan is not None
@@ -211,21 +213,24 @@ def test_env_preference_degrades_with_warning(monkeypatch):
 
 
 @requires_cc
-def test_execute_true_falls_back_counted(machine):
-    """The C kernel is cost-only; execute=True degrades to run_fast
-    (warn once, count every time) and still runs the numerics."""
+def test_executed_graph_runs_compiled_without_fallback(machine):
+    """An executed object graph (with closures) schedules on the C
+    kernel like any other graph — no fallback, no closures run — and
+    its replayed numerics verify."""
     from repro.algorithms import StrassenWinograd
+    from repro.runtime.replay import replay
 
     build = StrassenWinograd(machine).build(64, 2, seed=0)
     before = cp._COMPILED_FALLBACKS.value
-    sched = Scheduler(machine, 2, execute=True, engine="compiled")
-    with pytest.warns(RuntimeWarning, match="execute=True"):
-        comp = sched.run(build.graph)
-    assert cp._COMPILED_FALLBACKS.value == before + 1
-    fast = Scheduler(machine, 2, execute=True, engine="fast").run(
+    comp = Scheduler(machine, 2, engine="compiled").run(build.graph)
+    assert cp._COMPILED_FALLBACKS.value == before
+    assert np.all(build.c == 0.0)
+    fast = Scheduler(machine, 2, engine="fast").run(
         StrassenWinograd(machine).build(64, 2, seed=0).graph
     )
     assert comp.makespan == fast.makespan
+    replay(build.graph, comp.start_order())
+    assert build.verify().ok
 
 
 @requires_cc
@@ -238,11 +243,11 @@ def test_jit_failure_falls_back(machine, monkeypatch):
     monkeypatch.setattr(cp, "_load_kernel", boom)
     before = cp._COMPILED_FALLBACKS.value
     g = wide_graph(20)
-    sched = Scheduler(machine, 2, execute=False, engine="compiled")
+    sched = Scheduler(machine, 2, engine="compiled")
     with pytest.warns(RuntimeWarning, match="simulated compile failure"):
         comp = sched.run(g)
     assert cp._COMPILED_FALLBACKS.value == before + 1
-    fast = Scheduler(machine, 2, execute=False, engine="fast").run(g)
+    fast = Scheduler(machine, 2, engine="fast").run(g)
     assert comp.makespan == fast.makespan
 
 
@@ -274,7 +279,7 @@ def test_zero_rate_message_parity(machine):
     g.add("bad/task", TaskCost(bytes_l1=100.0))
 
     def run(engine):
-        sched = Scheduler(machine, 2, execute=False, engine=engine)
+        sched = Scheduler(machine, 2, engine=engine)
         sched._l1_bw = 0.0  # surgery: the cost API validates rates > 0
         with pytest.raises(SchedulingError) as exc:
             sched.run(g)

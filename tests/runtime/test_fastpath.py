@@ -205,8 +205,8 @@ def strassen_graph(machine) -> TaskGraph:
 
 
 def _run_both(machine, graph, policy, threads):
-    ref = Scheduler(machine, threads, policy, execute=False, engine="reference").run(graph)
-    fast = Scheduler(machine, threads, policy, execute=False, engine="fast").run(graph)
+    ref = Scheduler(machine, threads, policy, engine="reference").run(graph)
+    fast = Scheduler(machine, threads, policy, engine="fast").run(graph)
     return ref, fast
 
 
@@ -304,12 +304,12 @@ def test_event_store_crossover_is_invisible(policy, monkeypatch):
     for cores in (19, 20):  # 95 / 100 seat entries
         m = generic_smp(cores=cores)
         natural = Scheduler(
-            m, cores, policy, execute=False, engine="fast"
+            m, cores, policy, engine="fast"
         ).run(graph)
         flipped_threshold = 10_000 if cores * 5 >= 96 else 0
         monkeypatch.setattr(fastpath, "_NUMPY_THRESHOLD", flipped_threshold)
         flipped = Scheduler(
-            m, cores, policy, execute=False, engine="fast"
+            m, cores, policy, engine="fast"
         ).run(graph)
         monkeypatch.setattr(fastpath, "_NUMPY_THRESHOLD", 96)
         assert natural.makespan == flipped.makespan
@@ -320,19 +320,21 @@ def test_event_store_crossover_is_invisible(policy, monkeypatch):
 
 
 def test_graph_plan_cache_reused_and_extended(machine):
-    """The per-graph plan cache survives repeat runs and graph growth."""
-    from repro.runtime.fastpath import _PLAN_ATTR
+    """An object graph's plan lives on its cached arena twin: it
+    survives repeat runs and is rebuilt to cover tasks added later."""
+    from repro.runtime.plans import arena_of
 
     g = wide_graph(30)
-    sched = Scheduler(machine, 2, execute=False, engine="fast")
+    sched = Scheduler(machine, 2, engine="fast")
     sched.run(g)
-    gp = getattr(g, _PLAN_ATTR)
+    arena = arena_of(g)
+    gp = arena._plan_bundle.seat_plan
     assert len(gp.plans) == 30
     sched.run(g)
-    assert getattr(g, _PLAN_ATTR) is gp  # reused, not rebuilt
+    assert arena_of(g) is arena and arena._plan_bundle.seat_plan is gp  # reused
 
     g.add("late", TaskCost(flops=1e6), deps=[0])
-    ref = Scheduler(machine, 2, execute=False, engine="reference").run(g)
+    ref = Scheduler(machine, 2, engine="reference").run(g)
     fast = sched.run(g)
-    assert getattr(g, _PLAN_ATTR) is gp and len(gp.plans) == 31  # extended
+    assert len(arena_of(g)._plan_bundle.seat_plan.plans) == 31  # extended
     assert_schedules_match(ref, fast)

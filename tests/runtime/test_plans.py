@@ -2,7 +2,8 @@
 
 :func:`repro.runtime.plans.build_bundle` derives every column the event
 kernels read from an arena's SoA columns with numpy.  The oracle is the
-object builder ``fastpath._build_plans`` run over ``arena.to_graph()``,
+object builder :func:`repro.testing.seatplans.object_seat_plan` run over
+``arena.to_graph()``,
 its per-task seat tuples flattened into the same columns here: the two
 must agree column by column, dtype and bytes, on real lowerings and on
 hand-built edge arenas (bad service rates, sub-EPS and exactly-zero
@@ -19,6 +20,7 @@ from repro.runtime.arena import TaskArena
 from repro.runtime.cost import TaskCost
 from repro.runtime.plans import build_bundle
 from repro.runtime.scheduler import Scheduler
+from repro.testing.seatplans import object_seat_plan
 from repro.util.errors import SchedulingError
 
 requires_cc = pytest.mark.skipif(
@@ -35,7 +37,7 @@ COLUMNS = (
 
 
 def machine_key(machine, **override):
-    key = Scheduler(machine, 1, execute=False, engine="fast")._plan_key
+    key = Scheduler(machine, 1, engine="fast")._plan_key
     names = ("core_peak", "l1_bw", "l2_bw", "l3_bw", "dram_bw")
     return tuple(override.get(k, v) for k, v in zip(names, key))
 
@@ -46,15 +48,9 @@ def _ptr(sizes) -> np.ndarray:
     return ptr
 
 
-def object_plan(graph, key):
-    gp = fastpath._GraphPlan(key)
-    fastpath._build_plans(graph.tasks, 0, gp, *key[:3])
-    return gp
-
-
 def object_bundle(graph, key) -> dict:
     """The bundle columns rebuilt from the object builder's seat tuples."""
-    gp = object_plan(graph, key)
+    gp = object_seat_plan(graph, key)
     priv = [e for plan in gp.plans for e in plan[0]]
     shr = [e for plan in gp.plans for e in plan[1]]
     succ = graph._successors
@@ -102,7 +98,7 @@ def assert_bundle_matches_object_builder(arena, key):
     assert cp.total_entries == want["total_entries"]
     # The fast kernel's seat tuples derived from the bundle are the
     # object builder's, task for task.
-    gp = object_plan(graph, key)
+    gp = object_seat_plan(graph, key)
     seat = fastpath._seat_plan(arena, cp)
     assert seat.plans == gp.plans
     for field in ("zeros", "seeds", "indeg0", "names", "created"):
@@ -225,7 +221,7 @@ def test_zero_rate_arena_raises_the_same_error_from_both_kernels(machine):
     )
 
     def run(engine):
-        sched = Scheduler(machine, 2, execute=False, engine=engine)
+        sched = Scheduler(machine, 2, engine=engine)
         with pytest.raises(SchedulingError) as exc:
             sched.run(arena)
         return str(exc.value)
@@ -240,7 +236,7 @@ def test_seat_plan_dedup_survives_a_hash_collision(machine, monkeypatch):
     detected and every task gets its own tuple."""
     arena = StrassenWinograd(machine).build_arena(256, 2).graph
     key = machine_key(machine)
-    want = object_plan(arena.to_graph(), key).plans
+    want = object_seat_plan(arena.to_graph(), key).plans
     real_unique = np.unique
 
     def colliding_unique(values, **kwargs):

@@ -3,7 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.runtime.compiledpath import compiled_available
 from repro.runtime.cost import TaskCost
+from repro.runtime.replay import replay
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskGraph
 from repro.util.errors import ConfigurationError
@@ -149,14 +151,20 @@ class TestValidation:
         g = TaskGraph()
         a = g.add("a", TaskCost(flops=1e9), compute=lambda: order.append("a"))
         g.add("b", TaskCost(flops=1e9), deps=[a], compute=lambda: order.append("b"))
-        Scheduler(machine, threads=4, execute=True).run(g)
+        schedule = Scheduler(machine, threads=4).run(g)
+        assert order == []  # scheduling never runs closures
+        replay(g, schedule.start_order())
         assert order == ["a", "b"]
 
-    def test_execute_false_skips_closures(self, machine):
+    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    def test_scheduler_never_runs_closures(self, machine, engine):
+        if engine == "compiled" and not compiled_available()[0]:
+            pytest.skip("compiled engine unavailable")
         hit = []
         g = TaskGraph()
         g.add("a", TaskCost(flops=1e9), compute=lambda: hit.append(1))
-        Scheduler(machine, threads=1, execute=False).run(g)
+        g.add("join", TaskCost(), deps=[0], compute=lambda: hit.append(2))
+        Scheduler(machine, threads=1, engine=engine).run(g)
         assert hit == []
 
 
@@ -184,7 +192,7 @@ class TestGrahamBounds:
                 rngish = (rngish * 1103515245 + 12345 + i + k) % (2**31)
                 deps.append(rngish % i)
             g.add(f"t{i}", TaskCost(flops=flops), deps=sorted(set(deps)))
-        scheduler = Scheduler(machine, threads=threads, execute=False)
+        scheduler = Scheduler(machine, threads=threads)
         sched = scheduler.run(g)
         dur = scheduler.uncontended_duration
         t1 = g.total_work_seconds(dur)
@@ -199,7 +207,7 @@ class TestGrahamBounds:
         """Total busy core-seconds equals total task time (compute-only
         tasks have no contention)."""
         g = flop_task_graph(n, flops=1e9)
-        scheduler = Scheduler(machine, threads=threads, execute=False)
+        scheduler = Scheduler(machine, threads=threads)
         sched = scheduler.run(g)
         per_task = 1e9 / machine.core_peak_flops
         assert sched.stats.busy_core_seconds == pytest.approx(n * per_task, rel=1e-9)
@@ -211,7 +219,8 @@ class TestWorkStealing:
 
         alg = StrassenWinograd(machine, cutoff=32, grain=32)
         build = alg.build(128, threads=4)
-        Scheduler(machine, threads=4, policy="steal").run(build.graph)
+        schedule = Scheduler(machine, threads=4, policy="steal").run(build.graph)
+        replay(build.graph, schedule.start_order())
         assert build.verify().ok
 
     def test_steals_counted_on_imbalanced_spawn(self, machine):
@@ -221,14 +230,14 @@ class TestWorkStealing:
         root = g.add("root", TaskCost(flops=1e9))
         for i in range(8):
             g.add(f"kid{i}", TaskCost(flops=1e9), deps=[root], created_by=root)
-        sched = Scheduler(machine, threads=4, policy="steal", execute=False).run(g)
+        sched = Scheduler(machine, threads=4, policy="steal").run(g)
         assert sched.stats.steals >= 3  # at least the other three cores
 
     def test_no_steals_single_thread(self, machine):
         g = TaskGraph()
         root = g.add("root", TaskCost(flops=1e9))
         g.add("kid", TaskCost(flops=1e9), deps=[root], created_by=root)
-        sched = Scheduler(machine, threads=1, policy="steal", execute=False).run(g)
+        sched = Scheduler(machine, threads=1, policy="steal").run(g)
         assert sched.stats.steals == 0
 
     def test_steal_makespan_within_graham(self, machine):
@@ -236,7 +245,7 @@ class TestWorkStealing:
         root = g.add("root", TaskCost(flops=1e9))
         for i in range(12):
             g.add(f"kid{i}", TaskCost(flops=2e9), deps=[root], created_by=root)
-        scheduler = Scheduler(machine, threads=4, policy="steal", execute=False)
+        scheduler = Scheduler(machine, threads=4, policy="steal")
         sched = scheduler.run(g)
         dur = scheduler.uncontended_duration
         t1 = g.total_work_seconds(dur)
@@ -252,7 +261,7 @@ class TestWorkStealing:
         # run on its creator's core (no steals needed).
         g.add("k0", TaskCost(flops=1e9), deps=[r0], created_by=r0)
         g.add("k1", TaskCost(flops=1e9), deps=[r1], created_by=r1)
-        sched = Scheduler(machine, threads=2, policy="steal", execute=False).run(g)
+        sched = Scheduler(machine, threads=2, policy="steal").run(g)
         assert sched.stats.steals == 0
         assert sched.stats.migrations == 0
 
@@ -277,14 +286,14 @@ class TestMultiSocketL3:
         g.add("a", TaskCost(flops=1, bytes_l3=nbytes))
         g.add("b", TaskCost(flops=1, bytes_l3=nbytes))
         # 2 threads on ONE socket (cores 0, 1): contend -> ~2 s.
-        same = Scheduler(dual, threads=2, execute=False).run(g)
+        same = Scheduler(dual, threads=2).run(g)
         assert same.makespan == pytest.approx(2.0, rel=1e-6)
         # 4 threads (both sockets): FIFO puts the two tasks on cores
         # 0 and 1... so force separation with 3 threads: core 2 is on
         # socket 1. With 3 workers the two tasks land on cores 2 and 1?
         # Dispatch picks free_cores[-1] first = core 0, then core 1.
         # Instead compare against the single-socket 4-core machine.
-        quad = Scheduler(machine, threads=2, execute=False).run(g)
+        quad = Scheduler(machine, threads=2).run(g)
         assert quad.makespan == pytest.approx(2.0, rel=1e-6)
 
     def test_cross_socket_placement_doubles_l3_throughput(self):
@@ -305,7 +314,7 @@ class TestMultiSocketL3:
         g = TaskGraph()
         g.add("a", TaskCost(flops=1, bytes_l3=nbytes))
         g.add("b", TaskCost(flops=1, bytes_l3=nbytes))
-        sched = Scheduler(spread, threads=2, execute=False).run(g)
+        sched = Scheduler(spread, threads=2).run(g)
         assert sched.makespan == pytest.approx(1.0, rel=1e-6)
 
     def test_dram_still_machine_wide(self):
@@ -323,5 +332,5 @@ class TestMultiSocketL3:
         g = TaskGraph()
         g.add("a", TaskCost(flops=1, bytes_dram=nbytes))
         g.add("b", TaskCost(flops=1, bytes_dram=nbytes))
-        sched = Scheduler(spread, threads=2, execute=False).run(g)
+        sched = Scheduler(spread, threads=2).run(g)
         assert sched.makespan == pytest.approx(2.0, rel=1e-6)

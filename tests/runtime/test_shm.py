@@ -288,7 +288,6 @@ def test_stale_descriptor_in_cell_raises_study_cell_error(machine):
         3,
         2015,
         False,
-        False,
         _ShmBuild(descriptor=desc, n=2048, variant="winograd", cutoff=64),
     )
     with pytest.raises(StudyCellError) as exc_info:

@@ -142,8 +142,8 @@ class TestSerialization:
 
         g = self._graph()
         g2 = TaskGraph.from_dict(g.to_dict())
-        s1 = Scheduler(machine, 2, execute=False).run(g)
-        s2 = Scheduler(machine, 2, execute=False).run(g2)
+        s1 = Scheduler(machine, 2).run(g)
+        s2 = Scheduler(machine, 2).run(g2)
         assert s1.makespan == s2.makespan
 
     def test_json_serializable(self):

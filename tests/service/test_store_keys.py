@@ -7,8 +7,10 @@ So the key must be *stable* under every representation accident (dict
 ordering, JSON whitespace, machine renames, fingerprint-vs-object
 calling convention) and must *diverge* whenever any meaningful input
 changes — machine, algorithm parameters, engine settings, cell
-coordinates, execute or verify — since a collision serves a wrong
-answer and an instability wastes the store.
+coordinates, whether the cell was verified — since a collision serves a
+wrong answer and an instability wastes the store.  A cell's measurement
+never depends on whether it ran numerics, so a numerics run nobody
+verified keys exactly like a cost-only one.
 """
 
 import dataclasses
@@ -40,8 +42,7 @@ cell_args = st.fixed_dictionaries(
         "n": st.integers(min_value=1, max_value=1 << 14),
         "threads": st.integers(min_value=1, max_value=64),
         "seed": st.integers(min_value=0, max_value=2**31),
-        "execute": st.booleans(),
-        "verify": st.booleans(),
+        "verified": st.booleans(),
         "engine": st.sampled_from(("fast", "reference")),
         "max_trace_segments": st.integers(min_value=1, max_value=4096),
     }
@@ -68,8 +69,7 @@ def _key(machine, a, fingerprints=False):
         a["n"],
         a["threads"],
         seed=a["seed"],
-        execute=a["execute"],
-        verify=a["verify"],
+        verified=a["verified"],
         engine=engine,
     )
 
@@ -130,8 +130,8 @@ def test_canonical_json_rejects_unhashable_objects():
 @given(cell_args)
 def test_key_diverges_when_any_field_changes(args):
     """Flipping any single meaningful field must change the key:
-    algorithm, its constructor parameters, n, threads, seed, execute
-    bound, verify flag, event kernel, trace resolution."""
+    algorithm, its constructor parameters, n, threads, seed, verified
+    flag, event kernel, trace resolution."""
     machine = haswell_e3_1225()
     base = _key(machine, args)
     mutations = {
@@ -139,8 +139,7 @@ def test_key_diverges_when_any_field_changes(args):
         "n": args["n"] + 1,
         "threads": args["threads"] + 1,
         "seed": args["seed"] + 1,
-        "execute": not args["execute"],
-        "verify": not args["verify"],
+        "verified": not args["verified"],
         "engine": "reference" if args["engine"] == "fast" else "fast",
         "max_trace_segments": args["max_trace_segments"] + 1,
     }
@@ -174,8 +173,70 @@ def test_key_tracks_engine_version(monkeypatch):
     import repro.sim.engine as engine_mod
 
     machine = haswell_e3_1225()
-    args = dict(algorithm="caps", n=256, threads=4, seed=2015, execute=False,
-                verify=True, engine="fast", max_trace_segments=512)
+    args = dict(algorithm="caps", n=256, threads=4, seed=2015, verified=False,
+                engine="fast", max_trace_segments=512)
     before = _key(machine, args)
     monkeypatch.setattr(engine_mod, "ENGINE_VERSION", engine_mod.ENGINE_VERSION + 1)
     assert _key(machine, args) != before
+
+
+# ---------------------------------------------------------------------------
+# the verified flag and the store version
+
+
+def _study_keys(cfg):
+    from repro.core.study import EnergyPerformanceStudy
+
+    study = EnergyPerformanceStudy(haswell_e3_1225(), config=cfg)
+    return study._cell_keys(study._cells())
+
+
+def test_unverified_numerics_and_cost_only_cells_share_a_key():
+    """execute without verify measures exactly what a cost-only cell
+    measures, so both are one cell; a verified cell gets its own key."""
+    from repro.core.study import StudyConfig
+
+    grid = dict(sizes=(128,), threads=(1, 2))
+    cost_only = _study_keys(StudyConfig(**grid, execute_max_n=0, verify=False))
+    unverified = _study_keys(StudyConfig(**grid, execute_max_n=128, verify=False))
+    no_numerics = _study_keys(StudyConfig(**grid, execute_max_n=0, verify=True))
+    verified = _study_keys(StudyConfig(**grid, execute_max_n=128, verify=True))
+    assert cost_only == unverified == no_numerics
+    assert not set(verified.values()) & set(cost_only.values())
+
+
+def test_service_keys_verified_cells_apart():
+    """The service keys ``execute and verify`` the same way."""
+    from repro.service import CellSpec, ServiceConfig, StudyService
+
+    def key(spec, verify):
+        service = StudyService(config=ServiceConfig(verify=verify))
+        try:
+            return service.key_for(spec)
+        finally:
+            service._executor.close()
+
+    executed = CellSpec("openblas", 64, 1, execute=True)
+    cost_only = CellSpec("openblas", 64, 1, execute=False)
+    assert key(executed, verify=False) == key(cost_only, verify=False)
+    assert key(cost_only, verify=True) == key(cost_only, verify=False)
+    assert key(executed, verify=True) != key(cost_only, verify=True)
+
+
+def test_v2_entry_is_not_served(tmp_path, monkeypatch):
+    """A v2 store entry — which may hold an executed cell measured with
+    the old ``unpad`` task — is a miss under v3, even at the same key."""
+    import repro.core.resultstore as resultstore
+    from repro.core.resultstore import ResultStore
+    from repro.sim.engine import Engine
+
+    assert resultstore.STORE_VERSION == 3
+    machine = haswell_e3_1225()
+    measurement = Engine(machine).run(
+        make_algorithm("openblas", machine).build_cached(64, 1).graph, 1
+    )
+    key = "ab" + "0" * 62
+    monkeypatch.setattr(resultstore, "STORE_VERSION", 2)
+    ResultStore(tmp_path).put(key, measurement)
+    monkeypatch.setattr(resultstore, "STORE_VERSION", 3)
+    assert ResultStore(tmp_path).get(key) is None

@@ -11,7 +11,7 @@ from repro.util.errors import ValidationError
 
 
 def _run(machine, graph, threads=4):
-    schedule = Scheduler(machine, threads, execute=False).run(graph)
+    schedule = Scheduler(machine, threads).run(graph)
     measurement = Engine(machine).measure(schedule, label="x")
     return schedule, measurement
 

@@ -83,8 +83,8 @@ def test_trace_coarsening_preserves_energy(machine):
     fine = Engine(machine, max_trace_segments=100000)
     coarse = Engine(machine, max_trace_segments=4)
     g = demo_graph()
-    mf = fine.run(g, threads=4, execute=False)
-    mc = coarse.run(g, threads=4, execute=False)
+    mf = fine.run(g, threads=4)
+    mc = coarse.run(g, threads=4)
     assert len(mc.trace) <= 8  # a few segments after coarsening
     assert mc.energy.package == pytest.approx(mf.energy.package, rel=1e-9)
     assert mc.elapsed_s == pytest.approx(mf.elapsed_s)

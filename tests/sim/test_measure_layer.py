@@ -32,7 +32,7 @@ def schedules(machine):
     arena = StrassenWinograd(machine).build_arena(256, 3).graph
 
     def run(engine):
-        return Scheduler(machine, 3, execute=False, engine=engine).run(arena)
+        return Scheduler(machine, 3, engine=engine).run(arena)
 
     return run
 

@@ -17,7 +17,7 @@ from repro.sim import Engine
 def measure(machine, alg_cls=BlockedGemm, n=512, threads=4, **alg_kw):
     alg = alg_cls(machine, **alg_kw)
     build = alg.build(n, threads, execute=False)
-    return Engine(machine).run(build.graph, threads, execute=False)
+    return Engine(machine).run(build.graph, threads)
 
 
 @pytest.fixture(scope="module")

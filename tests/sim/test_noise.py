@@ -16,7 +16,7 @@ def graph():
 
 
 def exact(machine):
-    return Engine(machine).run(graph(), threads=1, execute=False)
+    return Engine(machine).run(graph(), threads=1)
 
 
 def test_noise_changes_values_slightly(machine):
@@ -50,16 +50,16 @@ def test_zero_noise_is_identity(machine):
 
 
 def test_noisy_engine_reproducible_from_seed(machine):
-    a = NoisyEngine(Engine(machine), seed=7).run(graph(), 1, execute=False)
-    b = NoisyEngine(Engine(machine), seed=7).run(graph(), 1, execute=False)
+    a = NoisyEngine(Engine(machine), seed=7).run(graph(), 1)
+    b = NoisyEngine(Engine(machine), seed=7).run(graph(), 1)
     assert a.energy.package == b.energy.package
     assert a.elapsed_s == b.elapsed_s
 
 
 def test_noisy_engine_varies_across_runs(machine):
     eng = NoisyEngine(Engine(machine), seed=9)
-    a = eng.run(graph(), 1, execute=False)
-    b = eng.run(graph(), 1, execute=False)
+    a = eng.run(graph(), 1)
+    b = eng.run(graph(), 1)
     assert a.energy.package != b.energy.package
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Engine
 from repro.sparse.formats import CSRMatrix
 from repro.sparse.generators import banded, uniform_random
 from repro.sparse.spgemm import (
@@ -90,10 +89,10 @@ class TestCost:
 
 
 class TestBuild:
-    def test_executes_and_verifies(self, machine):
+    def test_executes_and_verifies(self, machine, run_numerics):
         a, b = csr(seed=12), csr(seed=13)
         build = build_spgemm_graph(a, b, machine, threads=3)
-        Engine(machine).run(build.graph, threads=3)
+        run_numerics(build.graph, 3)
         assert build.verify() < 1e-12
 
     def test_assembly_after_chunks(self, machine):

@@ -98,11 +98,11 @@ class TestCost:
 
 
 class TestBuild:
-    def test_executes_and_verifies(self, machine, pattern):
+    def test_executes_and_verifies(self, machine, pattern, run_numerics):
         for fmt in ALL:
             m = convert(pattern, fmt)
             build = build_spmm_graph(m, machine, threads=3, k=4, repeats=2)
-            Engine(machine).run(build.graph, threads=3)
+            run_numerics(build.graph, 3)
             assert build.verify() < 1e-10
 
     def test_spmm_scales_better_than_spmv(self, machine):
@@ -116,7 +116,7 @@ class TestBuild:
 
         def time_at(builder, threads, **kw):
             b = builder(m, machine, threads, execute=False, **kw)
-            return eng.run(b.graph, threads, execute=False).elapsed_s
+            return eng.run(b.graph, threads).elapsed_s
 
         spmv_speedup = time_at(build_spmv_graph, 1) / time_at(build_spmv_graph, 4)
         spmm_speedup = time_at(build_spmm_graph, 1, k=64) / time_at(

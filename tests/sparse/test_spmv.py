@@ -69,12 +69,10 @@ class TestChunkCost:
 
 
 class TestBuildGraph:
-    def test_numerics_verified(self, machine, pattern):
+    def test_numerics_verified(self, machine, pattern, run_numerics):
         csr = CSRMatrix.from_coo(pattern)
         build = build_spmv_graph(csr, machine, threads=4, repeats=2)
-        from repro.sim import Engine
-
-        Engine(machine).run(build.graph, threads=4)
+        run_numerics(build.graph, 4)
         assert build.verify() < 1e-10
 
     def test_sweeps_are_chained(self, machine, pattern):
@@ -89,11 +87,9 @@ class TestBuildGraph:
         chunks = [t for t in build.graph if "rows[" in t.name]
         assert len(chunks) == 4
 
-    def test_all_formats_execute(self, machine, pattern):
-        from repro.sim import Engine
-
+    def test_all_formats_execute(self, machine, pattern, run_numerics):
         for fmt in ("csr", "coo", "ell", "bsr"):
             m = convert(pattern, fmt)
             build = build_spmv_graph(m, machine, threads=2, repeats=1)
-            Engine(machine).run(build.graph, threads=2)
+            run_numerics(build.graph, 2)
             assert build.verify() < 1e-10

@@ -1,5 +1,7 @@
 """The ``repro.api`` facade and the deprecation shims it supersedes."""
 
+import pickle
+
 import pytest
 
 from repro.api import RunOptions, Study, StudyRun
@@ -184,6 +186,27 @@ class TestDeprecationShims:
         with pytest.warns(DeprecationWarning, match="avg_power_w"):
             legacy = result.avg_power("openblas")
         assert legacy == result.avg_power_w("openblas")
+
+    def test_engine_run_execute_warns_and_replays(self, machine):
+        from repro.algorithms import StrassenWinograd
+
+        build = StrassenWinograd(machine, cutoff=32, grain=32).build(128, 2)
+        with pytest.warns(DeprecationWarning, match=r"Engine\.run\(execute="):
+            legacy = Engine(machine).run(build.graph, 2, execute=True)
+        assert build.verify().ok  # the closures were replayed
+        plain = Engine(machine).run(build.graph, 2)
+        assert pickle.dumps(legacy) == pickle.dumps(plain)
+
+    def test_build_cached_execute_warns_and_delegates(self, machine):
+        from repro.algorithms import StrassenWinograd
+
+        alg = StrassenWinograd(machine)
+        with pytest.warns(DeprecationWarning, match=r"build_cached\(execute="):
+            cost_only = alg.build_cached(128, 2, execute=False)
+        assert cost_only is alg.build_cached(128, 2)
+        with pytest.warns(DeprecationWarning, match=r"build_cached\(execute="):
+            executed = alg.build_cached(128, 2, execute=True)
+        assert not executed.cost_only
 
     def test_plain_usage_does_not_warn(self, machine, recwarn):
         import warnings

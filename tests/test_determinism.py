@@ -18,8 +18,8 @@ def test_scheduler_is_deterministic(machine):
     alg = StrassenWinograd(machine)
     a = alg.build(256, threads=4, execute=False)
     b = alg.build(256, threads=4, execute=False)
-    sa = Scheduler(machine, 4, execute=False).run(a.graph)
-    sb = Scheduler(machine, 4, execute=False).run(b.graph)
+    sa = Scheduler(machine, 4).run(a.graph)
+    sb = Scheduler(machine, 4).run(b.graph)
     assert sa.makespan == sb.makespan
     assert [(r.tid, r.core, r.start, r.end) for r in sa.records] == [
         (r.tid, r.core, r.start, r.end) for r in sb.records
@@ -30,7 +30,7 @@ def test_steal_policy_deterministic(machine):
     alg = CapsStrassen(machine)
     graphs = [alg.build(256, threads=4, execute=False).graph for _ in range(2)]
     runs = [
-        Scheduler(machine, 4, policy="steal", execute=False).run(g) for g in graphs
+        Scheduler(machine, 4, policy="steal").run(g) for g in graphs
     ]
     assert runs[0].makespan == runs[1].makespan
     assert runs[0].stats.steals == runs[1].stats.steals
@@ -39,8 +39,8 @@ def test_steal_policy_deterministic(machine):
 def test_engine_measurements_identical(machine):
     alg = StrassenWinograd(machine)
     engine = Engine(machine)
-    m1 = engine.run(alg.build(128, 2, execute=False).graph, 2, execute=False)
-    m2 = engine.run(alg.build(128, 2, execute=False).graph, 2, execute=False)
+    m1 = engine.run(alg.build(128, 2, execute=False).graph, 2)
+    m2 = engine.run(alg.build(128, 2, execute=False).graph, 2)
     assert m1.elapsed_s == m2.elapsed_s
     assert m1.energy.package == m2.energy.package
     assert m1.energy.pp0 == m2.energy.pp0

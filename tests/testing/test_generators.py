@@ -142,7 +142,7 @@ def test_shrunk_prefix_is_schedulable():
     case = gen_graph_case(13, max_tasks=40)
     small = shrink_graph_case(case, lambda c: len(c.graph) >= 2)
     schedule = Scheduler(
-        small.machine, small.threads, small.policy, execute=False
+        small.machine, small.threads, small.policy
     ).run(small.graph)
     assert schedule.makespan >= 0.0
 

@@ -29,7 +29,7 @@ def healthy():
     """A simulated case with its schedule and measurement."""
     case = gen_graph_case(2)  # arbitrary healthy seed
     schedule = Scheduler(
-        case.machine, case.threads, case.policy, execute=False
+        case.machine, case.threads, case.policy
     ).run(case.graph)
     measurement = Engine(case.machine).measure(schedule, label="healthy")
     return case, schedule, measurement
@@ -53,7 +53,7 @@ def test_many_seeds_clean():
     for seed in range(25):
         case = gen_graph_case(seed)
         schedule = Scheduler(
-            case.machine, case.threads, case.policy, execute=False
+            case.machine, case.threads, case.policy
         ).run(case.graph)
         m = Engine(case.machine).measure(schedule, label=f"s{seed}")
         assert check_measurement(case.machine, case.graph, case.threads, schedule, m) == []
@@ -141,7 +141,7 @@ def _fresh(seed=2):
     not share)."""
     case = gen_graph_case(seed)
     schedule = Scheduler(
-        case.machine, case.threads, case.policy, execute=False
+        case.machine, case.threads, case.policy
     ).run(case.graph)
     measurement = Engine(case.machine).measure(schedule, label="fresh")
     return case, schedule, measurement
@@ -272,8 +272,8 @@ def _scaling_series(seed=0):
     engine = Engine(sc.machine)
     series = []
     for p in sc.threads:
-        build = alg.build_cached(sc.n, p, execute=False)
-        series.append((p, engine.run(build.graph, p, execute=False)))
+        build = alg.build_cached(sc.n, p)
+        series.append((p, engine.run(build.graph, p)))
     return series
 
 
@@ -319,8 +319,8 @@ def test_comm_bounds_hold_for_real_algorithms():
     machine = haswell_e3_1225()
     for name in ("openblas", "strassen", "caps"):
         alg = make_algorithm(name, machine)
-        build = alg.build_cached(128, 2, execute=False)
-        m = Engine(machine).run(build.graph, 2, execute=False)
+        build = alg.build_cached(128, 2)
+        m = Engine(machine).run(build.graph, 2)
         assert (
             check_comm_bounds(machine, name, 128, 2, m, alg.flop_count(128)) == []
         ), name
@@ -334,8 +334,8 @@ def test_comm_bounds_catch_vanishing_traffic():
 
     machine = haswell_e3_1225()
     alg = make_algorithm("openblas", machine)
-    build = alg.build_cached(256, 2, execute=False)
-    m = Engine(machine).run(build.graph, 2, execute=False)
+    build = alg.build_cached(256, 2)
+    m = Engine(machine).run(build.graph, 2)
     bad = dataclasses.replace(m, bytes_dram=64.0)
     names = {v.invariant for v in check_comm_bounds(machine, "openblas", 256, 2, bad)}
     assert "bounds.eq8" in names
@@ -347,8 +347,8 @@ def test_comm_bounds_catch_wrong_flop_count():
 
     machine = haswell_e3_1225()
     alg = make_algorithm("strassen", machine)
-    build = alg.build_cached(128, 1, execute=False)
-    m = Engine(machine).run(build.graph, 1, execute=False)
+    build = alg.build_cached(128, 1)
+    m = Engine(machine).run(build.graph, 1)
     names = {
         v.invariant
         for v in check_comm_bounds(

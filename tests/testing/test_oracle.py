@@ -18,7 +18,7 @@ from repro.testing.oracle import (
 def _schedule(seed, engine="fast"):
     case = gen_graph_case(seed)
     return case, Scheduler(
-        case.machine, case.threads, case.policy, execute=False, engine=engine
+        case.machine, case.threads, case.policy, engine=engine
     ).run(case.graph)
 
 

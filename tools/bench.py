@@ -173,7 +173,7 @@ def bench_scheduler(machine, repeats: int) -> dict:
     graph = _wide_graph(2000)
     out = {}
     for engine in ("reference", "fast"):
-        sched = Scheduler(machine, threads=4, execute=False, engine=engine)
+        sched = Scheduler(machine, threads=4, engine=engine)
         out[f"{engine}_ms"] = _best_of(lambda: sched.run(graph), repeats) * 1e3
     out["ratio"] = out["reference_ms"] / out["fast_ms"]
     out["repeats"] = repeats
@@ -225,7 +225,7 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     out = {"sizes": list(sizes), "cells": len(cells), "available": True}
     scheds = {
         engine: {
-            p: Scheduler(machine, threads=p, execute=False, engine=engine)
+            p: Scheduler(machine, threads=p, engine=engine)
             for p in threads
         }
         for engine in ("fast", "compiled")
@@ -290,13 +290,13 @@ def bench_lowering_cache(machine, n: int, repeats: int) -> dict:
     alg = StrassenWinograd(machine)
     cache = BuildCache()
     cold = _best_of(lambda: alg.build(n, 4, seed=0, execute=False), repeats)
-    alg.build_cached(n, 4, seed=0, execute=False, cache=cache)  # warm
+    alg.build_cached(n, 4, seed=0, cache=cache)  # warm
 
     # A cache hit is sub-microsecond — below what one perf_counter pair
     # resolves reliably — so time a batch of hits per sample.
     def hit_batch():
         for _ in range(100):
-            alg.build_cached(n, 4, seed=0, execute=False, cache=cache)
+            alg.build_cached(n, 4, seed=0, cache=cache)
 
     hit = _best_of(hit_batch, max(repeats, 5)) / 100
     return {
@@ -533,7 +533,7 @@ def bench_trace_overhead(machine, repeats: int, sizes: tuple[int, ...]) -> dict:
     per_call_s = _best_of(spin, repeats) / calls
 
     graph = _wide_graph(2000)
-    sched = Scheduler(machine, threads=4, execute=False, engine="fast")
+    sched = Scheduler(machine, threads=4, engine="fast")
     with obtrace.tracing() as tr:
         sched.run(graph)
     sched_spans = len(tr)

@@ -107,7 +107,7 @@ def phase_sim(args) -> None:
         f"n={args.n} p={args.threads}, {len(build.graph)} tasks =="
     )
     measurement = _profiled(
-        lambda: engine.run(build.graph, args.threads, execute=False),
+        lambda: engine.run(build.graph, args.threads),
         args.top,
         args.sort,
     )

@@ -11,7 +11,8 @@ phase-summary table and the metrics dump, and optionally validates it::
 
 From ``--depth 2`` on, a study trace also gets a per-cell layer table:
 the self time of every span inside the ``cell`` spans (``plan``,
-``schedule`` — the event sweep — ``measure``, lowering, verify).
+``schedule`` — the event sweep — ``measure``, lowering, ``numerics`` —
+the executed lowering and its replay — and ``verify``).
 
 ``--validate`` fails (exit 1) when:
 
