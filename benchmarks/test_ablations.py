@@ -31,7 +31,7 @@ def engine_(machine_):
 
 
 def _measure(engine, alg, n=N, threads=THREADS):
-    build = alg.build(n, threads, execute=False)
+    build = alg.build_arena(n, threads)
     return engine.run(build.graph, threads)
 
 

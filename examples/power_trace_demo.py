@@ -35,7 +35,7 @@ def main() -> None:
     measurement, schedule = engine.simulate(build.graph, threads=4)
     pkg_nj, pp0_nj = eventset.stop()
 
-    # Numerics: replay the executed lowering in the simulated schedule.
+    # Numerics: run the stamped numerics program in the simulated schedule.
     report = alg.check_numerics(512, 4, schedule, build.graph)
     print(f"Strassen 512^2 on 4 threads: {measurement.summary()}")
     print(f"verified vs numpy: err={report.abs_error:.2e} (bound {report.bound:.2e})")
@@ -57,7 +57,7 @@ def main() -> None:
 
     # --- why CAPS keeps cores busier: Gantt views --------------------
     for algorithm in (StrassenWinograd(machine), CapsStrassen(machine)):
-        b = algorithm.build(256, threads=4, execute=False)
+        b = algorithm.build_arena(256, threads=4)
         schedule = Scheduler(machine, threads=4).run(b.graph)
         print(render_gantt(schedule, width=68))
         print()
@@ -65,9 +65,9 @@ def main() -> None:
     # --- where the joules go: per-task-group attribution -------------
     from repro.sim import attribute_energy, attribution_table
 
-    b = StrassenWinograd(machine).build(1024, threads=4, execute=False)
-    schedule = Scheduler(machine, threads=4).run(b.graph)
-    groups = attribute_energy(schedule, b.graph, machine)
+    graph = StrassenWinograd(machine).build_arena(1024, threads=4).graph.to_graph()
+    schedule = Scheduler(machine, threads=4).run(graph)
+    groups = attribute_energy(schedule, graph, machine)
     print("Strassen n=1024 energy attribution (multiplies vs communication):")
     print(attribution_table(groups).to_ascii())
     comm = groups["pre"].total_j + groups["post"].total_j

@@ -68,7 +68,7 @@ def part2_governors() -> None:
         ("blocked (compute-bound)", BlockedGemm(machine)),
         ("strassen (bandwidth-bound)", StrassenWinograd(machine)),
     ):
-        build = alg.build(1024, threads=4, execute=False)
+        build = alg.build_arena(1024, threads=4)
         nominal = Engine(machine).run(build.graph, threads=4)
         for governor in (
             PerformanceGovernor(),
@@ -101,7 +101,7 @@ def part2_governors() -> None:
 def part3_power_caps() -> None:
     print("3. RAPL PL1 enforcement (facility power caps)")
     machine = dvfs_enabled_machine()
-    build = BlockedGemm(machine).build(1024, threads=4, execute=False)
+    build = BlockedGemm(machine).build_arena(1024, threads=4)
     table = TextTable(
         ["PL1 (W)", "feasible", "P-state", "time (s)", "avg W", "slowdown"],
         ndigits=4,

@@ -1,10 +1,12 @@
 """Common interface of the three matrix-multiplication algorithms.
 
 Each algorithm (§IV: OpenBLAS-style blocked, Strassen-Winograd, CAPS)
-*lowers* a problem instance to a :class:`~repro.runtime.task.TaskGraph`
-whose tasks carry both the analytical cost vectors (driving the
-simulator) and optional numpy closures (performing the real numerics so
-results can be verified against ``numpy.matmul``).
+*lowers* a problem instance to a columnar
+:class:`~repro.runtime.arena.TaskArena` whose tasks carry the
+analytical cost vectors that drive the simulator.  The same template
+recursion also stamps a numerics program
+(:mod:`repro.algorithms.program`) that performs the real arithmetic,
+so results can be verified against ``numpy.matmul``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,14 +25,16 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter, gauge
 from ..runtime.arena import TaskArena
-from ..runtime.replay import replay_numerics
+from ..runtime.plans import arena_of
+from ..runtime.replay import check_order
 from ..runtime.task import TaskGraph
 from ..util.deprecation import warn_deprecated
-from ..util.errors import ConfigurationError, ValidationError
+from ..util.errors import ConfigurationError, SchedulingError, ValidationError
 from ..util.validation import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.scheduler import Schedule
+    from .program import NumericsProgram
 
 __all__ = [
     "BuildCache",
@@ -51,11 +56,10 @@ _ARENA_BYTES = gauge("lowering.arena_bytes", unit="B", description="resident byt
 def record_lowering(build: BuildResult) -> BuildResult:
     """Tally a finished lowering into the process metrics.
 
-    Called by every ``build_arena`` implementation and by the cost-only
-    object-path fallback, so ``lowering.tasks`` counts every simulated
-    lowering regardless of representation (the numerics replay's
-    executed lowerings are not counted) and ``lowering.arena_bytes``
-    tracks the columnar arenas' resident footprint.
+    Called by every ``build_arena`` implementation, so
+    ``lowering.tasks`` counts every simulated lowering (numerics
+    programs are not counted) and ``lowering.arena_bytes`` tracks the
+    columnar arenas' resident footprint.
     """
     graph = build.graph
     _TASKS_LOWERED.add(len(graph))
@@ -71,15 +75,15 @@ class BuildResult:
     Attributes
     ----------
     graph:
-        The task graph — an object :class:`TaskGraph` (always, for
-        executed builds) or a columnar
-        :class:`~repro.runtime.arena.TaskArena` (cost-only builds from
-        a templated ``build_arena`` lowering).
+        The task graph — a columnar
+        :class:`~repro.runtime.arena.TaskArena` from ``build_arena``,
+        or an object :class:`TaskGraph` from the deprecated ``build``.
     n:
         Problem dimension.
     a, b, c:
-        Operands and output when built with ``execute=True``; ``None``
-        in cost-only mode (all the simulator needs is the cost
+        Operands and computed product after a numerics run
+        (:meth:`MatmulAlgorithm.compute_product`); ``None`` for a
+        cost-only lowering (all the simulator needs is the cost
         vectors).
     variant:
         Stability-bound variant for verification ("classical",
@@ -103,12 +107,10 @@ class BuildResult:
 
     def verify(self) -> VerificationReport:
         """Check the computed product against numpy within the stability
-        bound.  Only valid after the graph's closures have run (see
-        :func:`repro.runtime.replay.replay_numerics`)."""
+        bound.  Only valid after the numerics have run (see
+        :meth:`MatmulAlgorithm.compute_product`)."""
         if self.cost_only:
-            raise ValidationError(
-                "cannot verify a cost-only build (execute=False)"
-            )
+            raise ValidationError("cannot verify a cost-only build")
         return verify_matmul(self.a, self.b, self.c, self.variant, self.cutoff)
 
 
@@ -123,12 +125,11 @@ class BuildCache:
     completely; entries keep a strong reference to the instance so the
     identity can never be recycled while cached.
 
-    Cached builds carry no compute closures and no operand arrays, and
-    scheduling one never mutates it, so the cache returns the *same*
-    :class:`BuildResult` to every caller — treat it as immutable.
-    Lowerings with numerics bind operand arrays that a replay
-    accumulates into, so they are never cached: each numerics check
-    lowers its own (:mod:`repro.runtime.replay`).
+    Cached builds carry no operand arrays, and scheduling one never
+    mutates it, so the cache returns the *same* :class:`BuildResult` to
+    every caller — treat it as immutable.  Numerics never go through
+    the cache: each check stamps and runs its own program
+    (:meth:`MatmulAlgorithm.compute_product`).
     """
 
     def __init__(self, maxsize: int = 64):
@@ -175,7 +176,7 @@ class BuildCache:
         self.misses += 1
         _CACHE_MISSES.add()
         with trace.span("lower", alg=alg.name, n=n, threads=threads):
-            build = alg._lower_cost_only(n, threads, seed)
+            build = alg.build_arena(n, threads, seed=seed)
         self._entries[key] = (alg, build)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -207,44 +208,58 @@ class MatmulAlgorithm(ABC):
         """Flops the algorithm performs for an n x n multiply."""
 
     @abstractmethod
-    def build(
-        self,
-        n: int,
-        threads: int,
-        seed: int = 0,
-        execute: bool = True,
-    ) -> BuildResult:
-        """Lower an n x n problem to a task graph.
+    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
+        """Lower an n x n problem to a cost-only
+        :class:`~repro.runtime.arena.TaskArena`.
 
         ``threads`` informs work-sharing chunk counts (OpenMP static
-        schedules depend on the team size); ``execute=False`` skips all
-        array allocation and numpy closures.  Both modes must emit the
-        same tasks in the same order: numerics replay the executed graph
-        in the cost-only lowering's schedule (:mod:`repro.runtime.replay`).
+        schedules depend on the team size).  The object lowering in
+        :mod:`repro.testing.lowering` is the differential oracle the
+        arena must match bit for bit.
         """
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult | None:
-        """Cost-only lowering to a :class:`~repro.runtime.arena.TaskArena`,
-        or ``None`` when the algorithm has no columnar path (the cache
-        then falls back to ``build(execute=False)``).
+    def numerics_program(self, n: int, threads: int) -> "NumericsProgram":
+        """The numerics of :meth:`build_arena`'s lowering, one op per
+        task id (:mod:`repro.algorithms.program`).  Raises
+        :class:`ValidationError` for an algorithm whose lowering is
+        cost-only."""
+        raise ValidationError(
+            f"{self.display_name} has no numerics program: its lowering "
+            f"is cost-only"
+        )
 
-        Implementations must produce a graph *bit-identical* (ids,
-        names, deps, costs, flags) to
-        ``TaskArena.from_graph(build(n, threads, execute=False).graph)``
-        — the object recursion stays the differential oracle.
+    def build(
+        self, n: int, threads: int, seed: int = 0, execute: bool = True
+    ) -> BuildResult:
+        """Deprecated: the lowering as an object :class:`TaskGraph`.
+
+        Delegates to :meth:`build_arena` (``execute=False``) and, with
+        ``execute=True``, binds fresh operands and gives every task a
+        ``compute`` that runs its op of :meth:`numerics_program`.
         """
-        return None
+        warn_deprecated(
+            "MatmulAlgorithm.build(...)",
+            "build_arena(...) for the lowering, compute_product(...) or "
+            "check_numerics(...) for numerics",
+        )
+        return self._object_build(n, threads, seed, execute)
 
-    def _lower_cost_only(self, n: int, threads: int, seed: int) -> BuildResult:
-        """The uncached lowering behind :meth:`build_cached`.  Prefers the
-        columnar templated lowering when the algorithm has one: same
-        graph bit-for-bit (the differential oracle enforces it), a
-        fraction of the build time and memory, and picklable across
-        study workers."""
-        build = self.build_arena(n, threads, seed=seed)
-        if build is None:
-            build = record_lowering(self.build(n, threads, seed=seed, execute=False))
-        return build
+    def _object_build(
+        self, n: int, threads: int, seed: int, execute: bool
+    ) -> BuildResult:
+        lowered = self.build_arena(n, threads, seed=seed)
+        graph = lowered.graph.to_graph()
+        if not execute:
+            return BuildResult(
+                graph, n, None, None, None, lowered.variant, lowered.cutoff
+            )
+        program = self.numerics_program(n, threads)
+        a, b = self.operands(n, seed)
+        bufs = program.allocate(a, b)
+        for task in graph.tasks:
+            task.compute = partial(program.run_op, bufs, task.tid)
+        c = bufs[2][:n, :n]
+        return BuildResult(graph, n, a, b, c, program.variant, program.cutoff)
 
     def build_cached(
         self,
@@ -254,25 +269,57 @@ class MatmulAlgorithm(ABC):
         execute: bool | None = None,
         cache: BuildCache | None = None,
     ) -> BuildResult:
-        """The cost-only lowering of :meth:`build`, memoized through a
-        :class:`BuildCache` (the process-wide default unless *cache* is
-        given).  Results are shared — treat them as immutable.
+        """:meth:`build_arena`, memoized through a :class:`BuildCache`
+        (the process-wide default unless *cache* is given).  Results are
+        shared — treat them as immutable.
 
         ``execute`` is deprecated: ``execute=True`` returns a fresh,
-        uncached ``build(..., execute=True)``, ``execute=False`` the
-        cached lowering.
+        uncached executed object build (as ``build(..., execute=True)``),
+        ``execute=False`` the cached lowering.
         """
         if execute is not None:
             warn_deprecated(
                 "MatmulAlgorithm.build_cached(execute=...)",
                 "build_cached(...) for the cost-only lowering, "
-                "build(..., execute=True) for numerics",
+                "compute_product(...) for numerics",
             )
             if execute:
-                return self.build(n, threads, seed=seed, execute=True)
+                return self._object_build(n, threads, seed, True)
         if cache is None:
             cache = _DEFAULT_CACHE
         return cache.get_or_build(self, n, threads, seed=seed)
+
+    def compute_product(
+        self,
+        n: int,
+        threads: int,
+        order,
+        simulated: TaskGraph | TaskArena | None = None,
+        seed: int = 0,
+    ) -> BuildResult:
+        """Run the numerics of the ``(n, threads)`` lowering in *order*.
+
+        *order* must be a linear extension of *simulated* (default: the
+        cached lowering), checked before anything runs
+        (:func:`~repro.runtime.replay.check_order`).  The program is
+        stamped from the templates *simulated* was stamped from, so it
+        matches it task for task.  Returns a :class:`BuildResult` over
+        *simulated* carrying the operands and the product.
+        """
+        if simulated is None:
+            simulated = self.build_cached(n, threads, seed=seed).graph
+        program = self.numerics_program(n, threads)
+        if len(program) != len(simulated):
+            raise SchedulingError(
+                f"{self.name}[n={n}] numerics program has {len(program)} "
+                f"tasks but the simulated graph has {len(simulated)}"
+            )
+        check_order(arena_of(simulated), order)
+        a, b = self.operands(n, seed)
+        bufs = program.allocate(a, b)
+        program.run(bufs, order)
+        c = bufs[2][:n, :n]
+        return BuildResult(simulated, n, a, b, c, program.variant, program.cutoff)
 
     def check_numerics(
         self,
@@ -282,19 +329,18 @@ class MatmulAlgorithm(ABC):
         simulated: TaskGraph | TaskArena,
         seed: int = 0,
     ) -> VerificationReport:
-        """Lower the executed graph, replay it in the start order of
-        *schedule* (made from *simulated*, the cost-only lowering) and
-        verify the product (:func:`~repro.runtime.replay.replay_numerics`).
-        Raises :class:`ValidationError` when the error exceeds its
-        stability bound."""
-        report = replay_numerics(
-            lambda: self.build(n, threads, seed=seed, execute=True),
-            schedule,
-            simulated,
-            alg=self.name,
-            n=n,
-            threads=threads,
-        )
+        """Run the numerics in the start order of *schedule* (made from
+        *simulated*, the cost-only lowering) under a ``numerics`` span
+        and verify the product under a ``verify`` span.  Raises
+        :class:`ValidationError` when the error exceeds its stability
+        bound."""
+        attrs = {"alg": self.name, "n": n, "threads": threads}
+        with trace.span("numerics", **attrs):
+            product = self.compute_product(
+                n, threads, schedule.start_order(), simulated, seed=seed
+            )
+        with trace.span("verify", **attrs):
+            report = product.verify()
         if not report.ok:
             raise ValidationError(
                 f"{self.display_name} n={n} p={threads}: numerical error "
@@ -322,14 +368,8 @@ class MatmulAlgorithm(ABC):
                 f"machine has {self.machine.dram.capacity_bytes / 2**30:.2f} GiB"
             )
 
-    def _operands(
-        self, n: int, seed: int, execute: bool
-    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """Allocate (A, B, C) or return Nones in cost-only mode."""
+    @staticmethod
+    def operands(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """The seeded ``(A, B)`` operands of an n x n problem."""
         require_positive(n, "n")
-        if not execute:
-            return None, None, None
-        a = random_matrix(n, seed=seed)
-        b = random_matrix(n, seed=seed + 1)
-        c = np.zeros((n, n), dtype=np.float64)
-        return a, b, c
+        return random_matrix(n, seed=seed), random_matrix(n, seed=seed + 1)

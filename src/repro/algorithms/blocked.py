@@ -21,16 +21,23 @@ platforms" (§IV-D).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..linalg.dense import matmul_flops, working_set_bytes
 from ..machine.specs import MachineSpec
 from ..runtime.arena import NameInterner, TemplateBuilder
-from ..runtime.openmp import OpenMP
 from ..util.validation import require_fraction, require_positive
 from ..observability import trace
 from .base import BuildResult, MatmulAlgorithm, record_lowering
 from .kernels import blocked_tile_cost
+from .program import (
+    GEMM,
+    SUB_A,
+    SUB_B,
+    SUB_C,
+    NumericsProgram,
+    ProgramBuilder,
+    block,
+    full,
+)
 from .tuning import select_blocking, tile_grid
 
 __all__ = ["BlockedGemm"]
@@ -79,20 +86,14 @@ class BlockedGemm(MatmulAlgorithm):
             return ws  # cold load only; all reuse hits the LLC
         return matmul_flops(n) * _WORD / self.blocking.b3 + ws
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower an n x n multiply to an independent grid of tile tasks."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
-        omp = OpenMP(f"openblas[n={n}]", threads)
-
+    def _emit_tiles(self, tb, n: int, threads: int) -> None:
+        """Emit the independent grid of tile tasks, each with its
+        numerics op ``C[tile] = A[rows] @ B[:, cols]``."""
         rows = tile_grid(n, threads, self.min_tiles_per_thread)
         cols = tile_grid(n, threads, self.min_tiles_per_thread)
         total_flops = self.flop_count(n)
         total_dram = self.dram_traffic_bytes(n)
-
+        A, B, C = full(SUB_A, n), full(SUB_B, n), full(SUB_C, n)
         for ro, rs in rows:
             for co, cs in cols:
                 tile_flops = 2.0 * rs * cs * n
@@ -100,46 +101,25 @@ class BlockedGemm(MatmulAlgorithm):
                 cost = blocked_tile_cost(
                     rs, cs, n, self.machine, self.efficiency, dram_share
                 )
-                compute = None
-                if execute:
-
-                    def compute(ro=ro, rs=rs, co=co, cs=cs):
-                        c[ro : ro + rs, co : co + cs] = (
-                            a[ro : ro + rs, :] @ b[:, co : co + cs]
-                        )
-
-                omp.task(f"tile/({ro},{co})", cost, compute=compute)
-
-        return BuildResult(
-            graph=omp.graph, n=n, a=a, b=b, c=c, variant="classical", cutoff=n
-        )
+                op = (
+                    GEMM,
+                    block(A, ro, 0, rs, n),
+                    block(B, 0, co, n, cs),
+                    block(C, ro, co, rs, cs),
+                )
+                tb.emit(f"tile/({ro},{co})", cost, op=op)
 
     def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
-        """Cost-only lowering straight to a :class:`TaskArena`.
+        """Lower an n x n multiply to an independent grid of tile tasks.
 
         The tile grid is flat (no recursion to template), so this is a
-        plain columnar emission — it exists so cost-only study cells
-        get picklable array graphs instead of ``Task`` objects."""
+        plain columnar emission."""
         require_positive(threads, "threads")
         require_positive(n, "n")
         self.check_memory(n)
         with trace.span("lower_arena", alg=self.name, n=n, threads=threads):
             tb = TemplateBuilder(NameInterner())
-
-            rows = tile_grid(n, threads, self.min_tiles_per_thread)
-            cols = tile_grid(n, threads, self.min_tiles_per_thread)
-            total_flops = self.flop_count(n)
-            total_dram = self.dram_traffic_bytes(n)
-
-            for ro, rs in rows:
-                for co, cs in cols:
-                    tile_flops = 2.0 * rs * cs * n
-                    dram_share = total_dram * (tile_flops / total_flops)
-                    cost = blocked_tile_cost(
-                        rs, cs, n, self.machine, self.efficiency, dram_share
-                    )
-                    tb.emit(f"tile/({ro},{co})", cost)
-
+            self._emit_tiles(tb, n, threads)
             return record_lowering(
                 BuildResult(
                     graph=tb.to_arena(f"openblas[n={n}]"),
@@ -151,3 +131,10 @@ class BlockedGemm(MatmulAlgorithm):
                     cutoff=n,
                 )
             )
+
+    def numerics_program(self, n: int, threads: int) -> NumericsProgram:
+        """The tile products, stamped by the same emission as
+        :meth:`build_arena` (so task ids match)."""
+        tb = ProgramBuilder()
+        self._emit_tiles(tb, n, threads)
+        return tb.finish().to_program(n, n, n, "classical")

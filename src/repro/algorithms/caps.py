@@ -17,7 +17,8 @@ level, between:
   sub-tree stages are OpenMP work-shared loops (``parallel_for`` row
   chunks).
 
-Algorithm 2 of the paper is the dispatch in :meth:`CapsStrassen._recurse`::
+Algorithm 2 of the paper is the dispatch in
+:meth:`CapsStrassen._arena_template`::
 
     if DEPTH < CUTOFF_DEPTH: execute Strassen BFS
     else:                    execute Strassen DFS
@@ -25,12 +26,8 @@ Algorithm 2 of the paper is the dispatch in :meth:`CapsStrassen._recurse`::
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from ..linalg.dense import pad_to_power_of_two, working_set_bytes
-from ..linalg.fastmm import recursion_depth, winograd_product
+from ..linalg.dense import working_set_bytes
+from ..linalg.fastmm import recursion_depth
 from ..machine.specs import MachineSpec
 from ..runtime.arena import (
     EXT_DEP,
@@ -39,13 +36,31 @@ from ..runtime.arena import (
     TemplateBuilder,
 )
 from ..runtime.cost import ZERO_COST, TaskCost
-from ..runtime.openmp import OpenMP
-from ..runtime.task import Task
 from ..util.errors import ConfigurationError
 from ..util.validation import next_power_of_two, require_fraction, require_positive
 from ..observability import trace
 from .base import BuildResult, MatmulAlgorithm, record_lowering
 from .kernels import addition_cost, leaf_gemm_cost
+from .program import (
+    ADD,
+    CAPS_U,
+    COPY,
+    GEMM,
+    GRAIN_WINOGRAD,
+    SUB,
+    SUB_A,
+    SUB_B,
+    SUB_C,
+    WINO_POST,
+    WINO_PRE,
+    NumericsProgram,
+    ProgramBuilder,
+    ProgramTemplate,
+    full,
+    quadrants,
+    rows,
+    winograd_factors,
+)
 from .traffic import streaming_traffic
 
 __all__ = ["CapsStrassen"]
@@ -204,142 +219,180 @@ class CapsStrassen(MatmulAlgorithm):
 
     # ---- lowering --------------------------------------------------------
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower to the BFS/DFS hybrid task graph."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
-        m = self.padded_n(n)
-
-        ap, bp, cp = a, b, c
-        if execute and m != n:
-            # The recursion runs on the padded problem; C is the valid
-            # region of the padded product (a view, so no extra task).
-            ap, _ = pad_to_power_of_two(a)
-            bp, _ = pad_to_power_of_two(b)
-            cp = np.zeros((m, m), dtype=np.float64)
-            c = cp[:n, :n]
-
-        omp = OpenMP(f"caps[n={n}]", threads)
-        self._threads = threads
-        self._recurse(omp, ap, bp, cp, m, depth=0, deps=(), execute=execute)
-
-        return BuildResult(
-            graph=omp.graph,
-            n=n,
-            a=a,
-            b=b,
-            c=c,
-            variant="winograd",
-            cutoff=self.leaf_cutoff,
-        )
-
-    # ---- templated lowering (arena path) --------------------------------
-
-    def _arena_template(self, s: int, depth: int, threads: int) -> SubtreeTemplate:
-        """Relocatable template of the subtree at *(s, depth)*.
+    def _arena_template(
+        self, s: int, depth: int, threads: int, program: dict | None = None
+    ) -> SubtreeTemplate | ProgramTemplate:
+        """Relocatable template of the subtree at *(s, depth)*: Algorithm
+        2's dispatch, one BFS or DFS step per level.
 
         Memoized by ``(s, min(depth, cutoff_depth), threads)``: beyond
         the BFS/DFS switch the structure depends only on *s*, and the
-        DFS work-sharing chunk count depends on *threads*.  Emission
-        order mirrors :meth:`_recurse` / :meth:`_bfs_step` /
-        :meth:`_dfs_step` exactly.
+        DFS work-sharing chunk count depends on *threads*.  Each task
+        declares its numerics op; with a *program* memo the same calls
+        build the numerics template instead (see
+        :meth:`StrassenWinograd._arena_template
+        <repro.algorithms.strassen.StrassenWinograd._arena_template>`).
         """
         key = (s, min(depth, self.cutoff_depth), threads)
-        tpl = self._tpl_memo.get(key)
+        memo = self._tpl_memo if program is None else program
+        tpl = memo.get(key)
         if tpl is not None:
             return tpl
-        tb = TemplateBuilder(self._interner)
+        tb = TemplateBuilder(self._interner) if program is None else ProgramBuilder()
+        A, B, C = full(SUB_A, s), full(SUB_B, s), full(SUB_C, s)
         if s <= self.leaf_cutoff:
             cost = leaf_gemm_cost(
                 s, self.machine, self.leaf_efficiency, self.leaf_locality
             )
-            tb.emit(f"leaf/{s}", cost, (EXT_DEP,))
+            tb.emit(f"leaf/{s}", cost, (EXT_DEP,), op=(GEMM, A, B, C))
         elif depth < self.cutoff_depth:
-            self._tpl_bfs(tb, s, depth, threads)
+            self._tpl_bfs(tb, s, depth, threads, program, A, B, C)
         else:
-            self._tpl_dfs(tb, s, depth, threads)
+            self._tpl_dfs(tb, s, depth, threads, program, A, B, C)
         tpl = tb.finish()
-        self._tpl_memo[key] = tpl
+        memo[key] = tpl
         return tpl
 
-    def _tpl_parallel_for(self, tb, name, total_cost, deps, k) -> int:
+    def _tpl_parallel_for(self, tb, name, total_cost, deps, k, ops=None) -> int:
         """Template twin of ``OpenMP.parallel_for`` (static schedule,
-        *k* chunks, zero-cost join); returns the join's local id."""
+        *k* chunks with numerics *ops*, zero-cost join); returns the
+        join's local id."""
         per_chunk = total_cost.scaled(1.0 / k)
-        chunks = [tb.emit(f"{name}[{i}]", per_chunk, deps) for i in range(k)]
+        chunks = [
+            tb.emit(f"{name}[{i}]", per_chunk, deps, op=ops[i] if ops else None)
+            for i in range(k)
+        ]
         return tb.emit(f"{name}/join", ZERO_COST, chunks)
 
-    def _tpl_bfs(self, tb, s, depth, threads) -> None:
+    def _tpl_bfs(self, tb, s, depth, threads, program, A, B, C) -> None:
+        """BFS step: the seven sub-problems are independent tasks with
+        private buffers, behind fine-grained S/T/U addition chains."""
         h = s // 2
         one_add = addition_cost(h, 1, self.machine, self.add_locality)
         ext = (EXT_DEP,)
-        ts1 = tb.emit(f"bfs-s1/{s}", one_add, ext)
-        ts2 = tb.emit(f"bfs-s2/{s}", one_add, (ts1,))
-        ts3 = tb.emit(f"bfs-s3/{s}", one_add, ext)
-        ts4 = tb.emit(f"bfs-s4/{s}", one_add, (ts2,))
-        tt1 = tb.emit(f"bfs-t1/{s}", one_add, ext)
-        tt2 = tb.emit(f"bfs-t2/{s}", one_add, (tt1,))
-        tt3 = tb.emit(f"bfs-t3/{s}", one_add, ext)
-        tt4 = tb.emit(f"bfs-t4/{s}", one_add, (tt2,))
-        dep_lists = [
-            [EXT_DEP],
-            [EXT_DEP],
-            [ts4],
-            [tt4],
-            [ts1, tt1],
-            [ts2, tt2],
-            [ts3, tt3],
-        ]
+        a11, a12, a21, a22 = qa = quadrants(A)
+        b11, b12, b21, b22 = qb = quadrants(B)
+        st = tb.buffers(8, h, h)
+        s1, s2, s3, s4, t1, t2, t3, t4 = st
+        prods = tb.buffers(7, h, h)
+        p1, p2, p3, p4, p5, p6, p7 = prods
+        # Pre-addition chains: s1 -> s2 -> s4; s3; t1 -> t2 -> t4; t3.
+        ts1 = tb.emit(f"bfs-s1/{s}", one_add, ext, op=(ADD, a21, a22, s1))
+        ts2 = tb.emit(f"bfs-s2/{s}", one_add, (ts1,), op=(SUB, s1, a11, s2))
+        ts3 = tb.emit(f"bfs-s3/{s}", one_add, ext, op=(SUB, a11, a21, s3))
+        ts4 = tb.emit(f"bfs-s4/{s}", one_add, (ts2,), op=(SUB, a12, s2, s4))
+        tt1 = tb.emit(f"bfs-t1/{s}", one_add, ext, op=(SUB, b12, b11, t1))
+        tt2 = tb.emit(f"bfs-t2/{s}", one_add, (tt1,), op=(SUB, b22, t1, t2))
+        tt3 = tb.emit(f"bfs-t3/{s}", one_add, ext, op=(SUB, b22, b12, t3))
+        tt4 = tb.emit(f"bfs-t4/{s}", one_add, (tt2,), op=(SUB, t2, b21, t4))
+        dep_lists = [[EXT_DEP], [EXT_DEP], [ts4], [tt4]]
+        dep_lists += [[ts1, tt1], [ts2, tt2], [ts3, tt3]]
+        factors = winograd_factors(qa, qb, st)
         if self.pack:
+            # Copy raw operand quadrants into private contiguous buffers
+            # before the affected children run (communication avoidance:
+            # pay local copies, save channel traffic).  p1/p2 pack both
+            # factors, p3 its B factor (b22), p4 its A factor (a22);
+            # p5-p7 consume S/T buffers that are already contiguous.
             for idx, n_blocks in self._PACK_BLOCKS.items():
+                x, y = factors[idx]
+                copies = []
+                if idx in (0, 1, 3):
+                    (px,) = tb.buffers(1, h, h)
+                    copies += [x, px]
+                    x = px
+                if idx in (0, 1, 2):
+                    (py,) = tb.buffers(1, h, h)
+                    copies += [y, py]
+                    y = py
+                factors[idx] = (x, y)
                 pack_task = tb.emit(
                     f"bfs-pack{idx + 1}/{s}",
                     self._pack_cost(h, n_blocks),
                     dep_lists[idx],
+                    op=(COPY, *copies),
                 )
                 dep_lists[idx] = [pack_task]
-        child = self._arena_template(h, depth + 1, threads)
-        kids = [tb.splice(child, ext=tuple(d)) for d in dep_lists]
-        tb_u = addition_cost(h, 3, self.machine, self.add_locality)
-        tu = tb.emit(f"bfs-u/{s}", tb_u, (kids[0], kids[4], kids[5], kids[6]))
+        child = self._arena_template(h, depth + 1, threads, program)
+        kids = [
+            tb.splice(child, ext=tuple(d), views=(x, y, p))
+            for d, (x, y), p in zip(dep_lists, factors, prods)
+        ]
+        # Post additions: U chain then the four output blocks.
+        u2, u3, u4 = tb.buffers(3, h, h)
+        tu = tb.emit(
+            f"bfs-u/{s}",
+            addition_cost(h, 3, self.machine, self.add_locality),
+            (kids[0], kids[4], kids[5], kids[6]),
+            op=(CAPS_U, p1, p5, p6, p7, u2, u3, u4),
+        )
+        # With packing, results land in private buffers first and the
+        # unpack task redistributes them to C's layout.
+        qc = quadrants(C)
+        d11, d12, d21, d22 = tb.buffers(4, h, h) if self.pack else qc
         c_tasks = [
-            tb.emit(f"bfs-c11/{s}", one_add, (kids[0], kids[1])),
-            tb.emit(f"bfs-c12/{s}", one_add, (tu, kids[2])),
-            tb.emit(f"bfs-c21/{s}", one_add, (tu, kids[3])),
-            tb.emit(f"bfs-c22/{s}", one_add, (tu, kids[4])),
+            tb.emit(f"bfs-c11/{s}", one_add, (kids[0], kids[1]), op=(ADD, p1, p2, d11)),
+            tb.emit(f"bfs-c12/{s}", one_add, (tu, kids[2]), op=(ADD, u4, p3, d12)),
+            tb.emit(f"bfs-c21/{s}", one_add, (tu, kids[3]), op=(SUB, u3, p4, d21)),
+            tb.emit(f"bfs-c22/{s}", one_add, (tu, kids[4]), op=(ADD, u3, p5, d22)),
         ]
         if self.pack:
-            tb.emit(f"bfs-unpack/{s}", self._pack_cost(h, 4), c_tasks)
+            unpack = (COPY, d11, qc[0], d12, qc[1], d21, qc[2], d22, qc[3])
+            tb.emit(f"bfs-unpack/{s}", self._pack_cost(h, 4), c_tasks, op=unpack)
         else:
             tb.emit(f"bfs-join/{s}", ZERO_COST, c_tasks)
 
-    def _tpl_dfs(self, tb, s, depth, threads) -> None:
+    def _tpl_dfs(self, tb, s, depth, threads, program, A, B, C) -> None:
+        """DFS step: all workers cooperate on each sub-problem in turn;
+        the additions are work-shared row chunks."""
         h = s // 2
         if s <= self.dfs_grain:
+            # Work-shared stage over the whole remaining sub-tree.
+            ops = [(GRAIN_WINOGRAD, A, B, C)] + [None] * (threads - 1)
             self._tpl_parallel_for(
-                tb, f"dfs-grain/{s}", self.subtree_cost(s), (EXT_DEP,), threads
+                tb, f"dfs-grain/{s}", self.subtree_cost(s), (EXT_DEP,), threads, ops
             )
             return
+        qa, qb, qc = quadrants(A), quadrants(B), quadrants(C)
+        st = tb.buffers(8, h, h)
+        prods = tb.buffers(7, h, h)
+        ranges = _row_ranges(h, threads)
+        idle = [None] * (threads - len(ranges))
+        pre_views = (*qa, *qb, *st)
+        pre_ops = [
+            (WINO_PRE, *(rows(v, r0, r1) for v in pre_views)) for r0, r1 in ranges
+        ]
         prev = self._tpl_parallel_for(
             tb,
             f"dfs-pre/{s}",
             addition_cost(h, 8, self.machine, self.add_locality),
             (EXT_DEP,),
             threads,
+            pre_ops + idle,
         )
-        child = self._arena_template(h, depth + 1, threads)
-        for _ in range(7):
-            prev = tb.splice(child, ext=(prev,))
+        # Seven sub-problems in sequence, each fully work-shared inside.
+        child = self._arena_template(h, depth + 1, threads, program)
+        for (x, y), p in zip(winograd_factors(qa, qb, st), prods):
+            prev = tb.splice(child, ext=(prev,), views=(x, y, p))
+        post_views = (*prods, *qc)
+        post_ops = [
+            (WINO_POST, *(rows(v, r0, r1) for v in post_views)) for r0, r1 in ranges
+        ]
         self._tpl_parallel_for(
             tb,
             f"dfs-post/{s}",
             addition_cost(h, 7, self.machine, self.add_locality),
             (prev,),
             threads,
+            post_ops + idle,
         )
+
+    def numerics_program(self, n: int, threads: int) -> NumericsProgram:
+        """The numerics of :meth:`build_arena`'s lowering, stamped from
+        the same template recursion (so task ids match)."""
+        m = self.padded_n(n)
+        tpl = self._arena_template(m, 0, threads, {})
+        return tpl.to_program(n, m, self.leaf_cutoff, "winograd")
 
     def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
         """Cost-only lowering straight to a :class:`TaskArena` via
@@ -349,7 +402,6 @@ class CapsStrassen(MatmulAlgorithm):
         self.check_memory(n)
         with trace.span("lower_arena", alg=self.name, n=n, threads=threads):
             m = self.padded_n(n)
-            self._threads = threads
             tb = TemplateBuilder(self._interner)
             tb.splice(self._arena_template(m, 0, threads), ext=())
             return record_lowering(
@@ -363,280 +415,3 @@ class CapsStrassen(MatmulAlgorithm):
                     cutoff=self.leaf_cutoff,
                 )
             )
-
-    def _recurse(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
-        """Algorithm 2: choose BFS or DFS per level."""
-        if s <= self.leaf_cutoff:
-            cost = leaf_gemm_cost(
-                s, self.machine, self.leaf_efficiency, self.leaf_locality
-            )
-            compute = None
-            if execute:
-
-                def compute(av=av, bv=bv, cw=cw):
-                    cw[:, :] = av @ bv
-
-            return omp.task(f"leaf/{s}", cost, deps, compute)
-
-        if depth < self.cutoff_depth:
-            return self._bfs_step(omp, av, bv, cw, s, depth, deps, execute)
-        return self._dfs_step(omp, av, bv, cw, s, depth, deps, execute)
-
-    # ---- BFS: task-parallel with precise dependencies --------------------
-
-    def _bfs_step(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
-        h = s // 2
-        bufs: dict[str, np.ndarray] = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-        one_add = addition_cost(h, 1, self.machine, self.add_locality)
-
-        def add_task(name: str, dep_list, fn: Callable | None) -> Task:
-            return omp.task(f"{name}/{s}", one_add, dep_list, fn if execute else None)
-
-        # Pre-addition chains: s1 -> s2 -> s4; s3; t1 -> t2 -> t4; t3.
-        f = (
-            {
-                "s1": lambda: np.add(a21, a22, out=bufs["s1"]),
-                "s2": lambda: np.subtract(bufs["s1"], a11, out=bufs["s2"]),
-                "s3": lambda: np.subtract(a11, a21, out=bufs["s3"]),
-                "s4": lambda: np.subtract(a12, bufs["s2"], out=bufs["s4"]),
-                "t1": lambda: np.subtract(b12, b11, out=bufs["t1"]),
-                "t2": lambda: np.subtract(b22, bufs["t1"], out=bufs["t2"]),
-                "t3": lambda: np.subtract(b22, b12, out=bufs["t3"]),
-                "t4": lambda: np.subtract(bufs["t2"], b21, out=bufs["t4"]),
-            }
-            if execute
-            else {k: None for k in ("s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4")}
-        )
-        ts1 = add_task("bfs-s1", deps, f["s1"])
-        ts2 = add_task("bfs-s2", [ts1], f["s2"])
-        ts3 = add_task("bfs-s3", deps, f["s3"])
-        ts4 = add_task("bfs-s4", [ts2], f["s4"])
-        tt1 = add_task("bfs-t1", deps, f["t1"])
-        tt2 = add_task("bfs-t2", [tt1], f["t2"])
-        tt3 = add_task("bfs-t3", deps, f["t3"])
-        tt4 = add_task("bfs-t4", [tt2], f["t4"])
-
-        if execute:
-            operands = [
-                (a11, b11, bufs["p1"], list(deps)),
-                (a12, b21, bufs["p2"], list(deps)),
-                (bufs["s4"], b22, bufs["p3"], [ts4]),
-                (a22, bufs["t4"], bufs["p4"], [tt4]),
-                (bufs["s1"], bufs["t1"], bufs["p5"], [ts1, tt1]),
-                (bufs["s2"], bufs["t2"], bufs["p6"], [ts2, tt2]),
-                (bufs["s3"], bufs["t3"], bufs["p7"], [ts3, tt3]),
-            ]
-        else:
-            operands = [
-                (None, None, None, list(deps)),
-                (None, None, None, list(deps)),
-                (None, None, None, [ts4]),
-                (None, None, None, [tt4]),
-                (None, None, None, [ts1, tt1]),
-                (None, None, None, [ts2, tt2]),
-                (None, None, None, [ts3, tt3]),
-            ]
-
-        if self.pack:
-            # Copy raw operand quadrants into private contiguous buffers
-            # before the affected children run (communication avoidance:
-            # pay local copies, save channel traffic).  p1/p2 pack both
-            # factors, p3 its B factor (b22), p4 its A factor (a22);
-            # p5-p7 consume S/T buffers that are already contiguous.
-            operands = [list(op) for op in operands]
-            for idx, n_blocks in self._PACK_BLOCKS.items():
-                pa, pb, _pc, dep_list = operands[idx]
-                pack_a = idx in (0, 1, 3)
-                pack_b = idx in (0, 1, 2)
-                pack_compute = None
-                if execute:
-                    new_a = np.empty((h, h), dtype=np.float64) if pack_a else pa
-                    new_b = np.empty((h, h), dtype=np.float64) if pack_b else pb
-
-                    def pack_compute(
-                        src_a=pa, src_b=pb, dst_a=new_a, dst_b=new_b,
-                        pack_a=pack_a, pack_b=pack_b,
-                    ):
-                        if pack_a:
-                            dst_a[:, :] = src_a
-                        if pack_b:
-                            dst_b[:, :] = src_b
-
-                    operands[idx][0] = new_a
-                    operands[idx][1] = new_b
-                pack_task = omp.task(
-                    f"bfs-pack{idx + 1}/{s}",
-                    self._pack_cost(h, n_blocks),
-                    dep_list,
-                    pack_compute,
-                )
-                operands[idx][3] = [pack_task]
-            operands = [tuple(op) for op in operands]
-
-        kids = [
-            self._recurse(omp, pa, pb, pc, h, depth + 1, tuple(d), execute)
-            for pa, pb, pc, d in operands
-        ]
-
-        # Post additions: U chain then the four output blocks.
-        u_cost = addition_cost(h, 3, self.machine, self.add_locality)
-        u_bufs: dict[str, np.ndarray] = {}
-        u_compute = None
-        if execute:
-            u_bufs = {k: np.empty((h, h), dtype=np.float64) for k in ("u2", "u3", "u4")}
-
-            def u_compute():
-                np.add(bufs["p1"], bufs["p6"], out=u_bufs["u2"])
-                np.add(u_bufs["u2"], bufs["p7"], out=u_bufs["u3"])
-                np.add(u_bufs["u2"], bufs["p5"], out=u_bufs["u4"])
-
-        tu = omp.task(
-            f"bfs-u/{s}", u_cost, [kids[0], kids[4], kids[5], kids[6]], u_compute
-        )
-
-        if self.pack and execute:
-            # Results land in private buffers first, then get
-            # redistributed to the canonical layout by the unpack task.
-            c_dst = {k: np.empty((h, h), dtype=np.float64) for k in ("c11", "c12", "c21", "c22")}
-        elif execute:
-            c_dst = {
-                "c11": cw[:h, :h],
-                "c12": cw[:h, h:],
-                "c21": cw[h:, :h],
-                "c22": cw[h:, h:],
-            }
-        if execute:
-            c_ops = [
-                ("c11", [kids[0], kids[1]], lambda: np.add(bufs["p1"], bufs["p2"], out=c_dst["c11"])),
-                ("c12", [tu, kids[2]], lambda: np.add(u_bufs["u4"], bufs["p3"], out=c_dst["c12"])),
-                ("c21", [tu, kids[3]], lambda: np.subtract(u_bufs["u3"], bufs["p4"], out=c_dst["c21"])),
-                ("c22", [tu, kids[4]], lambda: np.add(u_bufs["u3"], bufs["p5"], out=c_dst["c22"])),
-            ]
-        else:
-            c_ops = [
-                ("c11", [kids[0], kids[1]], None),
-                ("c12", [tu, kids[2]], None),
-                ("c21", [tu, kids[3]], None),
-                ("c22", [tu, kids[4]], None),
-            ]
-        c_tasks = [add_task(f"bfs-{name}", dep_list, fn) for name, dep_list, fn in c_ops]
-        if not self.pack:
-            return omp.taskwait(c_tasks, name=f"bfs-join/{s}")
-        # Redistribute the four result blocks back into C's layout.
-        unpack_compute = None
-        if execute:
-
-            def unpack_compute():
-                cw[:h, :h] = c_dst["c11"]
-                cw[:h, h:] = c_dst["c12"]
-                cw[h:, :h] = c_dst["c21"]
-                cw[h:, h:] = c_dst["c22"]
-
-        return omp.task(
-            f"bfs-unpack/{s}", self._pack_cost(h, 4), c_tasks, unpack_compute
-        )
-
-    # ---- DFS: sequential sub-problems, work-shared loops ------------------
-
-    def _dfs_step(self, omp, av, bv, cw, s, depth, deps, execute) -> Task:
-        h = s // 2
-        threads = self._threads
-
-        if s <= self.dfs_grain:
-            # Work-shared stage over the whole remaining sub-tree.
-            cost = self.subtree_cost(s)
-            computes = None
-            if execute:
-
-                def whole(av=av, bv=bv, cw=cw):
-                    cw[:, :] = winograd_product(av, bv, self.leaf_cutoff)
-
-                computes = [whole] + [None] * (threads - 1)
-            return omp.parallel_for(
-                f"dfs-grain/{s}", cost, deps, chunks=threads, chunk_computes=computes
-            )
-
-        bufs: dict[str, np.ndarray] = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-        # Pre additions: one work-shared loop computing all S/T rows.
-        pre_cost = addition_cost(h, 8, self.machine, self.add_locality)
-        pre_computes = None
-        if execute:
-            pre_computes = []
-            for r0, r1 in _row_ranges(h, threads):
-
-                def chunk(r0=r0, r1=r1):
-                    np.add(a21[r0:r1], a22[r0:r1], out=bufs["s1"][r0:r1])
-                    np.subtract(bufs["s1"][r0:r1], a11[r0:r1], out=bufs["s2"][r0:r1])
-                    np.subtract(a11[r0:r1], a21[r0:r1], out=bufs["s3"][r0:r1])
-                    np.subtract(a12[r0:r1], bufs["s2"][r0:r1], out=bufs["s4"][r0:r1])
-                    np.subtract(b12[r0:r1], b11[r0:r1], out=bufs["t1"][r0:r1])
-                    np.subtract(b22[r0:r1], bufs["t1"][r0:r1], out=bufs["t2"][r0:r1])
-                    np.subtract(b22[r0:r1], b12[r0:r1], out=bufs["t3"][r0:r1])
-                    np.subtract(bufs["t2"][r0:r1], b21[r0:r1], out=bufs["t4"][r0:r1])
-
-                pre_computes.append(chunk)
-            pre_computes += [None] * (threads - len(pre_computes))
-        pre = omp.parallel_for(
-            f"dfs-pre/{s}", pre_cost, deps, chunks=threads, chunk_computes=pre_computes
-        )
-
-        # Seven sub-problems in sequence, each fully work-shared inside.
-        if execute:
-            pairs = [
-                (a11, b11, bufs["p1"]),
-                (a12, b21, bufs["p2"]),
-                (bufs["s4"], b22, bufs["p3"]),
-                (a22, bufs["t4"], bufs["p4"]),
-                (bufs["s1"], bufs["t1"], bufs["p5"]),
-                (bufs["s2"], bufs["t2"], bufs["p6"]),
-                (bufs["s3"], bufs["t3"], bufs["p7"]),
-            ]
-        else:
-            pairs = [(None, None, None)] * 7
-        prev: Task = pre
-        for i, (pa, pb, pc) in enumerate(pairs, start=1):
-            prev = self._recurse(
-                omp, pa, pb, pc, h, depth + 1, (prev,), execute
-            )
-
-        # Post additions: one work-shared loop (row-wise U chain + C).
-        post_cost = addition_cost(h, 7, self.machine, self.add_locality)
-        post_computes = None
-        if execute:
-            post_computes = []
-            for r0, r1 in _row_ranges(h, threads):
-
-                def chunk(r0=r0, r1=r1):
-                    u2 = bufs["p1"][r0:r1] + bufs["p6"][r0:r1]
-                    u3 = u2 + bufs["p7"][r0:r1]
-                    u4 = u2 + bufs["p5"][r0:r1]
-                    np.add(bufs["p1"][r0:r1], bufs["p2"][r0:r1], out=cw[r0:r1, :h])
-                    np.add(u4, bufs["p3"][r0:r1], out=cw[r0:r1, h:])
-                    np.subtract(u3, bufs["p4"][r0:r1], out=cw[h + r0 : h + r1, :h])
-                    np.add(u3, bufs["p5"][r0:r1], out=cw[h + r0 : h + r1, h:])
-
-                post_computes.append(chunk)
-            post_computes += [None] * (threads - len(post_computes))
-        return omp.parallel_for(
-            f"dfs-post/{s}", post_cost, [prev], chunks=threads, chunk_computes=post_computes
-        )

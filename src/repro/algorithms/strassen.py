@@ -24,17 +24,8 @@ instead, used by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import numpy as np
-
-from ..linalg.dense import pad_to_power_of_two, working_set_bytes
-from ..linalg.fastmm import (
-    classic_strassen_product,
-    recursion_depth,
-    winograd_product,
-    winograd_product_peeled,
-)
+from ..linalg.dense import working_set_bytes
+from ..linalg.fastmm import recursion_depth
 from ..machine.specs import MachineSpec
 from ..runtime.arena import (
     EXT_CREATOR,
@@ -45,8 +36,6 @@ from ..runtime.arena import (
     TemplateBuilder,
 )
 from ..runtime.cost import TaskCost
-from ..runtime.openmp import OpenMP
-from ..runtime.task import Task
 from ..util.errors import ConfigurationError
 from ..util.validation import (
     next_power_of_two,
@@ -56,6 +45,27 @@ from ..util.validation import (
 from ..observability import trace
 from .base import BuildResult, MatmulAlgorithm, record_lowering
 from .kernels import addition_cost, leaf_gemm_cost
+from .program import (
+    CLASSIC_POST,
+    CLASSIC_PRE,
+    GEMM,
+    GRAIN_CLASSIC,
+    GRAIN_PEELED,
+    GRAIN_WINOGRAD,
+    PEEL,
+    SUB_A,
+    SUB_B,
+    SUB_C,
+    WINO_POST,
+    WINO_PRE,
+    NumericsProgram,
+    ProgramBuilder,
+    ProgramTemplate,
+    block,
+    full,
+    quadrants,
+    winograd_factors,
+)
 
 __all__ = ["StrassenWinograd"]
 
@@ -244,94 +254,102 @@ class StrassenWinograd(MatmulAlgorithm):
 
     # ---- lowering --------------------------------------------------------
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Lower to a BOTS-style task graph (pre -> 7 children -> post)."""
-        require_positive(threads, "threads")
-        self.check_memory(n)
-        a, b, c = self._operands(n, seed, execute)
-        m = self.padded_n(n)
-
-        ap, bp, cp = a, b, c
-        if execute and m != n:
-            # The recursion runs on the padded problem; C is the valid
-            # region of the padded product (a view, so no extra task).
-            ap, _ = pad_to_power_of_two(a)
-            bp, _ = pad_to_power_of_two(b)
-            cp = np.zeros((m, m), dtype=np.float64)
-            c = cp[:n, :n]
-
-        omp = OpenMP(f"{self.name}[n={n}]", threads)
-        self._recurse(omp, ap, bp, cp, m, deps=(), execute=execute)
-
-        return BuildResult(
-            graph=omp.graph,
-            n=n,
-            a=a,
-            b=b,
-            c=c,
-            variant=self.variant,
-            cutoff=self.cutoff,
-        )
-
-    # ---- templated lowering (arena path) --------------------------------
-
-    def _arena_template(self, s: int) -> SubtreeTemplate:
+    def _arena_template(
+        self, s: int, program: dict | None = None
+    ) -> SubtreeTemplate | ProgramTemplate:
         """Relocatable template of the subtree at dimension *s*.
 
         Built once per recursion level and memoized: the template at
         *s* stamps seven copies of the template at ``s/2`` (array
         copies) plus the pre/post rows, so a full lowering costs
         ``O(depth)`` template builds instead of ``O(7^depth)`` Python
-        ``Task`` constructions.  Emission order mirrors
-        :meth:`_recurse` exactly, which makes the stamped arena
-        bit-identical to ``TaskArena.from_graph(build(execute=False))``.
+        ``Task`` constructions.
+
+        This recursion is the one definition of the algorithm's tasks.
+        Each task also declares its numerics op over the subtree's
+        A/B/C views and its temporaries; with a *program* memo (a fresh
+        dict per numerics program) the same calls build the
+        :class:`~repro.algorithms.program.ProgramTemplate` instead, kept
+        out of the instance's cost memo.
         """
-        tpl = self._tpl_memo.get(s)
+        memo = self._tpl_memo if program is None else program
+        tpl = memo.get(s)
         if tpl is not None:
             return tpl
-        tb = TemplateBuilder(self._interner)
+        tb = TemplateBuilder(self._interner) if program is None else ProgramBuilder()
+        A, B, C = full(SUB_A, s), full(SUB_B, s), full(SUB_C, s)
         if s <= self.cutoff:
             cost = leaf_gemm_cost(
                 s, self.machine, self.leaf_efficiency, self.leaf_locality
             )
-            tb.emit(f"leaf/{s}", cost, (EXT_DEP,), created_by=EXT_CREATOR)
+            tb.emit(
+                f"leaf/{s}", cost, (EXT_DEP,), created_by=EXT_CREATOR,
+                op=(GEMM, A, B, C),
+            )
         elif s % 2 == 1 and s > self.grain:
             # Dynamic peeling: even core first, then the border task.
-            core = tb.splice(
-                self._arena_template(s - 1),
+            m = s - 1
+            (core,) = tb.buffers(1, m, m)
+            last = tb.splice(
+                self._arena_template(m, program),
                 ext=(EXT_DEP,),
                 ext_creator=EXT_CREATOR,
+                views=(block(A, 0, 0, m, m), block(B, 0, 0, m, m), core),
             )
             tb.emit(
-                f"peel/{s}", self._peel_cost(s - 1), (core,),
-                created_by=EXT_CREATOR,
+                f"peel/{s}", self._peel_cost(m), (last,),
+                created_by=EXT_CREATOR, op=(PEEL, A, B, C, core),
             )
         elif s <= self.grain:
+            kind = GRAIN_CLASSIC if self.classic else GRAIN_WINOGRAD
+            if self.odd_strategy == "peel":
+                kind = GRAIN_PEELED
             tb.emit(
                 f"grain/{s}", self.subtree_cost(s), (EXT_DEP,),
-                created_by=EXT_CREATOR,
+                created_by=EXT_CREATOR, op=(kind, A, B, C),
             )
         else:
             h = s // 2
-            child = self._arena_template(h)
+            child = self._arena_template(h, program)
+            qa, qb = quadrants(A), quadrants(B)
+            if self.classic:
+                left, right, prods = (tb.buffers(7, h, h) for _ in range(3))
+                pre_op = (CLASSIC_PRE, *qa, *qb, *left, *right)
+                factors = list(zip(left, right))
+                post_kind = CLASSIC_POST
+            else:
+                st = tb.buffers(8, h, h)
+                prods = tb.buffers(7, h, h)
+                pre_op = (WINO_PRE, *qa, *qb, *st)
+                factors = winograd_factors(qa, qb, st)
+                post_kind = WINO_POST
             pre = tb.emit(
                 f"pre/{s}",
                 addition_cost(h, self.pre_adds, self.machine, self.add_locality),
                 (EXT_DEP,),
                 created_by=EXT_CREATOR,
+                op=pre_op,
             )
-            kids = [tb.splice(child, ext=(pre,), ext_creator=pre) for _ in range(7)]
+            kids = [
+                tb.splice(child, ext=(pre,), ext_creator=pre, views=(x, y, p))
+                for (x, y), p in zip(factors, prods)
+            ]
             tb.emit(
                 f"post/{s}",
                 addition_cost(h, self.post_adds, self.machine, self.add_locality),
                 kids,
                 created_by=EXT_CREATOR,
+                op=(post_kind, *prods, *quadrants(C)),
             )
         tpl = tb.finish()
-        self._tpl_memo[s] = tpl
+        memo[s] = tpl
         return tpl
+
+    def numerics_program(self, n: int, threads: int) -> NumericsProgram:
+        """The numerics of :meth:`build_arena`'s lowering, stamped from
+        the same template recursion (so task ids match)."""
+        m = self.padded_n(n)
+        return self._arena_template(m, {}).to_program(n, m, self.cutoff, self.variant)
 
     def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
         """Cost-only lowering straight to a :class:`TaskArena` via
@@ -354,203 +372,3 @@ class StrassenWinograd(MatmulAlgorithm):
                     cutoff=self.cutoff,
                 )
             )
-
-    def _recurse(
-        self,
-        omp: OpenMP,
-        av: np.ndarray | None,
-        bv: np.ndarray | None,
-        cw: np.ndarray | None,
-        s: int,
-        deps: tuple,
-        execute: bool,
-        created_by: Task | None = None,
-    ) -> Task:
-        """Emit the sub-graph for ``cw = av @ bv`` at dimension *s*;
-        returns the terminal task."""
-        if s <= self.cutoff:
-            cost = leaf_gemm_cost(
-                s, self.machine, self.leaf_efficiency, self.leaf_locality
-            )
-            compute = None
-            if execute:
-
-                def compute(av=av, bv=bv, cw=cw):
-                    cw[:, :] = av @ bv
-
-            return omp.task(f"leaf/{s}", cost, deps, compute, created_by=created_by)
-
-        if s % 2 == 1 and s > self.grain:
-            # Dynamic peeling: recurse on the even core, then restore
-            # the borders with a GEMV/rank-1 task.
-            return self._expand_peel(omp, av, bv, cw, s, deps, execute, created_by)
-
-        if s <= self.grain:
-            cost = self.subtree_cost(s)
-            compute = None
-            if execute:
-                if self.odd_strategy == "peel":
-                    product = lambda x, y, cutoff: winograd_product_peeled(x, y, cutoff)
-                elif self.classic:
-                    product = classic_strassen_product
-                else:
-                    product = winograd_product
-
-                def compute(av=av, bv=bv, cw=cw, product=product):
-                    cw[:, :] = product(av, bv, self.cutoff)
-
-            return omp.task(f"grain/{s}", cost, deps, compute, created_by=created_by)
-
-        if self.classic:
-            return self._expand_classic(omp, av, bv, cw, s, deps, execute, created_by)
-        return self._expand_winograd(omp, av, bv, cw, s, deps, execute, created_by)
-
-    def _expand_peel(self, omp, av, bv, cw, s, deps, execute, created_by) -> Task:
-        m = s - 1
-        core = None
-        if execute:
-            core = np.empty((m, m), dtype=np.float64)
-        core_term = self._recurse(
-            omp,
-            av[:m, :m] if execute else None,
-            bv[:m, :m] if execute else None,
-            core,
-            m,
-            deps,
-            execute,
-            created_by,
-        )
-        peel_compute = None
-        if execute:
-
-            def peel_compute(av=av, bv=bv, cw=cw, core=core, m=m):
-                cw[:m, :m] = core + np.outer(av[:m, m], bv[m, :m])
-                cw[:m, m] = av[:m, :m] @ bv[:m, m] + av[:m, m] * bv[m, m]
-                cw[m, :m] = av[m, :m] @ bv[:m, :m] + av[m, m] * bv[m, :m]
-                cw[m, m] = av[m, :m] @ bv[:m, m] + av[m, m] * bv[m, m]
-
-        return omp.task(
-            f"peel/{s}", self._peel_cost(m), [core_term], peel_compute,
-            created_by=created_by,
-        )
-
-    # ---- node expansions -------------------------------------------------
-
-    def _expand_winograd(self, omp, av, bv, cw, s, deps, execute, created_by=None) -> Task:
-        h = s // 2
-        bufs = {}
-        if execute:
-            names = ["s1", "s2", "s3", "s4", "t1", "t2", "t3", "t4"] + [
-                f"p{i}" for i in range(1, 8)
-            ]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-
-        pre_cost = addition_cost(h, self.pre_adds, self.machine, self.add_locality)
-        pre_compute = None
-        if execute:
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-            def pre_compute(bufs=bufs):
-                np.add(a21, a22, out=bufs["s1"])
-                np.subtract(bufs["s1"], a11, out=bufs["s2"])
-                np.subtract(a11, a21, out=bufs["s3"])
-                np.subtract(a12, bufs["s2"], out=bufs["s4"])
-                np.subtract(b12, b11, out=bufs["t1"])
-                np.subtract(b22, bufs["t1"], out=bufs["t2"])
-                np.subtract(b22, b12, out=bufs["t3"])
-                np.subtract(bufs["t2"], b21, out=bufs["t4"])
-
-        pre = omp.task(f"pre/{s}", pre_cost, deps, pre_compute, created_by=created_by)
-
-        if execute:
-            pairs = [
-                (a11, b11, bufs["p1"]),
-                (a12, b21, bufs["p2"]),
-                (bufs["s4"], b22, bufs["p3"]),
-                (a22, bufs["t4"], bufs["p4"]),
-                (bufs["s1"], bufs["t1"], bufs["p5"]),
-                (bufs["s2"], bufs["t2"], bufs["p6"]),
-                (bufs["s3"], bufs["t3"], bufs["p7"]),
-            ]
-        else:
-            pairs = [(None, None, None)] * 7
-        children = [
-            self._recurse(omp, pa, pb, pc, h, (pre,), execute, created_by=pre)
-            for pa, pb, pc in pairs
-        ]
-
-        post_cost = addition_cost(h, self.post_adds, self.machine, self.add_locality)
-        post_compute = None
-        if execute:
-
-            def post_compute(bufs=bufs, cw=cw, h=h):
-                u2 = bufs["p1"] + bufs["p6"]
-                u3 = u2 + bufs["p7"]
-                u4 = u2 + bufs["p5"]
-                np.add(bufs["p1"], bufs["p2"], out=cw[:h, :h])
-                np.add(u4, bufs["p3"], out=cw[:h, h:])
-                np.subtract(u3, bufs["p4"], out=cw[h:, :h])
-                np.add(u3, bufs["p5"], out=cw[h:, h:])
-
-        return omp.task(f"post/{s}", post_cost, children, post_compute, created_by=created_by)
-
-    def _expand_classic(self, omp, av, bv, cw, s, deps, execute, created_by=None) -> Task:
-        h = s // 2
-        bufs = {}
-        if execute:
-            names = [f"l{i}" for i in range(1, 8)] + [f"r{i}" for i in range(1, 8)]
-            names += [f"q{i}" for i in range(1, 8)]
-            bufs = {name: np.empty((h, h), dtype=np.float64) for name in names}
-
-        pre_cost = addition_cost(h, self.pre_adds, self.machine, self.add_locality)
-        pre_compute = None
-        if execute:
-            a11, a12 = av[:h, :h], av[:h, h:]
-            a21, a22 = av[h:, :h], av[h:, h:]
-            b11, b12 = bv[:h, :h], bv[:h, h:]
-            b21, b22 = bv[h:, :h], bv[h:, h:]
-
-            def pre_compute(bufs=bufs):
-                # Left factors (paper Eq. 7, corrected).
-                np.add(a11, a22, out=bufs["l1"])
-                np.add(a21, a22, out=bufs["l2"])
-                bufs["l3"][:, :] = a11
-                bufs["l4"][:, :] = a22
-                np.add(a11, a12, out=bufs["l5"])
-                np.subtract(a21, a11, out=bufs["l6"])
-                np.subtract(a12, a22, out=bufs["l7"])
-                # Right factors.
-                np.add(b11, b22, out=bufs["r1"])
-                bufs["r2"][:, :] = b11
-                np.subtract(b12, b22, out=bufs["r3"])
-                np.subtract(b21, b11, out=bufs["r4"])
-                bufs["r5"][:, :] = b22
-                np.add(b11, b12, out=bufs["r6"])
-                np.add(b21, b22, out=bufs["r7"])
-
-        pre = omp.task(f"pre/{s}", pre_cost, deps, pre_compute, created_by=created_by)
-
-        if execute:
-            pairs = [(bufs[f"l{i}"], bufs[f"r{i}"], bufs[f"q{i}"]) for i in range(1, 8)]
-        else:
-            pairs = [(None, None, None)] * 7
-        children = [
-            self._recurse(omp, pa, pb, pc, h, (pre,), execute, created_by=pre)
-            for pa, pb, pc in pairs
-        ]
-
-        post_cost = addition_cost(h, self.post_adds, self.machine, self.add_locality)
-        post_compute = None
-        if execute:
-
-            def post_compute(bufs=bufs, cw=cw, h=h):
-                q = {i: bufs[f"q{i}"] for i in range(1, 8)}
-                cw[:h, :h] = q[1] + q[4] - q[5] + q[7]
-                cw[:h, h:] = q[3] + q[5]
-                cw[h:, :h] = q[2] + q[4]
-                cw[h:, h:] = q[1] - q[2] + q[3] + q[6]
-
-        return omp.task(f"post/{s}", post_cost, children, post_compute, created_by=created_by)

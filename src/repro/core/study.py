@@ -93,10 +93,11 @@ class StudyConfig:
     seed:
         Operand RNG seed (same operands for every algorithm).
     execute_max_n:
-        Sizes up to this bound check their numerics: the cell lowers the
-        executed graph, replays its numpy closures in the simulated
-        schedule's start order and verifies the product
-        (:func:`repro.runtime.replay.replay_numerics`).  Every cell
+        Sizes up to this bound check their numerics: the cell stamps
+        its numerics program, runs it in the simulated schedule's start
+        order and verifies the product
+        (:meth:`repro.algorithms.base.MatmulAlgorithm.check_numerics`).
+        Every cell
         simulates the same cost-only lowering, so the timings and
         energies are identical either way.
     verify:
@@ -602,9 +603,9 @@ def prebuild_arena_cell(
     columnar arena — those pickle compactly (plain numpy columns, no
     ``Task`` objects or closures), so shipping the build saves every
     worker from re-lowering the same cell.  Every cell simulates its
-    cost-only lowering, numerics-checked ones included (their executed
-    graph is lowered worker-side by the replay); object-graph lowerings
-    stay worker-side.
+    cost-only lowering, numerics-checked ones included (their numerics
+    program is stamped worker-side); object-graph lowerings stay
+    worker-side.
 
     Returns ``None`` whenever the cell should be built by the worker
     instead; shared by the parallel study driver and the study
@@ -675,8 +676,8 @@ def _run_cell(payload) -> RunMeasurement:
     """Build, simulate and (optionally) check the numerics of one cell.
 
     Every cell simulates its cost-only lowering.  A *verified* cell then
-    lowers the executed graph and replays it in the simulated schedule's
-    start order before verifying the product
+    runs its stamped numerics program in the simulated schedule's start
+    order before verifying the product
     (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`); the
     measurement never depends on it.
 

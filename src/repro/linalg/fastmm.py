@@ -1,9 +1,9 @@
 """Sequential reference implementations of fast matrix multiplication.
 
 These are the *numerical* kernels of the Strassen family — pure numpy,
-no simulation.  The task-graph lowerings in :mod:`repro.algorithms`
-attach them (or their single-level steps) as compute closures, and the
-test suite uses them as independent oracles.
+no simulation.  The numerics programs of :mod:`repro.algorithms` run
+them (whole, as grain tasks, or as single-level steps), and the
+``numerics_program`` verify family uses them as independent oracles.
 
 Both schedules follow the operation counts the cost models assume:
 

@@ -38,9 +38,12 @@ Three layers live here:
   object path alive as the differential oracle.
 
 Every study cell simulates an arena (no closures, no ``Task`` churn,
-cheap to pickle across study workers); numerics come from the object
-lowering, whose closures cannot be columnized, replayed in the arena's
-schedule order (:mod:`repro.runtime.replay`).
+cheap to pickle across study workers).  The dense algorithms' template
+recursions also declare each task's numerics op; the cost-only
+:class:`TemplateBuilder` drops those declarations, and a
+:class:`~repro.algorithms.program.ProgramBuilder` driven by the same
+recursion keeps them as a numerics program run in the arena's schedule
+order.
 """
 
 from __future__ import annotations
@@ -764,6 +767,11 @@ class TemplateBuilder:
     def __len__(self) -> int:
         return self._count
 
+    def buffers(self, k: int, nr: int, nc: int) -> list[tuple]:
+        """Views of *k* ``nr x nc`` numerics temporaries.  The cost
+        template keeps no buffers: the views only feed ignored ops."""
+        return [(i, 0, 0, nr, nc) for i in range(k)]
+
     def emit(
         self,
         name: str,
@@ -771,9 +779,12 @@ class TemplateBuilder:
         deps: Iterable[int] = (),
         created_by: int = NO_CREATOR,
         untied: bool = True,
+        op: tuple | None = None,
     ) -> int:
         """Append one task; *deps* entries are local ids or
-        :data:`EXT_DEP`.  Returns the task's local id."""
+        :data:`EXT_DEP`.  Returns the task's local id.  *op* is the
+        task's numerics, which only a numerics
+        :class:`~repro.algorithms.program.ProgramBuilder` keeps."""
         tid = self._count
         self._names.append(self._interner.intern(name))
         self._costs.append(
@@ -823,6 +834,7 @@ class TemplateBuilder:
         tpl: SubtreeTemplate,
         ext: Sequence[int] = (),
         ext_creator: int = NO_CREATOR,
+        views: Sequence[tuple] = (),
     ) -> int:
         """Stamp one instance of *tpl* at the current position; returns
         the (local) id of the instance's terminal task.
@@ -830,7 +842,8 @@ class TemplateBuilder:
         *ext* supplies the instance's external dependency list (may
         itself contain :data:`EXT_DEP` to pass the enclosing template's
         externals through); *ext_creator* resolves the instance's
-        :data:`EXT_CREATOR` rows the same way.
+        :data:`EXT_CREATOR` rows the same way.  *views* (the instance's
+        numerics operands) are ignored here, as in :meth:`emit`.
         """
         self._flush()
         base = self._count

@@ -1,25 +1,29 @@
 """Numerics as a replay of a finished schedule.
 
-Simulation prices task costs only: no event kernel ever calls a
-``compute`` closure, so every study cell simulates its cost-only arena.
-A run that checks its numerics lowers the executed object graph
-separately and replays its closures here, in the schedule's start order
+Simulation prices task costs only: no event kernel ever runs numerics,
+so every study cell simulates its cost-only arena.  A run that checks
+its numerics runs them afterwards, in the schedule's start order
 (:meth:`~repro.runtime.scheduler.Schedule.start_order`).  The product
 is thus still computed by running the DAG in the order the simulated
 machine ran it.
 
-:func:`replay` is the checked core.  The executed graph must match the
-simulated one task for task (same length and names), and every task's
-dependencies must have run before it; either defect raises
-:class:`~repro.util.errors.SchedulingError` instead of producing a
-wrong result.  :func:`replay_numerics` is the one entry point the study
-cell, the measurement protocol and the sparse study share: lower,
-replay, verify.
+:func:`check_order` is the one guard every replay passes: the order
+must be a linear extension of the simulated arena (a permutation of its
+task ids that runs every task after its dependencies), tested with one
+vectorized position comparison over the arena's dependency CSR.  A
+violation raises :class:`~repro.util.errors.SchedulingError` before
+anything runs.  The dense algorithms run a numerics program stamped
+from their lowering templates
+(:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`);
+object graphs with ``compute`` closures (sparse kernels, block LU) go
+through :func:`replay` and :func:`replay_numerics`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from ..observability import trace
 from ..util.errors import SchedulingError
@@ -29,75 +33,62 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import Schedule
     from .task import TaskGraph
 
-__all__ = ["replay", "replay_numerics"]
+__all__ = ["check_order", "replay", "replay_numerics"]
 
 
-def _names(graph: "TaskGraph | TaskArena") -> list[str]:
-    if isinstance(graph, TaskArena):
-        return graph.names_list()
-    return [task.name for task in graph.tasks]
+def check_order(arena: TaskArena, order: Sequence[int]) -> None:
+    """Raise :class:`SchedulingError` unless *order* is a linear
+    extension of *arena*: a permutation of its task ids in which every
+    dependency comes before its dependent."""
+    n = len(arena)
+    pos_of = np.asarray(order, dtype=np.int64)
+    if len(pos_of) != n:
+        raise SchedulingError(f"replay order has {len(pos_of)} entries for {n} tasks")
+    if n == 0:
+        return
+    if pos_of.min() < 0 or pos_of.max() >= n:
+        raise SchedulingError(f"replay order names a task outside 0..{n - 1}")
+    names = arena.names
+    ids = arena.name_ids
+    counts = np.bincount(pos_of, minlength=n)
+    if np.any(counts > 1):
+        tid = int(pos_of[np.flatnonzero(counts[pos_of] > 1)[0]])
+        raise SchedulingError(f"replay order runs {names[ids[tid]]!r} twice")
+    pos = np.empty(n, dtype=np.int64)
+    pos[pos_of] = np.arange(n, dtype=np.int64)
+    owners = np.repeat(np.arange(n, dtype=np.int64), arena.dep_counts)
+    late = np.flatnonzero(pos[arena.dep_indices] >= pos[owners])
+    if len(late):
+        # Report the violation the order reaches first.
+        edge = late[np.argmin(pos[owners[late]])]
+        task, dep = int(owners[edge]), int(arena.dep_indices[edge])
+        raise SchedulingError(
+            f"replay order runs {names[ids[task]]!r} before its "
+            f"dependency {names[ids[dep]]!r}"
+        )
 
 
-def replay(
-    graph: "TaskGraph",
-    order: Sequence[int],
-    simulated: "TaskGraph | TaskArena | None" = None,
-) -> None:
-    """Run *graph*'s ``compute`` closures in *order* (task ids).
+def replay(graph: "TaskGraph", order: Sequence[int]) -> None:
+    """Run *graph*'s ``compute`` closures in *order* (task ids), after
+    :func:`check_order` on the graph's arena twin.  Raises
+    :class:`SchedulingError` when *graph* is a cost-only arena or the
+    order is not a linear extension."""
+    from .plans import arena_of
 
-    *simulated*, when given, is the graph the schedule was made from;
-    *graph* must match it task for task.  Raises
-    :class:`SchedulingError` when *graph* is a cost-only arena, when the
-    graphs differ, when *order* is not a permutation of the task ids,
-    or when it runs a task before one of its dependencies.
-    """
     if isinstance(graph, TaskArena):
         raise SchedulingError(
             f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
-            f"closures); replay the executed object lowering"
+            f"closures); replay an object graph that has them"
         )
+    check_order(arena_of(graph), order)
     tasks = graph.tasks
-    n = len(tasks)
-    if simulated is not None:
-        want = _names(simulated)
-        if len(want) != n:
-            raise SchedulingError(
-                f"executed graph {graph.name!r} has {n} tasks but the "
-                f"simulated graph has {len(want)}"
-            )
-        got = _names(graph)
-        if got != want:
-            tid = next(i for i, (a, b) in enumerate(zip(got, want)) if a != b)
-            raise SchedulingError(
-                f"executed graph {graph.name!r} differs from the simulated "
-                f"graph at task {tid}: {got[tid]!r} vs {want[tid]!r}"
-            )
-    if len(order) != n:
-        raise SchedulingError(
-            f"replay order has {len(order)} entries for {n} tasks"
-        )
-    done = bytearray(n)
     for tid in order:
-        task = tasks[tid]
-        if done[tid]:
-            raise SchedulingError(f"replay order runs {task.name!r} twice")
-        for dep in task.deps:
-            if not done[dep]:
-                raise SchedulingError(
-                    f"replay order runs {task.name!r} before its "
-                    f"dependency {tasks[dep].name!r}"
-                )
-        if task.compute is not None:
-            task.compute()
-        done[tid] = 1
+        compute = tasks[tid].compute
+        if compute is not None:
+            compute()
 
 
-def replay_numerics(
-    lower: Callable[[], object],
-    schedule: "Schedule",
-    simulated: "TaskGraph | TaskArena | None" = None,
-    **attrs,
-):
+def replay_numerics(lower: Callable[[], object], schedule: "Schedule", **attrs):
     """Check a simulated run's numerics; returns the build's ``verify()``.
 
     *lower* returns a fresh executed build (an object graph with
@@ -107,6 +98,6 @@ def replay_numerics(
     """
     with trace.span("numerics", **attrs):
         executed = lower()
-        replay(executed.graph, schedule.start_order(), simulated)
+        replay(executed.graph, schedule.start_order())
     with trace.span("verify", **attrs):
         return executed.verify()

@@ -4,7 +4,9 @@ A :class:`TaskGraph` is the intermediate representation every algorithm
 in :mod:`repro.algorithms` lowers to: a DAG of :class:`Task` nodes, each
 carrying a :class:`~repro.runtime.cost.TaskCost` and (optionally) a
 ``compute`` closure that performs the real numpy numerics when a
-verified run replays the schedule (:mod:`repro.runtime.replay`).
+verified run replays the schedule (:mod:`repro.runtime.replay`; the
+dense algorithms lower to columnar arenas instead and run stamped
+numerics programs).
 
 The graph validates itself (no unknown dependencies, no cycles) and can
 compute structural metrics — total work, critical path, average

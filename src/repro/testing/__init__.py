@@ -13,8 +13,11 @@ agreement).  This package turns those identities into a harness:
 * :mod:`repro.testing.invariants` — the invariant library, run against
   every simulated case;
 * :mod:`repro.testing.oracle` — differential oracles: ``engine="fast"``
-  vs ``engine="reference"`` and ``parallel=N`` vs serial study
-  execution, asserted bit-for-bit;
+  vs ``engine="reference"``, ``parallel=N`` vs serial study execution,
+  templated vs object lowering, and stamped numerics vs the sequential
+  fast matmul, asserted bit-for-bit;
+* :mod:`repro.testing.lowering` — the object lowering of the dense
+  algorithms the templated ``build_arena`` must equal;
 * :mod:`repro.testing.netlowering` — the scalar reference network
   lowering the batched one must equal column for column;
 * :mod:`repro.testing.faults` — fault injection for the simulated RAPL
@@ -34,10 +37,12 @@ from .generators import (
     POLICIES,
     GraphCase,
     NetworkCase,
+    NumericsCase,
     gen_algorithm_case,
     gen_graph_case,
     gen_machine,
     gen_network_case,
+    gen_numerics_case,
     gen_scaling_case,
     gen_study_config,
     shrink_graph_case,
@@ -56,6 +61,7 @@ from .oracle import (
     differential_compiled_check,
     differential_engine_check,
     differential_network_check,
+    differential_numerics_check,
     differential_service_check,
     differential_study_check,
 )
@@ -68,6 +74,7 @@ __all__ = [
     "FaultyMsr",
     "GraphCase",
     "NetworkCase",
+    "NumericsCase",
     "VerifyReport",
     "Violation",
     "assert_no_violations",
@@ -81,12 +88,14 @@ __all__ = [
     "differential_compiled_check",
     "differential_engine_check",
     "differential_network_check",
+    "differential_numerics_check",
     "differential_service_check",
     "differential_study_check",
     "gen_algorithm_case",
     "gen_graph_case",
     "gen_machine",
     "gen_network_case",
+    "gen_numerics_case",
     "gen_scaling_case",
     "gen_study_config",
     "run_verify",

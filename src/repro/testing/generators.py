@@ -42,6 +42,7 @@ __all__ = [
     "AlgorithmCase",
     "LoweringCase",
     "NetworkCase",
+    "NumericsCase",
     "ScalingCase",
     "case_strategy",
     "gen_algorithm_case",
@@ -49,6 +50,7 @@ __all__ = [
     "gen_lowering_case",
     "gen_machine",
     "gen_network_case",
+    "gen_numerics_case",
     "gen_scaling_case",
     "gen_study_config",
     "shrink_graph_case",
@@ -108,7 +110,8 @@ class AlgorithmCase:
 class LoweringCase:
     """One (algorithm, n, threads) cell for the templated-lowering
     differential: the columnar ``build_arena`` stamping must be
-    bit-identical to the object ``build(execute=False)`` recursion."""
+    bit-identical to the object lowering of
+    :mod:`repro.testing.lowering`."""
 
     seed: int
     machine: MachineSpec
@@ -120,6 +123,33 @@ class LoweringCase:
         return (
             f"seed={self.seed} machine={self.machine.name} "
             f"alg={self.algorithm} n={self.n} threads={self.threads}"
+        )
+
+
+@dataclass(frozen=True)
+class NumericsCase:
+    """One configured dense algorithm at ``(n, threads)`` for the
+    ``numerics_program`` family: its stamped numerics must reproduce
+    the sequential :mod:`repro.linalg.fastmm` product byte for byte, in
+    any linear extension of its DAG."""
+
+    seed: int
+    machine: MachineSpec
+    algorithm: str
+    params: tuple  # (name, value) constructor keyword pairs
+    n: int
+    threads: int
+
+    def make(self):
+        from ..algorithms.registry import make_algorithm
+
+        return make_algorithm(self.algorithm, self.machine, **dict(self.params))
+
+    def describe(self) -> str:
+        params = [f"{k}={v}" for k, v in self.params]
+        return " ".join(
+            [f"seed={self.seed}", f"alg={self.algorithm}", *params,
+             f"n={self.n}", f"threads={self.threads}"]
         )
 
 
@@ -276,6 +306,44 @@ def gen_lowering_case(seed: int) -> LoweringCase:
         algorithm=rng.choice(_ALGORITHM_NAMES),
         n=rng.choice((32, 48, 64, 96, 100, 128, 160, 192, 200, 256, 384)),
         threads=rng.randint(1, min(machine.cores, 4)),
+    )
+
+
+def gen_numerics_case(seed: int) -> NumericsCase:
+    """A numerics-program cell.
+
+    Variants cover Strassen pad, peel and classic, CAPS with packing on
+    and off over mixed BFS/DFS depths, and blocked tiles; sizes mix
+    powers of two with odd and non-power-of-two *n* (padding, peeling)
+    and sizes at or below the cutoffs.  Cutoffs stay small so a case
+    recurses several levels at modest *n*.
+    """
+    rng = random.Random(seed ^ 0x9E7A1C)
+    algorithm = rng.choice(_ALGORITHM_NAMES)
+    cutoff = rng.choice((8, 16, 32))
+    if algorithm == "strassen":
+        variant = rng.choice(("pad", "peel", "classic"))
+        params = (("cutoff", cutoff), ("grain", cutoff * rng.choice((1, 2, 4))))
+        if variant == "peel":
+            params += (("odd_strategy", "peel"),)
+        elif variant == "classic":
+            params += (("classic", True),)
+    elif algorithm == "caps":
+        params = (
+            ("cutoff_depth", rng.choice((0, 1, 2, 4))),
+            ("leaf_cutoff", cutoff),
+            ("dfs_grain", cutoff * rng.choice((1, 2, 4))),
+            ("pack", rng.random() < 0.5),
+        )
+    else:
+        params = ()
+    return NumericsCase(
+        seed=seed,
+        machine=haswell_e3_1225(),
+        algorithm=algorithm,
+        params=params,
+        n=rng.choice((17, 33, 48, 64, 96, 100, 127, 128, 130, 200, 256)),
+        threads=rng.randint(1, 4),
     )
 
 

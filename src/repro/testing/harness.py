@@ -9,9 +9,12 @@ cases from :mod:`repro.testing.generators`, the invariant library from
 Budget discipline: the cheap per-case checks (single-run invariants +
 fast-vs-reference differential) run for *every* case; the expensive
 families are interleaved — an Eq. 8 bound cell every ``bounds_every``
-cases, a templated-vs-recursive lowering differential every
+cases, a templated-vs-object lowering differential every
 ``lowering_every`` (the columnar arena stamping must be bit-identical
-to the object recursion), a compiled-engine differential every
+to the object lowering of :mod:`repro.testing.lowering`) paired with a
+numerics-program differential (the stamped numerics must reproduce the
+sequential fast matmul byte for byte, in two linear extensions), a
+compiled-engine differential every
 ``compiled_every`` (the JIT-compiled C sweep against *both* Python
 kernels — probed once up front and silently absent on hosts without a
 toolchain, so ``--require compiled_engine`` makes its coverage
@@ -53,6 +56,7 @@ from .generators import (
     gen_graph_case,
     gen_lowering_case,
     gen_network_case,
+    gen_numerics_case,
     gen_scaling_case,
     shrink_graph_case,
 )
@@ -69,6 +73,7 @@ from .oracle import (
     differential_engine_check,
     differential_lowering_check,
     differential_network_check,
+    differential_numerics_check,
     differential_service_check,
     differential_study_check,
 )
@@ -296,6 +301,14 @@ def run_verify(
                 case_seed,
                 differential_lowering_check(lc),
                 lc.describe(),
+            )
+            xc = gen_numerics_case(case_seed)
+            tick("numerics_program")
+            record(
+                "numerics_program",
+                case_seed,
+                differential_numerics_check(xc),
+                xc.describe(),
             )
         if compiled_ok and i % compiled_every == 0:
             tick("compiled_engine")

@@ -16,6 +16,13 @@ hand-written expected values:
   measurement floats) and the parent's emulated MSR counters must land
   on exactly the same values, because the parallel driver replays every
   cell's plane deposits in serial order.
+* **templated vs object lowering** — each dense algorithm's
+  ``build_arena`` stamping must equal the independent object lowering
+  of :mod:`repro.testing.lowering` bit for bit.
+* **stamped numerics vs sequential fast matmul** — the numerics program
+  run in a schedule's start order, and again in a second linear
+  extension, must reproduce :mod:`repro.linalg.fastmm` (or a tile loop,
+  for blocked) byte for byte.
 * **event-simulated vs closed-form network models** — the arena-lowered
   event sweep must match the per-rank object loop bit-for-bit on every
   schedule; on a contention-free topology the event lowering of a BSP
@@ -25,7 +32,7 @@ hand-written expected values:
   must equal the scalar reference lowering
   (:mod:`repro.testing.netlowering`) column for column.
 
-Both oracles return :class:`~repro.testing.invariants.Violation` lists
+Every oracle returns :class:`~repro.testing.invariants.Violation` lists
 (empty = agreement), so the harness can aggregate and shrink.
 """
 
@@ -36,7 +43,13 @@ from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
 from ..runtime.scheduler import ActivityInterval, Schedule, Scheduler
 from ..sim.engine import Engine
-from .generators import GraphCase, LoweringCase, NetworkCase, gen_study_config
+from .generators import (
+    GraphCase,
+    LoweringCase,
+    NetworkCase,
+    NumericsCase,
+    gen_study_config,
+)
 from .invariants import Violation
 
 __all__ = [
@@ -47,6 +60,7 @@ __all__ = [
     "differential_engine_check",
     "differential_lowering_check",
     "differential_network_check",
+    "differential_numerics_check",
     "differential_service_check",
     "differential_study_check",
 ]
@@ -242,8 +256,9 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
     """Replay one cell through both lowering paths and demand
     bit-identity.
 
-    The object recursion (``build(execute=False)``) is the oracle; the
-    templated columnar stamping (``build_arena``) must reproduce it
+    The object lowering (:func:`repro.testing.lowering.object_lowering`)
+    is the oracle; the templated columnar stamping (``build_arena``)
+    must reproduce it
     *bit-for-bit* — same tids, names, dependency lists, cost columns
     (``tobytes`` equality), untied flags and creator links.  On top of
     the structural identity, the arena's vectorized metrics must agree
@@ -257,9 +272,10 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
     """
     from ..algorithms.registry import make_algorithm
     from ..runtime.arena import TaskArena
+    from .lowering import object_lowering
 
     alg = make_algorithm(case.algorithm, case.machine)
-    obj = alg.build(case.n, case.threads, execute=False)
+    obj = object_lowering(alg, case.n, case.threads)
     arena_build = alg.build_arena(case.n, case.threads)
     if arena_build is None:
         return [
@@ -280,7 +296,7 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
         ]
     out = [
         Violation("oracle.lowering_bits", msg)
-        for msg in TaskArena.from_graph(obj.graph).structural_diff(arena)
+        for msg in TaskArena.from_graph(obj).structural_diff(arena)
     ]
     if out:
         return out
@@ -295,7 +311,7 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
         case.machine.dram_bandwidth,
     )
     fn = sched.uncontended_duration
-    cp_obj = obj.graph.critical_path_seconds(fn)
+    cp_obj = obj.critical_path_seconds(fn)
     cp_arena = arena.critical_path_seconds(durs)
     if cp_obj != cp_arena:
         out.append(
@@ -305,7 +321,7 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
                 f"arena {cp_arena!r}",
             )
         )
-    tw_obj = obj.graph.total_work_seconds(fn)
+    tw_obj = obj.total_work_seconds(fn)
     tw_arena = arena.total_work_seconds(durs)
     if not _close(tw_obj, tw_arena):
         out.append(
@@ -313,6 +329,108 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
                 "oracle.lowering_metrics",
                 f"total work diverged: object {tw_obj!r} vs "
                 f"arena {tw_arena!r}",
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# stamped numerics vs sequential fast matmul
+
+
+def kahn_highest_first(arena) -> list[int]:
+    """A linear extension of *arena* other than any schedule's: Kahn's
+    algorithm, always running the highest ready task id first."""
+    import heapq
+
+    sptr, sidx = arena.successors_csr()
+    ptr, succ = sptr.tolist(), sidx.tolist()
+    indeg = arena.dep_counts.tolist()
+    ready = [-t for t, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        tid = -heapq.heappop(ready)
+        order.append(tid)
+        for nxt in succ[ptr[tid] : ptr[tid + 1]]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(ready, -nxt)
+    return order
+
+
+def reference_product(alg, a, b, threads: int):
+    """The product the stamped numerics must reproduce bit for bit:
+    :mod:`repro.linalg.fastmm` on the zero-padded operands (sliced
+    back to ``n x n``) for the Strassen family, a tile-by-tile
+    ``a[rows] @ b[:, cols]`` loop for blocked (whose tiles are not
+    bit-equal to one ``a @ b``)."""
+    import numpy as np
+
+    from ..algorithms.blocked import BlockedGemm
+    from ..algorithms.strassen import StrassenWinograd
+    from ..algorithms.tuning import tile_grid
+    from ..linalg.dense import pad_to_power_of_two
+    from ..linalg.fastmm import (
+        classic_strassen_product,
+        winograd_product,
+        winograd_product_peeled,
+    )
+
+    n = a.shape[0]
+    if isinstance(alg, BlockedGemm):
+        c = np.zeros((n, n))
+        grid = tile_grid(n, threads, alg.min_tiles_per_thread)
+        for ro, rs in grid:
+            for co, cs in grid:
+                c[ro : ro + rs, co : co + cs] = a[ro : ro + rs, :] @ b[:, co : co + cs]
+        return c
+    if isinstance(alg, StrassenWinograd):
+        if alg.odd_strategy == "peel":
+            return winograd_product_peeled(a, b, alg.cutoff)
+        product = classic_strassen_product if alg.classic else winograd_product
+        cutoff = alg.cutoff
+    else:
+        product, cutoff = winograd_product, alg.leaf_cutoff
+    if alg.padded_n(n) != n:
+        a, _ = pad_to_power_of_two(a)
+        b, _ = pad_to_power_of_two(b)
+    return product(a, b, cutoff)[:n, :n]
+
+
+def differential_numerics_check(case: NumericsCase) -> list[Violation]:
+    """Run one cell's stamped numerics program and demand byte-identity
+    with :func:`reference_product`, in the simulated schedule's start
+    order and again in :func:`kahn_highest_first` — a product that
+    depends on the order would expose a race in the DAG."""
+    import numpy as np
+
+    alg = case.make()
+    arena = alg.build_arena(case.n, case.threads).graph
+    schedule = Scheduler(case.machine, case.threads).run(arena)
+    got = alg.compute_product(
+        case.n, case.threads, schedule.start_order(), arena, seed=case.seed
+    )
+    c = np.ascontiguousarray(got.c)
+    want = reference_product(alg, got.a, got.b, case.threads)
+    out = []
+    if c.tobytes() != np.ascontiguousarray(want).tobytes():
+        out.append(
+            Violation(
+                "oracle.numerics_reference",
+                f"{case.describe()}: C differs from the sequential reference "
+                f"(max |diff| {float(np.max(np.abs(c - want))):.3e})",
+            )
+        )
+    again = alg.compute_product(
+        case.n, case.threads, kahn_highest_first(arena), arena, seed=case.seed
+    )
+    if np.ascontiguousarray(again.c).tobytes() != c.tobytes():
+        out.append(
+            Violation(
+                "oracle.numerics_order",
+                f"{case.describe()}: C depends on the linear extension it "
+                f"ran in (start order vs Kahn highest-id-first)",
             )
         )
     return out

@@ -17,26 +17,25 @@ def test_flop_count(alg):
     assert alg.flop_count(512) == 2 * 512**3
 
 
-def test_numerics_exact(machine, alg, run_numerics):
-    build = alg.build(96, threads=4)
-    run_numerics(build.graph, 4)
+def test_numerics_exact(machine, alg, run_program):
+    build = run_program(alg, 96, 4)
     assert np.allclose(build.c, build.a @ build.b)
     assert build.verify().ok
 
 
 def test_graph_is_embarrassingly_parallel(alg):
-    build = alg.build(256, threads=4, execute=False)
-    assert all(not t.deps for t in build.graph)
+    build = alg.build_arena(256, threads=4)
+    assert len(build.graph.dep_indices) == 0
 
 
 def test_tile_tasks_cover_output(alg):
-    build = alg.build(200, threads=2, execute=False)
-    total_flops = sum(t.cost.flops for t in build.graph)
+    build = alg.build_arena(200, threads=2)
+    total_flops = build.graph.flops.sum()
     assert total_flops == pytest.approx(alg.flop_count(200))
 
 
 def test_cost_only_build_has_no_arrays(alg):
-    build = alg.build(128, threads=1, execute=False)
+    build = alg.build_arena(128, threads=1)
     assert build.cost_only
     assert build.a is None and build.c is None
     with pytest.raises(Exception):
@@ -61,15 +60,15 @@ def test_near_linear_scaling(machine, alg, engine):
     """The paper: blocked DGEMM gives near-linear scaling on SMPs."""
     times = {}
     for p in (1, 2, 4):
-        build = alg.build(512, threads=p, execute=False)
+        build = alg.build_arena(512, threads=p)
         times[p] = engine.run(build.graph, threads=p).elapsed_s
     assert times[1] / times[2] == pytest.approx(2.0, rel=0.15)
     assert times[1] / times[4] == pytest.approx(4.0, rel=0.15)
 
 
-def test_high_efficiency_throughput(machine, alg, run_numerics):
-    build = alg.build(512, threads=1, execute=False)
-    meas = run_numerics(build.graph, 1)
+def test_high_efficiency_throughput(alg, engine):
+    build = alg.build_arena(512, threads=1)
+    meas = engine.run(build.graph, 1)
     # Should sustain close to 0.92 of the 51.2 Gflop/s core peak.
     assert meas.gflops > 0.8 * 51.2
 
@@ -77,15 +76,15 @@ def test_high_efficiency_throughput(machine, alg, run_numerics):
 def test_memory_gate(machine):
     alg = BlockedGemm(machine)
     with pytest.raises(ConfigurationError):
-        alg.build(20000, threads=1, execute=False)  # 3*20000^2*8 = 9.6 GB > 4 GB
+        alg.build_arena(20000, threads=1)  # 3*20000^2*8 = 9.6 GB > 4 GB
 
 
 def test_seed_controls_operands(machine, alg):
-    b1 = alg.build(64, threads=1, seed=1)
-    b2 = alg.build(64, threads=1, seed=1)
-    b3 = alg.build(64, threads=1, seed=2)
-    assert np.array_equal(b1.a, b2.a)
-    assert not np.array_equal(b1.a, b3.a)
+    a1, _ = alg.operands(64, seed=1)
+    a2, _ = alg.operands(64, seed=1)
+    a3, _ = alg.operands(64, seed=2)
+    assert np.array_equal(a1, a2)
+    assert not np.array_equal(a1, a3)
 
 
 def test_registry_name(alg):

@@ -102,8 +102,9 @@ def test_executed_request_never_served_from_cost_only_entry(machine, cache):
 
 
 def test_execute_build_returning_cost_only_is_rejected(machine, cache):
-    """An algorithm whose build() ignores execute=True must be caught by
-    the numerics check, not discovered later as an empty C."""
+    """An algorithm with a cost-only lowering and no numerics program
+    must be caught by the numerics check, not discovered later as an
+    empty C."""
     from repro.algorithms.base import MatmulAlgorithm
     from repro.runtime.scheduler import Scheduler
     from repro.util.errors import ValidationError
@@ -115,9 +116,9 @@ def test_execute_build_returning_cost_only_is_rejected(machine, cache):
         def flop_count(self, n):
             return 2.0 * n**3
 
-        def build(self, n, threads, seed=0, execute=True):
+        def build_arena(self, n, threads, seed=0):
             inner = make_algorithm("openblas", self.machine)
-            return inner.build(n, threads, seed=seed, execute=False)
+            return inner.build_arena(n, threads, seed=seed)
 
     broken = Broken(machine)
     simulated = broken.build_cached(64, 1, cache=cache).graph

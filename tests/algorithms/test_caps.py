@@ -9,34 +9,30 @@ from repro.runtime.scheduler import Scheduler
 from repro.util.errors import ConfigurationError
 
 
-def test_numerics_bfs_only(machine, run_numerics):
+def test_numerics_bfs_only(machine, run_program):
     # cutoff_depth large enough that everything is BFS.
     alg = CapsStrassen(machine, cutoff_depth=4, leaf_cutoff=32, dfs_grain=32)
-    build = alg.build(128, threads=4)
-    run_numerics(build.graph, 4)
+    build = run_program(alg, 128, 4)
     assert build.verify().ok
 
 
-def test_numerics_with_dfs_region(machine, run_numerics):
+def test_numerics_with_dfs_region(machine, run_program):
     # cutoff_depth=1: depth 0 BFS, everything below DFS.
     alg = CapsStrassen(machine, cutoff_depth=1, leaf_cutoff=16, dfs_grain=32)
-    build = alg.build(128, threads=3)
-    run_numerics(build.graph, 3)
+    build = run_program(alg, 128, 3)
     assert build.verify().ok
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
-def test_numerics_without_packing(machine, run_numerics):
+def test_numerics_without_packing(machine, run_program):
     alg = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=32, pack=False)
-    build = alg.build(128, threads=2)
-    run_numerics(build.graph, 2)
+    build = run_program(alg, 128, 2)
     assert build.verify().ok
 
 
-def test_numerics_padding(machine, run_numerics):
+def test_numerics_padding(machine, run_program):
     alg = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=16)
-    build = alg.build(96, threads=2)  # pads to 128
-    run_numerics(build.graph, 2)
+    build = run_program(alg, 96, 2)  # pads to 128
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
@@ -50,7 +46,7 @@ def test_flop_count_matches_strassen(machine):
 def test_algorithm_2_dispatch(machine):
     """Paper Algorithm 2: BFS above the cutoff depth, DFS below."""
     alg = CapsStrassen(machine, cutoff_depth=1, leaf_cutoff=64, dfs_grain=64)
-    build = alg.build(256, threads=4, execute=False)
+    build = alg.build_arena(256, threads=4)
     counts = build.graph.counts_by_prefix()
     bfs = [k for k in counts if k.startswith("bfs-")]
     dfs = [k for k in counts if k.startswith("dfs-")]
@@ -59,7 +55,7 @@ def test_algorithm_2_dispatch(machine):
 
 def test_all_bfs_when_shallow(machine):
     alg = CapsStrassen(machine, cutoff_depth=4, leaf_cutoff=64)
-    build = alg.build(256, threads=4, execute=False)
+    build = alg.build_arena(256, threads=4)
     counts = build.graph.counts_by_prefix()
     assert not any(k.startswith("dfs-") for k in counts)
 
@@ -67,8 +63,8 @@ def test_all_bfs_when_shallow(machine):
 def test_packing_tasks_emitted(machine):
     with_pack = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64)
     without = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64, pack=False)
-    cp = with_pack.build(128, threads=2, execute=False).graph.counts_by_prefix()
-    cn = without.build(128, threads=2, execute=False).graph.counts_by_prefix()
+    cp = with_pack.build_arena(128, threads=2).graph.counts_by_prefix()
+    cn = without.build_arena(128, threads=2).graph.counts_by_prefix()
     assert cp.get("bfs-pack1", 0) == 1
     assert cp.get("bfs-unpack", 0) == 1
     assert "bfs-pack1" not in cn
@@ -77,8 +73,8 @@ def test_packing_tasks_emitted(machine):
 def test_packing_adds_traffic_not_flops(machine):
     with_pack = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64)
     without = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64, pack=False)
-    gp = with_pack.build(128, threads=2, execute=False).graph.total_cost()
-    gn = without.build(128, threads=2, execute=False).graph.total_cost()
+    gp = with_pack.build_arena(128, threads=2).graph.to_graph().total_cost()
+    gn = without.build_arena(128, threads=2).graph.to_graph().total_cost()
     assert gp.bytes_l1 > gn.bytes_l1
     # Pack tasks carry a token 1-flop cost each; arithmetic is unchanged.
     assert gp.flops == pytest.approx(gn.flops, abs=10)
@@ -90,7 +86,7 @@ def test_dfs_children_are_sequential(machine):
     # cutoff_depth=0: the whole tree is DFS.  The root node at 128 has
     # seven 64-wide sub-problems, each a work-shared grain stage.
     alg = CapsStrassen(machine, cutoff_depth=0, leaf_cutoff=32, dfs_grain=64)
-    build = alg.build(128, threads=4, execute=False)
+    build = alg.build_arena(128, threads=4)
     sched = Scheduler(machine, threads=4).run(build.graph)
     grains = [r for r in sched.records if r.name.startswith("dfs-grain/64[")]
     assert len(grains) == 7 * 4  # 7 stages x 4 work-sharing chunks

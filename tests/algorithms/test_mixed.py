@@ -117,7 +117,7 @@ class TestEq2:
         gemm = BlockedGemm(machine)
         meas = {}
         for p in (1, 4):
-            b = gemm.build(512, threads=p, execute=False)
+            b = gemm.build_arena(512, threads=p)
             meas[p] = EPMeasurement(eng.run(b.graph, p)).ep
         gemm_s = meas[4] / meas[1]
         assert lu_s < gemm_s

@@ -34,38 +34,34 @@ def test_classic_variant_has_18_adds(machine):
     assert winograd.pre_adds + winograd.post_adds == 15
 
 
-def test_numerics_winograd(machine, alg, run_numerics):
-    build = alg.build(128, threads=4)
-    run_numerics(build.graph, 4)
+def test_numerics_winograd(machine, alg, run_program):
+    build = run_program(alg, 128, 4)
     assert build.verify().ok
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
-def test_numerics_classic(machine, run_numerics):
+def test_numerics_classic(machine, run_program):
     alg = StrassenWinograd(machine, cutoff=16, grain=16, classic=True)
-    build = alg.build(64, threads=2)
-    run_numerics(build.graph, 2)
+    build = run_program(alg, 64, 2)
     assert build.verify().ok
 
 
-def test_numerics_with_grain(machine, run_numerics):
+def test_numerics_with_grain(machine, run_program):
     alg = StrassenWinograd(machine, cutoff=16, grain=64)
-    build = alg.build(256, threads=4)
-    run_numerics(build.graph, 4)
+    build = run_program(alg, 256, 4)
     assert build.verify().ok
 
 
-def test_padding_non_power_of_two(machine, run_numerics):
+def test_padding_non_power_of_two(machine, run_program):
     alg = StrassenWinograd(machine, cutoff=16, grain=16)
-    build = alg.build(48, threads=2)  # pads to 64
-    run_numerics(build.graph, 2)
+    build = run_program(alg, 48, 2)  # pads to 64
     assert build.c.shape == (48, 48)
     assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
 
 
 def test_task_structure_seven_children(machine):
     alg = StrassenWinograd(machine, cutoff=64, grain=64)
-    build = alg.build(128, threads=4, execute=False)
+    build = alg.build_arena(128, threads=4)
     counts = build.graph.counts_by_prefix()
     # One node: 1 pre, 7 leaf multiplies (at grain==cutoff==64), 1 post.
     assert counts["pre"] == 1
@@ -75,7 +71,7 @@ def test_task_structure_seven_children(machine):
 
 def test_leaf_count_is_power_of_seven(machine):
     alg = StrassenWinograd(machine, cutoff=64, grain=64)
-    build = alg.build(512, threads=4, execute=False)
+    build = alg.build_arena(512, threads=4)
     counts = build.graph.counts_by_prefix()
     # 512 -> 256 -> 128 -> 64: 3 levels => 7^3 leaves/grains.
     leaves = counts.get("grain", 0) + counts.get("leaf", 0)
@@ -86,7 +82,7 @@ def test_pre_before_children_before_post(machine):
     from repro.runtime.scheduler import Scheduler
 
     alg = StrassenWinograd(machine, cutoff=64, grain=64)
-    build = alg.build(128, threads=4, execute=False)
+    build = alg.build_arena(128, threads=4)
     sched = Scheduler(machine, threads=4).run(build.graph)
 
     def records(prefix):
@@ -122,8 +118,8 @@ def test_subtree_cost_consistent_with_graph(machine):
     task costs (same recursion, different granularity)."""
     fine = StrassenWinograd(machine, cutoff=32, grain=32)
     coarse = StrassenWinograd(machine, cutoff=32, grain=128)
-    g_fine = fine.build(128, threads=1, execute=False).graph
-    g_coarse = coarse.build(128, threads=1, execute=False).graph
+    g_fine = fine.build_arena(128, threads=1).graph.to_graph()
+    g_coarse = coarse.build_arena(128, threads=1).graph.to_graph()
     assert g_fine.total_cost().flops == pytest.approx(g_coarse.total_cost().flops)
     assert g_fine.total_cost().bytes_dram == pytest.approx(
         g_coarse.total_cost().bytes_dram
@@ -136,10 +132,9 @@ def test_variant_name(machine):
 
 
 class TestPeelStrategy:
-    def test_peel_numerics(self, machine, run_numerics):
+    def test_peel_numerics(self, machine, run_program):
         alg = StrassenWinograd(machine, cutoff=32, grain=48, odd_strategy="peel")
-        build = alg.build(100, threads=4)
-        run_numerics(build.graph, 4)
+        build = run_program(alg, 100, 4)
         import numpy as np
 
         assert np.allclose(build.c, build.a @ build.b, atol=1e-9)
@@ -163,7 +158,7 @@ class TestPeelStrategy:
 
     def test_peel_task_emitted(self, machine):
         alg = StrassenWinograd(machine, cutoff=32, grain=32, odd_strategy="peel")
-        build = alg.build(130, threads=2, execute=False)
+        build = alg.build_arena(130, threads=2)
         counts = build.graph.counts_by_prefix()
         assert counts.get("peel", 0) >= 1
 
@@ -184,6 +179,6 @@ class TestPeelStrategy:
         pad = StrassenWinograd(machine, odd_strategy="pad")
         peel = StrassenWinograd(machine, odd_strategy="peel")
         assert pad.flop_count(512) == peel.flop_count(512)
-        g_pad = pad.build(256, 2, execute=False).graph
-        g_peel = peel.build(256, 2, execute=False).graph
+        g_pad = pad.build_arena(256, 2).graph
+        g_peel = peel.build_arena(256, 2).graph
         assert len(g_pad) == len(g_peel)

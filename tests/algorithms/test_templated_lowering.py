@@ -1,8 +1,8 @@
 """Templated columnar lowering vs the recursive object path.
 
 ``build_arena`` stamps pre-built subtree templates into a
-:class:`~repro.runtime.arena.TaskArena`; the object recursion
-(``build(execute=False)``) stays the differential oracle.  These tests
+:class:`~repro.runtime.arena.TaskArena`; the object lowering of
+:mod:`repro.testing.lowering` is the differential oracle.  These tests
 pin the contract from ``MatmulAlgorithm.build_arena``: the arena must be
 *bit-identical* to ``TaskArena.from_graph`` of the object lowering —
 same tids, names, dependency lists, cost bytes, untied flags and
@@ -19,17 +19,20 @@ from repro.algorithms.caps import CapsStrassen
 from repro.algorithms.strassen import StrassenWinograd
 from repro.runtime.arena import TaskArena
 from repro.runtime.scheduler import Scheduler
+from repro.testing.lowering import object_lowering
 from repro.testing.oracle import compare_schedules
 
 
 def _assert_bit_identical(alg, n, threads):
-    obj = alg.build(n, threads, execute=False)
+    obj = object_lowering(alg, n, threads)
     arena_build = alg.build_arena(n, threads)
     arena = arena_build.graph
     assert isinstance(arena, TaskArena)
-    assert TaskArena.from_graph(obj.graph).structural_diff(arena) == []
+    assert TaskArena.from_graph(obj).structural_diff(arena) == []
     assert arena_build.cost_only
-    assert (arena_build.variant, arena_build.cutoff) == (obj.variant, obj.cutoff)
+    program = alg.numerics_program(n, threads)
+    assert len(program) == len(arena)
+    assert (program.variant, program.cutoff) == (arena_build.variant, arena_build.cutoff)
 
 
 class TestBitIdentity:
@@ -76,7 +79,7 @@ class TestScheduling:
         for alg in (StrassenWinograd(machine), CapsStrassen(machine)):
             for policy in ("fifo", "critical"):
                 arena = alg.build_arena(256, 3).graph
-                obj = alg.build(256, 3, execute=False).graph
+                obj = object_lowering(alg, 256, 3)
                 fa = Scheduler(
                     machine, 3, policy, engine="fast"
                 ).run(arena)
@@ -103,23 +106,23 @@ class TestCacheRouting:
         assert again is build
         assert cache.stats()["hits"] == 1
 
-    def test_executed_builds_stay_object_graphs(self, machine):
-        """Numerics come from the object lowering, replayed in the
-        schedule of the cached arena it matches task for task."""
+    def test_numerics_program_matches_the_cached_arena(self, machine):
+        """Numerics come from a program stamped by the same template
+        recursion as the cached arena: one op per arena task, run in
+        the arena's schedule."""
         from repro.algorithms.base import BuildCache
-        from repro.runtime.replay import replay
-        from repro.runtime.task import TaskGraph
 
         cache = BuildCache()
         alg = StrassenWinograd(machine)
         arena = alg.build_cached(96, 2, cache=cache).graph
         assert isinstance(arena, TaskArena)
-        build = alg.build(96, 2)
-        assert isinstance(build.graph, TaskGraph)
+        program = alg.numerics_program(96, 2)
+        assert len(program) == len(arena)
         schedule = Scheduler(machine, 2).run(arena)
         assert schedule.makespan > 0
-        replay(build.graph, schedule.start_order(), arena)
-        assert build.verify().ok
+        product = alg.compute_product(96, 2, schedule.start_order(), arena)
+        assert product.graph is arena
+        assert product.verify().ok
 
 
 class TestPickling:

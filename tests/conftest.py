@@ -26,13 +26,30 @@ def engine(machine):
 
 @pytest.fixture()
 def run_numerics(machine):
-    """Simulate a graph on the paper machine, then replay its compute
-    closures in the schedule's start order; returns the measurement."""
+    """Simulate an object graph on the paper machine, then replay its
+    compute closures in the schedule's start order; returns the
+    measurement."""
 
     def run(graph, threads, policy="fifo"):
         measurement, schedule = Engine(machine).simulate(graph, threads, policy)
         replay(graph, schedule.start_order())
         return measurement
+
+    return run
+
+
+@pytest.fixture()
+def run_program(machine):
+    """Simulate a dense algorithm's cost-only lowering on the paper
+    machine, then run its numerics program in the schedule's start
+    order; returns the product (a ``BuildResult`` with ``a, b, c``)."""
+
+    def run(alg, n, threads, seed=0, policy="fifo"):
+        arena = alg.build_arena(n, threads, seed=seed).graph
+        _, schedule = Engine(machine).simulate(arena, threads, policy)
+        return alg.compute_product(
+            n, threads, schedule.start_order(), arena, seed=seed
+        )
 
     return run
 

@@ -78,10 +78,10 @@ class _CrashingAlg(MatmulAlgorithm):
     def flop_count(self, n):
         return self._inner.flop_count(n)
 
-    def build(self, n, threads, seed=0, execute=True):
+    def build_arena(self, n, threads, seed=0):
         if (n, threads) == self.crash_cell:
             raise RuntimeError("injected worker crash")
-        return self._inner.build(n, threads, seed=seed, execute=execute)
+        return self._inner.build_arena(n, threads, seed=seed)
 
 
 def test_worker_crash_surfaces_cell_coordinates(machine):

@@ -44,7 +44,7 @@ class TestProtocol:
         from repro.sim import Engine
 
         exact = Engine(machine).run(
-            BlockedGemm(machine).build(128, 1, execute=False).graph, 1
+            BlockedGemm(machine).build_arena(128, 1).graph, 1
         )
         tstats, _ = result.cell("openblas", 128, 1)
         assert tstats.mean == pytest.approx(exact.elapsed_s, rel=0.02)

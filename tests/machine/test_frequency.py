@@ -98,7 +98,7 @@ def _run_at_state(domain: FrequencyDomain, index: int):
     from repro.algorithms import BlockedGemm
 
     machine = _dvfs_machine(domain.at_state(index))
-    build = BlockedGemm(machine).build(128, threads=2, execute=False)
+    build = BlockedGemm(machine).build_arena(128, threads=2)
     from repro.sim import Engine
 
     return Engine(machine).run(build.graph, threads=2)

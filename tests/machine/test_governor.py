@@ -107,7 +107,7 @@ def test_governed_energy_continuous_in_utilization():
 
     m = dvfs_machine()
     gov = OndemandGovernor(up_threshold=0.8)
-    build = BlockedGemm(m).build(128, threads=2, execute=False)
+    build = BlockedGemm(m).build_arena(128, threads=2)
     energies = []
     for u in range(0, 21, 2):
         gm = governed_machine(m, gov, utilization=u / 20)
@@ -136,7 +136,7 @@ def test_governed_run_trades_time_for_power(machine):
 
     m = dvfs_machine()
     alg = BlockedGemm(m)
-    build = alg.build(256, threads=4, execute=False)
+    build = alg.build_arena(256, threads=4)
     nominal = Engine(m).run(build.graph, threads=4)
     slow_m = governed_machine(m, PowersaveGovernor(), nominal.stats.utilization)
     slow = Engine(slow_m).run(build.graph, threads=4)

@@ -53,7 +53,7 @@ def test_locate_blocked_gemm_is_compute_bound_at_one_core(machine):
     from repro.algorithms.blocked import BlockedGemm
 
     alg = BlockedGemm(machine)
-    total = alg.build(1024, threads=1, execute=False).graph.total_cost()
+    total = alg.build_arena(1024, threads=1).graph.to_graph().total_cost()
     assert locate(machine, total, cores=1).is_compute_bound
 
 

@@ -217,20 +217,27 @@ def test_executed_graph_runs_compiled_without_fallback(machine):
     """An executed object graph (with closures) schedules on the C
     kernel like any other graph — no fallback, no closures run — and
     its replayed numerics verify."""
+    from functools import partial
+
     from repro.algorithms import StrassenWinograd
+    from repro.linalg.verify import verify_matmul
     from repro.runtime.replay import replay
 
-    build = StrassenWinograd(machine).build(64, 2, seed=0)
+    alg = StrassenWinograd(machine)
+    graph = alg.build_arena(64, 2).graph.to_graph()
+    program = alg.numerics_program(64, 2)
+    a, b = alg.operands(64, seed=0)
+    bufs = program.allocate(a, b)
+    for task in graph.tasks:
+        task.compute = partial(program.run_op, bufs, task.tid)
     before = cp._COMPILED_FALLBACKS.value
-    comp = Scheduler(machine, 2, engine="compiled").run(build.graph)
+    comp = Scheduler(machine, 2, engine="compiled").run(graph)
     assert cp._COMPILED_FALLBACKS.value == before
-    assert np.all(build.c == 0.0)
-    fast = Scheduler(machine, 2, engine="fast").run(
-        StrassenWinograd(machine).build(64, 2, seed=0).graph
-    )
+    assert np.all(bufs[2] == 0.0)
+    fast = Scheduler(machine, 2, engine="fast").run(alg.build_arena(64, 2).graph)
     assert comp.makespan == fast.makespan
-    replay(build.graph, comp.start_order())
-    assert build.verify().ok
+    replay(graph, comp.start_order())
+    assert verify_matmul(a, b, bufs[2], program.variant, program.cutoff).ok
 
 
 @requires_cc

@@ -197,7 +197,7 @@ def strassen_graph(machine) -> TaskGraph:
     """A real algorithm lowering (nontrivial structure + cost mix)."""
     from repro.algorithms import StrassenWinograd
 
-    return StrassenWinograd(machine).build(256, 4, seed=0, execute=False).graph
+    return StrassenWinograd(machine).build_arena(256, 4, seed=0).graph.to_graph()
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""The numerics replay: closures run in a schedule's start order, and
-every defect that would compute a wrong product raises instead."""
+"""The numerics replay: closures (and the dense numerics programs) run
+in a schedule's start order, and every defect that would compute a
+wrong product raises instead."""
 
-import numpy as np
 import pytest
 
 from repro.algorithms import CapsStrassen, StrassenWinograd
 from repro.runtime.cost import TaskCost
-from repro.runtime.replay import replay, replay_numerics
+from repro.runtime.replay import check_order, replay
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.task import TaskGraph
 from repro.util.errors import SchedulingError
@@ -73,29 +73,38 @@ def test_order_that_is_not_a_permutation_raises(order, match):
 def test_graph_longer_or_shorter_than_the_arena_raises(machine):
     alg = StrassenWinograd(machine, cutoff=32, grain=32)
     arena = alg.build_cached(128, 2).graph
-    executed = alg.build(128, 2)
-    executed.graph.add("extra", TaskCost())
-    order = list(range(len(executed.graph)))
+    longer = arena.to_graph()
+    longer.add("extra", TaskCost())
+    order = list(range(len(longer)))
     with pytest.raises(SchedulingError, match="tasks but the simulated graph has"):
-        replay(executed.graph, order, arena)
-    assert np.all(executed.c == 0.0)
+        alg.compute_product(128, 2, order, longer)
 
 
-def test_graph_with_other_names_than_the_arena_raises(machine):
-    executed = StrassenWinograd(machine, cutoff=32, grain=32).build(128, 2)
-    assert len(executed.graph) > 5
-    renamed = TaskGraph("renamed")
-    for task in executed.graph.tasks:
-        name = "other" if task.tid == 5 else task.name
-        renamed.add(name, task.cost, deps=task.deps)
-    order = list(range(len(executed.graph)))
-    with pytest.raises(SchedulingError, match="differs from the simulated graph at task 5"):
-        replay(executed.graph, order, renamed.to_arena())
-    assert np.all(executed.c == 0.0)
+def test_order_is_checked_against_the_simulated_arena(machine):
+    """Before any op runs, the order must be a linear extension of the
+    simulated arena; the first task it runs too early is named."""
+    alg = StrassenWinograd(machine, cutoff=32, grain=32)
+    arena = alg.build_cached(128, 2).graph
+    assert len(arena) > 5
+    order = list(range(len(arena)))
+    order[0], order[-1] = order[-1], order[0]
+    match = "'post/128' before its dependency 'post/64'"
+    with pytest.raises(SchedulingError, match=match):
+        alg.compute_product(128, 2, order, arena)
+
+
+def test_check_order_names_the_first_violation():
+    g = chain("abcd", [])
+    arena = g.to_arena()
+    check_order(arena, [0, 1, 2, 3])
+    with pytest.raises(SchedulingError, match="'c' before its dependency 'b'"):
+        check_order(arena, [0, 2, 3, 1])
+    with pytest.raises(SchedulingError, match="outside 0..3"):
+        check_order(arena, [0, 1, 2, 4])
 
 
 def test_replay_numerics_verifies_the_arena_schedule(machine):
-    """Lower, replay in the arena's schedule, verify — for every
+    """Stamp, run in the arena's schedule, verify — for every
     algorithm, at a size that pads."""
     for alg in (
         StrassenWinograd(machine, cutoff=32),
@@ -104,7 +113,5 @@ def test_replay_numerics_verifies_the_arena_schedule(machine):
     ):
         arena = alg.build_cached(100, 2).graph
         schedule = Scheduler(machine, 2).run(arena)
-        report = replay_numerics(
-            lambda: alg.build(100, 2, execute=True), schedule, arena
-        )
+        report = alg.check_numerics(100, 2, schedule, arena)
         assert report.ok, alg.name

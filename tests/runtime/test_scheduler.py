@@ -218,10 +218,10 @@ class TestWorkStealing:
         from repro.algorithms import StrassenWinograd
 
         alg = StrassenWinograd(machine, cutoff=32, grain=32)
-        build = alg.build(128, threads=4)
-        schedule = Scheduler(machine, threads=4, policy="steal").run(build.graph)
-        replay(build.graph, schedule.start_order())
-        assert build.verify().ok
+        arena = alg.build_arena(128, threads=4).graph
+        schedule = Scheduler(machine, threads=4, policy="steal").run(arena)
+        product = alg.compute_product(128, 4, schedule.start_order(), arena)
+        assert product.verify().ok
 
     def test_steals_counted_on_imbalanced_spawn(self, machine):
         """All children spawned from one core's task: other cores must

@@ -19,9 +19,9 @@ def _run(machine, graph, threads=4):
 def test_attribution_conserves_total_energy(machine):
     """Sum of attributed energies equals the engine's wall energy
     (package + DRAM) — nothing lost, nothing double-counted."""
-    build = StrassenWinograd(machine).build(512, 4, execute=False)
-    schedule, measurement = _run(machine, build.graph)
-    groups = attribute_energy(schedule, build.graph, machine)
+    graph = StrassenWinograd(machine).build_arena(512, 4).graph.to_graph()
+    schedule, measurement = _run(machine, graph)
+    groups = attribute_energy(schedule, graph, machine)
     attributed = sum(g.total_j for g in groups.values())
     assert attributed == pytest.approx(measurement.total_energy_j, rel=1e-9)
 
@@ -29,9 +29,9 @@ def test_attribution_conserves_total_energy(machine):
 def test_strassen_communication_share(machine):
     """The pre/post additions carry a visible share of the energy —
     Strassen's 'communication' made quantitative."""
-    build = StrassenWinograd(machine).build(1024, 4, execute=False)
-    schedule, _ = _run(machine, build.graph)
-    groups = attribute_energy(schedule, build.graph, machine)
+    graph = StrassenWinograd(machine).build_arena(1024, 4).graph.to_graph()
+    schedule, _ = _run(machine, graph)
+    groups = attribute_energy(schedule, graph, machine)
     total = sum(g.total_j for g in groups.values())
     comm = groups["pre"].total_j + groups["post"].total_j
     assert 0.1 < comm / total < 0.5
@@ -39,19 +39,19 @@ def test_strassen_communication_share(machine):
 
 
 def test_blocked_gemm_single_group(machine):
-    build = BlockedGemm(machine).build(512, 4, execute=False)
-    schedule, _ = _run(machine, build.graph)
-    groups = attribute_energy(schedule, build.graph, machine)
+    graph = BlockedGemm(machine).build_arena(512, 4).graph.to_graph()
+    schedule, _ = _run(machine, graph)
+    groups = attribute_energy(schedule, graph, machine)
     assert set(groups) == {"tile"}
     assert groups["tile"].tasks == len(
-        [t for t in build.graph if not t.cost.is_zero]
+        [t for t in graph if not t.cost.is_zero]
     )
 
 
 def test_caps_pack_energy_visible(machine):
-    build = CapsStrassen(machine).build(512, 4, execute=False)
-    schedule, _ = _run(machine, build.graph)
-    groups = attribute_energy(schedule, build.graph, machine)
+    graph = CapsStrassen(machine).build_arena(512, 4).graph.to_graph()
+    schedule, _ = _run(machine, graph)
+    groups = attribute_energy(schedule, graph, machine)
     pack = sum(g.total_j for p, g in groups.items() if p.startswith("bfs-pack"))
     assert pack > 0
     assert groups["leaf"].total_j > pack  # packing is a small tax
@@ -67,9 +67,9 @@ def test_joins_excluded(machine):
 
 
 def test_table_sorted_by_energy(machine):
-    build = StrassenWinograd(machine).build(512, 4, execute=False)
-    schedule, _ = _run(machine, build.graph)
-    table = attribution_table(attribute_energy(schedule, build.graph, machine))
+    graph = StrassenWinograd(machine).build_arena(512, 4).graph.to_graph()
+    schedule, _ = _run(machine, graph)
+    table = attribution_table(attribute_energy(schedule, graph, machine))
     totals = [float(row[5]) for row in table.rows]
     assert totals == sorted(totals, reverse=True)
     assert table.rows[0][0] == "grain"

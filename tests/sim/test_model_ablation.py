@@ -16,7 +16,7 @@ from repro.sim import Engine
 
 def measure(machine, alg_cls=BlockedGemm, n=512, threads=4, **alg_kw):
     alg = alg_cls(machine, **alg_kw)
-    build = alg.build(n, threads, execute=False)
+    build = alg.build_arena(n, threads)
     return Engine(machine).run(build.graph, threads)
 
 

@@ -190,7 +190,8 @@ class TestDeprecationShims:
     def test_engine_run_execute_warns_and_replays(self, machine):
         from repro.algorithms import StrassenWinograd
 
-        build = StrassenWinograd(machine, cutoff=32, grain=32).build(128, 2)
+        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
+            build = StrassenWinograd(machine, cutoff=32, grain=32).build(128, 2)
         with pytest.warns(DeprecationWarning, match=r"Engine\.run\(execute="):
             legacy = Engine(machine).run(build.graph, 2, execute=True)
         assert build.verify().ok  # the closures were replayed
@@ -207,6 +208,29 @@ class TestDeprecationShims:
         with pytest.warns(DeprecationWarning, match=r"build_cached\(execute="):
             executed = alg.build_cached(128, 2, execute=True)
         assert not executed.cost_only
+
+    def test_build_warns_and_delegates(self, machine):
+        """``build`` is one shim over ``build_arena`` and the numerics
+        program: the same graph either way, and ``execute=True``
+        closures compute what ``compute_product`` computes."""
+        from repro.algorithms import CapsStrassen
+        from repro.runtime.replay import replay
+
+        alg = CapsStrassen(machine, leaf_cutoff=16, cutoff_depth=1, dfs_grain=32)
+        arena = alg.build_arena(100, 3).graph
+        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
+            cost_only = alg.build(100, 3, execute=False)
+        assert cost_only.cost_only
+        assert arena.structural_diff(cost_only.graph.to_arena()) == []
+        assert all(task.compute is None for task in cost_only.graph)
+        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
+            executed = alg.build(100, 3, seed=5)
+        assert arena.structural_diff(executed.graph.to_arena()) == []
+        order = Engine(machine).simulate(arena, 3)[1].start_order()
+        replay(executed.graph, order)
+        product = alg.compute_product(100, 3, order, arena, seed=5)
+        assert executed.c.tobytes() == product.c.tobytes()
+        assert executed.verify().ok
 
     def test_plain_usage_does_not_warn(self, machine, recwarn):
         import warnings

@@ -16,8 +16,8 @@ from repro.sim import Engine
 
 def test_scheduler_is_deterministic(machine):
     alg = StrassenWinograd(machine)
-    a = alg.build(256, threads=4, execute=False)
-    b = alg.build(256, threads=4, execute=False)
+    a = alg.build_arena(256, threads=4)
+    b = alg.build_arena(256, threads=4)
     sa = Scheduler(machine, 4).run(a.graph)
     sb = Scheduler(machine, 4).run(b.graph)
     assert sa.makespan == sb.makespan
@@ -28,7 +28,7 @@ def test_scheduler_is_deterministic(machine):
 
 def test_steal_policy_deterministic(machine):
     alg = CapsStrassen(machine)
-    graphs = [alg.build(256, threads=4, execute=False).graph for _ in range(2)]
+    graphs = [alg.build_arena(256, threads=4).graph for _ in range(2)]
     runs = [
         Scheduler(machine, 4, policy="steal").run(g) for g in graphs
     ]
@@ -39,8 +39,8 @@ def test_steal_policy_deterministic(machine):
 def test_engine_measurements_identical(machine):
     alg = StrassenWinograd(machine)
     engine = Engine(machine)
-    m1 = engine.run(alg.build(128, 2, execute=False).graph, 2)
-    m2 = engine.run(alg.build(128, 2, execute=False).graph, 2)
+    m1 = engine.run(alg.build_arena(128, 2).graph, 2)
+    m2 = engine.run(alg.build_arena(128, 2).graph, 2)
     assert m1.elapsed_s == m2.elapsed_s
     assert m1.energy.package == m2.energy.package
     assert m1.energy.pp0 == m2.energy.pp0
@@ -58,10 +58,12 @@ def test_study_reproducible_end_to_end(machine):
 
 def test_numerics_deterministic(machine):
     alg = StrassenWinograd(machine, cutoff=32, grain=32)
-    builds = [alg.build(128, threads=4, seed=3) for _ in range(2)]
-    engine = Engine(machine)
-    for b in builds:
-        engine.run(b.graph, threads=4)
+    arena = alg.build_arena(128, threads=4, seed=3).graph
+    _, schedule = Engine(machine).simulate(arena, threads=4)
+    builds = [
+        alg.compute_product(128, 4, schedule.start_order(), arena, seed=3)
+        for _ in range(2)
+    ]
     assert np.array_equal(builds[0].c, builds[1].c)
 
 

@@ -1,5 +1,7 @@
-"""The templated-vs-recursive lowering oracle: agreement on the real
+"""The templated-vs-object lowering oracle: agreement on the real
 algorithms, detection of forged divergence, and the no-skip guarantee."""
+
+import dataclasses
 
 import pytest
 
@@ -60,7 +62,8 @@ def test_missing_arena_path_is_a_violation(monkeypatch):
 def test_wrong_graph_type_is_a_violation(monkeypatch):
     class ObjectArena(StrassenWinograd):
         def build_arena(self, n, threads, seed=0):
-            return self.build(n, threads, seed=seed, execute=False)
+            build = super().build_arena(n, threads, seed=seed)
+            return dataclasses.replace(build, graph=build.graph.to_graph())
 
     monkeypatch.setattr(
         registry,

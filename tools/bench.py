@@ -32,14 +32,16 @@ and the trace-driven cache simulator:
     end-to-end CPU time: the kernel ratio above only counts if it
     moves this one.
 ``lowering_cache``
-    Strassen lowering cold (``build``) versus a warm ``build_cached``
-    hit — the cost a protocol repetition or sweep re-run avoids.
+    Strassen lowering uncached (``build_arena``) versus a warm
+    ``build_cached`` hit — the cost a protocol repetition or sweep
+    re-run avoids.
 ``cache_sim64k``
     A 64 KiB stride-64 stream through the 3-level LRU hierarchy
     (engine-independent; guards the cache-sim hot path).
 ``graph_build``
-    Cold lowering of the whole execution matrix: the object-graph
-    recursion versus the templated columnar arena path (fresh
+    Cold lowering of the whole execution matrix: the object lowering
+    of :mod:`repro.testing.lowering` versus the templated columnar
+    arena path (fresh
     algorithm instances per pass, so subtree-template memos start
     cold), plus ``tracemalloc`` peak lowering memory at the largest
     problem size for both representations.
@@ -218,10 +220,7 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     for alg in paper_algorithms(machine):
         for n in sizes:
             for p in threads:
-                build = alg.build_arena(n, p)
-                if build is None:
-                    build = alg.build(n, p, execute=False)
-                cells.append((build.graph, p))
+                cells.append((alg.build_arena(n, p).graph, p))
     out = {"sizes": list(sizes), "cells": len(cells), "available": True}
     scheds = {
         engine: {
@@ -286,10 +285,11 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
 
 
 def bench_lowering_cache(machine, n: int, repeats: int) -> dict:
-    """Cold Strassen lowering vs a warm build-cache hit."""
+    """Uncached Strassen lowering (what a cache miss pays) vs a warm
+    build-cache hit."""
     alg = StrassenWinograd(machine)
     cache = BuildCache()
-    cold = _best_of(lambda: alg.build(n, 4, seed=0, execute=False), repeats)
+    cold = _best_of(lambda: alg.build_arena(n, 4, seed=0), repeats)
     alg.build_cached(n, 4, seed=0, cache=cache)  # warm
 
     # A cache hit is sub-microsecond — below what one perf_counter pair
@@ -313,8 +313,9 @@ def bench_graph_build(
     repeats: int,
     threads: tuple[int, ...] = (1, 2, 3, 4),
 ) -> dict:
-    """Cold execution-matrix lowering: object recursion vs templated
-    arena, plus peak lowering memory at the largest size.
+    """Cold execution-matrix lowering: the object lowering (the
+    :mod:`repro.testing.lowering` oracle) vs the templated arena, plus
+    peak lowering memory at the largest size.
 
     Each timed pass starts from *fresh* algorithm instances so the
     arena path pays its subtree-template construction (the realistic
@@ -325,17 +326,16 @@ def bench_graph_build(
     import tracemalloc
 
     from repro.algorithms.registry import paper_algorithms
+    from repro.testing.lowering import object_lowering
 
     def build_matrix(arena: bool) -> None:
         for alg in paper_algorithms(machine):  # fresh = cold memos
             for n in sizes:
                 for p in threads:
                     if arena:
-                        build = alg.build_arena(n, p)
-                        if build is None:  # no columnar path
-                            alg.build(n, p, execute=False)
+                        alg.build_arena(n, p)
                     else:
-                        alg.build(n, p, execute=False)
+                        object_lowering(alg, n, p)
 
     reps = min(repeats, 3)  # a full object pass is seconds, not ms
     out = {
@@ -355,7 +355,7 @@ def bench_graph_build(
             if arena:
                 graph = alg.build_arena(n_big, 4).graph
             else:
-                graph = alg.build(n_big, 4, execute=False).graph
+                graph = object_lowering(alg, n_big, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -543,8 +543,7 @@ def bench_trace_overhead(machine, repeats: int, sizes: tuple[int, ...]) -> dict:
         for alg in paper_algorithms(machine):
             for n in sizes:
                 for p in (1, 2, 3, 4):
-                    if alg.build_arena(n, p) is None:
-                        alg.build(n, p, execute=False)
+                    alg.build_arena(n, p)
 
     with obtrace.tracing() as tr:
         build_matrix()

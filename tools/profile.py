@@ -64,36 +64,31 @@ def _profiled(fn, top: int, sort: str):
 def phase_build(args) -> None:
     machine = machine_from_args(args)
 
-    print(f"== object recursion: {args.alg} n={args.n} p={args.threads} ==")
+    from repro.testing.lowering import object_lowering
+
+    print(f"== object lowering (oracle): {args.alg} n={args.n} p={args.threads} ==")
     alg = make_algorithm(args.alg, machine)
-    build = _profiled(
-        lambda: alg.build(args.n, args.threads, execute=False),
+    graph = _profiled(
+        lambda: object_lowering(alg, args.n, args.threads),
         args.top,
         args.sort,
     )
-    print(f"   {len(build.graph)} tasks\n")
+    print(f"   {len(graph)} tasks\n")
 
     print(f"== templated arena: {args.alg} n={args.n} p={args.threads} ==")
     fresh = make_algorithm(args.alg, machine)  # cold template memo
-    arena_build = _profiled(
+    arena = _profiled(
         lambda: fresh.build_arena(args.n, args.threads), args.top, args.sort
-    )
-    if arena_build is None:
-        print("   (no columnar lowering for this algorithm)")
-    else:
-        arena = arena_build.graph
-        print(f"   {len(arena)} tasks, {arena.nbytes / 2**20:.2f} MiB resident")
+    ).graph
+    print(f"   {len(arena)} tasks, {arena.nbytes / 2**20:.2f} MiB resident")
 
 
 def phase_sim(args) -> None:
     machine = machine_from_args(args)
     alg = make_algorithm(args.alg, machine)
-    if args.graph == "arena":
-        build = alg.build_arena(args.n, args.threads)
-        if build is None:
-            sys.exit(f"{args.alg} has no build_arena lowering")
-    else:
-        build = alg.build(args.n, args.threads, execute=False)
+    graph = alg.build_arena(args.n, args.threads).graph
+    if args.graph == "object":
+        graph = graph.to_graph()
     if args.engine == "compiled":
         # JIT-compile outside the profiler so cc's wall time does not
         # drown the sweep we are actually measuring.
@@ -104,10 +99,10 @@ def phase_sim(args) -> None:
     engine = Engine(machine, engine=args.engine)
     print(
         f"== {args.engine} kernel on {args.graph} graph: {args.alg} "
-        f"n={args.n} p={args.threads}, {len(build.graph)} tasks =="
+        f"n={args.n} p={args.threads}, {len(graph)} tasks =="
     )
     measurement = _profiled(
-        lambda: engine.run(build.graph, args.threads),
+        lambda: engine.run(graph, args.threads),
         args.top,
         args.sort,
     )
