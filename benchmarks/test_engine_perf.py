@@ -32,7 +32,7 @@ def test_scheduler_throughput(benchmark, machine):
 def test_strassen_lowering_throughput(benchmark, machine):
     """Task-graph construction for a 512^2 problem (cost-only)."""
     alg = StrassenWinograd(machine)
-    build = benchmark(alg.build, 512, 4, 0, False)
+    build = benchmark(alg.build_arena, 512, 4, 0)
     assert len(build.graph) > 50
 
 

@@ -39,7 +39,7 @@ from .machine.specs import MachineSpec, generic_smp, haswell_e3_1225
 from .sim.engine import Engine
 from .sim.measurement import RunMeasurement
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 __all__ = [
     "Engine",

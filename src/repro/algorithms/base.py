@@ -14,7 +14,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +27,6 @@ from ..runtime.arena import TaskArena
 from ..runtime.plans import arena_of
 from ..runtime.replay import check_order
 from ..runtime.task import TaskGraph
-from ..util.deprecation import warn_deprecated
 from ..util.errors import ConfigurationError, SchedulingError, ValidationError
 from ..util.validation import require_positive
 
@@ -77,7 +75,7 @@ class BuildResult:
     graph:
         The task graph — a columnar
         :class:`~repro.runtime.arena.TaskArena` from ``build_arena``,
-        or an object :class:`TaskGraph` from the deprecated ``build``.
+        or the object :class:`TaskGraph` a numerics run was given.
     n:
         Problem dimension.
     a, b, c:
@@ -228,63 +226,16 @@ class MatmulAlgorithm(ABC):
             f"is cost-only"
         )
 
-    def build(
-        self, n: int, threads: int, seed: int = 0, execute: bool = True
-    ) -> BuildResult:
-        """Deprecated: the lowering as an object :class:`TaskGraph`.
-
-        Delegates to :meth:`build_arena` (``execute=False``) and, with
-        ``execute=True``, binds fresh operands and gives every task a
-        ``compute`` that runs its op of :meth:`numerics_program`.
-        """
-        warn_deprecated(
-            "MatmulAlgorithm.build(...)",
-            "build_arena(...) for the lowering, compute_product(...) or "
-            "check_numerics(...) for numerics",
-        )
-        return self._object_build(n, threads, seed, execute)
-
-    def _object_build(
-        self, n: int, threads: int, seed: int, execute: bool
-    ) -> BuildResult:
-        lowered = self.build_arena(n, threads, seed=seed)
-        graph = lowered.graph.to_graph()
-        if not execute:
-            return BuildResult(
-                graph, n, None, None, None, lowered.variant, lowered.cutoff
-            )
-        program = self.numerics_program(n, threads)
-        a, b = self.operands(n, seed)
-        bufs = program.allocate(a, b)
-        for task in graph.tasks:
-            task.compute = partial(program.run_op, bufs, task.tid)
-        c = bufs[2][:n, :n]
-        return BuildResult(graph, n, a, b, c, program.variant, program.cutoff)
-
     def build_cached(
         self,
         n: int,
         threads: int,
         seed: int = 0,
-        execute: bool | None = None,
         cache: BuildCache | None = None,
     ) -> BuildResult:
         """:meth:`build_arena`, memoized through a :class:`BuildCache`
         (the process-wide default unless *cache* is given).  Results are
-        shared — treat them as immutable.
-
-        ``execute`` is deprecated: ``execute=True`` returns a fresh,
-        uncached executed object build (as ``build(..., execute=True)``),
-        ``execute=False`` the cached lowering.
-        """
-        if execute is not None:
-            warn_deprecated(
-                "MatmulAlgorithm.build_cached(execute=...)",
-                "build_cached(...) for the cost-only lowering, "
-                "compute_product(...) for numerics",
-            )
-            if execute:
-                return self._object_build(n, threads, seed, True)
+        shared — treat them as immutable."""
         if cache is None:
             cache = _DEFAULT_CACHE
         return cache.get_or_build(self, n, threads, seed=seed)

@@ -15,8 +15,8 @@ Design rules (CONTRIBUTING.md "Deprecation policy"):
 * **Execution** is policy: :class:`RunOptions` collects the per-run
   choices (event kernel, process fan-out, tracing, execution bound)
   that older code passed piecemeal to ``EnergyPerformanceStudy``.
-* The older entry points keep working behind ``DeprecationWarning``
-  shims; this module never calls a deprecated path itself.
+* Deprecated entry points keep working behind ``DeprecationWarning``
+  shims for one minor release; this module never calls one itself.
 """
 
 from __future__ import annotations
@@ -53,11 +53,11 @@ from .observability import trace as _trace
 from .observability.export import metrics_table, phase_table, write_trace_json
 from .observability.metrics import registry as _registry
 from .observability.trace import Tracer
+from .runtime.scheduler import ENGINES
 from .service.cells import StudyRequest
 from .service.service import ServiceConfig, StudyService
 from .sim.engine import Engine
 from .sim.measurement import RunMeasurement
-from .util.deprecation import warn_deprecated
 from .util.errors import ConfigurationError
 from .util.tables import TextTable
 
@@ -89,9 +89,6 @@ __all__ = [
     "haswell_e3_1225",
 ]
 
-#: Event kernels :attr:`RunOptions.engine` accepts by name.
-_ENGINES = ("fast", "reference", "compiled")
-
 
 def available_engines() -> dict[str, tuple[bool, str]]:
     """Probe every event kernel: ``{name: (usable, detail)}``.
@@ -118,10 +115,14 @@ class RunOptions:
     Attributes
     ----------
     engine:
-        Event kernel: ``"fast"`` (vectorized, the default),
-        ``"reference"`` (the scalar differential oracle), or
-        ``"compiled"`` (the JIT-compiled C sweep; requires a C
-        toolchain — see :func:`available_engines`).  An
+        ``None`` (the default) lets the platform pick the event kernel
+        (:func:`repro.runtime.scheduler.default_engine`): ``"compiled"``
+        when a C toolchain is present, else ``"fast"`` with a one-time
+        warning — the numbers are bit-identical either way.  Naming
+        ``"compiled"`` (strict: no toolchain is a
+        :class:`ConfigurationError`), ``"fast"`` or ``"reference"``
+        (the scalar differential oracle) pins that kernel; see
+        :func:`available_engines`.  An
         :class:`~repro.sim.engine.Engine` instance is also accepted
         when the caller needs a custom one (emulated MSR, noise
         wrapper, ...).
@@ -155,39 +156,20 @@ class RunOptions:
         bit-identically.  The cell key covers everything that changes a
         number (see DESIGN.md §11.5); needs a plain
         :class:`~repro.sim.engine.Engine`.
-    checkpoint / resume:
-        Deprecated spellings of ``store``; naming two different paths is
-        a :class:`ConfigurationError`.
     """
 
-    engine: "str | Engine" = "fast"
+    engine: "str | Engine | None" = None
     parallel: int | None = None
     trace: "bool | str | Path" = False
     execute_max_n: int | None = None
     verify: bool | None = None
     transport: str | None = None
     store: "ResultStore | str | Path | None" = None
-    checkpoint: "str | Path | None" = None
-    resume: "str | Path | None" = None
 
     def __post_init__(self) -> None:
-        for name in ("checkpoint", "resume"):
-            path = getattr(self, name)
-            if path is None:
-                continue
-            warn_deprecated(
-                f"RunOptions({name}=...)", "RunOptions(store=...)", stacklevel=4
-            )
-            if self.store is None:
-                object.__setattr__(self, "store", path)
-            elif _store_dir(self.store) != _store_dir(path):
-                raise ConfigurationError(
-                    f"RunOptions({name}={str(path)!r}) names a different path "
-                    f"than store {str(_store_dir(self.store))!r}; a run has one store"
-                )
-        if isinstance(self.engine, str) and self.engine not in _ENGINES:
+        if isinstance(self.engine, str) and self.engine not in ENGINES:
             raise ConfigurationError(
-                f"engine must be one of {_ENGINES} or an Engine instance, "
+                f"engine must be one of {ENGINES} or an Engine instance, "
                 f"got {self.engine!r}"
             )
         if self.parallel is not None and self.parallel < 0:
@@ -199,10 +181,6 @@ class RunOptions:
                 f"transport must be one of {TRANSPORTS} (or None for the "
                 f"environment default), got {self.transport!r}"
             )
-
-
-def _store_dir(store: "ResultStore | str | Path") -> Path:
-    return Path(store.root if isinstance(store, ResultStore) else store).resolve()
 
 
 @dataclass
@@ -311,9 +289,11 @@ class Study:
         self.config = replace(cfg, **overrides) if overrides else cfg
 
     def _engine(self, options: RunOptions) -> Engine:
-        if isinstance(options.engine, Engine):
-            return options.engine
-        return Engine(self.machine, engine=options.engine)
+        # Anything but a kernel name is a ready engine (an Engine, or a
+        # duck-typed wrapper such as repro.sim.NoisyEngine).
+        if options.engine is None or isinstance(options.engine, str):
+            return Engine(self.machine, engine=options.engine)
+        return options.engine
 
     def run(self, options: RunOptions | None = None) -> StudyRun:
         """Execute the matrix under *options* and return a :class:`StudyRun`."""

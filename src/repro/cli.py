@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -124,14 +125,9 @@ def cmd_study(args) -> int:
         verify=not args.no_verify,
     )
     snap = metrics_registry().snapshot()
-    engine = args.engine
-    if engine is None:
-        from .runtime.scheduler import default_engine
-
-        engine = default_engine()
     run = study.run(
         RunOptions(
-            engine=engine,
+            engine=args.engine,
             parallel=args.parallel,
             trace=bool(args.trace),
             transport=args.transport,
@@ -174,6 +170,7 @@ def cmd_study(args) -> int:
 def cmd_engines(args) -> int:
     from .api import available_engines
     from .runtime.compiledpath import compiled_cc, jit_cache_dir
+    from .runtime.scheduler import default_engine
 
     probes = available_engines()
     table = TextTable(["engine", "usable", "detail"])
@@ -185,10 +182,15 @@ def cmd_engines(args) -> int:
     print(f"C compiler: {cc if cc else 'none found ($CC, cc, gcc, clang)'}")
     print(f"JIT cache:  {jit_cache_dir()}")
     print("numba:      not installed (compiled engine uses a C kernel)")
+    with warnings.catch_warnings():
+        # The table above already says why compiled is unavailable.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        default = default_engine()
+    print(f"default:    {default} (picked by the platform)")
     if not probes["compiled"][0]:
         print()
         print(
-            "note: --engine compiled would fail; unset/auto configurations "
+            "note: --engine compiled would fail; runs that name no engine "
             "fall back to 'fast' with identical results."
         )
     return 0
@@ -598,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="result-store directory (omit for in-memory only)")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="fan batches across N worker processes (0 = in-process)")
-    add_engine_arg(p, default="fast")
+    add_engine_arg(p)
     p.add_argument("--transport", choices=("auto", "shm", "pickle"), default=None,
                    help="arena transport for pooled batches")
     p.add_argument("--no-verify", action="store_true")

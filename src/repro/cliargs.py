@@ -69,10 +69,10 @@ def add_engine_arg(
     Every surface that runs the scheduler shares this one flag, so all
     three engines (``reference``/``fast``/``compiled``) are reachable
     everywhere with the same spelling — and an unknown value fails in
-    argparse, before any simulation starts.  The default ``None``
-    resolves through :func:`repro.runtime.scheduler.default_engine`
-    (``REPRO_ENGINE`` override, graceful compiled→fast degrade); use
-    ``repro engines`` to see which engines this host can run.
+    argparse, before any simulation starts.  The default ``None`` lets
+    the platform pick (:func:`repro.runtime.scheduler.default_engine`:
+    ``compiled`` with a C toolchain, else ``fast`` with a one-time
+    warning); use ``repro engines`` to see what this host runs.
     """
     from .runtime.scheduler import ENGINES
 
@@ -80,8 +80,9 @@ def add_engine_arg(
         "--engine",
         choices=ENGINES,
         default=default,
-        help="event kernel (default: REPRO_ENGINE env var, else 'fast'; "
-        "'compiled' needs a C toolchain — probe with `repro engines`)",
+        help="event kernel (default: 'compiled' when a C toolchain is "
+        "found, else 'fast' - identical numbers; naming 'compiled' without "
+        "a toolchain is an error; probe with `repro engines`)",
     )
 
 

@@ -26,10 +26,11 @@ Toolchain semantics mirror the shm transport (PR 5):
 * :func:`compiled_available` probes for a working C compiler
   (``$CC``, ``cc``, ``gcc``, ``clang``; ``REPRO_COMPILED_TOOLCHAIN=none``
   forces unavailability for testing the degraded path).
-* Resolution paths (``default_engine`` under ``REPRO_ENGINE=compiled``,
-  run-time JIT or internal kernel failures) degrade to ``fast`` with a
-  warn-once counter (``engine.compiled_fallbacks``).
-* *Forcing* ``engine="compiled"`` when the toolchain is absent raises
+* The default (an unnamed engine, resolved by
+  :func:`~repro.runtime.scheduler.default_engine`) and run-time JIT or
+  internal kernel failures degrade to ``fast`` with a warn-once
+  counter (``engine.compiled_fallbacks``).
+* *Naming* ``engine="compiled"`` when the toolchain is absent raises
   :class:`~repro.util.errors.ConfigurationError` at construction.
 
 Compilation happens lazily on first use inside a
@@ -521,15 +522,18 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     )
 
 
-def run_compiled_or_fallback(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
+def run_compiled_or_fallback(
+    sched: "Scheduler", graph: "TaskGraph"
+) -> tuple[Schedule, str]:
     """Run the compiled kernel, degrading to ``run_fast`` (counted,
     warn-once) when it cannot: JIT failure or an internal kernel bound.
-    Workload :class:`SchedulingError`\\ s propagate — falling back would
-    just re-raise the identical error slower."""
+    Returns the schedule and the kernel that produced it.  Workload
+    :class:`SchedulingError`\\ s propagate — falling back would just
+    re-raise the identical error slower."""
     from .fastpath import run_fast
 
     try:
-        return run_compiled(sched, graph)
+        return run_compiled(sched, graph), "compiled"
     except (_JitError, _KernelInternalError) as exc:
         record_fallback(str(exc))
-        return run_fast(sched, graph)
+        return run_fast(sched, graph), "fast"

@@ -39,15 +39,6 @@ event kernels:
     (:func:`~repro.runtime.plans.arena_of`), exactly as it reaches the
     compiled kernel.
 
-  The ``texp_adj`` store is a numpy array when ``P*5`` is large
-  (vectorized ``argmin`` + compare) and a plain Python list of floats
-  below :data:`_NUMPY_THRESHOLD` entries: at the paper's scale
-  (P ≤ 16, i.e. ≤ 80 entries) numpy's ~1 µs per-call dispatch
-  overhead on three calls per event *loses* to C-speed ``min`` /
-  ``list.index`` / a single comprehension over a few dozen floats —
-  measured 2.4 µs vs 1.3 µs per event step on the tier-1 host.  Both
-  stores hold identical values; only the min/compare step differs.
-
 The two kernels take identical scheduling *decisions* (same dispatch
 order, same core placement, same completion grouping), so makespans,
 task records and interval boundaries agree to float rounding
@@ -97,9 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_fast"]
 
 _INF = float("inf")
-#: Entry count (threads * 5) above which the numpy event step beats the
-#: pure-Python one.  Below it, per-call numpy dispatch overhead dominates.
-_NUMPY_THRESHOLD = 96
 _new = object.__new__
 
 #: Seat plan of one task:
@@ -305,13 +293,8 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
 
     # ---- incremental event-kernel state -------------------------------
     n_entries = threads * 5
-    use_np = n_entries >= _NUMPY_THRESHOLD
     # Absolute exhaust time minus per-entry EPS slack, flat (P*5,).
-    if use_np:
-        texp_adj = np.full(n_entries, _INF)
-        comp_buf = np.empty(n_entries, dtype=bool)
-    else:
-        texp_adj = [_INF] * n_entries
+    texp_adj = [_INF] * n_entries
     # Flat mirrors as plain Python floats (cheap scalar reads),
     # indexed core * 5 + dim like texp_adj.
     texp_true = [_INF] * n_entries
@@ -781,11 +764,12 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                 c4 = rs[4] * dt
             corr0 = corr1 = corr2 = corr3 = corr4 = 0.0
             t = t_next
-            if use_np:
-                # Large-P path: vectorized compare; the per-entry
-                # function call is dwarfed by the numpy win here.
-                np.less_equal(texp_adj, t_next, out=comp_buf)
-                for idx in np.flatnonzero(comp_buf).tolist():
+            # One fused scan (a separate listcomp would cost a frame
+            # setup per event).  The inline body mirrors exhaust_entry
+            # — keep the two in sync.
+            idx = 0
+            for v in ta:
+                if v <= t_next:
                     core = core_of_idx[idx]
                     dim = dim_of_idx[idx]
                     if tt[idx] == t_next:
@@ -800,51 +784,29 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
                             corr3 += c
                         else:
                             corr4 += c
-                    exhaust_entry(core, dim)
-            else:
-                # Small-P path: one fused scan (a separate listcomp
-                # would cost a frame setup per event).  The inline body
-                # mirrors exhaust_entry — keep the two in sync.
-                idx = 0
-                for v in ta:
-                    if v <= t_next:
-                        core = core_of_idx[idx]
-                        dim = dim_of_idx[idx]
-                        if tt[idx] == t_next:
-                            c = dem[idx] - rof[idx] * (t_next - seat[idx])
-                            if dim == 0:
-                                corr0 += c
-                            elif dim == 1:
-                                corr1 += c
-                            elif dim == 2:
-                                corr2 += c
-                            elif dim == 3:
-                                corr3 += c
-                            else:
-                                corr4 += c
-                        tt[idx] = _INF
-                        ta[idx] = _INF
-                        if dim < 3:
-                            rs[dim] -= rof[idx]
-                            users = du[dim] - 1
-                            du[dim] = users
-                            if users == 0:
-                                rs[dim] = 0.0  # kill float residue exactly
-                        elif dim == 3:
-                            du[3] -= 1
-                            sock = socket_of[core]
-                            l3_users[sock] -= 1
-                            seated3[sock] -= 1
-                            shares_dirty = True
-                        else:
-                            du[4] -= 1
-                            seated4 -= 1
-                            shares_dirty = True
-                        ad = alive_dims[core] - 1
-                        alive_dims[core] = ad
-                        if ad == 0:
-                            pending_trivial.append(core)
-                    idx += 1
+                    tt[idx] = _INF
+                    ta[idx] = _INF
+                    if dim < 3:
+                        rs[dim] -= rof[idx]
+                        users = du[dim] - 1
+                        du[dim] = users
+                        if users == 0:
+                            rs[dim] = 0.0  # kill float residue exactly
+                    elif dim == 3:
+                        du[3] -= 1
+                        sock = socket_of[core]
+                        l3_users[sock] -= 1
+                        seated3[sock] -= 1
+                        shares_dirty = True
+                    else:
+                        du[4] -= 1
+                        seated4 -= 1
+                        shares_dirty = True
+                    ad = alive_dims[core] - 1
+                    alive_dims[core] = ad
+                    if ad == 0:
+                        pending_trivial.append(core)
+                idx += 1
             if dt > 0.0:
                 intervals_append(
                     (

@@ -26,7 +26,6 @@ constant, so the simulation is exact for the model, not time-stepped.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -73,29 +72,25 @@ ENGINES: tuple[SchedulerEngine, ...] = ("reference", "fast", "compiled")
 
 
 def default_engine() -> SchedulerEngine:
-    """The process-wide default event kernel.
+    """The event kernel a run gets when it names none — the only place
+    an unnamed engine is resolved.
 
-    ``"fast"`` (the vectorized kernel in :mod:`repro.runtime.fastpath`)
-    unless overridden with ``REPRO_ENGINE`` in the environment —
-    ``reference`` is the escape hatch for differential debugging,
-    ``compiled`` opts into the JIT kernel.  An environment opt-in (as
-    opposed to an explicit ``engine="compiled"`` argument, which is
-    strict) degrades gracefully to ``fast`` when the toolchain is
-    absent, with the warn-once ``engine.compiled_fallbacks`` counter.
+    The platform decides, never a user-set option: ``"compiled"`` when
+    :func:`~repro.runtime.compiledpath.compiled_available` finds a C
+    toolchain, else ``"fast"`` (the same numbers, bit for bit), with a
+    warn-once and a tick of ``engine.compiled_fallbacks``.  A default
+    degrades; an explicit ``engine="compiled"`` stays strict
+    (:class:`Scheduler` raises :class:`ConfigurationError` without a
+    toolchain).
     """
-    env = os.environ.get("REPRO_ENGINE", "fast")
-    if env not in ENGINES:
-        raise ConfigurationError(
-            f"REPRO_ENGINE must be one of {', '.join(ENGINES)}, got {env!r}"
-        )
-    if env == "compiled":
-        from .compiledpath import compiled_available, record_fallback
+    from .compiledpath import compiled_available, record_fallback
 
-        ok, reason = compiled_available()
-        if not ok:
-            record_fallback(f"REPRO_ENGINE=compiled but {reason}")
-            return "fast"
-    return env  # type: ignore[return-value]
+    ok, reason = compiled_available()
+    if ok:
+        return "compiled"
+    record_fallback(reason)
+    return "fast"
+
 
 #: Dimension indices inside the remaining-work vectors.
 _FLOPS, _L1, _L2, _L3, _DRAM = range(5)
@@ -392,14 +387,14 @@ class Scheduler:
         most loaded victim — the discipline BOTS-era OpenMP runtimes
         approximate for untied tasks).
     engine:
-        Event kernel: ``"fast"`` (vectorized, default — see
-        :mod:`repro.runtime.fastpath`), ``"reference"`` (the original
-        per-event scalar loop, kept as the differential oracle), or
-        ``"compiled"`` (the JIT-compiled C sweep — see
+        Event kernel: ``"compiled"`` (the JIT-compiled C sweep — see
         :mod:`repro.runtime.compiledpath`; requires a C toolchain and
-        raises :class:`ConfigurationError` here when forced without
-        one).  ``None`` resolves via :func:`default_engine`
-        (``REPRO_ENGINE`` environment override).
+        raises :class:`ConfigurationError` here when named without
+        one), ``"fast"`` (its bit-identical vectorized Python twin —
+        see :mod:`repro.runtime.fastpath`), or ``"reference"`` (the
+        original per-event scalar loop, kept as the differential
+        oracle).  ``None`` lets the platform pick via
+        :func:`default_engine`.
     """
 
     def __init__(
@@ -420,11 +415,11 @@ class Scheduler:
             raise ConfigurationError(f"unknown policy {policy!r}")
         if engine is None:
             engine = default_engine()
-        if engine not in ENGINES:
+        elif engine not in ENGINES:
             raise ConfigurationError(f"unknown engine {engine!r}")
-        if engine == "compiled":
-            # Explicitly requested (not env-resolved): fail fast rather
-            # than degrade, mirroring the forced-shm-transport
+        elif engine == "compiled":
+            # Explicitly named (not the platform default): fail fast
+            # rather than degrade, mirroring the forced-shm-transport
             # semantics.  Compile cost itself stays lazy (first run).
             from .compiledpath import compiled_available
 
@@ -501,20 +496,24 @@ class Scheduler:
             graph=graph.name,
             tasks=len(graph),
             threads=self.threads,
-            engine=self.engine,
             policy=self.policy,
-        ):
-            if self.engine == "fast":
-                from .fastpath import run_fast
-
-                return run_fast(self, graph)
-            if self.engine == "compiled":
+        ) as span:
+            ran = self.engine
+            if ran == "compiled":
                 from .compiledpath import run_compiled_or_fallback
 
-                return run_compiled_or_fallback(self, graph)
-            if isinstance(graph, TaskArena):
-                graph = graph.to_graph()
-            return self._run_reference(graph)
+                schedule, ran = run_compiled_or_fallback(self, graph)
+            elif ran == "fast":
+                from .fastpath import run_fast
+
+                schedule = run_fast(self, graph)
+            else:
+                if isinstance(graph, TaskArena):
+                    graph = graph.to_graph()
+                schedule = self._run_reference(graph)
+            # Set after dispatch: a run-time JIT fallback reads "fast".
+            span.set(engine=ran)
+            return schedule
 
     def _run_reference(self, graph: TaskGraph) -> Schedule:
         """The original per-event scalar loop — the differential oracle

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import copy
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from ..algorithms.base import MatmulAlgorithm
@@ -64,6 +64,18 @@ _BATCHES = counter(
 )
 
 
+def _submit(pool: ProcessPoolExecutor, payload: tuple) -> Future:
+    """Submit one cell; a submit that raises (a worker died after an
+    earlier submit and broke the pool) becomes a failed future, so the
+    fault policy sees it like any other worker failure."""
+    try:
+        return pool.submit(_run_cell_worker, payload, False)
+    except BrokenProcessPool as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
+
+
 class CellExecutor:
     """Computes batches of :class:`CellSpec`\\ s for one machine.
 
@@ -76,7 +88,7 @@ class CellExecutor:
         self,
         machine: MachineSpec,
         *,
-        engine: "str | Engine" = "fast",
+        engine: "str | Engine | None" = None,
         workers: int = 0,
         transport: str | None = None,
         verify: bool = True,
@@ -173,18 +185,16 @@ class CellExecutor:
                         )
                 payloads.append(self._payload(spec, prebuilt))
             pool = self._ensure_pool()
-            futures = [
-                pool.submit(_run_cell_worker, payload, False)
-                for payload in payloads
-            ]
+            futures = [_submit(pool, payload) for payload in payloads]
             for spec, future in zip(specs, futures):
                 try:
                     out[spec] = future.result()[0]
                 except Exception:
-                    # Worker crash, BrokenProcessPool, or a cell-level
-                    # error: recompute in-process so the client gets
-                    # the right answer (or the real per-cell exception)
-                    # instead of a pool traceback.
+                    # Worker crash, BrokenProcessPool (at submit or
+                    # later), or a cell-level error: recompute
+                    # in-process so the client gets the right answer
+                    # (or the real per-cell exception) instead of a
+                    # pool traceback.
                     _WORKER_FAILURES.add()
                     failed.append(spec)
         finally:

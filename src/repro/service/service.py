@@ -55,6 +55,7 @@ from ..core.study import TRANSPORTS
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
 from ..observability.metrics import counter, registry
+from ..runtime.scheduler import default_engine
 from ..sim.engine import Engine
 from ..util.errors import ConfigurationError
 from .cells import CellResult, CellSpec, StudyRequest, StudyResponse
@@ -95,10 +96,12 @@ class ServiceConfig:
     process pool with the study's shm transport.  ``batch_window_s``
     is how long a cold cell waits for company before its batch
     dispatches — long enough to coalesce a burst of overlapping
-    requests, far below human-visible latency.
+    requests, far below human-visible latency.  ``engine=None`` lets
+    the platform pick the event kernel
+    (:func:`~repro.runtime.scheduler.default_engine`).
     """
 
-    engine: str = "fast"
+    engine: str | None = None
     workers: int = 0
     transport: str | None = None
     verify: bool = True
@@ -157,6 +160,8 @@ class StudyService:
         #: machine and engine once, each algorithm once per name.
         self._machine_fp = machine_fingerprint(self.machine)
         self._engine_fp = engine_fingerprint(self._executor.engine)
+        #: The kernel cells are keyed by, recorded in each store entry.
+        self._kernel = self._executor.engine.engine or default_engine()
         self._algorithm_fps: dict[str, str] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[CellSpec, str, asyncio.Future]] = []
@@ -322,7 +327,7 @@ class StudyService:
                         "threads": spec.threads,
                         "seed": spec.seed,
                         "execute": spec.execute,
-                        "engine": self._executor.engine.engine or "fast",
+                        "engine": self._kernel,
                     },
                 )
             _CELLS_COMPUTED.add()

@@ -29,10 +29,7 @@ from ..runtime.scheduler import (
     Scheduler,
     SchedulerEngine,
 )
-from ..runtime.replay import replay
 from ..runtime.task import TaskGraph
-from ..util.deprecation import warn_deprecated
-from ..util.errors import ConfigurationError
 from ..util.validation import require_positive
 from .measurement import RunMeasurement
 
@@ -62,8 +59,8 @@ class Engine:
         Optional emulated MSR file; when given, every run deposits its
         plane energies so RAPL/PAPI readers observe them.
     engine:
-        Scheduler event kernel (``"fast"``/``"reference"``/
-        ``"compiled"``); ``None`` resolves via
+        Scheduler event kernel (``"compiled"``/``"fast"``/
+        ``"reference"``); ``None`` lets the platform pick via
         :func:`repro.runtime.scheduler.default_engine`.
     """
 
@@ -87,25 +84,14 @@ class Engine:
         graph: TaskGraph,
         threads: int,
         policy: SchedulePolicy = "fifo",
-        execute: bool | None = None,
         label: str | None = None,
     ) -> RunMeasurement:
         """Simulate *graph* with *threads* workers and measure it.
 
-        ``execute`` is deprecated: simulation never runs ``compute``
-        closures.  ``execute=True`` still replays them after the run
-        (:func:`repro.runtime.replay.replay`, in the schedule's start
-        order), as the old in-scheduler execution did.
+        Simulation never runs ``compute`` closures; numerics replay the
+        schedule afterwards (:meth:`simulate` returns it).
         """
-        measurement, schedule = self.simulate(graph, threads, policy, label)
-        if execute is not None:
-            warn_deprecated(
-                "Engine.run(execute=...)",
-                "Engine.simulate(...) and repro.runtime.replay.replay_numerics",
-            )
-            if execute:
-                replay(graph, schedule.start_order())
-        return measurement
+        return self.simulate(graph, threads, policy, label)[0]
 
     def simulate(
         self,

@@ -1,11 +1,12 @@
-"""Build cache: hit accounting, LRU eviction, and isolation of executed
-lowerings (never cached)."""
+"""Build cache: hit accounting, LRU eviction, and isolation of numerics
+runs (never cached)."""
 
 import numpy as np
 import pytest
 
 from repro.algorithms import StrassenWinograd
 from repro.algorithms.registry import BuildCache, default_build_cache, make_algorithm
+from repro.runtime.scheduler import Scheduler
 
 
 @pytest.fixture()
@@ -55,49 +56,45 @@ def test_lru_eviction(machine):
     assert cache.stats()["misses"] == 4  # threads=2 was re-lowered
 
 
-def test_executed_builds_never_cached_and_isolated(machine, cache):
-    """The deprecated ``build_cached(execute=True)`` spelling hands out
-    a fresh executed lowering every time and never touches the cache:
-    executed graphs bind operand arrays and a replay accumulates into
-    C, so sharing would corrupt later runs."""
-    from repro.sim.engine import Engine
+def _product(alg, machine, n, threads, simulated):
+    """Run *alg*'s numerics on *simulated* in its schedule's order."""
+    order = Scheduler(machine, threads).run(simulated).start_order()
+    return alg.compute_product(n, threads, order, simulated)
 
+
+def test_executed_builds_never_cached_and_isolated(machine):
+    """Numerics never touch a build cache: every ``compute_product``
+    binds fresh operands and a fresh C (a run accumulates into C, so
+    sharing would corrupt later runs)."""
     alg = make_algorithm("openblas", machine)
-    with pytest.warns(DeprecationWarning, match="build_cached"):
-        first = alg.build_cached(64, 1, seed=0, execute=True, cache=cache)
-    with pytest.warns(DeprecationWarning, match="build_cached"):
-        second = alg.build_cached(64, 1, seed=0, execute=True, cache=cache)
-    assert first is not second
-    assert len(cache) == 0  # nothing stored
-    assert cache.stats()["misses"] == 0  # nor looked up
-
-    engine = Engine(machine)
-    with pytest.warns(DeprecationWarning, match="Engine.run"):
-        engine.run(first.graph, 1, execute=True)
-    # Replaying `first` accumulated into its C; `second` must be pristine.
-    assert np.any(first.c != 0.0)
-    assert np.all(second.c == 0.0)
-    with pytest.warns(DeprecationWarning, match="Engine.run"):
-        engine.run(second.graph, 1, execute=True)
+    simulated = alg.build_arena(64, 1, seed=0).graph
+    default = default_build_cache()
+    before = default.stats()
+    first = _product(alg, machine, 64, 1, simulated)
+    second = _product(alg, machine, 64, 1, simulated)
+    assert default.stats() == before  # nothing stored nor looked up
+    assert not np.shares_memory(first.c, second.c)
     np.testing.assert_array_equal(first.c, second.c)  # deterministic clone
+    first.c[...] = 0.0
+    assert np.any(second.c != 0.0)
 
 
 def test_executed_request_never_served_from_cost_only_entry(machine, cache):
-    """Regression: same (alg, n, threads, seed) key, cost-only lowering
-    cached first — an execute=True request must NOT be satisfied by it
-    (a cost-only build has no operands or compute closures; running it
-    would silently produce an empty C)."""
+    """Regression: with the cost-only lowering of the same (alg, n,
+    threads, seed) cached, a numerics run must produce its own product
+    and leave the cached entry cost-only (a cost-only build has no
+    operands; handing it out as executed would be an empty C)."""
     alg = make_algorithm("openblas", machine)
     cost_only = alg.build_cached(64, 1, seed=0, cache=cache)
     assert cost_only.cost_only and len(cache) == 1
 
-    with pytest.warns(DeprecationWarning, match="build_cached"):
-        executed = alg.build_cached(64, 1, seed=0, execute=True, cache=cache)
+    executed = _product(alg, machine, 64, 1, cost_only.graph)
     assert executed is not cost_only
     assert not executed.cost_only
-    assert executed.c is not None
+    assert executed.verify().ok
     # The cost-only entry is still there, untouched, and still served
     # for cost-only requests.
+    assert cost_only.cost_only
     assert alg.build_cached(64, 1, seed=0, cache=cache) is cost_only
 
 
@@ -106,7 +103,6 @@ def test_execute_build_returning_cost_only_is_rejected(machine, cache):
     must be caught by the numerics check, not discovered later as an
     empty C."""
     from repro.algorithms.base import MatmulAlgorithm
-    from repro.runtime.scheduler import Scheduler
     from repro.util.errors import ValidationError
 
     class Broken(MatmulAlgorithm):
@@ -127,11 +123,10 @@ def test_execute_build_returning_cost_only_is_rejected(machine, cache):
         broken.check_numerics(64, 1, schedule, simulated)
 
 
-@pytest.mark.filterwarnings("ignore:MatmulAlgorithm.build_cached:DeprecationWarning")
 def test_eviction_never_crosses_the_execute_boundary(machine):
     """Fill a tiny cache past its maxsize with cost-only entries while
-    interleaving executed requests: eviction churn must never let an
-    executed request observe a cached object."""
+    interleaving numerics runs: eviction churn must never let a
+    numerics run observe a cached object or another run's product."""
     cache = BuildCache(maxsize=2)
     alg = make_algorithm("openblas", machine)
     # Keep every result alive: comparing bare id()s would false-positive
@@ -139,10 +134,10 @@ def test_eviction_never_crosses_the_execute_boundary(machine):
     seen = []
     for threads in (1, 2, 3, 1, 2):
         cost_only = alg.build_cached(64, threads, cache=cache)
-        executed = alg.build_cached(64, threads, execute=True, cache=cache)
+        executed = _product(alg, machine, 64, threads, cost_only.graph)
         assert executed is not cost_only
-        assert not executed.cost_only
-        assert all(executed is not prev for prev in seen)  # freshly lowered
+        assert not executed.cost_only and cost_only.cost_only
+        assert all(executed.c is not prev.c for prev in seen)
         seen.append(executed)
         assert len(cache) <= 2
 

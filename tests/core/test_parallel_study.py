@@ -1,6 +1,6 @@
 """Parallel study driver: bit-identical to the serial run.
 
-``EnergyPerformanceStudy.run(parallel=N)`` fans the independent matrix
+``Study.run(RunOptions(parallel=N))`` fans the independent matrix
 cells over a process pool, but the merged result must be exactly the
 serial run: same key order, same measurements, and — because the parent
 replays every cell's plane energies into its own MSR in serial order —
@@ -10,6 +10,7 @@ the same RAPL counter stream.
 import pytest
 
 from repro.algorithms.base import MatmulAlgorithm
+from repro.api import RunOptions, Study
 from repro.algorithms.registry import make_algorithm
 from repro.core.study import EnergyPerformanceStudy, StudyConfig
 from repro.power.msr import PLANE_MSR, MsrFile
@@ -25,10 +26,8 @@ def pair(machine):
 
     def run(parallel):
         msr = MsrFile()
-        study = EnergyPerformanceStudy(
-            machine, config=cfg, engine=Engine(machine, msr=msr)
-        )
-        return study.run(parallel=parallel), msr
+        options = RunOptions(engine=Engine(machine, msr=msr), parallel=parallel)
+        return Study(machine, config=cfg).run(options).result, msr
 
     return run(None), run(2)
 
@@ -95,9 +94,9 @@ def test_worker_crash_surfaces_cell_coordinates(machine):
         verify=False,
         baseline="crasher",
     )
-    study = EnergyPerformanceStudy(machine, [_CrashingAlg(machine)], config=cfg)
+    study = Study(machine, algorithms=[_CrashingAlg(machine)], config=cfg)
     with pytest.raises(StudyCellError) as exc_info:
-        study.run(parallel=2)
+        study.run(RunOptions(parallel=2))
     err = exc_info.value
     assert (err.algorithm, err.size, err.threads) == ("crasher", 128, 2)
     assert "size=128" in str(err) and "threads=2" in str(err)
@@ -117,9 +116,9 @@ def test_worker_crash_message_names_first_failing_cell(machine):
         baseline="crasher",
     )
     alg = _CrashingAlg(machine, crash_cell=(64, 1))  # the very first cell
-    study = EnergyPerformanceStudy(machine, [alg], config=cfg)
+    study = Study(machine, algorithms=[alg], config=cfg)
     with pytest.raises(StudyCellError) as exc_info:
-        study.run(parallel=2)
+        study.run(RunOptions(parallel=2))
     assert (exc_info.value.size, exc_info.value.threads) == (64, 1)
 
 
@@ -127,8 +126,7 @@ def test_parallel_one_is_serial_path(machine):
     """parallel<=1 must not spin up a pool (and must still fill the
     matrix)."""
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0)
-    study = EnergyPerformanceStudy(machine, config=cfg)
-    result = study.run(parallel=1)
+    result = Study(machine, config=cfg).run(RunOptions(parallel=1)).result
     assert len(result.runs) == 3 * 1 * 2
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from repro.algorithms.blocked import BlockedGemm
 from repro.algorithms.strassen import StrassenWinograd
-from repro.api import RunOptions
 from repro.core.resultstore import STORE_VERSION, ResultStore
 from repro.core.study import EnergyPerformanceStudy, StudyConfig
 from repro.machine.specs import dual_socket_haswell
@@ -170,20 +169,6 @@ def test_resume_from_missing_journal_starts_fresh(machine, tmp_path):
     result, delta = _counting(lambda: _study(machine)._run(None, store=root))
     assert delta.get("study.cells_resumed", 0) == 0
     assert len(ResultStore(root)) == len(result.runs)
-
-
-def test_resume_and_checkpoint_must_agree(tmp_path):
-    """The deprecated ``checkpoint=``/``resume=`` spellings both name
-    the one store; naming two different paths is refused."""
-    with pytest.warns(DeprecationWarning, match=r"RunOptions\(store=\.\.\.\)"):
-        opts = RunOptions(checkpoint=tmp_path / "a", resume=tmp_path / "a")
-    assert opts.store == tmp_path / "a"
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigurationError, match="different path"):
-            RunOptions(checkpoint=tmp_path / "a", resume=tmp_path / "b")
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigurationError, match="different path"):
-            RunOptions(store=tmp_path / "a", resume=tmp_path / "b")
 
 
 def test_fingerprint_mismatch_rejected(machine, tmp_path):

@@ -12,9 +12,9 @@ Availability semantics mirror the shm transport's (PR 5):
 
 * ``Scheduler(engine="compiled")`` on a host without a toolchain is a
   hard ``ConfigurationError`` — the caller explicitly asked.
-* ``REPRO_ENGINE=compiled`` (an environment *preference*) degrades to
-  the fast engine with a once-per-process ``RuntimeWarning`` and a
-  counted ``engine.compiled_fallbacks``.
+* The default (no engine named) is picked by the platform: ``compiled``
+  with a toolchain, else the fast engine with a once-per-process
+  ``RuntimeWarning`` and a counted ``engine.compiled_fallbacks``.
 * An executed object graph schedules on the C kernel like any other:
   scheduling never runs closures, numerics replay the schedule after.
 """
@@ -201,15 +201,26 @@ def test_unknown_engine_name_errors(machine):
         Scheduler(machine, 2, engine="turbo")
 
 
-def test_env_preference_degrades_with_warning(monkeypatch):
-    """REPRO_ENGINE=compiled is a preference, not a demand: without a
-    toolchain it resolves to 'fast', warning once and counting."""
-    monkeypatch.setenv("REPRO_ENGINE", "compiled")
+def test_default_degrades_with_warning(machine, monkeypatch):
+    """The default is not a demand: without a toolchain it resolves to
+    'fast', warning once and counting, while naming 'compiled' stays
+    strict."""
     monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", "none")
     before = cp._COMPILED_FALLBACKS.value
     with pytest.warns(RuntimeWarning, match="compiled event kernel"):
         assert default_engine() == "fast"
-    assert cp._COMPILED_FALLBACKS.value == before + 1
+    assert Scheduler(machine, 2).engine == "fast"
+    assert cp._COMPILED_FALLBACKS.value == before + 2
+    with pytest.raises(ConfigurationError, match="engine 'compiled'"):
+        Scheduler(machine, 2, engine="compiled")
+
+
+@requires_cc
+def test_default_is_compiled_with_a_toolchain(machine):
+    before = cp._COMPILED_FALLBACKS.value
+    assert default_engine() == "compiled"
+    assert Scheduler(machine, 2).engine == "compiled"
+    assert cp._COMPILED_FALLBACKS.value == before
 
 
 @requires_cc
@@ -256,6 +267,26 @@ def test_jit_failure_falls_back(machine, monkeypatch):
     assert cp._COMPILED_FALLBACKS.value == before + 1
     fast = Scheduler(machine, 2, engine="fast").run(g)
     assert comp.makespan == fast.makespan
+
+
+@requires_cc
+def test_schedule_span_names_the_kernel_that_ran(machine, monkeypatch):
+    """The ``schedule`` span's ``engine`` is set after dispatch: a
+    run-time JIT fallback reads ``fast``, not the kernel requested."""
+    from repro.observability import trace
+
+    def boom():
+        raise cp._JitError("simulated compile failure")
+
+    g = wide_graph(20)
+    with trace.tracing() as tracer:
+        Scheduler(machine, 2, engine="compiled").run(g)
+        monkeypatch.setattr(cp, "_load_kernel", boom)
+        with pytest.warns(RuntimeWarning, match="simulated compile failure"):
+            Scheduler(machine, 2, engine="compiled").run(g)
+        Scheduler(machine, 2, engine="reference").run(g)
+    engines = [sp.attrs["engine"] for sp in tracer.find("schedule")]
+    assert engines == ["compiled", "fast", "reference"]
 
 
 def test_record_fallback_warns_once_and_counts():

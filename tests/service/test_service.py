@@ -124,6 +124,34 @@ def test_store_hit_across_service_restart(machine, store):
         assert a.measurement.energy.package == b.measurement.energy.package
 
 
+@pytest.mark.parametrize("toolchain", ["auto", "none"])
+@pytest.mark.parametrize("engine", [None, "fast"])
+def test_store_meta_records_the_resolved_kernel(
+    machine, tmp_path, monkeypatch, toolchain, engine
+):
+    """Each store entry names the kernel its cells were keyed by: the
+    one the platform picked for a default service, never a placeholder."""
+    import json
+
+    from repro.runtime.scheduler import default_engine
+
+    monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", toolchain)
+    expected = engine or default_engine()
+    if toolchain == "none":
+        assert expected == "fast"
+    req = StudyRequest(("openblas",), (64,), threads=(1, 2), execute_max_n=0)
+
+    async def drive():
+        config = ServiceConfig(engine=engine)
+        async with StudyService(machine, store=tmp_path, config=config) as svc:
+            return await svc.query(req)
+
+    run(drive())
+    entries = [json.loads(p.read_text()) for p in tmp_path.glob("*/*.json")]
+    assert len(entries) == len(req.cells())
+    assert {e["meta"]["engine"] for e in entries} == {expected}
+
+
 def test_storeless_service_recomputes(machine):
     req = StudyRequest(**SMALL)
 

@@ -20,6 +20,8 @@ answers equal an undisturbed inline computation.
 import asyncio
 import json
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -97,6 +99,48 @@ def test_worker_failure_mid_batch_degrades_to_recompute(
     assert delta.get("service.cells_recomputed", 0) == unique
     assert len(response.cells) == unique
     _assert_matches_reference(response, reference)
+
+
+class _BreaksOnSecondSubmit:
+    """A stand-in pool: the first submit runs inline, every later one
+    raises ``BrokenProcessPool`` — a worker died after the first submit
+    and broke the pool before the batch was fully queued."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        if self.calls >= 2:
+            raise BrokenProcessPool("a worker died during submission")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def test_pool_breaking_during_submission_degrades_to_recompute(
+    machine, monkeypatch
+):
+    """A submit that raises is a failed cell like any other: counted
+    and recomputed in-process, never an error for the whole batch."""
+    reference = _reference_cells(machine)
+    pool = _BreaksOnSecondSubmit()
+    monkeypatch.setattr(executor_mod.CellExecutor, "_ensure_pool", lambda self: pool)
+    specs = REQ.cells()
+    snap = registry().snapshot()
+    with executor_mod.CellExecutor(machine, workers=2, transport="pickle") as ex:
+        out = ex.compute(specs)
+    delta = registry().delta_since(snap)
+    assert pool.calls == len(specs)
+    assert delta.get("service.worker_failures", 0) == len(specs) - 1
+    assert delta.get("service.cells_recomputed", 0) == len(specs) - 1
+    for spec in specs:
+        ref = reference[(spec.algorithm, spec.n, spec.threads)]
+        assert out[spec].elapsed_s == ref.elapsed_s
+        assert out[spec].energy.package == ref.energy.package
 
 
 def test_pool_rebuilds_after_worker_death(machine, tmp_path, monkeypatch):

@@ -78,13 +78,13 @@ def test_validation():
 def test_noisy_engine_drives_a_full_study(machine):
     """The study driver accepts a NoisyEngine: realistic spread without
     touching the driver (duck-typed engine)."""
-    from repro import EnergyPerformanceStudy, StudyConfig
+    from repro.api import RunOptions, Study
 
-    cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False)
-    exact = EnergyPerformanceStudy(machine, config=cfg).run()
-    noisy = EnergyPerformanceStudy(
-        machine, config=cfg, engine=NoisyEngine(Engine(machine), seed=3)
-    ).run()
+    study = Study(machine, sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False)
+    exact = study.run().result
+    noisy = study.run(
+        RunOptions(engine=NoisyEngine(Engine(machine), seed=3))
+    ).result
     for key in exact.runs:
         e, n = exact.runs[key], noisy.runs[key]
         assert n.elapsed_s != e.elapsed_s  # perturbed...

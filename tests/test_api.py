@@ -1,4 +1,4 @@
-"""The ``repro.api`` facade and the deprecation shims it supersedes."""
+"""The ``repro.api`` facade."""
 
 import pickle
 
@@ -15,7 +15,7 @@ CFG = dict(sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False)
 class TestRunOptions:
     def test_defaults(self):
         opts = RunOptions()
-        assert opts.engine == "fast"
+        assert opts.engine is None  # the platform picks at run time
         assert opts.parallel is None
         assert opts.trace is False
 
@@ -158,80 +158,6 @@ class TestTracedFacade:
 
 
 class TestDeprecationShims:
-    def test_engine_kwarg_warns_but_works(self, machine):
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            study = EnergyPerformanceStudy(
-                machine, config=StudyConfig(**CFG), engine=Engine(machine)
-            )
-        assert len(study.run().runs) == 6
-
-    def test_run_parallel_kwarg_warns_but_works(self, machine):
-        study = EnergyPerformanceStudy(machine, config=StudyConfig(**CFG))
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            result = study.run(parallel=1)
-        assert len(result.runs) == 6
-
-    def test_checkpoint_resume_kwargs_warn_and_delegate(self, machine, tmp_path):
-        store = tmp_path / "store"
-        for name in ("checkpoint", "resume"):
-            with pytest.warns(DeprecationWarning, match=r"RunOptions\(store="):
-                opts = RunOptions(**{name: store})
-            assert opts.store == store
-            run = Study(machine, **CFG).run(opts)
-            assert len(run.result.runs) == 6
-        assert len(list(store.glob("*/*.json"))) == 6
-
-    def test_avg_power_alias_warns_and_delegates(self, machine):
-        result = Study(machine, **CFG).run().result
-        with pytest.warns(DeprecationWarning, match="avg_power_w"):
-            legacy = result.avg_power("openblas")
-        assert legacy == result.avg_power_w("openblas")
-
-    def test_engine_run_execute_warns_and_replays(self, machine):
-        from repro.algorithms import StrassenWinograd
-
-        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
-            build = StrassenWinograd(machine, cutoff=32, grain=32).build(128, 2)
-        with pytest.warns(DeprecationWarning, match=r"Engine\.run\(execute="):
-            legacy = Engine(machine).run(build.graph, 2, execute=True)
-        assert build.verify().ok  # the closures were replayed
-        plain = Engine(machine).run(build.graph, 2)
-        assert pickle.dumps(legacy) == pickle.dumps(plain)
-
-    def test_build_cached_execute_warns_and_delegates(self, machine):
-        from repro.algorithms import StrassenWinograd
-
-        alg = StrassenWinograd(machine)
-        with pytest.warns(DeprecationWarning, match=r"build_cached\(execute="):
-            cost_only = alg.build_cached(128, 2, execute=False)
-        assert cost_only is alg.build_cached(128, 2)
-        with pytest.warns(DeprecationWarning, match=r"build_cached\(execute="):
-            executed = alg.build_cached(128, 2, execute=True)
-        assert not executed.cost_only
-
-    def test_build_warns_and_delegates(self, machine):
-        """``build`` is one shim over ``build_arena`` and the numerics
-        program: the same graph either way, and ``execute=True``
-        closures compute what ``compute_product`` computes."""
-        from repro.algorithms import CapsStrassen
-        from repro.runtime.replay import replay
-
-        alg = CapsStrassen(machine, leaf_cutoff=16, cutoff_depth=1, dfs_grain=32)
-        arena = alg.build_arena(100, 3).graph
-        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
-            cost_only = alg.build(100, 3, execute=False)
-        assert cost_only.cost_only
-        assert arena.structural_diff(cost_only.graph.to_arena()) == []
-        assert all(task.compute is None for task in cost_only.graph)
-        with pytest.warns(DeprecationWarning, match=r"MatmulAlgorithm\.build\("):
-            executed = alg.build(100, 3, seed=5)
-        assert arena.structural_diff(executed.graph.to_arena()) == []
-        order = Engine(machine).simulate(arena, 3)[1].start_order()
-        replay(executed.graph, order)
-        product = alg.compute_product(100, 3, order, arena, seed=5)
-        assert executed.c.tobytes() == product.c.tobytes()
-        assert executed.verify().ok
-
     def test_plain_usage_does_not_warn(self, machine, recwarn):
         import warnings
 
@@ -261,6 +187,45 @@ class TestAvailableEngines:
 
     def test_run_options_accept_compiled(self):
         assert RunOptions(engine="compiled").engine == "compiled"
+
+    def test_default_study_runs_compiled_bit_identical_to_fast(self, machine):
+        """On a toolchain host a bare study picks ``compiled``: no
+        fallback, every ``schedule`` span names it, and every cell is
+        bit-identical to the same study pinned to ``fast``."""
+        from repro.runtime import compiledpath as cp
+
+        if not cp.compiled_available()[0]:
+            pytest.skip("compiled engine unavailable")
+        study = Study(machine, sizes=(128, 256), threads=(1, 2))
+        before = cp._COMPILED_FALLBACKS.value
+        default = study.run(RunOptions(trace=True))
+        assert cp._COMPILED_FALLBACKS.value == before
+        schedules = default.tracer.find("schedule")
+        assert schedules
+        assert {sp.attrs["engine"] for sp in schedules} == {"compiled"}
+        fast = study.run(RunOptions(engine="fast"))
+        assert list(default.result.runs) == list(fast.result.runs)
+        for key, run in default.result.runs.items():
+            assert pickle.dumps(run) == pickle.dumps(fast.result.runs[key]), key
+
+    def test_default_study_without_toolchain_falls_back(self, machine, monkeypatch):
+        """Without a toolchain the default degrades to ``fast``: same
+        numbers, the fallback counted, while naming ``compiled`` stays
+        a :class:`ConfigurationError`."""
+        from repro.runtime import compiledpath as cp
+
+        monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", "none")
+        before = cp._COMPILED_FALLBACKS.value
+        with pytest.warns(RuntimeWarning, match="compiled event kernel"):
+            default = Study(machine, **CFG).run(RunOptions(trace=True))
+        assert cp._COMPILED_FALLBACKS.value > before
+        schedules = default.tracer.find("schedule")
+        assert {sp.attrs["engine"] for sp in schedules} == {"fast"}
+        fast = Study(machine, **CFG).run(RunOptions(engine="fast"))
+        for key, run in default.result.runs.items():
+            assert pickle.dumps(run) == pickle.dumps(fast.result.runs[key]), key
+        with pytest.raises(ConfigurationError, match="engine 'compiled'"):
+            Study(machine, **CFG).run(RunOptions(engine="compiled"))
 
     def test_compiled_study_matches_fast(self, machine):
         from repro.runtime.compiledpath import compiled_available
