@@ -402,8 +402,16 @@ def differential_numerics_check(case: NumericsCase) -> list[Violation]:
     """Run one cell's stamped numerics program and demand byte-identity
     with :func:`reference_product`, in the simulated schedule's start
     order and again in :func:`kahn_highest_first` — a product that
-    depends on the order would expose a race in the DAG."""
+    depends on the order would expose a race in the DAG.
+
+    The verification-report memo reuses one cell's report for every
+    cell with the same ``(n, seed, numerics_digest)``.  So every other
+    thread count of the case whose program and DAG have this case's
+    digest must produce this case's C byte for byte, in its own
+    schedule's start order (``oracle.numerics_memo``)."""
     import numpy as np
+
+    from ..algorithms.base import numerics_digest
 
     alg = case.make()
     arena = alg.build_arena(case.n, case.threads).graph
@@ -433,6 +441,23 @@ def differential_numerics_check(case: NumericsCase) -> list[Violation]:
                 f"ran in (start order vs Kahn highest-id-first)",
             )
         )
+    digest = numerics_digest(alg.numerics_program(case.n, case.threads), arena)
+    for threads in range(1, 5):  # the thread counts cases are drawn from
+        if threads == case.threads:
+            continue
+        other = alg.build_arena(case.n, threads).graph
+        if numerics_digest(alg.numerics_program(case.n, threads), other) != digest:
+            continue
+        order = Scheduler(case.machine, threads).run(other).start_order()
+        shared = alg.compute_product(case.n, threads, order, other, seed=case.seed)
+        if np.ascontiguousarray(shared.c).tobytes() != c.tobytes():
+            out.append(
+                Violation(
+                    "oracle.numerics_memo",
+                    f"{case.describe()}: threads={threads} stamps the same "
+                    f"program and DAG but computes a different C",
+                )
+            )
     return out
 
 

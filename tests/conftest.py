@@ -74,6 +74,16 @@ def _fresh_fallback_warning():
     reset_compiled()
 
 
+@pytest.fixture(autouse=True)
+def _empty_report_memo():
+    """Start every test with an empty verification-report memo, so which
+    numerics checks hit it does not depend on test order."""
+    from repro.algorithms.base import numerics_memo
+
+    numerics_memo().clear()
+    yield
+
+
 # Hypothesis profiles: default stays fast; REPRO_THOROUGH=1 widens the
 # search for nightly-style runs.
 import os

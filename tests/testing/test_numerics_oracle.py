@@ -119,3 +119,46 @@ def test_harness_runs_and_counts_the_family():
     report = run_verify(cases=11, seed=0, max_tasks=12)
     assert report.checks.get("numerics_program", 0) >= 2
     assert report.ok, report.summary()
+
+
+def test_a_sibling_thread_count_with_another_product_is_detected(monkeypatch):
+    """The report memo assumes cells sharing a program and DAG compute
+    the same C; a thread count that breaks it is a memo violation."""
+
+    class Skewed(StrassenWinograd):
+        def compute_product(self, n, threads, order, simulated=None, seed=0):
+            product = super().compute_product(n, threads, order, simulated, seed=seed)
+            if threads == 2:
+                product.c[0, 0] += 1e-12
+            return product
+
+    monkeypatch.setattr(
+        registry, "make_algorithm", lambda name, machine, **kw: Skewed(machine, **kw)
+    )
+    invariants = [v.invariant for v in differential_numerics_check(_case())]
+    assert invariants == ["oracle.numerics_memo"]
+
+
+@pytest.mark.parametrize("name", ["openblas", "strassen", "caps"])
+def test_equal_memo_keys_compute_byte_identical_products_at_512(machine, name):
+    """At the paper's smallest verified size, every thread count's start
+    order and one other linear extension compute the same C wherever
+    the report memo would share a report."""
+    from repro.algorithms.base import numerics_digest
+    from repro.runtime.scheduler import Scheduler
+
+    alg = registry.make_algorithm(name, machine)
+    runs = []
+    for threads in (1, 2, 3, 4):
+        arena = alg.build_arena(512, threads).graph
+        key = numerics_digest(alg.numerics_program(512, threads), arena)
+        order = Scheduler(machine, threads).run(arena).start_order()
+        runs.append((key, threads, order, arena))
+    key, _, _, arena = runs[0]
+    runs.append((key, 1, kahn_highest_first(arena), arena))
+    products: dict[str, set] = {}
+    for key, threads, order, arena in runs:
+        c = alg.compute_product(512, threads, order, arena, seed=2015).c
+        products.setdefault(key, set()).add(np.ascontiguousarray(c).tobytes())
+    assert all(len(cs) == 1 for cs in products.values())
+    assert len(products) == (3 if name == "openblas" else 1)

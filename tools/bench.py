@@ -30,7 +30,10 @@ and the trace-driven cache simulator:
     ``plan``, ``sweep`` (the ``schedule`` span's self time) and
     ``measure`` layers.  The gated ``ratio`` is fast/compiled
     end-to-end CPU time: the kernel ratio above only counts if it
-    moves this one.
+    moves this one.  The ``compiled_verified_*`` row (a report, not
+    gated) times the default study as users run it — compiled, cells
+    up to n=1024 verified — and the ``numerics`` and ``verify`` layers'
+    shares of its CPU time.
 ``lowering_cache``
     Strassen lowering uncached (``build_arena``) versus a warm
     ``build_cached`` hit — the cost a protocol repetition or sweep
@@ -281,7 +284,41 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
             out[f"{engine}_{layer}_share"] = layers.get(span, (0, 0.0))[1] / cpu
     out["cells"] = len(run.result.runs)
     out["ratio"] = out["fast_s"] / out["compiled_s"]
+    out.update(bench_study_verified(machine, sizes, min(repeats, 3)))
     return out
+
+
+def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
+    """The default study as users run it: compiled, cells up to n=1024
+    verified.  Best-of-*repeats* cold CPU time (empty build cache and
+    report memo each pass) and the ``numerics`` and ``verify`` layers'
+    shares of it."""
+    from repro.algorithms.base import default_build_cache, numerics_memo
+    from repro.api import RunOptions, Study
+    from repro.observability import trace as obtrace
+    from repro.observability.export import layer_times
+
+    best = None
+    for _ in range(repeats):
+        default_build_cache().clear()
+        numerics_memo().clear()
+        gc.collect()
+        study = Study(machine, sizes=sizes, execute_max_n=1024, verify=True)
+        with obtrace.tracing() as tr:
+            t0 = time.process_time()
+            study.run(RunOptions(engine="compiled"))
+            cpu = time.process_time() - t0
+        if best is None or cpu < best[0]:
+            best = (cpu, tr)
+    cpu, tr = best
+    layers = layer_times(tr, cpu=True)
+    numerics = layers.get("numerics", (0, 0.0))
+    return {
+        "compiled_verified_s": cpu,
+        "compiled_verified_cells": int(numerics[0]),
+        "compiled_verified_numerics_share": numerics[1] / cpu,
+        "compiled_verified_verify_share": layers.get("verify", (0, 0.0))[1] / cpu,
+    }
 
 
 def bench_lowering_cache(machine, n: int, repeats: int) -> dict:

@@ -12,7 +12,12 @@ phase-summary table and the metrics dump, and optionally validates it::
 From ``--depth 2`` on, a study trace also gets a per-cell layer table:
 the self time of every span inside the ``cell`` spans (``plan``,
 ``schedule`` — the event sweep — ``measure``, lowering, ``numerics`` —
-stamping and running the numerics program — and ``verify``).
+stamping the numerics program, checking the start order and running
+the program — and ``verify``).  Each ``numerics`` span carries
+``memo="hit"`` when the cell reused a memoized verification report (no
+program run, no ``verify`` span) or ``memo="miss"``; the cells'
+``numerics.memo_hits`` / ``numerics.memo_misses`` metric deltas say the
+same.
 
 ``--validate`` fails (exit 1) when:
 
