@@ -31,6 +31,7 @@ from ..runtime.replay import check_order
 from ..runtime.task import TaskGraph
 from ..util.errors import ConfigurationError, SchedulingError, ValidationError
 from ..util.validation import require_positive
+from .program import planned_nbytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.scheduler import Schedule
@@ -370,12 +371,20 @@ class MatmulAlgorithm(ABC):
         return program
 
     def _run_program(
-        self, program: "NumericsProgram", simulated, order, seed: int
+        self, program: "NumericsProgram", simulated, order, seed: int,
+        span=trace.NULL_SPAN,
     ) -> BuildResult:
-        """Run checked *program* in *order* on the seeded operands."""
+        """Run checked *program* in *order* on the seeded operands, its
+        temporaries in storage planned for *order*; *span* gets the
+        planned and unplanned temporary MiB (``temp_mb``,
+        ``temp_mb_unplanned``)."""
         n = program.n
         a, b = self.operands(n, seed)
-        bufs = program.allocate(a, b)
+        bufs = program.allocate(a, b, order)
+        span.set(
+            temp_mb=planned_nbytes(bufs) / 2**20,
+            temp_mb_unplanned=program.temp_nbytes / 2**20,
+        )
         program.run(bufs, order)
         c = bufs[2][:n, :n]
         return BuildResult(simulated, n, a, b, c, program.variant, program.cutoff)
@@ -397,7 +406,9 @@ class MatmulAlgorithm(ABC):
         It then looks the report up in the :class:`ReportMemo` by
         ``(n, seed, numerics_digest(program, arena))`` (span attribute
         ``memo="hit"|"miss"``).  On a miss it runs the program in the
-        start order and verifies the product under a ``verify`` span.
+        start order, its temporaries in storage planned for that order
+        (span attributes ``temp_mb`` and ``temp_mb_unplanned``), and
+        verifies the product under a ``verify`` span.
         Raises :class:`ValidationError` when the error exceeds its
         stability bound, on a hit as on a miss."""
         attrs = {"alg": self.name, "n": n, "threads": threads}
@@ -409,7 +420,9 @@ class MatmulAlgorithm(ABC):
             report = _REPORT_MEMO.lookup(key)
             span.set(memo="miss" if report is None else "hit")
             if report is None:
-                product = self._run_program(program, simulated, order, seed)
+                product = self._run_program(
+                    program, simulated, order, seed, span
+                )
         if report is None:
             with trace.span("verify", **attrs):
                 report = product.verify()

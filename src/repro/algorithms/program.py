@@ -20,13 +20,20 @@ names buffers ``0, 1, 2`` for the (padded) A, B and C and ``3..`` for
 the temporaries.
 
 Each kernel runs the numpy expressions the per-task closures of the
-object lowerings ran, on the same views of the same buffers, so the
-product keeps its bits.  Buffers are allocated up front and live for
-the whole run, as the closures' buffers did.
+object lowerings ran, on the same views, so the product keeps its bits.
+
+The temporaries share storage by liveness over the order a run
+executes (:meth:`NumericsProgram.plan`).  Each temporary is live from
+its first to its last access in that order; two temporaries of one
+shape share a slot only when every access of one precedes every access
+of the other.  Every op therefore reads exactly what it would read from
+a private buffer, so C keeps its bits in every order, each under its
+own plan.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +44,15 @@ from ..linalg.fastmm import (
     winograd_product_peeled,
 )
 from ..runtime.arena import NO_CREATOR
+from ..util.errors import ValidationError
 
-__all__ = ["NumericsProgram", "ProgramBuilder", "ProgramTemplate"]
+__all__ = [
+    "BufferPlan",
+    "NumericsProgram",
+    "ProgramBuilder",
+    "ProgramTemplate",
+    "planned_nbytes",
+]
 
 #: Operand-view buffer sentinels: the subtree's A, B and C inputs.
 SUB_A, SUB_B, SUB_C = -1, -2, -3
@@ -84,8 +98,7 @@ NOP, GEMM, ADD, SUB, COPY, WINO_PRE, WINO_POST, CLASSIC_PRE, CLASSIC_POST, \
 
 
 def _gemm(v, cutoff):
-    a, b, c = v
-    c[:, :] = a @ b
+    np.matmul(v[0], v[1], out=v[2])
 
 
 def _add(v, cutoff):
@@ -314,15 +327,70 @@ class NumericsProgram:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def allocate(self, a: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-        """Every buffer of a run over operands *a*, *b*: the operands
-        zero-padded to ``m``, a zeroed C, and the temporaries."""
+    @property
+    def temp_nbytes(self) -> int:
+        """Bytes the temporaries would take with a buffer each."""
+        return int(np.prod(self.shapes, axis=1).sum()) * 8
+
+    def plan(self, order: Sequence[int]) -> "BufferPlan":
+        """The storage plan of the temporaries for a run in *order* (a
+        permutation of the task ids).
+
+        Temporary *t*'s live interval is its first and last access
+        position in *order*.  Per shape, temporaries take slots greedily
+        by first access: a slot is reused when its previous owner's last
+        access is strictly earlier, else a new slot opens, so each shape
+        gets as many slots as it has temporaries live at once."""
+        ntasks = len(self)
+        order = np.asarray(order, dtype=np.int64)
+        if order.shape != (ntasks,):
+            raise ValidationError(
+                f"a buffer plan needs all {ntasks} tasks in order, got "
+                f"{order.size}"
+            )
+        pos = np.empty(ntasks, dtype=np.int64)
+        pos[order] = np.arange(ntasks)
+        at = np.repeat(pos, np.diff(self.ptr))  # each view row's position
+        temp = self.views[:, 0] - 3
+        mask = temp >= 0
+        temp, at = temp[mask], at[mask]
+        first = np.full(len(self.shapes), ntasks, dtype=np.int64)
+        last = np.full(len(self.shapes), -1, dtype=np.int64)
+        np.minimum.at(first, temp, at)
+        np.maximum.at(last, temp, at)
+        # Never-accessed temporaries sort last and take any slot.
+        shapes = self.shapes.tolist()
+        slot = np.empty(len(shapes), dtype=np.int64)
+        free: dict[tuple, list] = {}  # shape -> heap of (last access, slot)
+        slot_shapes: list = []
+        firsts, lasts = first.tolist(), last.tolist()
+        for t in np.argsort(first, kind="stable").tolist():
+            heap = free.setdefault(tuple(shapes[t]), [])
+            if heap and heap[0][0] < firsts[t]:
+                s = heap[0][1]
+                heapq.heapreplace(heap, (lasts[t], s))
+            else:
+                s = len(slot_shapes)
+                slot_shapes.append(shapes[t])
+                heapq.heappush(heap, (lasts[t], s))
+            slot[t] = s
+        slot_shapes = np.asarray(slot_shapes, dtype=np.int64).reshape(-1, 2)
+        return BufferPlan(first, last, slot, slot_shapes)
+
+    def allocate(
+        self, a: np.ndarray, b: np.ndarray, order: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Every buffer of a run in *order* over operands *a*, *b*: the
+        operands zero-padded to ``m``, a zeroed C, and the temporaries,
+        which share the slots of :meth:`plan` (*order*)."""
         n, m = self.n, self.m
+        plan = self.plan(order)
         if m != n:
             a = np.pad(a, ((0, m - n), (0, m - n)))
             b = np.pad(b, ((0, m - n), (0, m - n)))
+        slots = [np.empty((r, c), dtype=np.float64) for r, c in plan.shapes.tolist()]
         bufs = [a, b, np.zeros((m, m), dtype=np.float64)]
-        bufs += [np.empty((r, c), dtype=np.float64) for r, c in self.shapes.tolist()]
+        bufs += [slots[s] for s in plan.slot.tolist()]
         return bufs
 
     def run_op(self, bufs: list[np.ndarray], tid: int) -> None:
@@ -338,6 +406,27 @@ class NumericsProgram:
         for tid in order:
             if kinds[tid]:
                 _call(kinds[tid], views[ptr[tid] : ptr[tid + 1]], bufs, self.cutoff)
+
+
+class BufferPlan:
+    """Where the temporaries of one run live.  Temporary *t* (buffer
+    ``3 + t``) is accessed at positions ``first[t]..last[t]`` of the
+    run's order and stored in slot ``slot[t]``; slot *s* is an array of
+    shape ``shapes[s]``."""
+
+    __slots__ = ("first", "last", "slot", "shapes")
+
+    def __init__(self, first, last, slot, shapes):
+        self.first = first
+        self.last = last
+        self.slot = slot
+        self.shapes = shapes
+
+
+def planned_nbytes(bufs: list[np.ndarray]) -> int:
+    """Bytes the temporaries of an :meth:`NumericsProgram.allocate`
+    result take, each shared slot counted once."""
+    return sum({id(x): x.nbytes for x in bufs[3:]}.values())
 
 
 def _call(kind: int, rows: list, bufs: list[np.ndarray], cutoff: int) -> None:

@@ -35,7 +35,7 @@ def random_matrix(n: int, seed: int = 0, lo: float = -1.0, hi: float = 1.0) -> n
     """
     require_positive(n, "n")
     rng = np.random.default_rng(seed)
-    return rng.uniform(lo, hi, size=(n, n)).astype(_DTYPE)
+    return rng.uniform(lo, hi, size=(n, n)).astype(_DTYPE, copy=False)
 
 
 def require_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:

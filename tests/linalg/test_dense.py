@@ -28,6 +28,16 @@ def test_random_matrix_range_and_dtype():
     assert a.min() >= -2 and a.max() < 2
 
 
+def test_random_matrix_bytes_match_the_copying_expression():
+    """No copy of the generator's float64 draw, and the same bytes as
+    the former ``.astype(float64)`` copy."""
+    for n, seed in ((1, 0), (17, 3), (64, 2015)):
+        old = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, n)).astype(np.float64)
+        new = random_matrix(n, seed=seed)
+        assert new.tobytes() == old.tobytes()
+        assert new.flags.c_contiguous and new.flags.owndata
+
+
 def test_require_square():
     require_square(np.zeros((3, 3)))
     with pytest.raises(ValidationError):

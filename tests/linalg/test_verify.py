@@ -35,6 +35,32 @@ def test_corrupted_result_fails():
     assert report.abs_error >= 1.0
 
 
+def test_nan_in_result_fails():
+    """The in-place difference keeps NaN: a NaN anywhere in C makes the
+    error NaN, which no bound admits."""
+    a = random_matrix(32, seed=4)
+    b = random_matrix(32, seed=5)
+    c = a @ b
+    c[17, 3] = np.nan
+    report = verify_matmul(a, b, c)
+    assert np.isnan(report.abs_error)
+    assert not report.ok
+
+
+def test_error_is_the_max_norm_of_the_difference_on_a_view():
+    """The in-place path reports exactly ``max |c - a @ b|``, also for
+    a strided view of a padded C, and leaves C untouched."""
+    a = random_matrix(64, seed=6)
+    b = random_matrix(64, seed=7)
+    padded = np.zeros((80, 80))
+    padded[:64, :64] = winograd_product(a, b, 16)
+    c = padded[:64, :64]
+    before = c.copy()
+    report = verify_matmul(a, b, c, variant="winograd", cutoff=16)
+    assert report.abs_error == float(np.max(np.abs(before - a @ b)))
+    assert np.array_equal(c, before)
+
+
 def test_shape_mismatch():
     with pytest.raises(ValidationError):
         verify_matmul(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 3)))

@@ -227,7 +227,9 @@ def test_default_is_compiled_with_a_toolchain(machine):
 def test_executed_graph_runs_compiled_without_fallback(machine):
     """An executed object graph (with closures) schedules on the C
     kernel like any other graph — no fallback, no closures run — and
-    its replayed numerics verify."""
+    its replayed numerics verify.  The buffers are planned for the
+    order the closures replay in, so they are allocated only once the
+    schedule exists; until then the closures' buffer list is empty."""
     from functools import partial
 
     from repro.algorithms import StrassenWinograd
@@ -238,12 +240,13 @@ def test_executed_graph_runs_compiled_without_fallback(machine):
     graph = alg.build_arena(64, 2).graph.to_graph()
     program = alg.numerics_program(64, 2)
     a, b = alg.operands(64, seed=0)
-    bufs = program.allocate(a, b)
+    bufs: list = []
     for task in graph.tasks:
         task.compute = partial(program.run_op, bufs, task.tid)
     before = cp._COMPILED_FALLBACKS.value
     comp = Scheduler(machine, 2, engine="compiled").run(graph)
     assert cp._COMPILED_FALLBACKS.value == before
+    bufs.extend(program.allocate(a, b, comp.start_order()))
     assert np.all(bufs[2] == 0.0)
     fast = Scheduler(machine, 2, engine="fast").run(alg.build_arena(64, 2).graph)
     assert comp.makespan == fast.makespan

@@ -33,7 +33,10 @@ and the trace-driven cache simulator:
     moves this one.  The ``compiled_verified_*`` row (a report, not
     gated) times the default study as users run it — compiled, cells
     up to n=1024 verified — and the ``numerics`` and ``verify`` layers'
-    shares of its CPU time.
+    shares of its CPU time, plus the largest planned temporary storage
+    of any cell that ran its program (``compiled_verified_temp_mb``;
+    ``..._unplanned`` is the same cell's storage with a buffer per
+    temporary).
 ``lowering_cache``
     Strassen lowering uncached (``build_arena``) versus a warm
     ``build_cached`` hit — the cost a protocol repetition or sweep
@@ -291,8 +294,9 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
 def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     """The default study as users run it: compiled, cells up to n=1024
     verified.  Best-of-*repeats* cold CPU time (empty build cache and
-    report memo each pass) and the ``numerics`` and ``verify`` layers'
-    shares of it."""
+    report memo each pass), the ``numerics`` and ``verify`` layers'
+    shares of it, and the largest planned temporaries of a program run
+    (the ``temp_mb`` of the report-memo misses' ``numerics`` spans)."""
     from repro.algorithms.base import default_build_cache, numerics_memo
     from repro.api import RunOptions, Study
     from repro.observability import trace as obtrace
@@ -313,11 +317,15 @@ def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     cpu, tr = best
     layers = layer_times(tr, cpu=True)
     numerics = layers.get("numerics", (0, 0.0))
+    misses = [sp.attrs for sp in tr.find("numerics") if sp.attrs["memo"] == "miss"]
+    peak = max(misses, key=lambda attrs: attrs["temp_mb"])
     return {
         "compiled_verified_s": cpu,
         "compiled_verified_cells": int(numerics[0]),
         "compiled_verified_numerics_share": numerics[1] / cpu,
         "compiled_verified_verify_share": layers.get("verify", (0, 0.0))[1] / cpu,
+        "compiled_verified_temp_mb": peak["temp_mb"],
+        "compiled_verified_temp_mb_unplanned": peak["temp_mb_unplanned"],
     }
 
 
