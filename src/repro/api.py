@@ -38,7 +38,6 @@ from .core.resultstore import ResultStore
 from .core.study import (
     PAPER_SIZES,
     PAPER_THREADS,
-    TRANSPORTS,
     EnergyPerformanceStudy,
     StudyConfig,
     StudyResult,
@@ -81,7 +80,6 @@ __all__ = [
     "StudyResult",
     "StudyRun",
     "StudyService",
-    "TRANSPORTS",
     "Topology",
     "available_engines",
     "dual_socket_haswell",
@@ -140,21 +138,13 @@ class RunOptions:
         Optional overrides of the same-named
         :class:`~repro.core.study.StudyConfig` fields for this run
         only; ``None`` keeps the study's configured values.
-    transport:
-        How parallel runs ship pre-lowered arenas to workers:
-        ``"auto"`` (shared memory when available, else pickling with a
-        one-time warning), ``"shm"`` (require shared memory), or
-        ``"pickle"`` (force the copying path).  ``None`` — the default
-        — defers to the ``REPRO_STUDY_TRANSPORT`` environment variable,
-        falling back to ``"auto"``.  Irrelevant to serial runs; results
-        are bit-identical under every transport.
     store:
         A :class:`~repro.core.resultstore.ResultStore` or its directory
         (created if missing) that checkpoints the run: stored cells are
         served (MSR deposits included), the rest are simulated and
         stored, so rerunning an interrupted sweep resumes it
         bit-identically.  The cell key covers everything that changes a
-        number (see DESIGN.md §11.5); needs a plain
+        number (see DESIGN.md §11); needs a plain
         :class:`~repro.sim.engine.Engine`.
     """
 
@@ -163,7 +153,6 @@ class RunOptions:
     trace: "bool | str | Path" = False
     execute_max_n: int | None = None
     verify: bool | None = None
-    transport: str | None = None
     store: "ResultStore | str | Path | None" = None
 
     def __post_init__(self) -> None:
@@ -175,11 +164,6 @@ class RunOptions:
         if self.parallel is not None and self.parallel < 0:
             raise ConfigurationError(
                 f"parallel must be >= 0, got {self.parallel}"
-            )
-        if self.transport is not None and self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS} (or None for the "
-                f"environment default), got {self.transport!r}"
             )
 
 
@@ -309,16 +293,15 @@ class Study:
             config=cfg,
             _engine=self._engine(opts),
         )
-        run_kwargs = dict(transport=opts.transport, store=opts.store)
         if not opts.trace:
             return StudyRun(
-                result=study._run(opts.parallel, **run_kwargs), options=opts
+                result=study._run(opts.parallel, store=opts.store), options=opts
             )
 
         reg = _registry()
         snap = reg.snapshot()
         with _trace.tracing() as tracer:
-            result = study._run(opts.parallel, **run_kwargs)
+            result = study._run(opts.parallel, store=opts.store)
         run = StudyRun(
             result=result,
             tracer=tracer,

@@ -130,7 +130,6 @@ def cmd_study(args) -> int:
             engine=args.engine,
             parallel=args.parallel,
             trace=bool(args.trace),
-            transport=args.transport,
             store=args.store,
         )
     )
@@ -384,7 +383,6 @@ def cmd_serve(args) -> int:
     config = ServiceConfig(
         engine=args.engine,
         workers=args.workers,
-        transport=args.transport,
         verify=not args.no_verify,
     )
     print(f"serving on {args.socket} (store: {args.store or 'none'})", flush=True)
@@ -601,8 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="fan batches across N worker processes (0 = in-process)")
     add_engine_arg(p)
-    p.add_argument("--transport", choices=("auto", "shm", "pickle"), default=None,
-                   help="arena transport for pooled batches")
     p.add_argument("--no-verify", action="store_true")
     p.set_defaults(func=cmd_serve)
 

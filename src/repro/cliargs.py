@@ -117,21 +117,9 @@ def _check_parent_dir(path: str | os.PathLike, flag: str) -> None:
 
 
 def add_study_scale_args(parser: argparse.ArgumentParser) -> None:
-    """The huge-sweep argument group: worker transport and the
-    checkpoint store (shared by ``repro study`` and any
-    tool that drives a parallel study)."""
-    from .core.study import TRANSPORTS
-
+    """The huge-sweep argument group: the checkpoint store (shared by
+    ``repro study`` and any tool that drives a parallel study)."""
     g = parser.add_argument_group("scale")
-    g.add_argument(
-        "--transport",
-        choices=TRANSPORTS,
-        default=None,
-        help="how parallel runs ship pre-lowered arenas to workers "
-        "(default: REPRO_STUDY_TRANSPORT env var, else 'auto' — shared "
-        "memory when available, falling back to pickling; results are "
-        "bit-identical either way)",
-    )
     g.add_argument(
         "--store",
         "--checkpoint",

@@ -17,7 +17,6 @@ Fig. 3), average power (Table III / Figs. 4-6) and EP values/scaling
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -50,25 +49,7 @@ __all__ = [
     "EnergyPerformanceStudy",
     "PAPER_SIZES",
     "PAPER_THREADS",
-    "TRANSPORTS",
-    "prebuild_arena_cell",
 ]
-
-#: Arena transports the parallel driver accepts: ``"auto"`` prefers
-#: shared memory and falls back to pickling, the other two force one.
-TRANSPORTS: tuple[str, ...] = ("auto", "shm", "pickle")
-
-#: Environment override for the transport (used by CI to force the shm
-#: path through entry points that don't plumb the knob, e.g. the verify
-#: harness's serial-vs-parallel study differential).
-TRANSPORT_ENV = "REPRO_STUDY_TRANSPORT"
-
-_PICKLE_BYTES_AVOIDED = counter(
-    "study.pickle_bytes_avoided",
-    unit="B",
-    description="arena column bytes shipped to workers by descriptor "
-    "instead of pickle",
-)
 
 _CELLS_RESUMED = counter(
     "study.cells_resumed",
@@ -289,14 +270,13 @@ class EnergyPerformanceStudy:
         """Execute the full matrix serially, in the paper's table order.
 
         :meth:`repro.api.Study.run` is the entry point with per-run
-        options (process fan-out, transport, store, tracing)."""
+        options (process fan-out, store, tracing)."""
         return self._run()
 
     def _run(
         self,
         parallel: int | None = None,
         *,
-        transport: str | None = None,
         store: "ResultStore | str | Path | None" = None,
     ) -> StudyResult:
         """Internal entry point (used by :mod:`repro.api`).
@@ -315,9 +295,7 @@ class EnergyPerformanceStudy:
         reader wrapped around the run observes the same counter stream
         either way.
 
-        *transport* picks how parallel runs ship pre-lowered arenas to
-        workers (see :data:`TRANSPORTS`; ``None`` = env override or
-        ``"auto"``).  *store* (a :class:`ResultStore` or its directory)
+        *store* (a :class:`ResultStore` or its directory)
         checkpoints the sweep: a cell whose key is stored is served
         from it, any other is simulated and stored, so rerunning an
         interrupted sweep resumes it bit-identically.
@@ -345,9 +323,7 @@ class EnergyPerformanceStudy:
             parallel=int(parallel or 0),
         ):
             if parallel is not None and parallel > 1 and len(cells) > 1:
-                self._run_parallel(
-                    result, cells, parallel, transport=transport, store=store, keys=keys
-                )
+                self._run_parallel(result, cells, parallel, store=store, keys=keys)
             else:
                 self._run_serial(result, cells, store, keys)
         return result
@@ -420,13 +396,15 @@ class EnergyPerformanceStudy:
         """Whether the cell at size *n* checks its numerics."""
         return self.config.verify and n <= self.config.execute_max_n
 
-    def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
-        return _run_cell(
-            (self.engine, alg, n, threads, self.config.seed, self._verified(n), None)
-        )
+    def _payload(
+        self, engine: Engine, alg: MatmulAlgorithm, n: int, threads: int
+    ) -> tuple:
+        """Everything :func:`_run_cell` needs for one cell — no lowered
+        graph: the cell is lowered where it runs."""
+        return (engine, alg, n, threads, self.config.seed, self._verified(n))
 
-    def _prebuild(self, alg: MatmulAlgorithm, n: int, threads: int):
-        return prebuild_arena_cell(alg, n, threads, seed=self.config.seed)
+    def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
+        return _run_cell(self._payload(self.engine, alg, n, threads))
 
     def _run_parallel(
         self,
@@ -434,22 +412,15 @@ class EnergyPerformanceStudy:
         cells: list[tuple[MatmulAlgorithm, int, int]],
         workers: int,
         *,
-        transport: str | None = None,
         store: ResultStore | None = None,
         keys: dict[tuple[str, int, int], str] | None = None,
     ) -> None:
         """Fan *cells* over a process pool; merge deterministically.
 
-        Under the ``"shm"`` transport (the default when available) the
-        parent lowers each cost-only arena cell once into a pooled
-        shared-memory segment and ships workers only the picklable
-        :class:`~repro.runtime.shm.ArenaDescriptor` — O(100) bytes per
-        cell instead of the multi-megabyte column payloads — which the
-        worker attaches read-only and runs the arena-native fast engine
-        on directly.  Segment lifecycle is owned by an
-        :class:`~repro.runtime.shm.ArenaPool` closed in a ``finally``,
-        so segments are unlinked even on worker crash or Ctrl-C (POSIX
-        keeps the pages alive for workers that still map them).
+        Each worker lowers its own cell (``build_cached``, as the serial
+        path does): the payload (:meth:`_payload`) is a few KB whatever
+        *n*, because re-lowering a cell costs milliseconds while
+        shipping its arena costs megabytes.
 
         When tracing is enabled in the parent, each worker records its
         cell under a fresh in-process tracer and ships the exported
@@ -465,9 +436,6 @@ class EnergyPerformanceStudy:
         """
         from concurrent.futures import ProcessPoolExecutor
 
-        from ..runtime.shm import ArenaPool, record_fallback
-
-        mode = _resolve_transport(transport)
         # Workers get an MSR-less copy of the engine: MSR deposits are
         # replayed by the parent (below) so the counter stream matches
         # the serial run, and emulated MSR files need not be picklable.
@@ -479,67 +447,32 @@ class EnergyPerformanceStudy:
             fetched = {coords: store.get(key) for coords, key in keys.items()}
             hits = {coords: m for coords, m in fetched.items() if m is not None}
         pending = [(alg, n, p) for alg, n, p in cells if (alg.name, n, p) not in hits]
-        arena_pool = ArenaPool() if mode == "shm" and pending else None
         outcomes: dict[tuple[str, int, int], tuple] = {}
-        try:
-            with trace.span("prebuild", cells=len(pending), transport=mode):
-                payloads = []
-                for alg, n, p in pending:
-                    prebuilt = self._prebuild(alg, n, p)
-                    if prebuilt is not None and arena_pool is not None:
-                        arena = prebuilt.graph
-                        try:
-                            descriptor = arena.to_shm(arena_pool)
-                        except OSError as exc:
-                            # Segment creation failed (ENOSPC on a tiny
-                            # /dev/shm, EMFILE, ...): ship this cell —
-                            # and keep shipping the rest — by pickle.
-                            record_fallback(str(exc))
-                        else:
-                            _PICKLE_BYTES_AVOIDED.add(arena.nbytes)
-                            prebuilt = _ShmBuild(
-                                descriptor=descriptor,
-                                n=prebuilt.n,
-                                variant=prebuilt.variant,
-                                cutoff=prebuilt.cutoff,
-                            )
-                    payloads.append(
-                        (
-                            worker_engine,
-                            alg,
-                            n,
-                            p,
-                            self.config.seed,
-                            self._verified(n),
-                            prebuilt,
-                        )
+        if pending:
+            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
+                futures = [
+                    pool.submit(
+                        _run_cell_worker,
+                        self._payload(worker_engine, alg, n, p),
+                        traced,
                     )
-            if payloads:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(payloads))
-                ) as pool:
-                    futures = [
-                        pool.submit(_run_cell_worker, payload, traced)
-                        for payload in payloads
-                    ]
-                    # Collect in submission (= serial) order; a slow
-                    # early cell simply makes later .result() calls
-                    # return instantly.  A crashing worker is re-raised
-                    # with the failing cell's coordinates instead of a
-                    # bare pool traceback.
-                    for (alg, n, p), future in zip(pending, futures):
-                        coords = (alg.name, n, p)
-                        try:
-                            outcomes[coords] = future.result()
-                        except StudyCellError:
-                            raise
-                        except Exception as exc:
-                            raise StudyCellError(alg.name, n, p, exc) from exc
-                        if store is not None:
-                            self._put(store, keys[coords], coords, outcomes[coords][0])
-        finally:
-            if arena_pool is not None:
-                arena_pool.close()
+                    for alg, n, p in pending
+                ]
+                # Collect in submission (= serial) order; a slow early
+                # cell simply makes later .result() calls return
+                # instantly.  A crashing worker is re-raised with the
+                # failing cell's coordinates instead of a bare pool
+                # traceback.
+                for (alg, n, p), future in zip(pending, futures):
+                    coords = (alg.name, n, p)
+                    try:
+                        outcomes[coords] = future.result()
+                    except StudyCellError:
+                        raise
+                    except Exception as exc:
+                        raise StudyCellError(alg.name, n, p, exc) from exc
+                    if store is not None:
+                        self._put(store, keys[coords], coords, outcomes[coords][0])
         tracer = trace.active()
         msr = getattr(self.engine, "msr", None)
         with trace.span("merge", cells=len(cells)):
@@ -566,86 +499,6 @@ class EnergyPerformanceStudy:
                     tracer.attach(outcome[1])
 
 
-def prebuild_arena_cell(
-    alg: MatmulAlgorithm,
-    n: int,
-    threads: int,
-    *,
-    seed: int,
-):
-    """Lower a cell in the dispatching process when the result is a
-    columnar arena — those pickle compactly (plain numpy columns, no
-    ``Task`` objects or closures), so shipping the build saves every
-    worker from re-lowering the same cell.  Every cell simulates its
-    cost-only lowering, numerics-checked ones included (their numerics
-    program is stamped worker-side); object-graph lowerings stay
-    worker-side.
-
-    Returns ``None`` whenever the cell should be built by the worker
-    instead; shared by the parallel study driver and the study
-    service's batch executor (:mod:`repro.service.executor`).
-    """
-    from ..runtime.arena import TaskArena
-
-    try:
-        build = alg.build_cached(n, threads, seed=seed)
-    except Exception:
-        # Let the worker hit the same failure so it surfaces with
-        # the cell's coordinates via StudyCellError, not as a bare
-        # dispatcher-side traceback during payload construction.
-        return None
-    if isinstance(build.graph, TaskArena):
-        return build
-    return None
-
-
-def _resolve_transport(requested: str | None) -> str:
-    """Resolve the arena transport for a parallel run.
-
-    Precedence: explicit *requested* argument, then the
-    :data:`TRANSPORT_ENV` environment variable, then ``"auto"``.
-    ``"auto"`` probes shared-memory availability and degrades to
-    ``"pickle"`` with a one-time warning plus the
-    ``study.shm_fallbacks`` counter; forcing ``"shm"`` on a host
-    without it is a :class:`ConfigurationError`.
-    """
-    from ..runtime.shm import record_fallback, shm_available
-
-    mode = requested or os.environ.get(TRANSPORT_ENV) or "auto"
-    if mode not in TRANSPORTS:
-        raise ConfigurationError(
-            f"unknown study transport {mode!r}; expected one of {TRANSPORTS}"
-        )
-    if mode == "pickle":
-        return "pickle"
-    ok, reason = shm_available()
-    if ok:
-        return "shm"
-    if mode == "shm":
-        raise ConfigurationError(
-            f"transport='shm' requested but shared memory is unavailable: "
-            f"{reason}"
-        )
-    record_fallback(reason)
-    return "pickle"
-
-
-@dataclass(frozen=True)
-class _ShmBuild:
-    """Worker payload stand-in for a parent-lowered arena build.
-
-    Pickles to O(100) bytes: the arena's columns stay in the parent's
-    pooled shared-memory segment and only this descriptor travels.  The
-    worker re-inflates it to a cost-only
-    :class:`~repro.algorithms.base.BuildResult` over the attached arena.
-    """
-
-    descriptor: object  # ArenaDescriptor (kept untyped: picklable leaf)
-    n: int
-    variant: str
-    cutoff: int
-
-
 def _run_cell(payload) -> RunMeasurement:
     """Build, simulate and (optionally) check the numerics of one cell.
 
@@ -666,53 +519,22 @@ def _run_cell(payload) -> RunMeasurement:
     tasks lowered, kernel sweeps, ...); the span itself records the
     cell's wall and CPU time.
     """
-    engine, alg, n, threads, seed, verified, prebuilt = payload
-    attached = None
-    if isinstance(prebuilt, _ShmBuild):
-        from ..algorithms.base import BuildResult
-        from ..runtime.arena import TaskArena
-
-        try:
-            attached = TaskArena.from_shm(prebuilt.descriptor)
-        except Exception as exc:
-            # Attach failures (segment unlinked early, name collision,
-            # schema drift) surface with the cell's coordinates, not as
-            # a bare FileNotFoundError out of the pool.
-            raise StudyCellError(alg.name, n, threads, exc) from exc
-        prebuilt = BuildResult(
-            graph=attached,
-            n=prebuilt.n,
-            a=None,
-            b=None,
-            c=None,
-            variant=prebuilt.variant,
-            cutoff=prebuilt.cutoff,
-        )
-    try:
-        with trace.span("cell", alg=alg.name, n=n, threads=threads) as cell_span:
-            snap = metrics_registry().snapshot() if trace.enabled() else None
-            if prebuilt is not None:
-                build = prebuilt  # parent-lowered arena (see _prebuild)
-            else:
-                with trace.span("build", alg=alg.name, n=n, threads=threads):
-                    build = alg.build_cached(n, threads, seed=seed)
-            with trace.span("simulate", alg=alg.name, n=n, threads=threads):
-                measurement, schedule = engine.simulate(
-                    build.graph, threads, label=f"{alg.name}[n={n},p={threads}]"
-                )
-            if verified:
-                alg.check_numerics(n, threads, schedule, build.graph, seed=seed)
-            if snap is not None:
-                cell_span.set(
-                    sim_elapsed_s=measurement.elapsed_s,
-                    metrics=metrics_registry().delta_since(snap),
-                )
-    finally:
-        if attached is not None:
-            from ..runtime.shm import detach_arena
-
-            del prebuilt
-            detach_arena(attached)
+    engine, alg, n, threads, seed, verified = payload
+    with trace.span("cell", alg=alg.name, n=n, threads=threads) as cell_span:
+        snap = metrics_registry().snapshot() if trace.enabled() else None
+        with trace.span("build", alg=alg.name, n=n, threads=threads):
+            build = alg.build_cached(n, threads, seed=seed)
+        with trace.span("simulate", alg=alg.name, n=n, threads=threads):
+            measurement, schedule = engine.simulate(
+                build.graph, threads, label=f"{alg.name}[n={n},p={threads}]"
+            )
+        if verified:
+            alg.check_numerics(n, threads, schedule, build.graph, seed=seed)
+        if snap is not None:
+            cell_span.set(
+                sim_elapsed_s=measurement.elapsed_s,
+                metrics=metrics_registry().delta_since(snap),
+            )
     return measurement
 
 

@@ -13,7 +13,6 @@ from .rankevents import (
     RankEvent,
     RankEventProgram,
 )
-from .shm import ArenaDescriptor, ArenaPool
 from .openmp import OpenMP, omp_num_threads
 from .scheduler import (
     ActivityInterval,
@@ -28,8 +27,6 @@ from .timeline import CoreTimeline
 
 __all__ = [
     "ActivityInterval",
-    "ArenaDescriptor",
-    "ArenaPool",
     "CoreTimeline",
     "EventAggregate",
     "EventStreamBuilder",

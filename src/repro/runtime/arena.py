@@ -56,7 +56,6 @@ from ..util.errors import SchedulingError, ValidationError
 from .cost import TaskCost
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .shm import ArenaDescriptor, ArenaPool
     from .task import TaskGraph
 
 __all__ = [
@@ -587,41 +586,16 @@ class TaskArena:
             )
         return out
 
-    # ---- shared-memory transport ---------------------------------------
-
-    def to_shm(self, pool: "ArenaPool") -> "ArenaDescriptor":
-        """Lay this arena's columns into *pool*'s shared memory and
-        return the compact picklable :class:`~repro.runtime.shm.ArenaDescriptor`
-        (segment name + per-column dtype/shape/offset table) a worker
-        hands to :meth:`from_shm`.  The pool owns segment lifecycle
-        (refcounts, unlink); see :mod:`repro.runtime.shm`."""
-        return pool.put(self)
-
-    @staticmethod
-    def from_shm(descriptor: "ArenaDescriptor") -> "TaskArena":
-        """Attach a descriptor's segment and return the zero-copy,
-        read-only arena view (columns are numpy views into the shared
-        mapping).  The segment handle rides on ``_shm``; release it
-        with :func:`repro.runtime.shm.detach_arena`."""
-        from .shm import attach_arena
-
-        return attach_arena(descriptor)
-
     # ---- pickling ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop derived caches (and the engines' plan bundle, and any
-        attached shared-memory handle) — workers rebuild them lazily;
-        only the core columns cross the wire.  Pickling an shm-attached
-        arena deep-copies the columns out of the mapping, which is
-        always safe (just no longer zero-copy)."""
-        state = {
+        """Drop derived caches (and the engines' plan bundle) — they are
+        rebuilt lazily; only the core columns are pickled."""
+        return {
             k: v
             for k, v in self.__dict__.items()
-            if not k.startswith("_c_")
-            and k not in ("_plan_bundle", "_shm")
+            if not k.startswith("_c_") and k != "_plan_bundle"
         }
-        return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -21,7 +21,8 @@ times, records and interval rows; versus ``reference`` the documented
 unchanged.  Any drift is a bug the ``compiled_engine`` verify family
 exists to catch.
 
-Toolchain semantics mirror the shm transport (PR 5):
+Toolchain semantics: a kernel asked for by name is strict, the
+platform default degrades gracefully.
 
 * :func:`compiled_available` probes for a working C compiler
   (``$CC``, ``cc``, ``gcc``, ``clang``; ``REPRO_COMPILED_TOOLCHAIN=none``
@@ -105,7 +106,7 @@ class _KernelInternalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# fallback accounting (mirrors repro.runtime.shm)
+# fallback accounting
 
 _fallback_warned = False
 
@@ -128,8 +129,7 @@ def record_fallback(reason: str) -> None:
 def reset_fallback_warning() -> None:
     """Re-arm the once-per-process fallback warning.
 
-    Same rationale as :func:`repro.runtime.shm.reset_fallback_warning`:
-    the latch is process-global, so long-lived processes (the study
+    The latch is process-global, so long-lived processes (the study
     service, pytest) reset it at unit-of-work boundaries; the counter
     is unaffected.
     """

@@ -112,9 +112,7 @@ def build_bundle(arena: TaskArena, key: tuple) -> PlanBundle:
     cp.alive0 = np.where(
         bad.any(axis=1), -1 - bad.argmax(axis=1), n_priv + n_shr
     ).astype(np.int64)
-    # A copy: an shm-attached arena's columns are views of a mapping
-    # that detaching closes.
-    cp.created = arena.created_by.copy()
+    cp.created = arena.created_by
     cp.affinity = (~arena.untied & (cp.created >= 0)).astype(np.uint8)
     cp.zeros = (
         (f == 0.0) & (b1 == 0.0) & (b2 == 0.0) & (b3 == 0.0) & (bd == 0.0)

@@ -418,9 +418,9 @@ class Scheduler:
         elif engine not in ENGINES:
             raise ConfigurationError(f"unknown engine {engine!r}")
         elif engine == "compiled":
-            # Explicitly named (not the platform default): fail fast
-            # rather than degrade, mirroring the forced-shm-transport
-            # semantics.  Compile cost itself stays lazy (first run).
+            # Explicitly named (not the platform default): a kernel the
+            # caller asked for by name fails fast rather than degrade.
+            # Compile cost itself stays lazy (first run).
             from .compiledpath import compiled_available
 
             ok, reason = compiled_available()

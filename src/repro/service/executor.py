@@ -13,9 +13,8 @@ bit-identical to the same cell computed by
 :class:`~repro.core.study.EnergyPerformanceStudy` — the property the
 ``study_service`` verify family enforces.  With ``workers > 1`` a
 service-lifetime :class:`~concurrent.futures.ProcessPoolExecutor` fans
-the batch out, shipping parent-lowered arenas through the PR 5
-shared-memory transport (descriptors instead of pickled columns) under
-the same ``auto``/``shm``/``pickle`` resolution the study uses.
+the batch out; each worker lowers its own cell, exactly like the
+parallel study's workers.
 
 Fault policy: a worker that dies mid-batch (or a cell that raises in
 the pool) must never surface a wrong or missing answer.  Each failed
@@ -34,13 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import make_algorithm
-from ..core.study import (
-    _resolve_transport,
-    _run_cell,
-    _run_cell_worker,
-    _ShmBuild,
-    prebuild_arena_cell,
-)
+from ..core.study import _run_cell, _run_cell_worker
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
@@ -90,7 +83,6 @@ class CellExecutor:
         *,
         engine: "str | Engine | None" = None,
         workers: int = 0,
-        transport: str | None = None,
         verify: bool = True,
     ):
         self.machine = machine
@@ -101,7 +93,6 @@ class CellExecutor:
         self.engine = copy.copy(base)
         self.engine.msr = None
         self.workers = workers
-        self.transport = transport
         self.verify = verify
         self._algorithms: dict[str, MatmulAlgorithm] = {}
         self._pool: ProcessPoolExecutor | None = None
@@ -122,7 +113,7 @@ class CellExecutor:
     def display_names(self, names: "list[str] | tuple[str, ...]") -> dict[str, str]:
         return {name: self.algorithm(name).display_name for name in names}
 
-    def _payload(self, spec: CellSpec, prebuilt=None) -> tuple:
+    def _payload(self, spec: CellSpec) -> tuple:
         return (
             self.engine,
             self.algorithm(spec.algorithm),
@@ -130,7 +121,6 @@ class CellExecutor:
             spec.threads,
             spec.seed,
             spec.execute and self.verify,
-            prebuilt,
         )
 
     # ---- compute -------------------------------------------------------
@@ -139,7 +129,7 @@ class CellExecutor:
         """Simulate every cell in *specs*; returns spec → measurement.
 
         Serial in-process below the pool threshold; otherwise fanned
-        over the worker pool with shm-transported prebuilt arenas.
+        over the worker pool, each worker lowering its own cells.
         Failures degrade per-cell to a serial recompute.
         """
         with self._lock:
@@ -155,51 +145,20 @@ class CellExecutor:
         return _run_cell(self._payload(spec))
 
     def _compute_pool(self, specs: list[CellSpec]) -> dict[CellSpec, RunMeasurement]:
-        from ..runtime.shm import ArenaPool, record_fallback
-
-        mode = _resolve_transport(self.transport)
-        arena_pool = ArenaPool() if mode == "shm" else None
         out: dict[CellSpec, RunMeasurement] = {}
         failed: list[CellSpec] = []
-        try:
-            payloads = []
-            for spec in specs:
-                prebuilt = prebuild_arena_cell(
-                    self.algorithm(spec.algorithm),
-                    spec.n,
-                    spec.threads,
-                    seed=spec.seed,
-                )
-                if prebuilt is not None and arena_pool is not None:
-                    arena = prebuilt.graph
-                    try:
-                        descriptor = arena.to_shm(arena_pool)
-                    except OSError as exc:
-                        record_fallback(str(exc))
-                    else:
-                        prebuilt = _ShmBuild(
-                            descriptor=descriptor,
-                            n=prebuilt.n,
-                            variant=prebuilt.variant,
-                            cutoff=prebuilt.cutoff,
-                        )
-                payloads.append(self._payload(spec, prebuilt))
-            pool = self._ensure_pool()
-            futures = [_submit(pool, payload) for payload in payloads]
-            for spec, future in zip(specs, futures):
-                try:
-                    out[spec] = future.result()[0]
-                except Exception:
-                    # Worker crash, BrokenProcessPool (at submit or
-                    # later), or a cell-level error: recompute
-                    # in-process so the client gets the right answer
-                    # (or the real per-cell exception) instead of a
-                    # pool traceback.
-                    _WORKER_FAILURES.add()
-                    failed.append(spec)
-        finally:
-            if arena_pool is not None:
-                arena_pool.close()
+        pool = self._ensure_pool()
+        futures = [_submit(pool, self._payload(spec)) for spec in specs]
+        for spec, future in zip(specs, futures):
+            try:
+                out[spec] = future.result()[0]
+            except Exception:
+                # Worker crash, BrokenProcessPool (at submit or later),
+                # or a cell-level error: recompute in-process so the
+                # client gets the right answer (or the real per-cell
+                # exception) instead of a pool traceback.
+                _WORKER_FAILURES.add()
+                failed.append(spec)
         if failed:
             self._discard_pool()
             for spec in failed:

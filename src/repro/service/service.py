@@ -17,7 +17,8 @@ long-running query service:
 * **Batch** — cold cells accumulate briefly (``batch_window_s``, or
   until ``batch_max_cells``) so overlapping requests coalesce into one
   executor batch, which runs off-loop in a worker thread and — with
-  ``workers > 1`` — fans out over the process pool with shm transport.
+  ``workers > 1`` — fans out over a process pool whose workers lower
+  their own cells.
 * **Write-back** — computed cells are persisted before their futures
   resolve, so a re-query is a store hit even across service restarts.
 
@@ -51,7 +52,6 @@ from ..core.resultstore import (
     engine_fingerprint,
     machine_fingerprint,
 )
-from ..core.study import TRANSPORTS
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
 from ..observability.metrics import counter, registry
@@ -84,7 +84,7 @@ _CANCELLED = counter(
 )
 
 #: Counter/metric name prefixes that make up the service ops dashboard.
-_DASHBOARD_PREFIXES = ("service.", "store.", "study.", "shm.")
+_DASHBOARD_PREFIXES = ("service.", "store.", "study.")
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ServiceConfig:
 
     ``workers=0`` computes batches inline in the executor thread (the
     deterministic default); ``workers > 1`` fans batches over a
-    process pool with the study's shm transport.  ``batch_window_s``
+    process pool, as the parallel study does.  ``batch_window_s``
     is how long a cold cell waits for company before its batch
     dispatches — long enough to coalesce a burst of overlapping
     requests, far below human-visible latency.  ``engine=None`` lets
@@ -103,7 +103,6 @@ class ServiceConfig:
 
     engine: str | None = None
     workers: int = 0
-    transport: str | None = None
     verify: bool = True
     batch_max_cells: int = 64
     batch_window_s: float = 0.002
@@ -119,11 +118,6 @@ class ServiceConfig:
         if self.batch_window_s < 0:
             raise ConfigurationError(
                 f"batch_window_s must be >= 0, got {self.batch_window_s}"
-            )
-        if self.transport is not None and self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS} (or None), "
-                f"got {self.transport!r}"
             )
 
 
@@ -153,7 +147,6 @@ class StudyService:
             self.machine,
             engine=engine if engine is not None else self.config.engine,
             workers=self.config.workers,
-            transport=self.config.transport,
             verify=self.config.verify,
         )
         #: Cached so hot-path key derivation hashes only the cell: the
@@ -341,8 +334,8 @@ class StudyService:
         return self._executor.display_names(tuple(names))
 
     def stats(self) -> dict[str, float]:
-        """The service ops dashboard: every ``service.*``, ``store.*``,
-        ``study.*`` and ``shm.*`` counter/gauge value, by name."""
+        """The service ops dashboard: every ``service.*``, ``store.*``
+        and ``study.*`` counter/gauge value, by name."""
         out: dict[str, float] = {}
         for metric in registry():
             if metric.name.startswith(_DASHBOARD_PREFIXES):

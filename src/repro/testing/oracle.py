@@ -549,7 +549,7 @@ def differential_service_check(
     The drive is three passes over the same grid against one persistent
     store: two *concurrent* identical queries on a fresh service
     (single-flight dedup must make every unique cell compute exactly
-    once, with ``workers`` exercising the pool + shm path), then one
+    once, with ``workers`` exercising the worker pool), then one
     query on a *new* service over the same store directory (a simulated
     restart — every cell must come back ``"store"``).  Every
     measurement from every pass must match the serial oracle's floats

@@ -56,22 +56,17 @@ def run_program(machine):
 
 @pytest.fixture(autouse=True)
 def _fresh_fallback_warning():
-    """Isolate the shm/compiled fallback warn-once latches between tests.
+    """Isolate the compiled-kernel fallback warn-once latch between tests.
 
-    The latches are process-global: without this reset, whichever test
+    The latch is process-global: without this reset, whichever test
     first triggers a fallback would silence the warning for every
     later test and make warning assertions order-dependent.
     """
-    from repro.runtime.compiledpath import (
-        reset_fallback_warning as reset_compiled,
-    )
-    from repro.runtime.shm import reset_fallback_warning
+    from repro.runtime.compiledpath import reset_fallback_warning
 
     reset_fallback_warning()
-    reset_compiled()
     yield
     reset_fallback_warning()
-    reset_compiled()
 
 
 @pytest.fixture(autouse=True)

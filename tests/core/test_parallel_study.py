@@ -7,6 +7,8 @@ replays every cell's plane energies into its own MSR in serial order —
 the same RAPL counter stream.
 """
 
+import pickle
+
 import pytest
 
 from repro.algorithms.base import MatmulAlgorithm
@@ -130,112 +132,79 @@ def test_parallel_one_is_serial_path(machine):
     assert len(result.runs) == 3 * 1 * 2
 
 
-# ---- shared-memory transport ------------------------------------------
+# ---- workers lower their own cells ------------------------------------
 
 
-def _leaked_segments():
-    import glob
-
-    return set(glob.glob("/dev/shm/repro-arena-*"))
-
-
-def test_all_transports_bit_identical(machine):
-    """serial == parallel-pickle == parallel-shm, measurements and MSR
-    counter stream alike.  Sizes above execute_max_n force the
-    pre-lowered arena path, so the shm run really ships descriptors."""
+def test_serial_and_parallel_bit_identical(machine):
+    """serial == parallel=2, measurements and MSR counter stream alike,
+    over verified (128) and cost-only (512) cells."""
     cfg = StudyConfig(sizes=(128, 512), threads=(1, 2), execute_max_n=128)
-    before = _leaked_segments()
 
-    def run(parallel, transport=None):
+    def run(parallel):
         msr = MsrFile()
         study = EnergyPerformanceStudy(
             machine, config=cfg, _engine=Engine(machine, msr=msr)
         )
-        return study._run(parallel, transport=transport), msr
+        return study._run(parallel), msr
 
     ser, msr_ser = run(None)
-    shm, msr_shm = run(2, "shm")
-    pkl, msr_pkl = run(2, "pickle")
-    assert list(ser.runs) == list(shm.runs) == list(pkl.runs)
+    par, msr_par = run(2)
+    assert list(ser.runs) == list(par.runs)
     for key in ser.runs:
-        a, b, c = ser.runs[key], shm.runs[key], pkl.runs[key]
-        assert a.elapsed_s == b.elapsed_s == c.elapsed_s, key
-        assert a.energy.package == b.energy.package == c.energy.package, key
-        assert a.energy.pp0 == b.energy.pp0 == c.energy.pp0, key
-        assert a.energy.dram == b.energy.dram == c.energy.dram, key
+        a, b = ser.runs[key], par.runs[key]
+        assert a.elapsed_s == b.elapsed_s, key
+        assert a.energy.package == b.energy.package, key
+        assert a.energy.pp0 == b.energy.pp0, key
+        assert a.energy.dram == b.energy.dram, key
     for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
         addr = PLANE_MSR[plane]
-        assert msr_ser.read(addr) == msr_shm.read(addr) == msr_pkl.read(addr)
-    assert _leaked_segments() == before
+        assert msr_ser.read(addr) == msr_par.read(addr), plane
 
 
-def test_shm_run_counts_pickle_bytes_avoided(machine):
-    """Every descriptor-shipped cell credits its arena's column bytes
-    to the study.pickle_bytes_avoided counter."""
-    from repro.observability.metrics import registry
+def test_parallel_payload_carries_no_arena_and_is_constant_in_n(
+    machine, monkeypatch
+):
+    """What crosses the pipe is ``(engine, alg, n, p, seed, verified)``:
+    no lowered graph, so a cell's payload is as small at n=4096 as at
+    n=512 (the n=4096 arena alone pickles to megabytes)."""
+    import concurrent.futures
 
-    cfg = StudyConfig(sizes=(512,), threads=(1, 2), execute_max_n=0, verify=False)
-    study = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, engine="fast")
-    )
-    snap = registry().snapshot()
-    study._run(2, transport="shm")
-    delta = registry().delta_since(snap)
-    assert delta.get("study.pickle_bytes_avoided", 0) > 0
-    assert delta.get("shm.bytes_mapped", 0) > 0
+    sent = []
 
+    class PicklingExecutor:
+        """In-process pool: records each pickled payload and runs the
+        call on the unpickled copy, as a worker would."""
 
-def test_transport_env_var_is_honoured(machine, monkeypatch):
-    """REPRO_STUDY_TRANSPORT steers entry points that don't plumb the
-    knob (the verify harness's study differential in CI)."""
-    from repro.core.study import _resolve_transport
+        def __init__(self, max_workers=None):
+            pass
 
-    monkeypatch.setenv("REPRO_STUDY_TRANSPORT", "pickle")
-    assert _resolve_transport(None) == "pickle"
-    assert _resolve_transport("shm") == "shm"  # explicit arg wins
-    monkeypatch.setenv("REPRO_STUDY_TRANSPORT", "shm")
-    assert _resolve_transport(None) == "shm"
-    monkeypatch.delenv("REPRO_STUDY_TRANSPORT")
-    assert _resolve_transport(None) in ("shm", "pickle")  # auto
+        def __enter__(self):
+            return self
 
+        def __exit__(self, *exc):
+            return False
 
-def test_worker_crash_under_shm_leaves_no_segments(machine):
-    """A crashing cell mid-sweep must not strand /dev/shm segments —
-    the pool closes in the driver's finally."""
-    before = _leaked_segments()
+        def submit(self, fn, payload, *args):
+            sent.append(pickle.dumps(payload))
+            future = concurrent.futures.Future()
+            future.set_result(fn(pickle.loads(sent[-1]), *args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingExecutor)
     cfg = StudyConfig(
-        sizes=(64, 128),
-        threads=(1, 2),
+        sizes=(512, 4096),
+        threads=(1,),
         execute_max_n=0,
         verify=False,
-        baseline="crasher",
+        baseline="strassen",
     )
-    study = EnergyPerformanceStudy(machine, [_CrashingAlg(machine)], config=cfg)
-    with pytest.raises(StudyCellError):
-        study._run(2, transport="shm")
-    assert _leaked_segments() == before
-
-
-def test_interrupt_mid_prebuild_leaves_no_segments(machine, monkeypatch):
-    """KeyboardInterrupt while the parent is still laying arenas into
-    the pool (first segments already created) must reach the driver's
-    finally and unlink everything."""
-    before = _leaked_segments()
-    cfg = StudyConfig(sizes=(512,), threads=(1, 2), execute_max_n=0, verify=False)
-    study = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, engine="fast")
-    )
-    real_prebuild = EnergyPerformanceStudy._prebuild
-    calls = {"n": 0}
-
-    def interrupting(self, alg, n, p):
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            raise KeyboardInterrupt
-        return real_prebuild(self, alg, n, p)
-
-    monkeypatch.setattr(EnergyPerformanceStudy, "_prebuild", interrupting)
-    with pytest.raises(KeyboardInterrupt):
-        study._run(2, transport="shm")
-    assert calls["n"] >= 3
-    assert _leaked_segments() == before
+    algs = [make_algorithm("strassen", machine)]
+    EnergyPerformanceStudy(machine, algs, config=cfg)._run(2)
+    small, big = (len(blob) for blob in sent)
+    assert small == big
+    for blob in sent:
+        engine, alg, n, p, seed, verified = pickle.loads(blob)
+        assert isinstance(engine, Engine) and isinstance(alg, MatmulAlgorithm)
+        assert (p, seed, verified) == (1, cfg.seed, False)
+    arena = algs[0].build_cached(4096, 1, seed=cfg.seed).graph
+    assert len(pickle.dumps(arena)) > 100 * big

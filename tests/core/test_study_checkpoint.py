@@ -130,27 +130,23 @@ def test_crash_mid_sweep_resume_is_bit_identical(
 
 
 def test_parallel_resume_is_bit_identical(machine, tmp_path):
-    """Resume must compose with the process-pool driver over both
-    transports: stored cells are not resubmitted, the merge is still
-    serial-order, and the parent MSR stream matches the serial run."""
+    """Resume must compose with the process-pool driver: stored cells
+    are not resubmitted, the merge is still serial-order, and the
+    parent MSR stream matches the serial run."""
     msr_full = MsrFile()
     full = _study(machine, msr_full)._run(None)
     study = _study(machine)
-    keys = _keys(study)
-    for transport in ("shm", "pickle"):
-        root = tmp_path / transport
-        study._run(None, store=root)
-        _crash(root, keys, 5)
-        msr_res = MsrFile()
-        resumed, delta = _counting(
-            lambda: _study(machine, msr_res)._run(
-                2, transport=transport, store=root
-            )
-        )
-        _assert_identical(full, resumed)
-        _assert_same_msr(msr_full, msr_res)
-        assert delta.get("study.cells_resumed") == 5, transport
-        assert len(ResultStore(root)) == len(full.runs), transport
+    root = tmp_path / "store"
+    study._run(None, store=root)
+    _crash(root, _keys(study), 5)
+    msr_res = MsrFile()
+    resumed, delta = _counting(
+        lambda: _study(machine, msr_res)._run(2, store=root)
+    )
+    _assert_identical(full, resumed)
+    _assert_same_msr(msr_full, msr_res)
+    assert delta.get("study.cells_resumed") == 5
+    assert len(ResultStore(root)) == len(full.runs)
 
 
 def test_resume_counts_cells_metric(machine, tmp_path):

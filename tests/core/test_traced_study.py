@@ -68,6 +68,32 @@ def test_parallel_trace_merges_every_cell_in_serial_order(machine):
         assert cur.t_start >= prev.t_end - 1e-12
 
 
+def test_parallel_cells_trace_the_same_layers_as_serial(machine):
+    """A worker lowers its own cell, so every parallel cell has the
+    serial cell's children (``build``, ``simulate``, ``numerics``,
+    ``verify``) and the parent lowers nothing."""
+    from repro.algorithms.base import numerics_memo
+
+    cfg = dict(sizes=(128, 256), threads=(1,), execute_max_n=128)
+
+    def layers(parallel):
+        # Each run starts from an empty report memo (forked workers
+        # inherit the parent's), so every verified cell misses alike.
+        numerics_memo().clear()
+        run = Study(machine, **cfg).run(RunOptions(parallel=parallel, trace=True))
+        tracer = run.tracer
+        assert not tracer.find("prebuild")
+        return [
+            [child.name for child in tracer.children(cell)]
+            for cell in tracer.find("cell")
+        ]
+
+    serial = layers(None)
+    assert all(names[:2] == ["build", "simulate"] for names in serial)
+    assert any("numerics" in names for names in serial)
+    assert layers(2) == serial
+
+
 def test_parallel_trace_absorbs_worker_metrics(machine):
     serial = Study(machine, **CFG).run(RunOptions(trace=True))
     par = Study(machine, **CFG).run(RunOptions(parallel=2, trace=True))

@@ -65,8 +65,6 @@ def test_service_config_validation():
         ServiceConfig(workers=-1)
     with pytest.raises(ConfigurationError):
         ServiceConfig(batch_max_cells=0)
-    with pytest.raises(ConfigurationError):
-        ServiceConfig(transport="carrier-pigeon")
 
 
 # ---------------------------------------------------------------------------

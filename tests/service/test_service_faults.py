@@ -131,7 +131,7 @@ def test_pool_breaking_during_submission_degrades_to_recompute(
     monkeypatch.setattr(executor_mod.CellExecutor, "_ensure_pool", lambda self: pool)
     specs = REQ.cells()
     snap = registry().snapshot()
-    with executor_mod.CellExecutor(machine, workers=2, transport="pickle") as ex:
+    with executor_mod.CellExecutor(machine, workers=2) as ex:
         out = ex.compute(specs)
     delta = registry().delta_since(snap)
     assert pool.calls == len(specs)

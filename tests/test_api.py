@@ -31,17 +31,6 @@ class TestRunOptions:
         opts = RunOptions(engine=Engine(machine))
         assert isinstance(opts.engine, Engine)
 
-    def test_transport_default_defers_to_environment(self):
-        assert RunOptions().transport is None
-
-    def test_known_transports_accepted(self):
-        for transport in ("auto", "shm", "pickle"):
-            assert RunOptions(transport=transport).transport == transport
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError, match="transport"):
-            RunOptions(transport="osmosis")
-
     def test_run_with_checkpoint_and_resume(self, machine, tmp_path):
         """The facade plumbs the store through to the driver: a rerun
         against it serves every cell and reproduces the result exactly."""
@@ -55,16 +44,14 @@ class TestRunOptions:
             assert a.elapsed_s == b.elapsed_s, key
             assert a.energy.package == b.energy.package, key
 
-    def test_parallel_transports_match_serial(self, machine):
+    def test_parallel_matches_serial(self, machine):
         serial = Study(machine, **CFG).run(RunOptions())
-        for transport in ("shm", "pickle"):
-            par = Study(machine, **CFG).run(
-                RunOptions(parallel=2, transport=transport)
-            )
-            for key in serial.result.runs:
-                a, b = serial.result.runs[key], par.result.runs[key]
-                assert a.elapsed_s == b.elapsed_s, (transport, key)
-                assert a.energy.package == b.energy.package, (transport, key)
+        par = Study(machine, **CFG).run(RunOptions(parallel=2))
+        assert list(serial.result.runs) == list(par.result.runs)
+        for key in serial.result.runs:
+            a, b = serial.result.runs[key], par.result.runs[key]
+            assert a.elapsed_s == b.elapsed_s, key
+            assert a.energy.package == b.energy.package, key
 
 
 class TestStudy:

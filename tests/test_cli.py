@@ -133,14 +133,14 @@ def test_study_parallel_matches_serial(capsys):
     assert out_s == out_p  # deterministic fan-out: identical tables
 
 
-def test_study_transports_match(capsys):
-    """--transport shm and --transport pickle print identical tables."""
-    argv = ("study", "--sizes", "256", "--threads", "1", "2",
-            "--execute-max-n", "0", "--no-verify", "--parallel", "2")
-    code_a, out_a, _ = run(capsys, *argv, "--transport", "shm")
-    code_b, out_b, _ = run(capsys, *argv, "--transport", "pickle")
-    assert code_a == code_b == 0
-    assert out_a == out_b
+def test_study_parallel_matches_serial_verified(capsys):
+    """Verified cells too: workers lower, simulate and check their own
+    cells and the tables match the serial run's."""
+    argv = ("study", "--sizes", "256", "512", "--threads", "1", "2")
+    code_s, out_s, _ = run(capsys, *argv)
+    code_p, out_p, _ = run(capsys, *argv, "--parallel", "2")
+    assert code_s == code_p == 0
+    assert out_s == out_p
 
 
 def test_study_checkpoint_then_resume(capsys, tmp_path):

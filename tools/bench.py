@@ -52,14 +52,14 @@ and the trace-driven cache simulator:
     cold), plus ``tracemalloc`` peak lowering memory at the largest
     problem size for both representations.
 ``study_parallel``
-    Parallel-study dispatch: per-cell bytes crossing the pickle
-    boundary under the shared-memory transport (an
-    ``ArenaDescriptor``) versus the pickling transport (the arena's
-    columns), at the largest benchmarked size — plus the wall time of
-    a small parallel study under each transport.  The gated
-    ``bytes_ratio`` (pickled column bytes / descriptor bytes) is the
+    Parallel-study dispatch: the bytes one cell's payload carries
+    across the process-pool pickle boundary (workers lower their own
+    cells, so no arena travels) against the pickled arena a worker
+    would otherwise receive, at the largest benchmarked size — plus
+    the wall time of a small parallel study.  The gated
+    ``bytes_ratio`` (arena pickle bytes / payload bytes) is the
     communication-avoidance headline: it must stay >= 100x at
-    n >= 1024.
+    n = 4096.
 ``network_sim``
     The discrete-event network simulator on a thousand-rank 2.5D SUMMA
     schedule (torus topology, c=2): the arena-lowered vectorized
@@ -418,46 +418,43 @@ def bench_graph_build(
 
 
 def bench_study_parallel(machine, sizes: tuple[int, ...], workers: int = 2) -> dict:
-    """Parallel-study dispatch overhead: shm descriptors vs pickling.
+    """Parallel-study dispatch: what crosses the pipe per cell.
 
-    ``pickle_bytes``/``descriptor_bytes`` measure what one cell of the
-    largest benchmarked size actually ships across the process-pool
-    pickle boundary under each transport; ``bytes_ratio`` is their
-    quotient (gated — the whole point of the shm transport is that it
-    stays large and grows with n).  ``shm_s``/``pickle_s`` time a small
-    cost-only parallel study end to end under each forced transport.
+    ``payload_bytes`` is the pickled payload the parallel driver
+    submits for one cell of the largest benchmarked size;
+    ``arena_bytes`` is that cell's pickled arena, which the payload
+    does not carry because the worker lowers the cell itself.
+    ``bytes_ratio`` is their quotient (gated: the payload is constant
+    in n, the arena grows with it).  ``parallel_s`` times a small
+    cost-only parallel study end to end.
     """
+    import copy
     import pickle
-
-    from repro.core.study import _ShmBuild
-    from repro.runtime.shm import ArenaPool
 
     n_big = max(sizes)
     alg = StrassenWinograd(machine)
-    build = alg.build_arena(n_big, 4)
-    arena = build.graph
-    out = {"n": n_big, "pickle_bytes": len(pickle.dumps(arena))}
-    with ArenaPool() as pool:
-        descriptor = arena.to_shm(pool)
-        shipped = _ShmBuild(
-            descriptor=descriptor,
-            n=build.n,
-            variant=build.variant,
-            cutoff=build.cutoff,
-        )
-        out["descriptor_bytes"] = len(pickle.dumps(shipped))
-    out["bytes_ratio"] = out["pickle_bytes"] / out["descriptor_bytes"]
+    study = EnergyPerformanceStudy(
+        machine, [alg], config=StudyConfig(baseline=alg.name)
+    )
+    worker_engine = copy.copy(study.engine)
+    worker_engine.msr = None
+    payload = study._payload(worker_engine, alg, n_big, 4)
+    out = {
+        "n": n_big,
+        "arena_bytes": len(pickle.dumps(alg.build_arena(n_big, 4).graph)),
+        "payload_bytes": len(pickle.dumps(payload)),
+    }
+    out["bytes_ratio"] = out["arena_bytes"] / out["payload_bytes"]
 
     bench_sizes = tuple(s for s in sizes if s <= 1024) or (min(sizes),)
     cfg = StudyConfig(sizes=bench_sizes, execute_max_n=0, verify=False)
-    for transport in ("shm", "pickle"):
-        study = EnergyPerformanceStudy(
-            machine, config=cfg, _engine=Engine(machine, engine="fast")
-        )
-        t0 = time.perf_counter()
-        result = study._run(workers, transport=transport)
-        out[f"{transport}_s"] = time.perf_counter() - t0
-        out["cells"] = len(result.runs)
+    study = EnergyPerformanceStudy(
+        machine, config=cfg, _engine=Engine(machine, engine="fast")
+    )
+    t0 = time.perf_counter()
+    result = study._run(workers)
+    out["parallel_s"] = time.perf_counter() - t0
+    out["cells"] = len(result.runs)
     out["workers"] = workers
     return out
 
