@@ -81,10 +81,11 @@ __all__ = [
 
 #: Schema version of stored entries *and* a component of every cell key;
 #: bump on any format or key-derivation change so stale entries become
-#: unreachable instead of silently misread.  3: one ``verified`` flag
+#: unreachable instead of silently misread.  4: power traces pickle as
+#: columns, not ``PowerSegment`` lists.  3: one ``verified`` flag
 #: replaces ``execute``/``verify``; v2 entries of executed cells at
 #: non-power-of-two n measured an ``unpad`` task that no longer exists.
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 _STORE_HITS = counter(
     "store.hits", description="result-store lookups answered from a stored entry"

@@ -22,13 +22,14 @@ shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..util.errors import ValidationError
 from ..util.validation import require_nonnegative
 
-__all__ = ["EnergyModel", "Activity", "PlaneEnergy"]
+__all__ = ["EnergyModel", "Activity", "PlaneEnergy", "ordered_sum"]
 
 #: Canonical plane names, matching :mod:`repro.power.planes`.
 _PKG = "PACKAGE"
@@ -36,9 +37,22 @@ _PP0 = "PP0"
 _DRAM = "DRAM"
 
 
+def ordered_sum(column) -> float:
+    """Sum of *column* folded in its order from 0.0 — the bits of a
+    ``for`` loop of float additions.  ``np.sum`` adds pairwise and may
+    differ in the last bits, so totals that must reproduce never use it.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    if not len(column):
+        return 0.0
+    return 0.0 + np.add.accumulate(column).item(-1)
+
+
 @dataclass(frozen=True)
 class Activity:
-    """Machine activity over one accounting interval.
+    """Machine activity over one accounting interval — or over many:
+    every field may instead be an equal-length float64 column, one
+    element per interval (the engine measures all buckets at once).
 
     Attributes
     ----------
@@ -82,7 +96,9 @@ class PlaneEnergy:
 
     ``package`` *includes* ``pp0`` (RAPL semantics: the package counter
     covers the cores plus uncore), so total wall energy is
-    ``package + dram``, never ``package + pp0 + dram``.
+    ``package + dram``, never ``package + pp0 + dram``.  Evaluated on an
+    :class:`Activity` of columns, each field is a column of per-interval
+    joules.
     """
 
     package: float
@@ -143,7 +159,9 @@ class EnergyModel:
             require_nonnegative(getattr(self, name), name)
 
     def interval_energy(self, activity: Activity, dvfs_factor: float = 1.0) -> PlaneEnergy:
-        """Energy per plane for one activity interval.
+        """Energy per plane for one activity interval, or per interval
+        for an :class:`Activity` of columns: the same expressions,
+        broadcast, so each element has the bits of a scalar call.
 
         ``dvfs_factor`` multiplies the dynamic terms; 1.0 corresponds to
         the nominal P-state (the paper's fixed-frequency configuration).

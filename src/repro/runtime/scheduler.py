@@ -104,11 +104,11 @@ class ActivityInterval:
     """Aggregate machine activity between two consecutive events.
 
     ``busy_cores`` is an integral count on the intervals the scheduler
-    emits, but becomes a *fractional* busy-core-seconds average after
-    :meth:`repro.sim.engine.Engine._coarsen` merges adjacent intervals
-    (the merged value is ``sum(busy_i * dt_i) / sum(dt_i)``, which
-    preserves the busy-core-seconds integral exactly) — hence the
-    ``float`` type.
+    emits, but its bucket column becomes a *fractional* busy-core-seconds
+    average after :meth:`repro.sim.engine.Engine._coarsen` merges
+    adjacent intervals (the merged value is ``sum(busy_i * dt_i) /
+    sum(dt_i)``, which preserves the busy-core-seconds integral exactly)
+    — hence the ``float`` type.
     """
 
     t_start: float

@@ -10,25 +10,19 @@ paper's driver did), and returns a :class:`RunMeasurement`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 
 import numpy as np
 
-from ..machine.energy import Activity, PlaneEnergy
+from ..machine.energy import Activity, PlaneEnergy, ordered_sum
 from ..machine.specs import MachineSpec
 
 # Aliased: ``measure`` has a local ``trace`` (the PowerTrace).
 from ..observability import trace as obtrace
 from ..power.msr import MsrFile, deposit_planes
 from ..power.planes import Plane
-from ..power.sampling import PowerSegment, PowerTrace
-from ..runtime.scheduler import (
-    ActivityInterval,
-    Schedule,
-    SchedulePolicy,
-    Scheduler,
-    SchedulerEngine,
-)
+from ..power.sampling import PowerTrace
+from ..runtime.scheduler import Schedule, SchedulePolicy, Scheduler, SchedulerEngine
 from ..runtime.task import TaskGraph
 from ..util.validation import require_positive
 from .measurement import RunMeasurement
@@ -113,50 +107,49 @@ class Engine:
             return self._measure(schedule, label)
 
     def _measure(self, schedule: Schedule, label: str) -> RunMeasurement:
-        dvfs = self.machine.dvfs_factor
-        model = self.machine.energy
+        # One broadcast evaluation of the energy model over the bucket
+        # columns: each bucket's joules have the bits of a scalar call,
+        # and the totals fold in bucket order (never pairwise).
+        t_start, t_end, busy, flops, l1, l2, l3, dram = self._coarsen(schedule)
+        dt = t_end - t_start
+        energy = self.machine.energy.interval_energy(
+            Activity(
+                dt=dt,
+                busy_core_seconds=busy * dt,
+                flops=flops,
+                bytes_l1=l1,
+                bytes_l2=l2,
+                bytes_l3=l3,
+                bytes_dram=dram,
+            ),
+            self.machine.dvfs_factor,
+        )
+        total = PlaneEnergy(
+            ordered_sum(energy.package),
+            ordered_sum(energy.pp0),
+            ordered_sum(energy.dram),
+        )
 
-        total = PlaneEnergy.zero()
-        flops = 0.0
-        bytes_dram = 0.0
-        segments: list[PowerSegment] = []
-
-        intervals = self._coarsen(schedule)
-        for iv in intervals:
-            activity = Activity(
-                dt=iv.duration,
-                busy_core_seconds=iv.busy_cores * iv.duration,
-                flops=iv.flops,
-                bytes_l1=iv.bytes_l1,
-                bytes_l2=iv.bytes_l2,
-                bytes_l3=iv.bytes_l3,
-                bytes_dram=iv.bytes_dram,
+        # Zero-length buckets carry energy but no power segment.
+        keep = dt > 0
+        if keep.any():
+            d = dt[keep]
+            trace = PowerTrace.from_columns(
+                t_start[keep],
+                t_end[keep],
+                {
+                    Plane.PACKAGE: energy.package[keep] / d,
+                    Plane.PP0: energy.pp0[keep] / d,
+                    Plane.DRAM: energy.dram[keep] / d,
+                },
             )
-            energy = model.interval_energy(activity, dvfs)
-            total = total + energy
-            flops += iv.flops
-            bytes_dram += iv.bytes_dram
-            if iv.duration > 0:
-                segments.append(
-                    PowerSegment(
-                        iv.t_start,
-                        iv.t_end,
-                        {
-                            Plane.PACKAGE: energy.package / iv.duration,
-                            Plane.PP0: energy.pp0 / iv.duration,
-                            Plane.DRAM: energy.dram / iv.duration,
-                        },
-                    )
-                )
-
-        if not segments:
+        else:
             # Degenerate graph (all zero-cost tasks): represent it as an
             # infinitesimal idle blip so traces stay well-formed.
-            segments = [
-                PowerSegment(0.0, 0.0, {p: 0.0 for p in (Plane.PACKAGE, Plane.PP0, Plane.DRAM)})
-            ]
-
-        trace = PowerTrace(segments)
+            blip = np.zeros(1)
+            trace = PowerTrace.from_columns(
+                blip, blip, {Plane.PACKAGE: blip, Plane.PP0: blip, Plane.DRAM: blip}
+            )
         if self.msr is not None:
             deposit_planes(self.msr, total)
 
@@ -166,8 +159,8 @@ class Engine:
             elapsed_s=schedule.makespan,
             energy=total,
             trace=trace,
-            flops=flops,
-            bytes_dram=bytes_dram,
+            flops=ordered_sum(flops),
+            bytes_dram=ordered_sum(dram),
             stats=schedule.stats,
         )
         measurement.check_invariants(self.machine)
@@ -179,18 +172,10 @@ class Engine:
         require_positive(duration_s, "duration_s")
         energy = self.machine.energy.idle_energy(duration_s)
         idle_w = self.machine.energy.idle_power_w()
-        trace = PowerTrace(
-            [
-                PowerSegment(
-                    0.0,
-                    duration_s,
-                    {
-                        Plane.PACKAGE: idle_w["PACKAGE"],
-                        Plane.PP0: idle_w["PP0"],
-                        Plane.DRAM: idle_w["DRAM"],
-                    },
-                )
-            ]
+        trace = PowerTrace.from_columns(
+            [0.0],
+            [duration_s],
+            {plane: [idle_w[plane.name]] for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM)},
         )
         if self.msr is not None:
             # Deposit all three planes, mirroring Engine.measure — a
@@ -223,47 +208,46 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _coarsen(self, schedule: Schedule) -> list[ActivityInterval]:
+    def _coarsen(self, schedule: Schedule) -> tuple[np.ndarray, ...]:
         """Merge adjacent intervals into at most ``max_trace_segments``
         buckets, preserving every activity integral exactly.
 
-        Consumes the schedule's ``(k, 8)`` interval array
-        (:meth:`Schedule.interval_columns` — no per-interval tuples or
-        objects are built, only the returned buckets) and groups it
-        vectorially: each bucket is
-        closed by the first interval whose end reaches ``bucket_start +
-        bucket_dt`` (greedy accumulation, same grouping as a scalar
-        pass), located with a binary search over the monotone
-        interval-end column; each bucket's activity sums are then
-        single ``np.add.reduceat`` segments.  A ~300k interval Strassen
-        schedule coarsens in milliseconds instead of a Python-loop
-        second.
+        Returns the buckets as eight ``(k,)`` float64 columns in
+        ``_INTERVAL_FIELDS`` order: start, end, busy cores, flops, L1,
+        L2, L3 and DRAM bytes.  A schedule with no more intervals than
+        that is returned as views of :meth:`Schedule.interval_columns`.
+        Otherwise each bucket is closed greedily by the first interval
+        whose end reaches ``bucket_start + bucket_dt``, located by
+        bisecting the monotone interval-end column, and each
+        bucket's activity sums are single ``np.add.reduceat`` segments.
+        No per-interval or per-bucket object is built.
         """
         cols = schedule.interval_columns()
         n = len(cols)
         if n <= self.max_trace_segments:
-            return [ActivityInterval(*row) for row in cols.tolist()]
-        makespan = schedule.makespan
-        bucket_dt = makespan / self.max_trace_segments
+            return tuple(cols.T)
+        bucket_dt = schedule.makespan / self.max_trace_segments
         t_start = cols[:, 0]
         t_end = cols[:, 1]
         busy_secs = cols[:, 2] * (t_end - t_start)  # busy-core-seconds
 
-        # Greedy bucket boundaries.  searchsorted gives the candidate
+        # Greedy bucket boundaries.  Bisection gives the candidate
         # closing interval; the exact scalar condition
         # ``t_end - start >= bucket_dt`` is re-checked locally because
         # ``a - b >= c`` and ``a >= b + c`` can disagree by one ulp.
+        # Memoryviews read the strided columns as Python floats without
+        # copying them: a ``tolist`` of a million-row column costs more
+        # than the whole search.
+        first, close = memoryview(t_start), memoryview(t_end)
         starts = []  # first row index of each bucket
         i = 0
         while i < n:
             starts.append(i)
-            start = t_start[i]
-            j = int(np.searchsorted(t_end, start + bucket_dt, side="left"))
-            if j < i:
-                j = i
-            while j > i and t_end[j - 1] - start >= bucket_dt:
+            start = first[i]
+            j = bisect_left(close, start + bucket_dt, i)
+            while j > i and close[j - 1] - start >= bucket_dt:
                 j -= 1
-            while j < n - 1 and t_end[j] - start < bucket_dt:
+            while j < n - 1 and close[j] - start < bucket_dt:
                 j += 1
             i = j + 1
 
@@ -272,26 +256,14 @@ class Engine:
         b_start = t_start[idx]
         b_end = t_end[ends]
         duration = b_end - b_start
-        sums = [
+        busy, flops, l1, l2, l3, dram = (
             np.add.reduceat(col, idx)
             for col in (busy_secs, cols[:, 3], cols[:, 4], cols[:, 5], cols[:, 6], cols[:, 7])
-        ]
+        )
         # Fractional after coarsening: the time-weighted mean busy
         # count preserves the busy-core-seconds integral exactly
         # (see ActivityInterval.busy_cores docs).
         avg_busy = np.divide(
-            sums[0], duration, out=np.zeros_like(duration), where=duration > 0
+            busy, duration, out=np.zeros_like(duration), where=duration > 0
         )
-        return [
-            ActivityInterval(
-                t_start=float(b_start[k]),
-                t_end=float(b_end[k]),
-                busy_cores=float(avg_busy[k]),
-                flops=float(sums[1][k]),
-                bytes_l1=float(sums[2][k]),
-                bytes_l2=float(sums[3][k]),
-                bytes_l3=float(sums[4][k]),
-                bytes_dram=float(sums[5][k]),
-            )
-            for k in range(len(idx))
-        ]
+        return b_start, b_end, avg_busy, flops, l1, l2, l3, dram

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..machine.energy import PlaneEnergy
 from ..power.planes import Plane
-from ..power.sampling import PowerSegment, PowerTrace
+from ..power.sampling import PowerTrace
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.validation import require_nonnegative
@@ -63,22 +63,12 @@ class NoiseModel:
         """A noisy copy of *measurement* (never negative energies)."""
         # Wall-clock stretch first: time scales, energies stay put.
         stretch = max(0.5, rng.normal(1.0, self.time_jitter))
-        measurement = replace(
-            measurement,
-            elapsed_s=measurement.elapsed_s * stretch,
-            trace=PowerTrace(
-                [
-                    PowerSegment(
-                        seg.t_start * stretch,
-                        seg.t_end * stretch,
-                        {p: w / stretch for p, w in seg.watts.items()},
-                    )
-                    for seg in measurement.trace.segments
-                ]
-            ),
-        )
+        elapsed_s = measurement.elapsed_s * stretch
+        trace = measurement.trace
+        starts, ends = trace.starts * stretch, trace.ends * stretch
+        watts = {p: w / stretch for p, w in trace.watts.items()}
         jitter = rng.normal(1.0, self.energy_jitter, size=3)
-        drift = rng.normal(0.0, self.drift_w) * measurement.elapsed_s
+        drift = rng.normal(0.0, self.drift_w) * elapsed_s
         package = max(0.0, measurement.energy.package * jitter[0] + drift)
         pp0 = min(package, max(0.0, measurement.energy.pp0 * jitter[1]))
         dram = max(0.0, measurement.energy.dram * jitter[2])
@@ -94,15 +84,10 @@ class NoiseModel:
             if measurement.energy.dram
             else 1.0,
         }
-        segments = [
-            PowerSegment(
-                seg.t_start,
-                seg.t_end,
-                {p: w * scale.get(p, 1.0) for p, w in seg.watts.items()},
-            )
-            for seg in measurement.trace.segments
-        ]
-        return replace(measurement, energy=energy, trace=PowerTrace(segments))
+        trace = PowerTrace.from_columns(
+            starts, ends, {p: w * scale.get(p, 1.0) for p, w in watts.items()}
+        )
+        return replace(measurement, elapsed_s=elapsed_s, energy=energy, trace=trace)
 
 
 class NoisyEngine:

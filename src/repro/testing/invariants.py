@@ -194,26 +194,27 @@ def _check_interval_power(machine: MachineSpec, m: RunMeasurement) -> list[Viola
     """Non-negative instantaneous power; package ≥ static floor."""
     out: list[Violation] = []
     static = machine.energy.package_static_w
-    for i, seg in enumerate(m.trace.segments):
-        for plane, watts in seg.watts.items():
-            if watts < 0:
-                out.append(
-                    Violation(
-                        "power.nonnegative",
-                        f"segment {i} [{seg.t_start}, {seg.t_end}) has "
-                        f"{watts} W on {plane}",
-                    )
+    trace = m.trace
+    starts, ends = trace.starts, trace.ends
+    for plane, watts in trace.watts.items():
+        for i in np.flatnonzero(watts < 0).tolist():
+            out.append(
+                Violation(
+                    "power.nonnegative",
+                    f"segment {i} [{starts[i]}, {ends[i]}) has "
+                    f"{watts[i]} W on {plane}",
                 )
-        if seg.duration > 0:
-            pkg_w = seg.watts.get(Plane.PACKAGE, 0.0)
-            if pkg_w < static * (1 - _TRACE_REL) - 1e-12:
-                out.append(
-                    Violation(
-                        "power.static_floor",
-                        f"segment {i} package power {pkg_w} W below the "
-                        f"static floor {static} W",
-                    )
-                )
+            )
+    pkg_w = trace.watts.get(Plane.PACKAGE, np.zeros(len(trace)))
+    low = (ends - starts > 0) & (pkg_w < static * (1 - _TRACE_REL) - 1e-12)
+    for i in np.flatnonzero(low).tolist():
+        out.append(
+            Violation(
+                "power.static_floor",
+                f"segment {i} package power {pkg_w[i]} W below the "
+                f"static floor {static} W",
+            )
+        )
     return out
 
 

@@ -100,3 +100,76 @@ def test_trace_energy_equals_sum_of_segment_energies(watts):
     t = PowerTrace(segs)
     assert t.energy(PKG) == pytest.approx(sum(watts))
     assert t.peak_power(PKG) == max(watts)
+
+
+def test_resample_does_not_drift():
+    """Sample times are ``t_start + k * period``, not a running sum: a
+    1 s trace at 0.1 s gives exactly 10 samples, none a spurious 0 W
+    point at 0.9999999999999999 s."""
+    samples = PowerTrace([seg(0, 1, 7.0)]).resample(0.1, PKG)
+    assert len(samples) == 10
+    assert [w for _, w in samples] == [7.0] * 10
+    assert samples[-1][0] == 9 * 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e3, allow_nan=False))
+def test_resample_at_duration_over_64_gives_64_samples(duration):
+    """The Chrome-trace exporter samples at ``duration / 64``."""
+    t = PowerTrace([seg(0, duration, 3.0)])
+    samples = t.resample(duration / 64, PKG)
+    assert len(samples) == 64
+    assert all(w == 3.0 for _, w in samples)
+
+
+def test_resample_reads_gaps_as_zero():
+    t = PowerTrace([seg(0, 1, 1.0), seg(2, 3, 2.0)])
+    assert t.resample(0.5, PKG) == [
+        (0.0, 1.0), (0.5, 1.0), (1.0, 0.0), (1.5, 0.0), (2.0, 2.0), (2.5, 2.0),
+    ]
+
+
+def test_from_columns_round_trips_through_segments():
+    import numpy as np
+
+    t = PowerTrace.from_columns(
+        np.array([0.0, 1.0]), np.array([1.0, 3.0]),
+        {PKG: np.array([10.0, 20.0]), Plane.DRAM: np.array([1.0, 2.0])},
+    )
+    assert t._segments is None  # built on first use only
+    assert t.segments == [
+        PowerSegment(0.0, 1.0, {PKG: 10.0, Plane.DRAM: 1.0}),
+        PowerSegment(1.0, 3.0, {PKG: 20.0, Plane.DRAM: 2.0}),
+    ]
+    assert t.segments is t.segments
+    assert t.energy(PKG) == 50.0 and t.peak_power(Plane.DRAM) == 2.0
+    assert t.planes() == {PKG, Plane.DRAM}
+    assert not t.starts.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "starts,ends,watts,match",
+    [
+        ([0.0, 1.0], [1.0, 0.5], [1.0, 1.0], "duration"),
+        ([0.0, 0.5], [1.0, 2.0], [1.0, 1.0], "overlapping"),
+        ([0.0, 1.0], [1.0, 2.0], [1.0, -1.0], "watts"),
+        ([0.0, 1.0], [1.0, 2.0], [1.0, float("nan")], "watts"),
+        ([0.0, 1.0], [1.0, 2.0], [1.0], "shape"),
+    ],
+)
+def test_from_columns_validates_each_column(starts, ends, watts, match):
+    with pytest.raises(ValidationError, match=match):
+        PowerTrace.from_columns(starts, ends, {PKG: watts})
+
+
+def test_pickle_holds_only_the_columns():
+    import pickle
+
+    t = trace()
+    before = pickle.dumps(t)
+    assert len(t.segments) == 3
+    assert pickle.dumps(t) == before
+    back = pickle.loads(before)
+    assert back._segments is None
+    assert back.segments == t.segments
+    assert not back.watts[PKG].flags.writeable

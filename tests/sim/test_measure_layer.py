@@ -9,7 +9,6 @@ schedules of the same arena measure bit-identically — around the
 ``k <= max_trace_segments`` boundary too.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -38,9 +37,8 @@ def schedules(machine):
 
 
 def _bits(buckets) -> bytes:
-    return np.array(
-        [dataclasses.astuple(iv) for iv in buckets], dtype=np.float64
-    ).tobytes()
+    """The bucket columns' bytes, row-major like ``interval_columns``."""
+    return np.column_stack(buckets).tobytes()
 
 
 def _segment_counts(k):

@@ -8,6 +8,7 @@ own target corruption is dead weight.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.machine.energy import PlaneEnergy
@@ -147,14 +148,23 @@ def _fresh(seed=2):
     return case, schedule, measurement
 
 
+def _corrupt(trace, plane, watts):
+    """Overwrite *plane*'s watts on the first segment of nonzero length,
+    in place: the columns are validated (and made read-only) on
+    construction only."""
+    i = int(np.flatnonzero(trace.ends > trace.starts)[0])
+    column = trace.watts[plane]
+    column.setflags(write=True)
+    column[i] = watts
+
+
 def test_negative_interval_power_is_flagged():
     """Corrupting one trace segment below zero (bypassing construction
     validation, as a buggy engine would) trips power.nonnegative."""
     from repro.power.planes import Plane
 
     case, schedule, m = _fresh()
-    seg = next(s for s in m.trace.segments if s.duration > 0)
-    seg.watts[Plane.PP0] = -5.0  # in-place: PowerSegment validates on init only
+    _corrupt(m.trace, Plane.PP0, -5.0)
     names = {
         v.invariant
         for v in check_measurement(case.machine, case.graph, case.threads, schedule, m)
@@ -166,8 +176,7 @@ def test_package_power_below_static_floor_is_flagged():
     from repro.power.planes import Plane
 
     case, schedule, m = _fresh(3)
-    seg = next(s for s in m.trace.segments if s.duration > 0)
-    seg.watts[Plane.PACKAGE] = case.machine.energy.package_static_w * 0.5
+    _corrupt(m.trace, Plane.PACKAGE, case.machine.energy.package_static_w * 0.5)
     names = {
         v.invariant
         for v in check_measurement(case.machine, case.graph, case.threads, schedule, m)

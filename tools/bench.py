@@ -30,7 +30,9 @@ and the trace-driven cache simulator:
     ``plan``, ``sweep`` (the ``schedule`` span's self time) and
     ``measure`` layers.  The gated ``ratio`` is fast/compiled
     end-to-end CPU time: the kernel ratio above only counts if it
-    moves this one.  The ``compiled_verified_*`` row (a report, not
+    moves this one.  ``compiled_measure_share`` has the absolute
+    ceiling ``MEASURE_SHARE_LIMIT`` (0.25): the columnar measure layer
+    must not again lead the compiled study.  The ``compiled_verified_*`` row (a report, not
     gated) times the default study as users run it — compiled, cells
     up to n=1024 verified — and the ``numerics`` and ``verify`` layers'
     shares of its CPU time, plus the largest planned temporary storage
@@ -137,6 +139,10 @@ TOLERANCE = 0.25
 #: the disabled path is one global load + ``is None`` test per span
 #: site, so the estimate must stay small on any host.
 OVERHEAD_LIMIT_PCT = 2.0
+
+#: Absolute ceiling on the ``measure`` layer's share of the compiled
+#: cost-only study's CPU time (``study_e2e`` ``compiled_measure_share``).
+MEASURE_SHARE_LIMIT = 0.25
 
 #: Absolute floor on the compiled engine's speedup over the fast
 #: kernel across the execution-matrix sweeps (JIT warm-up excluded).
@@ -687,6 +693,20 @@ def gate(current: dict, baseline: dict) -> int:
             failures.append(
                 f"compiled: speedup {cratio:.2f}x below the absolute "
                 f"{COMPILED_FLOOR:.1f}x floor"
+            )
+    share = current.get("study_e2e", {}).get("compiled_measure_share")
+    if share is None:
+        failures.append("study_e2e: missing compiled_measure_share")
+    else:
+        status = "ok" if share <= MEASURE_SHARE_LIMIT else "TOO HIGH"
+        print(
+            f"  {'study_e2e':20s} compiled_measure_share: {share:.3f} of the "
+            f"compiled study's CPU time (limit {MEASURE_SHARE_LIMIT:.2f}) {status}"
+        )
+        if share > MEASURE_SHARE_LIMIT:
+            failures.append(
+                f"study_e2e: measure share {share:.3f} exceeds "
+                f"{MEASURE_SHARE_LIMIT:.2f}"
             )
     netsim = current.get("network_sim", {})
     nratio = netsim.get("ratio")
