@@ -27,7 +27,7 @@ from ..observability import trace
 from ..observability.metrics import counter, gauge
 from ..runtime.arena import TaskArena
 from ..runtime.plans import arena_of
-from ..runtime.replay import check_order
+from ..runtime.replay import check_order, depth_first_order
 from ..runtime.task import TaskGraph
 from ..util.errors import ConfigurationError, SchedulingError, ValidationError
 from ..util.validation import require_positive
@@ -406,22 +406,30 @@ class MatmulAlgorithm(ABC):
         It then looks the report up in the :class:`ReportMemo` by
         ``(n, seed, numerics_digest(program, arena))`` (span attribute
         ``memo="hit"|"miss"``).  On a miss it runs the program in the
-        start order, its temporaries in storage planned for that order
-        (span attributes ``temp_mb`` and ``temp_mb_unplanned``), and
-        verifies the product under a ``verify`` span.
+        arena's canonical depth-first order
+        (:func:`~repro.runtime.replay.depth_first_order`), its
+        temporaries in storage planned for that order (span attributes
+        ``temp_mb`` and ``temp_mb_unplanned``), and verifies the product
+        under a ``verify`` span.  The start order is what the cell
+        proves; the order a miss runs in only sets its memory, since a
+        race-free DAG computes the same C in every linear extension
+        (the ``numerics_program`` oracle checks both orders), and the
+        depth-first one keeps the temporaries of one recursion branch
+        at a time live.
         Raises :class:`ValidationError` when the error exceeds its
         stability bound, on a hit as on a miss."""
         attrs = {"alg": self.name, "n": n, "threads": threads}
         with trace.span("numerics", **attrs) as span:
-            order = schedule.start_order()
             arena = arena_of(simulated)
-            program = self._checked_program(n, threads, order, arena)
+            program = self._checked_program(
+                n, threads, schedule.start_order(), arena
+            )
             key = (n, seed, numerics_digest(program, arena))
             report = _REPORT_MEMO.lookup(key)
             span.set(memo="miss" if report is None else "hit")
             if report is None:
                 product = self._run_program(
-                    program, simulated, order, seed, span
+                    program, simulated, depth_first_order(arena), seed, span
                 )
         if report is None:
             with trace.span("verify", **attrs):

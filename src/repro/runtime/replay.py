@@ -2,25 +2,27 @@
 
 Simulation prices task costs only: no event kernel ever runs numerics,
 so every study cell simulates its cost-only arena.  A run that checks
-its numerics runs them afterwards, in the schedule's start order
-(:meth:`~repro.runtime.scheduler.Schedule.start_order`).  The product
-is thus still computed by running the DAG in the order the simulated
-machine ran it.
+its numerics runs them afterwards, over the same DAG.
 
-:func:`check_order` is the one guard every replay passes: the order
-must be a linear extension of the simulated arena (a permutation of its
-task ids that runs every task after its dependencies), tested with one
+:func:`check_order` is the one guard every replay passes: the
+schedule's start order
+(:meth:`~repro.runtime.scheduler.Schedule.start_order`) must be a
+linear extension of the simulated arena (a permutation of its task ids
+that runs every task after its dependencies), tested with one
 vectorized position comparison over the arena's dependency CSR.  A
 violation raises :class:`~repro.util.errors.SchedulingError` before
 anything runs.  The dense algorithms run a numerics program stamped
 from their lowering templates
-(:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`);
-object graphs with ``compute`` closures (sparse kernels, block LU) go
-through :func:`replay` and :func:`replay_numerics`.
+(:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`) in
+:func:`depth_first_order`, which for a race-free DAG yields the same
+bits as the start order in far less temporary storage; object graphs
+with ``compute`` closures (sparse kernels, block LU) go through
+:func:`replay` and :func:`replay_numerics` in the start order.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -33,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import Schedule
     from .task import TaskGraph
 
-__all__ = ["check_order", "replay", "replay_numerics"]
+__all__ = ["check_order", "depth_first_order", "replay", "replay_numerics"]
 
 
 def check_order(arena: TaskArena, order: Sequence[int]) -> None:
@@ -66,6 +68,33 @@ def check_order(arena: TaskArena, order: Sequence[int]) -> None:
             f"replay order runs {names[ids[task]]!r} before its "
             f"dependency {names[ids[dep]]!r}"
         )
+
+
+def depth_first_order(arena: TaskArena) -> list[int]:
+    """The canonical depth-first linear extension of *arena*: Kahn's
+    algorithm, always running the highest ready task id first.
+
+    The lowerings number tasks in recursion order, so the highest ready
+    id belongs to the newest subproblem: the order finishes one branch
+    of the recursion before it opens the next, as a depth-first
+    traversal does, and only the temporaries of the branches on the
+    current path are live at once.  It depends on the DAG alone, so
+    every cell that shares a DAG runs its numerics in the same order.
+    An arena with a cycle yields fewer than ``len(arena)`` ids."""
+    sptr, sidx = arena.successors_csr()
+    ptr, succ = sptr.tolist(), sidx.tolist()
+    indeg = arena.dep_counts.tolist()
+    ready = [-t for t, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        tid = -heapq.heappop(ready)
+        order.append(tid)
+        for nxt in succ[ptr[tid] : ptr[tid + 1]]:
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(ready, -nxt)
+    return order
 
 
 def replay(graph: "TaskGraph", order: Sequence[int]) -> None:

@@ -13,12 +13,11 @@ cases, a templated-vs-object lowering differential every
 ``lowering_every`` (the columnar arena stamping must be bit-identical
 to the object lowering of :mod:`repro.testing.lowering`) paired with a
 numerics-program differential (the stamped numerics must reproduce the
-sequential fast matmul byte for byte, in two linear extensions), a
-compiled-engine differential every
-``compiled_every`` (the JIT-compiled C sweep against *both* Python
-kernels — probed once up front and silently absent on hosts without a
-toolchain, so ``--require compiled_engine`` makes its coverage
-mandatory), a network-simulation differential every ``network_every``
+sequential fast matmul byte for byte, in the start and the depth-first
+order), a compiled-engine differential every ``compiled_every`` (the
+JIT-compiled C sweep against *both* Python kernels — probed once up
+front and silently absent on hosts without a toolchain, so ``--require
+compiled_engine`` makes its coverage mandatory), a network-simulation differential every ``network_every``
 (arena-lowered event sweep vs per-rank object loop vs the closed-form
 BSP/collective models, all bit-exact, plus the Eq. 8 schedule floor),
 an Eq. 5/6 scaling sweep every ``scaling_every``, a full

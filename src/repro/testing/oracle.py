@@ -20,9 +20,9 @@ hand-written expected values:
   ``build_arena`` stamping must equal the independent object lowering
   of :mod:`repro.testing.lowering` bit for bit.
 * **stamped numerics vs sequential fast matmul** — the numerics program
-  run in a schedule's start order, and again in a second linear
-  extension, must reproduce :mod:`repro.linalg.fastmm` (or a tile loop,
-  for blocked) byte for byte.
+  run in a schedule's start order, and again in the depth-first order a
+  report-memo miss runs, must reproduce :mod:`repro.linalg.fastmm` (or
+  a tile loop, for blocked) byte for byte.
 * **event-simulated vs closed-form network models** — the arena-lowered
   event sweep must match the per-rank object loop bit-for-bit on every
   schedule; on a contention-free topology the event lowering of a BSP
@@ -41,6 +41,7 @@ from __future__ import annotations
 from ..core.study import EnergyPerformanceStudy, StudyConfig
 from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
+from ..runtime.replay import depth_first_order
 from ..runtime.scheduler import ActivityInterval, Schedule, Scheduler
 from ..sim.engine import Engine
 from .generators import (
@@ -338,27 +339,6 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
 # stamped numerics vs sequential fast matmul
 
 
-def kahn_highest_first(arena) -> list[int]:
-    """A linear extension of *arena* other than any schedule's: Kahn's
-    algorithm, always running the highest ready task id first."""
-    import heapq
-
-    sptr, sidx = arena.successors_csr()
-    ptr, succ = sptr.tolist(), sidx.tolist()
-    indeg = arena.dep_counts.tolist()
-    ready = [-t for t, d in enumerate(indeg) if d == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        tid = -heapq.heappop(ready)
-        order.append(tid)
-        for nxt in succ[ptr[tid] : ptr[tid + 1]]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, -nxt)
-    return order
-
-
 def reference_product(alg, a, b, threads: int):
     """The product the stamped numerics must reproduce bit for bit:
     :mod:`repro.linalg.fastmm` on the zero-padded operands (sliced
@@ -401,8 +381,12 @@ def reference_product(alg, a, b, threads: int):
 def differential_numerics_check(case: NumericsCase) -> list[Violation]:
     """Run one cell's stamped numerics program and demand byte-identity
     with :func:`reference_product`, in the simulated schedule's start
-    order and again in :func:`kahn_highest_first` — a product that
-    depends on the order would expose a race in the DAG.
+    order and again in :func:`~repro.runtime.replay.depth_first_order`
+    — a product that depends on the order would expose a race in the
+    DAG.  The depth-first order is the one a cell's report-memo miss
+    runs (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`),
+    so this is also what licenses running it instead of the start order
+    each cell checks: both give the product the reference gives.
 
     The verification-report memo reuses one cell's report for every
     cell with the same ``(n, seed, numerics_digest)``.  So every other
@@ -431,14 +415,14 @@ def differential_numerics_check(case: NumericsCase) -> list[Violation]:
             )
         )
     again = alg.compute_product(
-        case.n, case.threads, kahn_highest_first(arena), arena, seed=case.seed
+        case.n, case.threads, depth_first_order(arena), arena, seed=case.seed
     )
     if np.ascontiguousarray(again.c).tobytes() != c.tobytes():
         out.append(
             Violation(
                 "oracle.numerics_order",
                 f"{case.describe()}: C depends on the linear extension it "
-                f"ran in (start order vs Kahn highest-id-first)",
+                f"ran in (start order vs depth-first order)",
             )
         )
     digest = numerics_digest(alg.numerics_program(case.n, case.threads), arena)

@@ -7,7 +7,8 @@ import pytest
 from repro.algorithms import CapsStrassen, StrassenWinograd
 from repro.algorithms.program import planned_nbytes
 from repro.runtime.scheduler import Scheduler
-from repro.testing.oracle import kahn_highest_first, reference_product
+from repro.runtime.replay import depth_first_order
+from repro.testing.oracle import reference_product
 from repro.util.errors import ValidationError
 
 def _caps(depth, pack):
@@ -31,11 +32,11 @@ VARIANTS = {
 
 
 def _orders(machine, alg, n, threads):
-    """The start order of the simulated schedule and a Kahn
-    highest-id-first linear extension, with the arena."""
+    """The start order of the simulated schedule and the canonical
+    depth-first linear extension, with the arena."""
     arena = alg.build_arena(n, threads).graph
     start = Scheduler(machine, threads).run(arena).start_order()
-    return arena, {"start": start, "kahn": kahn_highest_first(arena)}
+    return arena, {"start": start, "depth_first": depth_first_order(arena)}
 
 
 def _run_poisoned(program, a, b, order):
@@ -131,3 +132,69 @@ def test_span_reports_planned_and_unplanned_temporaries(machine):
     program = alg.numerics_program(128, 2)
     assert span.attrs["temp_mb_unplanned"] == program.temp_nbytes / 2**20
     assert 0 < span.attrs["temp_mb"] < span.attrs["temp_mb_unplanned"]
+
+
+def _plan_mib(program, order):
+    """MiB of the temporaries' planned slots, without allocating them."""
+    plan = program.plan(order)
+    return float(np.prod(plan.shapes, axis=1).sum()) * 8 / 2**20
+
+
+def test_a_miss_runs_in_the_depth_first_order(machine):
+    from repro.algorithms.base import numerics_memo
+    from repro.observability import trace
+
+    alg = CapsStrassen(machine, leaf_cutoff=16, dfs_grain=32)
+    arena = alg.build_arena(128, 2).graph
+    schedule = Scheduler(machine, 2).run(arena)
+    numerics_memo().clear()
+    with trace.tracing() as tracer:
+        alg.check_numerics(128, 2, schedule, arena)
+    (span,) = tracer.find("numerics")
+    assert span.attrs["memo"] == "miss"
+    program = alg.numerics_program(128, 2)
+    a, b = alg.operands(128, seed=0)
+    bufs = program.allocate(a, b, depth_first_order(arena))
+    assert span.attrs["temp_mb"] == planned_nbytes(bufs) / 2**20
+    assert span.attrs["temp_mb"] < _plan_mib(program, schedule.start_order())
+
+
+def test_caps_1024_plans_under_32_mib_depth_first(machine):
+    """The paper study's largest verified cell plans ~200 MiB of
+    temporaries in a start order; depth-first they fit in 32 MiB."""
+    alg = CapsStrassen(machine)
+    arena = alg.build_arena(1024, 4).graph
+    program = alg.numerics_program(1024, 4)
+    assert _plan_mib(program, depth_first_order(arena)) <= 32
+
+
+class _ReversedSchedule:
+    """A schedule whose start order runs every task before its
+    dependencies."""
+
+    def __init__(self, schedule):
+        self._order = schedule.start_order()[::-1]
+
+    def start_order(self):
+        return self._order
+
+
+@pytest.mark.parametrize("memo", ["fresh", "memoized"])
+def test_a_bad_start_order_raises_before_anything_runs(machine, monkeypatch, memo):
+    from repro.algorithms.base import numerics_memo
+    from repro.util.errors import SchedulingError
+
+    alg = CapsStrassen(machine, leaf_cutoff=16, dfs_grain=32)
+    arena = alg.build_arena(128, 2).graph
+    schedule = Scheduler(machine, 2).run(arena)
+    if memo == "memoized":
+        alg.check_numerics(128, 2, schedule, arena)
+    entries = numerics_memo().entries()
+
+    def never(*args, **kwargs):
+        raise AssertionError("the program ran")
+
+    monkeypatch.setattr(alg, "_run_program", never)
+    with pytest.raises(SchedulingError, match="before its dependency"):
+        alg.check_numerics(128, 2, _ReversedSchedule(schedule), arena)
+    assert numerics_memo().entries() == entries

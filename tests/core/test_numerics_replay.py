@@ -77,3 +77,30 @@ def test_verified_and_cost_only_cells_agree_at_odd_n(machine, alg):
     verified, cost_only = runs
     assert pickle.dumps(verified) == pickle.dumps(cost_only)
     assert verified.stats.task_count == len(alg.build_cached(500, 2).graph)
+
+
+def test_verified_study_leaves_the_testing_package_unloaded():
+    """The oracles live under ``repro.testing``; the numerics a verified
+    study runs (the depth-first order included) must not load them."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    probe = (
+        "import sys\n"
+        "from repro.algorithms.base import numerics_memo\n"
+        "from repro.api import Study\n"
+        "Study(sizes=(128,), threads=(1, 2), execute_max_n=128).run()\n"
+        "assert len(numerics_memo()) > 0, 'no cell ran its numerics'\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.testing')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

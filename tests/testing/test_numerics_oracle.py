@@ -12,8 +12,9 @@ import repro.algorithms.registry as registry
 from repro.algorithms.strassen import StrassenWinograd
 from repro.machine.specs import haswell_e3_1225
 from repro.runtime.arena import _COST_FIELDS, TaskArena
+from repro.runtime.replay import depth_first_order
 from repro.testing.generators import NumericsCase, gen_numerics_case
-from repro.testing.oracle import differential_numerics_check, kahn_highest_first
+from repro.testing.oracle import differential_numerics_check
 
 
 def _case(**params):
@@ -63,7 +64,7 @@ def test_strassen_variants_at_odd_n(params):
 
 def test_kahn_order_is_a_different_linear_extension(machine):
     arena = StrassenWinograd(machine, cutoff=16, grain=16).build_arena(64, 2).graph
-    order = kahn_highest_first(arena)
+    order = depth_first_order(arena)
     assert sorted(order) == list(range(len(arena)))
     assert order != list(range(len(arena)))
     pos = np.empty(len(arena), dtype=np.int64)
@@ -155,7 +156,7 @@ def test_equal_memo_keys_compute_byte_identical_products_at_512(machine, name):
         order = Scheduler(machine, threads).run(arena).start_order()
         runs.append((key, threads, order, arena))
     key, _, _, arena = runs[0]
-    runs.append((key, 1, kahn_highest_first(arena), arena))
+    runs.append((key, 1, depth_first_order(arena), arena))
     products: dict[str, set] = {}
     for key, threads, order, arena in runs:
         c = alg.compute_product(512, threads, order, arena, seed=2015).c

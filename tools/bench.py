@@ -23,22 +23,25 @@ and the trace-driven cache simulator:
     held to the baseline-relative tolerance.
 ``study_e2e``
     The command users wait for: a cold cost-only ``Study.run`` of the
-    execution matrix per engine, best of five (fresh algorithm
-    instances each time, so lowering, plan bundles and measurement are
-    all paid; only the JIT compile is excluded), traced to split the
-    CPU time (steadier than wall time on a shared host) into the
-    ``plan``, ``sweep`` (the ``schedule`` span's self time) and
+    execution matrix per engine (fresh algorithm instances each time,
+    so lowering, plan bundles and measurement are all paid; only the
+    JIT compile is excluded).  Each of five alternating timed units
+    per engine runs such studies until it has taken ``STUDY_UNIT_S``
+    (0.3 s) of CPU; a study's time is the best unit's mean.  Traced to
+    split the CPU time (steadier than wall time on a shared host) into
+    the ``plan``, ``sweep`` (the ``schedule`` span's self time) and
     ``measure`` layers.  The gated ``ratio`` is fast/compiled
     end-to-end CPU time: the kernel ratio above only counts if it
     moves this one.  ``compiled_measure_share`` has the absolute
     ceiling ``MEASURE_SHARE_LIMIT`` (0.25): the columnar measure layer
-    must not again lead the compiled study.  The ``compiled_verified_*`` row (a report, not
-    gated) times the default study as users run it — compiled, cells
-    up to n=1024 verified — and the ``numerics`` and ``verify`` layers'
+    must not again lead the compiled study.  The ``compiled_verified_*``
+    row times the default study as users run it — compiled, cells up to
+    n=1024 verified — and the ``numerics`` and ``verify`` layers'
     shares of its CPU time, plus the largest planned temporary storage
     of any cell that ran its program (``compiled_verified_temp_mb``;
     ``..._unplanned`` is the same cell's storage with a buffer per
-    temporary).
+    temporary).  Of that row only ``compiled_verified_temp_mb`` is
+    gated, at the absolute ceiling ``TEMP_MB_LIMIT`` (64 MiB).
 ``lowering_cache``
     Strassen lowering uncached (``build_arena``) versus a warm
     ``build_cached`` hit — the cost a protocol repetition or sweep
@@ -143,6 +146,19 @@ OVERHEAD_LIMIT_PCT = 2.0
 #: Absolute ceiling on the ``measure`` layer's share of the compiled
 #: cost-only study's CPU time (``study_e2e`` ``compiled_measure_share``).
 MEASURE_SHARE_LIMIT = 0.25
+
+#: Absolute ceiling, in MiB, on the planned temporaries of any program
+#: run in the verified study (``study_e2e`` ``compiled_verified_temp_mb``).
+#: Both suites verify CAPS n=1024, whose temporaries plan to 26.6 MiB in
+#: the depth-first order a report-memo miss runs and to ~200 MiB in a
+#: simulated start order, so a fallback to the start order fails it.
+TEMP_MB_LIMIT = 64.0
+
+#: Minimum CPU seconds of one timed unit of ``study_e2e``: a unit runs
+#: cold studies back to back until it reaches this, and a study's time
+#: is the unit's mean.  A lone compiled smoke study takes ~0.06 s, too
+#: short for a steady ratio denominator.
+STUDY_UNIT_S = 0.3
 
 #: Absolute floor on the compiled engine's speedup over the fast
 #: kernel across the execution-matrix sweeps (JIT warm-up excluded).
@@ -258,7 +274,8 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
 
 def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
     """Cold cost-only ``Study.run`` per engine, split into layers
-    (best of *repeats* cold runs, each on fresh algorithm instances)."""
+    (the best of *repeats* timed units, each the mean of cold runs on
+    fresh algorithm instances over at least ``STUDY_UNIT_S`` of CPU)."""
     from repro.algorithms.registry import default_build_cache
     from repro.api import RunOptions, Study
     from repro.observability import trace as obtrace
@@ -274,20 +291,27 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
     # Engines alternate, so a slow stretch on a shared host hits both.
     for _ in range(repeats):
         for engine in ("fast", "compiled"):
-            # Cold like a fresh process: no cached lowerings or plans,
-            # and no garbage from the last pass for the collector.
-            default_build_cache().clear()
-            gc.collect()
-            study = Study(machine, sizes=sizes, execute_max_n=0, verify=False)
+            # A timed unit runs cold studies until it has taken
+            # STUDY_UNIT_S of CPU, so a study of a few tens of
+            # milliseconds is averaged over several runs.
+            cpu, studies = 0.0, 0
             with obtrace.tracing() as tr:
-                t0 = time.process_time()
-                run = study.run(RunOptions(engine=engine))
-                cpu = time.process_time() - t0
-            if engine not in best or cpu < best[engine][0]:
-                best[engine] = (cpu, tr)
-    for engine, (cpu, tr) in best.items():
+                while studies == 0 or cpu < STUDY_UNIT_S:
+                    # Cold like a fresh process: no cached lowerings or
+                    # plans, and no garbage from the last run for the
+                    # collector.
+                    default_build_cache().clear()
+                    gc.collect()
+                    study = Study(machine, sizes=sizes, execute_max_n=0, verify=False)
+                    t0 = time.process_time()
+                    run = study.run(RunOptions(engine=engine))
+                    cpu += time.process_time() - t0
+                    studies += 1
+            if engine not in best or cpu / studies < best[engine][0]:
+                best[engine] = (cpu / studies, cpu, tr)
+    for engine, (per_study, cpu, tr) in best.items():
         layers = layer_times(tr, cpu=True)
-        out[f"{engine}_s"] = cpu
+        out[f"{engine}_s"] = per_study
         for layer, span in (("plan", "plan"), ("sweep", "schedule"),
                             ("measure", "measure")):
             out[f"{engine}_{layer}_share"] = layers.get(span, (0, 0.0))[1] / cpu
@@ -693,6 +717,21 @@ def gate(current: dict, baseline: dict) -> int:
             failures.append(
                 f"compiled: speedup {cratio:.2f}x below the absolute "
                 f"{COMPILED_FLOOR:.1f}x floor"
+            )
+    temp_mb = current.get("study_e2e", {}).get("compiled_verified_temp_mb")
+    if temp_mb is None:
+        failures.append("study_e2e: missing compiled_verified_temp_mb")
+    else:
+        status = "ok" if temp_mb <= TEMP_MB_LIMIT else "TOO HIGH"
+        print(
+            f"  {'study_e2e':20s} compiled_verified_temp_mb: {temp_mb:.1f} MiB "
+            f"planned temporaries of the largest program run (limit "
+            f"{TEMP_MB_LIMIT:.0f} MiB) {status}"
+        )
+        if temp_mb > TEMP_MB_LIMIT:
+            failures.append(
+                f"study_e2e: planned temporaries {temp_mb:.1f} MiB exceed "
+                f"{TEMP_MB_LIMIT:.0f} MiB"
             )
     share = current.get("study_e2e", {}).get("compiled_measure_share")
     if share is None:
