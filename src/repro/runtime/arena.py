@@ -18,11 +18,13 @@ Three layers live here:
 * :class:`TaskArena` — the SoA/CSR container, with the structural
   metrics of ``TaskGraph`` (``total_work_seconds``,
   ``critical_path_seconds``, critical-policy priorities) re-implemented
-  as vectorized topological *level sweeps* over the CSR arrays.  The
-  sweeps are bit-identical to the scalar loops they replace: ``max`` is
-  exact, the division/add expressions are written with the same
-  operand order, and the per-level ``np.maximum.reduceat`` reduces the
-  same operands the scalar ``max`` generator would.
+  as one linear-time Kahn frontier pass over the CSR arrays
+  (:func:`_longest_path`).  Each round pushes the frontier's finish
+  times to its successors with ``np.maximum.at`` and releases the
+  successors whose last in-edge it was, so no round touches a task
+  outside the frontier's out-edges.  The pass is bit-identical to the
+  scalar loops it replaces: ``max`` is exact in any order and every
+  task gets one add.
 * :class:`SubtreeTemplate` / :class:`TemplateBuilder` — relocatable
   sub-graph templates.  A template's dependency entries are either
   *local* (indices into the template itself) or the :data:`EXT_DEP`
@@ -115,62 +117,58 @@ class NameInterner:
         return tuple(self.names)
 
 
-def _gather_segments(
-    ptr: np.ndarray, data_index: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather the CSR segments of *rows*.
-
-    Returns ``(gathered, seg_starts, counts)``: the concatenated
-    ``data_index`` entries of every row (in row order), the start offset
-    of each row's segment inside ``gathered``, and the per-row counts.
-    """
-    counts = ptr[rows + 1] - ptr[rows]
-    total = int(counts.sum())
-    seg_starts = np.zeros(len(rows), dtype=np.int64)
-    np.cumsum(counts[:-1], out=seg_starts[1:]) if len(rows) > 1 else None
-    pos = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, counts)
-    gidx = np.repeat(ptr[rows], counts) + pos
-    return data_index[gidx], seg_starts, counts
+def _gather(
+    ptr: np.ndarray, index: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR segments of *rows*, concatenated in row order, and the
+    per-row segment lengths."""
+    lo = ptr[rows]
+    counts = ptr[rows + 1] - lo
+    ends = np.cumsum(counts)
+    pos = np.arange(ends[-1] if len(ends) else 0, dtype=np.int64)
+    pos += np.repeat(lo - (ends - counts), counts)
+    return index[pos], counts
 
 
-def _level_order(
+def _longest_path(
     n: int,
     in_ptr: np.ndarray,
     out_ptr: np.ndarray,
     out_idx: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Longest-path level decomposition of a DAG.
+    durations: np.ndarray,
+) -> np.ndarray:
+    """Longest weighted path ending at each node of a DAG, by Kahn's
+    algorithm in whole frontier rounds.
 
-    ``in_ptr`` describes each node's incoming edge counts (readiness),
-    ``(out_ptr, out_idx)`` the outgoing adjacency used for propagation.
-    Returns ``(order, level_ptr)``: node ids grouped by level (level of
-    a node = length of the longest incoming path), and the boundaries of
-    each level inside ``order``.  Kahn's algorithm processed in whole
-    frontier rounds yields exactly these levels.
+    ``in_ptr`` gives each node's incoming edge count (readiness),
+    ``(out_ptr, out_idx)`` the outgoing adjacency along which finish
+    times propagate.  A node's start is ``max(0.0, finish of every
+    in-edge source)`` and its finish ``start + durations[node]``: the
+    scalar recurrence, since ``max`` is exact in any order and every
+    node gets one add.  Each round touches only the frontier's
+    out-edges, so every node and edge is visited once (the per-round
+    sort of the successors aside) however many rounds the DAG needs.
     """
-    indeg = (in_ptr[1:] - in_ptr[:-1]).copy()
-    order = np.empty(n, dtype=np.int64)
-    level_ptr = [0]
+    indeg = in_ptr[1:] - in_ptr[:-1]
+    start = np.zeros(n, dtype=np.float64)
+    finish = np.empty(n, dtype=np.float64)
     frontier = np.flatnonzero(indeg == 0)
-    filled = 0
+    done = 0
     while frontier.size:
-        order[filled : filled + frontier.size] = frontier
-        filled += frontier.size
-        level_ptr.append(filled)
-        succ, _, _ = _gather_segments(out_ptr, out_idx, frontier)
-        if succ.size == 0:
-            break
-        dec = np.bincount(succ, minlength=n)
-        before = indeg[succ]  # touched nodes only (cheap check below)
-        indeg -= dec
-        touched = np.unique(succ)
-        frontier = touched[indeg[touched] == 0]
-        del before
-    if filled != n:
+        done += frontier.size
+        fin = start[frontier] + durations[frontier]
+        finish[frontier] = fin
+        succ, counts = _gather(out_ptr, out_idx, frontier)
+        np.maximum.at(start, succ, np.repeat(fin, counts))
+        touched, dec = np.unique(succ, return_counts=True)
+        left = indeg[touched] - dec
+        indeg[touched] = left
+        frontier = touched[left == 0]
+    if done != n:
         raise SchedulingError(
-            f"task arena contains a cycle ({n - filled} tasks unreachable)"
+            f"task arena contains a cycle ({n - done} tasks unreachable)"
         )
-    return order, np.asarray(level_ptr, dtype=np.int64)
+    return finish
 
 
 class TaskArena:
@@ -179,8 +177,8 @@ class TaskArena:
     Immutable by convention: every consumer treats the arrays as
     read-only (the event kernels cache their plan bundle on the
     instance, see :mod:`repro.runtime.plans`).  Derived structures
-    (successor CSR, level order, resolved name lists) are cached under
-    ``_c_*`` attributes and dropped on pickling.
+    (successor CSR, resolved name lists) are cached under ``_c_*``
+    attributes and dropped on pickling.
     """
 
     def __init__(
@@ -356,23 +354,7 @@ class TaskArena:
             self._c_succ_lists = out
         return out
 
-    # ---- structural metrics (vectorized topological sweeps) ------------
-
-    def _forward_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        out = getattr(self, "_c_fwd_levels", None)
-        if out is None:
-            sptr, sidx = self.successors_csr()
-            out = _level_order(len(self), self.dep_indptr, sptr, sidx)
-            self._c_fwd_levels = out
-        return out
-
-    def _reverse_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        out = getattr(self, "_c_rev_levels", None)
-        if out is None:
-            sptr, _ = self.successors_csr()
-            out = _level_order(len(self), sptr, self.dep_indptr, self.dep_indices)
-            self._c_rev_levels = out
-        return out
+    # ---- structural metrics (one frontier pass each) -------------------
 
     def uncontended_durations(
         self,
@@ -403,24 +385,10 @@ class TaskArena:
 
     def finish_times(self, durations: np.ndarray) -> np.ndarray:
         """Earliest-finish time of every task under *durations* — the
-        forward critical-path sweep, one ``reduceat`` per level."""
+        forward critical-path sweep over the dependency CSR."""
         self.validate()
-        n = len(self)
-        finish = np.zeros(n, dtype=np.float64)
-        if n == 0:
-            return finish
-        order, level_ptr = self._forward_levels()
-        # Level 0: no dependencies, start at 0.
-        first = order[level_ptr[0] : level_ptr[1]]
-        finish[first] = durations[first]
-        for k in range(1, len(level_ptr) - 1):
-            rows = order[level_ptr[k] : level_ptr[k + 1]]
-            deps, seg_starts, _ = _gather_segments(
-                self.dep_indptr, self.dep_indices, rows
-            )
-            starts = np.maximum.reduceat(finish[deps], seg_starts)
-            finish[rows] = starts + durations[rows]
-        return finish
+        sptr, sidx = self.successors_csr()
+        return _longest_path(len(self), self.dep_indptr, sptr, sidx, durations)
 
     def critical_path_seconds(self, durations: np.ndarray) -> float:
         """T_inf: longest dependency chain under *durations*."""
@@ -429,23 +397,13 @@ class TaskArena:
 
     def critical_priorities(self, durations: np.ndarray) -> np.ndarray:
         """Longest path to any sink, per task — the ``critical`` policy
-        priority.  Bit-identical to the reference scalar loop (reverse
-        topological sweep; ``max`` exact, one add per task)."""
+        priority.  Bit-identical to the reference scalar loop: the same
+        sweep as :meth:`finish_times`, over the successor CSR."""
         self.validate()
-        n = len(self)
-        prio = np.zeros(n, dtype=np.float64)
-        if n == 0:
-            return prio
-        sptr, sidx = self.successors_csr()
-        order, level_ptr = self._reverse_levels()
-        first = order[level_ptr[0] : level_ptr[1]]
-        prio[first] = durations[first]  # sinks: below == 0.0
-        for k in range(1, len(level_ptr) - 1):
-            rows = order[level_ptr[k] : level_ptr[k + 1]]
-            succ, seg_starts, _ = _gather_segments(sptr, sidx, rows)
-            below = np.maximum.reduceat(prio[succ], seg_starts)
-            prio[rows] = durations[rows] + below
-        return prio
+        sptr, _ = self.successors_csr()
+        return _longest_path(
+            len(self), sptr, self.dep_indptr, self.dep_indices, durations
+        )
 
     def average_parallelism(self, durations: np.ndarray) -> float:
         """T1 / T_inf — the DAG's inherent parallelism."""

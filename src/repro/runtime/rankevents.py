@@ -7,8 +7,10 @@ structure is a DAG: each rank's events chain in program order (a rank
 is single-ported: one NIC transaction at a time), and every receive
 additionally depends on the matching send.  Simulating the network is
 then exactly the earliest-finish sweep the scheduler's arena already
-vectorizes: ``finish = max(dep finishes) + duration``, one
-``np.maximum.reduceat`` per dependency level.
+vectorizes: ``finish = max(dep finishes) + duration``, computed by one
+Kahn frontier pass that pushes each frontier's finish times to its
+successors (``np.maximum.at``) and so visits every event and dependency
+once, however deep the DAG.
 
 Streams are built in batches (:class:`EventStreamBuilder`): a whole
 collective round is appended as numpy column chunks, and every event's

@@ -515,6 +515,16 @@ class Scheduler:
             span.set(engine=ran)
             return schedule
 
+    def _reference_priorities(self, graph: TaskGraph) -> list[float]:
+        """The ``critical`` policy's priorities on the reference path:
+        longest uncontended path from each task to any sink."""
+        priority = [0.0] * len(graph)
+        for task in reversed(graph.tasks):
+            succs = graph.successors(task.tid)
+            below = max((priority[s] for s in succs), default=0.0)
+            priority[task.tid] = self.uncontended_duration(task) + below
+        return priority
+
     def _run_reference(self, graph: TaskGraph) -> Schedule:
         """The original per-event scalar loop — the differential oracle
         for the vectorized kernel.  Kept verbatim; do not optimize."""
@@ -526,11 +536,7 @@ class Scheduler:
         # Priority for the "critical" policy: longest path to any sink.
         priority: list[float] | None = None
         if self.policy == "critical":
-            priority = [0.0] * n
-            for task in reversed(graph.tasks):
-                succs = graph.successors(task.tid)
-                below = max((priority[s] for s in succs), default=0.0)
-                priority[task.tid] = self.uncontended_duration(task) + below
+            priority = self._reference_priorities(graph)
 
         ready_fifo: deque[int] = deque()
         ready_lifo: list[int] = []

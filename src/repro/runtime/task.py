@@ -229,14 +229,19 @@ class TaskGraph:
         hit = self._metrics_memo.get(key)
         if hit is not None:
             return hit[2]
+        value = max(self.finish_times(duration_fn), default=0.0)
+        self._metrics_memo[key] = (*refs, value)
+        return value
+
+    def finish_times(self, duration_fn: Callable[[Task], float]) -> list[float]:
+        """Earliest finish of every task under *duration_fn*: the scalar
+        forward sweep behind :meth:`critical_path_seconds`."""
         self.validate()
         finish = [0.0] * len(self.tasks)
         for t in self.tasks:
             start = max((finish[d] for d in t.deps), default=0.0)
             finish[t.tid] = start + duration_fn(t)
-        value = max(finish, default=0.0)
-        self._metrics_memo[key] = (*refs, value)
-        return value
+        return finish
 
     def average_parallelism(self, duration_fn: Callable[[Task], float]) -> float:
         """T1 / T_inf — the DAG's inherent parallelism."""

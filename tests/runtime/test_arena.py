@@ -125,6 +125,159 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
+# the frontier pass: whole vectors against the scalar loops, bit for bit
+
+
+def _seeded_dag(seed, layers, width, isolated=0.05, zero=0.2):
+    """A layered DAG with random DRAM-only costs.
+
+    Every non-isolated task past the first layer depends on one to three
+    tasks of the layer before, drawn with replacement (so duplicate
+    edges occur), plus now and then one of any earlier layer; isolated
+    tasks have no edges.  A *zero* fraction of tasks cost nothing.
+    """
+    rng = np.random.default_rng(seed)
+    n = layers * width
+    isolated_mask = rng.random(n) < isolated
+    bytes_dram = rng.uniform(1e3, 1e7, n)
+    bytes_dram[rng.random(n) < zero] = 0.0
+    counts = np.zeros(n, dtype=np.int64)
+    segments = []
+    for layer in range(1, layers):
+        lo = layer * width
+        prev = np.flatnonzero(~isolated_mask[lo - width : lo]) + lo - width
+        if not len(prev):
+            continue
+        rows = np.flatnonzero(~isolated_mask[lo : lo + width]) + lo
+        k = rng.integers(1, 4, len(rows))
+        far = rng.random(len(rows)) < 0.1
+        counts[rows] = k + far
+        # Each row's segment: its k near deps, then its far dep if any.
+        seg = np.empty(int(counts[rows].sum()), dtype=np.int64)
+        ends = np.cumsum(counts[rows])
+        near = np.ones(len(seg), dtype=bool)
+        near[ends[far] - 1] = False
+        seg[near] = rng.choice(prev, int(k.sum()))
+        seg[~near] = rng.integers(0, lo, int(far.sum()))
+        segments.append(seg)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    flat = np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
+    zeros = np.zeros(n)
+    cols = {f: zeros for f in ("flops", "bytes_l1", "bytes_l2", "bytes_l3")}
+    cols["efficiency"] = np.ones(n)
+    cols["bytes_dram"] = bytes_dram
+    return TaskArena(
+        f"dag{seed}",
+        ("t",),
+        np.zeros(n, dtype=np.int32),
+        cols,
+        np.ones(n, dtype=bool),
+        np.full(n, NO_CREATOR, dtype=np.int64),
+        indptr,
+        flat,
+    )
+
+
+def _one_task_arena():
+    g = TaskGraph("one")
+    g.add("t", TaskCost(bytes_dram=4096.0))
+    return g.to_arena()
+
+
+def _path_cases():
+    cases = [_seeded_dag(seed, layers=4 + seed, width=3 + 2 * seed) for seed in range(12)]
+    cases.append(_one_task_arena())
+    cases.append(TaskGraph("empty").to_arena())
+    return cases
+
+
+class TestLongestPath:
+    @staticmethod
+    def _scheduler_and_durations(machine, arena):
+        sched = Scheduler(machine, threads=1)
+        durs = arena.uncontended_durations(
+            sched._core_peak,
+            sched._l1_bw,
+            sched._l2_bw,
+            machine.l3_bandwidth,
+            machine.dram_bandwidth,
+        )
+        return sched, durs
+
+    @staticmethod
+    def _assert_paths_match(machine, arena):
+        from repro.runtime.rankevents import RankEventProgram
+
+        sched, durs = TestLongestPath._scheduler_and_durations(machine, arena)
+        graph = arena.to_graph()
+        scalar = durs.tolist()
+        finish = arena.finish_times(durs)
+        want = np.asarray(graph.finish_times(lambda t: scalar[t.tid]))
+        assert finish.tobytes() == want.tobytes(), arena.name
+        n = len(arena)
+        events = RankEventProgram.from_columns(
+            1,
+            kind=np.zeros(n, dtype=np.int64),
+            rank=np.zeros(n, dtype=np.int64),
+            peer=np.full(n, -1, dtype=np.int64),
+            nbytes=np.zeros(n),
+            durations=durs,
+            dep_indptr=arena.dep_indptr,
+            dep_indices=arena.dep_indices,
+        )
+        assert finish.tobytes() == events.finish_times("ranks").tobytes()
+        assert finish.tobytes() == events.finish_times("events").tobytes()
+        prio = arena.critical_priorities(durs)
+        want = np.asarray(sched._reference_priorities(graph), dtype=np.float64)
+        assert prio.tobytes() == want.tobytes(), arena.name
+
+    def test_seeded_dags_bit_identical(self, machine):
+        cases = _path_cases()
+        assert any(
+            len(np.unique(a.dep_indices)) < len(a.dep_indices) for a in cases
+        ), "no case has a duplicate dependency edge"
+        for arena in cases:
+            self._assert_paths_match(machine, arena)
+
+    def test_cases_cover_the_edge_shapes(self, machine):
+        cases = _path_cases()
+        assert [len(a) for a in cases[-2:]] == [1, 0]
+        dag = cases[-3]
+        sptr, _ = dag.successors_csr()
+        lonely = (dag.dep_counts == 0) & (sptr[1:] == sptr[:-1])
+        assert lonely.any(), "no isolated task"
+        _, durs = self._scheduler_and_durations(machine, dag)
+        assert (durs == 0.0).any() and (durs > 0.0).any()
+
+    def test_wide_and_deep_bit_identical(self, machine):
+        arena = _seeded_dag(99, layers=300, width=500)
+        self._assert_paths_match(machine, arena)
+        # Every layer hangs off the one before: the pass runs 300 rounds.
+        assert arena.finish_times(np.ones(len(arena))).max() == 300.0
+
+    def test_zero_durations_finish_at_zero(self):
+        arena = _seeded_dag(3, layers=6, width=4)
+        zeros = np.zeros(len(arena))
+        assert not arena.finish_times(zeros).any()
+        assert not arena.critical_priorities(zeros).any()
+
+    def test_malformed_arena_still_raises(self):
+        arena = _graph_with_deps().to_arena()
+        bad = arena.dep_indices.copy()
+        bad[0] = len(arena) - 1
+        durs = np.ones(len(arena))
+        with pytest.raises(SchedulingError, match="unknown/future"):
+            _rebuild(arena, dep_indices=bad).finish_times(durs)
+        with pytest.raises(SchedulingError, match="unknown/future"):
+            _rebuild(arena, dep_indices=bad).critical_priorities(durs)
+        sentinel = arena.dep_indices.copy()
+        sentinel[0] = EXT_DEP
+        with pytest.raises(SchedulingError, match="sentinel"):
+            _rebuild(arena, dep_indices=sentinel).finish_times(durs)
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
