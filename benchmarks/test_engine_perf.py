@@ -10,15 +10,15 @@ import pytest
 from repro.algorithms import StrassenWinograd
 from repro.machine.cache import CacheHierarchySim, CacheHierarchySpec
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 
 
 def _wide_graph(tasks=2000):
-    g = TaskGraph("wide")
+    omp = OpenMP("wide")
     for i in range(tasks):
-        g.add(f"t{i}", TaskCost(flops=1e8, bytes_dram=1e5))
-    return g
+        omp.task(f"t{i}", TaskCost(flops=1e8, bytes_dram=1e5))
+    return omp.graph
 
 
 def test_scheduler_throughput(benchmark, machine):

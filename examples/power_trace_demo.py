@@ -65,7 +65,7 @@ def main() -> None:
     # --- where the joules go: per-task-group attribution -------------
     from repro.sim import attribute_energy, attribution_table
 
-    graph = StrassenWinograd(machine).build_arena(1024, threads=4).graph.to_graph()
+    graph = StrassenWinograd(machine).build_arena(1024, threads=4).graph
     schedule = Scheduler(machine, threads=4).run(graph)
     groups = attribute_energy(schedule, graph, machine)
     print("Strassen n=1024 energy attribution (multiplies vs communication):")

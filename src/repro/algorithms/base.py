@@ -26,9 +26,7 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter, gauge
 from ..runtime.arena import TaskArena
-from ..runtime.plans import arena_of
 from ..runtime.replay import check_order, depth_first_order
-from ..runtime.task import TaskGraph
 from ..util.errors import ConfigurationError, SchedulingError, ValidationError
 from ..util.validation import require_positive
 from .program import planned_nbytes
@@ -67,10 +65,8 @@ def record_lowering(build: BuildResult) -> BuildResult:
     programs are not counted) and ``lowering.arena_bytes`` tracks the
     columnar arenas' resident footprint.
     """
-    graph = build.graph
-    _TASKS_LOWERED.add(len(graph))
-    if isinstance(graph, TaskArena):
-        _ARENA_BYTES.set(graph.nbytes)
+    _TASKS_LOWERED.add(len(build.graph))
+    _ARENA_BYTES.set(build.graph.nbytes)
     return build
 
 
@@ -81,9 +77,8 @@ class BuildResult:
     Attributes
     ----------
     graph:
-        The task graph — a columnar
-        :class:`~repro.runtime.arena.TaskArena` from ``build_arena``,
-        or the object :class:`TaskGraph` a numerics run was given.
+        The task graph, a columnar
+        :class:`~repro.runtime.arena.TaskArena` from ``build_arena``.
     n:
         Problem dimension.
     a, b, c:
@@ -98,7 +93,7 @@ class BuildResult:
         Recursion cutoff relevant to the stability bound.
     """
 
-    graph: TaskGraph | TaskArena
+    graph: TaskArena
     n: int
     a: np.ndarray | None
     b: np.ndarray | None
@@ -337,7 +332,7 @@ class MatmulAlgorithm(ABC):
         n: int,
         threads: int,
         order,
-        simulated: TaskGraph | TaskArena | None = None,
+        simulated: TaskArena | None = None,
         seed: int = 0,
     ) -> BuildResult:
         """Run the numerics of the ``(n, threads)`` lowering in *order*.
@@ -352,7 +347,7 @@ class MatmulAlgorithm(ABC):
         """
         if simulated is None:
             simulated = self.build_cached(n, threads, seed=seed).graph
-        program = self._checked_program(n, threads, order, arena_of(simulated))
+        program = self._checked_program(n, threads, order, simulated)
         return self._run_program(program, simulated, order, seed)
 
     def _checked_program(
@@ -394,7 +389,7 @@ class MatmulAlgorithm(ABC):
         n: int,
         threads: int,
         schedule: "Schedule",
-        simulated: TaskGraph | TaskArena,
+        simulated: TaskArena,
         seed: int = 0,
     ) -> VerificationReport:
         """Check the numerics of *schedule* (made from *simulated*, the
@@ -420,16 +415,15 @@ class MatmulAlgorithm(ABC):
         stability bound, on a hit as on a miss."""
         attrs = {"alg": self.name, "n": n, "threads": threads}
         with trace.span("numerics", **attrs) as span:
-            arena = arena_of(simulated)
             program = self._checked_program(
-                n, threads, schedule.start_order(), arena
+                n, threads, schedule.start_order(), simulated
             )
-            key = (n, seed, numerics_digest(program, arena))
+            key = (n, seed, numerics_digest(program, simulated))
             report = _REPORT_MEMO.lookup(key)
             span.set(memo="miss" if report is None else "hit")
             if report is None:
                 product = self._run_program(
-                    program, simulated, depth_first_order(arena), seed, span
+                    program, simulated, depth_first_order(simulated), seed, span
                 )
         if report is None:
             with trace.span("verify", **attrs):

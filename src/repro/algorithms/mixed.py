@@ -22,15 +22,16 @@ applied exactly as written; :func:`mixed_ep` is that application.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..core.ep import EPConvention, ep_total
 from ..linalg.dense import random_matrix
 from ..machine.specs import MachineSpec
+from ..runtime.arena import TaskArena
 from ..runtime.cost import TaskCost
 from ..runtime.openmp import OpenMP
-from ..runtime.task import Task, TaskGraph
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ValidationError
@@ -46,9 +47,11 @@ _WORD = 8
 
 @dataclass
 class LUBuildResult:
-    """A lowered LU factorization."""
+    """A lowered LU factorization: its arena and, per task, the
+    ``compute`` closure a numerics run calls (``None`` cost-only)."""
 
-    graph: TaskGraph
+    graph: TaskArena
+    computes: list[Callable[[], None] | None]
     n: int
     original: np.ndarray | None  # A before factorization
     lu: np.ndarray | None  # packed L\U after execution
@@ -157,7 +160,7 @@ class BlockLU:
         nb = self.block
         steps = n // nb
         omp = OpenMP(f"block-lu[n={n}]", threads)
-        prev: Task | None = None
+        prev: int | None = None
 
         for k in range(steps):
             rem = n - (k + 1) * nb
@@ -178,7 +181,7 @@ class BlockLU:
             panel = omp.task(
                 f"seq-panel/{k}",
                 self._panel_cost(nb),
-                [prev] if prev else [],
+                [prev] if prev is not None else [],
                 panel_compute,
             )
             if rem == 0:
@@ -243,7 +246,9 @@ class BlockLU:
                     )
             prev = omp.taskwait(update_tasks, name=f"step-join/{k}")
 
-        return LUBuildResult(graph=omp.graph, n=n, original=original, lu=a)
+        return LUBuildResult(
+            graph=omp.graph, computes=omp.computes, n=n, original=original, lu=a
+        )
 
     # ---- Eq. 2 application --------------------------------------------------
 
@@ -257,22 +262,24 @@ class BlockLU:
         workers — the decomposition Eq. 2 assumes.
         """
         engine = engine or Engine(self.machine)
-        full = self.build(n, threads, seed=seed, execute=False)
+        full = self.build(n, threads, seed=seed, execute=False).graph
 
-        seq = TaskGraph("lu-sequential")
-        par = TaskGraph("lu-parallel")
-        seq_prev: Task | None = None
-        par_ids: dict[int, Task] = {}
-        for task in full.graph:
-            if task.name.startswith("seq-"):
-                seq_prev = seq.add(
-                    task.name, task.cost, [seq_prev] if seq_prev else []
+        seq = OpenMP("lu-sequential")
+        par = OpenMP("lu-parallel", threads)
+        seq_prev: int | None = None
+        par_ids: dict[int, int] = {}
+        deps_of = full.deps_list()
+        for tid, name in enumerate(full.names_list()):
+            cost = full.cost(tid)
+            if name.startswith("seq-"):
+                seq_prev = seq.task(
+                    name, cost, [seq_prev] if seq_prev is not None else []
                 )
-            elif not task.cost.is_zero:
-                deps = [par_ids[d] for d in task.deps if d in par_ids]
-                par_ids[task.tid] = par.add(task.name, task.cost, deps)
-        seq_meas = engine.run(seq, threads=1, label=f"lu-seq[n={n}]")
-        par_meas = engine.run(par, threads=threads, label=f"lu-par[n={n}]")
+            elif not cost.is_zero:
+                deps = [par_ids[d] for d in deps_of[tid] if d in par_ids]
+                par_ids[tid] = par.task(name, cost, deps)
+        seq_meas = engine.run(seq.graph, threads=1, label=f"lu-seq[n={n}]")
+        par_meas = engine.run(par.graph, threads=threads, label=f"lu-par[n={n}]")
         return seq_meas, par_meas
 
 

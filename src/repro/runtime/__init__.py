@@ -1,6 +1,7 @@
 """Simulated OpenMP-like task runtime.
 
-Task costs, task graphs, an OpenMP-flavoured construction API and the
+Task costs, columnar task graphs (:class:`TaskArena`), an
+OpenMP-flavoured construction API that emits them and the
 discrete-event scheduler with shared L3/DRAM bandwidth contention.
 """
 
@@ -22,7 +23,6 @@ from .scheduler import (
     TaskRecord,
 )
 from .stats import RuntimeStats
-from .task import Task, TaskGraph
 from .timeline import CoreTimeline
 
 __all__ = [
@@ -38,10 +38,8 @@ __all__ = [
     "Schedule",
     "SchedulePolicy",
     "Scheduler",
-    "Task",
     "TaskArena",
     "TaskCost",
-    "TaskGraph",
     "TaskRecord",
     "ZERO_COST",
     "omp_num_threads",

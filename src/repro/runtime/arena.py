@@ -1,30 +1,27 @@
-"""Structure-of-arrays task-graph arena with CSR dependencies.
+"""Structure-of-arrays task graphs with CSR dependencies.
 
-A :class:`TaskArena` is the compact, columnar twin of
-:class:`~repro.runtime.task.TaskGraph`: one interned name table plus a
-handful of flat numpy arrays (cost columns, flags, and the dependency
-lists in CSR form).  It exists because the *lowering* of the recursive
-algorithms — not event simulation — dominated the paper's 48-cell
-execution matrix after PR 1: a cold Strassen/CAPS build materializes
-``O(7^d)`` Python ``Task`` objects and tuples per cell, while the DAG it
-describes is exactly self-similar (Ballard et al.: the graph at size
-``n`` is seven stamped copies of the graph at ``n/2`` plus ``O(1)``
-add/join nodes).  The arena representation makes "stamp seven copies"
-an array concatenation with a tid offset instead of a re-run of the
-Python recursion.
+A :class:`TaskArena` is the one task-graph representation every
+lowering emits and every event kernel reads: one interned name table
+plus a handful of flat numpy arrays (cost columns, flags, and the
+dependency lists in CSR form).  The recursive algorithms' DAGs are
+exactly self-similar (Ballard et al.: the graph at size ``n`` is seven
+stamped copies of the graph at ``n/2`` plus ``O(1)`` add/join nodes),
+so "stamp seven copies" is an array concatenation with a tid offset
+instead of a re-run of a Python recursion that builds ``O(7^d)``
+objects per cell.
 
-Three layers live here:
+Two layers live here:
 
 * :class:`TaskArena` — the SoA/CSR container, with the structural
-  metrics of ``TaskGraph`` (``total_work_seconds``,
-  ``critical_path_seconds``, critical-policy priorities) re-implemented
-  as one linear-time Kahn frontier pass over the CSR arrays
-  (:func:`_longest_path`).  Each round pushes the frontier's finish
-  times to its successors with ``np.maximum.at`` and releases the
-  successors whose last in-edge it was, so no round touches a task
-  outside the frontier's out-edges.  The pass is bit-identical to the
-  scalar loops it replaces: ``max`` is exact in any order and every
-  task gets one add.
+  metrics (``total_work_seconds``, ``critical_path_seconds``,
+  critical-policy priorities) computed by one linear-time Kahn frontier
+  pass over the CSR arrays (:func:`_longest_path`).  Each round pushes
+  the frontier's finish times to its successors with ``np.maximum.at``
+  and releases the successors whose last in-edge it was, so no round
+  touches a task outside the frontier's out-edges.  The pass is
+  bit-identical to the scalar loops of the object oracle
+  (:mod:`repro.testing.taskgraph`): ``max`` is exact in any order and
+  every task gets one add.
 * :class:`SubtreeTemplate` / :class:`TemplateBuilder` — relocatable
   sub-graph templates.  A template's dependency entries are either
   *local* (indices into the template itself) or the :data:`EXT_DEP`
@@ -33,32 +30,24 @@ Three layers live here:
   Stamping a template into a builder is pure array arithmetic
   (:func:`_stamp`): offset the local ids by the instantiation base,
   substitute the sentinels, fix up the per-row dependency counts.
-* conversion — ``TaskArena.from_graph`` / ``TaskArena.to_graph`` (and
-  the ``TaskGraph.to_arena()`` / ``from_arena()`` conveniences) map
-  between the object and columnar worlds; ``to_graph`` is what the
-  reference event kernel consumes when handed an arena, keeping the
-  object path alive as the differential oracle.
+  Scalar ``emit`` calls serve the dense templates and the OpenMP
+  region builder (:class:`repro.runtime.openmp.OpenMP`) alike.
 
-Every study cell simulates an arena (no closures, no ``Task`` churn,
-cheap to pickle across study workers).  The dense algorithms' template
-recursions also declare each task's numerics op; the cost-only
-:class:`TemplateBuilder` drops those declarations, and a
-:class:`~repro.algorithms.program.ProgramBuilder` driven by the same
-recursion keeps them as a numerics program run in the arena's schedule
-order.
+An arena carries no closures, so it is cheap to pickle across study
+workers.  The dense algorithms' template recursions also declare each
+task's numerics op; the cost-only :class:`TemplateBuilder` drops those
+declarations, and a :class:`~repro.algorithms.program.ProgramBuilder`
+driven by the same recursion keeps them as a numerics program.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..util.errors import SchedulingError, ValidationError
 from .cost import TaskCost
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .task import TaskGraph
 
 __all__ = [
     "EXT_CREATOR",
@@ -76,7 +65,7 @@ __all__ = [
 EXT_DEP = -1
 #: ``created_by`` sentinel: "the instantiation's external creator".
 EXT_CREATOR = -2
-#: ``created_by`` value for "no creator" (``Task.created_by is None``).
+#: ``created_by`` value for "no creator".
 NO_CREATOR = -1
 
 #: Cost columns, in :class:`TaskCost` field order.
@@ -247,8 +236,7 @@ class TaskArena:
     def validate(self) -> None:
         """Check the CSR invariants; every dependency must point at a
         *lower* tid, which rules out cycles wholesale (the same
-        by-construction property ``TaskGraph.add`` enforces row by
-        row).  Memoized — arenas are immutable."""
+        by-construction property the builders enforce row by row).  Memoized — arenas are immutable."""
         if self._validated:
             return
         n = len(self)
@@ -318,9 +306,9 @@ class TaskArena:
     def successors_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, indices)`` of the successor adjacency.
 
-        For each tid, the dependents in ascending-tid order — the exact
-        append order ``TaskGraph._successors`` accumulates, which the
-        event kernels' completion cascades rely on.
+        For each tid, the dependents in ascending-tid order, once per
+        dependency edge — the order the event kernels' completion
+        cascades release them in.
         """
         out = getattr(self, "_c_succ_csr", None)
         if out is None:
@@ -343,8 +331,8 @@ class TaskArena:
         return out
 
     def successors_lists(self) -> list[list[int]]:
-        """Successor lists as plain Python ints (cached) — the arena
-        analogue of ``TaskGraph._successors`` for the event kernels."""
+        """Successor lists as plain Python ints (cached), for the
+        scalar event kernels."""
         out = getattr(self, "_c_succ_lists", None)
         if out is None:
             ptr, idx = self.successors_csr()
@@ -412,6 +400,10 @@ class TaskArena:
             return float("inf") if len(self) else 0.0
         return self.total_work_seconds(durations) / cp
 
+    def cost(self, tid: int) -> TaskCost:
+        """Task *tid*'s cost vector, read back from the columns."""
+        return TaskCost(*(float(getattr(self, f)[tid]) for f in _COST_FIELDS))
+
     def counts_by_prefix(self) -> dict[str, int]:
         """Task counts grouped by the name component before '/'."""
         counts = np.bincount(self.name_ids, minlength=len(self.names))
@@ -421,83 +413,6 @@ class TaskArena:
                 key = self.names[nid].split("/", 1)[0]
                 out[key] = out.get(key, 0) + c
         return out
-
-    # ---- conversion ----------------------------------------------------
-
-    @staticmethod
-    def from_graph(graph: "TaskGraph") -> "TaskArena":
-        """Columnize an object graph (costs, deps, flags bit-for-bit)."""
-        interner = NameInterner()
-        tasks = graph.tasks
-        n = len(tasks)
-        name_ids = np.empty(n, dtype=np.int32)
-        cols = {f: np.empty(n, dtype=np.float64) for f in _COST_FIELDS}
-        untied = np.empty(n, dtype=bool)
-        created = np.empty(n, dtype=np.int64)
-        dep_flat: list[int] = []
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        flops_c, eff_c = cols["flops"], cols["efficiency"]
-        l1_c, l2_c = cols["bytes_l1"], cols["bytes_l2"]
-        l3_c, dram_c = cols["bytes_l3"], cols["bytes_dram"]
-        extend = dep_flat.extend
-        for i, t in enumerate(tasks):
-            name_ids[i] = interner.intern(t.name)
-            c = t.cost
-            flops_c[i] = c.flops
-            eff_c[i] = c.efficiency
-            l1_c[i] = c.bytes_l1
-            l2_c[i] = c.bytes_l2
-            l3_c[i] = c.bytes_l3
-            dram_c[i] = c.bytes_dram
-            untied[i] = t.untied
-            created[i] = t.created_by if t.created_by is not None else NO_CREATOR
-            extend(t.deps)
-            indptr[i + 1] = len(dep_flat)
-        return TaskArena(
-            name=graph.name,
-            names=interner.snapshot(),
-            name_ids=name_ids,
-            cost_columns=cols,
-            untied=untied,
-            created_by=created,
-            dep_indptr=indptr,
-            dep_indices=np.asarray(dep_flat, dtype=np.int64),
-        )
-
-    def to_graph(self) -> "TaskGraph":
-        """Materialize an object :class:`TaskGraph` (cost-only: no
-        compute closures exist in an arena).  This is the bridge to the
-        reference event kernel — the differential oracle's object path.
-        """
-        from .task import Task, TaskGraph
-
-        self.validate()
-        graph = TaskGraph(self.name)
-        tasks = graph.tasks
-        succ = graph._successors
-        names = self.names_list()
-        flops = self.flops.tolist()
-        eff = self.efficiency.tolist()
-        b1 = self.bytes_l1.tolist()
-        b2 = self.bytes_l2.tolist()
-        b3 = self.bytes_l3.tolist()
-        bd = self.bytes_dram.tolist()
-        untied = self.untied.tolist()
-        created = self.created_by.tolist()
-        flat = self.dep_indices.tolist()
-        ptr = self.dep_indptr.tolist()
-        for i in range(len(self)):
-            deps = tuple(flat[ptr[i] : ptr[i + 1]])
-            cost = TaskCost(flops[i], eff[i], b1[i], b2[i], b3[i], bd[i])
-            cb = created[i]
-            tasks.append(
-                Task(i, names[i], cost, deps, None, untied[i], cb if cb >= 0 else None)
-            )
-            succ.append([])
-            for d in deps:
-                succ[d].append(i)
-        graph._validated = True
-        return graph
 
     # ---- diffing (test/oracle support) ---------------------------------
 
@@ -678,9 +593,9 @@ class TemplateBuilder:
 
     Scalar emissions buffer in Python lists and flush to an array
     segment whenever a splice lands; ``finish()`` concatenates all
-    segments.  Local ids are handed out in emission order, exactly
-    mirroring ``TaskGraph.add``'s tid assignment — which is what makes
-    a templated lowering bit-identical to the recursive one.
+    segments.  Local ids are handed out in emission order, exactly as a
+    one-task-at-a-time recursion would number them — which is what
+    makes a templated lowering bit-identical to the recursive one.
     """
 
     def __init__(self, interner: NameInterner):

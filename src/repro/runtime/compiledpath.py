@@ -7,8 +7,7 @@ system C compiler and driven through :mod:`ctypes`.  The hot loop
 touches only flat numeric buffers — the arena's
 :class:`~repro.runtime.plans.PlanBundle` of contiguous numpy arrays
 (CSR seat plans, successor CSR, per-task flags), built vectorized once
-per ``(arena, machine)``; an object graph goes through its
-cached arena twin first — and the kernel writes records, interval rows
+per ``(arena, machine)`` — and the kernel writes records, interval rows
 and busy spans straight into preallocated output arrays.  No Python
 objects, dicts, or per-event allocation anywhere in the sweep.
 
@@ -58,13 +57,13 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
-from .plans import arena_of, plan_bundle
+from .plans import plan_bundle
 from .scheduler import Schedule
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .arena import TaskArena
     from .scheduler import Scheduler
-    from .task import TaskGraph
 
 __all__ = [
     "compiled_available",
@@ -377,8 +376,8 @@ _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 # run
 
 
-def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
-    """Simulate *graph* with the compiled event kernel.
+def run_compiled(sched: "Scheduler", arena: "TaskArena") -> Schedule:
+    """Simulate *arena* with the compiled event kernel.
 
     Raises :class:`_JitError` when the toolchain/compile is unusable
     and :class:`_KernelInternalError` on internal kernel bounds — both
@@ -388,11 +387,10 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     exact messages and never fall back.
     """
     fn = _load_kernel()
-    graph.validate()
-    n = len(graph)
+    arena.validate()
+    n = len(arena)
     threads = sched.threads
     with trace.span("plan", tasks=n) as span:
-        arena = arena_of(graph)
         cp, cached = plan_bundle(arena, sched._plan_key)
         prio_ptr = None
         if sched.policy == "critical":
@@ -467,7 +465,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         if rc == _ERR_DEADLOCK:
             raise SchedulingError(
                 f"deadlock: {n - args.err_a} tasks left but nothing "
-                f"ready or running in graph {graph.name!r}"
+                f"ready or running in graph {arena.name!r}"
             )
         if rc == _ERR_NO_PROGRESS:
             raise SchedulingError(
@@ -507,7 +505,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     )
     rc_count = args.rec_count
     return Schedule(
-        graph_name=graph.name,
+        graph_name=arena.name,
         threads=threads,
         raw_records=(
             rec_tid[:rc_count].copy(),
@@ -523,7 +521,7 @@ def run_compiled(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
 
 
 def run_compiled_or_fallback(
-    sched: "Scheduler", graph: "TaskGraph"
+    sched: "Scheduler", arena: "TaskArena"
 ) -> tuple[Schedule, str]:
     """Run the compiled kernel, degrading to ``run_fast`` (counted,
     warn-once) when it cannot: JIT failure or an internal kernel bound.
@@ -533,7 +531,7 @@ def run_compiled_or_fallback(
     from .fastpath import run_fast
 
     try:
-        return run_compiled(sched, graph), "compiled"
+        return run_compiled(sched, arena), "compiled"
     except (_JitError, _KernelInternalError) as exc:
         record_fallback(str(exc))
-        return run_fast(sched, graph), "fast"
+        return run_fast(sched, arena), "fast"

@@ -34,10 +34,7 @@ event kernels:
     couple of adds and stores instead of re-deriving rates from
     ``TaskCost`` attributes on every run.  The tuples are derived from
     the vectorized plan bundle the compiled kernel also reads
-    (:mod:`repro.runtime.plans`) and cached on it; an object graph
-    reaches the bundle through its cached arena twin
-    (:func:`~repro.runtime.plans.arena_of`), exactly as it reaches the
-    compiled kernel.
+    (:mod:`repro.runtime.plans`) and cached on it.
 
 The two kernels take identical scheduling *decisions* (same dispatch
 order, same core placement, same completion grouping), so makespans,
@@ -69,7 +66,7 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import SchedulingError
 from .arena import TaskArena
-from .plans import PlanBundle, arena_of, plan_bundle
+from .plans import PlanBundle, plan_bundle
 from .scheduler import Schedule, TaskRecord, _EPS
 from .stats import RuntimeStats
 from .timeline import CoreTimeline
@@ -82,8 +79,8 @@ _SWEEPS = counter(
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .arena import TaskArena
     from .scheduler import Scheduler
-    from .task import TaskGraph
 
 __all__ = ["run_fast"]
 
@@ -200,14 +197,14 @@ def _plans_for(sched: "Scheduler", arena: TaskArena) -> tuple[PlanBundle, _Graph
     return cp, gp, False
 
 
-def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
-    """Simulate *graph* with the incremental event kernel.
+def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
+    """Simulate *arena* with the incremental event kernel.
 
     Mirrors :meth:`Scheduler._run_reference` decision-for-decision; see
     the module docstring for the state layout.
     """
-    graph.validate()
-    n = len(graph)
+    arena.validate()
+    n = len(arena)
     policy = sched.policy
     threads = sched.threads
     socket_of = sched._socket_of
@@ -217,7 +214,6 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
     dram_bw = sched.machine.dram_bandwidth
 
     with trace.span("plan", tasks=n) as span:
-        arena = arena_of(graph)
         cp, gp, cached = _plans_for(sched, arena)
         priority: list[float] | None = None
         if policy == "critical":
@@ -721,7 +717,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
             if done_count < n:
                 raise SchedulingError(
                     f"deadlock: {n - done_count} tasks left but nothing "
-                    f"ready or running in graph {graph.name!r}"
+                    f"ready or running in graph {arena.name!r}"
                 )
             break
 
@@ -864,7 +860,7 @@ def run_fast(sched: "Scheduler", graph: "TaskGraph") -> Schedule:
         steals=steals,
     )
     return Schedule(
-        graph_name=graph.name,
+        graph_name=arena.name,
         threads=threads,
         records=records,
         raw_intervals=intervals,

@@ -2,10 +2,15 @@
 
 The paper's Strassen is "implemented using untied OpenMP tasks" and its
 CAPS DFS phase "using OpenMP work sharing" (§IV-C).  This module gives
-the algorithm implementations the same vocabulary — ``task``,
-``taskwait``, ``parallel_for``, ``sections``, ``barrier`` — but instead
-of executing, each construct *appends nodes to a* :class:`TaskGraph`
-that the simulated scheduler then runs.
+the workloads the same vocabulary — ``task``, ``taskwait``,
+``parallel_for``, ``sections``, ``single``, ``barrier`` — but instead
+of executing, each construct *appends rows to a*
+:class:`~repro.runtime.arena.TaskArena` (through
+:meth:`TemplateBuilder.emit`, the call the dense lowerings use) that
+the simulated scheduler then runs.  Every construct returns the integer
+id of the task it appended; a task's ``compute`` closure is kept in the
+tid-indexed :attr:`OpenMP.computes` list beside the arena, for a
+numerics run (:func:`repro.runtime.replay.replay`).
 
 Example::
 
@@ -20,13 +25,12 @@ Example::
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..util.errors import ConfigurationError
+from ..util.errors import ConfigurationError, SchedulingError
 from ..util.validation import require_positive
+from .arena import NO_CREATOR, NameInterner, TaskArena, TemplateBuilder
 from .cost import ZERO_COST, TaskCost
-from .task import Task, TaskGraph
 
 __all__ = ["OpenMP", "omp_num_threads"]
 
@@ -48,12 +52,12 @@ def omp_num_threads(default: int = 1, environ: dict | None = None) -> int:
 
 
 class OpenMP:
-    """Region builder producing a :class:`TaskGraph`.
+    """Region builder producing a :class:`TaskArena`.
 
     Parameters
     ----------
     name:
-        Name of the underlying graph.
+        Name of the underlying arena.
     num_threads:
         The parallel region's width.  ``parallel_for`` splits iteration
         spaces into this many chunks (static schedule), mirroring OpenMP
@@ -62,8 +66,20 @@ class OpenMP:
 
     def __init__(self, name: str, num_threads: int = 1):
         require_positive(num_threads, "num_threads")
-        self.graph = TaskGraph(name)
+        self.name = name
         self.num_threads = num_threads
+        #: Compute closure (or ``None``) of every task, by tid.
+        self.computes: list[Callable[[], None] | None] = []
+        self._builder = TemplateBuilder(NameInterner())
+        self._has_successor: list[bool] = []
+        self._arena: TaskArena | None = None
+
+    @property
+    def graph(self) -> TaskArena:
+        """The tasks appended so far, as an arena."""
+        if self._arena is None or len(self._arena) != len(self.computes):
+            self._arena = self._builder.to_arena(self.name)
+        return self._arena
 
     # ---- tasking -------------------------------------------------------
 
@@ -71,22 +87,36 @@ class OpenMP:
         self,
         name: str,
         cost: TaskCost = ZERO_COST,
-        deps: Iterable[int | Task] = (),
+        deps: Iterable[int] = (),
         compute: Callable[[], None] | None = None,
         untied: bool = True,
-        created_by: Task | None = None,
-    ) -> Task:
-        """``#pragma omp task`` — one deferred unit of work."""
-        return self.graph.add(name, cost, deps, compute, untied, created_by)
+        created_by: int | None = None,
+    ) -> int:
+        """``#pragma omp task`` — one deferred unit of work.  Every
+        dependency must name an already-appended task."""
+        tid = len(self.computes)
+        deps = [int(d) for d in deps]
+        for d in deps:
+            if not 0 <= d < tid:
+                raise SchedulingError(
+                    f"task {name!r} depends on unknown/future task id {d}"
+                )
+        for d in deps:
+            self._has_successor[d] = True
+        creator = NO_CREATOR if created_by is None else int(created_by)
+        self._builder.emit(name, cost, deps, creator, untied)
+        self.computes.append(compute)
+        self._has_successor.append(False)
+        return tid
 
-    def taskwait(self, tasks: Iterable[int | Task], name: str = "taskwait") -> Task:
+    def taskwait(self, tasks: Iterable[int], name: str = "taskwait") -> int:
         """``#pragma omp taskwait`` — zero-cost join over *tasks*."""
-        return self.graph.join(name, tasks)
+        return self.task(name, ZERO_COST, tasks)
 
-    def barrier(self, name: str = "barrier") -> Task:
+    def barrier(self, name: str = "barrier") -> int:
         """Implicit/explicit barrier: join over every current sink."""
-        sinks = self.graph.sinks()
-        return self.graph.join(name, sinks)
+        sinks = [t for t, has in enumerate(self._has_successor) if not has]
+        return self.task(name, ZERO_COST, sinks)
 
     # ---- work sharing ----------------------------------------------------
 
@@ -94,11 +124,11 @@ class OpenMP:
         self,
         name: str,
         total_cost: TaskCost,
-        deps: Iterable[int | Task] = (),
+        deps: Iterable[int] = (),
         chunks: int | None = None,
         chunk_computes: Sequence[Callable[[], None] | None] | None = None,
         join: bool = True,
-    ) -> Task | list[Task]:
+    ) -> int | list[int]:
         """``#pragma omp parallel for`` with a static schedule.
 
         *total_cost* is divided evenly over ``chunks`` tasks (default:
@@ -115,7 +145,7 @@ class OpenMP:
         deps = list(deps)
         per_chunk = total_cost.scaled(1.0 / k)
         tasks = [
-            self.graph.add(
+            self.task(
                 f"{name}[{i}]",
                 per_chunk,
                 deps,
@@ -125,15 +155,15 @@ class OpenMP:
         ]
         if not join:
             return tasks
-        return self.graph.join(f"{name}/join", tasks)
+        return self.taskwait(tasks, f"{name}/join")
 
     def sections(
         self,
         name: str,
         section_costs: Sequence[TaskCost],
-        deps: Iterable[int | Task] = (),
+        deps: Iterable[int] = (),
         computes: Sequence[Callable[[], None] | None] | None = None,
-    ) -> Task:
+    ) -> int:
         """``#pragma omp sections`` — heterogeneous parallel blocks with
         an implicit join."""
         if computes is not None and len(computes) != len(section_costs):
@@ -142,7 +172,7 @@ class OpenMP:
             )
         deps = list(deps)
         tasks = [
-            self.graph.add(
+            self.task(
                 f"{name}/sec{i}",
                 cost,
                 deps,
@@ -150,15 +180,15 @@ class OpenMP:
             )
             for i, cost in enumerate(section_costs)
         ]
-        return self.graph.join(f"{name}/join", tasks)
+        return self.taskwait(tasks, f"{name}/join")
 
     def single(
         self,
         name: str,
         cost: TaskCost,
-        deps: Iterable[int | Task] = (),
+        deps: Iterable[int] = (),
         compute: Callable[[], None] | None = None,
-    ) -> Task:
+    ) -> int:
         """``#pragma omp single`` — one thread executes, others wait (a
         plain sequential task in the graph model)."""
-        return self.graph.add(name, cost, deps, compute)
+        return self.task(name, cost, deps, compute)

@@ -8,30 +8,23 @@ exactly-zero flags, indegrees, seeds and the successor CSR.
 :func:`build_bundle` derives them with whole-column numpy passes that
 evaluate the object builder's IEEE expressions
 (:func:`repro.testing.seatplans.object_seat_plan`, the oracle) in its
-operand order, so every float is bit-identical (DESIGN.md §13.2).  ``compiled`` hands the arrays to C; ``fast``
-derives its seat tuples from them once.  The bundle is cached on the
-arena under :data:`_PLAN_ATTR` (dropped from pickles); an object graph
-reaches it through its cached arena twin (:func:`arena_of`).
+operand order, so every float is bit-identical (DESIGN.md §13.2).
+``compiled`` hands the arrays to C; ``fast`` derives its seat tuples
+from them once.  The bundle is cached on the arena under
+:data:`_PLAN_ATTR` (dropped from pickles).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .arena import TaskArena
 from .scheduler import _EPS
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .task import TaskGraph
-
-__all__ = ["PlanBundle", "arena_of", "build_bundle", "plan_bundle"]
+__all__ = ["PlanBundle", "build_bundle", "plan_bundle"]
 
 #: Attribute under which the plan bundle is cached on an arena.
 _PLAN_ATTR = "_plan_bundle"
-#: Attribute under which an object graph caches its arena twin.
-_ARENA_ATTR = "_plan_arena"
 
 
 class PlanBundle:
@@ -125,18 +118,6 @@ def build_bundle(arena: TaskArena, key: tuple) -> PlanBundle:
     cp.crit_prio = None
     cp.seat_plan = None
     return cp
-
-
-def arena_of(graph: "TaskGraph | TaskArena") -> TaskArena:
-    """*graph* itself when it is an arena, else its cached arena twin
-    (rebuilt when the graph has grown; tasks are append-only)."""
-    if isinstance(graph, TaskArena):
-        return graph
-    arena = getattr(graph, _ARENA_ATTR, None)
-    if arena is None or len(arena) != len(graph):
-        arena = TaskArena.from_graph(graph)
-        setattr(graph, _ARENA_ATTR, arena)
-    return arena
 
 
 def plan_bundle(arena: TaskArena, key: tuple) -> tuple[PlanBundle, bool]:

@@ -15,9 +15,11 @@ anything runs.  The dense algorithms run a numerics program stamped
 from their lowering templates
 (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`) in
 :func:`depth_first_order`, which for a race-free DAG yields the same
-bits as the start order in far less temporary storage; object graphs
-with ``compute`` closures (sparse kernels, block LU) go through
-:func:`replay` and :func:`replay_numerics` in the start order.
+bits as the start order in far less temporary storage.  The workloads
+built with the :class:`~repro.runtime.openmp.OpenMP` region builder
+(sparse kernels, block LU) keep a ``compute`` closure per task beside
+their arena and go through :func:`replay` and :func:`replay_numerics`
+in the start order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .arena import TaskArena
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import Schedule
-    from .task import TaskGraph
 
 __all__ = ["check_order", "depth_first_order", "replay", "replay_numerics"]
 
@@ -97,22 +98,23 @@ def depth_first_order(arena: TaskArena) -> list[int]:
     return order
 
 
-def replay(graph: "TaskGraph", order: Sequence[int]) -> None:
-    """Run *graph*'s ``compute`` closures in *order* (task ids), after
-    :func:`check_order` on the graph's arena twin.  Raises
-    :class:`SchedulingError` when *graph* is a cost-only arena or the
-    order is not a linear extension."""
-    from .plans import arena_of
-
-    if isinstance(graph, TaskArena):
+def replay(
+    arena: TaskArena,
+    computes: Sequence[Callable[[], None] | None],
+    order: Sequence[int],
+) -> None:
+    """Run the tid-indexed *computes* closures of *arena* in *order*
+    (task ids), after :func:`check_order`.  Raises
+    :class:`SchedulingError` when *computes* does not hold one entry
+    per task or the order is not a linear extension of *arena*."""
+    if len(computes) != len(arena):
         raise SchedulingError(
-            f"graph {graph.name!r} is a TaskArena (cost-only, no compute "
-            f"closures); replay an object graph that has them"
+            f"replay has {len(computes)} closures for the "
+            f"{len(arena)} tasks of {arena.name!r}"
         )
-    check_order(arena_of(graph), order)
-    tasks = graph.tasks
+    check_order(arena, order)
     for tid in order:
-        compute = tasks[tid].compute
+        compute = computes[tid]
         if compute is not None:
             compute()
 
@@ -120,13 +122,13 @@ def replay(graph: "TaskGraph", order: Sequence[int]) -> None:
 def replay_numerics(lower: Callable[[], object], schedule: "Schedule", **attrs):
     """Check a simulated run's numerics; returns the build's ``verify()``.
 
-    *lower* returns a fresh executed build (an object graph with
-    closures and operands, plus ``verify``).  It is called and replayed
-    in *schedule*'s start order under a ``numerics`` span, then verified
-    under a ``verify`` span; *attrs* label both spans.
+    *lower* returns a fresh executed build (an arena ``graph``, its
+    ``computes`` closures and operands, plus ``verify``).  It is called
+    and replayed in *schedule*'s start order under a ``numerics`` span,
+    then verified under a ``verify`` span; *attrs* label both spans.
     """
     with trace.span("numerics", **attrs):
         executed = lower()
-        replay(executed.graph, schedule.start_order())
+        replay(executed.graph, executed.computes, schedule.start_order())
     with trace.span("verify", **attrs):
         return executed.verify()

@@ -2,7 +2,7 @@
 
 This is the simulated analogue of the OpenMP runtime the paper runs on
 (BOTS tasking + work sharing, §IV-B/C).  ``P`` worker cores run a
-:class:`~repro.runtime.task.TaskGraph`; each running task progresses
+:class:`~repro.runtime.arena.TaskArena`; each running task progresses
 simultaneously along its five cost dimensions:
 
 * compute — private, at ``efficiency * core_peak`` flop/s;
@@ -37,8 +37,7 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
-from .cost import TaskCost
-from .task import Task, TaskGraph
+from .arena import TaskArena
 from .timeline import CoreTimeline
 from .stats import RuntimeStats
 
@@ -360,10 +359,10 @@ class Schedule:
 class _Running:
     """Book-keeping for one in-flight task."""
 
-    __slots__ = ("task", "core", "start", "remaining")
+    __slots__ = ("tid", "core", "start", "remaining")
 
-    def __init__(self, task: Task, core: int, start: float, remaining: list[float]):
-        self.task = task
+    def __init__(self, tid: int, core: int, start: float, remaining: list[float]):
+        self.tid = tid
         self.core = core
         self.start = start
         self.remaining = remaining
@@ -452,49 +451,44 @@ class Scheduler:
 
     # ---- per-task helpers ---------------------------------------------
 
-    def _remaining_vector(self, cost: TaskCost) -> list[float]:
-        return [cost.flops, cost.bytes_l1, cost.bytes_l2, cost.bytes_l3, cost.bytes_dram]
-
-    def _private_rates(self, cost: TaskCost) -> tuple[float, float, float]:
-        """(flop, L1-fill, L2-fill) rates — independent of contention."""
-        return (cost.efficiency * self._core_peak, self._l1_bw, self._l2_bw)
-
-    def uncontended_duration(self, task: Task) -> float:
-        """Duration of *task* when it is alone on the machine — used for
-        critical-path metrics and Graham-bound tests."""
-        c = task.cost
-        if c.is_zero:
+    def _duration(
+        self, flops: float, eff: float, b1: float, b2: float, b3: float, bd: float
+    ) -> float:
+        """Uncontended duration of one task's cost vector."""
+        if flops == 0 and b1 == 0 and b2 == 0 and b3 == 0 and bd == 0:
             return 0.0
-        flop_rate, l1_rate, l2_rate = self._private_rates(c)
         times = [
-            c.flops / flop_rate if c.flops else 0.0,
-            c.bytes_l1 / l1_rate if c.bytes_l1 else 0.0,
-            c.bytes_l2 / l2_rate if c.bytes_l2 else 0.0,
-            c.bytes_l3 / self.machine.l3_bandwidth if c.bytes_l3 else 0.0,
-            c.bytes_dram / self.machine.dram_bandwidth if c.bytes_dram else 0.0,
+            flops / (eff * self._core_peak) if flops else 0.0,
+            b1 / self._l1_bw if b1 else 0.0,
+            b2 / self._l2_bw if b2 else 0.0,
+            b3 / self.machine.l3_bandwidth if b3 else 0.0,
+            bd / self.machine.dram_bandwidth if bd else 0.0,
         ]
         return max(times)
 
+    def uncontended_duration(self, task) -> float:
+        """Duration of *task* (anything with a ``cost``) when it is alone
+        on the machine — used for critical-path metrics and
+        Graham-bound tests."""
+        c = task.cost
+        return self._duration(
+            c.flops, c.efficiency, c.bytes_l1, c.bytes_l2, c.bytes_l3, c.bytes_dram
+        )
+
     # ---- main loop -----------------------------------------------------
 
-    def run(self, graph: TaskGraph) -> Schedule:
-        """Simulate *graph* to completion and return the schedule.
+    def run(self, arena: TaskArena) -> Schedule:
+        """Simulate *arena* to completion and return the schedule.
 
         Dispatches to the configured event kernel; all kernels take
         identical scheduling decisions (see ``repro.runtime.fastpath``).
-        Accepts a columnar :class:`~repro.runtime.arena.TaskArena` too:
-        the fast and compiled engines consume its CSR arrays natively,
-        while the reference oracle inflates it to ``Task`` objects
-        first.  Scheduling only prices costs; ``compute`` closures never
-        run here (numerics replay the schedule afterwards — see
-        :mod:`repro.runtime.replay`).
+        Scheduling only prices costs; numerics run afterwards, in an
+        order the schedule proves valid (see :mod:`repro.runtime.replay`).
         """
-        from .arena import TaskArena
-
         with trace.span(
             "schedule",
-            graph=graph.name,
-            tasks=len(graph),
+            graph=arena.name,
+            tasks=len(arena),
             threads=self.threads,
             policy=self.policy,
         ) as span:
@@ -502,41 +496,69 @@ class Scheduler:
             if ran == "compiled":
                 from .compiledpath import run_compiled_or_fallback
 
-                schedule, ran = run_compiled_or_fallback(self, graph)
+                schedule, ran = run_compiled_or_fallback(self, arena)
             elif ran == "fast":
                 from .fastpath import run_fast
 
-                schedule = run_fast(self, graph)
+                schedule = run_fast(self, arena)
             else:
-                if isinstance(graph, TaskArena):
-                    graph = graph.to_graph()
-                schedule = self._run_reference(graph)
+                schedule = self._run_reference(arena)
             # Set after dispatch: a run-time JIT fallback reads "fast".
             span.set(engine=ran)
             return schedule
 
-    def _reference_priorities(self, graph: TaskGraph) -> list[float]:
+    def _reference_priorities(self, arena: TaskArena) -> list[float]:
         """The ``critical`` policy's priorities on the reference path:
         longest uncontended path from each task to any sink."""
-        priority = [0.0] * len(graph)
-        for task in reversed(graph.tasks):
-            succs = graph.successors(task.tid)
-            below = max((priority[s] for s in succs), default=0.0)
-            priority[task.tid] = self.uncontended_duration(task) + below
+        duration = self._duration
+        costs = list(
+            zip(
+                arena.flops.tolist(),
+                arena.efficiency.tolist(),
+                arena.bytes_l1.tolist(),
+                arena.bytes_l2.tolist(),
+                arena.bytes_l3.tolist(),
+                arena.bytes_dram.tolist(),
+            )
+        )
+        successors = arena.successors_lists()
+        priority = [0.0] * len(arena)
+        for tid in range(len(arena) - 1, -1, -1):
+            below = max((priority[s] for s in successors[tid]), default=0.0)
+            priority[tid] = duration(*costs[tid]) + below
         return priority
 
-    def _run_reference(self, graph: TaskGraph) -> Schedule:
+    def _run_reference(self, arena: TaskArena) -> Schedule:
         """The original per-event scalar loop — the differential oracle
-        for the vectorized kernel.  Kept verbatim; do not optimize."""
-        graph.validate()
-        n = len(graph)
-        indegree = [len(t.deps) for t in graph.tasks]
+        for the vectorized kernels.  It reads per-tid Python lists taken
+        once from the arena's columns and successor CSR.  Kept verbatim;
+        do not optimize."""
+        arena.validate()
+        n = len(arena)
+        names = arena.names_list()
+        efficiency = arena.efficiency.tolist()
+        # Per task: (flops, L1, L2, L3, DRAM) demands, in _FLOPS.._DRAM order.
+        demands = list(
+            zip(
+                arena.flops.tolist(),
+                arena.bytes_l1.tolist(),
+                arena.bytes_l2.tolist(),
+                arena.bytes_l3.tolist(),
+                arena.bytes_dram.tolist(),
+            )
+        )
+        zero = [not any(d) for d in demands]
+        untied = arena.untied.tolist()
+        created_by = arena.created_by_list()
+        successors = arena.successors_lists()
+        indegree = arena.dep_counts.tolist()
+        sources = [tid for tid in range(n) if indegree[tid] == 0]
         completed = [False] * n
 
         # Priority for the "critical" policy: longest path to any sink.
         priority: list[float] | None = None
         if self.policy == "critical":
-            priority = self._reference_priorities(graph)
+            priority = self._reference_priorities(arena)
 
         ready_fifo: deque[int] = deque()
         ready_lifo: list[int] = []
@@ -557,7 +579,7 @@ class Scheduler:
                 assert priority is not None
                 heapq.heappush(ready_heap, (-priority[tid], tid))
             else:  # steal
-                creator = graph.tasks[tid].created_by
+                creator = created_by[tid]
                 home = task_core.get(creator) if creator is not None else None
                 if home is None:
                     shared_inbox.append(tid)
@@ -606,23 +628,22 @@ class Scheduler:
             nonlocal done_count
             completed[tid] = True
             done_count += 1
-            for succ in graph.successors(tid):
+            for succ in successors[tid]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    stask = graph.tasks[succ]
-                    if stask.cost.is_zero:
-                        records.append(TaskRecord(succ, stask.name, -1, when, when))
+                    if zero[succ]:
+                        records.append(TaskRecord(succ, names[succ], -1, when, when))
                         complete(succ, when)
                     else:
                         push_ready(succ)
 
         # Seed: sources (zero-cost sources cascade immediately).
-        for task in graph.sources():
-            if task.cost.is_zero:
-                records.append(TaskRecord(task.tid, task.name, -1, 0.0, 0.0))
-                complete(task.tid, 0.0)
+        for tid in sources:
+            if zero[tid]:
+                records.append(TaskRecord(tid, names[tid], -1, 0.0, 0.0))
+                complete(tid, 0.0)
             else:
-                push_ready(task.tid)
+                push_ready(tid)
 
         dram_bw = self.machine.dram_bandwidth
         l3_bw = self.machine.l3_bandwidth
@@ -633,34 +654,31 @@ class Scheduler:
                 core = free_cores[-1]
                 if self.policy == "steal":
                     tid = pop_for_core(core)
-                    task = graph.tasks[tid]
                 else:
                     tid = pop_ready()
-                    task = graph.tasks[tid]
                     # Tied tasks prefer their creator's core when available.
-                    if not task.untied and task.created_by is not None:
-                        want = task_core.get(task.created_by)
+                    if not untied[tid] and created_by[tid] is not None:
+                        want = task_core.get(created_by[tid])
                         if want is not None and want in free_cores:
                             core = want
                         elif want is not None:
                             steals += 1
                 free_cores.remove(core)
+                creator = created_by[tid]
                 if (
-                    task.created_by is not None
-                    and task_core.get(task.created_by) is not None
-                    and task_core[task.created_by] != core
+                    creator is not None
+                    and task_core.get(creator) is not None
+                    and task_core[creator] != core
                 ):
                     migrations += 1
-                running[core] = _Running(
-                    task, core, t, self._remaining_vector(task.cost)
-                )
+                running[core] = _Running(tid, core, t, list(demands[tid]))
                 task_core[tid] = core
 
             if not running:
                 if done_count < n:
                     raise SchedulingError(
                         f"deadlock: {n - done_count} tasks left but nothing "
-                        f"ready or running in graph {graph.name!r}"
+                        f"ready or running in graph {arena.name!r}"
                     )
                 break
 
@@ -679,7 +697,8 @@ class Scheduler:
             dt = float("inf")
             rates: dict[int, list[float]] = {}
             for core, r in running.items():
-                flop_rate, l1_rate, l2_rate = self._private_rates(r.task.cost)
+                flop_rate = efficiency[r.tid] * self._core_peak
+                l1_rate, l2_rate = self._l1_bw, self._l2_bw
                 socket_users = l3_users_by_socket[self._socket_of[core]]
                 l3_share = l3_bw / socket_users if socket_users else 0.0
                 rate = [flop_rate, l1_rate, l2_rate, l3_share, dram_share]
@@ -689,7 +708,7 @@ class Scheduler:
                     if rem > _EPS:
                         if rate[dim] <= 0:
                             raise SchedulingError(
-                                f"task {r.task.name!r} has demand in dim {dim} "
+                                f"task {names[r.tid]!r} has demand in dim {dim} "
                                 f"but zero service rate"
                             )
                         dt = min(dt, rem / rate[dim])
@@ -730,10 +749,10 @@ class Scheduler:
 
             for core in finished:
                 r = running.pop(core)
-                records.append(TaskRecord(r.task.tid, r.task.name, core, r.start, t))
+                records.append(TaskRecord(r.tid, names[r.tid], core, r.start, t))
                 timelines[core].add_busy(r.start, t)
                 free_cores.append(core)
-                complete(r.task.tid, t)
+                complete(r.tid, t)
 
         for tl in timelines:
             tl.close(t)
@@ -748,7 +767,7 @@ class Scheduler:
             steals=steals,
         )
         return Schedule(
-            graph_name=graph.name,
+            graph_name=arena.name,
             threads=self.threads,
             records=records,
             intervals=intervals,

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..machine.specs import MachineSpec
+from ..runtime.arena import TaskArena
 from ..runtime.scheduler import Schedule
-from ..runtime.task import TaskGraph
 from ..util.errors import ValidationError
 from ..util.tables import TextTable
 
@@ -45,7 +45,7 @@ def _prefix(name: str) -> str:
 
 
 def attribute_energy(
-    schedule: Schedule, graph: TaskGraph, machine: MachineSpec
+    schedule: Schedule, graph: TaskArena, machine: MachineSpec
 ) -> dict[str, TaskEnergy]:
     """Attribute the run's energy to task-name prefixes.
 
@@ -58,20 +58,25 @@ def attribute_energy(
     """
     em = machine.energy
     dvfs = machine.dvfs_factor
+    flops = graph.flops.tolist()
+    bytes_l1 = graph.bytes_l1.tolist()
+    bytes_l2 = graph.bytes_l2.tolist()
+    bytes_l3 = graph.bytes_l3.tolist()
+    bytes_dram = graph.bytes_dram.tolist()
     acc: dict[str, dict] = {}
     total_busy = 0.0
     for record in schedule.records:
         if record.core < 0:
             continue
-        cost = graph.task(record.tid).cost
+        tid = record.tid
         dynamic = dvfs * (
             em.core_active_w * record.duration
-            + em.j_per_flop * cost.flops
-            + em.j_per_byte_l1 * cost.bytes_l1
-            + em.j_per_byte_l2 * cost.bytes_l2
-            + em.j_per_byte_l3 * cost.bytes_l3
-            + em.uncore_j_per_dram_byte * cost.bytes_dram
-        ) + em.dram_j_per_byte * cost.bytes_dram
+            + em.j_per_flop * flops[tid]
+            + em.j_per_byte_l1 * bytes_l1[tid]
+            + em.j_per_byte_l2 * bytes_l2[tid]
+            + em.j_per_byte_l3 * bytes_l3[tid]
+            + em.uncore_j_per_dram_byte * bytes_dram[tid]
+        ) + em.dram_j_per_byte * bytes_dram[tid]
         slot = acc.setdefault(
             _prefix(record.name), {"tasks": 0, "busy": 0.0, "dynamic": 0.0}
         )

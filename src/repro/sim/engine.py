@@ -1,7 +1,7 @@
 """Execution engine: schedule a task graph, account energy, emit traces.
 
 The engine is the simulated analogue of the paper's instrumented test
-driver (§V-C): it runs a workload (a :class:`TaskGraph`) at a given
+driver (§V-C): it runs a workload (a :class:`TaskArena`) at a given
 thread count, integrates the energy model over the schedule's activity
 intervals, deposits joules into the emulated RAPL MSRs (so a PAPI event
 set wrapped around :meth:`Engine.run` observes the run exactly as the
@@ -22,8 +22,8 @@ from ..observability import trace as obtrace
 from ..power.msr import MsrFile, deposit_planes
 from ..power.planes import Plane
 from ..power.sampling import PowerTrace
+from ..runtime.arena import TaskArena
 from ..runtime.scheduler import Schedule, SchedulePolicy, Scheduler, SchedulerEngine
-from ..runtime.task import TaskGraph
 from ..util.validation import require_positive
 from .measurement import RunMeasurement
 
@@ -75,21 +75,21 @@ class Engine:
 
     def run(
         self,
-        graph: TaskGraph,
+        graph: TaskArena,
         threads: int,
         policy: SchedulePolicy = "fifo",
         label: str | None = None,
     ) -> RunMeasurement:
         """Simulate *graph* with *threads* workers and measure it.
 
-        Simulation never runs ``compute`` closures; numerics replay the
-        schedule afterwards (:meth:`simulate` returns it).
+        Simulation prices costs only; numerics run afterwards, in an
+        order the schedule proves valid (:meth:`simulate` returns it).
         """
         return self.simulate(graph, threads, policy, label)[0]
 
     def simulate(
         self,
-        graph: TaskGraph,
+        graph: TaskArena,
         threads: int,
         policy: SchedulePolicy = "fifo",
         label: str | None = None,

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.specs import MachineSpec
+from ..runtime.arena import TaskArena
 from ..runtime.cost import TaskCost
 from ..runtime.openmp import OpenMP
-from ..runtime.task import TaskGraph
 from ..util.errors import ValidationError
 from ..util.validation import require_fraction, require_positive
 from .formats import CSRMatrix
@@ -144,8 +144,9 @@ def spgemm_chunk_cost(
 class SpgemmBuild:
     """A lowered SpGEMM; chunk results are assembled by the join."""
 
-    def __init__(self, graph: TaskGraph, a: CSRMatrix, b: CSRMatrix):
+    def __init__(self, graph: TaskArena, computes: list, a: CSRMatrix, b: CSRMatrix):
         self.graph = graph
+        self.computes = computes
         self.a = a
         self.b = b
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = []
@@ -177,9 +178,8 @@ def build_spgemm_graph(
     require_positive(threads, "threads")
     from .spmv import row_chunks
 
-    build = SpgemmBuild(TaskGraph(f"spgemm[m={a.shape[0]}]"), a, b)
-    omp = OpenMP(build.graph.name, threads)
-    build.graph = omp.graph
+    omp = OpenMP(f"spgemm[m={a.shape[0]}]", threads)
+    build = SpgemmBuild(omp.graph, omp.computes, a, b)
     ranges = row_chunks(a, threads)
     build.chunks = [None] * len(ranges)
 
@@ -217,4 +217,5 @@ def build_spgemm_graph(
         bytes_dram=inter_total * (_WORD + _IDX) * 0.5,
     )
     omp.task("assemble", assemble_cost, chunk_tasks, assemble_compute)
+    build.graph = omp.graph
     return build

@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.specs import MachineSpec
+from ..runtime.arena import TaskArena
 from ..runtime.cost import TaskCost
 from ..runtime.openmp import OpenMP
-from ..runtime.task import TaskGraph
 from ..util.errors import ValidationError
 from ..util.validation import require_fraction, require_positive
 from .formats import BSRMatrix, COOMatrix, CSRMatrix, DIAMatrix, ELLMatrix, SparseMatrix
@@ -161,10 +161,11 @@ def spmm_chunk_cost(
 
 
 class SpmmBuild:
-    """A lowered SpMM: graph plus operands for verification."""
+    """A lowered SpMM: arena, per-task closures and operands."""
 
-    def __init__(self, graph: TaskGraph, matrix: SparseMatrix, b, c):
+    def __init__(self, graph: TaskArena, computes: list, matrix: SparseMatrix, b, c):
         self.graph = graph
+        self.computes = computes
         self.matrix = matrix
         self.b = b
         self.c = c
@@ -223,4 +224,4 @@ def build_spmm_graph(
                 omp.task(f"sweep{sweep}/rows[{r0}:{r1}]", cost, deps, compute)
             )
         prev = omp.taskwait(chunk_tasks, name=f"sweep{sweep}/join")
-    return SpmmBuild(omp.graph, matrix, b, c)
+    return SpmmBuild(omp.graph, omp.computes, matrix, b, c)

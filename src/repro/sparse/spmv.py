@@ -21,9 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.specs import MachineSpec
+from ..runtime.arena import TaskArena
 from ..runtime.cost import TaskCost
 from ..runtime.openmp import OpenMP
-from ..runtime.task import TaskGraph
 from ..util.errors import ValidationError
 from ..util.validation import require_fraction, require_positive
 from .formats import BSRMatrix, SparseMatrix
@@ -114,10 +114,11 @@ def spmv_chunk_cost(
 
 
 class SpmvBuild:
-    """A lowered SpMV: graph plus in/out vectors for verification."""
+    """A lowered SpMV: arena, per-task closures and in/out vectors."""
 
-    def __init__(self, graph: TaskGraph, matrix: SparseMatrix, x, y):
+    def __init__(self, graph: TaskArena, computes: list, matrix: SparseMatrix, x, y):
         self.graph = graph
+        self.computes = computes
         self.matrix = matrix
         self.x = x
         self.y = y
@@ -179,4 +180,4 @@ def build_spmv_graph(
                 omp.task(f"sweep{sweep}/rows[{r0}:{r1}]", cost, deps, compute)
             )
         prev = omp.taskwait(chunk_tasks, name=f"sweep{sweep}/join")
-    return SpmvBuild(omp.graph, matrix, x, y)
+    return SpmvBuild(omp.graph, omp.computes, matrix, x, y)

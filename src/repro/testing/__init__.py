@@ -16,8 +16,11 @@ agreement).  This package turns those identities into a harness:
   vs ``engine="reference"``, ``parallel=N`` vs serial study execution,
   templated vs object lowering, and stamped numerics vs the sequential
   fast matmul, asserted bit-for-bit;
-* :mod:`repro.testing.lowering` — the object lowering of the dense
-  algorithms the templated ``build_arena`` must equal;
+* :mod:`repro.testing.taskgraph` — :class:`Task` / :class:`TaskGraph`,
+  the object twin of the columnar arena: the generators' DAG shape and
+  the scalar metric sweeps the arena's vectorized ones must equal;
+* :mod:`repro.testing.lowering` — the task-at-a-time lowering of the
+  dense algorithms the templated ``build_arena`` must equal;
 * :mod:`repro.testing.netlowering` — the scalar reference network
   lowering the batched one must equal column for column;
 * :mod:`repro.testing.faults` — fault injection for the simulated RAPL
@@ -67,6 +70,7 @@ from .oracle import (
 )
 from .faults import FaultyMsr, check_fault_modes
 from .harness import Counterexample, VerifyReport, run_verify, verify_case
+from .taskgraph import Task, TaskGraph
 
 __all__ = [
     "POLICIES",
@@ -75,6 +79,8 @@ __all__ = [
     "GraphCase",
     "NetworkCase",
     "NumericsCase",
+    "Task",
+    "TaskGraph",
     "VerifyReport",
     "Violation",
     "assert_no_violations",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 from ..core.study import StudyConfig
@@ -32,9 +33,10 @@ from ..machine.specs import (
     generic_smp,
     haswell_e3_1225,
 )
+from ..runtime.arena import TaskArena
 from ..runtime.cost import TaskCost, ZERO_COST
-from ..runtime.task import TaskGraph
 from ..util.units import GHZ, GiB, MiB
+from .taskgraph import TaskGraph
 
 __all__ = [
     "POLICIES",
@@ -75,6 +77,11 @@ class GraphCase:
     graph: TaskGraph
     threads: int
     policy: str
+
+    @cached_property
+    def arena(self) -> TaskArena:
+        """The case's DAG as the arena the event kernels run."""
+        return self.graph.to_arena()
 
     def describe(self) -> str:
         costful = sum(1 for t in self.graph.tasks if not t.cost.is_zero)

@@ -159,7 +159,7 @@ def verify_case(
         scheduler = Scheduler(
             case.machine, case.threads, case.policy, engine="fast"
         )
-        schedule = scheduler.run(case.graph)
+        schedule = scheduler.run(case.arena)
         measurement = Engine(case.machine).measure(schedule, label=case.graph.name)
         if mutator is not None:
             measurement = mutator(measurement)

@@ -56,7 +56,7 @@ from ..core.scaling import ScalingClass, classify_scaling, linear_threshold, sca
 from ..machine.specs import MachineSpec
 from ..power.planes import Plane, aggregate_planes
 from ..runtime.scheduler import Schedule, Scheduler
-from ..runtime.task import TaskGraph
+from .taskgraph import TaskGraph
 from ..sim.measurement import RunMeasurement
 from ..util.errors import SimulationError
 

@@ -1,10 +1,10 @@
-"""Object lowering of the dense algorithms: the ``arena_lowering`` oracle.
+"""Task-at-a-time lowering of the dense algorithms (``arena_lowering`` oracle).
 
 The algorithms define their tasks once, in the template recursions that
 stamp columnar arenas (``build_arena``).  This module re-derives the
-same graphs independently: a plain recursive walk that emits one
-:class:`~repro.runtime.task.Task` at a time through the
-:class:`~repro.runtime.openmp.OpenMP` region builder, cost-only.  The
+same graphs independently: a plain recursive walk that emits one task
+at a time through the :class:`~repro.runtime.openmp.OpenMP` region
+builder, cost-only, with no template stamping.  The
 differential oracle (:func:`repro.testing.oracle.differential_lowering_check`)
 demands the two be bit-identical — same tids, names, dependencies, cost
 bytes, untied flags and creator links.
@@ -21,14 +21,15 @@ from ..algorithms.caps import CapsStrassen
 from ..algorithms.kernels import addition_cost, blocked_tile_cost, leaf_gemm_cost
 from ..algorithms.strassen import StrassenWinograd
 from ..algorithms.tuning import tile_grid
+from ..runtime.arena import TaskArena
 from ..runtime.openmp import OpenMP
-from ..runtime.task import TaskGraph
 
 __all__ = ["object_lowering"]
 
 
-def object_lowering(alg, n: int, threads: int) -> TaskGraph:
-    """The cost-only object graph of *alg*'s ``(n, threads)`` lowering."""
+def object_lowering(alg, n: int, threads: int) -> TaskArena:
+    """The cost-only arena of *alg*'s ``(n, threads)`` lowering, emitted
+    one task at a time."""
     if isinstance(alg, BlockedGemm):
         return _blocked(alg, n, threads)
     if isinstance(alg, StrassenWinograd):
@@ -42,7 +43,7 @@ def object_lowering(alg, n: int, threads: int) -> TaskGraph:
     raise TypeError(f"no object lowering for {type(alg).__name__}")
 
 
-def _blocked(alg: BlockedGemm, n: int, threads: int) -> TaskGraph:
+def _blocked(alg: BlockedGemm, n: int, threads: int) -> TaskArena:
     omp = OpenMP(f"openblas[n={n}]", threads)
     grid = tile_grid(n, threads, alg.min_tiles_per_thread)
     total_flops = alg.flop_count(n)

@@ -215,10 +215,10 @@ def differential_engine_check(case: GraphCase) -> list[Violation]:
     """Replay one generated case through both event kernels."""
     ref = Scheduler(
         case.machine, case.threads, case.policy, engine="reference"
-    ).run(case.graph)
+    ).run(case.arena)
     fast = Scheduler(
         case.machine, case.threads, case.policy, engine="fast"
-    ).run(case.graph)
+    ).run(case.arena)
     return compare_schedules(ref, fast)
 
 
@@ -239,13 +239,13 @@ def differential_compiled_check(case: GraphCase) -> list[Violation]:
     """
     ref = Scheduler(
         case.machine, case.threads, case.policy, engine="reference"
-    ).run(case.graph)
+    ).run(case.arena)
     fast = Scheduler(
         case.machine, case.threads, case.policy, engine="fast"
-    ).run(case.graph)
+    ).run(case.arena)
     compiled = Scheduler(
         case.machine, case.threads, case.policy, engine="compiled"
-    ).run(case.graph)
+    ).run(case.arena)
     return compare_schedules(ref, compiled) + compare_schedules(fast, compiled)
 
 
@@ -257,15 +257,17 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
     """Replay one cell through both lowering paths and demand
     bit-identity.
 
-    The object lowering (:func:`repro.testing.lowering.object_lowering`)
-    is the oracle; the templated columnar stamping (``build_arena``)
-    must reproduce it
+    The one-task-at-a-time lowering
+    (:func:`repro.testing.lowering.object_lowering`) is the oracle; the
+    templated columnar stamping (``build_arena``) must reproduce it
     *bit-for-bit* — same tids, names, dependency lists, cost columns
     (``tobytes`` equality), untied flags and creator links.  On top of
     the structural identity, the arena's vectorized metrics must agree
-    with the object graph's scalar sweeps: the critical path exactly
-    (same maxima, same single-add per level) and total work to 1e-12
-    relative (``np.sum`` pairs additions differently than ``sum``).
+    with the scalar sweeps of the object graph
+    (:class:`~repro.testing.taskgraph.TaskGraph`): the critical path
+    exactly (same maxima, same single add per task) and total work to
+    1e-12 relative (``np.sum`` pairs additions differently than
+    ``sum``).
 
     An algorithm *without* a columnar path is a violation here, not a
     skip: this family exists precisely to guarantee the object-path
@@ -274,9 +276,10 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
     from ..algorithms.registry import make_algorithm
     from ..runtime.arena import TaskArena
     from .lowering import object_lowering
+    from .taskgraph import TaskGraph
 
     alg = make_algorithm(case.algorithm, case.machine)
-    obj = object_lowering(alg, case.n, case.threads)
+    emitted = object_lowering(alg, case.n, case.threads)
     arena_build = alg.build_arena(case.n, case.threads)
     if arena_build is None:
         return [
@@ -297,10 +300,11 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
         ]
     out = [
         Violation("oracle.lowering_bits", msg)
-        for msg in TaskArena.from_graph(obj).structural_diff(arena)
+        for msg in emitted.structural_diff(arena)
     ]
     if out:
         return out
+    obj = TaskGraph.from_arena(emitted)
 
     # Vectorized metrics vs the object graph's scalar sweeps.
     sched = Scheduler(case.machine, threads=case.threads)

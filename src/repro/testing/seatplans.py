@@ -19,7 +19,7 @@ from ..runtime.fastpath import _GraphPlan
 from ..runtime.scheduler import _EPS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runtime.task import TaskGraph
+    from .taskgraph import TaskGraph
 
 __all__ = ["object_seat_plan"]
 

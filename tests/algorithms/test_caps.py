@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.caps import CapsStrassen
 from repro.algorithms.strassen import StrassenWinograd
 from repro.runtime.scheduler import Scheduler
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import ConfigurationError
 
 
@@ -73,8 +74,8 @@ def test_packing_tasks_emitted(machine):
 def test_packing_adds_traffic_not_flops(machine):
     with_pack = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64)
     without = CapsStrassen(machine, cutoff_depth=2, leaf_cutoff=64, pack=False)
-    gp = with_pack.build_arena(128, threads=2).graph.to_graph().total_cost()
-    gn = without.build_arena(128, threads=2).graph.to_graph().total_cost()
+    gp = TaskGraph.from_arena(with_pack.build_arena(128, threads=2).graph).total_cost()
+    gn = TaskGraph.from_arena(without.build_arena(128, threads=2).graph).total_cost()
     assert gp.bytes_l1 > gn.bytes_l1
     # Pack tasks carry a token 1-flop cost each; arithmetic is unchanged.
     assert gp.flops == pytest.approx(gn.flops, abs=10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.strassen import StrassenWinograd
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import ConfigurationError
 
 
@@ -118,8 +119,8 @@ def test_subtree_cost_consistent_with_graph(machine):
     task costs (same recursion, different granularity)."""
     fine = StrassenWinograd(machine, cutoff=32, grain=32)
     coarse = StrassenWinograd(machine, cutoff=32, grain=128)
-    g_fine = fine.build_arena(128, threads=1).graph.to_graph()
-    g_coarse = coarse.build_arena(128, threads=1).graph.to_graph()
+    g_fine = TaskGraph.from_arena(fine.build_arena(128, threads=1).graph)
+    g_coarse = TaskGraph.from_arena(coarse.build_arena(128, threads=1).graph)
     assert g_fine.total_cost().flops == pytest.approx(g_coarse.total_cost().flops)
     assert g_fine.total_cost().bytes_dram == pytest.approx(
         g_coarse.total_cost().bytes_dram

@@ -1,10 +1,10 @@
-"""Templated columnar lowering vs the recursive object path.
+"""Templated columnar lowering vs the task-at-a-time recursion.
 
 ``build_arena`` stamps pre-built subtree templates into a
-:class:`~repro.runtime.arena.TaskArena`; the object lowering of
+:class:`~repro.runtime.arena.TaskArena`; the task-at-a-time lowering of
 :mod:`repro.testing.lowering` is the differential oracle.  These tests
 pin the contract from ``MatmulAlgorithm.build_arena``: the arena must be
-*bit-identical* to ``TaskArena.from_graph`` of the object lowering —
+*bit-identical* to the arena the recursion emits one task at a time —
 same tids, names, dependency lists, cost bytes, untied flags and
 creator links — across every algorithm variant and branch (leaf, grain,
 odd-size peel, BFS/DFS crossover, packing on/off).
@@ -28,7 +28,7 @@ def _assert_bit_identical(alg, n, threads):
     arena_build = alg.build_arena(n, threads)
     arena = arena_build.graph
     assert isinstance(arena, TaskArena)
-    assert TaskArena.from_graph(obj).structural_diff(arena) == []
+    assert obj.structural_diff(arena) == []
     assert arena_build.cost_only
     program = alg.numerics_program(n, threads)
     assert len(program) == len(arena)

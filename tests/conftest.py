@@ -26,13 +26,13 @@ def engine(machine):
 
 @pytest.fixture()
 def run_numerics(machine):
-    """Simulate an object graph on the paper machine, then replay its
+    """Simulate a build's arena on the paper machine, then replay its
     compute closures in the schedule's start order; returns the
     measurement."""
 
-    def run(graph, threads, policy="fifo"):
-        measurement, schedule = Engine(machine).simulate(graph, threads, policy)
-        replay(graph, schedule.start_order())
+    def run(build, threads, policy="fifo"):
+        measurement, schedule = Engine(machine).simulate(build.graph, threads, policy)
+        replay(build.graph, build.computes, schedule.start_order())
         return measurement
 
     return run

@@ -74,11 +74,11 @@ class TestEq4:
 class TestEPMeasurement:
     def _measurement(self, engine):
         from repro.runtime.cost import TaskCost
-        from repro.runtime.task import TaskGraph
+        from repro.runtime.openmp import OpenMP
 
-        g = TaskGraph()
-        g.add("t", TaskCost(flops=51.2e9))
-        return engine.run(g, threads=1)
+        omp = OpenMP("graph")
+        omp.task("t", TaskCost(flops=51.2e9))
+        return engine.run(omp.graph, threads=1)
 
     def test_power_convention_is_avg_watts_over_time(self, engine):
         m = self._measurement(engine)

@@ -80,8 +80,11 @@ def test_verified_and_cost_only_cells_agree_at_odd_n(machine, alg):
 
 
 def test_verified_study_leaves_the_testing_package_unloaded():
-    """The oracles live under ``repro.testing``; the numerics a verified
-    study runs (the depth-first order included) must not load them."""
+    """The oracles live under ``repro.testing``, the object task graph
+    included; no product path loads them: not the numerics a verified
+    study runs (the depth-first order included), not a verified sparse
+    study or ``mixed_ep`` (both built with the OpenMP region builder),
+    and not the scalar ``reference`` kernel."""
     import os
     import subprocess
     import sys
@@ -94,6 +97,17 @@ def test_verified_study_leaves_the_testing_package_unloaded():
         "from repro.api import Study\n"
         "Study(sizes=(128,), threads=(1, 2), execute_max_n=128).run()\n"
         "assert len(numerics_memo()) > 0, 'no cell ran its numerics'\n"
+        "from repro.algorithms import BlockLU, StrassenWinograd, mixed_ep\n"
+        "from repro.machine import haswell_e3_1225\n"
+        "from repro.runtime.scheduler import Scheduler\n"
+        "from repro.sim import Engine\n"
+        "from repro.sparse import SparseEPStudy, banded\n"
+        "m = haswell_e3_1225()\n"
+        "SparseEPStudy(m, banded(64, 2, seed=1), threads=(1, 2), repeats=2).run()\n"
+        "mixed_ep(BlockLU(m, block=32), 64, 2, engine=Engine(m, engine='reference'))\n"
+        "arena = StrassenWinograd(m).build_arena(128, 2).graph\n"
+        "for policy in ('fifo', 'critical', 'steal'):\n"
+        "    Scheduler(m, 2, policy, engine='reference').run(arena)\n"
         "print(sorted(m for m in sys.modules if m.startswith('repro.testing')))\n"
     )
     proc = subprocess.run(

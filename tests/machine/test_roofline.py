@@ -4,6 +4,7 @@ import pytest
 
 from repro.machine.roofline import attainable_flops, locate, ridge_intensity
 from repro.runtime.cost import TaskCost
+from repro.testing.taskgraph import TaskGraph
 
 
 def test_ridge_point_haswell(machine):
@@ -53,7 +54,7 @@ def test_locate_blocked_gemm_is_compute_bound_at_one_core(machine):
     from repro.algorithms.blocked import BlockedGemm
 
     alg = BlockedGemm(machine)
-    total = alg.build_arena(1024, threads=1).graph.to_graph().total_cost()
+    total = TaskGraph.from_arena(alg.build_arena(1024, threads=1).graph).total_cost()
     assert locate(machine, total, cores=1).is_compute_bound
 
 

@@ -8,7 +8,7 @@ from repro.machine.frequency import FrequencyDomain, PState
 from repro.machine.specs import haswell_e3_1225
 from repro.power.capping import PowerLimit, enforce_power_limit
 from repro.runtime.cost import TaskCost
-from repro.runtime.task import TaskGraph
+from repro.runtime.openmp import OpenMP
 from repro.util.units import GHZ
 
 
@@ -22,10 +22,10 @@ def dvfs_machine():
 
 
 def busy_graph(cores=4):
-    g = TaskGraph("busy")
+    omp = OpenMP("busy")
     for i in range(cores * 4):
-        g.add(f"t{i}", TaskCost(flops=5e9, efficiency=0.9))
-    return g
+        omp.task(f"t{i}", TaskCost(flops=5e9, efficiency=0.9))
+    return omp.graph
 
 
 class TestPowerLimit:

@@ -4,16 +4,16 @@ import pytest
 
 from repro.reporting.gantt import render_gantt
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 from repro.util.errors import ValidationError
 
 
 def test_render_shows_cores_and_utilization(machine):
-    g = TaskGraph()
+    omp = OpenMP("g")
     for i in range(4):
-        g.add(f"t{i}", TaskCost(flops=1e9))
-    sched = Scheduler(machine, threads=2).run(g)
+        omp.task(f"t{i}", TaskCost(flops=1e9))
+    sched = Scheduler(machine, threads=2).run(omp.graph)
     out = render_gantt(sched, width=20)
     assert "core 0:" in out and "core 1:" in out
     assert "#" in out
@@ -21,17 +21,17 @@ def test_render_shows_cores_and_utilization(machine):
 
 
 def test_idle_core_shows_dots(machine):
-    g = TaskGraph()
-    g.add("only", TaskCost(flops=1e9))
-    sched = Scheduler(machine, threads=2).run(g)
+    omp = OpenMP("g")
+    omp.task("only", TaskCost(flops=1e9))
+    sched = Scheduler(machine, threads=2).run(omp.graph)
     out = render_gantt(sched, width=10)
     lines = out.splitlines()
     assert lines[2].endswith("." * 10)  # second core idle
 
 
 def test_width_validation(machine):
-    g = TaskGraph()
-    g.add("t", TaskCost(flops=1e9))
-    sched = Scheduler(machine, threads=1).run(g)
+    omp = OpenMP("g")
+    omp.task("t", TaskCost(flops=1e9))
+    sched = Scheduler(machine, threads=1).run(omp.graph)
     with pytest.raises(ValidationError):
         render_gantt(sched, width=2)

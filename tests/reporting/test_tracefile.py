@@ -6,18 +6,18 @@ import pytest
 
 from repro.reporting.tracefile import schedule_to_trace_events, write_chrome_trace
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 from repro.sim import Engine
 
 
 @pytest.fixture()
 def schedule(machine):
-    g = TaskGraph("demo")
-    a = g.add("work-a", TaskCost(flops=1e9))
-    b = g.add("work-b", TaskCost(flops=2e9), deps=[a])
-    g.join("sync", [b])
-    return Scheduler(machine, threads=2).run(g)
+    omp = OpenMP("demo")
+    a = omp.task("work-a", TaskCost(flops=1e9))
+    b = omp.task("work-b", TaskCost(flops=2e9), deps=[a])
+    omp.taskwait([b], "sync")
+    return Scheduler(machine, threads=2).run(omp.graph)
 
 
 def test_events_cover_tasks(schedule):

@@ -1,5 +1,6 @@
-"""The columnar SoA/CSR task arena: round-trips, vectorized metrics,
-validation, pickling, and the scheduler bridge."""
+"""The columnar SoA/CSR task arena: round-trips through the object
+oracle, vectorized metrics, validation, pickling, and the event
+kernels reading arenas."""
 
 import pickle
 
@@ -16,9 +17,9 @@ from repro.runtime.arena import (
 )
 from repro.runtime.cost import ZERO_COST, TaskCost
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 from repro.testing.generators import gen_graph_case
 from repro.testing.oracle import compare_schedules
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import SchedulingError, ValidationError
 
 
@@ -210,7 +211,7 @@ class TestLongestPath:
         from repro.runtime.rankevents import RankEventProgram
 
         sched, durs = TestLongestPath._scheduler_and_durations(machine, arena)
-        graph = arena.to_graph()
+        graph = TaskGraph.from_arena(arena)
         scalar = durs.tolist()
         finish = arena.finish_times(durs)
         want = np.asarray(graph.finish_times(lambda t: scalar[t.tid]))
@@ -229,7 +230,7 @@ class TestLongestPath:
         assert finish.tobytes() == events.finish_times("ranks").tobytes()
         assert finish.tobytes() == events.finish_times("events").tobytes()
         prio = arena.critical_priorities(durs)
-        want = np.asarray(sched._reference_priorities(graph), dtype=np.float64)
+        want = np.asarray(sched._reference_priorities(arena), dtype=np.float64)
         assert prio.tobytes() == want.tobytes(), arena.name
 
     def test_seeded_dags_bit_identical(self, machine):
@@ -372,35 +373,33 @@ class TestSchedulerBridge:
     def test_fast_engine_consumes_arena_natively(self):
         for seed in range(15):
             case = gen_graph_case(seed, max_tasks=60)
-            arena = case.graph.to_arena()
-            fast_arena = Scheduler(
-                case.machine,
-                case.threads,
-                case.policy,
-                engine="fast",
-            ).run(arena)
-            fast_obj = Scheduler(
-                case.machine,
-                case.threads,
-                case.policy,
-                engine="fast",
-            ).run(case.graph)
-            assert compare_schedules(fast_arena, fast_obj) == [], seed
+            schedules = [
+                Scheduler(
+                    case.machine, case.threads, case.policy, engine=engine
+                ).run(case.arena)
+                for engine in ("reference", "fast")
+            ]
+            assert compare_schedules(*schedules) == [], seed
 
-    def test_reference_engine_inflates_arena(self):
+    def test_reference_engine_reads_arena_columns(self, monkeypatch):
+        """The scalar oracle schedules the arena itself: no object graph
+        is built, and a pickled copy of the columns schedules the same."""
+
+        def inflate(arena):
+            raise AssertionError("the reference engine inflated the arena")
+
+        monkeypatch.setattr(TaskGraph, "from_arena", staticmethod(inflate))
         case = gen_graph_case(6, max_tasks=40)
-        arena = case.graph.to_arena()
-        ref_arena = Scheduler(
+        ref = Scheduler(
             case.machine, case.threads, case.policy, engine="reference",
-        ).run(arena)
-        ref_obj = Scheduler(
-            case.machine, case.threads, case.policy, engine="reference",
-        ).run(case.graph)
-        assert compare_schedules(ref_arena, ref_obj) == []
+        )
+        clone = pickle.loads(pickle.dumps(case.arena))
+        assert compare_schedules(ref.run(case.arena), ref.run(clone)) == []
 
     def test_execute_on_arena_raises(self, machine):
-        """An arena carries no closures: replaying one as the executed
-        graph raises instead of silently computing nothing."""
+        """An arena carries no closures: replaying one without its
+        builder's closures raises instead of silently computing
+        nothing."""
         from repro.runtime.replay import replay
 
         g = TaskGraph("g")
@@ -408,8 +407,8 @@ class TestSchedulerBridge:
         arena = g.to_arena()
         for engine in ("fast", "reference"):
             schedule = Scheduler(machine, 1, engine=engine).run(arena)
-            with pytest.raises(SchedulingError, match="cost-only"):
-                replay(arena, schedule.start_order())
+            with pytest.raises(SchedulingError, match="0 closures"):
+                replay(arena, [], schedule.start_order())
 
 
 # ---------------------------------------------------------------------------

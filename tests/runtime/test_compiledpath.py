@@ -32,10 +32,10 @@ from repro.runtime import compiledpath as cp
 from repro.runtime import plans
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ENGINES, Scheduler, default_engine
-from repro.runtime.task import TaskGraph
+from repro.runtime.openmp import OpenMP
 from repro.util.errors import ConfigurationError, SchedulingError
 
-from .test_fastpath import POLICIES, random_dag, wide_graph
+from .test_fastpath import POLICIES, random_dag, wide_graph, wide_region
 
 requires_cc = pytest.mark.skipif(
     not cp.compiled_available()[0],
@@ -129,9 +129,10 @@ def test_bit_identical_strassen_arena(machine, policy):
 
 @requires_cc
 def test_zero_cost_only(machine):
-    g = TaskGraph("zeros")
+    omp = OpenMP("zeros")
     for i in range(20):
-        g.add(f"z{i}", TaskCost(), deps=[i - 1] if i else [])
+        omp.task(f"z{i}", TaskCost(), deps=[i - 1] if i else [])
+    g = omp.graph
     for policy in POLICIES:
         fast = _run(machine, g, policy, 2, "fast")
         comp = _run(machine, g, policy, 2, "compiled")
@@ -145,24 +146,23 @@ def test_zero_cost_only(machine):
 
 @requires_cc
 def test_plan_bundle_cached_and_dropped_from_pickles(machine):
-    g = wide_graph(30)
+    omp = wide_region(30)
     sched = Scheduler(machine, 2, engine="compiled")
-    sched.run(g)
-    # A cost-only object graph reaches the bundle through its arena
-    # twin; both are cached and reused across runs.
-    arena = plans.arena_of(g)
+    arena = omp.graph
+    sched.run(arena)
+    # The bundle is cached on the arena and reused across runs.
     bundle = getattr(arena, plans._PLAN_ATTR)
-    sched.run(g)
-    assert plans.arena_of(g) is arena
+    sched.run(omp.graph)
+    assert omp.graph is arena
     assert getattr(arena, plans._PLAN_ATTR) is bundle  # reused, not rebuilt
 
-    g.add("late", TaskCost(flops=1e6), deps=[0])
-    fast = Scheduler(machine, 2, engine="fast").run(g)
-    comp = sched.run(g)
-    grown = getattr(plans.arena_of(g), plans._PLAN_ATTR)
+    omp.task("late", TaskCost(flops=1e6), deps=[0])
+    fast = Scheduler(machine, 2, engine="fast").run(omp.graph)
+    comp = sched.run(omp.graph)
+    grown = getattr(omp.graph, plans._PLAN_ATTR)
     assert grown is not bundle and grown.n == 31  # regrown for the new task
     assert_bit_identical(fast, comp)
-    clone = pickle.loads(pickle.dumps(plans.arena_of(g)))
+    clone = pickle.loads(pickle.dumps(omp.graph))
     assert getattr(clone, plans._PLAN_ATTR, None) is None
 
 
@@ -226,9 +226,9 @@ def test_default_is_compiled_with_a_toolchain(machine):
 
 @requires_cc
 def test_executed_graph_runs_compiled_without_fallback(machine):
-    """An executed object graph (with closures) schedules on the C
-    kernel like any other graph — no fallback, no closures run — and
-    its replayed numerics verify.  The buffers are planned for the
+    """An arena whose tasks have closures beside it schedules on the C
+    kernel like any other — no fallback, no closures run — and its
+    replayed numerics verify.  The buffers are planned for the
     order the closures replay in, so they are allocated only once the
     schedule exists; until then the closures' buffer list is empty."""
     from functools import partial
@@ -238,12 +238,11 @@ def test_executed_graph_runs_compiled_without_fallback(machine):
     from repro.runtime.replay import replay
 
     alg = StrassenWinograd(machine)
-    graph = alg.build_arena(64, 2).graph.to_graph()
+    graph = alg.build_arena(64, 2).graph
     program = alg.numerics_program(64, 2)
     a, b = alg.operands(64, seed=0)
     bufs: list = []
-    for task in graph.tasks:
-        task.compute = partial(program.run_op, bufs, task.tid)
+    computes = [partial(program.run_op, bufs, tid) for tid in range(len(graph))]
     before = cp._COMPILED_FALLBACKS.value
     comp = Scheduler(machine, 2, engine="compiled").run(graph)
     assert cp._COMPILED_FALLBACKS.value == before
@@ -251,7 +250,7 @@ def test_executed_graph_runs_compiled_without_fallback(machine):
     assert np.all(bufs[2] == 0.0)
     fast = Scheduler(machine, 2, engine="fast").run(alg.build_arena(64, 2).graph)
     assert comp.makespan == fast.makespan
-    replay(graph, comp.start_order())
+    replay(graph, computes, comp.start_order())
     assert verify_matmul(a, b, bufs[2], program.variant, program.cutoff).ok
 
 
@@ -317,8 +316,9 @@ def test_zero_rate_message_parity(machine):
     """A workload defect (demand with zero service rate) raises the
     same SchedulingError from both kernels — the compiled engine must
     not mask it behind a fallback."""
-    g = TaskGraph("bad")
-    g.add("bad/task", TaskCost(bytes_l1=100.0))
+    omp = OpenMP("bad")
+    omp.task("bad/task", TaskCost(bytes_l1=100.0))
+    g = omp.graph
 
     def run(engine):
         sched = Scheduler(machine, 2, engine=engine)

@@ -34,7 +34,8 @@ from repro.machine import generic_smp, haswell_e3_1225
 from repro.machine.specs import dual_socket_haswell
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ActivityInterval, Scheduler
-from repro.runtime.task import TaskGraph
+from repro.runtime.arena import TaskArena
+from repro.runtime.openmp import OpenMP
 
 REL = 1e-12
 
@@ -139,12 +140,12 @@ def assert_schedules_match(ref, fast):
 # workload generators
 
 
-def wide_graph(n: int = 150) -> TaskGraph:
+def wide_region(n: int = 150) -> OpenMP:
     """Independent tasks with randomized demands in every dimension."""
-    g = TaskGraph("wide")
+    omp = OpenMP("wide")
     rng = random.Random(7)
     for i in range(n):
-        g.add(
+        omp.task(
             f"t{i}",
             TaskCost(
                 flops=rng.uniform(1e5, 1e7),
@@ -154,15 +155,19 @@ def wide_graph(n: int = 150) -> TaskGraph:
                 bytes_dram=rng.uniform(1e2, 1e6),
             ),
         )
-    return g
+    return omp
 
 
-def random_dag(seed: int, n: int = 250) -> TaskGraph:
+def wide_graph(n: int = 150) -> TaskArena:
+    return wide_region(n).graph
+
+
+def random_dag(seed: int, n: int = 250) -> TaskArena:
     """A randomized DAG exercising every scheduler feature: mixed
     dependencies, zero-cost joins, single-dimension demands, tied
     tasks, and creator affinity."""
     rng = random.Random(seed)
-    g = TaskGraph(f"rand{seed}")
+    omp = OpenMP(f"rand{seed}")
     for i in range(n):
         deps = sorted({rng.randrange(i) for _ in range(rng.randrange(0, 4))}) if i else []
         roll = rng.random()
@@ -183,21 +188,21 @@ def random_dag(seed: int, n: int = 250) -> TaskGraph:
                 bytes_dram=rng.uniform(0, 1e5),
             )
         created_by = rng.randrange(i) if i and rng.random() < 0.3 else None
-        g.add(
+        omp.task(
             f"t{i}",
             cost,
             deps=deps,
             untied=rng.random() < 0.5,
             created_by=created_by,
         )
-    return g
+    return omp.graph
 
 
-def strassen_graph(machine) -> TaskGraph:
+def strassen_graph(machine) -> TaskArena:
     """A real algorithm lowering (nontrivial structure + cost mix)."""
     from repro.algorithms import StrassenWinograd
 
-    return StrassenWinograd(machine).build_arena(256, 4, seed=0).graph.to_graph()
+    return StrassenWinograd(machine).build_arena(256, 4, seed=0).graph
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +263,12 @@ def test_differential_strassen(machine, policy):
 def test_differential_zero_cost_only(machine):
     """Pure join graphs (every task zero-cost) finish at t=0 on both
     engines with identical records."""
-    g = TaskGraph("zeros")
+    omp = OpenMP("zeros")
     for i in range(20):
         deps = [i - 1] if i else []
-        g.add(f"z{i}", TaskCost(), deps=deps)
+        omp.task(f"z{i}", TaskCost(), deps=deps)
     for policy in POLICIES:
-        ref, fast = _run_both(machine, g, policy, 2)
+        ref, fast = _run_both(machine, omp.graph, policy, 2)
         assert_schedules_match(ref, fast)
         assert fast.makespan == 0.0
 
@@ -304,21 +309,20 @@ def test_event_store_crossover_is_invisible(policy):
 
 
 def test_graph_plan_cache_reused_and_extended(machine):
-    """An object graph's plan lives on its cached arena twin: it
-    survives repeat runs and is rebuilt to cover tasks added later."""
-    from repro.runtime.plans import arena_of
-
-    g = wide_graph(30)
+    """A region's plan lives on its arena: it survives repeat runs, and
+    the arena of the region grown by a later task gets a plan covering
+    that task."""
+    omp = wide_region(30)
     sched = Scheduler(machine, 2, engine="fast")
-    sched.run(g)
-    arena = arena_of(g)
+    arena = omp.graph
+    sched.run(arena)
     gp = arena._plan_bundle.seat_plan
     assert len(gp.plans) == 30
-    sched.run(g)
-    assert arena_of(g) is arena and arena._plan_bundle.seat_plan is gp  # reused
+    sched.run(omp.graph)
+    assert omp.graph is arena and arena._plan_bundle.seat_plan is gp  # reused
 
-    g.add("late", TaskCost(flops=1e6), deps=[0])
-    ref = Scheduler(machine, 2, engine="reference").run(g)
-    fast = sched.run(g)
-    assert len(arena_of(g)._plan_bundle.seat_plan.plans) == 31  # extended
+    omp.task("late", TaskCost(flops=1e6), deps=[0])
+    ref = Scheduler(machine, 2, engine="reference").run(omp.graph)
+    fast = sched.run(omp.graph)
+    assert len(omp.graph._plan_bundle.seat_plan.plans) == 31  # extended
     assert_schedules_match(ref, fast)

@@ -3,10 +3,9 @@
 :func:`repro.runtime.plans.build_bundle` derives every column the event
 kernels read from an arena's SoA columns with numpy.  The oracle is the
 object builder :func:`repro.testing.seatplans.object_seat_plan` run over
-``arena.to_graph()``,
-its per-task seat tuples flattened into the same columns here: the two
-must agree column by column, dtype and bytes, on real lowerings and on
-hand-built edge arenas (bad service rates, sub-EPS and exactly-zero
+``TaskGraph.from_arena(arena)``, its per-task seat tuples flattened
+into the same columns here: the two must agree column by column,
+dtype and bytes, on real lowerings and on hand-built edge arenas (bad service rates, sub-EPS and exactly-zero
 demands, creator affinity, the empty graph).
 """
 
@@ -21,6 +20,7 @@ from repro.runtime.cost import TaskCost
 from repro.runtime.plans import build_bundle
 from repro.runtime.scheduler import Scheduler
 from repro.testing.seatplans import object_seat_plan
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import SchedulingError
 
 requires_cc = pytest.mark.skipif(
@@ -86,7 +86,7 @@ def object_bundle(graph, key) -> dict:
 
 def assert_bundle_matches_object_builder(arena, key):
     cp = build_bundle(arena, key)
-    graph = arena.to_graph()
+    graph = TaskGraph.from_arena(arena)
     want = object_bundle(graph, key)
     for name in COLUMNS:
         got = getattr(cp, name)
@@ -174,7 +174,7 @@ def test_bundle_matches_on_a_dual_socket_machine():
 
 @pytest.fixture
 def unvalidated_costs(monkeypatch):
-    """``arena.to_graph()`` rebuilds ``TaskCost``s, whose validator
+    """``TaskGraph.from_arena(arena)`` rebuilds ``TaskCost``s, whose validator
     rejects the zero efficiencies the edge arenas carry on purpose."""
     monkeypatch.setattr(TaskCost, "__post_init__", lambda self: None)
 
@@ -236,7 +236,7 @@ def test_seat_plan_dedup_survives_a_hash_collision(machine, monkeypatch):
     detected and every task gets its own tuple."""
     arena = StrassenWinograd(machine).build_arena(256, 2).graph
     key = machine_key(machine)
-    want = object_seat_plan(arena.to_graph(), key).plans
+    want = object_seat_plan(TaskGraph.from_arena(arena), key).plans
     real_unique = np.unique
 
     def colliding_unique(values, **kwargs):

@@ -6,32 +6,33 @@ import pytest
 
 from repro.algorithms import CapsStrassen, StrassenWinograd
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.replay import check_order, replay
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import SchedulingError
 
 
 def chain(names, log):
     """A dependency chain whose closures append their names to *log*."""
-    g = TaskGraph("chain")
+    omp = OpenMP("chain")
     prev = ()
     for name in names:
-        tid = g.add(
+        tid = omp.task(
             name, TaskCost(flops=1e6), deps=prev,
             compute=lambda name=name: log.append(name),
         )
         prev = [tid]
-    return g
+    return omp
 
 
 def test_replay_runs_closures_in_start_order(machine):
     log = []
-    g = chain("abc", log)
-    g.add("side", TaskCost(flops=1e9), compute=lambda: log.append("side"))
-    schedule = Scheduler(machine, 2).run(g)
+    omp = chain("abc", log)
+    omp.task("side", TaskCost(flops=1e9), compute=lambda: log.append("side"))
+    schedule = Scheduler(machine, 2).run(omp.graph)
     assert log == []  # the scheduler never runs closures
-    replay(g, schedule.start_order())
+    replay(omp.graph, omp.computes, schedule.start_order())
     starts = {rec.tid: rec.start for rec in schedule.records}
     assert sorted(range(4), key=lambda tid: starts[tid]) == schedule.start_order()
     assert log.index("a") < log.index("b") < log.index("c")
@@ -42,22 +43,23 @@ def test_start_order_is_stable_over_zero_cost_joins(machine):
     """A zero-cost join starts when its dependency ends; the stable
     sort keeps it after that dependency even at equal start times."""
     log = []
-    g = TaskGraph("joins")
-    a = g.add("a", TaskCost(flops=1e6), compute=lambda: log.append("a"))
-    j1 = g.add("j1", TaskCost(), deps=[a], compute=lambda: log.append("j1"))
-    j2 = g.add("j2", TaskCost(), deps=[j1], compute=lambda: log.append("j2"))
-    g.add("b", TaskCost(flops=1e6), deps=[j2], compute=lambda: log.append("b"))
+    omp = OpenMP("joins")
+    a = omp.task("a", TaskCost(flops=1e6), compute=lambda: log.append("a"))
+    j1 = omp.task("j1", TaskCost(), deps=[a], compute=lambda: log.append("j1"))
+    j2 = omp.task("j2", TaskCost(), deps=[j1], compute=lambda: log.append("j2"))
+    omp.task("b", TaskCost(flops=1e6), deps=[j2], compute=lambda: log.append("b"))
     for engine in ("reference", "fast"):
         log.clear()
-        replay(g, Scheduler(machine, 1, engine=engine).run(g).start_order())
+        order = Scheduler(machine, 1, engine=engine).run(omp.graph).start_order()
+        replay(omp.graph, omp.computes, order)
         assert log == ["a", "j1", "j2", "b"], engine
 
 
 def test_order_running_a_task_before_its_dependency_raises():
     log = []
-    g = chain("abc", log)
+    omp = chain("abc", log)
     with pytest.raises(SchedulingError, match="'b' before its dependency 'a'"):
-        replay(g, [1, 0, 2])
+        replay(omp.graph, omp.computes, [1, 0, 2])
     assert log == []  # nothing ran past the defect
 
 
@@ -66,15 +68,17 @@ def test_order_running_a_task_before_its_dependency_raises():
     [([0, 1], "2 entries for 3 tasks"), ([0, 0, 1], "runs 'a' twice")],
 )
 def test_order_that_is_not_a_permutation_raises(order, match):
+    omp = chain("abc", [])
     with pytest.raises(SchedulingError, match=match):
-        replay(chain("abc", []), order)
+        replay(omp.graph, omp.computes, order)
 
 
 def test_graph_longer_or_shorter_than_the_arena_raises(machine):
     alg = StrassenWinograd(machine, cutoff=32, grain=32)
     arena = alg.build_cached(128, 2).graph
-    longer = arena.to_graph()
-    longer.add("extra", TaskCost())
+    graph = TaskGraph.from_arena(arena)
+    graph.add("extra", TaskCost())
+    longer = graph.to_arena()
     order = list(range(len(longer)))
     with pytest.raises(SchedulingError, match="tasks but the simulated graph has"):
         alg.compute_product(128, 2, order, longer)
@@ -94,8 +98,7 @@ def test_order_is_checked_against_the_simulated_arena(machine):
 
 
 def test_check_order_names_the_first_violation():
-    g = chain("abcd", [])
-    arena = g.to_arena()
+    arena = chain("abcd", []).graph
     check_order(arena, [0, 1, 2, 3])
     with pytest.raises(SchedulingError, match="'c' before its dependency 'b'"):
         check_order(arena, [0, 2, 3, 1])

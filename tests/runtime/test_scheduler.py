@@ -7,7 +7,8 @@ from repro.runtime.compiledpath import compiled_available
 from repro.runtime.cost import TaskCost
 from repro.runtime.replay import replay
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
+from repro.runtime.openmp import OpenMP
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import ConfigurationError
 
 
@@ -21,18 +22,18 @@ def flop_task_graph(n_tasks, flops=1e9, efficiency=1.0):
 class TestBasics:
     def test_single_compute_task_duration(self, machine):
         g = flop_task_graph(1, flops=51.2e9, efficiency=1.0)
-        sched = Scheduler(machine, threads=1).run(g)
+        sched = Scheduler(machine, threads=1).run(g.to_arena())
         assert sched.makespan == pytest.approx(1.0)
 
     def test_efficiency_slows_compute(self, machine):
         g = flop_task_graph(1, flops=51.2e9, efficiency=0.5)
-        sched = Scheduler(machine, threads=1).run(g)
+        sched = Scheduler(machine, threads=1).run(g.to_arena())
         assert sched.makespan == pytest.approx(2.0)
 
     def test_independent_tasks_scale_linearly(self, machine):
         g = flop_task_graph(8, flops=51.2e9)
-        t1 = Scheduler(machine, threads=1).run(g).makespan
-        t4 = Scheduler(machine, threads=4).run(g).makespan
+        t1 = Scheduler(machine, threads=1).run(g.to_arena()).makespan
+        t4 = Scheduler(machine, threads=4).run(g.to_arena()).makespan
         assert t1 == pytest.approx(8.0)
         assert t4 == pytest.approx(2.0)
 
@@ -41,20 +42,20 @@ class TestBasics:
         prev = None
         for i in range(4):
             prev = g.add(f"t{i}", TaskCost(flops=51.2e9), deps=[prev] if prev else [])
-        sched = Scheduler(machine, threads=4).run(g)
+        sched = Scheduler(machine, threads=4).run(g.to_arena())
         assert sched.makespan == pytest.approx(4.0)
         assert sched.stats.avg_parallelism == pytest.approx(1.0)
 
     def test_records_cover_all_tasks(self, machine):
         g = flop_task_graph(5)
-        sched = Scheduler(machine, threads=2).run(g)
+        sched = Scheduler(machine, threads=2).run(g.to_arena())
         assert sorted(r.tid for r in sched.records) == list(range(5))
 
     def test_records_respect_dependencies(self, machine):
         g = TaskGraph()
         a = g.add("a", TaskCost(flops=1e9))
         b = g.add("b", TaskCost(flops=1e9), deps=[a])
-        sched = Scheduler(machine, threads=2).run(g)
+        sched = Scheduler(machine, threads=2).run(g.to_arena())
         ra, rb = sched.record_for(a.tid), sched.record_for(b.tid)
         assert rb.start >= ra.end - 1e-12
 
@@ -63,7 +64,7 @@ class TestBasics:
         a = g.add("a", TaskCost(flops=1e9))
         j = g.join("join", [a])
         b = g.add("b", TaskCost(flops=1e9), deps=[j])
-        sched = Scheduler(machine, threads=1).run(g)
+        sched = Scheduler(machine, threads=1).run(g.to_arena())
         rec = sched.record_for(j.tid)
         assert rec.core == -1
         assert rec.duration == 0.0
@@ -77,8 +78,8 @@ class TestContention:
         g = TaskGraph()
         g.add("m0", TaskCost(flops=1, bytes_dram=nbytes))
         g.add("m1", TaskCost(flops=1, bytes_dram=nbytes))
-        t1 = Scheduler(machine, threads=1).run(g).makespan
-        t2 = Scheduler(machine, threads=2).run(g).makespan
+        t1 = Scheduler(machine, threads=1).run(g.to_arena()).makespan
+        t2 = Scheduler(machine, threads=2).run(g.to_arena()).makespan
         assert t1 == pytest.approx(2.0, rel=1e-6)
         assert t2 == pytest.approx(2.0, rel=1e-6)
 
@@ -86,13 +87,13 @@ class TestContention:
         """A task finishes when its *slowest* dimension finishes."""
         g = TaskGraph()
         g.add("t", TaskCost(flops=51.2e9, bytes_dram=machine.dram_bandwidth / 2))
-        sched = Scheduler(machine, threads=1).run(g)
+        sched = Scheduler(machine, threads=1).run(g.to_arena())
         assert sched.makespan == pytest.approx(1.0)  # compute bound, mem hidden
 
     def test_memory_bound_task(self, machine):
         g = TaskGraph()
         g.add("t", TaskCost(flops=1e6, bytes_dram=machine.dram_bandwidth * 2))
-        sched = Scheduler(machine, threads=1).run(g)
+        sched = Scheduler(machine, threads=1).run(g.to_arena())
         assert sched.makespan == pytest.approx(2.0, rel=1e-6)
 
     def test_bandwidth_released_when_task_finishes_memory(self, machine):
@@ -101,14 +102,14 @@ class TestContention:
         g = TaskGraph()
         g.add("short", TaskCost(flops=1, bytes_dram=bw / 4))
         g.add("long", TaskCost(flops=1, bytes_dram=bw))
-        sched = Scheduler(machine, threads=2).run(g)
+        sched = Scheduler(machine, threads=2).run(g.to_arena())
         # short: 0.25s of half-bw -> done at 0.5s; long gets 0.25 bw-sec
         # by then, remaining 0.75 at full bw -> 1.25s total.
         assert sched.makespan == pytest.approx(1.25, rel=1e-6)
 
     def test_compute_is_private_no_contention(self, machine):
         g = flop_task_graph(4, flops=51.2e9)
-        sched = Scheduler(machine, threads=4).run(g)
+        sched = Scheduler(machine, threads=4).run(g.to_arena())
         assert sched.makespan == pytest.approx(1.0)
 
 
@@ -121,7 +122,7 @@ class TestPolicies:
 
     @pytest.mark.parametrize("policy", ["fifo", "lifo", "critical"])
     def test_all_policies_complete_all_tasks(self, machine, policy):
-        sched = Scheduler(machine, threads=2, policy=policy).run(self._graph())
+        sched = Scheduler(machine, threads=2, policy=policy).run(self._graph().to_arena())
         assert len([r for r in sched.records if r.core >= 0]) == 6
 
     def test_unknown_policy_rejected(self, machine):
@@ -135,7 +136,7 @@ class TestPolicies:
         short = g.add("short", TaskCost(flops=1e9))
         head = g.add("head", TaskCost(flops=1e9))
         tail = g.add("tail", TaskCost(flops=50e9), deps=[head])
-        sched = Scheduler(machine, threads=1, policy="critical").run(g)
+        sched = Scheduler(machine, threads=1, policy="critical").run(g.to_arena())
         assert sched.record_for(head.tid).start < sched.record_for(short.tid).start
 
 
@@ -148,12 +149,12 @@ class TestValidation:
 
     def test_compute_closures_run_in_dependency_order(self, machine):
         order = []
-        g = TaskGraph()
-        a = g.add("a", TaskCost(flops=1e9), compute=lambda: order.append("a"))
-        g.add("b", TaskCost(flops=1e9), deps=[a], compute=lambda: order.append("b"))
-        schedule = Scheduler(machine, threads=4).run(g)
+        omp = OpenMP("g")
+        a = omp.task("a", TaskCost(flops=1e9), compute=lambda: order.append("a"))
+        omp.task("b", TaskCost(flops=1e9), deps=[a], compute=lambda: order.append("b"))
+        schedule = Scheduler(machine, threads=4).run(omp.graph)
         assert order == []  # scheduling never runs closures
-        replay(g, schedule.start_order())
+        replay(omp.graph, omp.computes, schedule.start_order())
         assert order == ["a", "b"]
 
     @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
@@ -161,10 +162,10 @@ class TestValidation:
         if engine == "compiled" and not compiled_available()[0]:
             pytest.skip("compiled engine unavailable")
         hit = []
-        g = TaskGraph()
-        g.add("a", TaskCost(flops=1e9), compute=lambda: hit.append(1))
-        g.add("join", TaskCost(), deps=[0], compute=lambda: hit.append(2))
-        Scheduler(machine, threads=1, engine=engine).run(g)
+        omp = OpenMP("g")
+        omp.task("a", TaskCost(flops=1e9), compute=lambda: hit.append(1))
+        omp.task("join", TaskCost(), deps=[0], compute=lambda: hit.append(2))
+        Scheduler(machine, threads=1, engine=engine).run(omp.graph)
         assert hit == []
 
 
@@ -193,7 +194,7 @@ class TestGrahamBounds:
                 deps.append(rngish % i)
             g.add(f"t{i}", TaskCost(flops=flops), deps=sorted(set(deps)))
         scheduler = Scheduler(machine, threads=threads)
-        sched = scheduler.run(g)
+        sched = scheduler.run(g.to_arena())
         dur = scheduler.uncontended_duration
         t1 = g.total_work_seconds(dur)
         tinf = g.critical_path_seconds(dur)
@@ -208,7 +209,7 @@ class TestGrahamBounds:
         tasks have no contention)."""
         g = flop_task_graph(n, flops=1e9)
         scheduler = Scheduler(machine, threads=threads)
-        sched = scheduler.run(g)
+        sched = scheduler.run(g.to_arena())
         per_task = 1e9 / machine.core_peak_flops
         assert sched.stats.busy_core_seconds == pytest.approx(n * per_task, rel=1e-9)
 
@@ -230,14 +231,14 @@ class TestWorkStealing:
         root = g.add("root", TaskCost(flops=1e9))
         for i in range(8):
             g.add(f"kid{i}", TaskCost(flops=1e9), deps=[root], created_by=root)
-        sched = Scheduler(machine, threads=4, policy="steal").run(g)
+        sched = Scheduler(machine, threads=4, policy="steal").run(g.to_arena())
         assert sched.stats.steals >= 3  # at least the other three cores
 
     def test_no_steals_single_thread(self, machine):
         g = TaskGraph()
         root = g.add("root", TaskCost(flops=1e9))
         g.add("kid", TaskCost(flops=1e9), deps=[root], created_by=root)
-        sched = Scheduler(machine, threads=1, policy="steal").run(g)
+        sched = Scheduler(machine, threads=1, policy="steal").run(g.to_arena())
         assert sched.stats.steals == 0
 
     def test_steal_makespan_within_graham(self, machine):
@@ -246,7 +247,7 @@ class TestWorkStealing:
         for i in range(12):
             g.add(f"kid{i}", TaskCost(flops=2e9), deps=[root], created_by=root)
         scheduler = Scheduler(machine, threads=4, policy="steal")
-        sched = scheduler.run(g)
+        sched = scheduler.run(g.to_arena())
         dur = scheduler.uncontended_duration
         t1 = g.total_work_seconds(dur)
         tinf = g.critical_path_seconds(dur)
@@ -261,7 +262,7 @@ class TestWorkStealing:
         # run on its creator's core (no steals needed).
         g.add("k0", TaskCost(flops=1e9), deps=[r0], created_by=r0)
         g.add("k1", TaskCost(flops=1e9), deps=[r1], created_by=r1)
-        sched = Scheduler(machine, threads=2, policy="steal").run(g)
+        sched = Scheduler(machine, threads=2, policy="steal").run(g.to_arena())
         assert sched.stats.steals == 0
         assert sched.stats.migrations == 0
 
@@ -286,14 +287,14 @@ class TestMultiSocketL3:
         g.add("a", TaskCost(flops=1, bytes_l3=nbytes))
         g.add("b", TaskCost(flops=1, bytes_l3=nbytes))
         # 2 threads on ONE socket (cores 0, 1): contend -> ~2 s.
-        same = Scheduler(dual, threads=2).run(g)
+        same = Scheduler(dual, threads=2).run(g.to_arena())
         assert same.makespan == pytest.approx(2.0, rel=1e-6)
         # 4 threads (both sockets): FIFO puts the two tasks on cores
         # 0 and 1... so force separation with 3 threads: core 2 is on
         # socket 1. With 3 workers the two tasks land on cores 2 and 1?
         # Dispatch picks free_cores[-1] first = core 0, then core 1.
         # Instead compare against the single-socket 4-core machine.
-        quad = Scheduler(machine, threads=2).run(g)
+        quad = Scheduler(machine, threads=2).run(g.to_arena())
         assert quad.makespan == pytest.approx(2.0, rel=1e-6)
 
     def test_cross_socket_placement_doubles_l3_throughput(self):
@@ -314,7 +315,7 @@ class TestMultiSocketL3:
         g = TaskGraph()
         g.add("a", TaskCost(flops=1, bytes_l3=nbytes))
         g.add("b", TaskCost(flops=1, bytes_l3=nbytes))
-        sched = Scheduler(spread, threads=2).run(g)
+        sched = Scheduler(spread, threads=2).run(g.to_arena())
         assert sched.makespan == pytest.approx(1.0, rel=1e-6)
 
     def test_dram_still_machine_wide(self):
@@ -332,5 +333,5 @@ class TestMultiSocketL3:
         g = TaskGraph()
         g.add("a", TaskCost(flops=1, bytes_dram=nbytes))
         g.add("b", TaskCost(flops=1, bytes_dram=nbytes))
-        sched = Scheduler(spread, threads=2).run(g)
+        sched = Scheduler(spread, threads=2).run(g.to_arena())
         assert sched.makespan == pytest.approx(2.0, rel=1e-6)

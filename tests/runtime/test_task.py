@@ -1,9 +1,10 @@
-"""Task graphs: construction, validation, structural metrics."""
+"""The object task graph (the arena's oracle twin): construction,
+validation, structural metrics."""
 
 import pytest
 
 from repro.runtime.cost import TaskCost
-from repro.runtime.task import TaskGraph
+from repro.testing.taskgraph import TaskGraph
 from repro.util.errors import SchedulingError, ValidationError
 
 
@@ -109,63 +110,3 @@ def test_empty_graph_metrics():
     g = TaskGraph()
     assert g.critical_path_seconds(lambda t: 1.0) == 0.0
     assert len(g) == 0
-
-
-class TestSerialization:
-    def _graph(self):
-        g = TaskGraph("demo")
-        a = g.add("a", TaskCost(flops=10, efficiency=0.5, bytes_dram=100))
-        b = g.add("b", TaskCost(flops=20), deps=[a], untied=False, created_by=a)
-        g.join("j", [b])
-        return g
-
-    def test_roundtrip_structure(self):
-        g = self._graph()
-        g2 = TaskGraph.from_dict(g.to_dict())
-        assert len(g2) == len(g)
-        assert g2.name == "demo"
-        for t1, t2 in zip(g, g2):
-            assert t1.name == t2.name
-            assert t1.deps == t2.deps
-            assert t1.untied == t2.untied
-            assert t1.created_by == t2.created_by
-            assert t1.cost == t2.cost
-
-    def test_roundtrip_drops_closures(self):
-        g = TaskGraph()
-        g.add("x", TaskCost(flops=1), compute=lambda: None)
-        g2 = TaskGraph.from_dict(g.to_dict())
-        assert g2.task(0).compute is None
-
-    def test_roundtrip_schedules_identically(self, machine):
-        from repro.runtime.scheduler import Scheduler
-
-        g = self._graph()
-        g2 = TaskGraph.from_dict(g.to_dict())
-        s1 = Scheduler(machine, 2).run(g)
-        s2 = Scheduler(machine, 2).run(g2)
-        assert s1.makespan == s2.makespan
-
-    def test_json_serializable(self):
-        import json
-
-        json.dumps(self._graph().to_dict())
-
-
-class TestDot:
-    def test_dot_contains_nodes_and_edges(self):
-        g = TaskGraph("dotted")
-        a = g.add("work", TaskCost(flops=5))
-        g.join("sync", [a])
-        dot = g.to_dot()
-        assert dot.startswith('digraph "dotted"')
-        assert "t0 -> t1;" in dot
-        assert "diamond" in dot  # zero-cost join shape
-        assert "ellipse" in dot
-
-    def test_dot_size_guard(self):
-        g = TaskGraph()
-        for i in range(12):
-            g.add(f"t{i}", TaskCost(flops=1))
-        with pytest.raises(ValidationError):
-            g.to_dot(max_tasks=10)

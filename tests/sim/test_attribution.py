@@ -4,8 +4,8 @@ import pytest
 
 from repro.algorithms import BlockedGemm, CapsStrassen, StrassenWinograd
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 from repro.sim import Engine, attribute_energy, attribution_table
 from repro.util.errors import ValidationError
 
@@ -19,7 +19,7 @@ def _run(machine, graph, threads=4):
 def test_attribution_conserves_total_energy(machine):
     """Sum of attributed energies equals the engine's wall energy
     (package + DRAM) — nothing lost, nothing double-counted."""
-    graph = StrassenWinograd(machine).build_arena(512, 4).graph.to_graph()
+    graph = StrassenWinograd(machine).build_arena(512, 4).graph
     schedule, measurement = _run(machine, graph)
     groups = attribute_energy(schedule, graph, machine)
     attributed = sum(g.total_j for g in groups.values())
@@ -29,7 +29,7 @@ def test_attribution_conserves_total_energy(machine):
 def test_strassen_communication_share(machine):
     """The pre/post additions carry a visible share of the energy —
     Strassen's 'communication' made quantitative."""
-    graph = StrassenWinograd(machine).build_arena(1024, 4).graph.to_graph()
+    graph = StrassenWinograd(machine).build_arena(1024, 4).graph
     schedule, _ = _run(machine, graph)
     groups = attribute_energy(schedule, graph, machine)
     total = sum(g.total_j for g in groups.values())
@@ -39,17 +39,17 @@ def test_strassen_communication_share(machine):
 
 
 def test_blocked_gemm_single_group(machine):
-    graph = BlockedGemm(machine).build_arena(512, 4).graph.to_graph()
+    graph = BlockedGemm(machine).build_arena(512, 4).graph
     schedule, _ = _run(machine, graph)
     groups = attribute_energy(schedule, graph, machine)
     assert set(groups) == {"tile"}
-    assert groups["tile"].tasks == len(
-        [t for t in graph if not t.cost.is_zero]
+    assert groups["tile"].tasks == sum(
+        1 for tid in range(len(graph)) if not graph.cost(tid).is_zero
     )
 
 
 def test_caps_pack_energy_visible(machine):
-    graph = CapsStrassen(machine).build_arena(512, 4).graph.to_graph()
+    graph = CapsStrassen(machine).build_arena(512, 4).graph
     schedule, _ = _run(machine, graph)
     groups = attribute_energy(schedule, graph, machine)
     pack = sum(g.total_j for p, g in groups.items() if p.startswith("bfs-pack"))
@@ -58,16 +58,16 @@ def test_caps_pack_energy_visible(machine):
 
 
 def test_joins_excluded(machine):
-    g = TaskGraph()
-    a = g.add("work", TaskCost(flops=1e9))
-    g.join("sync", [a])
-    schedule, _ = _run(machine, g, threads=1)
-    groups = attribute_energy(schedule, g, machine)
+    omp = OpenMP("g")
+    a = omp.task("work", TaskCost(flops=1e9))
+    omp.taskwait([a], "sync")
+    schedule, _ = _run(machine, omp.graph, threads=1)
+    groups = attribute_energy(schedule, omp.graph, machine)
     assert set(groups) == {"work"}
 
 
 def test_table_sorted_by_energy(machine):
-    graph = StrassenWinograd(machine).build_arena(512, 4).graph.to_graph()
+    graph = StrassenWinograd(machine).build_arena(512, 4).graph
     schedule, _ = _run(machine, graph)
     table = attribution_table(attribute_energy(schedule, graph, machine))
     totals = [float(row[5]) for row in table.rows]

@@ -7,7 +7,6 @@ from repro.power.papi import PapiLibrary
 from repro.power.planes import Plane
 from repro.runtime.cost import TaskCost
 from repro.runtime.openmp import OpenMP
-from repro.runtime.task import TaskGraph
 from repro.sim.engine import Engine
 
 
@@ -98,9 +97,9 @@ def test_idle_measurement(machine, engine):
 
 
 def test_empty_graph(engine):
-    g = TaskGraph("empty")
-    g.add("only-join")  # zero-cost source
-    meas = engine.run(g, threads=1)
+    omp = OpenMP("empty")
+    omp.task("only-join")  # zero-cost source
+    meas = engine.run(omp.graph, threads=1)
     assert meas.elapsed_s == 0.0
     assert meas.energy.package == 0.0
 

@@ -18,7 +18,7 @@ from repro.power.planes import Plane
 from repro.runtime import compiledpath, scheduler
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
+from repro.runtime.openmp import OpenMP
 from repro.sim.engine import Engine
 from repro.testing.generators import gen_graph_case
 from repro.util.errors import ValidationError
@@ -106,7 +106,7 @@ def _check(machine, schedule, limit):
 @pytest.mark.parametrize("seed", range(6))
 def test_columns_match_the_scalar_transcription(seed):
     case = gen_graph_case(seed)
-    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.graph)
+    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.arena)
     k = len(schedule.interval_columns())
     assert _check(case.machine, schedule, max(k, 1) + 512) == k  # uncoarsened
     for limit in (k - 1, k, k + 1):
@@ -116,16 +116,16 @@ def test_columns_match_the_scalar_transcription(seed):
 
 def test_coarsened_at_a_small_limit_still_matches():
     case = gen_graph_case(11)
-    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.graph)
+    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.arena)
     for limit in (1, 2, 3, 7):
         _check(case.machine, schedule, limit)
 
 
 def test_zero_cost_graph_measures_as_a_blip(machine):
-    g = TaskGraph("zero")
+    omp = OpenMP("zero")
     for i in range(4):
-        g.add(f"t{i}", TaskCost())
-    schedule = Scheduler(machine, 2).run(g)
+        omp.task(f"t{i}", TaskCost())
+    schedule = Scheduler(machine, 2).run(omp.graph)
     assert schedule.makespan == 0
     _check(machine, schedule, 512)
     m = Engine(machine).measure(schedule, label="zero")
@@ -135,7 +135,7 @@ def test_zero_cost_graph_measures_as_a_blip(machine):
 
 def test_nan_flops_column_is_rejected_by_name(monkeypatch):
     case = gen_graph_case(1)
-    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.graph)
+    schedule = Scheduler(case.machine, case.threads, case.policy).run(case.arena)
     cols = schedule.interval_columns().copy()
     cols[len(cols) // 2, 3] = np.nan
     monkeypatch.setattr(scheduler.Schedule, "interval_columns", lambda self: cols)

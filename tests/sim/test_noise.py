@@ -5,14 +5,14 @@ import pytest
 
 from repro.power.planes import Plane
 from repro.runtime.cost import TaskCost
-from repro.runtime.task import TaskGraph
+from repro.runtime.openmp import OpenMP
 from repro.sim import Engine, NoiseModel, NoisyEngine
 
 
 def graph():
-    g = TaskGraph()
-    g.add("t", TaskCost(flops=5e9, efficiency=0.8, bytes_dram=5e7))
-    return g
+    omp = OpenMP("graph")
+    omp.task("t", TaskCost(flops=5e9, efficiency=0.8, bytes_dram=5e7))
+    return omp.graph
 
 
 def exact(machine):

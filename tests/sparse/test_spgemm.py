@@ -92,15 +92,16 @@ class TestBuild:
     def test_executes_and_verifies(self, machine, run_numerics):
         a, b = csr(seed=12), csr(seed=13)
         build = build_spgemm_graph(a, b, machine, threads=3)
-        run_numerics(build.graph, 3)
+        run_numerics(build, 3)
         assert build.verify() < 1e-12
 
     def test_assembly_after_chunks(self, machine):
         a, b = csr(seed=14), csr(seed=15)
         build = build_spgemm_graph(a, b, machine, threads=4, execute=False)
-        assemble = [t for t in build.graph if t.name == "assemble"]
+        names = build.graph.names_list()
+        assemble = [t for t, name in enumerate(names) if name == "assemble"]
         assert len(assemble) == 1
-        assert len(assemble[0].deps) == 4
+        assert len(build.graph.deps_list()[assemble[0]]) == 4
 
     def test_unexecuted_verify_rejected(self, machine):
         build = build_spgemm_graph(csr(seed=1), csr(seed=2), machine, 2, execute=False)

@@ -102,7 +102,7 @@ class TestBuild:
         for fmt in ALL:
             m = convert(pattern, fmt)
             build = build_spmm_graph(m, machine, threads=3, k=4, repeats=2)
-            run_numerics(build.graph, 3)
+            run_numerics(build, 3)
             assert build.verify() < 1e-10
 
     def test_spmm_scales_better_than_spmv(self, machine):

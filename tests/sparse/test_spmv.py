@@ -72,24 +72,29 @@ class TestBuildGraph:
     def test_numerics_verified(self, machine, pattern, run_numerics):
         csr = CSRMatrix.from_coo(pattern)
         build = build_spmv_graph(csr, machine, threads=4, repeats=2)
-        run_numerics(build.graph, 4)
+        run_numerics(build, 4)
         assert build.verify() < 1e-10
 
     def test_sweeps_are_chained(self, machine, pattern):
         csr = CSRMatrix.from_coo(pattern)
         build = build_spmv_graph(csr, machine, threads=2, repeats=3, execute=False)
-        joins = [t for t in build.graph if t.name.endswith("/join")]
+        names = build.graph.names_list()
+        joins = [t for t, name in enumerate(names) if name.endswith("/join")]
         assert len(joins) == 3
+        # Each sweep's chunks wait for the previous sweep's join.
+        deps = build.graph.deps_list()
+        for prev, join in zip(joins, joins[1:]):
+            assert all(deps[t] == (prev,) for t in range(prev + 1, join))
 
     def test_chunk_count(self, machine, pattern):
         csr = CSRMatrix.from_coo(pattern)
         build = build_spmv_graph(csr, machine, threads=4, repeats=1, execute=False)
-        chunks = [t for t in build.graph if "rows[" in t.name]
+        chunks = [name for name in build.graph.names_list() if "rows[" in name]
         assert len(chunks) == 4
 
     def test_all_formats_execute(self, machine, pattern, run_numerics):
         for fmt in ("csr", "coo", "ell", "bsr"):
             m = convert(pattern, fmt)
             build = build_spmv_graph(m, machine, threads=2, repeats=1)
-            run_numerics(build.graph, 2)
+            run_numerics(build, 2)
             assert build.verify() < 1e-10

@@ -143,7 +143,7 @@ def test_shrunk_prefix_is_schedulable():
     small = shrink_graph_case(case, lambda c: len(c.graph) >= 2)
     schedule = Scheduler(
         small.machine, small.threads, small.policy
-    ).run(small.graph)
+    ).run(small.arena)
     assert schedule.makespan >= 0.0
 
 

@@ -31,7 +31,7 @@ def healthy():
     case = gen_graph_case(2)  # arbitrary healthy seed
     schedule = Scheduler(
         case.machine, case.threads, case.policy
-    ).run(case.graph)
+    ).run(case.arena)
     measurement = Engine(case.machine).measure(schedule, label="healthy")
     return case, schedule, measurement
 
@@ -55,7 +55,7 @@ def test_many_seeds_clean():
         case = gen_graph_case(seed)
         schedule = Scheduler(
             case.machine, case.threads, case.policy
-        ).run(case.graph)
+        ).run(case.arena)
         m = Engine(case.machine).measure(schedule, label=f"s{seed}")
         assert check_measurement(case.machine, case.graph, case.threads, schedule, m) == []
 
@@ -143,7 +143,7 @@ def _fresh(seed=2):
     case = gen_graph_case(seed)
     schedule = Scheduler(
         case.machine, case.threads, case.policy
-    ).run(case.graph)
+    ).run(case.arena)
     measurement = Engine(case.machine).measure(schedule, label="fresh")
     return case, schedule, measurement
 

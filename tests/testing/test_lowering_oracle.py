@@ -11,6 +11,7 @@ from repro.machine.specs import haswell_e3_1225
 from repro.runtime.arena import _COST_FIELDS, TaskArena
 from repro.testing.generators import LoweringCase, gen_lowering_case
 from repro.testing.oracle import differential_lowering_check
+from repro.testing.taskgraph import TaskGraph
 
 
 def _case(alg="strassen", n=128, threads=2, seed=0):
@@ -63,7 +64,9 @@ def test_wrong_graph_type_is_a_violation(monkeypatch):
     class ObjectArena(StrassenWinograd):
         def build_arena(self, n, threads, seed=0):
             build = super().build_arena(n, threads, seed=seed)
-            return dataclasses.replace(build, graph=build.graph.to_graph())
+            return dataclasses.replace(
+                build, graph=TaskGraph.from_arena(build.graph)
+            )
 
     monkeypatch.setattr(
         registry,

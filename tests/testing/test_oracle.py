@@ -19,7 +19,7 @@ def _schedule(seed, engine="fast"):
     case = gen_graph_case(seed)
     return case, Scheduler(
         case.machine, case.threads, case.policy, engine=engine
-    ).run(case.graph)
+    ).run(case.arena)
 
 
 def _clone(sched, records=None, intervals=None, stats=None):

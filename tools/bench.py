@@ -116,9 +116,10 @@ from repro.algorithms.registry import BuildCache
 from repro.machine import haswell_e3_1225
 from repro.machine.cache import CacheHierarchySim, CacheHierarchySpec
 from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.runtime.arena import TaskArena
 from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
 from repro.runtime.scheduler import Scheduler
-from repro.runtime.task import TaskGraph
 from repro.sim.engine import Engine
 
 DEFAULT_JSON = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -200,11 +201,11 @@ def _best_of(fn, repeats: int) -> float:
     return _best_cold(lambda: None, lambda _: fn(), repeats)
 
 
-def _wide_graph(tasks: int = 2000) -> TaskGraph:
-    g = TaskGraph(f"wide{tasks}")
+def _wide_graph(tasks: int = 2000) -> TaskArena:
+    omp = OpenMP(f"wide{tasks}")
     for i in range(tasks):
-        g.add(f"t{i}", TaskCost(flops=1e8, bytes_dram=1e5))
-    return g
+        omp.task(f"t{i}", TaskCost(flops=1e8, bytes_dram=1e5))
+    return omp.graph
 
 
 def bench_scheduler(machine, repeats: int) -> dict:

@@ -9,9 +9,8 @@ Three phases cover the pipeline end to end:
     next to the recursive object path (each profiled separately on
     fresh algorithm instances, so subtree-template memos start cold).
 ``--phase sim``
-    The event kernel on a pre-built graph (lowering excluded).  Honors
-    ``--engine`` and ``--graph {arena,object}`` to profile either
-    kernel on either graph shape.
+    The event kernel on a pre-built arena (lowering excluded).  Honors
+    ``--engine``.
 ``--phase study``
     The full execution matrix through :class:`EnergyPerformanceStudy`
     (lowering + simulation + measurement), the closest thing to a
@@ -87,8 +86,6 @@ def phase_sim(args) -> None:
     machine = machine_from_args(args)
     alg = make_algorithm(args.alg, machine)
     graph = alg.build_arena(args.n, args.threads).graph
-    if args.graph == "object":
-        graph = graph.to_graph()
     if args.engine == "compiled":
         # JIT-compile outside the profiler so cc's wall time does not
         # drown the sweep we are actually measuring.
@@ -98,7 +95,7 @@ def phase_sim(args) -> None:
             sys.exit("compiled engine unavailable (see `repro engines`)")
     engine = Engine(machine, engine=args.engine)
     print(
-        f"== {args.engine} kernel on {args.graph} graph: {args.alg} "
+        f"== {args.engine} kernel: {args.alg} "
         f"n={args.n} p={args.threads}, {len(graph)} tasks =="
     )
     measurement = _profiled(
@@ -129,8 +126,6 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=2048)
     ap.add_argument("--threads", type=int, default=4)
     add_engine_arg(ap, default="fast")
-    ap.add_argument("--graph", choices=("arena", "object"), default="arena",
-                    help="graph representation to simulate (sim phase)")
     ap.add_argument("--sizes", type=int, nargs="+", default=[512, 1024, 2048],
                     help="study-phase problem sizes")
     ap.add_argument("--top", type=int, default=15)
