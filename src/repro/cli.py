@@ -314,7 +314,7 @@ def _cmd_distributed_simulate(args) -> int:
         node=_machine_from_args(args), topology=Topology(args.topology)
     )
     cfg = NetworkConfig(protocol=args.protocol, chunks=args.chunks, c=args.c)
-    sweep = NetworkSweep(cluster, args.alg, cfg, engine=args.net_engine)
+    sweep = NetworkSweep(cluster, args.alg, cfg)
     with _scoped_tracing(args.trace, "repro distributed --simulate"):
         result = sweep.run(args.n, args.nodes)
         table = TextTable(
@@ -336,7 +336,7 @@ def _cmd_distributed_simulate(args) -> int:
         print(
             f"event-simulated {args.alg} n={args.n} on {args.topology} "
             f"topology (protocol={args.protocol}, chunks={args.chunks}, "
-            f"c={args.c}, engine={args.net_engine})"
+            f"c={args.c})"
         )
         print(_emit(table, get_format(args)))
         bad = result.violations()
@@ -565,10 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pipeline broadcasts as this many chunks (1 = binomial)")
     p.add_argument("--c", type=int, default=1,
                    help="replication factor for summa25d/summa15d")
-    p.add_argument("--net-engine", default="events", dest="net_engine",
-                   choices=("events", "ranks"),
-                   help="arena-lowered vectorized sweep vs per-rank "
-                   "object loop (differential oracle)")
     p.set_defaults(func=cmd_distributed)
 
     p = sub.add_parser(

@@ -15,9 +15,9 @@ The event stream is *lowered*, not interpreted: it becomes SoA columns
 wrapped in a :class:`~repro.runtime.arena.TaskArena`
 (:mod:`repro.runtime.rankevents`) and the simulation is one vectorized
 earliest-finish sweep — which is what keeps P-sweeps to thousands of
-ranks sub-second.  The per-rank object path (``engine="ranks"``) is the
-differential baseline: bit-identical results, orders of magnitude
-slower.
+ranks sub-second.  The per-rank object loop of
+:mod:`repro.testing.netlowering` is its differential baseline:
+bit-identical results, orders of magnitude slower.
 
 Lowering is batched per collective round.  A collective is a
 ``(groups x g)`` rank matrix ``G`` (one group per row, the root in
@@ -57,11 +57,7 @@ import numpy as np
 
 from ..core.bounds import communication_floor_bytes, omega_for_algorithm
 from ..observability import trace
-from ..runtime.rankevents import (
-    NET_ENGINES,
-    EventStreamBuilder,
-    RankEventProgram,
-)
+from ..runtime.rankevents import EventStreamBuilder, RankEventProgram
 from ..util.errors import ConfigurationError, ValidationError
 from ..util.validation import require_nonempty, require_positive
 from .bsp import BspResult, Superstep, bsp_constants, idle_times, rank_energies
@@ -430,7 +426,6 @@ class NetRunResult:
     algorithm: str
     n: int
     ranks: int
-    engine: str
     n_events: int
     total_time_s: float
     compute_s: np.ndarray  # per rank
@@ -469,19 +464,14 @@ def simulate(
     n: int,
     ranks: int,
     cfg: NetworkConfig | None = None,
-    engine: str = "events",
 ) -> NetRunResult:
-    """Build, sweep and reduce one schedule under *engine*."""
-    if engine not in NET_ENGINES:
-        raise ValidationError(
-            f"unknown net engine {engine!r}; expected one of {NET_ENGINES}"
-        )
+    """Build, sweep and reduce one schedule."""
     cfg = cfg or NetworkConfig()
     with trace.span("netsim.lower", algorithm=algorithm, ranks=ranks) as sp:
         prog = build_events(cluster, algorithm, n, ranks, cfg)
         sp.set(events=prog.n_events)
-    with trace.span("netsim.events", engine=engine, events=prog.n_events):
-        agg = prog.simulate(engine)
+    with trace.span("netsim.events", events=prog.n_events):
+        agg = prog.simulate()
     floor = communication_floor_bytes(
         n, ranks, cluster.node_memory_words(), omega_for_algorithm(algorithm)
     )
@@ -489,7 +479,6 @@ def simulate(
         algorithm=algorithm,
         n=n,
         ranks=ranks,
-        engine=engine,
         n_events=prog.n_events,
         total_time_s=agg.total_s,
         compute_s=agg.compute_s,
@@ -529,12 +518,10 @@ def bsp_events(cluster: ClusterSpec, program: Sequence[Superstep]) -> RankEventP
     return b.build("bsp-events")
 
 
-def simulate_bsp(
-    cluster: ClusterSpec, program: Sequence[Superstep], engine: str = "events"
-) -> BspResult:
+def simulate_bsp(cluster: ClusterSpec, program: Sequence[Superstep]) -> BspResult:
     """Event-simulated BSP run; equals ``BspSimulator.run`` exactly."""
     prog = bsp_events(cluster, program)
-    agg = prog.simulate(engine)
+    agg = prog.simulate()
     total = agg.total_s
     comm_total = agg.sync_s
     compute = [float(x) for x in agg.compute_s]
@@ -580,20 +567,14 @@ class NetworkSweep:
         cluster: ClusterSpec,
         algorithm: str = "summa25d",
         cfg: NetworkConfig | None = None,
-        engine: str = "events",
     ):
         if algorithm not in NET_ALGORITHMS:
             raise ValidationError(
                 f"unknown algorithm {algorithm!r}; expected one of {NET_ALGORITHMS}"
             )
-        if engine not in NET_ENGINES:
-            raise ValidationError(
-                f"unknown net engine {engine!r}; expected one of {NET_ENGINES}"
-            )
         self.cluster = cluster
         self.algorithm = algorithm
         self.cfg = cfg or NetworkConfig()
-        self.engine = engine
 
     def run(self, n: int, rank_counts: Sequence[int]) -> NetworkSweepResult:
         rank_counts = require_nonempty(list(rank_counts), "rank_counts")
@@ -604,21 +585,13 @@ class NetworkSweep:
             n=n,
             ranks=list(rank_counts),
             topology=self.cluster.topology.kind,
-            engine=self.engine,
         ):
             for ranks in rank_counts:
                 with trace.span(
                     "cell", alg=self.algorithm, n=n, nodes=ranks
                 ):
                     results.append(
-                        simulate(
-                            self.cluster,
-                            self.algorithm,
-                            n,
-                            ranks,
-                            self.cfg,
-                            self.engine,
-                        )
+                        simulate(self.cluster, self.algorithm, n, ranks, self.cfg)
                     )
         return NetworkSweepResult(
             algorithm=self.algorithm,

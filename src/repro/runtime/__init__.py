@@ -7,13 +7,7 @@ discrete-event scheduler with shared L3/DRAM bandwidth contention.
 
 from .arena import TaskArena
 from .cost import ZERO_COST, TaskCost
-from .rankevents import (
-    NET_ENGINES,
-    EventAggregate,
-    EventStreamBuilder,
-    RankEvent,
-    RankEventProgram,
-)
+from .rankevents import EventAggregate, EventStreamBuilder, RankEventProgram
 from .openmp import OpenMP, omp_num_threads
 from .scheduler import (
     ActivityInterval,
@@ -30,9 +24,7 @@ __all__ = [
     "CoreTimeline",
     "EventAggregate",
     "EventStreamBuilder",
-    "NET_ENGINES",
     "OpenMP",
-    "RankEvent",
     "RankEventProgram",
     "RuntimeStats",
     "Schedule",

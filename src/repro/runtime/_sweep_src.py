@@ -1,16 +1,17 @@
 """C source of the compiled event sweep (see ``compiledpath.py``).
 
-The kernel is a line-for-line transcription of the ``fast`` engine's
-event loop (:mod:`repro.runtime.fastpath`) over flattened numeric
-buffers: the same absolute-exhaust-time store, the same EPS
-residue-zeroing sweep, the same work-space interval corrections, the
-same policy/queue disciplines, and the same multi-socket share refresh
-(the single-socket fused variant in fastpath is a state-identical
-iteration-shape specialization, so one C shape covers both).  Every
-floating-point expression is written with the operand order of the
-Python it mirrors, and the library is compiled with
-``-ffp-contract=off`` and no fast-math, so on IEEE-754 doubles the two
-kernels produce bit-identical event times, interval rows and records.
+The kernel is a transcription of the scalar ``reference`` spec
+(:meth:`repro.runtime.scheduler.Scheduler._run_reference`) over
+flattened numeric buffers: the same absolute-exhaust-time store, the
+same EPS adjustment, the same work-space interval corrections, the same
+share refresh, the same policy/queue disciplines and the same pre-order
+zero-cost ``cascade``.  It seats tasks from the precomputed plan bundle
+(:mod:`repro.runtime.plans`), whose columns evaluate the expressions
+the spec evaluates at dispatch.  Every floating-point expression is
+written with the operand order of the spec, and the library is
+compiled with ``-ffp-contract=off`` and no fast-math, so on IEEE-754
+doubles it, the spec and the ``fast`` kernel produce bit-identical
+event times, interval rows and records.
 
 The source lives in a Python string so the JIT cache can key the
 compiled ``.so`` by ``sha256(source + ABI + compiler)`` — editing the
@@ -28,8 +29,8 @@ ABI_VERSION = 1
 SWEEP_SOURCE = r"""
 /* Compiled event sweep over flattened seat-plan / arena buffers.
  *
- * Mirrors repro.runtime.fastpath.run_fast decision-for-decision; all
- * state lives in one malloc'd scratch block carved below.  Errors are
+ * Transcribes Scheduler._run_reference bit for bit; all state lives in
+ * one malloc'd scratch block carved below.  Errors are
  * reported through err_code/err_a/err_b (never longjmp, never stdout);
  * the Python wrapper rebuilds the fast engine's exact exception
  * messages from them.
@@ -302,9 +303,9 @@ static int emit_rec(St *s, int64_t tid, int64_t core, double start, double end) 
 }
 
 /* Propagate one completion; returns 1 + the zero-cost cascade size, or
- * -1 on error.  Iterative pre-order DFS == the Python recursion: a
- * zero-cost successor is recorded, then fully expanded, before the
- * parent's next successor is considered. */
+ * -1 on error.  Iterative pre-order DFS, as in the spec: a zero-cost
+ * successor is recorded, then fully expanded, before the parent's next
+ * successor is considered. */
 static int64_t cascade(St *s, int64_t root, double when) {
     SweepArgs *a = s->a;
     int64_t count = 1;
@@ -376,9 +377,9 @@ static int reseat(St *s, int64_t core, int64_t dim, double rem, double rate,
     return 0;
 }
 
-/* The multi-socket shape of fastpath's refresh_shares; the fused
- * single-socket Python variant takes identical state transitions, so
- * one shape serves every machine. */
+/* The spec's refresh_shares; fastpath's fused single-socket variant
+ * takes identical state transitions, so one shape serves every
+ * machine. */
 static int refresh_shares(St *s, double now) {
     SweepArgs *a = s->a;
     for (;;) {
@@ -571,8 +572,7 @@ int64_t repro_sweep(SweepArgs *a) {
     s.fc_len = P;
     s.t = 0.0;
 
-    /* ---- seed the sources (sequential per-seed; order-equivalent to
-     * fastpath's batched extend + cascade interleave) ---- */
+    /* ---- seed the sources in tid order, as the spec does ---- */
     for (k = 0; k < a->n_seeds; k++) {
         int64_t tid = a->seeds[k];
         if (a->zeros[tid]) {

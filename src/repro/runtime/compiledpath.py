@@ -1,7 +1,8 @@
 """Compiled event kernel — the scheduler's ``engine="compiled"``.
 
-The third interchangeable engine: the incremental event sweep of
-:mod:`repro.runtime.fastpath` transcribed to C (source embedded in
+The third interchangeable engine: the event sweep of the scalar
+``reference`` spec (:meth:`~repro.runtime.scheduler.Scheduler._run_reference`)
+transcribed to C (source embedded in
 :mod:`repro.runtime._sweep_src`), compiled once per process with the
 system C compiler and driven through :mod:`ctypes`.  The hot loop
 touches only flat numeric buffers — the arena's
@@ -12,12 +13,11 @@ and busy spans straight into preallocated output arrays.  No Python
 objects, dicts, or per-event allocation anywhere in the sweep.
 
 Numerics contract: the C kernel evaluates the same IEEE-754 double
-expressions in the same order as ``run_fast`` (compiled with
-``-ffp-contract=off`` and no fast-math so nothing is contracted or
-reassociated), so the two engines produce **bit-identical** event
-times, records and interval rows; versus ``reference`` the documented
-1e-12 relative tolerance and zero-width-interval merge rule apply
-unchanged.  Any drift is a bug the ``compiled_engine`` verify family
+expressions in the same order as ``reference`` and ``run_fast``
+(compiled with ``-ffp-contract=off`` and no fast-math so nothing is
+contracted or reassociated), so all three engines produce
+**bit-identical** event times, records, interval rows and statistics.
+Any drift is a bug the ``compiled_engine`` verify family
 exists to catch.
 
 Toolchain semantics: a kernel asked for by name is strict, the

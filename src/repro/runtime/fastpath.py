@@ -1,57 +1,33 @@
 """Incremental discrete-event kernel — the scheduler's fast engine.
 
-:class:`~repro.runtime.scheduler.Scheduler` owns two interchangeable
-event kernels:
+``engine="reference"`` (:meth:`Scheduler._run_reference`) is the
+event sweep written as plain scalar code: the spec.  This module and
+the C kernel (:mod:`repro.runtime.compiledpath`) are optimised
+transcriptions of it, and all three produce the same schedule bit for
+bit — event times, records, interval rows, timelines and statistics
+(:func:`repro.testing.oracle.compare_schedules`).  This kernel keeps
+the spec's state and float expressions, in the same operand order, and
+adds only what makes Python fast:
 
-* ``engine="reference"`` — the original per-event Python loop
-  (:meth:`Scheduler._run_reference`): every event rebuilds the
-  per-task rate dictionaries and walks all five dimensions of every
-  running task.  Exact, simple, slow — kept verbatim as the oracle.
-* ``engine="fast"`` — this module.  All running-task state lives in
-  preallocated flat arrays indexed ``core * 5 + dim`` and the
-  per-event work is *incremental*:
+* a per-``(arena, machine)`` **seat plan**, cached on the arena's plan
+  bundle (:mod:`repro.runtime.plans`): for every task, the private
+  dimensions above EPS with their precomputed ``(rate, d/rate,
+  d/rate - EPS/rate)`` and the shared dimensions with their work.  The
+  spec evaluates the same expressions at dispatch; tasks with equal
+  cost rows share one tuple.
+* skipped bookkeeping where it cannot fire: creator affinity when no
+  task has a creator, the membership filter when every running task
+  finished, the recursion into zero-cost successors when there is
+  none (a cascade that has one runs on an explicit stack, in the
+  spec's pre-order).
+* a fused single-socket share refresh (the paper's machine: one L3
+  domain, both shared dims repriced in one pass over ``running``),
+  state-identical to the spec's per-socket loop, and an event scan
+  that inlines the entry retirement.
 
-  - ``texp_adj`` — a flat ``(P*5,)`` array of **absolute exhaust
-    times** (``inf`` for exhausted/no-demand entries).  Between rate
-    changes an entry's exhaust time is constant, so the event step is
-    one ``min`` + one compare sweep instead of recomputing every
-    ``remaining / rate`` quotient over all running tasks.  The array
-    stores ``t_exhaust - EPS/rate`` so the completion compare
-    reproduces the reference kernel's EPS residue-zeroing
-    (tie-merging) rule.
-  - per-dimension **active rate sums** are maintained incrementally,
-    so the activity integral of an interval is ``rate_sum * dt`` — no
-    per-task delta vectors, no per-event allocation.
-  - shared-bandwidth shares (per-socket L3, machine-wide DRAM) are
-    recomputed only when a user count actually changes, and only the
-    affected entries get new exhaust times (found by scanning the
-    ``running`` dict — at most P entries, cheaper than maintaining
-    membership sets per dispatch/exhaust).
-  - a per-``(arena, machine)`` **seat plan** is lazily cached: for
-    every task, the nonzero private dimensions with their precomputed
-    ``(rate, d/rate, d/rate - EPS/rate)`` and the nonzero shared
-    dimensions with their work.  Dispatch then seats a task with a
-    couple of adds and stores instead of re-deriving rates from
-    ``TaskCost`` attributes on every run.  The tuples are derived from
-    the vectorized plan bundle the compiled kernel also reads
-    (:mod:`repro.runtime.plans`) and cached on it.
-
-The two kernels take identical scheduling *decisions* (same dispatch
-order, same core placement, same completion grouping), so makespans,
-task records and interval boundaries agree to float rounding
-(≲1e-12 relative — the reference decrements remaining work stepwise
-while the fast kernel keeps absolute exhaust times, so the last ulp
-can differ) and activity integrals agree to summation-order rounding.
-The one *structural* divergence: when a stepwise decrement leaves a
-sub-EPS work residue, the reference gives it a degenerate zero-width
-interval (``t_end == t_start`` after float absorption) while the fast
-kernel retires the entry exactly at the earlier event; the residue's
-integral lands in the preceding interval instead.  Merging zero-width
-intervals into their predecessor makes the two interval streams equal
-(``canonical_intervals`` in ``tests/runtime/test_fastpath.py``).
-Policy and queue semantics are intentionally duplicated from the
-reference loop — any drift between the two is a bug that the
-differential test exists to catch.
+Any drift from the spec is a bug that the differential tests and the
+golden digests (``tests/runtime/reference_golden.json``) exist to
+catch.
 """
 
 from __future__ import annotations
@@ -198,10 +174,9 @@ def _plans_for(sched: "Scheduler", arena: TaskArena) -> tuple[PlanBundle, _Graph
 
 
 def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
-    """Simulate *arena* with the incremental event kernel.
-
-    Mirrors :meth:`Scheduler._run_reference` decision-for-decision; see
-    the module docstring for the state layout.
+    """Simulate *arena* with the incremental event kernel: an
+    optimised transcription of :meth:`Scheduler._run_reference`, bit
+    for bit (see the module docstring).
     """
     arena.validate()
     n = len(arena)
@@ -243,9 +218,8 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     is_lifo = policy == "lifo"
     is_steal = policy == "steal"
     # When no task has a creator, the affinity/migration code can never
-    # fire (the reference short-circuits on the same attributes), so
-    # the per-dispatch bookkeeping is skipped wholesale.  Steal always
-    # tracks: push_ready routes via task_core.
+    # fire, so the per-dispatch bookkeeping is skipped wholesale.  Steal
+    # always tracks: push_ready routes via task_core.
     track_affinity = is_steal or any_created
 
     # Bound length accessor for the active queue: calling a builtin
@@ -297,13 +271,11 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     rate_of = [0.0] * n_entries
     # Work-space bookkeeping: demand_of[e] is the work outstanding at
     # the entry's last (re)pricing, seat_of[e] that pricing's time.
-    # The reference kernel decrements *work* stepwise (``rem -= rate *
-    # dt``; the final delta is the exact remainder), so its activity
-    # integrals conserve every task's demand to work-space ulps.  The
-    # fast kernel's bulk ``rate_sum * dt`` credit accumulates rounding
-    # in *time* space, which large rates amplify.  At an entry's TRUE
-    # exhaust the event step adds ``demand_of[e] - rate * (t_next -
-    # seat_of[e])`` to the interval credit, cancelling that drift.
+    # The bulk ``rate_sum * dt`` credit accumulates rounding in *time*
+    # space, which large rates amplify.  At an entry's TRUE exhaust the
+    # event step adds ``demand_of[e] - rate * (t_next - seat_of[e])``
+    # to the interval credit, cancelling that drift, so the activity
+    # integrals conserve every task's demand in work space.
     demand_of = [0.0] * n_entries
     seat_of = [0.0] * n_entries
     # Flat-index decode tables (cheaper than divmod in the sweep).
@@ -346,6 +318,16 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     migrations = 0
     steals = 0
 
+    def record_zero(tid: int, when: float) -> None:
+        rec = _new(TaskRecord)
+        d = rec.__dict__
+        d["tid"] = tid
+        d["name"] = names[tid]
+        d["core"] = -1
+        d["start"] = when
+        d["end"] = when
+        records_append(rec)
+
     def complete(tid: int, when: float) -> int:
         """Propagate a completion; returns how many tasks it retired
         (1 + the zero-cost cascade)."""
@@ -354,17 +336,30 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 if zeros[succ]:
-                    rec = _new(TaskRecord)
-                    d = rec.__dict__
-                    d["tid"] = succ
-                    d["name"] = names[succ]
-                    d["core"] = -1
-                    d["start"] = when
-                    d["end"] = when
-                    records_append(rec)
-                    count += complete(succ, when)
+                    record_zero(succ, when)
+                    count += cascade(succ, when)
                 else:
                     push_ready(succ)
+        return count
+
+    def cascade(root: int, when: float) -> int:
+        """:func:`complete` for a zero-cost *root*: the reference's
+        pre-order on an explicit stack, so a chain of joins of any
+        length never recurses."""
+        count = 1
+        stack = [iter(successors[root])]
+        while stack:
+            for succ in stack[-1]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    if zeros[succ]:
+                        record_zero(succ, when)
+                        count += 1
+                        stack.append(iter(successors[succ]))
+                        break
+                    push_ready(succ)
+            else:
+                stack.pop()
         return count
 
     # Seed the sources (tids precomputed in the plan cache).  fifo/lifo
@@ -385,15 +380,8 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                 if seed_buf:
                     batch_queue.extend(seed_buf)  # type: ignore[union-attr]
                     seed_buf.clear()
-                rec = _new(TaskRecord)
-                d = rec.__dict__
-                d["tid"] = tid
-                d["name"] = names[tid]
-                d["core"] = -1
-                d["start"] = 0.0
-                d["end"] = 0.0
-                records_append(rec)
-                done_count += complete(tid, 0.0)
+                record_zero(tid, 0.0)
+                done_count += cascade(tid, 0.0)
             elif batch_queue is not None:
                 seed_buf.append(tid)
             else:
@@ -434,8 +422,8 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     def reseat(core: int, dim: int, rem: float, rate: float, now: float) -> None:
         """Price one shared entry at *rate* with *rem* work left."""
         if rem <= _EPS:
-            # Sub-EPS residue: the reference kernel zeroes it at the
-            # next event without letting it constrain dt.
+            # Sub-EPS residue: retire it now, so it never constrains
+            # dt.
             exhaust_entry(core, dim)
             return
         if rate <= 0.0:
@@ -681,9 +669,9 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             # Seat the demand entries from the precomputed plan.
             # Private dims get their final rate now; shared dims queue
             # on ``unseated`` until the post-batch user counts are
-            # known (the reference kernel prices shares after the
-            # whole dispatch batch; their texp entries are already INF
-            # by the free-core invariant).
+            # known (shares are priced after the whole dispatch batch;
+            # their texp entries are already INF by the free-core
+            # invariant).
             if priv:
                 base = core * 5
                 for dim, rate, dur, adj_dur, d in priv:
@@ -709,8 +697,8 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                         f"task {names[tid]!r} has demand in dim {-1 - alive0} "
                         f"but zero service rate"
                     )
-                # All demands at/below EPS: the reference kernel zeroes
-                # them and finishes the task at the *next* event.
+                # All demands at/below EPS: the task finishes at the
+                # *next* event.
                 pending_trivial.append(core)
 
         if not running:
@@ -725,9 +713,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             refresh_shares(t)
 
         # ---- next event: smallest absolute *true* exhaust time ---------
-        # The reference advances by ``min(rem / rate)`` — the smallest
-        # TRUE remaining time — and then zeroes every entry whose
-        # residue is within EPS.  Mirror both: the event lands on the
+        # The event lands on the smallest TRUE remaining time, the
         # minimum of ``texp_true``, and the sweep below clears every
         # entry with ``texp_adj <= t_next`` (exactly the entries whose
         # remaining work at t_next is <= EPS).  Selecting by adjusted
@@ -748,8 +734,8 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             # mutates the rate sums; the sweep then accumulates the
             # work-space corrections for entries exhausting at their
             # TRUE time (see ``demand_of``).  EPS-window entries (swept
-            # with ``texp_true > t_next``) get no correction: the
-            # reference zeroes their sub-EPS residue uncredited too.
+            # with ``texp_true > t_next``) get no correction: their
+            # sub-EPS residue goes uncredited.
             t_prev = t
             if dt > 0.0:
                 nrun = len(running)

@@ -19,20 +19,13 @@ of the batch's (rank, event id) occurrences — the previous occurrence
 of the same rank, or the rank's head before the batch.  The result is
 exactly the stream a one-event-at-a-time builder would produce.
 
-Two engines share one event stream:
-
-* ``events`` — the hot path.  The stream lives as SoA columns
-  (kind/rank/peer/nbytes/duration + CSR deps), is wrapped in a real
-  :class:`~repro.runtime.arena.TaskArena` (all six cost columns alias
-  one shared zeros array), and is swept by ``TaskArena.finish_times``.
-  No per-rank Python object is ever materialized.
-* ``ranks`` — the reference path and differential-oracle baseline: the
-  stream is exploded into per-rank lists of :class:`RankEvent` objects
-  and swept by a scalar loop.  Same ``max``/add arithmetic, so the two
-  engines agree *bit-for-bit* (asserted by the ``network_sim`` verify
-  family), but it touches millions of Python objects at thousand-rank
-  scale — which is why it is the baseline of the ``network_sim`` bench
-  gate, not the default.
+The stream lives as SoA columns (kind/rank/peer/nbytes/duration + CSR
+deps), is wrapped in a real :class:`~repro.runtime.arena.TaskArena`
+(all six cost columns alias one shared zeros array), and is swept by
+``TaskArena.finish_times``.  No per-rank Python object is ever
+materialized.  The per-rank object loop it must equal bit for bit is
+:func:`repro.testing.netlowering.reference_finish_times`, the
+``network_sim`` verify family's baseline.
 """
 
 from __future__ import annotations
@@ -50,9 +43,7 @@ __all__ = [
     "KIND_SEND",
     "KIND_RECV",
     "KIND_SYNC",
-    "NET_ENGINES",
     "EventStreamBuilder",
-    "RankEvent",
     "RankEventProgram",
     "EventAggregate",
 ]
@@ -63,10 +54,6 @@ KIND_SEND = 1
 KIND_RECV = 2
 KIND_SYNC = 3
 _KIND_NAMES = ("compute", "send", "recv", "sync")
-
-#: Simulation engines accepted by :meth:`RankEventProgram.simulate`.
-NET_ENGINES = ("events", "ranks")
-
 
 class EventStreamBuilder:
     """Appends rank events in program order, maintaining per-rank chains.
@@ -300,20 +287,6 @@ class EventStreamBuilder:
         )
 
 
-class RankEvent:
-    """One event on the per-rank object path (the ``ranks`` engine)."""
-
-    __slots__ = ("eid", "kind", "rank", "deps", "duration", "finish")
-
-    def __init__(self, eid: int, kind: int, rank: int, deps: list[int], duration: float):
-        self.eid = eid
-        self.kind = kind
-        self.rank = rank
-        self.deps = deps
-        self.duration = duration
-        self.finish = 0.0
-
-
 @dataclass(frozen=True)
 class EventAggregate:
     """Per-rank reductions of one simulated event stream."""
@@ -378,60 +351,16 @@ class RankEventProgram:
     def n_events(self) -> int:
         return len(self.kind)
 
-    def finish_times(self, engine: str = "events") -> np.ndarray:
-        """Earliest-finish of every event under the chosen engine."""
-        if engine == "events":
-            return self.arena.finish_times(self.durations)
-        if engine == "ranks":
-            return self._finish_object_path()
-        raise ValidationError(
-            f"unknown net engine {engine!r}; expected one of {NET_ENGINES}"
-        )
-
-    def _finish_object_path(self) -> np.ndarray:
-        """Reference sweep over per-rank Python event objects.
-
-        Same arithmetic as the arena sweep (exact ``max``, one add per
-        event), so the results are bit-identical — this is the
-        differential baseline, deliberately object-at-a-time."""
-        n = len(self)
-        indptr = self.arena.dep_indptr
-        indices = self.arena.dep_indices
-        kind = self.kind
-        rank = self.rank
-        dur = self.durations
-        per_rank: list[list[RankEvent]] = [[] for _ in range(self.ranks)]
-        events: list[RankEvent] = []
-        for i in range(n):
-            ev = RankEvent(
-                i,
-                int(kind[i]),
-                int(rank[i]),
-                [int(d) for d in indices[indptr[i] : indptr[i + 1]]],
-                float(dur[i]),
-            )
-            events.append(ev)
-            if 0 <= ev.rank < self.ranks:
-                per_rank[ev.rank].append(ev)
-        finish = [0.0] * n
-        for ev in events:
-            f = 0.0
-            for d in ev.deps:
-                df = finish[d]
-                if df > f:
-                    f = df
-            fin = f + ev.duration
-            ev.finish = fin
-            finish[ev.eid] = fin
-        return np.asarray(finish, dtype=np.float64)
+    def finish_times(self) -> np.ndarray:
+        """Earliest finish of every event: the arena's frontier sweep."""
+        return self.arena.finish_times(self.durations)
 
     def aggregate(self, finish: np.ndarray) -> EventAggregate:
-        """Per-rank reductions, engine-independent.
+        """Per-rank reductions of the finish times *finish*.
 
         ``np.bincount`` accumulates weights sequentially in array
         order, which is emission order — the same addition sequence a
-        scalar per-step loop performs, so these reductions are exact
-        under both engines."""
+        scalar per-step loop performs, so these reductions are exact."""
         total = float(finish.max()) if len(finish) else 0.0
         is_compute = self.kind == KIND_COMPUTE
         is_send = self.kind == KIND_SEND
@@ -458,6 +387,6 @@ class RankEventProgram:
             sync_s=sync_s,
         )
 
-    def simulate(self, engine: str = "events") -> EventAggregate:
+    def simulate(self) -> EventAggregate:
         """Sweep and reduce in one call."""
-        return self.aggregate(self.finish_times(engine))
+        return self.aggregate(self.finish_times())

@@ -29,7 +29,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -356,18 +356,6 @@ class Schedule:
             raise SchedulingError(f"no record for task {tid}") from None
 
 
-class _Running:
-    """Book-keeping for one in-flight task."""
-
-    __slots__ = ("tid", "core", "start", "remaining")
-
-    def __init__(self, tid: int, core: int, start: float, remaining: list[float]):
-        self.tid = tid
-        self.core = core
-        self.start = start
-        self.remaining = remaining
-
-
 class Scheduler:
     """Schedules task graphs on the first *threads* cores of a machine.
 
@@ -386,14 +374,15 @@ class Scheduler:
         most loaded victim — the discipline BOTS-era OpenMP runtimes
         approximate for untied tasks).
     engine:
-        Event kernel: ``"compiled"`` (the JIT-compiled C sweep — see
+        Event kernel: ``"reference"`` (:meth:`_run_reference`, the
+        sweep as plain scalar code — the spec), ``"fast"`` (an
+        optimised Python transcription of it — see
+        :mod:`repro.runtime.fastpath`) or ``"compiled"`` (its C
+        transcription, JIT-compiled — see
         :mod:`repro.runtime.compiledpath`; requires a C toolchain and
         raises :class:`ConfigurationError` here when named without
-        one), ``"fast"`` (its bit-identical vectorized Python twin —
-        see :mod:`repro.runtime.fastpath`), or ``"reference"`` (the
-        original per-event scalar loop, kept as the differential
-        oracle).  ``None`` lets the platform pick via
-        :func:`default_engine`.
+        one).  All three produce the same schedule bit for bit.
+        ``None`` lets the platform pick via :func:`default_engine`.
     """
 
     def __init__(
@@ -480,8 +469,8 @@ class Scheduler:
     def run(self, arena: TaskArena) -> Schedule:
         """Simulate *arena* to completion and return the schedule.
 
-        Dispatches to the configured event kernel; all kernels take
-        identical scheduling decisions (see ``repro.runtime.fastpath``).
+        Dispatches to the configured event kernel; every kernel
+        returns the same schedule, bit for bit.
         Scheduling only prices costs; numerics run afterwards, in an
         order the schedule proves valid (see :mod:`repro.runtime.replay`).
         """
@@ -529,15 +518,37 @@ class Scheduler:
         return priority
 
     def _run_reference(self, arena: TaskArena) -> Schedule:
-        """The original per-event scalar loop — the differential oracle
-        for the vectorized kernels.  It reads per-tid Python lists taken
-        once from the arena's columns and successor CSR.  Kept verbatim;
-        do not optimize."""
+        """The event sweep as plain scalar code: the spec the ``fast``
+        and ``compiled`` kernels transcribe, bit for bit.
+
+        Running tasks hold up to five seat entries, flat-indexed
+        ``core * 5 + dim``.  An entry stores its absolute exhaust time
+        ``tt``, that time less ``EPS / rate`` (``ta``: an entry whose
+        remaining work is within EPS at an event retires with it), its
+        rate, and the work and time at its last pricing.  Private
+        entries (compute, L1, L2) are priced once at dispatch from the
+        task's cost columns; shared ones (per-socket L3, machine-wide
+        DRAM) wait on ``unseated`` until the dispatch batch is done and
+        are repriced whenever their user count changes.  An event lands
+        on the smallest ``tt``.  Its interval row credits ``rate_sum *
+        dt`` per dimension plus, for every entry exhausting at exactly
+        that time, the work-space correction ``demand - rate * (t -
+        seat)``, so each task's demand is conserved.  Every float
+        expression keeps the operand order of ``_sweep_src.py``.
+        """
         arena.validate()
         n = len(arena)
+        threads = self.threads
+        policy = self.policy
+        socket_of = self._socket_of
+        num_sockets = self._num_sockets
+        core_peak, l1_bw, l2_bw = self._core_peak, self._l1_bw, self._l2_bw
+        l3_bw = self.machine.l3_bandwidth
+        dram_bw = self.machine.dram_bandwidth
+        inf = float("inf")
+
         names = arena.names_list()
         efficiency = arena.efficiency.tolist()
-        # Per task: (flops, L1, L2, L3, DRAM) demands, in _FLOPS.._DRAM order.
         demands = list(
             zip(
                 arena.flops.tolist(),
@@ -547,230 +558,327 @@ class Scheduler:
                 arena.bytes_dram.tolist(),
             )
         )
-        zero = [not any(d) for d in demands]
         untied = arena.untied.tolist()
-        created_by = arena.created_by_list()
+        created = arena.created_by.tolist()  # creator tid, or -1
         successors = arena.successors_lists()
         indegree = arena.dep_counts.tolist()
-        sources = [tid for tid in range(n) if indegree[tid] == 0]
-        completed = [False] * n
+        priority = self._reference_priorities(arena) if policy == "critical" else None
 
-        # Priority for the "critical" policy: longest path to any sink.
-        priority: list[float] | None = None
-        if self.policy == "critical":
-            priority = self._reference_priorities(arena)
-
+        # ---- ready queues ----------------------------------------------
         ready_fifo: deque[int] = deque()
         ready_lifo: list[int] = []
         ready_heap: list[tuple[float, int]] = []
-        # Work-stealing state: one deque per core plus a shared inbox
-        # for tasks with no known creator placement.
-        core_deques: list[deque[int]] = [deque() for _ in range(self.threads)]
+        # Work stealing: one deque per core plus a shared inbox for
+        # tasks whose creator has not run.
+        core_deques: list[deque[int]] = [deque() for _ in range(threads)]
         shared_inbox: deque[int] = deque()
-        ready_total = 0
+        task_core = [-1] * n  # tid -> core it ran on
+        migrations = 0
+        steals = 0
 
         def push_ready(tid: int) -> None:
-            nonlocal ready_total
-            if self.policy == "fifo":
+            if policy == "fifo":
                 ready_fifo.append(tid)
-            elif self.policy == "lifo":
+            elif policy == "lifo":
                 ready_lifo.append(tid)
-            elif self.policy == "critical":
-                assert priority is not None
+            elif policy == "critical":
                 heapq.heappush(ready_heap, (-priority[tid], tid))
-            else:  # steal
-                creator = created_by[tid]
-                home = task_core.get(creator) if creator is not None else None
-                if home is None:
+            else:
+                creator = created[tid]
+                home = task_core[creator] if creator >= 0 else -1
+                if home < 0:
                     shared_inbox.append(tid)
                 else:
                     core_deques[home].appendleft(tid)  # LIFO top
-                ready_total += 1
 
-        def pop_ready() -> int:
-            if self.policy == "fifo":
+        def ready_count() -> int:
+            waiting = len(ready_fifo) + len(ready_lifo) + len(ready_heap)
+            return waiting + len(shared_inbox) + sum(map(len, core_deques))
+
+        def pop_ready(core: int) -> int:
+            """The next task for *core*.  Stealing takes the core's own
+            deque first, then the inbox, then the oldest task of the
+            first most loaded victim."""
+            nonlocal steals
+            if policy == "fifo":
                 return ready_fifo.popleft()
-            if self.policy == "lifo":
+            if policy == "lifo":
                 return ready_lifo.pop()
-            return heapq.heappop(ready_heap)[1]
-
-        def pop_for_core(core: int) -> int:
-            """Steal policy: own deque first, then the inbox, then the
-            oldest task of the most loaded victim."""
-            nonlocal ready_total, steals
-            ready_total -= 1
+            if policy == "critical":
+                return heapq.heappop(ready_heap)[1]
             if core_deques[core]:
                 return core_deques[core].popleft()
             if shared_inbox:
                 return shared_inbox.popleft()
-            victim = max(range(self.threads), key=lambda v: len(core_deques[v]))
+            victim = max(range(threads), key=lambda v: len(core_deques[v]))
             steals += 1
-            return core_deques[victim].pop()  # FIFO end: oldest task
+            return core_deques[victim].pop()
 
-        def ready_count() -> int:
-            if self.policy == "steal":
-                return ready_total
-            return len(ready_fifo) + len(ready_lifo) + len(ready_heap)
+        # ---- seat entries and shares -----------------------------------
+        tt = [inf] * (threads * 5)  # absolute exhaust time
+        ta = [inf] * (threads * 5)  # tt - EPS / rate
+        rate_of = [0.0] * (threads * 5)
+        demand_of = [0.0] * (threads * 5)  # work left at the last pricing
+        seat_of = [0.0] * (threads * 5)  # time of the last pricing
+        alive = [0] * threads  # unexhausted entries of the core's task
+        start_of = [0.0] * threads
+        rate_sum = [0.0] * 5  # total rate of the live entries per dim
+        dim_users = [0] * 5
+        l3_users = [0] * num_sockets
+        seated3 = [0] * num_sockets
+        seated4 = 0
+        share3 = [0.0] * num_sockets
+        share4 = 0.0
+        unseated: list[tuple[int, int, float]] = []
+        shares_dirty = False
+        pending: list[int] = []  # cores whose task has no entry left
 
-        records: list[TaskRecord] = []
-        intervals: list[ActivityInterval] = []
-        timelines = [CoreTimeline(core) for core in range(self.threads)]
-        free_cores: list[int] = list(range(self.threads - 1, -1, -1))
-        running: dict[int, _Running] = {}  # core -> running task
-        task_core: dict[int, int] = {}  # tid -> core it ran on (for affinity)
-        t = 0.0
-        done_count = 0
-        migrations = 0
-        steals = 0
+        def zero_rate(tid: int, dim: int) -> SchedulingError:
+            return SchedulingError(
+                f"task {names[tid]!r} has demand in dim {dim} but zero service rate"
+            )
 
-        def complete(tid: int, when: float) -> None:
-            """Mark done and cascade zero-cost successors."""
-            nonlocal done_count
-            completed[tid] = True
-            done_count += 1
-            for succ in successors[tid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    if zero[succ]:
-                        records.append(TaskRecord(succ, names[succ], -1, when, when))
-                        complete(succ, when)
+        def exhaust_entry(core: int, dim: int) -> None:
+            nonlocal seated4, shares_dirty
+            e = core * 5 + dim
+            tt[e] = inf
+            ta[e] = inf
+            if dim < 3:
+                rate_sum[dim] -= rate_of[e]
+                dim_users[dim] -= 1
+                if dim_users[dim] == 0:
+                    rate_sum[dim] = 0.0  # kill float residue
+            elif dim == 3:
+                sock = socket_of[core]
+                dim_users[3] -= 1
+                l3_users[sock] -= 1
+                seated3[sock] -= 1
+                shares_dirty = True
+            else:
+                dim_users[4] -= 1
+                seated4 -= 1
+                shares_dirty = True
+            alive[core] -= 1
+            if alive[core] == 0:
+                pending.append(core)
+
+        def price(core: int, dim: int, work: float, rate: float, now: float) -> None:
+            e = core * 5 + dim
+            texp = now + work / rate
+            tt[e] = texp
+            rate_of[e] = rate
+            ta[e] = texp - _EPS / rate
+            demand_of[e] = work
+            seat_of[e] = now
+
+        def reseat(core: int, dim: int, rate: float, now: float) -> None:
+            """Reprice a seated shared entry at its new share."""
+            e = core * 5 + dim
+            if tt[e] == inf:
+                return
+            rem = (tt[e] - now) * rate_of[e]
+            if rem <= _EPS:  # sub-EPS residue: retire it now
+                exhaust_entry(core, dim)
+                return
+            if rate <= 0.0:
+                raise zero_rate(running[core], dim)
+            price(core, dim, rem, rate, now)
+
+        def refresh_shares(now: float) -> None:
+            """Recompute the shares after a user-count change, reprice
+            the seated entries, then seat the unseated ones, until no
+            count changes."""
+            nonlocal share4, seated4, shares_dirty
+            while True:
+                shares_dirty = False
+                batch = unseated[:]
+                unseated.clear()
+                new4 = dram_bw / dim_users[4] if dim_users[4] else 0.0
+                if new4 != share4:
+                    share4 = new4
+                    if seated4:
+                        for core in running:
+                            reseat(core, _DRAM, new4, now)
+                for sock in range(num_sockets):
+                    new3 = l3_bw / l3_users[sock] if l3_users[sock] else 0.0
+                    if new3 != share3[sock]:
+                        share3[sock] = new3
+                        if seated3[sock]:
+                            for core in running:
+                                if socket_of[core] == sock:
+                                    reseat(core, _L3, new3, now)
+                for core, dim, work in batch:
+                    if dim == _DRAM:
+                        rate = share4
+                        seated4 += 1
                     else:
-                        push_ready(succ)
+                        rate = share3[socket_of[core]]
+                        seated3[socket_of[core]] += 1
+                    if rate <= 0.0:
+                        raise zero_rate(running[core], dim)
+                    price(core, dim, work, rate, now)
+                if not shares_dirty:
+                    break
+            rate_sum[_DRAM] = dim_users[_DRAM] * share4
+            s3 = 0.0
+            for sock in range(num_sockets):
+                s3 += l3_users[sock] * share3[sock]
+            rate_sum[_L3] = s3
 
-        # Seed: sources (zero-cost sources cascade immediately).
-        for tid in sources:
-            if zero[tid]:
+        # ---- completions ------------------------------------------------
+        records: list[TaskRecord] = []
+        intervals: list[tuple] = []
+        busy_of: list[list[tuple[float, float]]] = [[] for _ in range(threads)]
+        free_cores = list(range(threads - 1, -1, -1))
+        running: dict[int, int] = {}  # core -> tid, in dispatch order
+        t = 0.0
+        done = 0
+
+        def cascade(root: int, when: float) -> int:
+            """Release *root*'s successors.  A zero-cost one completes at
+            once and is expanded before the next sibling (pre-order, on an
+            explicit stack).  Returns 1 + the zero-cost tasks completed."""
+            count = 1
+            stack = [iter(successors[root])]
+            while stack:
+                for succ in stack[-1]:
+                    indegree[succ] -= 1
+                    if indegree[succ] == 0:
+                        if not any(demands[succ]):
+                            records.append(TaskRecord(succ, names[succ], -1, when, when))
+                            count += 1
+                            stack.append(iter(successors[succ]))
+                            break
+                        push_ready(succ)
+                else:
+                    stack.pop()
+            return count
+
+        for tid in [tid for tid in range(n) if indegree[tid] == 0]:
+            if not any(demands[tid]):
                 records.append(TaskRecord(tid, names[tid], -1, 0.0, 0.0))
-                complete(tid, 0.0)
+                done += cascade(tid, 0.0)
             else:
                 push_ready(tid)
 
-        dram_bw = self.machine.dram_bandwidth
-        l3_bw = self.machine.l3_bandwidth
-
-        while done_count < n:
+        while done < n:
             # Dispatch ready tasks onto free cores.
             while free_cores and ready_count():
                 core = free_cores[-1]
-                if self.policy == "steal":
-                    tid = pop_for_core(core)
-                else:
-                    tid = pop_ready()
-                    # Tied tasks prefer their creator's core when available.
-                    if not untied[tid] and created_by[tid] is not None:
-                        want = task_core.get(created_by[tid])
-                        if want is not None and want in free_cores:
+                tid = pop_ready(core)
+                creator = created[tid]
+                if policy != "steal" and not untied[tid] and creator >= 0:
+                    # A tied task prefers its creator's core.
+                    want = task_core[creator]
+                    if want >= 0:
+                        if want in free_cores:
                             core = want
-                        elif want is not None:
+                        else:
                             steals += 1
                 free_cores.remove(core)
-                creator = created_by[tid]
-                if (
-                    creator is not None
-                    and task_core.get(creator) is not None
-                    and task_core[creator] != core
-                ):
+                if creator >= 0 and task_core[creator] >= 0 and task_core[creator] != core:
                     migrations += 1
-                running[core] = _Running(tid, core, t, list(demands[tid]))
                 task_core[tid] = core
+                running[core] = tid
+                start_of[core] = t
+                f, b1, b2, b3, bd = demands[tid]
+                entries = 0
+                for dim, work, rate in (
+                    (_FLOPS, f, efficiency[tid] * core_peak),
+                    (_L1, b1, l1_bw),
+                    (_L2, b2, l2_bw),
+                ):
+                    if work > _EPS:
+                        if rate <= 0.0:
+                            raise zero_rate(tid, dim)
+                        dur = work / rate
+                        e = core * 5 + dim
+                        rate_of[e] = rate
+                        tt[e] = t + dur
+                        ta[e] = t + (dur - _EPS / rate)
+                        demand_of[e] = work
+                        seat_of[e] = t
+                        rate_sum[dim] += rate
+                        dim_users[dim] += 1
+                        entries += 1
+                for dim, work in ((_L3, b3), (_DRAM, bd)):
+                    if work > _EPS:
+                        unseated.append((core, dim, work))
+                        dim_users[dim] += 1
+                        if dim == _L3:
+                            l3_users[socket_of[core]] += 1
+                        shares_dirty = True
+                        entries += 1
+                alive[core] = entries
+                if entries == 0:  # every demand within EPS
+                    pending.append(core)
 
             if not running:
-                if done_count < n:
-                    raise SchedulingError(
-                        f"deadlock: {n - done_count} tasks left but nothing "
-                        f"ready or running in graph {arena.name!r}"
-                    )
-                break
-
-            # Shared-resource user counts.  L3 bandwidth is shared per
-            # socket; the memory channels are shared machine-wide.
-            l3_users_by_socket = [0] * self._num_sockets
-            dram_users = 0
-            for core, r in running.items():
-                if r.remaining[_L3] > _EPS:
-                    l3_users_by_socket[self._socket_of[core]] += 1
-                if r.remaining[_DRAM] > _EPS:
-                    dram_users += 1
-            dram_share = dram_bw / dram_users if dram_users else 0.0
-
-            # Per-task, per-dimension rates and next event time.
-            dt = float("inf")
-            rates: dict[int, list[float]] = {}
-            for core, r in running.items():
-                flop_rate = efficiency[r.tid] * self._core_peak
-                l1_rate, l2_rate = self._l1_bw, self._l2_bw
-                socket_users = l3_users_by_socket[self._socket_of[core]]
-                l3_share = l3_bw / socket_users if socket_users else 0.0
-                rate = [flop_rate, l1_rate, l2_rate, l3_share, dram_share]
-                rates[core] = rate
-                for dim in range(5):
-                    rem = r.remaining[dim]
-                    if rem > _EPS:
-                        if rate[dim] <= 0:
-                            raise SchedulingError(
-                                f"task {names[r.tid]!r} has demand in dim {dim} "
-                                f"but zero service rate"
-                            )
-                        dt = min(dt, rem / rate[dim])
-            if not (dt < float("inf")):
-                # Every running task has (numerically) nothing left.
-                dt = 0.0
-
-            # Advance time by dt, accumulating activity.
-            flops = b1 = b2 = b3 = bd = 0.0
-            finished: list[int] = []
-            for core, r in running.items():
-                rate = rates[core]
-                deltas = [
-                    min(r.remaining[dim], rate[dim] * dt) for dim in range(5)
-                ]
-                flops += deltas[_FLOPS]
-                b1 += deltas[_L1]
-                b2 += deltas[_L2]
-                b3 += deltas[_L3]
-                bd += deltas[_DRAM]
-                for dim in range(5):
-                    r.remaining[dim] -= deltas[dim]
-                    if r.remaining[dim] <= _EPS:
-                        r.remaining[dim] = 0.0
-                if all(rem == 0.0 for rem in r.remaining):
-                    finished.append(core)
-
-            if dt > 0:
-                intervals.append(
-                    ActivityInterval(t, t + dt, len(running), flops, b1, b2, b3, bd)
-                )
-            t += dt
-
-            if not finished and dt == 0.0:
                 raise SchedulingError(
-                    "scheduler made no progress (dt == 0 with no completions)"
+                    f"deadlock: {n - done} tasks left but nothing "
+                    f"ready or running in graph {arena.name!r}"
                 )
+            if shares_dirty:
+                refresh_shares(t)
 
-            for core in finished:
-                r = running.pop(core)
-                records.append(TaskRecord(r.tid, names[r.tid], core, r.start, t))
-                timelines[core].add_busy(r.start, t)
-                free_cores.append(core)
-                complete(r.tid, t)
+            # Next event: the smallest true exhaust time.
+            t_next = min(tt)
+            if t_next == inf:
+                if not pending:
+                    raise SchedulingError(
+                        "scheduler made no progress (dt == 0 with no completions)"
+                    )
+            else:
+                dt = t_next - t
+                t_prev = t
+                if dt > 0.0:
+                    busy = len(running)
+                    credit = [rate_sum[dim] * dt for dim in range(5)]
+                corr = [0.0] * 5
+                t = t_next
+                for e in range(threads * 5):
+                    if ta[e] <= t_next:
+                        core, dim = divmod(e, 5)
+                        if tt[e] == t_next:
+                            corr[dim] += demand_of[e] - rate_of[e] * (t_next - seat_of[e])
+                        exhaust_entry(core, dim)
+                if dt > 0.0:
+                    intervals.append(
+                        (t_prev, t_next, busy, *(credit[d] + corr[d] for d in range(5)))
+                    )
 
-        for tl in timelines:
-            tl.close(t)
+            # Retire finished tasks in dispatch order.
+            if pending:
+                finished = [core for core in running if core in pending]
+                pending.clear()
+                for core in finished:
+                    tid = running.pop(core)
+                    start = start_of[core]
+                    records.append(TaskRecord(tid, names[tid], core, start, t))
+                    if t > start:
+                        busy_core = busy_of[core]
+                        if busy_core and start - busy_core[-1][1] <= 1e-12:
+                            busy_core[-1] = (busy_core[-1][0], t)
+                        else:
+                            busy_core.append((start, t))
+                    free_cores.append(core)
+                    done += cascade(tid, t)
 
+        timelines = [CoreTimeline(core, busy_of[core], t) for core in range(threads)]
         _REF_EVENTS.add(len(intervals))
         stats = RuntimeStats.from_run(
             makespan=t,
             timelines=timelines,
             task_count=n,
-            threads=self.threads,
+            threads=threads,
             migrations=migrations,
             steals=steals,
         )
         return Schedule(
             graph_name=arena.name,
-            threads=self.threads,
+            threads=threads,
             records=records,
-            intervals=intervals,
+            raw_intervals=intervals,
             timelines=timelines,
             stats=stats,
         )

@@ -34,7 +34,7 @@ __all__ = ["ENGINE_VERSION", "Engine"]
 #: store (:mod:`repro.core.resultstore`) folds this into every cell
 #: key, so bumping it orphans all cached results — do so whenever a
 #: change makes previously simulated numbers non-reproducible.
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 
 class Engine:

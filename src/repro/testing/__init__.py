@@ -12,17 +12,19 @@ agreement).  This package turns those identities into a harness:
   top when the library is available);
 * :mod:`repro.testing.invariants` — the invariant library, run against
   every simulated case;
-* :mod:`repro.testing.oracle` — differential oracles: ``engine="fast"``
-  vs ``engine="reference"``, ``parallel=N`` vs serial study execution,
-  templated vs object lowering, and stamped numerics vs the sequential
-  fast matmul, asserted bit-for-bit;
+* :mod:`repro.testing.oracle` — differential oracles, asserted
+  bit-for-bit: the ``fast`` and compiled event kernels vs
+  ``reference``, the scalar spec they transcribe; ``parallel=N`` vs
+  serial study execution; templated vs object lowering; and stamped
+  numerics vs the sequential fast matmul;
 * :mod:`repro.testing.taskgraph` — :class:`Task` / :class:`TaskGraph`,
   the object twin of the columnar arena: the generators' DAG shape and
   the scalar metric sweeps the arena's vectorized ones must equal;
 * :mod:`repro.testing.lowering` — the task-at-a-time lowering of the
   dense algorithms the templated ``build_arena`` must equal;
 * :mod:`repro.testing.netlowering` — the scalar reference network
-  lowering the batched one must equal column for column;
+  lowering the batched one must equal column for column, and the
+  per-rank object sweep the arena sweep must equal bit for bit;
 * :mod:`repro.testing.faults` — fault injection for the simulated RAPL
   counters (wraparound, non-monotonic samples, dropped MSR reads, NaN
   power) against the hardened :class:`~repro.power.rapl.RaplReader`;
@@ -61,7 +63,6 @@ from .invariants import (
 )
 from .oracle import (
     compare_event_programs,
-    differential_compiled_check,
     differential_engine_check,
     differential_network_check,
     differential_numerics_check,
@@ -91,7 +92,6 @@ __all__ = [
     "check_measurement",
     "check_network_bounds",
     "compare_event_programs",
-    "differential_compiled_check",
     "differential_engine_check",
     "differential_network_check",
     "differential_numerics_check",

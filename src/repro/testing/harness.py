@@ -7,17 +7,18 @@ cases from :mod:`repro.testing.generators`, the invariant library from
 :mod:`repro.testing.faults`.
 
 Budget discipline: the cheap per-case checks (single-run invariants +
-fast-vs-reference differential) run for *every* case; the expensive
-families are interleaved — an Eq. 8 bound cell every ``bounds_every``
-cases, a templated-vs-object lowering differential every
-``lowering_every`` (the columnar arena stamping must be bit-identical
+the bit-exact fast-vs-reference differential) run for *every* case;
+the expensive families are interleaved — an Eq. 8 bound cell every
+``bounds_every`` cases, a templated-vs-object lowering differential
+every ``lowering_every`` (the columnar arena stamping must be bit-identical
 to the object lowering of :mod:`repro.testing.lowering`) paired with a
 numerics-program differential (the stamped numerics must reproduce the
 sequential fast matmul byte for byte, in the start and the depth-first
-order), a compiled-engine differential every ``compiled_every`` (the
-JIT-compiled C sweep against *both* Python kernels — probed once up
-front and silently absent on hosts without a toolchain, so ``--require
-compiled_engine`` makes its coverage mandatory), a network-simulation differential every ``network_every``
+order), a three-way kernel differential every ``compiled_every``
+(``fast`` and the JIT-compiled C sweep against ``reference``, bit for
+bit — probed once up front and silently absent on hosts without a
+toolchain, so ``--require compiled_engine`` makes its coverage
+mandatory), a network-simulation differential every ``network_every``
 (arena-lowered event sweep vs per-rank object loop vs the closed-form
 BSP/collective models, all bit-exact, plus the Eq. 8 schedule floor),
 an Eq. 5/6 scaling sweep every ``scaling_every``, a full
@@ -68,7 +69,6 @@ from .invariants import (
     check_network_bounds,
 )
 from .oracle import (
-    differential_compiled_check,
     differential_engine_check,
     differential_lowering_check,
     differential_network_check,
@@ -166,7 +166,7 @@ def verify_case(
         violations = check_measurement(
             case.machine, case.graph, case.threads, schedule, measurement
         )
-        violations += differential_engine_check(case)
+        violations += differential_engine_check(case, ("fast",))
         return violations
     except Exception as exc:  # pragma: no cover - only on defects
         return [Violation("exception", f"{type(exc).__name__}: {exc}")]
@@ -190,18 +190,16 @@ def _verify_algorithm_case(case: AlgorithmCase) -> list[Violation]:
 
 
 def _verify_network_case(case: NetworkCase) -> list[Violation]:
-    """One network-simulation cell: the three exact-equality oracles
-    (events vs ranks, BSP bridge, collective closed form) plus the
-    schedule-sanity invariants and the Eq. 8 floor on both engines."""
+    """One network-simulation cell: the exact-equality oracles (arena vs
+    object sweep, BSP bridge, collective closed form, batched vs scalar
+    lowering) plus the schedule-sanity invariants and the Eq. 8 floor.
+    The object sweep equals the arena one bit for bit, so one bound
+    check covers both."""
     from ..distributed import simulate
 
     violations = differential_network_check(case)
-    for engine in ("events", "ranks"):
-        result = simulate(
-            case.cluster, case.algorithm, case.n, case.ranks, case.config, engine
-        )
-        violations += check_network_bounds(result)
-    return violations
+    result = simulate(case.cluster, case.algorithm, case.n, case.ranks, case.config)
+    return violations + check_network_bounds(result)
 
 
 def _verify_scaling_case(case: ScalingCase) -> list[Violation]:
@@ -314,7 +312,7 @@ def run_verify(
             record(
                 "compiled_engine",
                 case_seed,
-                differential_compiled_check(case),
+                differential_engine_check(case),
                 case.describe(),
             )
         if i % network_every == 0:

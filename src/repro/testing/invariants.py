@@ -585,7 +585,7 @@ def check_network_bounds(result: "NetRunResult") -> list[Violation]:
     on for the thousand-rank sweeps.
     """
     out: list[Violation] = []
-    tag = f"{result.algorithm} n={result.n} P={result.ranks} ({result.engine})"
+    tag = f"{result.algorithm} n={result.n} P={result.ranks}"
     if not math.isfinite(result.total_time_s) or result.total_time_s < 0:
         out.append(
             Violation("network.finite", f"{tag}: makespan {result.total_time_s}")

@@ -1,4 +1,4 @@
-"""Reference network lowering: one scalar message at a time.
+"""Reference network lowering and sweep: one scalar event at a time.
 
 :mod:`repro.distributed.netsim` lowers each collective round as one
 batch of numpy columns and resolves every event's chain predecessor
@@ -13,6 +13,11 @@ dependency arrays, byte for byte.  The module is deliberately
 independent of :class:`~repro.runtime.rankevents.EventStreamBuilder`;
 it shares only :meth:`RankEventProgram.from_columns`, which wraps the
 finished columns.
+
+:func:`reference_finish_times` is the sweep's twin: per-rank Python
+event objects walked one at a time, which the arena's vectorized
+frontier sweep (:meth:`RankEventProgram.finish_times`) must equal bit
+for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from ..runtime.rankevents import (
     KIND_RECV,
     KIND_SEND,
     KIND_SYNC,
+    EventAggregate,
     RankEventProgram,
 )
 
@@ -36,6 +42,8 @@ __all__ = [
     "reference_events",
     "reference_broadcast_events",
     "reference_bsp_events",
+    "reference_finish_times",
+    "reference_simulate",
 ]
 
 _WORD = 8
@@ -283,3 +291,58 @@ def reference_bsp_events(cluster, program) -> RankEventProgram:
         for r in range(ranks):
             b.mark_recv(r, step.h_bytes[r])
     return b.build("bsp-events")
+
+
+class _RankEvent:
+    """One event of the per-rank object sweep."""
+
+    __slots__ = ("eid", "kind", "rank", "deps", "duration", "finish")
+
+    def __init__(self, eid: int, kind: int, rank: int, deps: list[int], duration: float):
+        self.eid = eid
+        self.kind = kind
+        self.rank = rank
+        self.deps = deps
+        self.duration = duration
+        self.finish = 0.0
+
+
+def reference_finish_times(prog: RankEventProgram) -> np.ndarray:
+    """Earliest finish of every event of *prog*, swept over per-rank
+    Python event objects.
+
+    Same arithmetic as the arena sweep (exact ``max``, one add per
+    event), so the results are bit-identical — deliberately
+    object-at-a-time."""
+    n = len(prog)
+    indptr = prog.arena.dep_indptr
+    indices = prog.arena.dep_indices
+    per_rank: list[list[_RankEvent]] = [[] for _ in range(prog.ranks)]
+    events: list[_RankEvent] = []
+    for i in range(n):
+        ev = _RankEvent(
+            i,
+            int(prog.kind[i]),
+            int(prog.rank[i]),
+            [int(d) for d in indices[indptr[i] : indptr[i + 1]]],
+            float(prog.durations[i]),
+        )
+        events.append(ev)
+        if 0 <= ev.rank < prog.ranks:
+            per_rank[ev.rank].append(ev)
+    finish = [0.0] * n
+    for ev in events:
+        f = 0.0
+        for d in ev.deps:
+            df = finish[d]
+            if df > f:
+                f = df
+        fin = f + ev.duration
+        ev.finish = fin
+        finish[ev.eid] = fin
+    return np.asarray(finish, dtype=np.float64)
+
+
+def reference_simulate(prog: RankEventProgram) -> EventAggregate:
+    """:meth:`RankEventProgram.simulate` over the object sweep."""
+    return prog.aggregate(reference_finish_times(prog))

@@ -3,13 +3,13 @@
 Two independent code paths that must agree give an oracle that needs no
 hand-written expected values:
 
-* **fast vs reference event kernel** — the vectorized kernel
-  (:mod:`repro.runtime.fastpath`) must reproduce the reference scalar
-  loop decision-for-decision: identical makespan, identical task
-  records (placement, order, times), identical canonical activity
-  intervals and identical whole-run activity integrals (1e-12
-  relative; per-interval rows at 1e-9 — the engines' event times agree
-  only to a few ulps, see :mod:`tests.runtime.test_fastpath`).
+* **the three event kernels** — ``reference`` is the scalar spec of the
+  event sweep, and ``fast`` (:mod:`repro.runtime.fastpath`) and the C
+  kernel (:mod:`repro.runtime.compiledpath`) are optimised
+  transcriptions of it.  All three must produce the same schedule bit
+  for bit: makespan, task records (placement, order, times), activity
+  interval rows, per-core timelines and statistics, compared with
+  ``==``.
 * **parallel vs serial study execution** — ``run(parallel=N)`` fans the
   execution matrix over a process pool; the merged result must be
   *bit-for-bit* identical to the serial run (same run keys, identical
@@ -24,9 +24,10 @@ hand-written expected values:
   report-memo miss runs, must reproduce :mod:`repro.linalg.fastmm` (or
   a tile loop, for blocked) byte for byte.
 * **event-simulated vs closed-form network models** — the arena-lowered
-  event sweep must match the per-rank object loop bit-for-bit on every
-  schedule; on a contention-free topology the event lowering of a BSP
-  program must equal :class:`~repro.distributed.bsp.BspSimulator` and a
+  event sweep must match the per-rank object loop of
+  :mod:`repro.testing.netlowering` bit-for-bit on every schedule; on a
+  contention-free topology the event lowering of a BSP program must
+  equal :class:`~repro.distributed.bsp.BspSimulator` and a
   lone broadcast must equal its :mod:`repro.distributed.comm` closed
   form — exactly, not approximately; and the batched network lowering
   must equal the scalar reference lowering
@@ -38,11 +39,14 @@ Every oracle returns :class:`~repro.testing.invariants.Violation` lists
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 from ..core.study import EnergyPerformanceStudy, StudyConfig
 from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
 from ..runtime.replay import depth_first_order
-from ..runtime.scheduler import ActivityInterval, Schedule, Scheduler
+from ..runtime.scheduler import Schedule, Scheduler
 from ..sim.engine import Engine
 from .generators import (
     GraphCase,
@@ -54,10 +58,8 @@ from .generators import (
 from .invariants import Violation
 
 __all__ = [
-    "canonical_intervals",
     "compare_event_programs",
     "compare_schedules",
-    "differential_compiled_check",
     "differential_engine_check",
     "differential_lowering_check",
     "differential_network_check",
@@ -66,187 +68,84 @@ __all__ = [
     "differential_study_check",
 ]
 
-#: Decision-level quantities (makespan, record times, interval bounds,
-#: whole-run integrals) must match to this relative tolerance.
-_REL = 1e-12
-#: Per-interval activity rows: the engines' event times agree to a few
-#: ulps, and on nanosecond-wide intervals that ulp times a ~1e11 B/s
-#: bandwidth is a ~1e-9 relative wiggle in the row itself.  A real
-#: accounting bug shifts a row at O(1) relative, nine orders above.
-_REL_ROW = 1e-9
+def compare_schedules(ref: Schedule, got: Schedule) -> list[Violation]:
+    """Every way schedule *got* differs from *ref*, as violations.
 
-_DIMS = ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL * max(1.0, abs(a), abs(b))
-
-
-def _close_row(a: float, b: float, total: float) -> bool:
-    return abs(a - b) <= max(_REL_ROW * max(abs(a), abs(b)), _REL * max(1.0, total))
-
-
-def canonical_intervals(
-    intervals: list[ActivityInterval], makespan: float | None = None
-) -> list[ActivityInterval]:
-    """Merge zero-width and sub-ulp sliver intervals backward.
-
-    The reference loop sometimes emits zero-duration bookkeeping rows
-    when it zeroes trivial demands stepwise; the fast kernel folds those
-    into the adjacent interval.  And because the engines' event times
-    agree only to a few ulps (absolute exhaust times vs stepwise
-    decrements), the reference occasionally splits one event into two
-    an ulp apart, emitting an interval a fraction of an ulp wide that
-    the fast kernel never sees.  Both degeneracies are canonicalized
-    the same way: any interval narrower than ``1e-12`` of the run is
-    folded into its predecessor (extending it to the sliver's end), so
-    both engines compare on the same canonical sequence.  Activity
-    integrals are preserved exactly; the only loss is sub-ulp interval
-    bookkeeping no physical quantity depends on.
-    """
-    if makespan is None:
-        makespan = intervals[-1].t_end if intervals else 0.0
-    tol = _REL * max(1.0, makespan)
-    out: list[ActivityInterval] = []
-    for iv in intervals:
-        if out and iv.t_end - iv.t_start <= tol:
-            p = out[-1]
-            out[-1] = ActivityInterval(
-                t_start=p.t_start,
-                t_end=max(p.t_end, iv.t_end),
-                busy_cores=p.busy_cores,
-                flops=p.flops + iv.flops,
-                bytes_l1=p.bytes_l1 + iv.bytes_l1,
-                bytes_l2=p.bytes_l2 + iv.bytes_l2,
-                bytes_l3=p.bytes_l3 + iv.bytes_l3,
-                bytes_dram=p.bytes_dram + iv.bytes_dram,
-            )
-        else:
-            out.append(iv)
-    return out
-
-
-def compare_schedules(ref: Schedule, fast: Schedule) -> list[Violation]:
-    """Every way the two schedules can disagree, as violations."""
+    The comparison is exact: every float is compared with ``==``."""
     out: list[Violation] = []
-    if not _close(ref.makespan, fast.makespan):
+    if got.makespan != ref.makespan:
         out.append(
-            Violation(
-                "oracle.makespan",
-                f"reference {ref.makespan!r} vs fast {fast.makespan!r}",
-            )
+            Violation("oracle.makespan", f"{ref.makespan!r} vs {got.makespan!r}")
         )
 
-    if len(ref.records) != len(fast.records):
+    if len(ref.records) != len(got.records):
         out.append(
             Violation(
                 "oracle.records",
-                f"record count diverged: {len(ref.records)} vs {len(fast.records)}",
+                f"record count diverged: {len(ref.records)} vs {len(got.records)}",
             )
         )
     else:
-        for r, f in zip(ref.records, fast.records):
-            if (r.tid, r.name, r.core) != (f.tid, f.name, f.core):
-                out.append(
-                    Violation("oracle.placement", f"{r} vs {f}")
-                )
+        for r, g in zip(ref.records, got.records):
+            if (r.tid, r.name, r.core) != (g.tid, g.name, g.core):
+                out.append(Violation("oracle.placement", f"{r} vs {g}"))
                 break
-            if not (_close(r.start, f.start) and _close(r.end, f.end)):
-                out.append(
-                    Violation("oracle.timing", f"{r} vs {f}")
-                )
+            if (r.start, r.end) != (g.start, g.end):
+                out.append(Violation("oracle.timing", f"{r} vs {g}"))
                 break
 
-    ri = canonical_intervals(ref.intervals, ref.makespan)
-    fi = canonical_intervals(fast.intervals, fast.makespan)
-    if len(ri) != len(fi):
+    if len(ref.intervals) != len(got.intervals):
         out.append(
             Violation(
                 "oracle.intervals",
-                f"canonical interval count diverged: {len(ri)} vs {len(fi)}",
+                f"interval count diverged: {len(ref.intervals)} vs {len(got.intervals)}",
             )
         )
     else:
-        totals = {d: sum(getattr(i, d) for i in ref.intervals) for d in _DIMS}
-        busy_total = ref.stats.busy_core_seconds
-        for k, (a, b) in enumerate(zip(ri, fi)):
-            if not (_close(a.t_start, b.t_start) and _close(a.t_end, b.t_end)):
-                out.append(
-                    Violation(
-                        "oracle.intervals",
-                        f"interval[{k}] bounds diverged: {a} vs {b}",
-                    )
-                )
-                break
-            row_bad = [
-                d for d in _DIMS
-                if not _close_row(getattr(a, d), getattr(b, d), totals[d])
-            ]
-            if row_bad or not _close_row(
-                a.busy_cores * a.duration, b.busy_cores * b.duration, busy_total
-            ):
-                out.append(
-                    Violation(
-                        "oracle.intervals",
-                        f"interval[{k}] rows diverged ({row_bad or 'busy'}): "
-                        f"{a} vs {b}",
-                    )
-                )
+        for k, (a, b) in enumerate(zip(ref.intervals, got.intervals)):
+            if a != b:
+                out.append(Violation("oracle.intervals", f"interval[{k}]: {a} vs {b}"))
                 break
 
-    # Whole-run activity integrals (insensitive to canonicalization).
-    for dim in _DIMS:
-        sa = sum(getattr(i, dim) for i in ref.intervals)
-        sb = sum(getattr(i, dim) for i in fast.intervals)
-        if not _close(sa, sb):
-            out.append(
-                Violation("oracle.integrals", f"total {dim}: {sa} vs {sb}")
+    for a, b in zip(ref.timelines, got.timelines):
+        if (a.core, a.busy, a.horizon) != (b.core, b.busy, b.horizon):
+            out.append(Violation("oracle.timelines", f"core {a.core}: {a} vs {b}"))
+            break
+    if len(ref.timelines) != len(got.timelines):
+        out.append(
+            Violation(
+                "oracle.timelines",
+                f"timeline count diverged: {len(ref.timelines)} vs {len(got.timelines)}",
             )
+        )
 
-    # Integer-valued statistics follow from the decisions; exact.
-    for stat in ("task_count", "migrations", "steals"):
-        a, b = getattr(ref.stats, stat), getattr(fast.stats, stat)
-        if a != b:
-            out.append(Violation("oracle.stats", f"{stat}: {a} vs {b}"))
+    if got.stats != ref.stats:
+        out.append(Violation("oracle.stats", f"{ref.stats} vs {got.stats}"))
     return out
 
 
-def differential_engine_check(case: GraphCase) -> list[Violation]:
-    """Replay one generated case through both event kernels."""
-    ref = Scheduler(
-        case.machine, case.threads, case.policy, engine="reference"
-    ).run(case.arena)
-    fast = Scheduler(
-        case.machine, case.threads, case.policy, engine="fast"
-    ).run(case.arena)
-    return compare_schedules(ref, fast)
+def differential_engine_check(
+    case: GraphCase, kernels: Sequence[str] = ("fast", "compiled")
+) -> list[Violation]:
+    """Run *case* on ``reference`` and on each of *kernels*; every
+    schedule must equal the reference one bit for bit.
 
-
-def differential_compiled_check(case: GraphCase) -> list[Violation]:
-    """Replay one generated case through the compiled C kernel and
-    demand agreement with *both* pure-Python kernels.
-
-    The compiled sweep transcribes the fast kernel's arithmetic in
-    identical operand order, so against ``fast`` the comparison should
-    in practice be bit-identical; the tolerance contract it must
-    satisfy is the same one ``fast`` owes ``reference`` — placements
-    and makespans to 1e-12 relative, canonical intervals (zero-width
-    rows merged identically) and activity integrals within
-    :func:`compare_schedules`' bounds.  Callers are responsible for
-    probing :func:`repro.runtime.compiledpath.compiled_available`
-    first: constructing the scheduler with ``engine="compiled"`` on a
-    host without a toolchain raises ``ConfigurationError`` by design.
+    Callers probe :func:`repro.runtime.compiledpath.compiled_available`
+    before naming ``compiled``: naming it without a toolchain raises
+    ``ConfigurationError`` by design.
     """
-    ref = Scheduler(
-        case.machine, case.threads, case.policy, engine="reference"
-    ).run(case.arena)
-    fast = Scheduler(
-        case.machine, case.threads, case.policy, engine="fast"
-    ).run(case.arena)
-    compiled = Scheduler(
-        case.machine, case.threads, case.policy, engine="compiled"
-    ).run(case.arena)
-    return compare_schedules(ref, compiled) + compare_schedules(fast, compiled)
+
+    def run(engine: str) -> Schedule:
+        return Scheduler(case.machine, case.threads, case.policy, engine=engine).run(
+            case.arena
+        )
+
+    ref = run("reference")
+    out: list[Violation] = []
+    for engine in kernels:
+        for v in compare_schedules(ref, run(engine)):
+            out.append(Violation(v.invariant, f"{engine}: {v.detail}"))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +227,9 @@ def differential_lowering_check(case: LoweringCase) -> list[Violation]:
         )
     tw_obj = obj.total_work_seconds(fn)
     tw_arena = arena.total_work_seconds(durs)
-    if not _close(tw_obj, tw_arena):
+    # A sequential sum against numpy's pairwise one: equal up to
+    # summation order.
+    if not math.isclose(tw_obj, tw_arena, rel_tol=1e-12, abs_tol=1e-12):
         out.append(
             Violation(
                 "oracle.lowering_metrics",
@@ -639,20 +540,21 @@ def differential_service_check(
 def differential_network_check(case: NetworkCase) -> list[Violation]:
     """Three exact-equality oracles over one network-simulation case.
 
-    1. **Engine differential** — the case's schedule through the
-       arena-lowered vectorized sweep (``engine="events"``) and through
-       the per-rank object loop (``engine="ranks"``).  Both perform the
-       same earliest-finish recurrence in the same order, so every
-       output (makespan, per-rank compute/sent/received) must be
-       bit-for-bit equal — no tolerance.
+    1. **Sweep differential** — the case's schedule through
+       :func:`~repro.distributed.netsim.simulate` (the arena-lowered
+       vectorized sweep) and through the per-rank object loop
+       (:func:`~repro.testing.netlowering.reference_simulate`).  Both
+       perform the same earliest-finish recurrence in the same order,
+       so every output (makespan, per-rank compute/sent/received) must
+       be bit-for-bit equal — no tolerance.
     2. **BSP bridge** — a small superstep program (SUMMA- or CAPS-shaped
        to match the case's algorithm family) through the closed-form
        :class:`~repro.distributed.bsp.BspSimulator` and through its
-       event lowering (:func:`~repro.distributed.netsim.simulate_bsp`)
-       on both engines.  The lowering chains computes per rank and
-       prices each barrier with the same ``g·h + L`` arithmetic, so
-       totals, per-rank idle and per-rank plane energies must all be
-       exactly equal.
+       event lowering (:func:`~repro.distributed.netsim.simulate_bsp`),
+       whose object-loop sweep must reduce to the same aggregate.  The
+       lowering chains computes per rank and prices each barrier with
+       the same ``g·h + L`` arithmetic, so totals, per-rank idle and
+       per-rank plane energies must all be exactly equal.
     3. **Collective closed form** — a lone broadcast on a
        contention-free (flat, eager) cluster, event-lowered, against
        the matching :mod:`repro.distributed.comm` closed form: binomial
@@ -681,31 +583,41 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
         reference_broadcast_events,
         reference_bsp_events,
         reference_events,
+        reference_simulate,
     )
+
+    import numpy as np
 
     out: list[Violation] = []
 
-    # 1. events vs ranks on the case's schedule.
-    ev = simulate(
-        case.cluster, case.algorithm, case.n, case.ranks, case.config, "events"
-    )
-    rk = simulate(
-        case.cluster, case.algorithm, case.n, case.ranks, case.config, "ranks"
-    )
-    if ev.n_events != rk.n_events:
+    def sweeps_differ(prog) -> list[str]:
+        """Aggregate fields where *prog*'s arena and object sweeps differ."""
+        a, b = prog.simulate(), reference_simulate(prog)
+        return [
+            f"{field} (object sweep)"
+            for field in ("total_s", "compute_s", "sent_bytes", "recv_bytes", "sync_s")
+            if np.asarray(getattr(a, field)).tobytes()
+            != np.asarray(getattr(b, field)).tobytes()
+        ]
+
+    # 1. arena sweep vs object sweep on the case's schedule.
+    ev = simulate(case.cluster, case.algorithm, case.n, case.ranks, case.config)
+    prog = netsim.build_events(case.cluster, case.algorithm, case.n, case.ranks, case.config)
+    rk = reference_simulate(prog)
+    if ev.n_events != prog.n_events:
         out.append(
             Violation(
-                "oracle.network_engines",
+                "oracle.network_sweeps",
                 f"{case.describe()}: event counts diverged "
-                f"{ev.n_events} vs {rk.n_events}",
+                f"{ev.n_events} vs {prog.n_events}",
             )
         )
-    if ev.total_time_s != rk.total_time_s:
+    if ev.total_time_s != rk.total_s:
         out.append(
             Violation(
-                "oracle.network_engines",
-                f"{case.describe()}: makespan events={ev.total_time_s!r} "
-                f"!= ranks={rk.total_time_s!r}",
+                "oracle.network_sweeps",
+                f"{case.describe()}: makespan arena={ev.total_time_s!r} "
+                f"!= objects={rk.total_s!r}",
             )
         )
     for field in ("compute_s", "sent_bytes", "recv_bytes"):
@@ -713,39 +625,40 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
         if a.tobytes() != b.tobytes():
             out.append(
                 Violation(
-                    "oracle.network_engines",
+                    "oracle.network_sweeps",
                     f"{case.describe()}: per-rank {field} diverged "
-                    f"between engines",
+                    f"between the arena and object sweeps",
                 )
             )
 
-    # 2. the BSP bridge: closed form vs event lowering, both engines.
+    # 2. the BSP bridge: closed form vs event lowering, whose object
+    # sweep must reduce to the same aggregate.
     make = caps_program if case.algorithm == "caps-dist" else summa_program
     program = make(case.cluster, case.bsp_n, case.bsp_ranks, case.bsp_imbalance)
     closed = BspSimulator(case.cluster).run(program)
-    for engine in ("events", "ranks"):
-        lowered = simulate_bsp(case.cluster, program, engine)
-        diverged = [
-            name
-            for name, a, b in (
-                ("total_time_s", closed.total_time_s, lowered.total_time_s),
-                ("comm_time_s", closed.comm_time_s, lowered.comm_time_s),
-                ("compute_time_s", closed.compute_time_s, lowered.compute_time_s),
-                ("idle_time_s", closed.idle_time_s, lowered.idle_time_s),
-                ("rank_energy_j", closed.rank_energy_j, lowered.rank_energy_j),
+    lowered = simulate_bsp(case.cluster, program)
+    diverged = [
+        name
+        for name, a, b in (
+            ("total_time_s", closed.total_time_s, lowered.total_time_s),
+            ("comm_time_s", closed.comm_time_s, lowered.comm_time_s),
+            ("compute_time_s", closed.compute_time_s, lowered.compute_time_s),
+            ("idle_time_s", closed.idle_time_s, lowered.idle_time_s),
+            ("rank_energy_j", closed.rank_energy_j, lowered.rank_energy_j),
+        )
+        if a != b
+    ]
+    diverged += sweeps_differ(netsim.bsp_events(case.cluster, program))
+    if diverged:
+        out.append(
+            Violation(
+                "oracle.network_bsp",
+                f"{case.describe()}: BSP lowering diverged "
+                f"from the closed form on {diverged} "
+                f"(total {closed.total_time_s!r} vs "
+                f"{lowered.total_time_s!r})",
             )
-            if a != b
-        ]
-        if diverged:
-            out.append(
-                Violation(
-                    "oracle.network_bsp",
-                    f"{case.describe()} [{engine}]: BSP lowering diverged "
-                    f"from the closed form on {diverged} "
-                    f"(total {closed.total_time_s!r} vs "
-                    f"{lowered.total_time_s!r})",
-                )
-            )
+        )
 
     # 3. one broadcast on a contention-free cluster vs its closed form.
     flat = ClusterSpec()
@@ -753,19 +666,18 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
     cfg = NetworkConfig(protocol="eager", chunks=chunks)
     p = max(2, case.bsp_ranks)
     nbytes = 8.0 * case.bsp_n
-    prog = netsim.broadcast_events(flat, p, nbytes, cfg)
+    bcast = netsim.broadcast_events(flat, p, nbytes, cfg)
     if chunks > 1:
         expect = pipelined_broadcast(flat.interconnect, nbytes, p, chunks).time_s
     else:
         expect = broadcast(flat.interconnect, nbytes, p).time_s
-    for engine in ("events", "ranks"):
-        got = prog.simulate(engine).total_s
-        if got != expect:
+    for sweep, got in (("arena", bcast.simulate()), ("objects", reference_simulate(bcast))):
+        if got.total_s != expect:
             out.append(
                 Violation(
                     "oracle.network_collective",
                     f"bcast P={p} nbytes={nbytes} chunks={chunks} "
-                    f"[{engine}]: event makespan {got!r} != closed form "
+                    f"[{sweep}]: event makespan {got.total_s!r} != closed form "
                     f"{expect!r}",
                 )
             )
@@ -775,9 +687,7 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
         (
             case.describe(),
             reference_events(case.cluster, case.algorithm, case.n, case.ranks, case.config),
-            netsim.build_events(
-                case.cluster, case.algorithm, case.n, case.ranks, case.config
-            ),
+            prog,
         ),
         (
             f"bsp P={case.bsp_ranks}",
@@ -787,7 +697,7 @@ def differential_network_check(case: NetworkCase) -> list[Violation]:
         (
             f"bcast P={p} chunks={chunks}",
             reference_broadcast_events(flat, p, nbytes, cfg),
-            prog,
+            bcast,
         ),
     ):
         out.extend(compare_event_programs(ref, got, label))

@@ -33,7 +33,7 @@ def long_trace(machine):
 
 def test_versions():
     assert STORE_VERSION == 4
-    assert ENGINE_VERSION == 1
+    assert ENGINE_VERSION == 2
 
 
 def test_pickled_measurement_is_about_the_size_of_its_columns(long_trace):

@@ -19,11 +19,12 @@ from repro.distributed import (
     simulate_bsp,
     summa_program,
 )
+from repro.testing.netlowering import reference_bsp_events, reference_simulate
 from repro.util.errors import ConfigurationError, ValidationError
 
 #: A deliberately gnarly cluster: multi-hop topology, per-hop latency,
 #: and a finite eager threshold so "auto" picks rendezvous for big
-#: payloads.  The engines must still agree bit-for-bit.
+#: payloads.  The arena and object sweeps must still agree bit-for-bit.
 GNARLY = ClusterSpec(
     interconnect=InterconnectSpec(hop_latency_s=2e-7, eager_threshold_bytes=4096.0),
     topology=Topology("torus2d"),
@@ -59,7 +60,7 @@ def test_summa25d_requires_square_subgrid():
 def test_unknown_algorithm_and_engine():
     with pytest.raises(ValidationError):
         build_events(ClusterSpec(), "cannon", 256, 4)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):  # one sweep: no engine to pick
         simulate(ClusterSpec(), "summa", 256, 4, engine="gpu")
 
 
@@ -98,10 +99,13 @@ def test_too_many_nodes_rejected():
     ],
 )
 def test_engines_agree_exactly(algorithm, ranks, cfg):
-    ev = simulate(GNARLY, algorithm, 512, ranks, cfg, "events")
-    rk = simulate(GNARLY, algorithm, 512, ranks, cfg, "ranks")
-    assert ev.n_events == rk.n_events
-    assert ev.total_time_s == rk.total_time_s  # exact, no tolerance
+    """The arena sweep equals the per-rank object loop of
+    ``repro.testing.netlowering``."""
+    ev = simulate(GNARLY, algorithm, 512, ranks, cfg)
+    prog = build_events(GNARLY, algorithm, 512, ranks, cfg)
+    rk = reference_simulate(prog)
+    assert ev.n_events == prog.n_events
+    assert ev.total_time_s == rk.total_s  # exact, no tolerance
     assert ev.compute_s.tobytes() == rk.compute_s.tobytes()
     assert ev.sent_bytes.tobytes() == rk.sent_bytes.tobytes()
     assert ev.recv_bytes.tobytes() == rk.recv_bytes.tobytes()
@@ -133,8 +137,8 @@ def test_binomial_broadcast_matches_closed_form_exactly():
     for p in (2, 3, 8, 13):
         prog = broadcast_events(flat, p, nbytes, NetworkConfig(protocol="eager"))
         expect = broadcast(flat.interconnect, nbytes, p).time_s
-        for engine in ("events", "ranks"):
-            assert prog.simulate(engine).total_s == expect
+        assert prog.simulate().total_s == expect
+        assert reference_simulate(prog).total_s == expect
 
 
 def test_pipelined_broadcast_matches_closed_form_exactly():
@@ -144,19 +148,21 @@ def test_pipelined_broadcast_matches_closed_form_exactly():
         cfg = NetworkConfig(protocol="eager", chunks=chunks)
         prog = broadcast_events(flat, p, nbytes, cfg)
         expect = pipelined_broadcast(flat.interconnect, nbytes, p, chunks).time_s
-        for engine in ("events", "ranks"):
-            assert prog.simulate(engine).total_s == expect
+        assert prog.simulate().total_s == expect
+        assert reference_simulate(prog).total_s == expect
 
 
 def test_bsp_lowering_matches_bsp_simulator_exactly():
     cluster = ClusterSpec()
     program = summa_program(cluster, 2048, 4, imbalance=0.3)
     closed = BspSimulator(cluster).run(program)
-    for engine in ("events", "ranks"):
-        lowered = simulate_bsp(cluster, program, engine)
-        assert lowered.total_time_s == closed.total_time_s
-        assert lowered.comm_time_s == closed.comm_time_s
-        assert lowered.compute_time_s == closed.compute_time_s
+    lowered = simulate_bsp(cluster, program)
+    assert lowered.total_time_s == closed.total_time_s
+    assert lowered.comm_time_s == closed.comm_time_s
+    assert lowered.compute_time_s == closed.compute_time_s
+    objects = reference_simulate(reference_bsp_events(cluster, program))
+    assert objects.total_s == lowered.total_time_s
+    assert objects.sync_s == lowered.comm_time_s
 
 
 # ---- sweeps -------------------------------------------------------------
@@ -188,7 +194,7 @@ def test_traced_simulate_splits_lowering_from_sweep():
 def test_sweep_rejects_bad_arguments():
     with pytest.raises(ValidationError):
         NetworkSweep(ClusterSpec(), "cannon")
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):  # one sweep: no engine to pick
         NetworkSweep(ClusterSpec(), "summa", engine="gpu")
     with pytest.raises(Exception):
         NetworkSweep(ClusterSpec()).run(1024, [])

@@ -209,6 +209,7 @@ class TestLongestPath:
     @staticmethod
     def _assert_paths_match(machine, arena):
         from repro.runtime.rankevents import RankEventProgram
+        from repro.testing.netlowering import reference_finish_times
 
         sched, durs = TestLongestPath._scheduler_and_durations(machine, arena)
         graph = TaskGraph.from_arena(arena)
@@ -227,8 +228,8 @@ class TestLongestPath:
             dep_indptr=arena.dep_indptr,
             dep_indices=arena.dep_indices,
         )
-        assert finish.tobytes() == events.finish_times("ranks").tobytes()
-        assert finish.tobytes() == events.finish_times("events").tobytes()
+        assert finish.tobytes() == reference_finish_times(events).tobytes()
+        assert finish.tobytes() == events.finish_times().tobytes()
         prio = arena.critical_priorities(durs)
         want = np.asarray(sched._reference_priorities(arena), dtype=np.float64)
         assert prio.tobytes() == want.tobytes(), arena.name

@@ -1,12 +1,12 @@
 """The JIT-compiled event kernel: identity, fallback, and strictness.
 
-The compiled C sweep transcribes the fast kernel's float arithmetic in
-identical operand order (and is built with ``-ffp-contract=off``), so
-against ``engine="fast"`` the contract is *bit identity* — equal
-makespans, equal raw interval rows, equal records and statistics — not
-merely tolerance agreement.  The tolerance contract against the
-reference engine is inherited from the fast kernel and covered by the
-verify harness's ``compiled_engine`` family.
+The compiled C sweep transcribes the scalar ``reference`` spec's float
+arithmetic in identical operand order (and is built with
+``-ffp-contract=off``), as the fast kernel does, so against
+``engine="fast"`` the contract is *bit identity* — equal makespans,
+equal raw interval rows, equal records, timelines and statistics.  The
+verify harness's ``compiled_engine`` family checks all three kernels
+against ``reference`` the same way.
 
 Availability semantics: a kernel named explicitly is strict, the
 platform default degrades gracefully.
@@ -33,6 +33,7 @@ from repro.runtime import plans
 from repro.runtime.cost import TaskCost
 from repro.runtime.scheduler import ENGINES, Scheduler, default_engine
 from repro.runtime.openmp import OpenMP
+from repro.testing.oracle import compare_schedules
 from repro.util.errors import ConfigurationError, SchedulingError
 
 from .test_fastpath import POLICIES, random_dag, wide_graph, wide_region
@@ -51,19 +52,7 @@ def _run(machine, graph, policy, threads, engine):
 
 def assert_bit_identical(fast, comp):
     """The compiled schedule must equal the fast one bit-for-bit."""
-    assert comp.makespan == fast.makespan
-    assert len(comp.records) == len(fast.records)
-    for f, c in zip(fast.records, comp.records):
-        assert (f.tid, f.name, f.core, f.start, f.end) == (
-            c.tid, c.name, c.core, c.start, c.end
-        )
-    assert len(comp.intervals) == len(fast.intervals)
-    for f, c in zip(fast.intervals, comp.intervals):
-        assert f == c
-    assert len(comp.timelines) == len(fast.timelines)
-    for f, c in zip(fast.timelines, comp.timelines):
-        assert (f.core, f.busy, f.horizon) == (c.core, c.busy, c.horizon)
-    assert comp.stats == fast.stats
+    assert compare_schedules(fast, comp) == []
 
 
 # ---------------------------------------------------------------------------

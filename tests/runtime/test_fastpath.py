@@ -1,139 +1,31 @@
 """Differential identity: the fast event kernel vs the reference loop.
 
-The fast kernel (:mod:`repro.runtime.fastpath`) must reproduce the
-reference scalar loop's schedule *decision-for-decision*: identical
-makespan, identical task records (placement, order, start/end times),
-and identical activity intervals.  The single permitted structural
-difference is interval bookkeeping around sub-EPS residues: the
-reference sometimes emits zero-width intervals when it zeroes trivial
-demands stepwise, while the fast kernel folds those into the adjacent
-interval.  :func:`canonical_intervals` merges zero-width intervals
-backward so both engines compare on the same canonical sequence; every
-activity integral is preserved by the merge.
-
-The comparison contract is layered:
-
-* makespan, record times, interval bounds, and whole-run activity
-  integrals: 1e-12 relative.  (The fast kernel's work-space exhaust
-  corrections make the integrals conserve demand exactly like the
-  reference's stepwise ``rem -= rate*dt`` accounting.)
-* per-interval activity rows: 1e-9 relative to the row, with a
-  1e-12-of-the-run-total floor for near-zero rows.  The engines'
-  event times agree only to a few ulps (absolute exhaust times versus
-  stepwise decrements), and on a nanosecond-wide interval that time
-  ulp times a 1e11 B/s bandwidth is ~1e-6 bytes — a ~1e-9 relative
-  wiggle in the row itself.  A real accounting bug (wrong rate seated,
-  missed exhaust) shifts a row at O(1) relative, nine orders above.
+``reference`` is the scalar spec of the event sweep and the fast kernel
+(:mod:`repro.runtime.fastpath`) an optimised transcription of it, so
+the two must produce the same schedule bit for bit: makespan, task
+records (placement, order, start/end times), activity interval rows,
+per-core timelines and statistics, all compared with ``==``
+(:func:`repro.testing.oracle.compare_schedules`).
 """
 
 import random
 
 import pytest
 
-from repro.machine import generic_smp, haswell_e3_1225
+from repro.machine import generic_smp
 from repro.machine.specs import dual_socket_haswell
 from repro.runtime.cost import TaskCost
-from repro.runtime.scheduler import ActivityInterval, Scheduler
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.arena import TaskArena
 from repro.runtime.openmp import OpenMP
-
-REL = 1e-12
+from repro.testing.oracle import compare_schedules
 
 POLICIES = ("fifo", "lifo", "critical", "steal")
 
 
-# ---------------------------------------------------------------------------
-# comparison helpers
-
-
-def canonical_intervals(intervals):
-    """Merge zero-width intervals backward into their predecessor.
-
-    Preserves every activity integral (flops, bytes per level, and
-    busy-core-seconds) exactly; only the degenerate zero-duration
-    bookkeeping rows disappear.  A leading zero-width interval (no
-    predecessor) is kept as-is.
-    """
-    out: list[ActivityInterval] = []
-    for iv in intervals:
-        if out and iv.t_end == iv.t_start:
-            p = out[-1]
-            out[-1] = ActivityInterval(
-                t_start=p.t_start,
-                t_end=p.t_end,
-                busy_cores=p.busy_cores,
-                flops=p.flops + iv.flops,
-                bytes_l1=p.bytes_l1 + iv.bytes_l1,
-                bytes_l2=p.bytes_l2 + iv.bytes_l2,
-                bytes_l3=p.bytes_l3 + iv.bytes_l3,
-                bytes_dram=p.bytes_dram + iv.bytes_dram,
-            )
-        else:
-            out.append(iv)
-    return out
-
-
-REL_ROW = 1e-9  # per-interval rows (see module docstring)
-
-
-def _close(a: float, b: float, scale: float = 0.0) -> bool:
-    return abs(a - b) <= REL * max(1.0, abs(a), abs(b), scale)
-
-
-def _close_row(a: float, b: float, total: float) -> bool:
-    return abs(a - b) <= max(
-        REL_ROW * max(abs(a), abs(b)), REL * max(1.0, total)
-    )
-
-
 def assert_schedules_match(ref, fast):
-    """Assert the reference and fast schedules are identical (within
-    1e-12 relative) in makespan, records, and canonical intervals."""
-    assert _close(ref.makespan, fast.makespan), (
-        f"makespan diverged: {ref.makespan!r} vs {fast.makespan!r}"
-    )
-
-    assert len(ref.records) == len(fast.records)
-    for r, f in zip(ref.records, fast.records):
-        assert (r.tid, r.name, r.core) == (f.tid, f.name, f.core), (
-            f"placement diverged: {r} vs {f}"
-        )
-        assert _close(r.start, f.start) and _close(r.end, f.end), (
-            f"timing diverged: {r} vs {f}"
-        )
-
-    ri = canonical_intervals(ref.intervals)
-    fi = canonical_intervals(fast.intervals)
-    assert len(ri) == len(fi), (
-        f"interval count diverged: {len(ri)} vs {len(fi)}"
-    )
-    dims = ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
-    # Run-scale anchors for the per-interval rows (see module docstring).
-    totals = {d: sum(getattr(i, d) for i in ref.intervals) for d in dims}
-    busy_total = ref.stats.busy_core_seconds
-    for k, (a, b) in enumerate(zip(ri, fi)):
-        assert _close(a.t_start, b.t_start) and _close(a.t_end, b.t_end), (
-            f"interval[{k}] bounds diverged: {a} vs {b}"
-        )
-        for dim in dims:
-            assert _close_row(getattr(a, dim), getattr(b, dim), totals[dim]), (
-                f"interval[{k}].{dim} diverged: {a} vs {b}"
-            )
-        assert _close_row(
-            a.busy_cores * a.duration, b.busy_cores * b.duration, busy_total
-        ), f"interval[{k}] busy-core-seconds diverged: {a} vs {b}"
-
-    # Whole-run activity integrals (insensitive to canonicalization).
-    for dim in ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram"):
-        sa = sum(getattr(i, dim) for i in ref.intervals)
-        sb = sum(getattr(i, dim) for i in fast.intervals)
-        assert _close(sa, sb), f"total {dim} diverged: {sa} vs {sb}"
-
-    # Scheduler statistics follow from the decisions; check the
-    # integer-valued ones exactly.
-    assert ref.stats.task_count == fast.stats.task_count
-    assert ref.stats.migrations == fast.stats.migrations
-    assert ref.stats.steals == fast.stats.steals
+    """Assert the two schedules are identical, bit for bit."""
+    assert compare_schedules(ref, fast) == []
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +163,29 @@ def test_differential_zero_cost_only(machine):
         ref, fast = _run_both(machine, omp.graph, policy, 2)
         assert_schedules_match(ref, fast)
         assert fast.makespan == 0.0
+
+
+def test_long_zero_cost_chains_run_on_every_kernel(machine):
+    """3,000 zero-cost joins behind one costed task, and 3,000 behind a
+    zero-cost source: every kernel retires each chain at once, without
+    recursing, and all three agree bit for bit."""
+    from repro.runtime.compiledpath import compiled_available
+
+    omp = OpenMP("joins")
+    prev = omp.task("work", TaskCost(flops=1e6))
+    for i in range(3000):
+        prev = omp.task(f"join{i}", TaskCost(), deps=[prev])
+    prev = omp.task("source", TaskCost())
+    for i in range(3000):
+        prev = omp.task(f"seed_join{i}", TaskCost(), deps=[prev])
+    kernels = ["fast"] + (["compiled"] if compiled_available()[0] else [])
+    for policy in POLICIES:
+        ref = Scheduler(machine, 2, policy, engine="reference").run(omp.graph)
+        assert len(ref.records) == 6002
+        assert ref.records[-1].end == ref.makespan > 0.0
+        for engine in kernels:
+            got = Scheduler(machine, 2, policy, engine=engine).run(omp.graph)
+            assert compare_schedules(ref, got) == [], (policy, engine)
 
 
 # The fast kernel once kept its event store as a Python list below 96

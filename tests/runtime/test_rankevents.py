@@ -1,4 +1,4 @@
-"""Rank-event streams and the two network-simulation engines."""
+"""Rank-event streams, their arena sweep and its object-loop twin."""
 
 import math
 
@@ -10,10 +10,13 @@ from repro.runtime.rankevents import (
     KIND_RECV,
     KIND_SEND,
     KIND_SYNC,
-    NET_ENGINES,
     EventStreamBuilder,
 )
-from repro.testing.netlowering import ReferenceEventBuilder
+from repro.testing.netlowering import (
+    ReferenceEventBuilder,
+    reference_finish_times,
+    reference_simulate,
+)
 from repro.util.errors import ValidationError
 
 
@@ -83,11 +86,12 @@ def test_mark_recv_charges_bytes_without_time():
 
 
 def test_engines_agree_bit_for_bit():
+    """The arena sweep equals the per-rank object loop."""
     prog = small_program()
-    ev = prog.finish_times("events")
-    rk = prog.finish_times("ranks")
+    ev = prog.finish_times()
+    rk = reference_finish_times(prog)
     assert ev.tobytes() == rk.tobytes()
-    a, b = prog.simulate("events"), prog.simulate("ranks")
+    a, b = prog.simulate(), reference_simulate(prog)
     assert a.total_s == b.total_s
     assert a.compute_s.tobytes() == b.compute_s.tobytes()
     assert a.sent_bytes.tobytes() == b.sent_bytes.tobytes()
@@ -140,10 +144,12 @@ def test_builder_validation():
 
 
 def test_unknown_engine_rejected():
+    """One sweep: finish_times and simulate take no engine."""
     prog = small_program()
-    assert set(NET_ENGINES) == {"events", "ranks"}
-    with pytest.raises(ValidationError):
-        prog.finish_times("threads")
+    with pytest.raises(TypeError):
+        prog.finish_times("ranks")
+    with pytest.raises(TypeError):
+        prog.simulate("ranks")
 
 
 # ---- batch semantics ----------------------------------------------------
@@ -305,4 +311,4 @@ def test_random_batches_match_scalar_appends():
             scalar.barrier(t)
     a, b = batched.build(), scalar.build()
     assert columns(a) == columns(b)
-    assert a.finish_times("events").tobytes() == a.finish_times("ranks").tobytes()
+    assert a.finish_times().tobytes() == reference_finish_times(a).tobytes()

@@ -1,15 +1,14 @@
 """Differential oracles: agreement on clean runs, disagreement on skew."""
 
 import dataclasses
+import math
 
 import pytest
 
-from repro.runtime.scheduler import ActivityInterval, Schedule, Scheduler
+from repro.runtime.scheduler import Schedule, Scheduler
 from repro.testing.generators import gen_graph_case, gen_study_config
 from repro.testing.oracle import (
-    canonical_intervals,
     compare_schedules,
-    differential_compiled_check,
     differential_engine_check,
     differential_study_check,
 )
@@ -36,7 +35,7 @@ def _clone(sched, records=None, intervals=None, stats=None):
 
 def test_engines_agree_on_many_seeds():
     for seed in range(30):
-        assert differential_engine_check(gen_graph_case(seed)) == [], seed
+        assert differential_engine_check(gen_graph_case(seed), ("fast",)) == [], seed
 
 
 def test_schedule_agrees_with_itself():
@@ -77,14 +76,37 @@ def test_record_placement_skew_is_flagged():
 
 
 def test_activity_integral_skew_is_flagged():
-    """Doubling one interval's flops breaks the whole-run integral (and
-    usually the per-row comparison too)."""
+    """Doubling one interval's flops changes its row."""
     _, sched = _schedule(4)
     iv = sched.intervals[0]
     fat = dataclasses.replace(iv, flops=iv.flops * 2 + 1e6)
     bad = _clone(sched, intervals=[fat, *sched.intervals[1:]])
     names = {v.invariant for v in compare_schedules(sched, bad)}
-    assert "oracle.integrals" in names
+    assert "oracle.intervals" in names
+
+
+def test_one_ulp_skew_is_flagged():
+    """The comparison is exact: a row or a record one ulp off differs."""
+    _, sched = _schedule(4)
+    iv = sched.intervals[-1]
+    nudged = dataclasses.replace(iv, bytes_dram=math.nextafter(iv.bytes_dram, math.inf))
+    bad = _clone(sched, intervals=[*sched.intervals[:-1], nudged])
+    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.intervals"}
+    r = sched.records[-1]
+    late = dataclasses.replace(r, end=math.nextafter(r.end, math.inf))
+    bad = _clone(sched, records=[*sched.records[:-1], late])
+    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.timing"}
+
+
+def test_timeline_skew_is_flagged():
+    _, sched = _schedule(4)
+    timelines = [dataclasses.replace(tl) for tl in sched.timelines]
+    timelines[0].horizon += 1.0
+    bad = Schedule(
+        sched.graph_name, sched.threads, sched.records, timelines, sched.stats,
+        intervals=list(sched.intervals),
+    )
+    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.timelines"}
 
 
 def test_stats_skew_is_flagged():
@@ -95,7 +117,7 @@ def test_stats_skew_is_flagged():
 
 
 # ---------------------------------------------------------------------------
-# the compiled-engine differential
+# the three-way kernel differential
 
 from repro.runtime.compiledpath import compiled_available
 
@@ -107,7 +129,7 @@ requires_cc = pytest.mark.skipif(
 @requires_cc
 def test_compiled_check_clean_on_many_seeds():
     for seed in range(20):
-        assert differential_compiled_check(gen_graph_case(seed)) == [], seed
+        assert differential_engine_check(gen_graph_case(seed)) == [], seed
 
 
 @requires_cc
@@ -127,52 +149,9 @@ def test_compiled_check_flags_a_corrupted_kernel(monkeypatch):
 
     monkeypatch.setattr(cp, "run_compiled", skewed)
     names = {
-        v.invariant for v in differential_compiled_check(gen_graph_case(4))
+        v.invariant for v in differential_engine_check(gen_graph_case(4))
     }
     assert "oracle.makespan" in names
-
-
-# ---------------------------------------------------------------------------
-# canonicalization
-
-
-def _iv(t0, t1, **dims):
-    base = dict(flops=0.0, bytes_l1=0.0, bytes_l2=0.0, bytes_l3=0.0, bytes_dram=0.0)
-    base.update(dims)
-    return ActivityInterval(t_start=t0, t_end=t1, busy_cores=1, **base)
-
-
-def test_canonical_merges_zero_width_slivers():
-    ivs = [_iv(0.0, 1.0, flops=5.0), _iv(1.0, 1.0, flops=2.0), _iv(1.0, 2.0)]
-    out = canonical_intervals(ivs, makespan=2.0)
-    assert len(out) == 2
-    assert out[0].flops == pytest.approx(7.0)  # activity preserved
-    assert out[0].t_end == pytest.approx(1.0)
-
-
-def test_canonical_merges_subulp_slivers():
-    eps = 1e-15
-    ivs = [_iv(0.0, 1.0, flops=5.0), _iv(1.0, 1.0 + eps, flops=2.0), _iv(1.0 + eps, 2.0)]
-    out = canonical_intervals(ivs, makespan=2.0)
-    assert len(out) == 2
-    assert out[0].flops == pytest.approx(7.0)
-    assert out[0].t_end == pytest.approx(1.0 + eps)  # extended to sliver end
-
-
-def test_canonical_keeps_real_intervals():
-    ivs = [_iv(0.0, 1.0), _iv(1.0, 1.5), _iv(1.5, 2.0)]
-    assert canonical_intervals(ivs, makespan=2.0) == ivs
-    assert canonical_intervals([]) == []
-
-
-def test_canonical_preserves_every_integral():
-    _, sched = _schedule(11)  # the seed whose sliver motivated the rule
-    dims = ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
-    out = canonical_intervals(sched.intervals, sched.makespan)
-    for d in dims:
-        raw = sum(getattr(i, d) for i in sched.intervals)
-        canon = sum(getattr(i, d) for i in out)
-        assert canon == pytest.approx(raw, rel=1e-12, abs=1e-12), d
 
 
 # ---------------------------------------------------------------------------

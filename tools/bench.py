@@ -71,7 +71,8 @@ and the trace-driven cache simulator:
     schedule (torus topology, c=2): the arena-lowered vectorized
     earliest-finish sweep (the first sweep of a freshly lowered
     program, the one a command pays) versus the per-rank Python-object
-    loop over the same schedule.  Both produce bit-identical results (the
+    loop of ``repro.testing.netlowering`` over the same schedule.  Both
+    produce bit-identical results (the
     ``network_sim`` verify family asserts it); the gated ``ratio``
     (object/arena wall time) must stay above the absolute
     ``NETWORK_FLOOR`` (3x) — per-rank Python objects must never be the
@@ -506,11 +507,12 @@ def bench_study_parallel(machine, sizes: tuple[int, ...], workers: int = 2) -> d
 
 
 def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
-    """Thousand-rank event sweep: arena engine vs per-rank object loop.
+    """Thousand-rank event sweep: arena sweep vs per-rank object loop.
 
-    One 2.5D SUMMA schedule (torus2d, c=2) is swept by both engines, so
-    the gated ``ratio`` isolates the earliest-finish recurrence the
-    arena lowering vectorizes.  ``events_ms`` is the *first* sweep of a
+    One 2.5D SUMMA schedule (torus2d, c=2) is swept by the arena and by
+    the object loop of ``repro.testing.netlowering``, so the gated
+    ``ratio`` isolates the earliest-finish recurrence the arena lowering
+    vectorizes.  ``events_ms`` is the *first* sweep of a
     freshly lowered program (best over fresh programs, lowering outside
     the timer): the cold sweep ``repro distributed --simulate`` pays.
     The object loop builds its per-rank objects on every call, so
@@ -520,7 +522,7 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
     sweeps run at.
     """
     from repro.distributed import ClusterSpec, NetworkConfig, Topology, build_events
-    from repro.testing.netlowering import reference_events
+    from repro.testing.netlowering import reference_events, reference_simulate
 
     cluster = ClusterSpec(node=machine, topology=Topology("torus2d"))
     cfg = NetworkConfig(c=2)
@@ -538,10 +540,10 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
         "reference_lower_ms": _best_of(lambda: reference_events(*args), 2 if smoke else 1)
         * 1e3,
         "events_ms": _best_cold(
-            lambda: build_events(*args), lambda p: p.simulate("events"), reps
+            lambda: build_events(*args), lambda p: p.simulate(), reps
         )
         * 1e3,
-        "ranks_ms": _best_of(lambda: prog.simulate("ranks"), min(reps, 3)) * 1e3,
+        "ranks_ms": _best_of(lambda: reference_simulate(prog), min(reps, 3)) * 1e3,
     }
     out["ratio"] = out["ranks_ms"] / out["events_ms"]
     out["lower_ratio"] = out["reference_lower_ms"] / out["lower_ms"]
