@@ -10,8 +10,10 @@ zero-cost ``cascade``.  It seats tasks from the precomputed plan bundle
 the spec evaluates at dispatch.  Every floating-point expression is
 written with the operand order of the spec, and the library is
 compiled with ``-ffp-contract=off`` and no fast-math, so on IEEE-754
-doubles it, the spec and the ``fast`` kernel produce bit-identical
-event times, interval rows and records.
+doubles it, the spec and the ``fast`` kernel emit the same
+:class:`~repro.runtime.scheduler.Schedule` columns bit for bit: its
+output arrays (records, interval rows, busy rows) are that format, and
+the Python kernels pack their row lists into the same arrays.
 
 The source lives in a Python string so the JIT cache can key the
 compiled ``.so`` by ``sha256(source + ABI + compiler)`` — editing the
@@ -713,6 +715,7 @@ int64_t repro_sweep(SweepArgs *a) {
                 double c0 = 0.0, c1 = 0.0, c2 = 0.0, c3 = 0.0, c4 = 0.0;
                 double corr0 = 0.0, corr1 = 0.0, corr2 = 0.0, corr3 = 0.0,
                        corr4 = 0.0;
+                int64_t retired = 0;
                 if (dt > 0.0) {
                     nrun = s.run_count;
                     c0 = s.rs[0] * dt;
@@ -737,7 +740,12 @@ int64_t repro_sweep(SweepArgs *a) {
                             }
                         }
                         exhaust_entry(&s, core, dim);
+                        retired++;
                     }
+                }
+                if (!retired && s.ptriv_n == 0) {
+                    fail(&s, ERR_NO_PROGRESS, 0, 0);
+                    goto out;
                 }
                 if (dt > 0.0) {
                     double *row;

@@ -15,8 +15,10 @@ objects, dicts, or per-event allocation anywhere in the sweep.
 Numerics contract: the C kernel evaluates the same IEEE-754 double
 expressions in the same order as ``reference`` and ``run_fast``
 (compiled with ``-ffp-contract=off`` and no fast-math so nothing is
-contracted or reassociated), so all three engines produce
-**bit-identical** event times, records, interval rows and statistics.
+contracted or reassociated), so all three engines emit the same
+:class:`~repro.runtime.scheduler.Schedule` columns **bit for bit**:
+records, interval rows, busy rows and statistics.  The kernel's output
+arrays become the schedule as they are.
 Any drift is a bug the ``compiled_engine`` verify family
 exists to catch.
 
@@ -58,7 +60,7 @@ from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
 from .plans import plan_bundle
-from .scheduler import Schedule
+from .scheduler import _NO_PROGRESS, Schedule
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -400,8 +402,8 @@ def run_compiled(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     socket_arr = np.asarray(sched._socket_of, dtype=np.int64)
 
     rec_cap = max(n, 1)
-    # Every finite event retires >= 1 seat entry at its true exhaust
-    # time, so the interval count is bounded by the total entry count.
+    # Every interval row retires >= 1 seat entry (an event that retires
+    # none raises ERR_NO_PROGRESS), so the total entry count bounds it.
     iv_cap = cp.total_entries + 1
     busy_cap = n + 1
     rec_tid = np.empty(rec_cap, dtype=np.int64)
@@ -468,55 +470,33 @@ def run_compiled(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                 f"ready or running in graph {arena.name!r}"
             )
         if rc == _ERR_NO_PROGRESS:
-            raise SchedulingError(
-                "scheduler made no progress (dt == 0 with no completions)"
-            )
+            raise SchedulingError(_NO_PROGRESS)
         raise _KernelInternalError(
             f"kernel error {rc} (a={args.err_a}, b={args.err_b})"
         )
 
-    ivc = args.iv_count
-    bc = args.busy_count
-    makespan = args.makespan
-    _CSWEEPS.add(ivc)
-    # Hand the kernel's output arrays to Schedule untouched (sliced
-    # copies so the over-provisioned capacity buffers are released):
-    # tuple lists and CoreTimelines materialize lazily, so a run that
-    # only reads stats never pays the ndarray->Python conversion,
-    # which profiles as ~3x the cost of the C sweep itself.
-    b_core = busy_core[:bc].copy()
-    b_start = busy_start[:bc].copy()
-    b_end = busy_end[:bc].copy()
-    # Per-core busy seconds without building timelines.  bincount adds
-    # each weight in input order, and the kernel emits busy intervals
-    # in chronological order, so every core's accumulation performs the
-    # exact float additions CoreTimeline.busy_time would — the stats
-    # stay bit-identical to the fast engine's.
-    per_core = np.bincount(
-        b_core, weights=b_end - b_start, minlength=threads
-    ).tolist()
-    stats = RuntimeStats.from_busy(
-        makespan=makespan,
-        busy=per_core,
-        task_count=n,
-        threads=threads,
-        migrations=args.migrations,
-        steals=args.steals,
-    )
-    rc_count = args.rec_count
+    _CSWEEPS.add(args.iv_count)
+    # Sliced copies release the over-provisioned capacity buffers.
+    nrec, nbusy = args.rec_count, args.busy_count
+    b_core = busy_core[:nbusy].copy()
+    b_start = busy_start[:nbusy].copy()
+    b_end = busy_end[:nbusy].copy()
     return Schedule(
         graph_name=arena.name,
         threads=threads,
-        raw_records=(
-            rec_tid[:rc_count].copy(),
-            rec_core[:rc_count].copy(),
-            rec_start[:rc_count].copy(),
-            rec_end[:rc_count].copy(),
-            names,
+        names=names,
+        rec_tid=rec_tid[:nrec].copy(),
+        rec_core=rec_core[:nrec].copy(),
+        rec_start=rec_start[:nrec].copy(),
+        rec_end=rec_end[:nrec].copy(),
+        iv_rows=iv_rows[: args.iv_count].copy(),
+        busy_core=b_core,
+        busy_start=b_start,
+        busy_end=b_end,
+        stats=RuntimeStats.from_busy(
+            args.makespan, b_core, b_start, b_end, n, threads,
+            args.migrations, args.steals,
         ),
-        interval_array=iv_rows[:ivc].copy(),
-        raw_busy=(b_core, b_start, b_end),
-        stats=stats,
     )
 
 

@@ -3,11 +3,14 @@
 ``engine="reference"`` (:meth:`Scheduler._run_reference`) is the
 event sweep written as plain scalar code: the spec.  This module and
 the C kernel (:mod:`repro.runtime.compiledpath`) are optimised
-transcriptions of it, and all three produce the same schedule bit for
-bit — event times, records, interval rows, timelines and statistics
-(:func:`repro.testing.oracle.compare_schedules`).  This kernel keeps
-the spec's state and float expressions, in the same operand order, and
-adds only what makes Python fast:
+transcriptions of it, and all three emit the same
+:class:`~repro.runtime.scheduler.Schedule` columns bit for bit:
+records, interval rows, busy rows and statistics
+(:func:`repro.testing.oracle.compare_schedules`).  Like the spec, this
+kernel appends those rows to plain lists and packs them into the C
+kernel's arrays once, after its loop.  It keeps the spec's state and
+float expressions, in the same operand order, and adds only what makes
+Python fast:
 
 * a per-``(arena, machine)`` **seat plan**, cached on the arena's plan
   bundle (:mod:`repro.runtime.plans`): for every task, the private
@@ -43,9 +46,7 @@ from ..observability.metrics import counter
 from ..util.errors import SchedulingError
 from .arena import TaskArena
 from .plans import PlanBundle, plan_bundle
-from .scheduler import Schedule, TaskRecord, _EPS
-from .stats import RuntimeStats
-from .timeline import CoreTimeline
+from .scheduler import _EPS, _NO_PROGRESS, Schedule, schedule_of_rows
 
 #: Contention sweeps performed by the vectorized kernel.  Tallied once
 #: per run from ``len(intervals)`` — never inside the hot loop.
@@ -61,7 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["run_fast"]
 
 _INF = float("inf")
-_new = object.__new__
 
 #: Seat plan of one task:
 #: ``(private, shared, alive0, affinity)`` where *private* is a tuple
@@ -87,7 +87,6 @@ class _GraphPlan:
         "zeros",        # list[bool]: task cost exactly zero (is_zero)
         "seeds",        # tids with no dependencies, in task order
         "indeg0",       # initial indegree per task (copied per run)
-        "names",        # per-task name strings (tid-indexed)
         "created",      # per-task creator tid or None (tid-indexed)
         "any_created",  # any task has a creator (affinity can fire)
         "zero_seed",    # any source is zero-cost (cascades interleave)
@@ -99,7 +98,6 @@ class _GraphPlan:
         self.zeros: list = []
         self.seeds: list = []
         self.indeg0: list = []
-        self.names: list = []
         self.created: list = []
         self.any_created = False
         self.zero_seed = False
@@ -155,7 +153,6 @@ def _seat_plan(arena: TaskArena, cp: PlanBundle) -> _GraphPlan:
     gp.zeros = cp.zeros.astype(bool).tolist()
     gp.seeds = cp.seeds.tolist()
     gp.indeg0 = cp.indeg0.tolist()
-    gp.names = arena.names_list()
     gp.created = arena.created_by_list()
     gp.any_created = cp.any_created
     gp.zero_seed = bool(cp.zeros[cp.seeds].any())
@@ -198,7 +195,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     plans = gp.plans
     zeros = gp.zeros
     seeds = gp.seeds
-    names = gp.names
+    names = arena.names_list()
     created = gp.created
     any_created = gp.any_created
     zero_seed = gp.zero_seed
@@ -301,15 +298,16 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     unseated: list[tuple[int, int, float]] = []
     shares_dirty = False
 
-    records: list[TaskRecord] = []
-    # Raw interval rows (Schedule materializes ActivityInterval objects
-    # lazily; bulk consumers read the tuples directly).
+    # The C kernel's outputs as row lists, packed into its columns once
+    # after the loop (schedule_of_rows).
+    records: list[tuple[int, int, float, float]] = []  # tid, core, start, end
     intervals: list[tuple] = []
     records_append = records.append
     intervals_append = intervals.append
-    # Raw per-core busy spans; wrapped in CoreTimeline objects at the
-    # end (the add_busy method's validation costs ~0.5us per task).
-    busy_of: list[list[tuple[float, float]]] = [[] for _ in range(threads)]
+    busy_core: list[int] = []
+    busy_start: list[float] = []
+    busy_end: list[float] = []
+    last_busy = [-1] * threads  # index of each core's last busy row
     free_cores: list[int] = list(range(threads - 1, -1, -1))
     running: dict[int, int] = {}  # core -> tid, in dispatch order
     pending_trivial: list[int] = []  # cores whose task exhausted off-event
@@ -317,16 +315,6 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     done_count = 0
     migrations = 0
     steals = 0
-
-    def record_zero(tid: int, when: float) -> None:
-        rec = _new(TaskRecord)
-        d = rec.__dict__
-        d["tid"] = tid
-        d["name"] = names[tid]
-        d["core"] = -1
-        d["start"] = when
-        d["end"] = when
-        records_append(rec)
 
     def complete(tid: int, when: float) -> int:
         """Propagate a completion; returns how many tasks it retired
@@ -336,7 +324,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             indegree[succ] -= 1
             if indegree[succ] == 0:
                 if zeros[succ]:
-                    record_zero(succ, when)
+                    records_append((succ, -1, when, when))
                     count += cascade(succ, when)
                 else:
                     push_ready(succ)
@@ -353,7 +341,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
                     if zeros[succ]:
-                        record_zero(succ, when)
+                        records_append((succ, -1, when, when))
                         count += 1
                         stack.append(iter(successors[succ]))
                         break
@@ -380,7 +368,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                 if seed_buf:
                     batch_queue.extend(seed_buf)  # type: ignore[union-attr]
                     seed_buf.clear()
-                record_zero(tid, 0.0)
+                records_append((tid, -1, 0.0, 0.0))
                 done_count += cascade(tid, 0.0)
             elif batch_queue is not None:
                 seed_buf.append(tid)
@@ -725,9 +713,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             # Nothing can progress: every running task is already
             # exhausted (trivial tasks awaiting their completion tick).
             if not pending_trivial:
-                raise SchedulingError(
-                    "scheduler made no progress (dt == 0 with no completions)"
-                )
+                raise SchedulingError(_NO_PROGRESS)
         else:
             dt = t_next - t
             # Snapshot the bulk time-space credits before the sweep
@@ -745,6 +731,7 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                 c3 = rs[3] * dt
                 c4 = rs[4] * dt
             corr0 = corr1 = corr2 = corr3 = corr4 = 0.0
+            retired = 0
             t = t_next
             # One fused scan (a separate listcomp would cost a frame
             # setup per event).  The inline body mirrors exhaust_entry
@@ -788,7 +775,10 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
                     alive_dims[core] = ad
                     if ad == 0:
                         pending_trivial.append(core)
+                    retired += 1
                 idx += 1
+            if not retired and not pending_trivial:
+                raise SchedulingError(_NO_PROGRESS)
             if dt > 0.0:
                 intervals_append(
                     (
@@ -813,43 +803,24 @@ def run_fast(sched: "Scheduler", arena: "TaskArena") -> Schedule:
             for core in finished:
                 tid_done = running.pop(core)
                 start = start_of[core]
-                rec = _new(TaskRecord)
-                d = rec.__dict__
-                d["tid"] = tid_done
-                d["name"] = names[tid_done]
-                d["core"] = core
-                d["start"] = start
-                d["end"] = t
-                rec_app(rec)
+                rec_app((tid_done, core, start, t))
                 if t > start:
-                    busy = busy_of[core]
-                    if busy and start - busy[-1][1] <= 1e-12:
-                        busy[-1] = (busy[-1][0], t)
+                    lb = last_busy[core]
+                    if lb >= 0 and start - busy_end[lb] <= 1e-12:
+                        busy_end[lb] = t
                     else:
-                        busy.append((start, t))
+                        last_busy[core] = len(busy_core)
+                        busy_core.append(core)
+                        busy_start.append(start)
+                        busy_end.append(t)
                 free_cores.append(core)
                 if successors[tid_done]:
                     done_count += complete(tid_done, t)
                 else:
                     done_count += 1
 
-    timelines = [
-        CoreTimeline(core, busy_of[core], t) for core in range(threads)
-    ]
     _SWEEPS.add(len(intervals))
-    stats = RuntimeStats.from_run(
-        makespan=t,
-        timelines=timelines,
-        task_count=n,
-        threads=threads,
-        migrations=migrations,
-        steals=steals,
-    )
-    return Schedule(
-        graph_name=arena.name,
-        threads=threads,
-        records=records,
-        raw_intervals=intervals,
-        timelines=timelines,
-        stats=stats,
+    return schedule_of_rows(
+        arena, threads, t, migrations, steals,
+        records, intervals, busy_core, busy_start, busy_end,
     )

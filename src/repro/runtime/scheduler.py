@@ -94,8 +94,11 @@ def default_engine() -> SchedulerEngine:
 #: Dimension indices inside the remaining-work vectors.
 _FLOPS, _L1, _L2, _L3, _DRAM = range(5)
 _EPS = 1e-9
-
-_new = object.__new__
+#: Every kernel's error for an event that retires no seat entry and
+#: completes no task (the sweep would repeat it for ever).
+_NO_PROGRESS = (
+    "scheduler made no progress (an event retired no entry and completed no task)"
+)
 
 
 @dataclass(frozen=True)
@@ -139,191 +142,115 @@ class TaskRecord:
         return self.end - self.start
 
 
-#: Field order of one raw interval row (see :attr:`Schedule.raw_intervals`).
-_INTERVAL_FIELDS = (
-    "t_start",
-    "t_end",
-    "busy_cores",
-    "flops",
-    "bytes_l1",
-    "bytes_l2",
-    "bytes_l3",
-    "bytes_dram",
-)
-
-
 class Schedule:
     """Result of scheduling one task graph on one machine.
 
-    Activity intervals exist in two interchangeable representations:
-    :attr:`intervals` (a list of :class:`ActivityInterval` objects —
-    the stable, ergonomic API) and :attr:`raw_intervals` (plain tuples
-    in :data:`_INTERVAL_FIELDS` order — what the fast engine emits,
-    without paying a million dataclass constructions).  Either may be
-    passed at construction; the other materializes lazily on first
-    access.  Bulk consumers (trace coarsening, measurement) read
-    :meth:`interval_columns` instead: one ``(k, 8)`` float64 array,
-    whatever the schedule was built from.
+    Every event kernel emits the same columns, bit for bit: the output
+    arrays of the C kernel (:mod:`repro.runtime._sweep_src`).
 
-    Task records follow the same pattern: :attr:`records` (a list of
-    :class:`TaskRecord` objects) or ``raw_records`` — the compiled
-    engine's ``(tid, core, start, end)`` output arrays plus the
-    tid-indexed name table — with the object form materialized lazily.
-    The measurement pipeline reads only intervals and stats, so a
-    study run never pays the per-task object construction at all.
+    * ``names`` — the tid-indexed task-name table;
+    * ``rec_tid``/``rec_core`` (int64) and ``rec_start``/``rec_end``
+      (float64) — one record per task in retirement order, core ``-1``
+      for a zero-cost task;
+    * ``iv_rows`` — the ``(k, 8)`` float64 activity intervals, one
+      column per :class:`ActivityInterval` field, in field order;
+    * ``busy_core`` (int64) and ``busy_start``/``busy_end`` (float64) —
+      each core's merged busy spans, in the order they opened;
+    * ``stats``.
 
-    The compiled engine goes one step further and hands over its raw
-    C-kernel output arrays untouched: ``interval_array`` (a ``(k, 8)``
-    float64 ndarray in :data:`_INTERVAL_FIELDS` column order) instead
-    of the tuple list, and ``raw_busy`` (``(core, start, end)`` arrays
-    of merged per-core busy intervals in global chronological order)
-    instead of built timelines.  Converting either to Python objects
-    costs more than the C sweep itself, so a run that only reads
-    ``stats`` — every benchmark sweep — pays nothing.
+    :attr:`records`, :attr:`intervals` and :attr:`timelines` are object
+    views built on first access.  Bulk consumers read the columns
+    (:meth:`interval_columns`, :meth:`start_order`), so a study run
+    never builds a per-task object.
     """
 
     __slots__ = (
         "graph_name",
         "threads",
+        "names",
+        "rec_tid",
+        "rec_core",
+        "rec_start",
+        "rec_end",
+        "iv_rows",
+        "busy_core",
+        "busy_start",
+        "busy_end",
         "stats",
-        "_timelines",
-        "_raw_busy",
         "_records",
-        "_raw_records",
         "_intervals",
-        "_raw_intervals",
-        "_interval_array",
-        "_record_index",
+        "_timelines",
     )
 
     def __init__(
         self,
         graph_name: str,
         threads: int,
-        records: list[TaskRecord] | None = None,
-        timelines: list[CoreTimeline] | None = None,
-        stats: RuntimeStats | None = None,
-        intervals: list[ActivityInterval] | None = None,
-        raw_intervals: list[tuple] | None = None,
-        raw_records: tuple | None = None,
-        interval_array=None,
-        raw_busy: tuple | None = None,
+        names: list[str],
+        rec_tid: np.ndarray,
+        rec_core: np.ndarray,
+        rec_start: np.ndarray,
+        rec_end: np.ndarray,
+        iv_rows: np.ndarray,
+        busy_core: np.ndarray,
+        busy_start: np.ndarray,
+        busy_end: np.ndarray,
+        stats: RuntimeStats,
     ):
-        if records is None and raw_records is None:
-            raise SchedulingError(
-                "Schedule needs records or raw_records (or both)"
-            )
-        if intervals is None and raw_intervals is None and interval_array is None:
-            raise SchedulingError(
-                "Schedule needs intervals, raw_intervals, or interval_array"
-            )
-        if timelines is None and raw_busy is None:
-            raise SchedulingError("Schedule needs timelines or raw_busy")
-        if stats is None:
-            raise SchedulingError("Schedule needs stats")
         self.graph_name = graph_name
         self.threads = threads
+        self.names = names
+        self.rec_tid = rec_tid
+        self.rec_core = rec_core
+        self.rec_start = rec_start
+        self.rec_end = rec_end
+        self.iv_rows = iv_rows
+        self.busy_core = busy_core
+        self.busy_start = busy_start
+        self.busy_end = busy_end
         self.stats = stats
-        self._timelines = timelines
-        self._raw_busy = raw_busy
-        self._records = records
-        self._raw_records = raw_records
-        self._intervals = intervals
-        self._raw_intervals = raw_intervals
-        self._interval_array = interval_array
-        self._record_index: dict[int, TaskRecord] | None = None
+        self._records: list[TaskRecord] | None = None
+        self._intervals: list[ActivityInterval] | None = None
+        self._timelines: list[CoreTimeline] | None = None
 
     @property
     def timelines(self) -> list[CoreTimeline]:
-        """Per-core busy timelines (materialized lazily from
-        ``raw_busy`` when the compiled engine produced this schedule)."""
-        timelines = self._timelines
-        if timelines is None:
-            core_arr, start_arr, end_arr = self._raw_busy
-            busy_of: list[list[tuple[float, float]]] = [
-                [] for _ in range(self.threads)
-            ]
-            for core, bs, be in zip(
-                core_arr.tolist(), start_arr.tolist(), end_arr.tolist()
-            ):
-                busy_of[core].append((bs, be))
-            makespan = self.stats.makespan
+        """Per-core busy timelines (built on first access)."""
+        if self._timelines is None:
             timelines = [
-                CoreTimeline(core, busy_of[core], makespan)
-                for core in range(self.threads)
+                CoreTimeline(core, [], self.makespan) for core in range(self.threads)
             ]
+            cols = (self.busy_core, self.busy_start, self.busy_end)
+            for core, start, end in zip(*(c.tolist() for c in cols)):
+                timelines[core].busy.append((start, end))
             self._timelines = timelines
-        return timelines
+        return self._timelines
 
     @property
     def records(self) -> list[TaskRecord]:
-        """Task records as objects (materialized lazily)."""
-        records = self._records
-        if records is None:
-            tids, cores, starts, ends, names = self._raw_records
-            records = []
-            append = records.append
-            new = _new
-            for tid, core, start, end in zip(
-                tids.tolist(), cores.tolist(), starts.tolist(), ends.tolist()
-            ):
-                rec = new(TaskRecord)
-                d = rec.__dict__
-                d["tid"] = tid
-                d["name"] = names[tid]
-                d["core"] = core
-                d["start"] = start
-                d["end"] = end
-                append(rec)
-            self._records = records
-        return records
+        """Task records as objects (built on first access)."""
+        if self._records is None:
+            names = self.names
+            cols = (self.rec_tid, self.rec_core, self.rec_start, self.rec_end)
+            self._records = [
+                TaskRecord(tid, names[tid], core, start, end)
+                for tid, core, start, end in zip(*(c.tolist() for c in cols))
+            ]
+        return self._records
 
     @property
     def intervals(self) -> list[ActivityInterval]:
-        """Activity intervals as objects (materialized lazily)."""
+        """Activity intervals as objects (built on first access)."""
         if self._intervals is None:
             self._intervals = [
-                ActivityInterval(*row) for row in self.raw_intervals
+                ActivityInterval(*row) for row in self.iv_rows.tolist()
             ]
         return self._intervals
 
-    @property
-    def raw_intervals(self) -> list[tuple]:
-        """Activity intervals as plain ``_INTERVAL_FIELDS``-order
-        tuples (materialized lazily from the array or object form)."""
-        if self._raw_intervals is None and self._interval_array is not None:
-            self._raw_intervals = list(
-                map(tuple, self._interval_array.tolist())
-            )
-            self._interval_array = None
-        if self._raw_intervals is None:
-            self._raw_intervals = [
-                (
-                    iv.t_start,
-                    iv.t_end,
-                    iv.busy_cores,
-                    iv.flops,
-                    iv.bytes_l1,
-                    iv.bytes_l2,
-                    iv.bytes_l3,
-                    iv.bytes_dram,
-                )
-                for iv in self._intervals
-            ]
-        return self._raw_intervals
-
     def interval_columns(self) -> np.ndarray:
-        """Activity intervals as one ``(k, 8)`` float64 array in
-        ``_INTERVAL_FIELDS`` column order — the bulk consumers' view.
-
-        The compiled kernel's array is returned as it is (never turned
-        into tuples); tuple rows are packed with one ``np.fromiter``.
-        """
-        if self._interval_array is not None:
-            return self._interval_array
-        rows = self.raw_intervals
-        flat = np.fromiter(chain.from_iterable(rows), np.float64, 8 * len(rows))
-        return flat.reshape(len(rows), 8)
+        """Activity intervals as one ``(k, 8)`` float64 array, a column
+        per :class:`ActivityInterval` field — the bulk consumers' view."""
+        return self.iv_rows
 
     @property
     def makespan(self) -> float:
@@ -338,22 +265,42 @@ class Schedule:
         every task after its dependencies — the order the numerics
         replay (:mod:`repro.runtime.replay`) follows.
         """
-        if self._records is None:
-            tids, _, starts, _, _ = self._raw_records
-            return tids[np.argsort(starts, kind="stable")].tolist()
-        ordered = sorted(self._records, key=lambda rec: rec.start)
-        return [rec.tid for rec in ordered]
+        return self.rec_tid[np.argsort(self.rec_start, kind="stable")].tolist()
 
     def record_for(self, tid: int) -> TaskRecord:
-        """O(1) record lookup via a lazily built tid -> record index."""
-        index = self._record_index
-        if index is None or len(index) != len(self.records):
-            index = {rec.tid: rec for rec in self.records}
-            self._record_index = index
-        try:
-            return index[tid]
-        except KeyError:
-            raise SchedulingError(f"no record for task {tid}") from None
+        """The record of task *tid*."""
+        rows = np.flatnonzero(self.rec_tid == tid)
+        if not len(rows):
+            raise SchedulingError(f"no record for task {tid}")
+        return self.records[rows[0]]
+
+
+def _rows(rows: list[tuple], width: int) -> np.ndarray:
+    """Row tuples as one ``(len(rows), width)`` float64 array."""
+    flat = np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows))
+    return flat.reshape(len(rows), width)
+
+
+def schedule_of_rows(
+    arena: TaskArena, threads: int, makespan: float, migrations: int,
+    steals: int, records: list[tuple], intervals: list[tuple],
+    busy_core: list[int], busy_start: list[float], busy_end: list[float],
+) -> Schedule:
+    """A Python kernel's row lists as the C kernel's columns: records
+    ``(tid, core, start, end)``, 8-field interval rows and busy rows."""
+    tid, core, start, end = np.ascontiguousarray(_rows(records, 4).T)
+    busy = (
+        np.array(busy_core, dtype=np.int64),
+        np.array(busy_start, dtype=np.float64),
+        np.array(busy_end, dtype=np.float64),
+    )
+    stats = RuntimeStats.from_busy(
+        makespan, *busy, len(arena), threads, migrations, steals
+    )
+    return Schedule(
+        arena.name, threads, arena.names_list(), tid.astype(np.int64),
+        core.astype(np.int64), start, end, _rows(intervals, 8), *busy, stats,
+    )
 
 
 class Scheduler:
@@ -533,8 +480,12 @@ class Scheduler:
         on the smallest ``tt``.  Its interval row credits ``rate_sum *
         dt`` per dimension plus, for every entry exhausting at exactly
         that time, the work-space correction ``demand - rate * (t -
-        seat)``, so each task's demand is conserved.  Every float
-        expression keeps the operand order of ``_sweep_src.py``.
+        seat)``, so each task's demand is conserved; an event that
+        retires no entry and completes no task raises.  Every float
+        expression keeps the operand order of ``_sweep_src.py``, and the
+        outputs are the C kernel's: a ``(tid, core, start, end)`` row
+        per task, interval rows, and busy rows merged through each
+        core's last row index (:func:`schedule_of_rows`).
         """
         arena.validate()
         n = len(arena)
@@ -726,9 +677,12 @@ class Scheduler:
             rate_sum[_L3] = s3
 
         # ---- completions ------------------------------------------------
-        records: list[TaskRecord] = []
+        records: list[tuple[int, int, float, float]] = []  # tid, core, start, end
         intervals: list[tuple] = []
-        busy_of: list[list[tuple[float, float]]] = [[] for _ in range(threads)]
+        busy_core: list[int] = []
+        busy_start: list[float] = []
+        busy_end: list[float] = []
+        last_busy = [-1] * threads  # index of each core's last busy row
         free_cores = list(range(threads - 1, -1, -1))
         running: dict[int, int] = {}  # core -> tid, in dispatch order
         t = 0.0
@@ -745,7 +699,7 @@ class Scheduler:
                     indegree[succ] -= 1
                     if indegree[succ] == 0:
                         if not any(demands[succ]):
-                            records.append(TaskRecord(succ, names[succ], -1, when, when))
+                            records.append((succ, -1, when, when))
                             count += 1
                             stack.append(iter(successors[succ]))
                             break
@@ -756,7 +710,7 @@ class Scheduler:
 
         for tid in [tid for tid in range(n) if indegree[tid] == 0]:
             if not any(demands[tid]):
-                records.append(TaskRecord(tid, names[tid], -1, 0.0, 0.0))
+                records.append((tid, -1, 0.0, 0.0))
                 done += cascade(tid, 0.0)
             else:
                 push_ready(tid)
@@ -825,9 +779,7 @@ class Scheduler:
             t_next = min(tt)
             if t_next == inf:
                 if not pending:
-                    raise SchedulingError(
-                        "scheduler made no progress (dt == 0 with no completions)"
-                    )
+                    raise SchedulingError(_NO_PROGRESS)
             else:
                 dt = t_next - t
                 t_prev = t
@@ -835,6 +787,7 @@ class Scheduler:
                     busy = len(running)
                     credit = [rate_sum[dim] * dt for dim in range(5)]
                 corr = [0.0] * 5
+                retired = 0
                 t = t_next
                 for e in range(threads * 5):
                     if ta[e] <= t_next:
@@ -842,6 +795,9 @@ class Scheduler:
                         if tt[e] == t_next:
                             corr[dim] += demand_of[e] - rate_of[e] * (t_next - seat_of[e])
                         exhaust_entry(core, dim)
+                        retired += 1
+                if not retired and not pending:
+                    raise SchedulingError(_NO_PROGRESS)
                 if dt > 0.0:
                     intervals.append(
                         (t_prev, t_next, busy, *(credit[d] + corr[d] for d in range(5)))
@@ -854,31 +810,21 @@ class Scheduler:
                 for core in finished:
                     tid = running.pop(core)
                     start = start_of[core]
-                    records.append(TaskRecord(tid, names[tid], core, start, t))
+                    records.append((tid, core, start, t))
                     if t > start:
-                        busy_core = busy_of[core]
-                        if busy_core and start - busy_core[-1][1] <= 1e-12:
-                            busy_core[-1] = (busy_core[-1][0], t)
+                        lb = last_busy[core]
+                        if lb >= 0 and start - busy_end[lb] <= 1e-12:
+                            busy_end[lb] = t
                         else:
-                            busy_core.append((start, t))
+                            last_busy[core] = len(busy_core)
+                            busy_core.append(core)
+                            busy_start.append(start)
+                            busy_end.append(t)
                     free_cores.append(core)
                     done += cascade(tid, t)
 
-        timelines = [CoreTimeline(core, busy_of[core], t) for core in range(threads)]
         _REF_EVENTS.add(len(intervals))
-        stats = RuntimeStats.from_run(
-            makespan=t,
-            timelines=timelines,
-            task_count=n,
-            threads=threads,
-            migrations=migrations,
-            steals=steals,
-        )
-        return Schedule(
-            graph_name=arena.name,
-            threads=threads,
-            records=records,
-            raw_intervals=intervals,
-            timelines=timelines,
-            stats=stats,
+        return schedule_of_rows(
+            arena, threads, t, migrations, steals,
+            records, intervals, busy_core, busy_start, busy_end,
         )

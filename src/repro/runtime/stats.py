@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from ..util.errors import ValidationError
 
@@ -46,46 +47,34 @@ class RuntimeStats:
     steals: int
 
     @staticmethod
-    def from_run(
-        makespan: float,
-        timelines: Sequence,
-        task_count: int,
-        threads: int,
-        migrations: int = 0,
-        steals: int = 0,
-    ) -> "RuntimeStats":
-        """Build stats from per-core timelines."""
-        return RuntimeStats.from_busy(
-            makespan=makespan,
-            busy=[tl.busy_time for tl in timelines],
-            task_count=task_count,
-            threads=threads,
-            migrations=migrations,
-            steals=steals,
-        )
-
-    @staticmethod
     def from_busy(
         makespan: float,
-        busy: Sequence[float],
+        busy_core: np.ndarray,
+        busy_start: np.ndarray,
+        busy_end: np.ndarray,
         task_count: int,
         threads: int,
         migrations: int = 0,
         steals: int = 0,
     ) -> "RuntimeStats":
-        """Build stats from per-core busy seconds (one entry per core).
+        """Build stats from a kernel's busy columns (see
+        :class:`~repro.runtime.scheduler.Schedule`).
 
-        The compiled engine uses this directly so it never has to
-        materialize :class:`~repro.runtime.timeline.CoreTimeline`
-        objects on the measurement path; callers must accumulate each
-        core's busy time in chronological interval order to stay
-        bit-identical with the timeline-derived form.
+        ``bincount`` adds each span in input order, and every core's
+        spans are in chronological order, so a core's busy time is the
+        same sum, bit for bit, as :attr:`CoreTimeline.busy_time
+        <repro.runtime.timeline.CoreTimeline.busy_time>`.
         """
         if threads < 1:
             raise ValidationError(f"threads must be >= 1, got {threads}")
+        busy = np.bincount(
+            np.asarray(busy_core, dtype=np.int64),
+            weights=np.subtract(busy_end, busy_start, dtype=np.float64),
+            minlength=threads,
+        ).tolist()
         total_busy = sum(busy)
         avg_par = total_busy / makespan if makespan > 0 else 0.0
-        mean_busy = total_busy / len(busy) if busy else 0.0
+        mean_busy = total_busy / len(busy)
         imbalance = (max(busy) / mean_busy) if mean_busy > 0 else 1.0
         return RuntimeStats(
             makespan=makespan,

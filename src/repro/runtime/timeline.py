@@ -1,15 +1,14 @@
 """Per-core busy/idle timelines.
 
-Each simulated core records the intervals it spent executing tasks.
-Timelines feed the runtime statistics (utilization, load imbalance) and
-the ASCII Gantt rendering in :mod:`repro.reporting`.
+A read-only view of one core's busy spans, built by
+:attr:`repro.runtime.scheduler.Schedule.timelines` from the kernel's
+busy columns; it feeds the ASCII Gantt rendering in
+:mod:`repro.reporting`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..util.errors import ValidationError
 
 __all__ = ["CoreTimeline"]
 
@@ -21,31 +20,6 @@ class CoreTimeline:
     core: int
     busy: list[tuple[float, float]] = field(default_factory=list)
     horizon: float = 0.0
-
-    def add_busy(self, start: float, end: float) -> None:
-        """Record a busy interval; must not precede the previous one."""
-        if end < start:
-            raise ValidationError(f"interval ends before it starts: [{start}, {end})")
-        if self.busy and start < self.busy[-1][1] - 1e-12:
-            raise ValidationError(
-                f"core {self.core}: interval [{start}, {end}) overlaps previous "
-                f"{self.busy[-1]}"
-            )
-        if end > start:
-            # Merge with a contiguous predecessor to keep the list compact.
-            if self.busy and abs(start - self.busy[-1][1]) <= 1e-12:
-                self.busy[-1] = (self.busy[-1][0], end)
-            else:
-                self.busy.append((start, end))
-        self.horizon = max(self.horizon, end)
-
-    def close(self, horizon: float) -> None:
-        """Fix the observation horizon (the run's makespan)."""
-        if horizon < self.horizon:
-            raise ValidationError(
-                f"horizon {horizon} precedes recorded activity {self.horizon}"
-            )
-        self.horizon = horizon
 
     @property
     def busy_time(self) -> float:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import socket
 from pathlib import Path
 
@@ -72,6 +73,28 @@ async def _handle_request(service: StudyService, message: dict) -> dict:
     raise ConfigurationError(f"unknown op {op!r}")
 
 
+def _listening_socket(path: Path) -> socket.socket:
+    """A unix socket that is already listening when *path* appears.
+
+    Binding *path* itself creates the file before ``listen()``, and a
+    client that connects in between is refused.  So the socket binds a
+    temporary sibling name, listens, and is then renamed onto *path*:
+    ``connect`` resolves the path to the listening inode.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}")
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        tmp.unlink(missing_ok=True)
+        sock.bind(str(tmp))
+        sock.listen(100)
+        os.replace(tmp, path)
+    except BaseException:
+        sock.close()
+        tmp.unlink(missing_ok=True)
+        raise
+    return sock
+
+
 async def serve(
     path: "str | Path",
     service: StudyService | None = None,
@@ -85,14 +108,13 @@ async def serve(
 
     Owns the service's lifecycle when it created it (the common case);
     a caller-provided service is left open for the caller to close.
+    The socket path appears only once the server listens on it.
     """
     own_service = service is None
     if service is None:
         service = StudyService(machine=machine, store=store, config=config)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if path.exists():
-        path.unlink()
     shutdown = asyncio.Event()
 
     async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
@@ -123,7 +145,9 @@ async def serve(
         finally:
             writer.close()
 
-    server = await asyncio.start_unix_server(handle, path=str(path), limit=_LIMIT)
+    server = await asyncio.start_unix_server(
+        handle, sock=_listening_socket(path), limit=_LIMIT
+    )
     try:
         async with server:
             if ready is not None:

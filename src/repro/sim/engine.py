@@ -213,10 +213,11 @@ class Engine:
         buckets, preserving every activity integral exactly.
 
         Returns the buckets as eight ``(k,)`` float64 columns in
-        ``_INTERVAL_FIELDS`` order: start, end, busy cores, flops, L1,
-        L2, L3 and DRAM bytes.  A schedule with no more intervals than
-        that is returned as views of :meth:`Schedule.interval_columns`.
-        Otherwise each bucket is closed greedily by the first interval
+        :class:`~repro.runtime.scheduler.ActivityInterval` field order:
+        start, end, busy cores, flops, L1, L2, L3 and DRAM bytes.  A
+        schedule with no more intervals than that is returned as views
+        of :meth:`Schedule.interval_columns`.  Otherwise each bucket is
+        closed greedily by the first interval
         whose end reaches ``bucket_start + bucket_dt``, located by
         bisecting the monotone interval-end column, and each
         bucket's activity sums are single ``np.add.reduceat`` segments.

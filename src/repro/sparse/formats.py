@@ -239,11 +239,12 @@ class CSRMatrix(SparseMatrix):
         if len(products) == 0:
             y[r0:r1] = 0.0
             return
-        # reduceat mis-handles empty rows (repeats the next segment's
-        # first element); mask them out explicitly.
-        sums = np.add.reduceat(products, np.minimum(starts, len(products) - 1))
-        empty = np.diff(np.concatenate([starts, [hi - lo]])) == 0
-        sums[empty] = 0.0
+        # reduceat mis-handles empty rows (it repeats the next segment's
+        # first element, and a clamped trailing start cuts the last
+        # segment short), so it reduces the non-empty rows only.
+        nonempty = np.diff(np.concatenate([starts, [hi - lo]])) > 0
+        sums = np.zeros(r1 - r0, dtype=products.dtype)
+        sums[nonempty] = np.add.reduceat(products, starts[nonempty])
         y[r0:r1] = sums
 
     def index_bytes(self) -> int:

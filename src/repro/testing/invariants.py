@@ -281,8 +281,8 @@ def _check_schedule_feasibility(
         )
 
     prev_end = 0.0
-    for i, row in enumerate(schedule.raw_intervals):
-        t_start, t_end = row[0], row[1]
+    rows = schedule.interval_columns()[:, :2].tolist()
+    for i, (t_start, t_end) in enumerate(rows):
         if t_end < t_start:
             out.append(
                 Violation(
@@ -298,7 +298,7 @@ def _check_schedule_feasibility(
                 )
             )
         prev_end = max(prev_end, t_end)
-    if schedule.raw_intervals and prev_end > makespan * (1 + _REL) + 1e-12:
+    if rows and prev_end > makespan * (1 + _REL) + 1e-12:
         out.append(
             Violation(
                 "schedule.intervals",

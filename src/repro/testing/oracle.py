@@ -7,9 +7,9 @@ hand-written expected values:
   event sweep, and ``fast`` (:mod:`repro.runtime.fastpath`) and the C
   kernel (:mod:`repro.runtime.compiledpath`) are optimised
   transcriptions of it.  All three must produce the same schedule bit
-  for bit: makespan, task records (placement, order, times), activity
-  interval rows, per-core timelines and statistics, compared with
-  ``==``.
+  for bit: task names, record columns (placement, order, times),
+  activity interval rows, busy columns and statistics, compared bit
+  for bit.
 * **parallel vs serial study execution** — ``run(parallel=N)`` fans the
   execution matrix over a process pool; the merged result must be
   *bit-for-bit* identical to the serial run (same run keys, identical
@@ -42,6 +42,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from ..core.study import EnergyPerformanceStudy, StudyConfig
 from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
@@ -68,56 +70,53 @@ __all__ = [
     "differential_study_check",
 ]
 
+
+def _first_diff(a: np.ndarray, b: np.ndarray) -> int | None:
+    """First row where columns *a* and *b* differ in bits (or in
+    length), ``None`` when they are identical."""
+    if len(a) != len(b):
+        return min(len(a), len(b))
+    ne = np.asarray(a).view(np.int64) != np.asarray(b).view(np.int64)
+    rows = np.flatnonzero(ne.any(axis=1) if ne.ndim > 1 else ne)
+    return int(rows[0]) if len(rows) else None
+
+
 def compare_schedules(ref: Schedule, got: Schedule) -> list[Violation]:
     """Every way schedule *got* differs from *ref*, as violations.
 
-    The comparison is exact: every float is compared with ``==``."""
+    The comparison is exact: names, record columns, interval rows, busy
+    columns and stats must be equal bit for bit.  Each mismatch names
+    the first differing row."""
     out: list[Violation] = []
-    if got.makespan != ref.makespan:
-        out.append(
-            Violation("oracle.makespan", f"{ref.makespan!r} vs {got.makespan!r}")
-        )
+    if got.names != ref.names:
+        out.append(Violation("oracle.names", "task-name tables differ"))
 
-    if len(ref.records) != len(got.records):
+    groups = [
+        ("oracle.placement", ("rec_tid", "rec_core")),
+        ("oracle.timing", ("rec_start", "rec_end")),
+        ("oracle.intervals", ("iv_rows",)),
+        ("oracle.busy", ("busy_core", "busy_start", "busy_end")),
+    ]
+    if len(got.rec_tid) != len(ref.rec_tid):
         out.append(
             Violation(
                 "oracle.records",
-                f"record count diverged: {len(ref.records)} vs {len(got.records)}",
+                f"record count diverged: {len(ref.rec_tid)} vs {len(got.rec_tid)}",
             )
         )
-    else:
-        for r, g in zip(ref.records, got.records):
-            if (r.tid, r.name, r.core) != (g.tid, g.name, g.core):
-                out.append(Violation("oracle.placement", f"{r} vs {g}"))
-                break
-            if (r.start, r.end) != (g.start, g.end):
-                out.append(Violation("oracle.timing", f"{r} vs {g}"))
-                break
-
-    if len(ref.intervals) != len(got.intervals):
-        out.append(
-            Violation(
-                "oracle.intervals",
-                f"interval count diverged: {len(ref.intervals)} vs {len(got.intervals)}",
-            )
-        )
-    else:
-        for k, (a, b) in enumerate(zip(ref.intervals, got.intervals)):
-            if a != b:
-                out.append(Violation("oracle.intervals", f"interval[{k}]: {a} vs {b}"))
-                break
-
-    for a, b in zip(ref.timelines, got.timelines):
-        if (a.core, a.busy, a.horizon) != (b.core, b.busy, b.horizon):
-            out.append(Violation("oracle.timelines", f"core {a.core}: {a} vs {b}"))
+        del groups[:2]
+    for invariant, cols in groups:
+        for col in cols:
+            a, b = getattr(ref, col), getattr(got, col)
+            row = _first_diff(a, b)
+            if row is None:
+                continue
+            if len(a) != len(b):
+                detail = f"{col}: {len(a)} vs {len(b)} rows"
+            else:
+                detail = f"{col}[{row}]: {a[row].tolist()!r} vs {b[row].tolist()!r}"
+            out.append(Violation(invariant, detail))
             break
-    if len(ref.timelines) != len(got.timelines):
-        out.append(
-            Violation(
-                "oracle.timelines",
-                f"timeline count diverged: {len(ref.timelines)} vs {len(got.timelines)}",
-            )
-        )
 
     if got.stats != ref.stats:
         out.append(Violation("oracle.stats", f"{ref.stats} vs {got.stats}"))

@@ -40,7 +40,6 @@ def object_seat_plan(graph: "TaskGraph", key: tuple) -> _GraphPlan:
     eps_l1 = eps / l1_bw if l1_bw > 0.0 else 0.0
     eps_l2 = eps / l2_bw if l2_bw > 0.0 else 0.0
     for i, task in enumerate(graph.tasks):
-        gp.names.append(task.name)
         gp.created.append(task.created_by)
         cost = task.cost
         f = cost.flops

@@ -3,8 +3,8 @@
 The compiled C sweep transcribes the scalar ``reference`` spec's float
 arithmetic in identical operand order (and is built with
 ``-ffp-contract=off``), as the fast kernel does, so against
-``engine="fast"`` the contract is *bit identity* — equal makespans,
-equal raw interval rows, equal records, timelines and statistics.  The
+``engine="fast"`` the contract is *bit identity* — equal record,
+interval and busy columns and equal statistics.  The
 verify harness's ``compiled_engine`` family checks all three kernels
 against ``reference`` the same way.
 

@@ -2,9 +2,9 @@
 
 ``reference`` is the scalar spec of the event sweep and the fast kernel
 (:mod:`repro.runtime.fastpath`) an optimised transcription of it, so
-the two must produce the same schedule bit for bit: makespan, task
+the two must produce the same schedule columns bit for bit: task
 records (placement, order, start/end times), activity interval rows,
-per-core timelines and statistics, all compared with ``==``
+busy rows and statistics
 (:func:`repro.testing.oracle.compare_schedules`).
 """
 

@@ -101,7 +101,7 @@ def assert_bundle_matches_object_builder(arena, key):
     gp = object_seat_plan(graph, key)
     seat = fastpath._seat_plan(arena, cp)
     assert seat.plans == gp.plans
-    for field in ("zeros", "seeds", "indeg0", "names", "created"):
+    for field in ("zeros", "seeds", "indeg0", "created"):
         assert getattr(seat, field) == getattr(gp, field), field
     assert seat.any_created == gp.any_created
     assert seat.zero_seed == gp.zero_seed

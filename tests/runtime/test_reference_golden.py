@@ -59,7 +59,7 @@ def schedule_digest(schedule) -> str:
     """sha256 over *schedule*'s records, intervals and stats."""
     rows = [(r.name, r.tid, r.core, r.start, r.end) for r in schedule.records]
     rows.append(("intervals",))
-    rows.extend(schedule.raw_intervals)
+    rows.extend(schedule.interval_columns().tolist())
     rows.append(("stats",))
     rows.append(astuple(schedule.stats))
     return _sha(rows)

@@ -1,5 +1,6 @@
 """Discrete-event scheduler: correctness, contention, Graham bounds."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +9,9 @@ from repro.runtime.cost import TaskCost
 from repro.runtime.replay import replay
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.openmp import OpenMP
+from repro.runtime.plans import plan_bundle
 from repro.testing.taskgraph import TaskGraph
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, SchedulingError
 
 
 def flop_task_graph(n_tasks, flops=1e9, efficiency=1.0):
@@ -167,6 +169,28 @@ class TestValidation:
         omp.task("join", TaskCost(), deps=[0], compute=lambda: hit.append(2))
         Scheduler(machine, threads=1, engine=engine).run(omp.graph)
         assert hit == []
+
+    @pytest.mark.parametrize("engine", ["reference", "fast", "compiled"])
+    def test_an_event_that_retires_nothing_raises(self, machine, engine):
+        """An event whose seat entries all sit past it (``ta > tt``)
+        retires nothing; each kernel raises instead of repeating it for
+        ever.  ``reference`` prices the entry from a NaN efficiency
+        column (every comparison with it is false); ``fast`` and
+        ``compiled`` seat from a plan bundle whose EPS-adjusted time is
+        one ulp past the true exhaust time."""
+        if engine == "compiled" and not compiled_available()[0]:
+            pytest.skip("compiled engine unavailable")
+        omp = OpenMP("spin")
+        omp.task("a", TaskCost(flops=1e9))
+        arena = omp.graph
+        sched = Scheduler(machine, threads=1, engine=engine)
+        if engine == "reference":
+            arena.efficiency[0] = np.nan
+        else:
+            cp, _ = plan_bundle(arena, sched._plan_key)
+            cp.priv_adj = np.nextafter(cp.priv_dur, np.inf)
+        with pytest.raises(SchedulingError, match="made no progress"):
+            sched.run(arena)
 
 
 class TestGrahamBounds:

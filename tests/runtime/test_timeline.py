@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.runtime.compiledpath import compiled_available
+from repro.runtime.cost import TaskCost
+from repro.runtime.openmp import OpenMP
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.timeline import CoreTimeline
 from repro.util.errors import ValidationError
@@ -9,73 +13,51 @@ from repro.util.errors import ValidationError
 
 class TestTimeline:
     def test_busy_and_idle(self):
-        tl = CoreTimeline(0)
-        tl.add_busy(0.0, 1.0)
-        tl.add_busy(2.0, 3.0)
-        tl.close(4.0)
+        tl = CoreTimeline(0, [(0.0, 1.0), (2.0, 3.0)], 4.0)
         assert tl.busy_time == pytest.approx(2.0)
         assert tl.idle_time == pytest.approx(2.0)
         assert tl.utilization == pytest.approx(0.5)
 
-    def test_contiguous_intervals_merge(self):
-        tl = CoreTimeline(0)
-        tl.add_busy(0.0, 1.0)
-        tl.add_busy(1.0, 2.0)
-        assert len(tl.busy) == 1
-        assert tl.busy_time == pytest.approx(2.0)
-
-    def test_overlap_rejected(self):
-        tl = CoreTimeline(0)
-        tl.add_busy(0.0, 2.0)
-        with pytest.raises(ValidationError):
-            tl.add_busy(1.0, 3.0)
-
-    def test_backwards_interval_rejected(self):
-        with pytest.raises(ValidationError):
-            CoreTimeline(0).add_busy(2.0, 1.0)
-
-    def test_close_cannot_shrink(self):
-        tl = CoreTimeline(0)
-        tl.add_busy(0.0, 5.0)
-        with pytest.raises(ValidationError):
-            tl.close(4.0)
+    def test_contiguous_intervals_merge(self, machine):
+        """Back-to-back tasks on one core make one busy row, on every
+        kernel."""
+        omp = OpenMP("chain")
+        a = omp.task("a", TaskCost(flops=1e9))
+        omp.task("b", TaskCost(flops=1e9), deps=[a])
+        engines = ["reference", "fast"] + ["compiled"] * compiled_available()[0]
+        for engine in engines:
+            sched = Scheduler(machine, threads=1, engine=engine).run(omp.graph)
+            assert len(sched.busy_core) == 1
+            (tl,) = sched.timelines
+            assert tl.busy == [(0.0, sched.makespan)]
 
     def test_is_busy_at(self):
-        tl = CoreTimeline(0)
-        tl.add_busy(1.0, 2.0)
+        tl = CoreTimeline(0, [(1.0, 2.0)], 2.0)
         assert not tl.is_busy_at(0.5)
         assert tl.is_busy_at(1.5)
         assert not tl.is_busy_at(2.0)  # half-open
 
     def test_empty_timeline(self):
-        tl = CoreTimeline(0)
-        tl.close(1.0)
+        tl = CoreTimeline(0, horizon=1.0)
         assert tl.utilization == 0.0
         assert tl.idle_time == 1.0
 
 
 class TestStats:
-    def _timelines(self):
-        a = CoreTimeline(0)
-        a.add_busy(0, 4)
-        a.close(4)
-        b = CoreTimeline(1)
-        b.add_busy(0, 2)
-        b.close(4)
-        return [a, b]
-
-    def test_from_run(self):
-        stats = RuntimeStats.from_run(4.0, self._timelines(), task_count=10, threads=2)
+    def test_from_busy(self):
+        stats = RuntimeStats.from_busy(
+            4.0, [0, 1], [0.0, 0.0], [4.0, 2.0], task_count=10, threads=2
+        )
         assert stats.busy_core_seconds == pytest.approx(6.0)
         assert stats.avg_parallelism == pytest.approx(1.5)
         assert stats.utilization == pytest.approx(0.75)
         assert stats.imbalance == pytest.approx(4.0 / 3.0)
 
     def test_zero_makespan(self):
-        stats = RuntimeStats.from_run(0.0, [], task_count=0, threads=1)
+        stats = RuntimeStats.from_busy(0.0, [], [], [], task_count=0, threads=1)
         assert stats.avg_parallelism == 0.0
         assert stats.imbalance == 1.0
 
     def test_threads_validated(self):
         with pytest.raises(ValidationError):
-            RuntimeStats.from_run(1.0, [], task_count=0, threads=0)
+            RuntimeStats.from_busy(1.0, [], [], [], task_count=0, threads=0)

@@ -13,21 +13,27 @@ from repro.service import CellSpec, ServiceClient, StudyRequest, serve
 from repro.util.errors import ServiceError
 
 
+def _started(sock, target, *args) -> threading.Thread:
+    """``target(*args)`` in a daemon thread, returned as soon as the
+    socket file *sock* exists."""
+    thread = threading.Thread(target=target, args=args, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10
+    while not sock.exists():
+        assert time.monotonic() < deadline, "server socket never appeared"
+        time.sleep(0.001)
+    return thread
+
+
+def _serve(sock, **kw) -> threading.Thread:
+    return _started(sock, lambda: asyncio.run(serve(sock, **kw)))
+
+
 @pytest.fixture()
 def server(machine, tmp_path):
     """A served socket in a background thread; yields the socket path."""
     sock = tmp_path / "svc.sock"
-    store = tmp_path / "cells"
-    done = threading.Thread(
-        target=lambda: asyncio.run(serve(sock, store=store, machine=machine)),
-        daemon=True,
-    )
-    done.start()
-    deadline = time.monotonic() + 10
-    while not sock.exists():
-        if time.monotonic() > deadline:  # pragma: no cover - hang guard
-            raise RuntimeError("server socket never appeared")
-        time.sleep(0.01)
+    done = _serve(sock, store=tmp_path / "cells", machine=machine)
     yield str(sock)
     if sock.exists():
         try:
@@ -116,19 +122,34 @@ def test_malformed_json_line(server):
 
 def test_shutdown_removes_socket(machine, tmp_path):
     sock = tmp_path / "svc.sock"
-    t = threading.Thread(
-        target=lambda: asyncio.run(serve(sock, machine=machine)), daemon=True
-    )
-    t.start()
-    deadline = time.monotonic() + 10
-    while not sock.exists():
-        time.sleep(0.01)
-        assert time.monotonic() < deadline
+    t = _serve(sock, machine=machine)
     with ServiceClient(sock) as client:
         client.shutdown()
     t.join(timeout=10)
     assert not t.is_alive()
     assert not sock.exists()
+
+
+def test_a_client_that_sees_the_socket_connects(machine, tmp_path, monkeypatch):
+    """The socket path appears only once the server listens: with
+    ``listen`` held back in the serving thread, a client that connects
+    the moment it sees the file is never refused."""
+    listen = socket_mod.socket.listen
+
+    def slow_listen(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)
+        return listen(self, *args)
+
+    monkeypatch.setattr(socket_mod.socket, "listen", slow_listen)
+    for attempt in range(3):
+        sock = tmp_path / f"svc{attempt}.sock"
+        t = _serve(sock, machine=machine)
+        with ServiceClient(sock) as client:
+            assert client.ping()
+            client.shutdown()
+        t.join(timeout=10)
+        assert not t.is_alive()
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +161,7 @@ def test_cli_serve_and_query(machine, tmp_path, capsys):
 
     sock = tmp_path / "svc.sock"
     store = tmp_path / "cells"
-    t = threading.Thread(
-        target=main,
-        args=(["serve", "--socket", str(sock), "--store", str(store)],),
-        daemon=True,
-    )
-    t.start()
-    deadline = time.monotonic() + 10
-    while not sock.exists():
-        time.sleep(0.01)
-        assert time.monotonic() < deadline
+    t = _started(sock, main, ["serve", "--socket", str(sock), "--store", str(store)])
 
     args = ["query", "--socket", str(sock), "--algorithms", "caps",
             "--sizes", "64", "--threads", "1", "2", "--execute-max-n", "64"]
@@ -183,14 +195,7 @@ def test_cli_query_errors_are_rc2_one_liners(machine, tmp_path, capsys):
 
     # Server-side rejection travels back as a typed error reply.
     sock = tmp_path / "svc.sock"
-    t = threading.Thread(
-        target=main, args=(["serve", "--socket", str(sock)],), daemon=True
-    )
-    t.start()
-    deadline = time.monotonic() + 10
-    while not sock.exists():
-        time.sleep(0.01)
-        assert time.monotonic() < deadline
+    t = _started(sock, main, ["serve", "--socket", str(sock)])
     rc = main(["query", "--socket", str(sock), "--algorithms", "nosuchalg",
                "--sizes", "64"])
     assert rc == 2

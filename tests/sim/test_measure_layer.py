@@ -1,13 +1,11 @@
 """The measure layer reads interval rows as one array, end to end.
 
 ``Engine.measure`` coarsens and integrates a schedule through
-``Schedule.interval_columns()``: the compiled kernel's ``(k, 8)`` array
-as it is, the fast kernel's tuple rows packed once with ``fromiter``.
-Two guards: measuring a compiled schedule never materializes its tuple
-or object rows, and the array-backed (compiled) and list-backed (fast)
-schedules of the same arena measure bit-identically — around the
-``k <= max_trace_segments`` boundary too.
-"""
+``Schedule.interval_columns()``, the ``(k, 8)`` array every kernel
+emits.  Two guards: measuring a schedule never builds its interval or
+record objects, and the fast and compiled schedules of the same arena
+measure bit-identically — around the ``k <= max_trace_segments``
+boundary too."""
 
 import pickle
 
@@ -48,9 +46,9 @@ def _segment_counts(k):
 def test_interval_columns_agree_across_backings(schedules):
     fast, comp = schedules("fast"), schedules("compiled")
     cols = comp.interval_columns()
-    assert cols.shape == (len(fast.raw_intervals), 8)
+    assert cols.dtype == np.float64 and cols.shape == (len(fast.interval_columns()), 8)
     assert fast.interval_columns().tobytes() == cols.tobytes()
-    assert comp._raw_intervals is None  # still array-backed
+    assert comp._intervals is None  # no objects built
 
 
 @pytest.mark.parametrize("which", range(4))
@@ -59,8 +57,8 @@ def test_measuring_a_compiled_schedule_never_builds_rows(machine, schedules, whi
     k = len(comp.interval_columns())
     engine = Engine(machine, max_trace_segments=_segment_counts(k)[which])
     engine.measure(comp, label="cell")
-    assert comp._raw_intervals is None
     assert comp._intervals is None
+    assert comp._records is None
 
 
 @pytest.mark.parametrize("which", range(4))

@@ -188,16 +188,15 @@ def test_package_power_below_static_floor_is_flagged():
 # schedule feasibility mutations
 
 
-def _clone_schedule(sched, intervals=None, stats=None):
+def _clone_schedule(sched, iv_rows=None, stats=None):
     from repro.runtime.scheduler import Schedule
 
     return Schedule(
-        sched.graph_name,
-        sched.threads,
-        sched.records,
-        sched.timelines,
+        sched.graph_name, sched.threads, sched.names,
+        sched.rec_tid, sched.rec_core, sched.rec_start, sched.rec_end,
+        sched.iv_rows if iv_rows is None else iv_rows,
+        sched.busy_core, sched.busy_start, sched.busy_end,
         sched.stats if stats is None else stats,
-        intervals=list(sched.intervals) if intervals is None else intervals,
     )
 
 
@@ -247,25 +246,21 @@ def test_overfull_busy_cores_is_flagged():
 
 def test_reversed_interval_is_flagged():
     case, schedule, _ = _fresh()
-    ivs = list(schedule.intervals)
-    if not ivs:
+    ivs = schedule.interval_columns().copy()
+    if not len(ivs):
         pytest.skip("no intervals")
-    first = ivs[0]
-    ivs[0] = dataclasses.replace(first, t_start=first.t_end + 1.0)
-    names = _feasibility_names(case, _clone_schedule(schedule, intervals=ivs))
+    ivs[0, 0] = ivs[0, 1] + 1.0
+    names = _feasibility_names(case, _clone_schedule(schedule, iv_rows=ivs))
     assert "schedule.intervals" in names
 
 
 def test_overlapping_intervals_are_flagged():
     case, schedule, _ = _fresh()
-    ivs = list(schedule.intervals)
+    ivs = schedule.interval_columns().copy()
     if len(ivs) < 2 or schedule.makespan == 0:
         pytest.skip("needs two intervals")
-    second = ivs[1]
-    ivs[1] = dataclasses.replace(
-        second, t_start=second.t_start - 0.5 * schedule.makespan
-    )
-    names = _feasibility_names(case, _clone_schedule(schedule, intervals=ivs))
+    ivs[1, 0] -= 0.5 * schedule.makespan
+    names = _feasibility_names(case, _clone_schedule(schedule, iv_rows=ivs))
     assert "schedule.intervals" in names
 
 

@@ -1,8 +1,8 @@
 """Differential oracles: agreement on clean runs, disagreement on skew."""
 
 import dataclasses
-import math
 
+import numpy as np
 import pytest
 
 from repro.runtime.scheduler import Schedule, Scheduler
@@ -21,16 +21,24 @@ def _schedule(seed, engine="fast"):
     ).run(case.arena)
 
 
-def _clone(sched, records=None, intervals=None, stats=None):
-    """A Schedule with selected pieces swapped (it is not a dataclass)."""
-    return Schedule(
-        sched.graph_name,
-        sched.threads,
-        sched.records if records is None else records,
-        sched.timelines,
-        sched.stats if stats is None else stats,
-        intervals=list(sched.intervals) if intervals is None else intervals,
-    )
+_COLUMNS = (
+    "names", "rec_tid", "rec_core", "rec_start", "rec_end",
+    "iv_rows", "busy_core", "busy_start", "busy_end", "stats",
+)
+
+
+def _clone(sched, **swap):
+    """A Schedule with selected columns (or its stats) swapped."""
+    cols = {name: getattr(sched, name) for name in _COLUMNS}
+    return Schedule(sched.graph_name, sched.threads, **{**cols, **swap})
+
+
+def _nudged(col, row, index=(), by=None):
+    """A copy of *col* with one cell moved by *by*, or one ulp up."""
+    out = col.copy()
+    cell = (row, *index)
+    out[cell] = out[cell] + by if by is not None else np.nextafter(out[cell], np.inf)
+    return out
 
 
 def test_engines_agree_on_many_seeds():
@@ -47,30 +55,27 @@ def test_makespan_skew_is_flagged():
     _, sched = _schedule(4)
     stats = dataclasses.replace(sched.stats, makespan=sched.makespan * 1.01 + 1.0)
     names = {v.invariant for v in compare_schedules(sched, _clone(sched, stats=stats))}
-    assert "oracle.makespan" in names
+    assert "oracle.stats" in names
 
 
 def test_missing_record_is_flagged():
     _, sched = _schedule(4)
-    bad = _clone(sched, records=sched.records[:-1])
+    rec = ("rec_tid", "rec_core", "rec_start", "rec_end")
+    bad = _clone(sched, **{col: getattr(sched, col)[:-1] for col in rec})
     names = {v.invariant for v in compare_schedules(sched, bad)}
     assert "oracle.records" in names
 
 
 def test_record_timing_skew_is_flagged():
     _, sched = _schedule(4)
-    r = sched.records[0]
-    skewed = dataclasses.replace(r, end=r.end + 1.0)
-    bad = _clone(sched, records=[skewed, *sched.records[1:]])
+    bad = _clone(sched, rec_end=_nudged(sched.rec_end, 0, by=1.0))
     names = {v.invariant for v in compare_schedules(sched, bad)}
     assert "oracle.timing" in names
 
 
 def test_record_placement_skew_is_flagged():
     _, sched = _schedule(4)
-    r = sched.records[0]
-    moved = dataclasses.replace(r, core=r.core + 1)
-    bad = _clone(sched, records=[moved, *sched.records[1:]])
+    bad = _clone(sched, rec_core=_nudged(sched.rec_core, 0, by=1))
     names = {v.invariant for v in compare_schedules(sched, bad)}
     assert "oracle.placement" in names
 
@@ -78,35 +83,28 @@ def test_record_placement_skew_is_flagged():
 def test_activity_integral_skew_is_flagged():
     """Doubling one interval's flops changes its row."""
     _, sched = _schedule(4)
-    iv = sched.intervals[0]
-    fat = dataclasses.replace(iv, flops=iv.flops * 2 + 1e6)
-    bad = _clone(sched, intervals=[fat, *sched.intervals[1:]])
+    flops = sched.iv_rows[0, 3]
+    bad = _clone(sched, iv_rows=_nudged(sched.iv_rows, 0, (3,), by=flops + 1e6))
     names = {v.invariant for v in compare_schedules(sched, bad)}
     assert "oracle.intervals" in names
 
 
 def test_one_ulp_skew_is_flagged():
-    """The comparison is exact: a row or a record one ulp off differs."""
+    """The comparison is exact: a row or a record one ulp off differs,
+    and the violation names the row."""
     _, sched = _schedule(4)
-    iv = sched.intervals[-1]
-    nudged = dataclasses.replace(iv, bytes_dram=math.nextafter(iv.bytes_dram, math.inf))
-    bad = _clone(sched, intervals=[*sched.intervals[:-1], nudged])
-    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.intervals"}
-    r = sched.records[-1]
-    late = dataclasses.replace(r, end=math.nextafter(r.end, math.inf))
-    bad = _clone(sched, records=[*sched.records[:-1], late])
+    last = len(sched.iv_rows) - 1
+    bad = _clone(sched, iv_rows=_nudged(sched.iv_rows, last, (7,)))
+    (v,) = compare_schedules(sched, bad)
+    assert v.invariant == "oracle.intervals" and f"iv_rows[{last}]" in v.detail
+    bad = _clone(sched, rec_end=_nudged(sched.rec_end, -1))
     assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.timing"}
 
 
 def test_timeline_skew_is_flagged():
     _, sched = _schedule(4)
-    timelines = [dataclasses.replace(tl) for tl in sched.timelines]
-    timelines[0].horizon += 1.0
-    bad = Schedule(
-        sched.graph_name, sched.threads, sched.records, timelines, sched.stats,
-        intervals=list(sched.intervals),
-    )
-    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.timelines"}
+    bad = _clone(sched, busy_end=_nudged(sched.busy_end, 0, by=1.0))
+    assert {v.invariant for v in compare_schedules(sched, bad)} == {"oracle.busy"}
 
 
 def test_stats_skew_is_flagged():
@@ -151,7 +149,7 @@ def test_compiled_check_flags_a_corrupted_kernel(monkeypatch):
     names = {
         v.invariant for v in differential_engine_check(gen_graph_case(4))
     }
-    assert "oracle.makespan" in names
+    assert "oracle.stats" in names
 
 
 # ---------------------------------------------------------------------------

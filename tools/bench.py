@@ -8,10 +8,13 @@ and the trace-driven cache simulator:
 
 ``scheduler_wide2000``
     The 2000-task wide graph from ``benchmarks/test_engine_perf.py``,
-    scheduled at four threads, best-of-*repeats* per engine.
+    scheduled at four threads by each engine in *repeats* alternating
+    pairs; the gated ``ratio`` is the median pair's reference/fast.
 ``matrix_cost48``
     The paper's full 48-cell execution matrix (3 algorithms x sizes
-    {512..4096} x threads {1..4}), simulated cost-only, per engine.
+    {512..4096} x threads {1..4}), simulated cost-only by each engine
+    in three alternating pairs after one warm-up study each (lowering
+    and plan bundles cached); the gated ``ratio`` is the median pair's.
 ``compiled``
     The same 48-cell matrix as pure scheduler sweeps (no measurement
     pipeline), fast versus the JIT-compiled C kernel.  Arenas, plan
@@ -55,8 +58,9 @@ and the trace-driven cache simulator:
     of :mod:`repro.testing.lowering` versus the templated columnar
     arena path (fresh
     algorithm instances per pass, so subtree-template memos start
-    cold), plus ``tracemalloc`` peak lowering memory at the largest
-    problem size for both representations.
+    cold), timed in alternating pairs (``ratio`` is the median pair's
+    object/arena), plus ``tracemalloc`` peak lowering memory at the
+    largest problem size for both representations.
 ``study_parallel``
     Parallel-study dispatch: the bytes one cell's payload carries
     across the process-pool pickle boundary (workers lower their own
@@ -91,8 +95,11 @@ and the trace-driven cache simulator:
 
 Host wall-clock numbers are machine-specific, so the regression gate
 compares *ratios* (reference/fast, cold/hit), which are stable across
-hosts.  ``--smoke`` runs reduced-size variants and fails when any
-gated ratio regresses more than 25% against the committed baseline.
+hosts.  The baseline-gated ratios of sections that time two variants
+are medians over alternating pairs: both halves of a pair see the same
+host load, so the ratio reads the code rather than the load.
+``--smoke`` runs reduced-size variants and fails when any gated ratio
+regresses more than 25% against the committed baseline.
 
 Run:
   python tools/bench.py                  # full suite, print table
@@ -106,6 +113,7 @@ import argparse
 import gc
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -202,6 +210,19 @@ def _best_of(fn, repeats: int) -> float:
     return _best_cold(lambda: None, lambda _: fn(), repeats)
 
 
+def _paired(run_a, run_b, pairs: int) -> tuple[float, float, float]:
+    """``(median a, median b, median a/b)`` over *pairs* alternating
+    timings of ``run_a()`` and ``run_b()`` (seconds)."""
+    ta, tb = [], []
+    for _ in range(pairs):
+        for run, times in ((run_a, ta), (run_b, tb)):
+            t0 = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - t0)
+    ratios = [a / b for a, b in zip(ta, tb)]
+    return statistics.median(ta), statistics.median(tb), statistics.median(ratios)
+
+
 def _wide_graph(tasks: int = 2000) -> TaskArena:
     omp = OpenMP(f"wide{tasks}")
     for i in range(tasks):
@@ -212,29 +233,46 @@ def _wide_graph(tasks: int = 2000) -> TaskArena:
 def bench_scheduler(machine, repeats: int) -> dict:
     """Wide-graph scheduler throughput, reference vs fast."""
     graph = _wide_graph(2000)
-    out = {}
-    for engine in ("reference", "fast"):
-        sched = Scheduler(machine, threads=4, engine=engine)
-        out[f"{engine}_ms"] = _best_of(lambda: sched.run(graph), repeats) * 1e3
-    out["ratio"] = out["reference_ms"] / out["fast_ms"]
-    out["repeats"] = repeats
-    return out
+    runs = [
+        lambda s=Scheduler(machine, threads=4, engine=engine): s.run(graph)
+        for engine in ("reference", "fast")
+    ]
+    for run in runs:  # the fast kernel's seat plan is cached on the arena
+        run()
+    ref_s, fast_s, ratio = _paired(*runs, repeats)
+    return {
+        "reference_ms": ref_s * 1e3,
+        "fast_ms": fast_s * 1e3,
+        "ratio": ratio,
+        "pairs": repeats,
+    }
 
 
-def bench_matrix(machine, sizes: tuple[int, ...]) -> dict:
+def bench_matrix(machine, sizes: tuple[int, ...], pairs: int = 3) -> dict:
     """The execution matrix, simulated cost-only, reference vs fast."""
-    out = {"sizes": list(sizes)}
-    for engine in ("reference", "fast"):
-        cfg = StudyConfig(sizes=sizes, execute_max_n=0)
-        study = EnergyPerformanceStudy(
-            machine, config=cfg, _engine=Engine(machine, engine=engine)
-        )
-        t0 = time.perf_counter()
-        result = study.run()
-        out[f"{engine}_s"] = time.perf_counter() - t0
-        out["cells"] = len(result.runs)
-    out["ratio"] = out["reference_s"] / out["fast_s"]
-    return out
+    cells = []
+
+    def study(engine: str):
+        def run():
+            cfg = StudyConfig(sizes=sizes, execute_max_n=0)
+            kernel = Engine(machine, engine=engine)
+            result = EnergyPerformanceStudy(machine, config=cfg, _engine=kernel).run()
+            cells.append(len(result.runs))
+
+        return run
+
+    runs = [study("reference"), study("fast")]
+    for run in runs:  # lowering and plan bundles are cached after this
+        run()
+    ref_s, fast_s, ratio = _paired(*runs, pairs)
+    return {
+        "sizes": list(sizes),
+        "reference_s": ref_s,
+        "cells": cells[-1],
+        "fast_s": fast_s,
+        "ratio": ratio,
+        "pairs": pairs,
+    }
 
 
 def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
@@ -402,7 +440,7 @@ def bench_lowering_cache(machine, n: int, repeats: int) -> dict:
 def bench_graph_build(
     machine,
     sizes: tuple[int, ...],
-    repeats: int,
+    pairs: int,
     threads: tuple[int, ...] = (1, 2, 3, 4),
 ) -> dict:
     """Cold execution-matrix lowering: the object lowering (the
@@ -429,14 +467,17 @@ def bench_graph_build(
                     else:
                         object_lowering(alg, n, p)
 
-    reps = min(repeats, 3)  # a full object pass is seconds, not ms
+    object_s, arena_s, ratio = _paired(
+        lambda: build_matrix(False), lambda: build_matrix(True), pairs
+    )
     out = {
         "sizes": list(sizes),
         "cells": 3 * len(sizes) * len(threads),
-        "object_s": _best_of(lambda: build_matrix(False), reps),
-        "arena_s": _best_of(lambda: build_matrix(True), reps),
+        "object_s": object_s,
+        "arena_s": arena_s,
+        "ratio": ratio,
+        "pairs": pairs,
     }
-    out["ratio"] = out["object_s"] / out["arena_s"]
 
     n_big = max(sizes)
 
@@ -682,7 +723,8 @@ def run_suite(smoke: bool) -> dict:
         "study_e2e": bench_study_e2e(machine, sizes),
         "lowering_cache": bench_lowering_cache(machine, cache_n, repeats),
         "cache_sim64k": bench_cache_sim(repeats),
-        "graph_build": bench_graph_build(machine, sizes, repeats),
+        # A full object pass takes seconds, not milliseconds.
+        "graph_build": bench_graph_build(machine, sizes, 5 if smoke else 3),
         "study_parallel": bench_study_parallel(machine, sizes),
         "network_sim": bench_network_sim(machine, smoke, repeats),
         "study_service": bench_study_service(machine, smoke),
