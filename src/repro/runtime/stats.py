@@ -72,7 +72,8 @@ class RuntimeStats:
             weights=np.subtract(busy_end, busy_start, dtype=np.float64),
             minlength=threads,
         ).tolist()
-        total_busy = sum(busy)
+        # An empty bincount is int64 zeros; start the sum from a float.
+        total_busy = sum(busy, 0.0)
         avg_par = total_busy / makespan if makespan > 0 else 0.0
         mean_busy = total_busy / len(busy)
         imbalance = (max(busy) / mean_busy) if mean_busy > 0 else 1.0

@@ -81,6 +81,29 @@ def test_packing_adds_traffic_not_flops(machine):
     assert gp.flops == pytest.approx(gn.flops, abs=10)
 
 
+def test_packing_costs_time_for_channel_traffic(machine, engine):
+    """The Eq. 8 memory-for-communication trade in miniature: packing
+    the BFS operands costs time and does not cut DRAM traffic."""
+    packed, zero_copy = (
+        engine.run(CapsStrassen(machine, pack=pack).build_arena(512, 4).graph, 4)
+        for pack in (True, False)
+    )
+    assert packed.elapsed_s > zero_copy.elapsed_s
+    assert packed.bytes_dram >= zero_copy.bytes_dram * 0.99
+
+
+def test_paper_depth_beats_all_dfs(machine, engine):
+    """The paper's cutoff depth 4 (BFS over the whole tree at n=1024) is
+    at least as fast as an all-DFS schedule on the 4-core SMP."""
+    times = {
+        depth: engine.run(
+            CapsStrassen(machine, cutoff_depth=depth).build_arena(1024, 4).graph, 4
+        ).elapsed_s
+        for depth in (0, 4)
+    }
+    assert times[4] <= times[0]
+
+
 def test_dfs_children_are_sequential(machine):
     """DFS mode runs the seven sub-problems in sequence even with idle
     cores (the paper's 'each stage... in sequence')."""

@@ -90,6 +90,20 @@ class TestEq2:
         f4 = mixed_ep(lu, 512, threads=4).sequential_fraction
         assert f4 > f1
 
+    def test_amdahl_sweep(self, machine):
+        """Over p = 1..4 at n=1024 the serial share grows while the
+        serial panels' own time stays put, and EP_t grows sub-linearly
+        against the parallel part's power growth."""
+        lu = BlockLU(machine, block=128)
+        reports = [mixed_ep(lu, 1024, p) for p in (1, 2, 3, 4)]
+        fracs = [r.sequential_fraction for r in reports]
+        assert fracs == sorted(fracs)
+        t_seq = [r.sequential.elapsed_s for r in reports]
+        assert max(t_seq) / min(t_seq) < 1.02
+        one, four = reports[0], reports[-1]
+        power_growth = four.parallel.avg_power_w() / one.parallel.avg_power_w()
+        assert 1.0 < four.ep_t / one.ep_t < 4 * power_growth
+
     def test_eq2_matches_manual_computation(self, lu):
         report = mixed_ep(lu, 256, threads=2)
         seq, par = report.sequential, report.parallel

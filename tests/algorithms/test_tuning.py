@@ -73,6 +73,20 @@ def test_tune_parameter_deterministic_ties():
     assert best == 1  # smallest candidate on ties
 
 
+def test_leaf_cutoff_search_picks_an_interior_cutoff(machine, engine):
+    """§IV-B's empirical search by simulated runtime: tiny leaves drown
+    in addition overhead and huge leaves forfeit the operation-count
+    reduction, so the interior of the sweep (the paper's 64) wins."""
+    from repro.algorithms import StrassenWinograd
+
+    def runtime(cutoff):
+        alg = StrassenWinograd(machine, cutoff=cutoff, grain=cutoff)
+        return engine.run(alg.build_arena(512, 4).graph, 4).elapsed_s
+
+    best, _ = tune_parameter([16, 32, 64, 128, 256], runtime)
+    assert best in (32, 64, 128)
+
+
 def test_tune_parameter_empty_rejected():
     with pytest.raises(ConfigurationError):
         tune_parameter([], lambda c: 0.0)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Study
+from repro.core.study import PAPER_SIZES, PAPER_THREADS
 from repro.machine import haswell_e3_1225, generic_smp
 from repro.runtime.replay import replay
 from repro.sim import Engine
@@ -11,6 +13,19 @@ from repro.sim import Engine
 def machine():
     """The paper's platform spec (immutable; safe to share)."""
     return haswell_e3_1225()
+
+
+@pytest.fixture(scope="session")
+def paper_result(machine):
+    """The paper's execution matrix, once per session: the three paper
+    algorithms x ``PAPER_SIZES`` x ``PAPER_THREADS`` (48 cells),
+    cost-only on the platform's default engine.  A cell's times and
+    energies do not depend on whether its numerics ran, so the paper's
+    claims and the engine-version digests read this study."""
+    return Study(
+        machine, sizes=PAPER_SIZES, threads=PAPER_THREADS,
+        execute_max_n=0, verify=False,
+    ).run().result
 
 
 @pytest.fixture(scope="session")

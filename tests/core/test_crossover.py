@@ -22,18 +22,6 @@ def test_eq9_validation():
         crossover_dimension(1, 0)
 
 
-def test_paper_platform_cannot_reach_crossover(machine):
-    """§VI-B: 'we were unable to execute problems large enough to
-    realize the crossover point' — the machine's crossover n exceeds
-    what 4 GB can hold."""
-    analysis = analyze_crossover(machine)
-    assert not analysis.reachable
-    assert analysis.crossover_n > analysis.max_feasible_n
-    # Sanity on magnitudes: y ~ 188 Gflop/s = 188000 Mflop/s,
-    # z ~ 10240 MB/s -> n ~ 8800.
-    assert analysis.crossover_n == pytest.approx(480 * 188416 / 10240, rel=0.05)
-
-
 def test_bandwidth_rich_platform_reaches_crossover(machine):
     """More channels pull the crossover into feasible range."""
     from repro.machine import generic_smp

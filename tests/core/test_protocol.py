@@ -59,6 +59,18 @@ class TestProtocol:
             result.cell("openblas", 9999, 1)
 
 
+def test_paper_algorithms_spread_is_real_but_small(machine):
+    """Five quiesced repetitions of each paper algorithm: the noise
+    layer gives every cell a spread under 5%."""
+    proto = ExperimentProtocol(machine, repetitions=5, quiesce_s=60.0, seed=7)
+    result = proto.run(paper_algorithms(machine), sizes=(256,), threads=(1, 4))
+    assert len(result.time_stats) == 3 * 2
+    for tstats in result.time_stats.values():
+        assert tstats.n == 5
+        assert 0 < tstats.relative_spread < 0.05
+        assert tstats.minimum <= tstats.mean <= tstats.maximum
+
+
 def test_quiesce_feeds_msr_stream(machine):
     """With a quiesce period, the MSR counter history includes the idle
     energy between tests — what the paper's always-on RAPL saw."""

@@ -9,26 +9,33 @@ from repro.util.errors import ValidationError
 @pytest.fixture(scope="module")
 def points(machine):
     return channel_sweep(
-        machine, channels=(1, 2), sizes=(256, 512), threads=(1, 2, 4)
+        machine, channels=(1, 2, 4), sizes=(256, 512), threads=(1, 2, 4)
     )
 
 
 def test_one_point_per_channel(points):
-    assert [p.label for p in points] == ["1 channel(s)", "2 channel(s)"]
+    assert [p.label for p in points] == [
+        "1 channel(s)", "2 channel(s)", "4 channel(s)"
+    ]
 
 
 def test_single_channel_row_is_paper_platform(points, machine):
     base = points[0]
     assert not base.crossover_reachable  # the paper's finding
     assert 2.0 < base.strassen_slowdown < 4.5
+    assert base.strassen_s4 < 0.75 * 4  # starved to deep sub-linearity
 
 
 def test_bandwidth_lifts_strassen_scaling(points):
     """More channels -> the Strassen family's leaves stop starving ->
-    its EP scaling moves toward the line and its slowdown shrinks."""
-    one, two = points
-    assert two.strassen_s4 > one.strassen_s4
-    assert two.strassen_slowdown < one.strassen_slowdown
+    its EP scaling moves toward the line, its slowdown shrinks and the
+    Eq. 9 crossover comes into range: the paper's conclusions are
+    bandwidth-bound."""
+    for narrow, wide in zip(points, points[1:]):
+        assert wide.strassen_s4 > narrow.strassen_s4
+        assert wide.strassen_slowdown < narrow.strassen_slowdown
+        assert wide.crossover_reachable
+    assert points[-1].strassen_s4 > 1.5 * points[0].strassen_s4
 
 
 def test_openblas_superlinearity_is_robust(points):
@@ -40,7 +47,7 @@ def test_openblas_superlinearity_is_robust(points):
 
 def test_table_rendering(points):
     table = sensitivity_table(points)
-    assert len(table.rows) == 2
+    assert len(table.rows) == 3
     assert "Eq.9 reachable" in table.headers
 
 

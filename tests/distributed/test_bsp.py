@@ -96,12 +96,21 @@ class TestPrograms:
 
     def test_imbalance_costs_time_and_ep(self, cluster, sim):
         """Stragglers stretch the run and drag the EP ratio — the
-        quantitative version of Eq. 2's max-over-units."""
-        balanced = sim.run(summa_program(cluster, 8192, 16, imbalance=0.0))
-        skewed = sim.run(summa_program(cluster, 8192, 16, imbalance=0.3))
-        assert skewed.total_time_s > balanced.total_time_s
-        assert skewed.max_idle_fraction > 0.2
-        assert skewed.ep() < balanced.ep()
+        quantitative version of Eq. 2's max-over-units — and CAPS stays
+        ahead of SUMMA at every imbalance."""
+        runs = {
+            (program, imb): sim.run(program(cluster, 8192, 16, imbalance=imb))
+            for program in (summa_program, caps_program)
+            for imb in (0.0, 0.1, 0.3)
+        }
+        for program in (summa_program, caps_program):
+            balanced, skewed = runs[(program, 0.0)], runs[(program, 0.3)]
+            assert skewed.total_time_s > balanced.total_time_s
+            assert skewed.max_idle_fraction > 0.2
+            assert skewed.ep() < balanced.ep()
+        for imb in (0.0, 0.1, 0.3):
+            caps, summa = runs[(caps_program, imb)], runs[(summa_program, imb)]
+            assert caps.total_time_s < summa.total_time_s
 
     def test_imbalance_deterministic(self, cluster, sim):
         a = sim.run(summa_program(cluster, 4096, 8, imbalance=0.2))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.dmatmul import CapsDistributed, Summa2D
+from repro.distributed.dmatmul import CapsDistributed, Summa25D, Summa2D
 from repro.distributed.network import ClusterSpec
 from repro.distributed.study import DistributedEPStudy
 from repro.power.planes import Plane
@@ -13,13 +13,15 @@ from repro.util.errors import ValidationError
 def result():
     cl = ClusterSpec()
     study = DistributedEPStudy(
-        cl, [Summa2D(cl), CapsDistributed(cl)], node_counts=(1, 4, 16, 64)
+        cl,
+        [Summa2D(cl), Summa25D(cl, c=4), CapsDistributed(cl)],
+        node_counts=(1, 4, 16, 64, 256),
     )
     return study.run(8192)
 
 
 def test_all_runs_present(result):
-    assert len(result.runs) == 2 * 4
+    assert len(result.runs) == 3 * 5
 
 
 def test_time_falls_with_nodes(result):
@@ -29,10 +31,21 @@ def test_time_falls_with_nodes(result):
 
 
 def test_caps_faster_than_summa(result):
+    """Strassen flops at the Eq. 8 bound win at every scale, against 2D
+    and 2.5D SUMMA alike."""
     for nodes in result.node_counts:
+        caps = result.run_for("caps-dist", nodes).time_s
+        assert caps < result.run_for("summa", nodes).time_s
+        assert caps < result.run_for("summa25d", nodes).time_s
+
+
+def test_replication_cuts_summa_link_traffic(result):
+    """2.5D SUMMA moves fewer link bytes than 2D wherever it can
+    replicate."""
+    for nodes in result.node_counts[1:]:
         assert (
-            result.run_for("caps-dist", nodes).time_s
-            < result.run_for("summa", nodes).time_s
+            result.run_for("summa25d", nodes).profile.comm.link_bytes
+            < result.run_for("summa", nodes).profile.comm.link_bytes
         )
 
 

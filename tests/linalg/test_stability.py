@@ -89,6 +89,26 @@ def test_error_bound_variants_ordered():
     )
 
 
+def test_measured_errors_against_bounds():
+    """§IV-B: every fast-variant error, measured against the classical
+    product, sits under its Higham bound and is not zero, and
+    Winograd's error grows superlinearly in n."""
+    from repro.linalg.fastmm import classic_strassen_product, winograd_product
+
+    winograd_err = {}
+    for n in (128, 256, 512):
+        a, b = random_matrix(n, seed=n), random_matrix(n, seed=n + 1)
+        reference = a @ b
+        for variant, product in (
+            ("strassen", classic_strassen_product),
+            ("winograd", winograd_product),
+        ):
+            err = max_norm(product(a, b, 32) - reference)
+            assert 0.0 < err <= error_bound(a, b, variant=variant, cutoff=32)
+        winograd_err[n] = err
+    assert winograd_err[512] > 2 * winograd_err[128]
+
+
 def test_error_bound_unknown_variant():
     a = random_matrix(8, seed=0)
     with pytest.raises(ValidationError):

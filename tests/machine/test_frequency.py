@@ -116,10 +116,14 @@ def test_frequency_and_dynamic_power_monotone_along_ladder():
 
 
 def test_simulated_time_monotone_across_pstates():
-    """The same workload never gets slower at a higher P-state."""
+    """The same workload never gets slower at a higher P-state, and
+    never draws less power: throttling trades runtime for watts."""
     dom = _ladder(5)
-    elapsed = [_run_at_state(dom, i).elapsed_s for i in range(5)]
+    runs = [_run_at_state(dom, i) for i in range(5)]
+    elapsed = [m.elapsed_s for m in runs]
     assert elapsed == sorted(elapsed, reverse=True)
+    watts = [m.avg_power_w() for m in runs]
+    assert watts == sorted(watts)
 
 
 def test_energy_varies_continuously_across_adjacent_pstates():

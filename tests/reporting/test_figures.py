@@ -28,6 +28,8 @@ def test_fig1_schematic_regions():
     superlinear = dict(fig.series_values("superlinear"))
     for p in range(2, 9):
         assert ideal[p] < linear[p] < superlinear[p]
+    # All three curves meet at the single-unit baseline.
+    assert ideal[1] == linear[1] == superlinear[1] == 1.0
 
 
 def test_fig1_validation():

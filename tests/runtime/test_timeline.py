@@ -53,10 +53,19 @@ class TestStats:
         assert stats.utilization == pytest.approx(0.75)
         assert stats.imbalance == pytest.approx(4.0 / 3.0)
 
-    def test_zero_makespan(self):
+    def test_zero_makespan(self, machine):
         stats = RuntimeStats.from_busy(0.0, [], [], [], task_count=0, threads=1)
         assert stats.avg_parallelism == 0.0
         assert stats.imbalance == 1.0
+        assert type(stats.busy_core_seconds) is float
+        # A zero-cost-only graph has no busy rows on any kernel.
+        omp = OpenMP("joins")
+        omp.task("j", TaskCost())
+        engines = ["reference", "fast"] + ["compiled"] * compiled_available()[0]
+        for engine in engines:
+            sched = Scheduler(machine, threads=2, engine=engine).run(omp.graph)
+            assert len(sched.busy_core) == 0, engine
+            assert type(sched.stats.busy_core_seconds) is float, engine
 
     def test_threads_validated(self):
         with pytest.raises(ValidationError):

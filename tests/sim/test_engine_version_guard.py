@@ -4,10 +4,12 @@ The result store keys every cell — served by ``repro serve`` or resumed
 by a checkpointed study — by ``ENGINE_VERSION``, which is bumped by
 hand.  A change to simulated numbers without a bump would serve stale
 results from every existing store.  ``engine_golden.json`` records, for
-the version it was made under, a digest of each cell of a small study
-(paper algorithms, sizes 128 and 256, threads 1 and 2): its
-``elapsed_s``, plane energies and power-trace segments.  The test fails
-when any digest moves while the version stays put.
+the version it was made under, a digest of each cell of two cost-only
+studies on the platform's default engine: a small one (paper
+algorithms, sizes 128 and 256, threads 1 and 2) and the paper's
+48-cell matrix (the session's ``paper_result``).  A digest covers the
+cell's ``elapsed_s``, plane energies and power-trace segments.  The
+test fails when any digest moves while the version stays put.
 
 After a deliberate semantics change, bump ``ENGINE_VERSION`` and
 regenerate the golden file::
@@ -19,7 +21,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from repro.api import RunOptions, Study
+from repro.api import Study
+from repro.core.study import PAPER_SIZES, PAPER_THREADS
 from repro.machine.specs import haswell_e3_1225
 from repro.sim.engine import ENGINE_VERSION
 
@@ -28,14 +31,19 @@ SIZES = (128, 256)
 THREADS = (1, 2)
 
 
-def cell_digests() -> dict[str, str]:
-    """``"alg/n/threads"`` -> sha256 of the cell's simulated outputs."""
+def cost_only_runs(sizes, threads) -> dict:
+    """The cells of a cost-only study on the default engine."""
     study = Study(
-        haswell_e3_1225(), sizes=SIZES, threads=THREADS,
+        haswell_e3_1225(), sizes=sizes, threads=threads,
         execute_max_n=0, verify=False,
     )
+    return study.run().result.runs
+
+
+def cell_digests(runs: dict) -> dict[str, str]:
+    """``"alg/n/threads"`` -> sha256 of each cell's simulated outputs."""
     digests = {}
-    for (alg, n, p), m in study.run(RunOptions(engine="fast")).result.runs.items():
+    for (alg, n, p), m in runs.items():
         e = m.energy
         h = hashlib.sha256(repr((m.elapsed_s, e.package, e.pp0, e.dram)).encode())
         for seg in m.trace.segments:
@@ -53,9 +61,10 @@ def stale_cells(golden: dict, digests: dict[str, str], version: int) -> list[str
                   if digests.get(c) != golden["cells"].get(c))
 
 
-def test_simulated_numbers_change_only_with_engine_version():
+def test_simulated_numbers_change_only_with_engine_version(paper_result):
     golden = json.loads(GOLDEN.read_text())
-    stale = stale_cells(golden, cell_digests(), ENGINE_VERSION)
+    digests = cell_digests({**cost_only_runs(SIZES, THREADS), **paper_result.runs})
+    stale = stale_cells(golden, digests, ENGINE_VERSION)
     assert not stale, (
         f"simulated outputs changed for {stale} but ENGINE_VERSION is still "
         f"{ENGINE_VERSION}: bump it in src/repro/sim/engine.py so stores stop "
@@ -78,9 +87,13 @@ def test_guard_flags_a_moved_cell_under_the_same_version():
 
 
 if __name__ == "__main__":
+    runs = {
+        **cost_only_runs(SIZES, THREADS),
+        **cost_only_runs(PAPER_SIZES, PAPER_THREADS),
+    }
     GOLDEN.write_text(
         json.dumps(
-            {"engine_version": ENGINE_VERSION, "cells": cell_digests()},
+            {"engine_version": ENGINE_VERSION, "cells": cell_digests(runs)},
             indent=2, sort_keys=True,
         )
         + "\n"

@@ -77,6 +77,18 @@ class TestCost:
         assert intermediate_products(a, b, 0, 1) == 4
         assert intermediate_products(a, b, 1, 2) == 0
 
+    def test_overlap_not_nnz_governs_the_output(self):
+        """A band's intermediate products pile onto a few output
+        diagonals (high compression, the output stays banded), while a
+        random pattern's rarely collide and the output fills in."""
+        band = CSRMatrix.from_coo(banded(512, 4, seed=31))
+        rand = CSRMatrix.from_coo(uniform_random(512, 0.01, seed=32))
+        band_c, rand_c = spgemm(band, band), spgemm(rand, rand)
+        assert intermediate_products(band, band, 0, 512) > 3.0 * band_c.nnz
+        assert intermediate_products(rand, rand, 0, 512) < 2.0 * rand_c.nnz
+        assert band_c.nnz < 3 * band.nnz
+        assert rand_c.nnz > 3 * rand.nnz
+
     def test_flops_track_intermediates(self, machine):
         a, b = csr(seed=8), csr(seed=9)
         cost = spgemm_chunk_cost(a, b, machine, 0, a.shape[0])

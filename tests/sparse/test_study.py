@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sparse.generators import banded
+from repro.sparse.generators import banded, power_law
 from repro.sparse.study import SparseEPStudy, convert
 from repro.util.errors import ConfigurationError, ValidationError
 
@@ -44,6 +44,34 @@ def test_scaling_curves_sublinear(result):
     for fmt in result.formats:
         pts = result.scaling_curve(fmt)
         assert pts[-1].s < pts[-1].parallelism  # below the line
+
+
+def test_dia_wins_on_a_wide_band(machine):
+    """No per-entry indices: DIA is the most energy-efficient scheme on
+    a band, BSR the best index-carrying one, COO's double index array
+    the worst."""
+    result = SparseEPStudy(machine, banded(1024, 8, seed=11), repeats=4, verify=False).run()
+    j = {fmt: result.energy_per_sweep_j(fmt, 4) for fmt in result.formats}
+    assert j["dia"] <= min(j.values()) * 1.001
+    assert j["bsr"] <= min(j["csr"], j["coo"], j["ell"]) * 1.05
+    assert j["coo"] >= max(j["csr"], j["bsr"])
+    assert result.storage_bytes["dia"] < result.storage_bytes["csr"]
+    for fmt in result.formats:
+        pts = result.scaling_curve(fmt)
+        assert pts[-1].s < pts[-1].parallelism
+
+
+def test_padding_costs_on_skewed_rows(machine):
+    """Power-law row degrees: ELL's padding costs storage, energy and
+    time against CSR, and DIA's dense diagonals are far worse still."""
+    pattern = power_law(1024, avg_degree=8, alpha=1.7, seed=12)
+    result = SparseEPStudy(machine, pattern, repeats=4, verify=False).run()
+    storage, joules = result.storage_bytes, result.energy_per_sweep_j
+    assert storage["ell"] > 2 * storage["csr"]
+    assert joules("ell", 4) > joules("csr", 4)
+    assert result.time_s("ell", 4) > result.time_s("csr", 4)
+    assert storage["dia"] > 20 * storage["csr"]
+    assert joules("dia", 4) > 10 * joules("csr", 4)
 
 
 def test_summary_table(result):

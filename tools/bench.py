@@ -7,9 +7,9 @@ event kernels (``reference`` — the original scalar loop — and ``fast``
 and the trace-driven cache simulator:
 
 ``scheduler_wide2000``
-    The 2000-task wide graph from ``benchmarks/test_engine_perf.py``,
-    scheduled at four threads by each engine in *repeats* alternating
-    pairs; the gated ``ratio`` is the median pair's reference/fast.
+    A wide graph of 2000 independent tasks, scheduled at four threads
+    by each engine in *repeats* alternating pairs; the gated ``ratio``
+    is the median pair's reference/fast.
 ``matrix_cost48``
     The paper's full 48-cell execution matrix (3 algorithms x sizes
     {512..4096} x threads {1..4}), simulated cost-only by each engine
@@ -49,7 +49,8 @@ and the trace-driven cache simulator:
     Strassen lowering uncached (``build_arena`` on a fresh algorithm
     instance, so its subtree templates start cold) versus a warm
     ``build_cached`` hit — the cost a protocol repetition or sweep
-    re-run avoids.
+    re-run avoids — in *repeats* alternating pairs (a batch of 100 hits
+    per sample); the gated ``ratio`` is the median pair's cold/hit.
 ``cache_sim64k``
     A 64 KiB stride-64 stream through the 3-level LRU hierarchy
     (engine-independent; guards the cache-sim hot path).
@@ -408,16 +409,14 @@ def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     }
 
 
-def bench_lowering_cache(machine, n: int, repeats: int) -> dict:
+def bench_lowering_cache(machine, n: int, pairs: int) -> dict:
     """Uncached Strassen lowering (what a cache miss pays) vs a warm
-    build-cache hit.  Each cold sample lowers on a fresh algorithm
-    instance, so it pays the subtree-template construction a first
-    lowering pays, not a re-lowering from warm template memos."""
-    cold = _best_cold(
-        lambda: StrassenWinograd(machine),
-        lambda alg: alg.build_arena(n, 4, seed=0),
-        repeats,
-    )
+    build-cache hit, in *pairs* alternating timings; the gated
+    ``ratio`` is the median pair's cold/hit.  Each cold sample lowers on
+    a fresh algorithm instance, built outside the timer, so it pays the
+    subtree-template construction a first lowering pays, not a
+    re-lowering from warm template memos."""
+    fresh = iter([StrassenWinograd(machine) for _ in range(pairs)])
     alg = StrassenWinograd(machine)
     cache = BuildCache()
     alg.build_cached(n, 4, seed=0, cache=cache)  # warm
@@ -428,12 +427,15 @@ def bench_lowering_cache(machine, n: int, repeats: int) -> dict:
         for _ in range(100):
             alg.build_cached(n, 4, seed=0, cache=cache)
 
-    hit = _best_of(hit_batch, max(repeats, 5)) / 100
+    cold, batch, ratio = _paired(
+        lambda: next(fresh).build_arena(n, 4, seed=0), hit_batch, pairs
+    )
     return {
         "n": n,
         "cold_ms": cold * 1e3,
-        "hit_ms": hit * 1e3,
-        "ratio": cold / hit if hit > 0 else float("inf"),
+        "hit_ms": batch / 100 * 1e3,
+        "ratio": ratio * 100,
+        "pairs": pairs,
     }
 
 

@@ -23,6 +23,11 @@ PAPER_TABLE2 = {
     "caps": {512: 2.840, 1024: 2.942, 2048: 2.809, 4096: 2.561, "avg": 2.788},
 }
 PAPER_TABLE3 = PAPER_TARGETS.power_by_threads
+PAPER_TABLE4 = {
+    "openblas": {512: 6356.33, 1024: 1052.34, 2048: 136.38, 4096: 19.53, "avg": 1891.15},
+    "strassen": {512: 1912.76, 1024: 239.27, 2048: 24.60, 4096: 4.70, "avg": 545.33},
+    "caps": {512: 1961.28, 1024: 244.57, 2048: 25.32, 4096: 4.86, "avg": 559.00},
+}
 
 
 def fmt_delta(measured, paper):
@@ -62,15 +67,32 @@ def main() -> int:
         lines.append(f"| {alg} | " + " | ".join(cells) + " |")
 
     lines += ["", "## Table III — watts by thread count (measured | paper | delta)", ""]
-    lines.append("| algorithm | P=1 | P=2 | P=3 | P=4 |")
-    lines.append("|---|---|---|---|---|")
+    lines.append("| algorithm | P=1 | P=2 | P=3 | P=4 | average |")
+    lines.append("|---|---|---|---|---|---|")
     for alg, paper_row in PAPER_TABLE3.items():
         watts = result.avg_power_by_threads(alg)
         cells = [fmt_delta(watts[p], paper_row[p - 1]) for p in (1, 2, 3, 4)]
+        cells.append(f"{result.avg_power_w(alg):.3f}")
+        lines.append(f"| {alg} | " + " | ".join(cells) + " |")
+    algs = result.algorithm_names
+    lines += [
+        "",
+        f"envelope: lowest per-run average "
+        f"{min(result.min_power_w(a) for a in algs):.1f} W, highest "
+        f"instantaneous {max(result.peak_power_w(a) for a in algs):.1f} W",
+    ]
+
+    lines += ["", "## Table IV — average EP (measured | paper | delta)", ""]
+    lines.append("| algorithm | " + " | ".join(str(n) for n in sizes) + " | average |")
+    lines.append("|" + "---|" * (len(sizes) + 2))
+    for alg, paper_row in PAPER_TABLE4.items():
+        by_size = result.avg_ep_by_size(alg)
+        cells = [fmt_delta(by_size[n], paper_row[n]) for n in sizes]
+        cells.append(fmt_delta(result.avg_ep(alg), paper_row["avg"]))
         lines.append(f"| {alg} | " + " | ".join(cells) + " |")
 
-    lines += ["", "## Fig. 7 — scaling classes at P=4", ""]
-    lines.append("| algorithm | size | S | class | paper expectation |")
+    lines += ["", "## Fig. 7 — S over threads, class at P=4", ""]
+    lines.append("| algorithm | size | S (P=2, 3, 4) | class | paper expectation |")
     lines.append("|---|---|---|---|---|")
     expectations = {
         "openblas": ("superlinear", lambda c: c is ScalingClass.SUPERLINEAR),
@@ -80,12 +102,14 @@ def main() -> int:
     ok = True
     for alg in result.algorithm_names:
         for n in sizes:
-            pt = result.scaling_curve(alg, n)[-1]
+            curve = result.scaling_curve(alg, n)
+            pt = curve[-1]
             want, check = expectations[alg]
             verdict = "OK" if check(pt.scaling_class) else "**MISMATCH**"
             ok = ok and check(pt.scaling_class)
+            s = ", ".join(f"{q.s:.2f}" for q in curve[1:])
             lines.append(
-                f"| {alg} | {n} | {pt.s:.2f} | {pt.scaling_class.value} "
+                f"| {alg} | {n} | {s} | {pt.scaling_class.value} "
                 f"| {want} {verdict} |"
             )
 
@@ -94,6 +118,7 @@ def main() -> int:
         "",
         "## Eq. 9 crossover",
         "",
+        f"y = {analysis.y_mflops:.0f} Mflop/s, z = {analysis.z_mbs:.0f} MB/s: "
         f"crossover n = {analysis.crossover_n:.0f}, max feasible n = "
         f"{analysis.max_feasible_n}, reachable = {analysis.reachable} "
         f"(paper: unreachable)",
