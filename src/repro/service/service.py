@@ -6,11 +6,14 @@ long-running query service:
 * **Split** — a :class:`~repro.service.cells.StudyRequest` becomes cell
   specs in serial (table) order; cells, not requests, are the unit of
   work.
-* **Hot path** — a cell whose content key
-  (:func:`~repro.core.resultstore.cell_key`) is in the
-  :class:`~repro.core.resultstore.ResultStore` is answered immediately
-  from the store (sub-millisecond; the ``study_service`` bench section
-  gates it).
+* **Hot path** — a request's cells are resolved in one synchronous
+  pass, in serial order: a cell whose content key
+  (:func:`~repro.core.resultstore.cell_key`, memoized per cell spec,
+  since every other key input is fixed for the service's lifetime) is
+  in the :class:`~repro.core.resultstore.ResultStore` is answered on
+  the spot; only in-flight and cold cells are awaited.  A grid the
+  store answers in full creates no task and never yields to the event
+  loop (sub-millisecond; the ``study_service`` bench section gates it).
 * **Single flight** — concurrent requests for the same cold cell share
   one in-flight computation: the first requester enqueues the cell,
   every later one awaits the same future (``service.cells_deduped``).
@@ -57,6 +60,7 @@ from ..observability import trace
 from ..observability.metrics import counter, registry
 from ..runtime.scheduler import default_engine
 from ..sim.engine import Engine
+from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError
 from .cells import CellResult, CellSpec, StudyRequest, StudyResponse
 from .executor import CellExecutor
@@ -156,6 +160,7 @@ class StudyService:
         #: The kernel cells are keyed by, recorded in each store entry.
         self._kernel = self._executor.engine.engine or default_engine()
         self._algorithm_fps: dict[str, str] = {}
+        self._keys: dict[CellSpec, str] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[CellSpec, str, asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -187,14 +192,25 @@ class StudyService:
     # ---- queries -------------------------------------------------------
 
     def key_for(self, spec: CellSpec) -> str:
-        """The content address this service uses for *spec*."""
+        """The content address this service uses for *spec*.
+
+        Memoized per spec: every other key input (the machine, engine
+        and algorithm fingerprints, ``config.verify``) is fixed for the
+        service's lifetime, so a remembered key is the one
+        :func:`~repro.core.resultstore.cell_key` would derive again.
+        The memo holds at most ``config.cache_entries`` specs and drops
+        the oldest first.
+        """
+        key = self._keys.get(spec)
+        if key is not None:
+            return key
         algorithm_fp = self._algorithm_fps.get(spec.algorithm)
         if algorithm_fp is None:
             algorithm_fp = algorithm_fingerprint(
                 self._executor.algorithm(spec.algorithm)
             )
             self._algorithm_fps[spec.algorithm] = algorithm_fp
-        return cell_key(
+        key = cell_key(
             self._machine_fp,
             algorithm_fp,
             spec.n,
@@ -203,9 +219,19 @@ class StudyService:
             verified=spec.execute and self.config.verify,
             engine=self._engine_fp,
         )
+        if self.config.cache_entries:
+            if len(self._keys) >= self.config.cache_entries:
+                del self._keys[next(iter(self._keys))]
+            self._keys[spec] = key
+        return key
 
     async def query(self, request: StudyRequest) -> StudyResponse:
-        """Answer a whole study grid; cells come back in serial order."""
+        """Answer a whole study grid; cells come back in serial order.
+
+        Every cell is resolved in one synchronous pass, so a grid the
+        store answers in full never yields to the event loop; only the
+        in-flight and cold cells are awaited, together.
+        """
         if self._closed:
             raise ConfigurationError("service is closed")
         _REQUESTS.add()
@@ -214,14 +240,40 @@ class StudyService:
             algorithms=list(request.algorithms),
             sizes=list(request.sizes),
             threads=list(request.threads),
-        ):
-            results = await asyncio.gather(
-                *(self.query_cell(spec) for spec in request.cells())
-            )
-        return StudyResponse(request=request, cells=list(results))
+        ) as span:
+            specs = request.cells()
+            resolved = [self._resolve(spec) for spec in specs]
+            waits = [answer for _, source, answer in resolved if source != "store"]
+            if waits:
+                waited = iter(await asyncio.gather(*map(self._wait, waits)))
+            cells = [
+                CellResult(
+                    spec, key, answer if source == "store" else next(waited), source
+                )
+                for spec, (key, source, answer) in zip(specs, resolved)
+            ]
+            response = StudyResponse(request=request, cells=cells)
+            if span is not trace.NULL_SPAN:
+                span.set(**response.source_counts())
+        return response
 
     async def query_cell(self, spec: CellSpec) -> CellResult:
         """Answer one cell: store hit, in-flight attach, or fresh compute."""
+        key, source, answer = self._resolve(spec)
+        if source != "store":
+            answer = await self._wait(answer)
+        return CellResult(spec, key, answer, source)
+
+    def _resolve(
+        self, spec: CellSpec
+    ) -> "tuple[str, str, RunMeasurement | asyncio.Future]":
+        """Everything a cell needs before anything is awaited:
+        ``(key, source, answer)``.
+
+        A store hit's answer is its measurement.  An in-flight or cold
+        cell's answer is the shared future to await; a cold cell is
+        registered in flight and queued for the next batch here.
+        """
         if self._closed:
             raise ConfigurationError("service is closed")
         _CELLS_REQUESTED.add()
@@ -230,21 +282,19 @@ class StudyService:
         future = self._inflight.get(key)
         if future is not None:
             _CELLS_DEDUPED.add()
-            measurement = await self._wait(future)
-            return CellResult(spec, key, measurement, "inflight")
+            return key, "inflight", future
 
         if self.store is not None:
             measurement = self.store.get(key)
             if measurement is not None:
-                return CellResult(spec, key, measurement, "store")
+                return key, "store", measurement
 
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[key] = future
         self._pending.append((spec, key, future))
         self._schedule_flush(loop)
-        measurement = await self._wait(future)
-        return CellResult(spec, key, measurement, "computed")
+        return key, "computed", future
 
     async def _wait(self, future: asyncio.Future):
         """Await a shared cell future without owning it: cancelling the

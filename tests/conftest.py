@@ -29,6 +29,18 @@ def paper_result(machine):
 
 
 @pytest.fixture(scope="session")
+def small_result(machine):
+    """A 12-cell cost-only study on the platform's default engine: the
+    paper algorithms x n in {128, 256} x p in {1, 2}.  The engine guard
+    digests it (its ``SIZES`` x ``THREADS``); the report and figure
+    layout tests read it."""
+    return Study(
+        machine, sizes=(128, 256), threads=(1, 2),
+        execute_max_n=0, verify=False,
+    ).run().result
+
+
+@pytest.fixture(scope="session")
 def big_machine():
     """A larger generic SMP for sweeps beyond four cores."""
     return generic_smp(cores=16)

@@ -11,14 +11,13 @@ from repro.core.choice import (
     pareto_frontier,
     select_under_power_cap,
 )
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
 from repro.util.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
-def result(machine):
-    cfg = StudyConfig(sizes=(512,), threads=(1, 2, 3, 4), execute_max_n=0, verify=False)
-    return EnergyPerformanceStudy(machine, config=cfg).run()
+def result(paper_result):
+    """The session's paper study; these tests read its n=512 cells."""
+    return paper_result
 
 
 class TestConfiguration:

@@ -10,13 +10,11 @@ from repro.core.report import (
     table3_power,
     table4_ep,
 )
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
 
 
 @pytest.fixture(scope="module")
-def result(machine):
-    cfg = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=0, verify=False)
-    return EnergyPerformanceStudy(machine, config=cfg).run()
+def result(small_result):
+    return small_result
 
 
 def test_table2_layout(result):

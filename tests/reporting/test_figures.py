@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
 from repro.reporting.figures import (
     Figure,
     fig1_schematic,
@@ -16,9 +15,8 @@ from repro.util.errors import ValidationError
 
 
 @pytest.fixture(scope="module")
-def study(machine):
-    cfg = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=0, verify=False)
-    return EnergyPerformanceStudy(machine, config=cfg).run()
+def study(small_result):
+    return small_result
 
 
 def test_fig1_schematic_regions():

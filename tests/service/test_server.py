@@ -96,6 +96,25 @@ def test_protocol_errors_are_replies_not_disconnects(server):
         assert client.ping()
 
 
+def test_unknown_algorithm_after_valid_cells_is_an_error_reply(server):
+    """The grid fails as a whole with the unknown name; the valid cells
+    resolved before it still compute, and the service keeps serving."""
+    bad = {"algorithms": ["openblas", "no-such-algorithm"], "sizes": [64],
+           "threads": [1, 2], "execute_max_n": 0}
+    with ServiceClient(server) as client:
+        with pytest.raises(
+            ServiceError,
+            match=r"\(ConfigurationError\): unknown algorithm 'no-such-algorithm'",
+        ):
+            client.request({"op": "query", "request": bad})
+        assert client.ping()
+        good = StudyRequest(("openblas",), (64,), threads=(1, 2), execute_max_n=0)
+        reply = client.query(good)
+        assert reply["sources"]["computed"] == 0
+        assert reply["sources"]["store"] + reply["sources"]["inflight"] == 2
+        assert client.query(good)["sources"]["store"] == 2
+
+
 def test_connect_failure_is_a_typed_error(tmp_path):
     with pytest.raises(ServiceError, match="cannot connect"):
         ServiceClient(tmp_path / "no-such.sock")

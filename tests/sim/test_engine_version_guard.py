@@ -6,10 +6,11 @@ hand.  A change to simulated numbers without a bump would serve stale
 results from every existing store.  ``engine_golden.json`` records, for
 the version it was made under, a digest of each cell of two cost-only
 studies on the platform's default engine: a small one (paper
-algorithms, sizes 128 and 256, threads 1 and 2) and the paper's
-48-cell matrix (the session's ``paper_result``).  A digest covers the
-cell's ``elapsed_s``, plane energies and power-trace segments.  The
-test fails when any digest moves while the version stays put.
+algorithms, sizes 128 and 256, threads 1 and 2: the session's
+``small_result``) and the paper's 48-cell matrix (``paper_result``).
+A digest covers the cell's ``elapsed_s``, plane energies and
+power-trace segments.  The test fails when any digest moves while the
+version stays put.
 
 After a deliberate semantics change, bump ``ENGINE_VERSION`` and
 regenerate the golden file::
@@ -61,9 +62,11 @@ def stale_cells(golden: dict, digests: dict[str, str], version: int) -> list[str
                   if digests.get(c) != golden["cells"].get(c))
 
 
-def test_simulated_numbers_change_only_with_engine_version(paper_result):
+def test_simulated_numbers_change_only_with_engine_version(
+    small_result, paper_result
+):
     golden = json.loads(GOLDEN.read_text())
-    digests = cell_digests({**cost_only_runs(SIZES, THREADS), **paper_result.runs})
+    digests = cell_digests({**small_result.runs, **paper_result.runs})
     stale = stale_cells(golden, digests, ENGINE_VERSION)
     assert not stale, (
         f"simulated outputs changed for {stale} but ENGINE_VERSION is still "
