@@ -29,6 +29,10 @@ key:
   :data:`~repro.sim.engine.ENGINE_VERSION` and :data:`STORE_VERSION`.
   Bumping either version constant orphans every stored entry, which is
   exactly what a semantic change to the simulator must do.
+* :func:`cell_record` — a cell's key plus the ``meta`` its entry
+  carries.  The study driver and the service both key and record their
+  cells through it, so a store either one wrote answers the other in
+  full, with the same entry whichever side wrote it.
 
 :class:`ResultStore` is the durable side: one file per key under a
 two-level fan-out directory (``root/ab/<key>.json``), each entry a
@@ -74,6 +78,7 @@ __all__ = [
     "algorithm_fingerprint",
     "canonical_json",
     "cell_key",
+    "cell_record",
     "engine_fingerprint",
     "machine_fingerprint",
     "machine_payload",
@@ -205,8 +210,8 @@ def cell_key(
     """Content address of one study cell.
 
     *machine*, *algorithm* and *engine* may each be the object or its
-    precomputed fingerprint; the service and the study driver compute
-    those once, so a per-cell key is one small hash.  *verified* is
+    precomputed fingerprint; :func:`cell_record` computes those once per
+    engine, so a per-cell key is one small hash.  *verified* is
     keyed so a verifying run is never served cells nobody verified.
     """
     if not isinstance(machine, str):
@@ -228,6 +233,53 @@ def cell_key(
             "store_version": STORE_VERSION,
         }
     )
+
+
+def cell_record(
+    engine: "sim_engine.Engine",
+    algorithm: "MatmulAlgorithm",
+    n: int,
+    threads: int,
+    *,
+    seed: int,
+    execute: bool,
+    verified: bool,
+    fingerprints: "dict[str, str] | None" = None,
+) -> "tuple[str, dict[str, object]]":
+    """``(key, meta)`` of the cell *engine* simulates for *algorithm* at
+    (*n*, *threads*): its :func:`cell_key` and the ``meta`` its store
+    entry carries (:meth:`ResultStore.put`).
+
+    *execute* is whether the cell's size is within the execute bound;
+    *verified* (what the key holds) is that and the caller's ``verify``.
+    *fingerprints* is a caller's memo of the machine, engine and
+    per-algorithm fingerprints, which never change for one engine and
+    cost far more to hash than the cell itself; pass the same dict for
+    every cell of one engine.  An engine or algorithm that cannot be
+    keyed raises :class:`ConfigurationError`.
+    """
+    fps = {} if fingerprints is None else fingerprints
+    if "engine" not in fps:
+        fps["engine"] = engine_fingerprint(engine)
+        fps["machine"] = machine_fingerprint(engine.machine)
+        fps["kernel"] = str(engine.engine or default_engine())
+    name = f"algorithm:{algorithm.name}"
+    if name not in fps:
+        fps[name] = algorithm_fingerprint(algorithm)
+    key = cell_key(
+        fps["machine"], fps[name], n, threads,
+        seed=seed, verified=verified, engine=fps["engine"],
+    )
+    meta = {
+        "machine": engine.machine.name,
+        "algorithm": algorithm.name,
+        "n": n,
+        "threads": threads,
+        "seed": seed,
+        "execute": execute,
+        "engine": fps["kernel"],
+    }
+    return key, meta
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,11 @@ Fig. 3), average power (Table III / Figs. 4-6) and EP values/scaling
 
 from __future__ import annotations
 
+import contextlib
 import copy
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import paper_algorithms
@@ -34,13 +35,7 @@ from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError, StudyCellError, ValidationError
 from ..util.validation import require_nonempty, require_positive
 from .ep import EPConvention, EPMeasurement
-from .resultstore import (
-    ResultStore,
-    algorithm_fingerprint,
-    cell_key,
-    engine_fingerprint,
-    machine_fingerprint,
-)
+from .resultstore import ResultStore, cell_record
 from .scaling import ScalingPoint, scaling_series
 
 __all__ = [
@@ -55,6 +50,15 @@ _CELLS_RESUMED = counter(
     "study.cells_resumed",
     description="study cells served from the run's result store instead "
     "of simulated",
+)
+_WORKER_FAILURES = counter(
+    "study.worker_failures",
+    description="pool-side cell computations that failed and were retried "
+    "in-process",
+)
+_CELLS_RECOMPUTED = counter(
+    "study.cells_recomputed",
+    description="cells recomputed in-process after a worker failure",
 )
 
 #: The paper's problem sizes and thread counts.
@@ -279,26 +283,20 @@ class EnergyPerformanceStudy:
         *,
         store: "ResultStore | str | Path | None" = None,
     ) -> StudyResult:
-        """Internal entry point (used by :mod:`repro.api`).
-        Instrumented: the whole matrix runs under a ``study.run`` span,
-        each cell under a ``cell`` span (serial in-process; parallel via
-        deterministic worker-trace merge).
+        """Internal entry point (used by :mod:`repro.api`): one sweep,
+        whatever the options (DESIGN §7.3).
 
-        *parallel* ``None``/``0``/``1`` runs the cells serially (in the
-        paper's table order).  ``N > 1`` fans the independent
-        (algorithm, size, threads) cells across a process pool of ``N``
-        workers.  The result is deterministic and identical to the
-        serial run: cells are merged back in the serial iteration order
-        regardless of completion order, and worker engines run without
-        an MSR — the parent deposits every cell's plane energies into
-        its own MSR afterwards, again in serial order, so a PAPI/RAPL
-        reader wrapped around the run observes the same counter stream
-        either way.
-
-        *store* (a :class:`ResultStore` or its directory)
-        checkpoints the sweep: a cell whose key is stored is served
-        from it, any other is simulated and stored, so rerunning an
-        interrupted sweep resumes it bit-identically.
+        Key the cells and serve the store hits (*store*, a
+        :class:`ResultStore` or its directory, checkpoints the sweep);
+        compute the misses through :func:`_run_cells` — in-process, or
+        over a pool of up to *parallel* workers when ``parallel > 1`` —
+        and ``put`` each as it is collected, so a rerun of an
+        interrupted sweep resumes it; then merge in the serial (table)
+        order.  Results are identical either way, and so is the study
+        engine's MSR counter stream: cells run on an MSR-less engine,
+        and the merge deposits every cell's plane energies in serial
+        order.  The matrix runs under a ``study.run`` span, each cell
+        under a ``cell`` span.
         """
         result = StudyResult(
             machine=self.machine,
@@ -307,11 +305,11 @@ class EnergyPerformanceStudy:
             display_names={a.name: a.display_name for a in self.algorithms},
         )
         cells = self._cells()
-        keys = None
+        records: dict[tuple[str, int, int], tuple[str, dict]] = {}
         if store is not None:
             # Key first: an engine or algorithm no key can describe is
             # refused before the store directory is even created.
-            keys = self._cell_keys(cells)
+            records = self._cell_records(cells)
             if not isinstance(store, ResultStore):
                 store = ResultStore(store)
         with trace.span(
@@ -322,10 +320,47 @@ class EnergyPerformanceStudy:
             cells=len(cells),
             parallel=int(parallel or 0),
         ):
-            if parallel is not None and parallel > 1 and len(cells) > 1:
-                self._run_parallel(result, cells, parallel, store=store, keys=keys)
-            else:
-                self._run_serial(result, cells, store, keys)
+            hits: dict[tuple[str, int, int], RunMeasurement] = {}
+            for coords, (key, _) in records.items():
+                measurement = store.get(key)  # a corrupt entry is a miss
+                if measurement is not None:
+                    hits[coords] = measurement
+            misses = [
+                (alg, n, p) for alg, n, p in cells if (alg.name, n, p) not in hits
+            ]
+            engine = self._cell_engine()
+            payloads = [self._payload(engine, alg, n, p) for alg, n, p in misses]
+            outcomes: dict[tuple[str, int, int], tuple] = {}
+            with _pool(min(parallel or 0, len(misses))) as pool:
+                computed = _run_cells(payloads, pool, traced=trace.enabled())
+                for (alg, n, p), outcome in zip(misses, computed):
+                    coords = (alg.name, n, p)
+                    outcomes[coords] = outcome
+                    if store is not None:
+                        key, meta = records[coords]
+                        store.put(key, outcome[0], meta=meta)
+            msr = getattr(self.engine, "msr", None)
+            with trace.span("merge", cells=len(cells)):
+                for alg, n, p in cells:
+                    coords = (alg.name, n, p)
+                    if coords in hits:
+                        measurement = hits[coords]
+                        _CELLS_RESUMED.add()
+                    else:
+                        measurement, _, metric_delta, _ = outcomes[coords]
+                        if metric_delta:
+                            metrics_registry().absorb(metric_delta)
+                    result.runs[coords] = measurement
+                    if msr is not None:
+                        deposit_planes(msr, measurement.energy)
+            # Pool cells' spans go in after the merge span closes, in
+            # serial order, so they sit at depth 1 under study.run as
+            # in-process cells do.
+            tracer = trace.active()
+            if tracer is not None:
+                for _, spans, _, _ in outcomes.values():
+                    if spans:
+                        tracer.attach(spans)
         return result
 
     def _cells(self) -> list[tuple[MatmulAlgorithm, int, int]]:
@@ -337,166 +372,47 @@ class EnergyPerformanceStudy:
             for p in self.config.threads
         ]
 
-    # ---- checkpoint/resume ---------------------------------------------
-
-    def _cell_keys(
+    def _cell_records(
         self, cells: list[tuple[MatmulAlgorithm, int, int]]
-    ) -> dict[tuple[str, int, int], str]:
-        """Every cell's store key.  Raises :class:`ConfigurationError`
-        when the engine or an algorithm cannot be keyed."""
-        engine_fp = engine_fingerprint(self.engine)
-        machine_fp = machine_fingerprint(self.engine.machine)
-        alg_fps = {a.name: algorithm_fingerprint(a) for a in self.algorithms}
+    ) -> dict[tuple[str, int, int], tuple[str, dict]]:
+        """Every cell's store key and entry ``meta``
+        (:func:`~repro.core.resultstore.cell_record`).  Raises
+        :class:`ConfigurationError` when the engine or an algorithm
+        cannot be keyed."""
+        fingerprints: dict[str, str] = {}
         cfg = self.config
         return {
-            (alg.name, n, p): cell_key(
-                machine_fp, alg_fps[alg.name], n, p, seed=cfg.seed,
-                verified=self._verified(n), engine=engine_fp,
+            (alg.name, n, p): cell_record(
+                self.engine, alg, n, p, seed=cfg.seed,
+                execute=n <= cfg.execute_max_n, verified=self._verified(n),
+                fingerprints=fingerprints,
             )
             for alg, n, p in cells
         }
-
-    def _put(
-        self, store: ResultStore, key: str, coords: tuple[str, int, int],
-        measurement: RunMeasurement,
-    ) -> None:
-        alg, n, p = coords
-        meta = {"machine": self.machine.name, "algorithm": alg, "n": n, "threads": p}
-        store.put(key, measurement, meta=meta)
-
-    def _run_serial(
-        self,
-        result: StudyResult,
-        cells: list[tuple[MatmulAlgorithm, int, int]],
-        store: ResultStore | None,
-        keys: dict[tuple[str, int, int], str] | None,
-    ) -> None:
-        """The serial (table-order) sweep, optionally against a store.
-
-        Store hits skip simulation but still deposit their plane
-        energies into the engine's MSR — in the same serial order the
-        uninterrupted run would — so a RAPL/PAPI reader wrapped around
-        the run observes an identical counter stream.
-        """
-        msr = getattr(self.engine, "msr", None)
-        for alg, n, p in cells:
-            coords = (alg.name, n, p)
-            measurement = store.get(keys[coords]) if store is not None else None
-            if measurement is None:
-                measurement = self._run_one(alg, n, p)
-                if store is not None:
-                    self._put(store, keys[coords], coords, measurement)
-            else:
-                _CELLS_RESUMED.add()
-                if msr is not None:
-                    deposit_planes(msr, measurement.energy)
-            result.runs[coords] = measurement
 
     def _verified(self, n: int) -> bool:
         """Whether the cell at size *n* checks its numerics."""
         return self.config.verify and n <= self.config.execute_max_n
 
+    def _cell_engine(self) -> Engine:
+        """The engine cells run on: the study's own, or an MSR-less copy
+        when it has an MSR (the merge deposits into that MSR).  A
+        duck-typed wrapper such as :class:`~repro.sim.noise.NoisyEngine`
+        has none, so its RNG advances in-process, in serial order."""
+        if getattr(self.engine, "msr", None) is None:
+            return self.engine
+        engine = copy.copy(self.engine)
+        engine.msr = None
+        return engine
+
     def _payload(
         self, engine: Engine, alg: MatmulAlgorithm, n: int, threads: int
     ) -> tuple:
         """Everything :func:`_run_cell` needs for one cell — no lowered
-        graph: the cell is lowered where it runs."""
+        graph: the cell is lowered where it runs, because re-lowering a
+        cell costs milliseconds while shipping its arena costs
+        megabytes (DESIGN §7.3)."""
         return (engine, alg, n, threads, self.config.seed, self._verified(n))
-
-    def _run_one(self, alg: MatmulAlgorithm, n: int, threads: int) -> RunMeasurement:
-        return _run_cell(self._payload(self.engine, alg, n, threads))
-
-    def _run_parallel(
-        self,
-        result: StudyResult,
-        cells: list[tuple[MatmulAlgorithm, int, int]],
-        workers: int,
-        *,
-        store: ResultStore | None = None,
-        keys: dict[tuple[str, int, int], str] | None = None,
-    ) -> None:
-        """Fan *cells* over a process pool; merge deterministically.
-
-        Each worker lowers its own cell (``build_cached``, as the serial
-        path does): the payload (:meth:`_payload`) is a few KB whatever
-        *n*, because re-lowering a cell costs milliseconds while
-        shipping its arena costs megabytes.
-
-        When tracing is enabled in the parent, each worker records its
-        cell under a fresh in-process tracer and ships the exported
-        spans (plus its per-cell metric deltas) back alongside the
-        measurement.  The parent attaches worker traces in submission
-        (= serial) order — never completion order — so the merged trace
-        structure and metric totals are identical run to run, the same
-        guarantee the measurements already have.
-
-        With a *store*, cells are prefetched with ``store.get`` (a corrupt
-        entry reads as a miss and is resubmitted); hits re-enter the merge
-        in serial order, computed cells are ``put`` as they are collected.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Workers get an MSR-less copy of the engine: MSR deposits are
-        # replayed by the parent (below) so the counter stream matches
-        # the serial run, and emulated MSR files need not be picklable.
-        worker_engine = copy.copy(self.engine)
-        worker_engine.msr = None
-        traced = trace.enabled()
-        hits: dict[tuple[str, int, int], RunMeasurement] = {}
-        if store is not None:
-            fetched = {coords: store.get(key) for coords, key in keys.items()}
-            hits = {coords: m for coords, m in fetched.items() if m is not None}
-        pending = [(alg, n, p) for alg, n, p in cells if (alg.name, n, p) not in hits]
-        outcomes: dict[tuple[str, int, int], tuple] = {}
-        if pending:
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = [
-                    pool.submit(
-                        _run_cell_worker,
-                        self._payload(worker_engine, alg, n, p),
-                        traced,
-                    )
-                    for alg, n, p in pending
-                ]
-                # Collect in submission (= serial) order; a slow early
-                # cell simply makes later .result() calls return
-                # instantly.  A crashing worker is re-raised with the
-                # failing cell's coordinates instead of a bare pool
-                # traceback.
-                for (alg, n, p), future in zip(pending, futures):
-                    coords = (alg.name, n, p)
-                    try:
-                        outcomes[coords] = future.result()
-                    except StudyCellError:
-                        raise
-                    except Exception as exc:
-                        raise StudyCellError(alg.name, n, p, exc) from exc
-                    if store is not None:
-                        self._put(store, keys[coords], coords, outcomes[coords][0])
-        tracer = trace.active()
-        msr = getattr(self.engine, "msr", None)
-        with trace.span("merge", cells=len(cells)):
-            for alg, n, p in cells:
-                coords = (alg.name, n, p)
-                outcome = outcomes.get(coords)
-                if outcome is not None:
-                    measurement, _, metric_delta = outcome
-                    if metric_delta:
-                        metrics_registry().absorb(metric_delta)
-                else:
-                    measurement = hits[coords]
-                    _CELLS_RESUMED.add()
-                result.runs[coords] = measurement
-                if msr is not None:
-                    deposit_planes(msr, measurement.energy)
-        # Attach worker spans after the merge span closes so cells sit
-        # at depth 1 under study.run, exactly like the serial path (the
-        # default phase summary aggregates at max_depth=1).
-        if tracer is not None:
-            for alg, n, p in pending:
-                outcome = outcomes.get((alg.name, n, p))
-                if outcome is not None and outcome[1]:
-                    tracer.attach(outcome[1])
 
 
 def _run_cell(payload) -> RunMeasurement:
@@ -508,12 +424,11 @@ def _run_cell(payload) -> RunMeasurement:
     (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`); the
     measurement never depends on it.
 
-    Module-level so the parallel driver can send it to worker
-    processes; the serial path calls it in-process with the study's
-    own engine (MSR deposits then happen inside ``engine.simulate``).
+    Module-level so :func:`_run_cells` can send it to worker processes
+    as well as call it in-process.
 
-    When tracing is active (serial: the study's tracer; parallel: the
-    worker-local tracer installed by :func:`_run_cell_worker`), the
+    When tracing is active (in-process: the caller's tracer; in a pool:
+    the worker-local tracer installed by :func:`_run_cell_worker`), the
     whole cell runs under a ``cell`` span whose attributes carry the
     cell coordinates and the per-cell metric deltas (cache hits/misses,
     tasks lowered, kernel sweeps, ...); the span itself records the
@@ -554,3 +469,71 @@ def _run_cell_worker(payload, traced: bool):
     with trace.tracing() as tracer:
         measurement = _run_cell(payload)
     return measurement, tracer.export(), reg.export_delta(snap)
+
+
+def _pool(workers: int):
+    """A process pool of *workers*, or a null context (no pool) for
+    fewer than two."""
+    if workers < 2:
+        return contextlib.nullcontext()
+    # Looked up per call, so a test can substitute an in-process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def _submit(pool, payload: tuple, traced: bool) -> "Future":
+    """Submit one cell to *pool*; a submit that raises (a worker died
+    after an earlier submit and broke the pool) becomes a failed future,
+    so the fault policy sees it like any other worker failure."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    try:
+        return pool.submit(_run_cell_worker, payload, traced)
+    except BrokenProcessPool as exc:
+        failed: Future = Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def _run_cells(
+    payloads: list[tuple], pool=None, *, traced: bool = False
+) -> Iterator[tuple]:
+    """Compute cells; yield ``(measurement, spans, metric_delta,
+    recomputed)`` for each of *payloads*, in order.
+
+    The one cell driver of the study and the service.  Without a *pool*
+    every cell runs in-process (:func:`_run_cell`; spans and metrics
+    land in the caller's tracer and registry, so both extras are
+    ``None``).  With one, all cells are submitted up front and collected
+    in submission order: *traced* asks workers for their spans and
+    metric deltas (:func:`_run_cell_worker`).
+
+    Fault policy: a failed future — the cell raised in the pool, its
+    worker died, or the submit hit a broken pool — ticks
+    ``study.worker_failures`` and the cell is recomputed in-process
+    (``study.cells_recomputed``, ``recomputed=True``): the same code, so
+    the same bits.  Only an exception from that in-process run escapes,
+    as a :class:`StudyCellError` naming the cell.
+    """
+    if pool is None:
+        for payload in payloads:
+            yield _run_cell(payload), None, None, False
+        return
+    futures = [_submit(pool, payload, traced) for payload in payloads]
+    for payload, future in zip(payloads, futures):
+        try:
+            measurement, spans, metric_delta = future.result()
+        except Exception:
+            _WORKER_FAILURES.add()
+        else:
+            yield measurement, spans, metric_delta, False
+            continue
+        _CELLS_RECOMPUTED.add()
+        try:
+            measurement = _run_cell(payload)
+        except Exception as exc:
+            _, alg, n, threads, _, _ = payload
+            raise StudyCellError(alg.name, n, threads, exc) from exc
+        yield measurement, None, None, True

@@ -5,13 +5,7 @@ Substitutes for the paper's physical platform (Intel E3-1225 Haswell,
 per-plane energy model.
 """
 
-from .cache import (
-    AccessResult,
-    CacheHierarchySim,
-    CacheHierarchySpec,
-    CacheLevelSpec,
-    SetAssociativeCache,
-)
+from .cache import CacheHierarchySpec, CacheLevelSpec
 from .dram import DramSpec
 from .energy import Activity, EnergyModel, PlaneEnergy
 from .frequency import FrequencyDomain, PState, fixed_frequency
@@ -27,9 +21,7 @@ from .specs import MachineSpec, dual_socket_haswell, generic_smp, haswell_e3_122
 from .topology import CoreId, CoreSpec, MachineTopology, SocketSpec
 
 __all__ = [
-    "AccessResult",
     "Activity",
-    "CacheHierarchySim",
     "CacheHierarchySpec",
     "CacheLevelSpec",
     "CoreId",
@@ -50,7 +42,6 @@ __all__ = [
     "attainable_flops",
     "locate",
     "ridge_intensity",
-    "SetAssociativeCache",
     "SocketSpec",
     "fixed_frequency",
     "dual_socket_haswell",

@@ -6,34 +6,31 @@ batch of cold cells is CPU work, and it happens here, off the event
 loop (the service calls :meth:`CellExecutor.compute` through
 ``asyncio.to_thread``).
 
-The executor reuses the study driver's machinery wholesale: cells are
-computed by :func:`repro.core.study._run_cell` with the *same* payload
-tuples the parallel study builds, so a cell computed by the service is
-bit-identical to the same cell computed by
-:class:`~repro.core.study.EnergyPerformanceStudy` — the property the
-``study_service`` verify family enforces.  With ``workers > 1`` a
-service-lifetime :class:`~concurrent.futures.ProcessPoolExecutor` fans
-the batch out; each worker lowers its own cell, exactly like the
-parallel study's workers.
-
-Fault policy: a worker that dies mid-batch (or a cell that raises in
-the pool) must never surface a wrong or missing answer.  Each failed
-cell is recomputed serially in-process — same code path, same floats —
-with the ``service.worker_failures`` and ``service.cells_recomputed``
-counters bumped; a broken pool is discarded and lazily rebuilt for the
-next batch.
+The executor holds only what is the service's own: a service-lifetime
+:class:`~concurrent.futures.ProcessPoolExecutor` (with ``workers > 1``),
+one algorithm instance per name, and the mapping from a
+:class:`CellSpec` to the study's cell payload.  Computing a batch is
+the study driver's :func:`repro.core.study._run_cells` — the one cell
+driver, fault policy included: a cell that fails in the pool (it
+raised, or its worker died) is recomputed in-process, counted in
+``study.worker_failures`` and ``study.cells_recomputed``.  A cell
+computed by the service is therefore bit-identical to the same cell
+computed by :class:`~repro.core.study.EnergyPerformanceStudy`, the
+property the ``study_service`` verify family enforces.  A pool that
+failed a cell is discarded once its batch is collected and lazily
+rebuilt for the next.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import make_algorithm
-from ..core.study import _run_cell, _run_cell_worker
+from ..core.study import _run_cells
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
@@ -43,30 +40,9 @@ from .cells import CellSpec
 
 __all__ = ["CellExecutor"]
 
-_WORKER_FAILURES = counter(
-    "service.worker_failures",
-    description="pool-side cell computations that failed and were retried "
-    "in-process",
-)
-_CELLS_RECOMPUTED = counter(
-    "service.cells_recomputed",
-    description="cells recomputed serially after a worker failure",
-)
 _BATCHES = counter(
     "service.batches", description="cold-cell batches dispatched by the service"
 )
-
-
-def _submit(pool: ProcessPoolExecutor, payload: tuple) -> Future:
-    """Submit one cell; a submit that raises (a worker died after an
-    earlier submit and broke the pool) becomes a failed future, so the
-    fault policy sees it like any other worker failure."""
-    try:
-        return pool.submit(_run_cell_worker, payload, False)
-    except BrokenProcessPool as exc:
-        failed: Future = Future()
-        failed.set_exception(exc)
-        return failed
 
 
 class CellExecutor:
@@ -128,43 +104,29 @@ class CellExecutor:
     def compute(self, specs: list[CellSpec]) -> dict[CellSpec, RunMeasurement]:
         """Simulate every cell in *specs*; returns spec → measurement.
 
-        Serial in-process below the pool threshold; otherwise fanned
-        over the worker pool, each worker lowering its own cells.
-        Failures degrade per-cell to a serial recompute.
+        In-process for a single cell or ``workers <= 1``; otherwise
+        fanned over the worker pool, each worker lowering its own cells
+        (:func:`~repro.core.study._run_cells`).
         """
         with self._lock:
             _BATCHES.add()
             with trace.span(
                 "service.batch", cells=len(specs), workers=self.workers
             ):
-                if self.workers > 1 and len(specs) > 1:
-                    return self._compute_pool(specs)
-                return {spec: self._compute_serial(spec) for spec in specs}
-
-    def _compute_serial(self, spec: CellSpec) -> RunMeasurement:
-        return _run_cell(self._payload(spec))
-
-    def _compute_pool(self, specs: list[CellSpec]) -> dict[CellSpec, RunMeasurement]:
-        out: dict[CellSpec, RunMeasurement] = {}
-        failed: list[CellSpec] = []
-        pool = self._ensure_pool()
-        futures = [_submit(pool, self._payload(spec)) for spec in specs]
-        for spec, future in zip(specs, futures):
-            try:
-                out[spec] = future.result()[0]
-            except Exception:
-                # Worker crash, BrokenProcessPool (at submit or later),
-                # or a cell-level error: recompute in-process so the
-                # client gets the right answer (or the real per-cell
-                # exception) instead of a pool traceback.
-                _WORKER_FAILURES.add()
-                failed.append(spec)
-        if failed:
-            self._discard_pool()
-            for spec in failed:
-                _CELLS_RECOMPUTED.add()
-                out[spec] = self._compute_serial(spec)
-        return out
+                pool = (
+                    self._ensure_pool()
+                    if self.workers > 1 and len(specs) > 1
+                    else None
+                )
+                payloads = [self._payload(spec) for spec in specs]
+                try:
+                    outcomes = list(_run_cells(payloads, pool))
+                except BaseException:
+                    self._discard_pool()
+                    raise
+                if any(recomputed for *_, recomputed in outcomes):
+                    self._discard_pool()
+                return {spec: outcome[0] for spec, outcome in zip(specs, outcomes)}
 
     # ---- pool lifecycle ------------------------------------------------
 

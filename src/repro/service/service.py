@@ -8,7 +8,7 @@ long-running query service:
   work.
 * **Hot path** — a request's cells are resolved in one synchronous
   pass, in serial order: a cell whose content key
-  (:func:`~repro.core.resultstore.cell_key`, memoized per cell spec,
+  (:func:`~repro.core.resultstore.cell_record`, memoized per cell spec,
   since every other key input is fixed for the service's lifetime) is
   in the :class:`~repro.core.resultstore.ResultStore` is answered on
   the spot; only in-flight and cold cells are awaited.  A grid the
@@ -19,26 +19,32 @@ long-running query service:
   every later one awaits the same future (``service.cells_deduped``).
 * **Batch** — cold cells accumulate briefly (``batch_window_s``, or
   until ``batch_max_cells``) so overlapping requests coalesce into one
-  executor batch, which runs off-loop in a worker thread and — with
-  ``workers > 1`` — fans out over a process pool whose workers lower
-  their own cells.
+  executor batch, which runs off-loop in a worker thread through the
+  study's own cell driver (:func:`repro.core.study._run_cells`) and —
+  with ``workers > 1`` — fans out over a process pool whose workers
+  lower their own cells.
 * **Write-back** — computed cells are persisted before their futures
-  resolve, so a re-query is a store hit even across service restarts.
+  resolve, under the key and entry ``meta`` a study run would write
+  (:func:`~repro.core.resultstore.cell_record`), so a re-query is a
+  store hit even across service restarts, and a study's store and the
+  service's are one.
 
 Consistency guarantee: a served cell is *bit-identical* to the same
 cell freshly computed by a serial
 :class:`~repro.core.study.EnergyPerformanceStudy` run — the executor
-runs the study's own ``_run_cell``, the store round-trips measurements
+runs the study's own cell driver, the store round-trips measurements
 through its bit-exact pickle encoding, and
 :meth:`StudyResponse.replay_msr` reproduces the serial MSR stream.
 The ``study_service`` verify family (``python -m repro verify
 --require study_service``) enforces all three.
 
-Fault policy (see ``tests/service/test_service_faults.py``): worker
-crashes degrade to in-process recompute; a cancelled client detaches
-without killing the shared computation (``asyncio.shield``); corrupt
-store entries read as misses and are recomputed and overwritten.
-Every degradation bumps a counter; none can produce a wrong answer.
+Fault policy (see ``tests/service/test_service_faults.py``): a cell
+whose worker raises or dies is recomputed in-process, under the one
+policy the study driver applies too (``study.worker_failures``); a
+cancelled client detaches without killing the shared computation
+(``asyncio.shield``); corrupt store entries read as misses and are
+recomputed and overwritten.  Every degradation bumps a counter; none
+can produce a wrong answer.
 """
 
 from __future__ import annotations
@@ -48,17 +54,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from ..core.resultstore import (
-    ResultStore,
-    algorithm_fingerprint,
-    cell_key,
-    engine_fingerprint,
-    machine_fingerprint,
-)
+from ..core.resultstore import ResultStore, cell_record
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
 from ..observability.metrics import counter, registry
-from ..runtime.scheduler import default_engine
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError
@@ -153,14 +152,10 @@ class StudyService:
             workers=self.config.workers,
             verify=self.config.verify,
         )
-        #: Cached so hot-path key derivation hashes only the cell: the
-        #: machine and engine once, each algorithm once per name.
-        self._machine_fp = machine_fingerprint(self.machine)
-        self._engine_fp = engine_fingerprint(self._executor.engine)
-        #: The kernel cells are keyed by, recorded in each store entry.
-        self._kernel = self._executor.engine.engine or default_engine()
-        self._algorithm_fps: dict[str, str] = {}
-        self._keys: dict[CellSpec, str] = {}
+        #: ``cell_record``'s memo of the machine, engine and algorithm
+        #: fingerprints, and this service's memo of each spec's record.
+        self._fingerprints: dict[str, str] = {}
+        self._records: dict[CellSpec, tuple[str, dict]] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[CellSpec, str, asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -192,7 +187,13 @@ class StudyService:
     # ---- queries -------------------------------------------------------
 
     def key_for(self, spec: CellSpec) -> str:
-        """The content address this service uses for *spec*.
+        """The content address this service uses for *spec*."""
+        return self._record(spec)[0]
+
+    def _record(self, spec: CellSpec) -> "tuple[str, dict]":
+        """*spec*'s store key and entry ``meta``
+        (:func:`~repro.core.resultstore.cell_record`, which the study
+        driver keys and records its cells with too).
 
         Memoized per spec: every other key input (the machine, engine
         and algorithm fingerprints, ``config.verify``) is fixed for the
@@ -201,29 +202,24 @@ class StudyService:
         The memo holds at most ``config.cache_entries`` specs and drops
         the oldest first.
         """
-        key = self._keys.get(spec)
-        if key is not None:
-            return key
-        algorithm_fp = self._algorithm_fps.get(spec.algorithm)
-        if algorithm_fp is None:
-            algorithm_fp = algorithm_fingerprint(
-                self._executor.algorithm(spec.algorithm)
-            )
-            self._algorithm_fps[spec.algorithm] = algorithm_fp
-        key = cell_key(
-            self._machine_fp,
-            algorithm_fp,
+        record = self._records.get(spec)
+        if record is not None:
+            return record
+        record = cell_record(
+            self._executor.engine,
+            self._executor.algorithm(spec.algorithm),
             spec.n,
             spec.threads,
             seed=spec.seed,
+            execute=spec.execute,
             verified=spec.execute and self.config.verify,
-            engine=self._engine_fp,
+            fingerprints=self._fingerprints,
         )
         if self.config.cache_entries:
-            if len(self._keys) >= self.config.cache_entries:
-                del self._keys[next(iter(self._keys))]
-            self._keys[spec] = key
-        return key
+            if len(self._records) >= self.config.cache_entries:
+                del self._records[next(iter(self._records))]
+            self._records[spec] = record
+        return record
 
     async def query(self, request: StudyRequest) -> StudyResponse:
         """Answer a whole study grid; cells come back in serial order.
@@ -277,7 +273,7 @@ class StudyService:
         if self._closed:
             raise ConfigurationError("service is closed")
         _CELLS_REQUESTED.add()
-        key = self.key_for(spec)
+        key = self._record(spec)[0]
 
         future = self._inflight.get(key)
         if future is not None:
@@ -360,19 +356,7 @@ class StudyService:
         for spec, key, future in batch:
             measurement = results[spec]
             if self.store is not None:
-                self.store.put(
-                    key,
-                    measurement,
-                    meta={
-                        "machine": self.machine.name,
-                        "algorithm": spec.algorithm,
-                        "n": spec.n,
-                        "threads": spec.threads,
-                        "seed": spec.seed,
-                        "execute": spec.execute,
-                        "engine": self._kernel,
-                    },
-                )
+                self.store.put(key, measurement, meta=self._record(spec)[1])
             _CELLS_COMPUTED.add()
             self._inflight.pop(key, None)
             if not future.done():

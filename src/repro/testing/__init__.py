@@ -25,6 +25,9 @@ agreement).  This package turns those identities into a harness:
 * :mod:`repro.testing.netlowering` — the scalar reference network
   lowering the batched one must equal column for column, and the
   per-rank object sweep the arena sweep must equal bit for bit;
+* :mod:`repro.testing.cachesim` — the trace-driven set-associative LRU
+  cache simulator the analytical traffic models are cross-checked
+  against;
 * :mod:`repro.testing.faults` — fault injection for the simulated RAPL
   counters (wraparound, non-monotonic samples, dropped MSR reads, NaN
   power) against the hardened :class:`~repro.power.rapl.RaplReader`;

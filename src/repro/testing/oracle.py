@@ -14,8 +14,8 @@ hand-written expected values:
   execution matrix over a process pool; the merged result must be
   *bit-for-bit* identical to the serial run (same run keys, identical
   measurement floats) and the parent's emulated MSR counters must land
-  on exactly the same values, because the parallel driver replays every
-  cell's plane deposits in serial order.
+  on exactly the same values, because the study's merge replays every
+  cell's plane deposits in serial order, pool or no pool.
 * **templated vs object lowering** — each dense algorithm's
   ``build_arena`` stamping must equal the independent object lowering
   of :mod:`repro.testing.lowering` bit for bit.
@@ -378,8 +378,8 @@ def differential_study_check(
     complete, every ``(algorithm, size, threads)`` cell's measurement
     floats must be *exactly* equal (same code in the worker as in the
     parent, merged deterministically) and the two MSR files' energy
-    counters must read identically (the parallel driver replays plane
-    deposits in serial order).
+    counters must read identically (the study's merge replays plane
+    deposits in serial order, pool or no pool).
     """
     out: list[Violation] = []
     config = config or gen_study_config(seed)

@@ -4,7 +4,8 @@ cache simulator (DESIGN §5)."""
 import pytest
 
 from repro.algorithms.traffic import block_factor, gemm_traffic, streaming_traffic
-from repro.machine.cache import CacheHierarchySim, CacheHierarchySpec, CacheLevelSpec
+from repro.machine.cache import CacheHierarchySpec, CacheLevelSpec
+from repro.testing.cachesim import CacheHierarchySim
 from repro.util.errors import ValidationError
 
 

@@ -4,9 +4,13 @@
 cells over a process pool, but the merged result must be exactly the
 serial run: same key order, same measurements, and — because the parent
 replays every cell's plane energies into its own MSR in serial order —
-the same RAPL counter stream.
+the same RAPL counter stream.  That holds when workers fail too: a cell
+whose worker raises or dies is recomputed in-process (the fault policy
+the study service shares), and only a cell that also fails in-process
+aborts the run.
 """
 
+import os
 import pickle
 
 import pytest
@@ -14,7 +18,10 @@ import pytest
 from repro.algorithms.base import MatmulAlgorithm
 from repro.api import RunOptions, Study
 from repro.algorithms.registry import make_algorithm
+from repro.core import study as study_mod
+from repro.core.resultstore import ResultStore
 from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.observability.metrics import registry
 from repro.power.msr import PLANE_MSR, MsrFile
 from repro.power.planes import Plane
 from repro.sim.engine import Engine
@@ -124,9 +131,76 @@ def test_worker_crash_message_names_first_failing_cell(machine):
     assert (exc_info.value.size, exc_info.value.threads) == (64, 1)
 
 
-def test_parallel_one_is_serial_path(machine):
+# Pool targets must be importable top-level functions (pickled by
+# reference; the workers re-resolve them from this module).
+
+
+def _raise_in_worker(payload, traced):
+    raise RuntimeError("injected worker failure")
+
+
+def _die_in_worker(payload, traced):
+    os._exit(13)  # simulates a segfaulting/OOM-killed worker
+
+
+_FAULT_CFG = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128)
+
+
+def _msr_study(machine):
+    msr = MsrFile()
+    engine = Engine(machine, msr=msr)
+    return EnergyPerformanceStudy(machine, config=_FAULT_CFG, _engine=engine), msr
+
+
+def _assert_same_study(a, msr_a, b, msr_b):
+    assert list(a.runs) == list(b.runs)
+    for key in a.runs:
+        assert pickle.dumps(a.runs[key]) == pickle.dumps(b.runs[key]), key
+    for plane in (Plane.PACKAGE, Plane.PP0, Plane.DRAM):
+        addr = PLANE_MSR[plane]
+        assert msr_a.read(addr) == msr_b.read(addr), plane
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize(
+    "saboteur", [_raise_in_worker, _die_in_worker],
+    ids=["worker-raises", "worker-dies"],
+)
+def test_failed_workers_degrade_to_the_serial_result(
+    machine, tmp_path, monkeypatch, saboteur, stored
+):
+    """Every pool-side cell fails; each is recomputed in-process, so the
+    parallel study still equals the serial one, measurements and MSR
+    counter stream alike, with one failure counted per cell — and a
+    store the study checkpoints into ends up complete."""
+    study, msr = _msr_study(machine)
+    serial = study._run(None)
+    monkeypatch.setattr(study_mod, "_run_cell_worker", saboteur)
+    study, msr_par = _msr_study(machine)
+    snap = registry().snapshot()
+    parallel = study._run(2, store=tmp_path if stored else None)
+    delta = registry().delta_since(snap)
+    cells = len(serial.runs)
+    assert delta.get("study.worker_failures", 0) == cells
+    assert delta.get("study.cells_recomputed", 0) == cells
+    _assert_same_study(serial, msr, parallel, msr_par)
+    if stored:
+        store = ResultStore(tmp_path)
+        records = study._cell_records(study._cells())
+        assert len(store) == cells
+        for coords, (key, _) in records.items():
+            assert pickle.dumps(store.get(key)) == pickle.dumps(serial.runs[coords])
+
+
+def test_parallel_one_is_serial_path(machine, monkeypatch):
     """parallel<=1 must not spin up a pool (and must still fill the
     matrix)."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("parallel=1 started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0)
     result = Study(machine, config=cfg).run(RunOptions(parallel=1)).result
     assert len(result.runs) == 3 * 1 * 2

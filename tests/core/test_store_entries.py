@@ -69,7 +69,7 @@ def test_version_3_entry_is_rejected_unread_and_recomputed(
     root = tmp_path / "store"
     first = study()
     full = first._run(None, store=root)
-    key = next(iter(first._cell_keys(first._cells()).values()))
+    key, _ = next(iter(first._cell_records(first._cells()).values()))
     path = ResultStore(root)._path(key)
     entry = json.loads(path.read_text())
     entry["version"] = 3  # complete and checksummed, old schema

@@ -43,7 +43,7 @@ def _study(machine, msr=None, cfg=CFG, engine=None, algorithms=None):
 
 def _keys(study):
     """The study's store keys in serial (table) order."""
-    return list(study._cell_keys(study._cells()).values())
+    return [key for key, _ in study._cell_records(study._cells()).values()]
 
 
 def _assert_identical(a, b):

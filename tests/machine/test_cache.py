@@ -1,14 +1,11 @@
-"""Cache specs and the trace-driven LRU simulator."""
+"""Cache specs (``repro.machine``) and the trace-driven LRU simulator
+that cross-checks the traffic models (``repro.testing.cachesim``)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.machine.cache import (
-    CacheHierarchySim,
-    CacheHierarchySpec,
-    CacheLevelSpec,
-    SetAssociativeCache,
-)
+from repro.machine.cache import CacheHierarchySpec, CacheLevelSpec
+from repro.testing.cachesim import CacheHierarchySim, SetAssociativeCache
 from repro.util.errors import ConfigurationError, ValidationError
 from repro.util.units import KiB, MiB
 

@@ -71,7 +71,7 @@ def test_memoized_keys_equal_fresh_cell_keys_past_the_bound(machine):
         for _ in range(3):
             for spec in specs + specs[::-1]:
                 assert service.key_for(spec) == _fresh_key(machine, spec), spec
-                assert len(service._keys) <= 3
+                assert len(service._records) <= 3
     finally:
         service._executor.close()
 

@@ -4,7 +4,7 @@ The service's promise is *graceful degradation, never a wrong answer*:
 
 * a worker that raises — or dies outright, breaking the process pool —
   must degrade to an in-process recompute of exactly the failed cells,
-  with ``service.worker_failures`` / ``service.cells_recomputed``
+  with ``study.worker_failures`` / ``study.cells_recomputed``
   counting the damage;
 * a client that cancels mid-flight must detach without killing the
   shared computation other clients are awaiting
@@ -25,6 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core import study as study_mod
 from repro.core.resultstore import ResultStore
 from repro.observability.metrics import registry
 from repro.service import CellSpec, ServiceConfig, StudyRequest, StudyService
@@ -84,7 +85,7 @@ def test_worker_failure_mid_batch_degrades_to_recompute(
     process dying (BrokenProcessPool poisons the whole batch) — must
     end with every cell recomputed in-process, bit-correct."""
     reference = _reference_cells(machine)
-    monkeypatch.setattr(executor_mod, "_run_cell_worker", saboteur)
+    monkeypatch.setattr(study_mod, "_run_cell_worker", saboteur)
     snap = registry().snapshot()
 
     async def drive():
@@ -95,8 +96,8 @@ def test_worker_failure_mid_batch_degrades_to_recompute(
     response = run(drive())
     delta = registry().delta_since(snap)
     unique = len(REQ.cells())
-    assert delta.get("service.worker_failures", 0) == unique
-    assert delta.get("service.cells_recomputed", 0) == unique
+    assert delta.get("study.worker_failures", 0) == unique
+    assert delta.get("study.cells_recomputed", 0) == unique
     assert len(response.cells) == unique
     _assert_matches_reference(response, reference)
 
@@ -135,8 +136,8 @@ def test_pool_breaking_during_submission_degrades_to_recompute(
         out = ex.compute(specs)
     delta = registry().delta_since(snap)
     assert pool.calls == len(specs)
-    assert delta.get("service.worker_failures", 0) == len(specs) - 1
-    assert delta.get("service.cells_recomputed", 0) == len(specs) - 1
+    assert delta.get("study.worker_failures", 0) == len(specs) - 1
+    assert delta.get("study.cells_recomputed", 0) == len(specs) - 1
     for spec in specs:
         ref = reference[(spec.algorithm, spec.n, spec.threads)]
         assert out[spec].elapsed_s == ref.elapsed_s
@@ -146,7 +147,7 @@ def test_pool_breaking_during_submission_degrades_to_recompute(
 def test_pool_rebuilds_after_worker_death(machine, tmp_path, monkeypatch):
     """After a batch breaks the pool, the next batch must get a fresh
     pool and succeed on the normal path (no failure counters)."""
-    monkeypatch.setattr(executor_mod, "_run_cell_worker", _die_in_worker)
+    monkeypatch.setattr(study_mod, "_run_cell_worker", _die_in_worker)
 
     async def broken(svc):
         return await svc.query(REQ)
@@ -161,8 +162,8 @@ def test_pool_rebuilds_after_worker_death(machine, tmp_path, monkeypatch):
             return response, registry().delta_since(snap)
 
     response, delta = run(drive())
-    assert delta.get("service.worker_failures", 0) == 0
-    assert delta.get("service.cells_recomputed", 0) == 0
+    assert delta.get("study.worker_failures", 0) == 0
+    assert delta.get("study.cells_recomputed", 0) == 0
     assert len(response.cells) == len(REQ.cells())
 
 

@@ -188,7 +188,9 @@ def _study_keys(cfg):
     from repro.core.study import EnergyPerformanceStudy
 
     study = EnergyPerformanceStudy(haswell_e3_1225(), config=cfg)
-    return study._cell_keys(study._cells())
+    return {
+        coords: key for coords, (key, _) in study._cell_records(study._cells()).items()
+    }
 
 
 def test_unverified_numerics_and_cost_only_cells_share_a_key():
@@ -242,3 +244,68 @@ def test_v2_entry_is_not_served(tmp_path, monkeypatch):
     ResultStore(tmp_path).put(key, measurement)
     monkeypatch.setattr(resultstore, "STORE_VERSION", current)
     assert ResultStore(tmp_path).get(key) is None
+
+
+# ---------------------------------------------------------------------------
+# one store, two writers
+
+
+def _entries(root):
+    """Every entry file under *root*, parsed, by key."""
+    return {path.stem: json.loads(path.read_text()) for path in root.glob("*/*.json")}
+
+
+def _query(study, root):
+    """``(response, cells computed)`` of a service over *root* asked the
+    grid *study* runs."""
+    import asyncio
+
+    from repro.observability.metrics import registry
+    from repro.service import StudyService
+
+    async def drive():
+        async with StudyService(study.machine, store=root) as svc:
+            snap = registry().snapshot()
+            response = await svc.query(study.request())
+            return response, registry().delta_since(snap).get(
+                "service.cells_computed", 0
+            )
+
+    return asyncio.run(drive())
+
+
+def test_study_and_service_write_one_store(machine, tmp_path):
+    """A store either side wrote answers the other in full, and an entry
+    is the same file whichever side wrote it."""
+    from repro.api import RunOptions, Study
+    from repro.observability.metrics import registry
+
+    study = Study(machine, sizes=(64, 128), threads=(1, 2), execute_max_n=64)
+    fresh = study.run().result
+    by_study, by_service = tmp_path / "study", tmp_path / "service"
+
+    study.run(RunOptions(store=by_study))
+    response, computed = _query(study, by_study)
+    assert computed == 0
+    assert {cell.source for cell in response.cells} == {"store"}
+    assert len(response.cells) == len(fresh.runs)
+
+    response, computed = _query(study, by_service)
+    assert computed == len(fresh.runs)
+    snap = registry().snapshot()
+    resumed = study.run(RunOptions(store=by_service)).result
+    assert registry().delta_since(snap).get("study.cells_resumed", 0) == len(
+        fresh.runs
+    )
+    for coords, measurement in fresh.runs.items():
+        assert resumed.runs[coords].elapsed_s == measurement.elapsed_s
+        assert resumed.runs[coords].energy == measurement.energy
+
+    study_entries, service_entries = _entries(by_study), _entries(by_service)
+    assert study_entries.keys() == service_entries.keys()
+    for key, entry in study_entries.items():
+        assert set(entry["meta"]) == {
+            "machine", "algorithm", "n", "threads", "seed", "execute", "engine"
+        }
+        assert entry["meta"] == service_entries[key]["meta"], key
+        assert entry == service_entries[key], key
