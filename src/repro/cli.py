@@ -591,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_args(p)
     p.add_argument("--socket", required=True, help="unix socket path to listen on")
     p.add_argument("--store", default=None,
-                   help="result-store directory (omit for in-memory only)")
+                   help="result-store directory; without one the service "
+                   "keeps no results and a re-query computes its cells again")
     p.add_argument("--workers", type=int, default=0, metavar="N",
                    help="fan batches across N worker processes (0 = in-process)")
     add_engine_arg(p)

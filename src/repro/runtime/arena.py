@@ -318,15 +318,16 @@ class TaskArena:
             ) else np.zeros(n, dtype=np.int64)
             ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(counts, out=ptr[1:])
-            # Stable sort groups edges by dependency while preserving
-            # the original edge order — and edges are stored in
-            # ascending owner-tid order, so each group comes out in the
-            # object path's append order.
-            order = np.argsort(self.dep_indices, kind="stable")
-            owners = np.repeat(
-                np.arange(n, dtype=np.int64), self.dep_counts
-            )
-            out = (ptr, owners[order])
+            # One sort of the edge keys ``dep * n + owner`` groups edges
+            # by dependency with owners ascending in each group — the
+            # stored edge order (edges are kept in ascending owner-tid
+            # order), so each group comes out in the object path's
+            # append order.
+            assert n * n <= np.iinfo(np.int64).max, "edge keys overflow int64"
+            keys = self.dep_indices * n
+            keys += np.repeat(np.arange(n, dtype=np.int64), self.dep_counts)
+            keys.sort()
+            out = (ptr, keys % n)
             self._c_succ_csr = out
         return out
 

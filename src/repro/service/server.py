@@ -16,6 +16,16 @@ serialise via ``repr`` and therefore round-trip bit-exactly through
 JSON; full bit-identity of stored entries is the store's own business
 (and the ``study_service`` verify family's).
 
+``query`` and ``cell`` replies, cold or hot, are written by one
+:class:`~repro.service.cells.ReplyEncoder` per server: each cell's
+``summary()`` JSON is encoded once, split around its ``"source"``
+value, and a reply is joined from those fragments as bytes equal to
+``json.dumps`` of the reply dict.  A fragment is reused only for the
+very measurement object it was built from, which a store LRU hit
+returns again, so a re-query encodes no cell; a re-read, a recompute
+or a store-less service yields a new object and a new fragment.  The
+other replies are plain ``json.dumps``.
+
 :func:`serve` runs a service behind a socket path until a client sends
 ``shutdown``; :class:`ServiceClient` is the matching blocking client
 used by ``repro query`` and the CI smoke job.
@@ -30,7 +40,7 @@ import socket
 from pathlib import Path
 
 from ..util.errors import ConfigurationError, ServiceError
-from .cells import CellSpec, StudyRequest
+from .cells import CellSpec, ReplyEncoder, StudyRequest
 from .service import ServiceConfig, StudyService
 
 __all__ = ["ServiceClient", "serve"]
@@ -50,26 +60,25 @@ def _cell_from_payload(payload: dict) -> CellSpec:
     )
 
 
-async def _handle_request(service: StudyService, message: dict) -> dict:
+def _dumps(reply: dict) -> bytes:
+    return json.dumps(reply).encode()
+
+
+async def _handle_request(
+    service: StudyService, message: dict, encoder: ReplyEncoder
+) -> bytes:
+    """The encoded reply to one request *message* (no newline)."""
     op = message.get("op")
     if op == "ping":
-        return {"ok": True, "op": "ping"}
+        return _dumps({"ok": True, "op": "ping"})
     if op == "stats":
-        return {"ok": True, "op": "stats", "stats": service.stats()}
+        return _dumps({"ok": True, "op": "stats", "stats": service.stats()})
     if op == "query":
         request = StudyRequest.from_dict(message.get("request") or {})
-        response = await service.query(request)
-        return {
-            "ok": True,
-            "op": "query",
-            "request": request.to_dict(),
-            "sources": response.source_counts(),
-            "cells": [cell.summary() for cell in response.cells],
-        }
+        return encoder.query_reply(await service.query(request))
     if op == "cell":
         spec = _cell_from_payload(message.get("cell") or {})
-        result = await service.query_cell(spec)
-        return {"ok": True, "op": "cell", "cell": result.summary()}
+        return encoder.cell_reply(await service.query_cell(spec))
     raise ConfigurationError(f"unknown op {op!r}")
 
 
@@ -113,6 +122,7 @@ async def serve(
     own_service = service is None
     if service is None:
         service = StudyService(machine=machine, store=store, config=config)
+    encoder = ReplyEncoder(service.config.cache_entries)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     shutdown = asyncio.Event()
@@ -123,24 +133,24 @@ async def serve(
                 line = await reader.readline()
                 if not line:
                     break
+                stop = False
                 try:
                     message = json.loads(line)
                     if not isinstance(message, dict):
                         raise ConfigurationError("request must be a JSON object")
                     if message.get("op") == "shutdown":
-                        reply = {"ok": True, "op": "shutdown"}
+                        reply = _dumps({"ok": True, "op": "shutdown"})
+                        stop = True
                         shutdown.set()
                     else:
-                        reply = await _handle_request(service, message)
+                        reply = await _handle_request(service, message, encoder)
                 except Exception as exc:
-                    reply = {
-                        "ok": False,
-                        "error": str(exc),
-                        "kind": type(exc).__name__,
-                    }
-                writer.write(json.dumps(reply).encode() + b"\n")
+                    reply = _dumps(
+                        {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+                    )
+                writer.write(reply + b"\n")
                 await writer.drain()
-                if reply.get("op") == "shutdown":
+                if stop:
                     break
         finally:
             writer.close()

@@ -6,14 +6,19 @@ long-running query service:
 * **Split** — a :class:`~repro.service.cells.StudyRequest` becomes cell
   specs in serial (table) order; cells, not requests, are the unit of
   work.
-* **Hot path** — a request's cells are resolved in one synchronous
-  pass, in serial order: a cell whose content key
+* **Hot path** — a request's cells (its validated cell specs,
+  remembered per request) are resolved in one synchronous pass, in
+  serial order: a cell whose content key
   (:func:`~repro.core.resultstore.cell_record`, memoized per cell spec,
   since every other key input is fixed for the service's lifetime) is
   in the :class:`~repro.core.resultstore.ResultStore` is answered on
   the spot; only in-flight and cold cells are awaited.  A grid the
   store answers in full creates no task and never yields to the event
   loop (sub-millisecond; the ``study_service`` bench section gates it).
+  The server encodes each stored cell's reply fragment once and reuses
+  it while the store returns the same measurement object
+  (:class:`~repro.service.cells.ReplyEncoder`).  The spec, request and
+  fragment memos each hold at most ``cache_entries`` entries.
 * **Single flight** — concurrent requests for the same cold cell share
   one in-flight computation: the first requester enqueues the cell,
   every later one awaits the same future (``service.cells_deduped``).
@@ -61,7 +66,7 @@ from ..observability.metrics import counter, registry
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError
-from .cells import CellResult, CellSpec, StudyRequest, StudyResponse
+from .cells import CellResult, CellSpec, StudyRequest, StudyResponse, remember
 from .executor import CellExecutor
 
 __all__ = ["ServiceConfig", "StudyService"]
@@ -153,9 +158,11 @@ class StudyService:
             verify=self.config.verify,
         )
         #: ``cell_record``'s memo of the machine, engine and algorithm
-        #: fingerprints, and this service's memo of each spec's record.
+        #: fingerprints, this service's memo of each spec's record, and
+        #: its memo of each request's cell specs.
         self._fingerprints: dict[str, str] = {}
         self._records: dict[CellSpec, tuple[str, dict]] = {}
+        self._requests: dict[StudyRequest, tuple[CellSpec, ...]] = {}
         self._inflight: dict[str, asyncio.Future] = {}
         self._pending: list[tuple[CellSpec, str, asyncio.Future]] = []
         self._flush_handle: asyncio.TimerHandle | None = None
@@ -215,11 +222,18 @@ class StudyService:
             verified=spec.execute and self.config.verify,
             fingerprints=self._fingerprints,
         )
-        if self.config.cache_entries:
-            if len(self._records) >= self.config.cache_entries:
-                del self._records[next(iter(self._records))]
-            self._records[spec] = record
+        remember(self._records, spec, record, self.config.cache_entries)
         return record
+
+    def _cells(self, request: StudyRequest) -> "tuple[CellSpec, ...]":
+        """*request*'s cell specs in serial order, remembered per request
+        (at most ``config.cache_entries`` of them, oldest dropped
+        first), so a re-asked grid builds and validates no spec."""
+        specs = self._requests.get(request)
+        if specs is None:
+            specs = tuple(request.cells())
+            remember(self._requests, request, specs, self.config.cache_entries)
+        return specs
 
     async def query(self, request: StudyRequest) -> StudyResponse:
         """Answer a whole study grid; cells come back in serial order.
@@ -231,13 +245,14 @@ class StudyService:
         if self._closed:
             raise ConfigurationError("service is closed")
         _REQUESTS.add()
-        with trace.span(
-            "service.request",
-            algorithms=list(request.algorithms),
-            sizes=list(request.sizes),
-            threads=list(request.threads),
-        ) as span:
-            specs = request.cells()
+        with trace.span("service.request") as span:
+            if span is not trace.NULL_SPAN:
+                span.set(
+                    algorithms=list(request.algorithms),
+                    sizes=list(request.sizes),
+                    threads=list(request.threads),
+                )
+            specs = self._cells(request)
             resolved = [self._resolve(spec) for spec in specs]
             waits = [answer for _, source, answer in resolved if source != "store"]
             if waits:

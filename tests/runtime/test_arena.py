@@ -66,6 +66,20 @@ class TestRoundTrip:
             arena = g.to_arena()
             assert arena.successors_lists() == g._successors, seed
 
+    def test_successors_group_edges_in_stored_order(self):
+        """Each task's dependents in stored edge order, once per edge:
+        a stable sort of the edges by dependency, duplicate edges and
+        the one-task and empty arenas included."""
+        for arena in _path_cases():
+            order = np.argsort(arena.dep_indices, kind="stable")
+            owners = np.repeat(np.arange(len(arena)), arena.dep_counts)
+            ptr, idx = arena.successors_csr()
+            assert idx.dtype == np.int64
+            assert idx.tolist() == owners[order].tolist(), arena.name
+            assert np.array_equal(np.diff(ptr), np.bincount(
+                arena.dep_indices, minlength=len(arena)
+            )), arena.name
+
     def test_structural_diff_detects_cost_skew(self):
         g = _random_graph(3)
         a = g.to_arena()

@@ -201,6 +201,89 @@ def test_cli_serve_and_query(machine, tmp_path, capsys):
     assert not t.is_alive()
 
 
+#: ``repro query`` of the cost-only openblas/caps n=64 grid on two
+#: threads, computed and then answered from the store (table, footer).
+COMPUTED_TABLE = (
+    "algorithm  n   threads  time (s)     package J    avg W      source  \n"
+    "---------  --  -------  -----------  -----------  ---------  --------\n"
+    " openblas  64        1  1.11304e-05  0.000295213  26.523014  computed\n"
+    " openblas  64        2      9.6e-06  0.000293543  30.577408  computed\n"
+    "     caps  64        1  2.69474e-05  0.000526217  19.527584  computed\n"
+    "     caps  64        2  2.69474e-05  0.000526217  19.527584  computed\n"
+    "cells: 4 (store 0, computed 4, deduped 0)\n"
+)
+STORED_TABLE = """\
+algorithm  n   threads  time (s)     package J    avg W      source
+---------  --  -------  -----------  -----------  ---------  ------
+ openblas  64        1  1.11304e-05  0.000295213  26.523014   store
+ openblas  64        2      9.6e-06  0.000293543  30.577408   store
+     caps  64        1  2.69474e-05  0.000526217  19.527584   store
+     caps  64        2  2.69474e-05  0.000526217  19.527584   store
+cells: 4 (store 4, computed 0, deduped 0)
+"""
+
+
+def test_cli_query_table_is_pinned(tmp_path, capsys):
+    from repro.cli import main
+
+    sock = tmp_path / "svc.sock"
+    t = _started(sock, main, ["serve", "--socket", str(sock),
+                              "--store", str(tmp_path / "cells")])
+    capsys.readouterr()
+    args = ["query", "--socket", str(sock), "--algorithms", "openblas", "caps",
+            "--sizes", "64", "--threads", "1", "2", "--execute-max-n", "0"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == COMPUTED_TABLE
+    assert main(args) == 0
+    assert capsys.readouterr().out == STORED_TABLE
+    assert main(["query", "--socket", str(sock), "--shutdown"]) == 0
+    t.join(timeout=10)
+    assert not t.is_alive()
+
+
+def test_store_less_service_recomputes_every_query(machine, tmp_path, capsys):
+    """Without ``--store`` the service keeps no results: an identical
+    re-query is computed again."""
+    from repro.cli import main
+
+    sock = tmp_path / "svc.sock"
+    t = _started(sock, main, ["serve", "--socket", str(sock)])
+    capsys.readouterr()
+    args = ["query", "--socket", str(sock), "--algorithms", "caps",
+            "--sizes", "64", "--threads", "1", "2", "--execute-max-n", "0"]
+    for _ in range(2):
+        assert main(args) == 0
+        assert "cells: 2 (store 0, computed 2, deduped 0)" in capsys.readouterr().out
+    assert main(["query", "--socket", str(sock), "--shutdown"]) == 0
+    t.join(timeout=10)
+    assert not t.is_alive()
+
+
+def test_reply_lines_are_canonical_json(server):
+    """Each reply line is ``json.dumps`` of the object it decodes to,
+    for a cold and a hot grid and for one cell."""
+    request = {"op": "query", "request": {"algorithms": ["caps", "openblas"],
+                                          "sizes": [64], "threads": [1, 2],
+                                          "execute_max_n": 0}}
+    cell = {"op": "cell", "cell": {"algorithm": "caps", "n": 64, "threads": 2}}
+    s = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
+    s.connect(server)
+    f = s.makefile("rwb")
+    try:
+        lines = []
+        for message in (request, request, cell):
+            f.write(json.dumps(message).encode() + b"\n")
+            f.flush()
+            lines.append(f.readline())
+    finally:
+        f.close()
+        s.close()
+    sources = [json.loads(line)["sources"] for line in lines[:2]]
+    assert sources[0]["computed"] == 4 and sources[1]["store"] == 4
+    for line in lines:
+        assert line == json.dumps(json.loads(line)).encode() + b"\n"
+
+
 def test_cli_query_errors_are_rc2_one_liners(machine, tmp_path, capsys):
     """CLI error paths must exit 2 with a one-line `error: ...` on
     stderr — a raw traceback is a bug (ServiceError is a ReproError)."""
