@@ -20,8 +20,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..linalg.dense import random_matrix, working_set_bytes
-from ..linalg.verify import VerificationReport, verify_matmul
+from ..linalg.dense import working_set_bytes
+from ..linalg.verify import (
+    NumericsInputs,
+    ProblemInputs,
+    VerificationReport,
+    problem_operands,
+    verify_matmul,
+)
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter, gauge
@@ -91,6 +97,11 @@ class BuildResult:
         "strassen", "winograd").
     cutoff:
         Recursion cutoff relevant to the stability bound.
+    inputs:
+        The :class:`~repro.linalg.verify.ProblemInputs` *a* and *b*
+        came from when a run shares them with other cells (its
+        reference product then serves :meth:`verify`); ``None`` for
+        operands drawn for this build alone.
     """
 
     graph: TaskArena
@@ -100,6 +111,7 @@ class BuildResult:
     c: np.ndarray | None
     variant: str = "classical"
     cutoff: int = 64
+    inputs: ProblemInputs | None = None
 
     @property
     def cost_only(self) -> bool:
@@ -112,6 +124,8 @@ class BuildResult:
         :meth:`MatmulAlgorithm.compute_product`)."""
         if self.cost_only:
             raise ValidationError("cannot verify a cost-only build")
+        if self.inputs is not None:
+            return self.inputs.verify(self.c, self.variant, self.cutoff)
         return verify_matmul(self.a, self.b, self.c, self.variant, self.cutoff)
 
 
@@ -130,9 +144,12 @@ class BuildCache:
     mutates it, so the cache returns the *same* :class:`BuildResult` to
     every caller — treat it as immutable.  Numerics never go through
     the cache: every :meth:`MatmulAlgorithm.compute_product` stamps and
-    runs its own program on fresh operands.  The only numerics state
-    kept across cells is the :class:`ReportMemo` of verification
-    reports — two floats per entry, no arrays.
+    runs its own program on fresh operands.  Numerics state kept across
+    cells is the process-wide :class:`ReportMemo` of verification
+    reports — two floats per entry, no arrays — and, within one run
+    only, the :class:`~repro.linalg.verify.NumericsInputs` scope its
+    verified cells share: each ``(n, seed)``'s operands and reference
+    product, released after the last cell that uses them.
     """
 
     def __init__(self, maxsize: int = 64):
@@ -222,10 +239,13 @@ class ReportMemo:
     DESIGN.md §7.5).  Cells sharing a key — Strassen and CAPS at every
     thread count, OpenBLAS at two and four threads — therefore verify
     the same product, and all but the first reuse its report.  Entries
-    are ``(abs_error, bound)`` float pairs: operands and products are
-    never kept.  Lookups and inserts hold one lock, so threads calling
-    :meth:`MatmulAlgorithm.check_numerics` (the service runs cells
-    through ``asyncio.to_thread``) see a consistent LRU.
+    are ``(abs_error, bound)`` float pairs: the memo keeps no operands
+    or products (a run's misses share those through its
+    :class:`~repro.linalg.verify.NumericsInputs`, which frees them
+    after their last cell).  Lookups and inserts hold one lock, so
+    threads calling :meth:`MatmulAlgorithm.check_numerics` (the
+    service runs cells through ``asyncio.to_thread``) see a consistent
+    LRU.
     """
 
     #: Entries kept; the paper's 24 verified cells have 10 distinct keys.
@@ -367,14 +387,14 @@ class MatmulAlgorithm(ABC):
 
     def _run_program(
         self, program: "NumericsProgram", simulated, order, seed: int,
-        span=trace.NULL_SPAN,
+        span=trace.NULL_SPAN, inputs: ProblemInputs | None = None,
     ) -> BuildResult:
-        """Run checked *program* in *order* on the seeded operands, its
-        temporaries in storage planned for *order*; *span* gets the
-        planned and unplanned temporary MiB (``temp_mb``,
-        ``temp_mb_unplanned``)."""
+        """Run checked *program* in *order* on the seeded operands —
+        *inputs*' when given, else drawn for this run — its temporaries
+        in storage planned for *order*; *span* gets the planned and
+        unplanned temporary MiB (``temp_mb``, ``temp_mb_unplanned``)."""
         n = program.n
-        a, b = self.operands(n, seed)
+        a, b = self.operands(n, seed) if inputs is None else (inputs.a, inputs.b)
         bufs = program.allocate(a, b, order)
         span.set(
             temp_mb=planned_nbytes(bufs) / 2**20,
@@ -382,7 +402,9 @@ class MatmulAlgorithm(ABC):
         )
         program.run(bufs, order)
         c = bufs[2][:n, :n]
-        return BuildResult(simulated, n, a, b, c, program.variant, program.cutoff)
+        return BuildResult(
+            simulated, n, a, b, c, program.variant, program.cutoff, inputs
+        )
 
     def check_numerics(
         self,
@@ -391,6 +413,7 @@ class MatmulAlgorithm(ABC):
         schedule: "Schedule",
         simulated: TaskArena,
         seed: int = 0,
+        inputs: NumericsInputs | None = None,
     ) -> VerificationReport:
         """Check the numerics of *schedule* (made from *simulated*, the
         cost-only lowering) and return the verification report.
@@ -405,12 +428,17 @@ class MatmulAlgorithm(ABC):
         (:func:`~repro.runtime.replay.depth_first_order`), its
         temporaries in storage planned for that order (span attributes
         ``temp_mb`` and ``temp_mb_unplanned``), and verifies the product
-        under a ``verify`` span.  The start order is what the cell
-        proves; the order a miss runs in only sets its memory, since a
-        race-free DAG computes the same C in every linear extension
-        (the ``numerics_program`` oracle checks both orders), and the
-        depth-first one keeps the temporaries of one recursion branch
-        at a time live.
+        under a ``verify`` span.  A miss takes its operands, reference
+        product and operand norms from the run's *inputs* scope
+        (:class:`~repro.linalg.verify.NumericsInputs`, shared with the
+        run's other cells of ``(n, seed)``; span attribute
+        ``inputs="shared"``), or without one draws them for this check
+        alone (``inputs="drawn"``); the report is the same bits either
+        way.  The start order is what the cell proves; the order a miss
+        runs in only sets its memory, since a race-free DAG computes the
+        same C in every linear extension (the ``numerics_program``
+        oracle checks both orders), and the depth-first one keeps the
+        temporaries of one recursion branch at a time live.
         Raises :class:`ValidationError` when the error exceeds its
         stability bound, on a hit as on a miss."""
         attrs = {"alg": self.name, "n": n, "threads": threads}
@@ -422,8 +450,10 @@ class MatmulAlgorithm(ABC):
             report = _REPORT_MEMO.lookup(key)
             span.set(memo="miss" if report is None else "hit")
             if report is None:
+                span.set(inputs="drawn" if inputs is None else "shared")
                 product = self._run_program(
-                    program, simulated, depth_first_order(simulated), seed, span
+                    program, simulated, depth_first_order(simulated), seed,
+                    span, None if inputs is None else inputs.get(n, seed),
                 )
         if report is None:
             with trace.span("verify", **attrs):
@@ -456,8 +486,6 @@ class MatmulAlgorithm(ABC):
                 f"machine has {self.machine.dram.capacity_bytes / 2**30:.2f} GiB"
             )
 
-    @staticmethod
-    def operands(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """The seeded ``(A, B)`` operands of an n x n problem."""
-        require_positive(n, "n")
-        return random_matrix(n, seed=seed), random_matrix(n, seed=seed + 1)
+    #: The seeded ``(A, B)`` operands of an n x n problem
+    #: (:func:`~repro.linalg.verify.problem_operands`).
+    operands = staticmethod(problem_operands)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..algorithms.base import MatmulAlgorithm
+from ..linalg.verify import NumericsInputs
 from ..machine.specs import MachineSpec
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
@@ -122,36 +123,42 @@ class ExperimentProtocol:
         *execute*, each configuration also checks its numerics once
         (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`):
         noise perturbs only the measurements, so every repetition shares
-        one schedule.
+        one schedule.  The checks share one
+        :class:`~repro.linalg.verify.NumericsInputs`, as a study's
+        cells do: each size's operands and reference product are made
+        once and released after its last configuration.
         """
         algorithms = require_nonempty(list(algorithms), "algorithms")
         sizes = require_nonempty(list(sizes), "sizes")
         threads = require_nonempty(list(threads), "threads")
         result = ProtocolResult(self.repetitions, self.quiesce_s)
-        for alg in algorithms:
-            for n in sizes:
-                for p in threads:
-                    trials = []
-                    # Repetitions share one lowering: the graph is
-                    # immutable under simulation.
-                    build = alg.build_cached(n, p, seed=seed)
-                    for rep in range(self.repetitions):
-                        if self.quiesce_s > 0:
-                            self.engine.idle_measurement(
-                                self.quiesce_s, label="quiesce"
-                            )
-                        measurement, schedule = self.engine.simulate(
-                            build.graph, p, label=f"{alg.name}[n={n},p={p}]#{rep}"
-                        )
-                        trials.append(measurement)
-                    if execute:
-                        alg.check_numerics(n, p, schedule, build.graph, seed=seed)
-                    key = (alg.name, n, p)
-                    result.trials[key] = trials
-                    result.time_stats[key] = TrialStats.from_samples(
-                        [t.elapsed_s for t in trials]
-                    )
-                    result.power_stats[key] = TrialStats.from_samples(
-                        [t.avg_power_w() for t in trials]
-                    )
+        cells = [(alg, n, p) for alg in algorithms for n in sizes for p in threads]
+        inputs = NumericsInputs(
+            (n, seed) if execute else None for _, n, _ in cells
+        )
+        for step, (alg, n, p) in enumerate(cells):
+            trials = []
+            # Repetitions share one lowering: the graph is immutable
+            # under simulation.
+            build = alg.build_cached(n, p, seed=seed)
+            for rep in range(self.repetitions):
+                if self.quiesce_s > 0:
+                    self.engine.idle_measurement(self.quiesce_s, label="quiesce")
+                measurement, schedule = self.engine.simulate(
+                    build.graph, p, label=f"{alg.name}[n={n},p={p}]#{rep}"
+                )
+                trials.append(measurement)
+            if execute:
+                alg.check_numerics(
+                    n, p, schedule, build.graph, seed=seed, inputs=inputs
+                )
+                inputs.done(step)
+            key = (alg.name, n, p)
+            result.trials[key] = trials
+            result.time_stats[key] = TrialStats.from_samples(
+                [t.elapsed_s for t in trials]
+            )
+            result.power_stats[key] = TrialStats.from_samples(
+                [t.avg_power_w() for t in trials]
+            )
         return result

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import paper_algorithms
+from ..linalg.verify import NumericsInputs
 from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
@@ -415,14 +416,15 @@ class EnergyPerformanceStudy:
         return (engine, alg, n, threads, self.config.seed, self._verified(n))
 
 
-def _run_cell(payload) -> RunMeasurement:
+def _run_cell(payload, inputs: NumericsInputs | None = None) -> RunMeasurement:
     """Build, simulate and (optionally) check the numerics of one cell.
 
     Every cell simulates its cost-only lowering.  A *verified* cell then
-    runs its stamped numerics program in the simulated schedule's start
-    order before verifying the product
-    (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`); the
-    measurement never depends on it.
+    checks its stamped numerics program against the simulated
+    schedule's start order and verifies the product
+    (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`,
+    sharing operands and reference product through *inputs* when
+    given); the measurement never depends on it.
 
     Module-level so :func:`_run_cells` can send it to worker processes
     as well as call it in-process.
@@ -444,13 +446,31 @@ def _run_cell(payload) -> RunMeasurement:
                 build.graph, threads, label=f"{alg.name}[n={n},p={threads}]"
             )
         if verified:
-            alg.check_numerics(n, threads, schedule, build.graph, seed=seed)
+            # The check reads only the start order: keep that, so the
+            # schedule's interval rows (3 MB at CAPS n=1024) are freed
+            # before the program runs.
+            schedule = _StartOrder(schedule)
+            alg.check_numerics(
+                n, threads, schedule, build.graph, seed=seed, inputs=inputs
+            )
         if snap is not None:
             cell_span.set(
                 sim_elapsed_s=measurement.elapsed_s,
                 metrics=metrics_registry().delta_since(snap),
             )
     return measurement
+
+
+class _StartOrder:
+    """A schedule reduced to what a numerics check reads from it."""
+
+    __slots__ = ("_order",)
+
+    def __init__(self, schedule):
+        self._order = schedule.start_order()
+
+    def start_order(self) -> list[int]:
+        return self._order
 
 
 def _run_cell_worker(payload, traced: bool):
@@ -506,7 +526,11 @@ def _run_cells(
     The one cell driver of the study and the service.  Without a *pool*
     every cell runs in-process (:func:`_run_cell`; spans and metrics
     land in the caller's tracer and registry, so both extras are
-    ``None``).  With one, all cells are submitted up front and collected
+    ``None``), and the verified cells share one
+    :class:`~repro.linalg.verify.NumericsInputs`: each ``(n, seed)``'s
+    operands are drawn and its reference product computed once, and
+    released as soon as the last verified payload of that ``(n, seed)``
+    has run.  With one, all cells are submitted up front and collected
     in submission order: *traced* asks workers for their spans and
     metric deltas (:func:`_run_cell_worker`).
 
@@ -514,12 +538,22 @@ def _run_cells(
     worker died, or the submit hit a broken pool — ticks
     ``study.worker_failures`` and the cell is recomputed in-process
     (``study.cells_recomputed``, ``recomputed=True``): the same code, so
-    the same bits.  Only an exception from that in-process run escapes,
+    the same bits.  Pool cells and recomputed cells draw their own
+    inputs.  Only an exception from that in-process run escapes,
     as a :class:`StudyCellError` naming the cell.
     """
     if pool is None:
-        for payload in payloads:
-            yield _run_cell(payload), None, None, False
+        inputs = NumericsInputs(
+            (n, seed) if verified else None
+            for _, _, n, _, seed, verified in payloads
+        )
+        try:
+            for step, payload in enumerate(payloads):
+                measurement = _run_cell(payload, inputs)
+                inputs.done(step)
+                yield measurement, None, None, False
+        finally:
+            inputs.clear()
         return
     futures = [_submit(pool, payload, traced) for payload in payloads]
     for payload, future in zip(payloads, futures):

@@ -14,6 +14,7 @@ from .stability import (
     classical_error_coefficient,
     error_bound,
     max_norm,
+    norm_error_bound,
     relative_error,
     strassen_error_coefficient,
     winograd_error_coefficient,
@@ -24,9 +25,11 @@ from .fastmm import (
     winograd_product,
     winograd_product_peeled,
 )
-from .verify import VerificationReport, verify_matmul
+from .verify import NumericsInputs, ProblemInputs, VerificationReport, verify_matmul
 
 __all__ = [
+    "NumericsInputs",
+    "ProblemInputs",
     "UNIT_ROUNDOFF",
     "VerificationReport",
     "classic_strassen_product",
@@ -38,6 +41,7 @@ __all__ = [
     "join_quadrants",
     "matmul_flops",
     "max_norm",
+    "norm_error_bound",
     "pad_to_power_of_two",
     "random_matrix",
     "relative_error",

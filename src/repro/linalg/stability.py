@@ -37,6 +37,7 @@ __all__ = [
     "winograd_error_coefficient",
     "error_bound",
     "max_norm",
+    "norm_error_bound",
     "relative_error",
 ]
 
@@ -88,7 +89,21 @@ def error_bound(
     ``safety`` pads the first-order bound to absorb the O(u^2) terms and
     the bound's norm slack; tests use the default.
     """
-    n = a.shape[0]
+    return norm_error_bound(
+        a.shape[0], max_norm(a), max_norm(b), variant, cutoff, safety
+    )
+
+
+def norm_error_bound(
+    n: int,
+    norm_a: float,
+    norm_b: float,
+    variant: str = "winograd",
+    cutoff: int = 64,
+    safety: float = 4.0,
+) -> float:
+    """:func:`error_bound` of an ``n x n`` product from its operands'
+    max norms, for a caller that already has them."""
     if variant == "classical":
         coeff = classical_error_coefficient(n)
     elif variant == "strassen":
@@ -97,7 +112,7 @@ def error_bound(
         coeff = winograd_error_coefficient(n, min(cutoff, n))
     else:
         raise ValidationError(f"unknown variant {variant!r}")
-    return safety * coeff * UNIT_ROUNDOFF * max_norm(a) * max_norm(b)
+    return safety * coeff * UNIT_ROUNDOFF * norm_a * norm_b
 
 
 def relative_error(computed: np.ndarray, reference: np.ndarray) -> float:

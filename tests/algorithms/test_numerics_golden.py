@@ -31,8 +31,8 @@ def cell_reports(sizes=SIZES, threads=THREADS) -> dict[str, list[str]]:
     reports = {}
     real = MatmulAlgorithm.check_numerics
 
-    def spy(self, n, p, schedule, simulated, seed=0):
-        report = real(self, n, p, schedule, simulated, seed=seed)
+    def spy(self, n, p, schedule, simulated, seed=0, inputs=None):
+        report = real(self, n, p, schedule, simulated, seed=seed, inputs=inputs)
         reports[f"{self.name}/{n}/{p}"] = [
             float(report.abs_error).hex(), float(report.bound).hex()
         ]

@@ -43,8 +43,13 @@ and the trace-driven cache simulator:
     shares of its CPU time, plus the largest planned temporary storage
     of any cell that ran its program (``compiled_verified_temp_mb``;
     ``..._unplanned`` is the same cell's storage with a buffer per
-    temporary).  Of that row only ``compiled_verified_temp_mb`` is
-    gated, at the absolute ceiling ``TEMP_MB_LIMIT`` (64 MiB).
+    temporary).  ``compiled_verified_reference_products`` counts the
+    reference products ``a @ b`` the study computed: its cells share
+    each size's operands and product, so it must be exactly one per
+    verified size (``n <= VERIFY_MAX_N``, one seed).  Of that row only
+    ``compiled_verified_temp_mb``, gated at the absolute ceiling
+    ``TEMP_MB_LIMIT`` (64 MiB), and the reference product count are
+    gated.
 ``lowering_cache``
     Strassen lowering uncached (``build_arena`` on a fresh algorithm
     instance, so its subtree templates start cold) versus a warm
@@ -170,6 +175,11 @@ MEASURE_SHARE_LIMIT = 0.25
 #: the depth-first order a report-memo miss runs and to ~200 MiB in a
 #: simulated start order, so a fallback to the start order fails it.
 TEMP_MB_LIMIT = 64.0
+
+#: Largest size the verified study (``study_e2e`` ``compiled_verified_*``)
+#: executes and verifies; the gate expects one reference product per
+#: study size up to it.
+VERIFY_MAX_N = 1024
 
 #: Minimum CPU seconds of one timed unit of ``study_e2e``: a unit runs
 #: cold studies back to back until it reaches this, and a study's time
@@ -396,25 +406,29 @@ def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     verified.  Best-of-*repeats* cold CPU time (empty build cache and
     report memo each pass), the ``numerics`` and ``verify`` layers'
     shares of it, and the largest planned temporaries of a program run
-    (the ``temp_mb`` of the report-memo misses' ``numerics`` spans)."""
+    (the ``temp_mb`` of the report-memo misses' ``numerics`` spans),
+    and the reference products the best pass computed."""
     from repro.algorithms.base import default_build_cache, numerics_memo
     from repro.api import RunOptions, Study
     from repro.observability import trace as obtrace
     from repro.observability.export import layer_times
+    from repro.observability.metrics import registry
 
     best = None
     for _ in range(repeats):
         default_build_cache().clear()
         numerics_memo().clear()
         gc.collect()
-        study = Study(machine, sizes=sizes, execute_max_n=1024, verify=True)
+        study = Study(machine, sizes=sizes, execute_max_n=VERIFY_MAX_N, verify=True)
+        before = registry().snapshot()
         with obtrace.tracing() as tr:
             t0 = time.process_time()
             study.run(RunOptions(engine="compiled"))
             cpu = time.process_time() - t0
+        products = registry().delta_since(before).get("numerics.reference_products", 0)
         if best is None or cpu < best[0]:
-            best = (cpu, tr)
-    cpu, tr = best
+            best = (cpu, tr, products)
+    cpu, tr, products = best
     layers = layer_times(tr, cpu=True)
     numerics = layers.get("numerics", (0, 0.0))
     misses = [sp.attrs for sp in tr.find("numerics") if sp.attrs["memo"] == "miss"]
@@ -426,6 +440,7 @@ def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
         "compiled_verified_verify_share": layers.get("verify", (0, 0.0))[1] / cpu,
         "compiled_verified_temp_mb": peak["temp_mb"],
         "compiled_verified_temp_mb_unplanned": peak["temp_mb_unplanned"],
+        "compiled_verified_reference_products": int(products),
     }
 
 
@@ -847,6 +862,22 @@ def gate(current: dict, baseline: dict) -> int:
             failures.append(
                 f"study_e2e: planned temporaries {temp_mb:.1f} MiB exceed "
                 f"{TEMP_MB_LIMIT:.0f} MiB"
+            )
+    study = current.get("study_e2e", {})
+    products = study.get("compiled_verified_reference_products")
+    if products is None:
+        failures.append("study_e2e: missing compiled_verified_reference_products")
+    else:
+        want = sum(1 for n in study.get("sizes", ()) if n <= VERIFY_MAX_N)
+        status = "ok" if products == want else "WRONG"
+        print(
+            f"  {'study_e2e':20s} compiled_verified_reference_products: "
+            f"{products} (one per verified size: {want}) {status}"
+        )
+        if products != want:
+            failures.append(
+                f"study_e2e: {products} reference products for {want} "
+                f"verified sizes"
             )
     share = current.get("study_e2e", {}).get("compiled_measure_share")
     if share is None:

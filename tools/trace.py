@@ -17,7 +17,11 @@ the program — and ``verify``).  Each ``numerics`` span carries
 ``memo="hit"`` when the cell reused a memoized verification report (no
 program run, no ``verify`` span) or ``memo="miss"``; the cells'
 ``numerics.memo_hits`` / ``numerics.memo_misses`` metric deltas say the
-same.
+same.  A miss's span also says where its operands and reference
+product came from: ``inputs="shared"`` from the run's
+:class:`~repro.linalg.verify.NumericsInputs`, ``inputs="drawn"`` for
+that check alone; ``numerics.reference_products`` counts the products
+``a @ b`` paid for.
 
 ``--validate`` fails (exit 1) when:
 
