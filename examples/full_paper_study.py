@@ -19,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro import EnergyPerformanceStudy, StudyConfig, haswell_e3_1225
+from repro import RunOptions, Study, haswell_e3_1225
 from repro.core import table1_environment, table2_slowdown, table3_power, table4_ep
 from repro.reporting import (
     fig1_schematic,
@@ -41,14 +41,15 @@ def main() -> None:
 
     machine = haswell_e3_1225()
     if os.environ.get("REPRO_QUICK") == "1":
-        config = StudyConfig(sizes=(256, 512, 1024), execute_max_n=512)
+        study = Study(machine, sizes=(256, 512, 1024), execute_max_n=512)
     else:
-        config = StudyConfig(execute_max_n=1024)  # the paper's matrix
+        study = Study(machine, execute_max_n=1024)  # the paper's matrix
 
+    config = study.config
     print(machine.describe())
     print(f"\nrunning {len(config.sizes) * len(config.threads) * 3} configurations...")
     t0 = time.time()
-    result = EnergyPerformanceStudy(machine, config=config).run()
+    result = study.run(RunOptions()).result
     print(f"done in {time.time() - t0:.1f}s\n")
 
     for title, table in (

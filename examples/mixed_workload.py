@@ -14,7 +14,7 @@ and the choice shifts into the Strassen family.
 Run:  python examples/mixed_workload.py
 """
 
-from repro import EnergyPerformanceStudy, StudyConfig, haswell_e3_1225
+from repro import Study, haswell_e3_1225
 from repro.algorithms import BlockLU, mixed_ep
 from repro.core import choice_table, pareto_frontier, select_under_power_cap
 from repro.sim import Engine
@@ -51,8 +51,8 @@ def part1_mixed() -> None:
 
 def part2_power_cap() -> None:
     machine = haswell_e3_1225()
-    config = StudyConfig(sizes=(512,), threads=(1, 2, 3, 4), execute_max_n=0, verify=False)
-    result = EnergyPerformanceStudy(machine, config=config).run()
+    study = Study(machine, sizes=(512,), threads=(1, 2, 3, 4), execute_max_n=0, verify=False)
+    result = study.run().result
 
     print("operating points at n=512 (Pareto-optimal marked *):")
     print(choice_table(result, 512).to_ascii())

@@ -8,7 +8,7 @@ three evaluation tables plus the Fig. 7 scaling classification.
 Run:  python examples/quickstart.py
 """
 
-from repro import EnergyPerformanceStudy, StudyConfig, haswell_e3_1225
+from repro import RunOptions, Study, haswell_e3_1225
 from repro.core import table2_slowdown, table3_power, table4_ep
 
 
@@ -17,9 +17,8 @@ def main() -> None:
     print(machine.describe())
     print()
 
-    config = StudyConfig(sizes=(256, 512), threads=(1, 2, 3, 4), execute_max_n=512)
-    study = EnergyPerformanceStudy(machine, config=config)
-    result = study.run()
+    study = Study(machine, sizes=(256, 512), threads=(1, 2, 3, 4), execute_max_n=512)
+    result = study.run(RunOptions()).result
 
     print("Table II analogue - average slowdown vs OpenBLAS")
     print(table2_slowdown(result).to_ascii())

@@ -28,13 +28,7 @@ Quickstart (the stable facade is :mod:`repro.api`)::
 """
 
 from .api import RunOptions, Study, StudyRun
-from .core.study import (
-    PAPER_SIZES,
-    PAPER_THREADS,
-    EnergyPerformanceStudy,
-    StudyConfig,
-    StudyResult,
-)
+from .core.study import PAPER_SIZES, PAPER_THREADS, StudyConfig, StudyResult
 from .machine.specs import MachineSpec, generic_smp, haswell_e3_1225
 from .sim.engine import Engine
 from .sim.measurement import RunMeasurement
@@ -43,7 +37,6 @@ __version__ = "1.2.0"
 
 __all__ = [
     "Engine",
-    "EnergyPerformanceStudy",
     "MachineSpec",
     "PAPER_SIZES",
     "PAPER_THREADS",

@@ -135,10 +135,12 @@ class BuildCache:
     Lowering is a measured hot path (a Strassen 512² lowering costs
     milliseconds, and the protocol driver re-lowers the *same* cell for
     every repetition), so identical builds are memoized.  The key is
-    ``(algorithm instance, n, threads, seed)`` — the instance stands in
-    for (machine, algorithm, configuration), which it determines
+    ``(algorithm instance, n, threads)`` — the instance stands in for
+    (machine, algorithm, configuration), which it determines
     completely; entries keep a strong reference to the instance so the
-    identity can never be recycled while cached.
+    identity can never be recycled while cached.  A lowering carries no
+    operands, so no seed enters the key: cells that differ only in
+    their seed share one build.
 
     Cached builds carry no operand arrays, and scheduling one never
     mutates it, so the cache returns the *same* :class:`BuildResult` to
@@ -182,11 +184,10 @@ class BuildCache:
         alg: "MatmulAlgorithm",
         n: int,
         threads: int,
-        seed: int = 0,
     ) -> BuildResult:
-        """Return the cost-only build for *(alg, n, threads, seed)*,
-        lowering it on a miss."""
-        key = (id(alg), n, threads, seed)
+        """Return the cost-only build for *(alg, n, threads)*, lowering
+        it on a miss."""
+        key = (id(alg), n, threads)
         entry = self._entries.get(key)
         if entry is not None and entry[0] is alg:
             self._entries.move_to_end(key)
@@ -196,7 +197,7 @@ class BuildCache:
         self.misses += 1
         _CACHE_MISSES.add()
         with trace.span("lower", alg=alg.name, n=n, threads=threads):
-            build = alg.build_arena(n, threads, seed=seed)
+            build = alg.build_arena(n, threads)
         self._entries[key] = (alg, build)
         if len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
@@ -313,7 +314,7 @@ class MatmulAlgorithm(ABC):
         """Flops the algorithm performs for an n x n multiply."""
 
     @abstractmethod
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
+    def build_arena(self, n: int, threads: int) -> BuildResult:
         """Lower an n x n problem to a cost-only
         :class:`~repro.runtime.arena.TaskArena`.
 
@@ -337,7 +338,6 @@ class MatmulAlgorithm(ABC):
         self,
         n: int,
         threads: int,
-        seed: int = 0,
         cache: BuildCache | None = None,
     ) -> BuildResult:
         """:meth:`build_arena`, memoized through a :class:`BuildCache`
@@ -345,7 +345,7 @@ class MatmulAlgorithm(ABC):
         shared — treat them as immutable."""
         if cache is None:
             cache = _DEFAULT_CACHE
-        return cache.get_or_build(self, n, threads, seed=seed)
+        return cache.get_or_build(self, n, threads)
 
     def compute_product(
         self,
@@ -366,7 +366,7 @@ class MatmulAlgorithm(ABC):
         memoized: every call computes a fresh C.
         """
         if simulated is None:
-            simulated = self.build_cached(n, threads, seed=seed).graph
+            simulated = self.build_cached(n, threads).graph
         program = self._checked_program(n, threads, order, simulated)
         return self._run_program(program, simulated, order, seed)
 

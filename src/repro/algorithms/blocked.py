@@ -109,7 +109,7 @@ class BlockedGemm(MatmulAlgorithm):
                 )
                 tb.emit(f"tile/({ro},{co})", cost, op=op)
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
+    def build_arena(self, n: int, threads: int) -> BuildResult:
         """Lower an n x n multiply to an independent grid of tile tasks.
 
         The tile grid is flat (no recursion to template), so this is a

@@ -394,7 +394,7 @@ class CapsStrassen(MatmulAlgorithm):
         tpl = self._arena_template(m, 0, threads, {})
         return tpl.to_program(n, m, self.leaf_cutoff, "winograd")
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
+    def build_arena(self, n: int, threads: int) -> BuildResult:
         """Cost-only lowering straight to a :class:`TaskArena` via
         template stamping."""
         require_positive(threads, "threads")

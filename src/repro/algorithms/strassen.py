@@ -351,7 +351,7 @@ class StrassenWinograd(MatmulAlgorithm):
         m = self.padded_n(n)
         return self._arena_template(m, {}).to_program(n, m, self.cutoff, self.variant)
 
-    def build_arena(self, n: int, threads: int, seed: int = 0) -> BuildResult:
+    def build_arena(self, n: int, threads: int) -> BuildResult:
         """Cost-only lowering straight to a :class:`TaskArena` via
         template stamping (no ``Task`` objects, no closures)."""
         require_positive(threads, "threads")

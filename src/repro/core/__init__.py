@@ -44,9 +44,11 @@ from .scaling import (
 from .study import (
     PAPER_SIZES,
     PAPER_THREADS,
-    EnergyPerformanceStudy,
+    RunOptions,
+    Study,
     StudyConfig,
     StudyResult,
+    StudyRun,
 )
 
 __all__ = [
@@ -61,7 +63,6 @@ __all__ = [
     "CrossoverAnalysis",
     "EPConvention",
     "EPMeasurement",
-    "EnergyPerformanceStudy",
     "ExperimentProtocol",
     "ProtocolResult",
     "TrialStats",
@@ -74,8 +75,11 @@ __all__ = [
     "SensitivityPoint",
     "channel_sweep",
     "sensitivity_table",
+    "RunOptions",
+    "Study",
     "StudyConfig",
     "StudyResult",
+    "StudyRun",
     "analyze_crossover",
     "bound_crossover_memory",
     "caps_bandwidth_bound",

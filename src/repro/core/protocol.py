@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..algorithms.base import MatmulAlgorithm
-from ..linalg.verify import NumericsInputs
 from ..machine.specs import MachineSpec
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
@@ -29,6 +28,7 @@ from ..sim.noise import NoiseModel, NoisyEngine
 from ..util.errors import ValidationError
 from ..util.tables import TextTable
 from ..util.validation import require_nonempty, require_nonnegative, require_positive
+from .study import _run_cells
 
 __all__ = ["TrialStats", "ProtocolResult", "ExperimentProtocol"]
 
@@ -119,40 +119,37 @@ class ExperimentProtocol:
     ) -> ProtocolResult:
         """Execute the matrix with quiesce + repetition discipline.
 
-        Every trial simulates the cached cost-only lowering.  With
-        *execute*, each configuration also checks its numerics once
+        Every trial is one study cell on the noisy engine, computed by
+        the study's cell driver (:func:`repro.core.study._run_cells`):
+        it simulates the cached cost-only lowering, after its quiesce
+        idle.  With *execute*, each configuration's last trial also
+        checks the numerics
         (:meth:`~repro.algorithms.base.MatmulAlgorithm.check_numerics`):
         noise perturbs only the measurements, so every repetition shares
-        one schedule.  The checks share one
-        :class:`~repro.linalg.verify.NumericsInputs`, as a study's
-        cells do: each size's operands and reference product are made
-        once and released after its last configuration.
+        one schedule.  As in a study, the checks share each size's
+        operands and reference product, released after its last
+        configuration.
         """
         algorithms = require_nonempty(list(algorithms), "algorithms")
         sizes = require_nonempty(list(sizes), "sizes")
         threads = require_nonempty(list(threads), "threads")
         result = ProtocolResult(self.repetitions, self.quiesce_s)
-        cells = [(alg, n, p) for alg in algorithms for n in sizes for p in threads]
-        inputs = NumericsInputs(
-            (n, seed) if execute else None for _, n, _ in cells
-        )
-        for step, (alg, n, p) in enumerate(cells):
+        last = self.repetitions - 1
+        payloads = [
+            (self.engine, alg, n, p, seed, execute and rep == last)
+            for alg in algorithms for n in sizes for p in threads
+            for rep in range(self.repetitions)
+        ]
+        # The in-process driver runs each cell when it is asked for the
+        # next one, so every trial's quiesce idle comes just before it.
+        outcomes = _run_cells(payloads)
+        for first in range(0, len(payloads), self.repetitions):
+            _, alg, n, p, _, _ = payloads[first]
             trials = []
-            # Repetitions share one lowering: the graph is immutable
-            # under simulation.
-            build = alg.build_cached(n, p, seed=seed)
-            for rep in range(self.repetitions):
+            for _ in range(self.repetitions):
                 if self.quiesce_s > 0:
                     self.engine.idle_measurement(self.quiesce_s, label="quiesce")
-                measurement, schedule = self.engine.simulate(
-                    build.graph, p, label=f"{alg.name}[n={n},p={p}]#{rep}"
-                )
-                trials.append(measurement)
-            if execute:
-                alg.check_numerics(
-                    n, p, schedule, build.graph, seed=seed, inputs=inputs
-                )
-                inputs.done(step)
+                trials.append(next(outcomes)[0])
             key = (alg.name, n, p)
             result.trials[key] = trials
             result.time_stats[key] = TrialStats.from_samples(

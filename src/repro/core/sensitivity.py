@@ -16,14 +16,14 @@ the Eq. 9 crossover drops into feasible range.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..machine.specs import MachineSpec
 from ..util.errors import ValidationError
 from ..util.tables import TextTable
 from ..util.validation import require_nonempty
 from .crossover import analyze_crossover
-from .study import EnergyPerformanceStudy, StudyConfig
+from .study import Study
 
 __all__ = ["SensitivityPoint", "channel_sweep", "sensitivity_table"]
 
@@ -45,10 +45,9 @@ class SensitivityPoint:
 def _headlines(
     label: str, machine: MachineSpec, sizes: Sequence[int], threads: Sequence[int]
 ) -> SensitivityPoint:
-    config = StudyConfig(
-        sizes=tuple(sizes), threads=tuple(threads), execute_max_n=0, verify=False
-    )
-    result = EnergyPerformanceStudy(machine, config=config).run()
+    result = Study(
+        machine, sizes=sizes, threads=threads, execute_max_n=0, verify=False
+    ).run().result
     n = max(sizes)
     pmax = max(threads)
     return SensitivityPoint(

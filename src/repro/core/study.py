@@ -5,46 +5,59 @@ randomly generated matrices of sizes {512, 1024, 2048, 4096}.  Each
 algorithm is executed for each problem size using thread counts
 {1, 2, 3, 4}.  This provides us with 48 final result sets."
 
-:class:`EnergyPerformanceStudy` reproduces exactly that: for every
-(algorithm, size, threads) triple it builds the task graph, simulates it
-on the machine, records the :class:`RunMeasurement`, and optionally
-verifies the numerics against numpy.  :class:`StudyResult` then exposes
-the derived quantities the evaluation tabulates — slowdowns (Table II /
-Fig. 3), average power (Table III / Figs. 4-6) and EP values/scaling
-(Table IV / Fig. 7).
+:class:`Study` reproduces exactly that: for every (algorithm, size,
+threads) triple it builds the task graph, simulates it on the machine,
+records the :class:`RunMeasurement`, and optionally verifies the
+numerics against numpy.  Construction is configuration (machine,
+algorithms, :class:`StudyConfig`); :meth:`Study.run` takes the per-run
+policy (:class:`RunOptions`: event kernel, process fan-out, tracing,
+store) and returns a :class:`StudyRun`.  :class:`StudyResult` then
+exposes the derived quantities the evaluation tabulates — slowdowns
+(Table II / Fig. 3), average power (Table III / Figs. 4-6) and EP
+values/scaling (Table IV / Fig. 7).
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import paper_algorithms
 from ..linalg.verify import NumericsInputs
-from ..machine.specs import MachineSpec
+from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
+from ..observability.export import metrics_table, phase_table, write_trace_json
 from ..observability.metrics import counter
 from ..observability.metrics import registry as metrics_registry
+from ..observability.trace import Tracer
 from ..power.msr import deposit_planes
 from ..power.planes import Plane
+from ..runtime.scheduler import ENGINES
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError, StudyCellError, ValidationError
+from ..util.tables import TextTable
 from ..util.validation import require_nonempty, require_positive
 from .ep import EPConvention, EPMeasurement
 from .resultstore import ResultStore, cell_record
 from .scaling import ScalingPoint, scaling_series
 
+if TYPE_CHECKING:
+    from ..service.cells import StudyRequest
+    from ..service.service import ServiceConfig, StudyService
+
 __all__ = [
-    "StudyConfig",
-    "StudyResult",
-    "EnergyPerformanceStudy",
     "PAPER_SIZES",
     "PAPER_THREADS",
+    "RunOptions",
+    "Study",
+    "StudyConfig",
+    "StudyResult",
+    "StudyRun",
 ]
 
 _CELLS_RESUMED = counter(
@@ -246,59 +259,218 @@ class StudyResult:
         return self.time_s(alg, n, 1) / self.time_s(alg, n, threads)
 
 
-class EnergyPerformanceStudy:
-    """Runs the execution matrix and assembles a :class:`StudyResult`."""
+@dataclass(frozen=True)
+class RunOptions:
+    """Per-run execution policy of :meth:`Study.run`.
+
+    Attributes
+    ----------
+    engine:
+        ``None`` (the default) lets the platform pick the event kernel
+        (:func:`repro.runtime.scheduler.default_engine`): ``"compiled"``
+        when a C toolchain is present, else ``"fast"`` with a one-time
+        warning — the numbers are bit-identical either way.  Naming
+        ``"compiled"`` (strict: no toolchain is a
+        :class:`ConfigurationError`), ``"fast"`` or ``"reference"``
+        (the scalar differential oracle) pins that kernel; see
+        :func:`repro.api.available_engines`.  An
+        :class:`~repro.sim.engine.Engine` instance is also accepted
+        when the caller needs a custom one (emulated MSR, noise
+        wrapper, ...).
+    parallel:
+        ``None``/``0``/``1`` runs cells serially; ``N > 1`` fans the
+        independent cells across a process pool.  Results are
+        bit-identical either way (see :meth:`Study.run`).
+    trace:
+        ``False`` (default) leaves tracing disabled — the zero-overhead
+        path.  ``True`` records spans and returns them on the
+        :class:`StudyRun`; a path string/``Path`` additionally writes
+        the Chrome ``trace_event`` JSON there.
+    store:
+        A :class:`~repro.core.resultstore.ResultStore` or its directory
+        (created if missing) that checkpoints the run: stored cells are
+        served (MSR deposits included), the rest are simulated and
+        stored, so rerunning an interrupted sweep resumes it
+        bit-identically.  The cell key covers everything that changes a
+        number (see DESIGN.md §11); needs a plain
+        :class:`~repro.sim.engine.Engine`.
+    """
+
+    engine: "str | Engine | None" = None
+    parallel: int | None = None
+    trace: "bool | str | Path" = False
+    store: "ResultStore | str | Path | None" = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.engine, str) and self.engine not in ENGINES:
+            raise ConfigurationError(
+                f"engine must be one of {ENGINES} or an Engine instance, "
+                f"got {self.engine!r}"
+            )
+        if self.parallel is not None and self.parallel < 0:
+            raise ConfigurationError(
+                f"parallel must be >= 0, got {self.parallel}"
+            )
+
+
+@dataclass
+class StudyRun:
+    """What one :meth:`Study.run` produced.
+
+    ``result`` is always present; ``tracer`` and ``metrics`` are
+    populated only when the run was traced (``RunOptions.trace``).
+    """
+
+    result: StudyResult
+    tracer: Tracer | None = None
+    metrics: dict | None = None
+    trace_path: Path | None = None
+    options: RunOptions | None = None
+
+    @property
+    def traced(self) -> bool:
+        return self.tracer is not None
+
+    @property
+    def wall_s(self) -> float:
+        """Wall seconds of the root ``study.run`` span (0.0 untraced)."""
+        if self.tracer is not None:
+            for sp in self.tracer.find("study.run"):
+                if sp.finished:
+                    return sp.duration_s
+        return 0.0
+
+    def _traced(self) -> Tracer:
+        if self.tracer is None:
+            raise ConfigurationError(
+                "run was not traced; pass RunOptions(trace=...) to Study.run"
+            )
+        return self.tracer
+
+    def write_trace(self, path: "str | Path", meta: dict | None = None) -> Path:
+        """Write the Chrome-trace JSON document for this run.
+
+        The document's ``otherData.meta`` always carries ``command``,
+        ``parallel`` and ``wall_s`` (what ``tools/trace.py --validate``
+        checks span sums against); *meta* entries override/extend them.
+        """
+        tracer = self._traced()
+        parallel = self.options.parallel if self.options else None
+        full_meta = {
+            "command": "repro.api.Study.run",
+            "parallel": int(parallel or 0),
+            "wall_s": self.wall_s,
+            **(meta or {}),
+        }
+        self.trace_path = write_trace_json(
+            path, tracer, metrics=self.metrics, meta=full_meta
+        )
+        return self.trace_path
+
+    def phase_summary(self, max_depth: int = 1) -> TextTable:
+        """ASCII phase-summary table of the recorded spans."""
+        return phase_table(self._traced(), max_depth=max_depth)
+
+    def metrics_summary(self) -> TextTable:
+        """The run's counter/gauge deltas as an aligned table."""
+        self._traced()
+        return metrics_table(self.metrics)
+
+
+class Study:
+    """The execution matrix: every (algorithm, size, threads) cell is
+    lowered, simulated on the machine and measured, and its numerics
+    optionally checked, into a :class:`StudyResult`.
+
+    Construction takes the *what* (machine, algorithms, matrix; the
+    keywords override the same-named :class:`StudyConfig` fields of
+    *config*); :meth:`run` takes the *how* (:class:`RunOptions`).  All
+    arguments are optional — ``Study().run()`` reproduces the paper's
+    full execution matrix on the paper's Haswell E3-1225.
+    """
 
     def __init__(
         self,
-        machine: MachineSpec,
-        algorithms: Sequence[MatmulAlgorithm] | None = None,
-        config: StudyConfig = StudyConfig(),
+        machine: MachineSpec | None = None,
         *,
-        _engine: Engine | None = None,
+        algorithms: Sequence[MatmulAlgorithm] | None = None,
+        sizes: Sequence[int] | None = None,
+        threads: Sequence[int] | None = None,
+        seed: int | None = None,
+        execute_max_n: int | None = None,
+        verify: bool | None = None,
+        baseline: str | None = None,
+        config: StudyConfig | None = None,
     ):
-        self.machine = machine
-        self.algorithms = list(algorithms) if algorithms is not None else paper_algorithms(machine)
+        self.machine = machine if machine is not None else haswell_e3_1225()
+        overrides = {
+            name: value
+            for name, value in (
+                ("sizes", None if sizes is None else tuple(sizes)),
+                ("threads", None if threads is None else tuple(threads)),
+                ("seed", seed),
+                ("execute_max_n", execute_max_n),
+                ("verify", verify),
+                ("baseline", baseline),
+            )
+            if value is not None
+        }
+        cfg = config if config is not None else StudyConfig()
+        self.config = replace(cfg, **overrides) if overrides else cfg
+        self.algorithms = (
+            list(algorithms)
+            if algorithms is not None
+            else paper_algorithms(self.machine)
+        )
         if not self.algorithms:
             raise ConfigurationError("study needs at least one algorithm")
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate algorithm names: {names}")
-        if config.baseline not in names:
+        if self.config.baseline not in names:
             raise ConfigurationError(
-                f"baseline {config.baseline!r} is not among {names}"
+                f"baseline {self.config.baseline!r} is not among {names}"
             )
-        self.config = config
-        self.engine = _engine or Engine(machine)
 
-    def run(self) -> StudyResult:
-        """Execute the full matrix serially, in the paper's table order.
+    def run(self, options: RunOptions | None = None) -> StudyRun:
+        """Execute the matrix under *options*: one sweep, whatever the
+        options (DESIGN §7.3).
 
-        :meth:`repro.api.Study.run` is the entry point with per-run
-        options (process fan-out, store, tracing)."""
-        return self._run()
+        Key the cells and serve the store hits (``options.store``
+        checkpoints the sweep); compute the misses through
+        :func:`_run_cells` — in-process, or over a pool of up to
+        ``options.parallel`` workers when that is > 1 — and ``put``
+        each as it is collected, so a rerun of an interrupted sweep
+        resumes it; then merge in the serial (table) order.  Results
+        are identical either way, and so is the run engine's MSR
+        counter stream: cells run on an MSR-less engine, and the merge
+        deposits every cell's plane energies in serial order.  The
+        matrix runs under a ``study.run`` span, each cell under a
+        ``cell`` span.
+        """
+        opts = options if options is not None else RunOptions()
+        # Anything but a kernel name is a ready engine (an Engine, or a
+        # duck-typed wrapper such as repro.sim.NoisyEngine).
+        engine = opts.engine
+        if engine is None or isinstance(engine, str):
+            engine = Engine(self.machine, engine=engine)
+        if not opts.trace:
+            return StudyRun(self._run(engine, opts.parallel, opts.store), options=opts)
+        reg = metrics_registry()
+        snap = reg.snapshot()
+        with trace.tracing() as tracer:
+            result = self._run(engine, opts.parallel, opts.store)
+        run = StudyRun(result, tracer, reg.export_delta(snap), options=opts)
+        if not isinstance(opts.trace, bool):
+            run.write_trace(opts.trace)
+        return run
 
     def _run(
         self,
-        parallel: int | None = None,
-        *,
-        store: "ResultStore | str | Path | None" = None,
+        engine: Engine,
+        parallel: int | None,
+        store: "ResultStore | str | Path | None",
     ) -> StudyResult:
-        """Internal entry point (used by :mod:`repro.api`): one sweep,
-        whatever the options (DESIGN §7.3).
-
-        Key the cells and serve the store hits (*store*, a
-        :class:`ResultStore` or its directory, checkpoints the sweep);
-        compute the misses through :func:`_run_cells` — in-process, or
-        over a pool of up to *parallel* workers when ``parallel > 1`` —
-        and ``put`` each as it is collected, so a rerun of an
-        interrupted sweep resumes it; then merge in the serial (table)
-        order.  Results are identical either way, and so is the study
-        engine's MSR counter stream: cells run on an MSR-less engine,
-        and the merge deposits every cell's plane energies in serial
-        order.  The matrix runs under a ``study.run`` span, each cell
-        under a ``cell`` span.
-        """
         result = StudyResult(
             machine=self.machine,
             config=self.config,
@@ -310,7 +482,7 @@ class EnergyPerformanceStudy:
         if store is not None:
             # Key first: an engine or algorithm no key can describe is
             # refused before the store directory is even created.
-            records = self._cell_records(cells)
+            records = self._cell_records(engine, cells)
             if not isinstance(store, ResultStore):
                 store = ResultStore(store)
         with trace.span(
@@ -329,8 +501,8 @@ class EnergyPerformanceStudy:
             misses = [
                 (alg, n, p) for alg, n, p in cells if (alg.name, n, p) not in hits
             ]
-            engine = self._cell_engine()
-            payloads = [self._payload(engine, alg, n, p) for alg, n, p in misses]
+            cell_engine = _cell_engine(engine)
+            payloads = [self._payload(cell_engine, alg, n, p) for alg, n, p in misses]
             outcomes: dict[tuple[str, int, int], tuple] = {}
             with _pool(min(parallel or 0, len(misses))) as pool:
                 computed = _run_cells(payloads, pool, traced=trace.enabled())
@@ -340,7 +512,7 @@ class EnergyPerformanceStudy:
                     if store is not None:
                         key, meta = records[coords]
                         store.put(key, outcome[0], meta=meta)
-            msr = getattr(self.engine, "msr", None)
+            msr = getattr(engine, "msr", None)
             with trace.span("merge", cells=len(cells)):
                 for alg, n, p in cells:
                     coords = (alg.name, n, p)
@@ -374,9 +546,9 @@ class EnergyPerformanceStudy:
         ]
 
     def _cell_records(
-        self, cells: list[tuple[MatmulAlgorithm, int, int]]
+        self, engine: Engine, cells: list[tuple[MatmulAlgorithm, int, int]]
     ) -> dict[tuple[str, int, int], tuple[str, dict]]:
-        """Every cell's store key and entry ``meta``
+        """Every cell's store key and entry ``meta`` on *engine*
         (:func:`~repro.core.resultstore.cell_record`).  Raises
         :class:`ConfigurationError` when the engine or an algorithm
         cannot be keyed."""
@@ -384,7 +556,7 @@ class EnergyPerformanceStudy:
         cfg = self.config
         return {
             (alg.name, n, p): cell_record(
-                self.engine, alg, n, p, seed=cfg.seed,
+                engine, alg, n, p, seed=cfg.seed,
                 execute=n <= cfg.execute_max_n, verified=self._verified(n),
                 fingerprints=fingerprints,
             )
@@ -395,17 +567,6 @@ class EnergyPerformanceStudy:
         """Whether the cell at size *n* checks its numerics."""
         return self.config.verify and n <= self.config.execute_max_n
 
-    def _cell_engine(self) -> Engine:
-        """The engine cells run on: the study's own, or an MSR-less copy
-        when it has an MSR (the merge deposits into that MSR).  A
-        duck-typed wrapper such as :class:`~repro.sim.noise.NoisyEngine`
-        has none, so its RNG advances in-process, in serial order."""
-        if getattr(self.engine, "msr", None) is None:
-            return self.engine
-        engine = copy.copy(self.engine)
-        engine.msr = None
-        return engine
-
     def _payload(
         self, engine: Engine, alg: MatmulAlgorithm, n: int, threads: int
     ) -> tuple:
@@ -414,6 +575,58 @@ class EnergyPerformanceStudy:
         cell costs milliseconds while shipping its arena costs
         megabytes (DESIGN §7.3)."""
         return (engine, alg, n, threads, self.config.seed, self._verified(n))
+
+    def request(self) -> "StudyRequest":
+        """This study's matrix as a service
+        :class:`~repro.service.cells.StudyRequest`: its algorithm names,
+        sizes, threads, seed and execute bound — so
+        ``service.query(study.request())`` answers exactly the grid
+        ``study.run()`` would compute."""
+        from ..service.cells import StudyRequest
+
+        return StudyRequest(
+            algorithms=tuple(a.name for a in self.algorithms),
+            sizes=self.config.sizes,
+            threads=self.config.threads,
+            seed=self.config.seed,
+            execute_max_n=self.config.execute_max_n,
+        )
+
+    def serve(
+        self,
+        store: "str | Path | None" = None,
+        *,
+        config: "ServiceConfig | None" = None,
+    ) -> "StudyService":
+        """A :class:`~repro.service.service.StudyService` over this
+        study's machine.
+
+        The service answers arbitrary requests, not just this study's
+        matrix; construction here just pins the machine (and hence the
+        content-address domain).  Close the returned service (it is an
+        async context manager) when done::
+
+            async with Study(sizes=(512,)).serve(store="cells/") as svc:
+                response = await svc.query(svc_request)
+        """
+        from ..service.service import ServiceConfig, StudyService
+
+        cfg = config if config is not None else ServiceConfig(
+            verify=self.config.verify
+        )
+        return StudyService(machine=self.machine, store=store, config=cfg)
+
+
+def _cell_engine(engine: Engine) -> Engine:
+    """The engine a run's cells run on: *engine* itself, or an MSR-less
+    copy when it has an MSR (the merge deposits into that MSR).  A
+    duck-typed wrapper such as :class:`~repro.sim.noise.NoisyEngine`
+    has none, so its RNG advances in-process, in serial order."""
+    if getattr(engine, "msr", None) is None:
+        return engine
+    engine = copy.copy(engine)
+    engine.msr = None
+    return engine
 
 
 def _run_cell(payload, inputs: NumericsInputs | None = None) -> RunMeasurement:
@@ -440,7 +653,7 @@ def _run_cell(payload, inputs: NumericsInputs | None = None) -> RunMeasurement:
     with trace.span("cell", alg=alg.name, n=n, threads=threads) as cell_span:
         snap = metrics_registry().snapshot() if trace.enabled() else None
         with trace.span("build", alg=alg.name, n=n, threads=threads):
-            build = alg.build_cached(n, threads, seed=seed)
+            build = alg.build_cached(n, threads)
         with trace.span("simulate", alg=alg.name, n=n, threads=threads):
             measurement, schedule = engine.simulate(
                 build.graph, threads, label=f"{alg.name}[n={n},p={threads}]"

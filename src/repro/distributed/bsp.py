@@ -25,13 +25,14 @@ stragglers interact with energy-performance scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..core.bounds import OMEGA_STRASSEN, communication_bound_words
 from ..power.planes import Plane
 from ..util.errors import ValidationError
 from ..util.validation import require_nonempty, require_nonnegative, require_positive
+from .dmatmul import strassen_flops
 from .network import ClusterSpec
 
 __all__ = [
@@ -265,16 +266,7 @@ def caps_program(
     per_step_bytes = total_words * _WORD / max(bfs_steps, 1)
 
     # Local flops: Strassen count divided over ranks.
-    s = float(n)
-    levels = 0
-    while s > leaf_cutoff:
-        s /= 2.0
-        levels += 1
-    flops = (7.0**levels) * 2.0 * s**3
-    dim = float(n)
-    for level in range(levels):
-        flops += (7.0**level) * 15.0 * (dim / 2.0) ** 2
-        dim /= 2.0
+    flops = strassen_flops(n, leaf_cutoff)
     rate = cluster.node.machine_peak_flops * 0.85
 
     program = []

@@ -186,7 +186,7 @@ class StudyResponse:
     def replay_msr(self, msr) -> None:
         """Deposit every cell's plane energies into *msr* in serial
         order — the same counter stream an uninterrupted serial
-        :class:`~repro.core.study.EnergyPerformanceStudy` run produces,
+        :class:`~repro.core.study.Study` run produces,
         so RAPL/PAPI readers observe served results identically."""
         for cell in self.cells:
             deposit_planes(msr, cell.measurement.energy)

@@ -15,7 +15,7 @@ driver, fault policy included: a cell that fails in the pool (it
 raised, or its worker died) is recomputed in-process, counted in
 ``study.worker_failures`` and ``study.cells_recomputed``.  A cell
 computed by the service is therefore bit-identical to the same cell
-computed by :class:`~repro.core.study.EnergyPerformanceStudy`, the
+computed by :meth:`repro.core.study.Study.run`, the
 property the ``study_service`` verify family enforces.  A pool that
 failed a cell is discarded once its batch is collected and lazily
 rebuilt for the next.
@@ -23,7 +23,6 @@ rebuilt for the next.
 
 from __future__ import annotations
 
-import copy
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -57,17 +56,15 @@ class CellExecutor:
         self,
         machine: MachineSpec,
         *,
-        engine: "str | Engine | None" = None,
+        engine: str | None = None,
         workers: int = 0,
         verify: bool = True,
     ):
         self.machine = machine
-        base = engine if isinstance(engine, Engine) else Engine(machine, engine=engine)
         # The service's engine never carries an MSR: measurements are
         # identical without one (the study's parallel workers prove it)
         # and served results replay deposits via StudyResponse.replay_msr.
-        self.engine = copy.copy(base)
-        self.engine.msr = None
+        self.engine = Engine(machine, engine=engine)
         self.workers = workers
         self.verify = verify
         self._algorithms: dict[str, MatmulAlgorithm] = {}

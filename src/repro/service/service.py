@@ -35,10 +35,9 @@ long-running query service:
   service's are one.
 
 Consistency guarantee: a served cell is *bit-identical* to the same
-cell freshly computed by a serial
-:class:`~repro.core.study.EnergyPerformanceStudy` run — the executor
-runs the study's own cell driver, the store round-trips measurements
-through its bit-exact pickle encoding, and
+cell freshly computed by a serial :class:`~repro.core.study.Study`
+run — the executor runs the study's own cell driver, the store
+round-trips measurements through its bit-exact pickle encoding, and
 :meth:`StudyResponse.replay_msr` reproduces the serial MSR stream.
 The ``study_service`` verify family (``python -m repro verify
 --require study_service``) enforces all three.
@@ -63,7 +62,6 @@ from ..core.resultstore import ResultStore, cell_record
 from ..machine.specs import MachineSpec, haswell_e3_1225
 from ..observability import trace
 from ..observability.metrics import counter, registry
-from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError
 from .cells import CellResult, CellSpec, StudyRequest, StudyResponse, remember
@@ -143,8 +141,6 @@ class StudyService:
         machine: MachineSpec | None = None,
         store: "ResultStore | str | Path | None" = None,
         config: ServiceConfig | None = None,
-        *,
-        engine: "str | Engine | None" = None,
     ):
         self.machine = machine if machine is not None else haswell_e3_1225()
         self.config = config or ServiceConfig()
@@ -153,7 +149,7 @@ class StudyService:
         self.store = store
         self._executor = CellExecutor(
             self.machine,
-            engine=engine if engine is not None else self.config.engine,
+            engine=self.config.engine,
             workers=self.config.workers,
             verify=self.config.verify,
         )

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.study import EnergyPerformanceStudy, StudyConfig
+from ..core.study import RunOptions, Study, StudyConfig
 from ..machine.specs import haswell_e3_1225
 from ..power.msr import PLANE_MSR, MsrFile
 from ..runtime.replay import depth_first_order
@@ -386,12 +386,11 @@ def differential_study_check(
     machine = haswell_e3_1225()
 
     msr_serial, msr_parallel = MsrFile(), MsrFile()
-    serial = EnergyPerformanceStudy(
-        machine, config=config, _engine=Engine(machine, msr=msr_serial)
-    )._run(None)
-    parallel = EnergyPerformanceStudy(
-        machine, config=config, _engine=Engine(machine, msr=msr_parallel)
-    )._run(workers)
+    study = Study(machine, config=config)
+    serial = study.run(RunOptions(engine=Engine(machine, msr=msr_serial))).result
+    parallel = study.run(
+        RunOptions(engine=Engine(machine, msr=msr_parallel), parallel=workers)
+    ).result
 
     if set(serial.runs) != set(parallel.runs):
         missing = set(serial.runs) ^ set(parallel.runs)
@@ -455,9 +454,9 @@ def differential_service_check(
     machine = haswell_e3_1225()
 
     msr_serial = MsrFile()
-    serial = EnergyPerformanceStudy(
-        machine, config=config, _engine=Engine(machine, msr=msr_serial)
-    )._run(None)
+    serial = Study(machine, config=config).run(
+        RunOptions(engine=Engine(machine, msr=msr_serial))
+    ).result
 
     request = StudyRequest(
         algorithms=tuple(serial.algorithm_names),

@@ -16,29 +16,28 @@ def cache():
 
 def test_cost_only_builds_are_cached_and_shared(machine, cache):
     alg = StrassenWinograd(machine)
-    first = alg.build_cached(128, 2, seed=0, cache=cache)
-    again = alg.build_cached(128, 2, seed=0, cache=cache)
+    first = alg.build_cached(128, 2, cache=cache)
+    again = alg.build_cached(128, 2, cache=cache)
     assert again is first  # same immutable instance
     assert cache.stats()["hits"] == 1
     assert cache.stats()["misses"] == 1
     assert len(cache) == 1
 
 
-def test_key_includes_n_threads_seed(machine, cache):
+def test_key_includes_n_threads(machine, cache):
     alg = StrassenWinograd(machine)
-    a = alg.build_cached(128, 2, seed=0, cache=cache)
-    b = alg.build_cached(128, 4, seed=0, cache=cache)
-    c = alg.build_cached(256, 2, seed=0, cache=cache)
-    d = alg.build_cached(128, 2, seed=1, cache=cache)
-    assert len({id(x) for x in (a, b, c, d)}) == 4
-    assert cache.stats()["misses"] == 4 and cache.stats()["hits"] == 0
+    a = alg.build_cached(128, 2, cache=cache)
+    b = alg.build_cached(128, 4, cache=cache)
+    c = alg.build_cached(256, 2, cache=cache)
+    assert len({id(x) for x in (a, b, c)}) == 3
+    assert cache.stats()["misses"] == 3 and cache.stats()["hits"] == 0
 
 
 def test_key_includes_algorithm_instance(machine, cache):
     one = StrassenWinograd(machine)
     two = StrassenWinograd(machine)
-    a = one.build_cached(128, 2, seed=0, cache=cache)
-    b = two.build_cached(128, 2, seed=0, cache=cache)
+    a = one.build_cached(128, 2, cache=cache)
+    b = two.build_cached(128, 2, cache=cache)
     assert a is not b  # different instances may be configured differently
 
 
@@ -67,7 +66,7 @@ def test_executed_builds_never_cached_and_isolated(machine):
     binds fresh operands and a fresh C (a run accumulates into C, so
     sharing would corrupt later runs)."""
     alg = make_algorithm("openblas", machine)
-    simulated = alg.build_arena(64, 1, seed=0).graph
+    simulated = alg.build_arena(64, 1).graph
     default = default_build_cache()
     before = default.stats()
     first = _product(alg, machine, 64, 1, simulated)
@@ -81,11 +80,11 @@ def test_executed_builds_never_cached_and_isolated(machine):
 
 def test_executed_request_never_served_from_cost_only_entry(machine, cache):
     """Regression: with the cost-only lowering of the same (alg, n,
-    threads, seed) cached, a numerics run must produce its own product
+    threads) cached, a numerics run must produce its own product
     and leave the cached entry cost-only (a cost-only build has no
     operands; handing it out as executed would be an empty C)."""
     alg = make_algorithm("openblas", machine)
-    cost_only = alg.build_cached(64, 1, seed=0, cache=cache)
+    cost_only = alg.build_cached(64, 1, cache=cache)
     assert cost_only.cost_only and len(cache) == 1
 
     executed = _product(alg, machine, 64, 1, cost_only.graph)
@@ -95,7 +94,7 @@ def test_executed_request_never_served_from_cost_only_entry(machine, cache):
     # The cost-only entry is still there, untouched, and still served
     # for cost-only requests.
     assert cost_only.cost_only
-    assert alg.build_cached(64, 1, seed=0, cache=cache) is cost_only
+    assert alg.build_cached(64, 1, cache=cache) is cost_only
 
 
 def test_execute_build_returning_cost_only_is_rejected(machine, cache):
@@ -112,9 +111,9 @@ def test_execute_build_returning_cost_only_is_rejected(machine, cache):
         def flop_count(self, n):
             return 2.0 * n**3
 
-        def build_arena(self, n, threads, seed=0):
+        def build_arena(self, n, threads):
             inner = make_algorithm("openblas", self.machine)
-            return inner.build_arena(n, threads, seed=seed)
+            return inner.build_arena(n, threads)
 
     broken = Broken(machine)
     simulated = broken.build_cached(64, 1, cache=cache).graph
@@ -147,5 +146,5 @@ def test_default_cache_is_process_wide(machine):
     assert default_build_cache() is cache
     baseline = cache.stats()["misses"]
     alg = StrassenWinograd(machine)
-    alg.build_cached(128, 2, seed=123)
+    alg.build_cached(128, 2)
     assert cache.stats()["misses"] == baseline + 1

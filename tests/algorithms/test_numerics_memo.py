@@ -41,7 +41,7 @@ def _check(machine, alg, n, threads, seed=0, arena=None):
     """``check_numerics`` of one cell in its simulated start order;
     returns ``(report, memo outcome, arena, order)``."""
     if arena is None:
-        arena = alg.build_cached(n, threads, seed=seed).graph
+        arena = alg.build_cached(n, threads).graph
     schedule = Scheduler(machine, threads).run(arena)
     before = registry().snapshot()
     report = alg.check_numerics(n, threads, schedule, arena, seed=seed)

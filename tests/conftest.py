@@ -72,7 +72,7 @@ def run_program(machine):
     order; returns the product (a ``BuildResult`` with ``a, b, c``)."""
 
     def run(alg, n, threads, seed=0, policy="fifo"):
-        arena = alg.build_arena(n, threads, seed=seed).graph
+        arena = alg.build_arena(n, threads).graph
         _, schedule = Engine(machine).simulate(arena, threads, policy)
         return alg.compute_product(
             n, threads, schedule.start_order(), arena, seed=seed

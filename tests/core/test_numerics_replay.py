@@ -14,7 +14,7 @@ import pytest
 
 from repro.algorithms import CapsStrassen, StrassenWinograd
 from repro.api import RunOptions, Study
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import StudyConfig
 from repro.runtime import compiledpath as cp
 
 requires_cc = pytest.mark.skipif(
@@ -72,7 +72,7 @@ def test_verified_and_cost_only_cells_agree_at_odd_n(machine, alg):
             sizes=(500,), threads=(2,), execute_max_n=execute_max_n,
             verify=verify, baseline=alg.name,
         )
-        result = EnergyPerformanceStudy(machine, [alg], config=cfg).run()
+        result = Study(machine, algorithms=[alg], config=cfg).run().result
         runs.append(result.runs[(alg.name, 500, 2)])
     verified, cost_only = runs
     assert pickle.dumps(verified) == pickle.dumps(cost_only)

@@ -20,7 +20,7 @@ from repro.api import RunOptions, Study
 from repro.algorithms.registry import make_algorithm
 from repro.core import study as study_mod
 from repro.core.resultstore import ResultStore
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import StudyConfig
 from repro.observability.metrics import registry
 from repro.power.msr import PLANE_MSR, MsrFile
 from repro.power.planes import Plane
@@ -86,10 +86,10 @@ class _CrashingAlg(MatmulAlgorithm):
     def flop_count(self, n):
         return self._inner.flop_count(n)
 
-    def build_arena(self, n, threads, seed=0):
+    def build_arena(self, n, threads):
         if (n, threads) == self.crash_cell:
             raise RuntimeError("injected worker crash")
-        return self._inner.build_arena(n, threads, seed=seed)
+        return self._inner.build_arena(n, threads)
 
 
 def test_worker_crash_surfaces_cell_coordinates(machine):
@@ -146,10 +146,11 @@ def _die_in_worker(payload, traced):
 _FAULT_CFG = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128)
 
 
-def _msr_study(machine):
+def _msr_run(machine, parallel=None, store=None):
+    """One run of the fault study on an engine with its own MSR."""
     msr = MsrFile()
-    engine = Engine(machine, msr=msr)
-    return EnergyPerformanceStudy(machine, config=_FAULT_CFG, _engine=engine), msr
+    options = RunOptions(engine=Engine(machine, msr=msr), parallel=parallel, store=store)
+    return Study(machine, config=_FAULT_CFG).run(options).result, msr
 
 
 def _assert_same_study(a, msr_a, b, msr_b):
@@ -173,12 +174,10 @@ def test_failed_workers_degrade_to_the_serial_result(
     parallel study still equals the serial one, measurements and MSR
     counter stream alike, with one failure counted per cell — and a
     store the study checkpoints into ends up complete."""
-    study, msr = _msr_study(machine)
-    serial = study._run(None)
+    serial, msr = _msr_run(machine)
     monkeypatch.setattr(study_mod, "_run_cell_worker", saboteur)
-    study, msr_par = _msr_study(machine)
     snap = registry().snapshot()
-    parallel = study._run(2, store=tmp_path if stored else None)
+    parallel, msr_par = _msr_run(machine, 2, tmp_path if stored else None)
     delta = registry().delta_since(snap)
     cells = len(serial.runs)
     assert delta.get("study.worker_failures", 0) == cells
@@ -186,7 +185,8 @@ def test_failed_workers_degrade_to_the_serial_result(
     _assert_same_study(serial, msr, parallel, msr_par)
     if stored:
         store = ResultStore(tmp_path)
-        records = study._cell_records(study._cells())
+        study = Study(machine, config=_FAULT_CFG)
+        records = study._cell_records(Engine(machine), study._cells())
         assert len(store) == cells
         for coords, (key, _) in records.items():
             assert pickle.dumps(store.get(key)) == pickle.dumps(serial.runs[coords])
@@ -216,10 +216,8 @@ def test_serial_and_parallel_bit_identical(machine):
 
     def run(parallel):
         msr = MsrFile()
-        study = EnergyPerformanceStudy(
-            machine, config=cfg, _engine=Engine(machine, msr=msr)
-        )
-        return study._run(parallel), msr
+        options = RunOptions(engine=Engine(machine, msr=msr), parallel=parallel)
+        return Study(machine, config=cfg).run(options).result, msr
 
     ser, msr_ser = run(None)
     par, msr_par = run(2)
@@ -273,12 +271,12 @@ def test_parallel_payload_carries_no_arena_and_is_constant_in_n(
         baseline="strassen",
     )
     algs = [make_algorithm("strassen", machine)]
-    EnergyPerformanceStudy(machine, algs, config=cfg)._run(2)
+    Study(machine, algorithms=algs, config=cfg).run(RunOptions(parallel=2))
     small, big = (len(blob) for blob in sent)
     assert small == big
     for blob in sent:
         engine, alg, n, p, seed, verified = pickle.loads(blob)
         assert isinstance(engine, Engine) and isinstance(alg, MatmulAlgorithm)
         assert (p, seed, verified) == (1, cfg.seed, False)
-    arena = algs[0].build_cached(4096, 1, seed=cfg.seed).graph
+    arena = algs[0].build_cached(4096, 1).graph
     assert len(pickle.dumps(arena)) > 100 * big

@@ -71,6 +71,26 @@ def test_paper_algorithms_spread_is_real_but_small(machine):
         assert tstats.minimum <= tstats.mean <= tstats.maximum
 
 
+def test_each_trial_runs_after_its_quiesce(machine):
+    """The quiesce idle draws noise too, so the trials must interleave
+    with it exactly as a hand-rolled idle-then-simulate loop on the same
+    seed does, configuration by configuration."""
+    from repro.sim import Engine
+    from repro.sim.noise import NoiseModel, NoisyEngine
+
+    alg = BlockedGemm(machine)
+    proto = ExperimentProtocol(machine, repetitions=3, quiesce_s=10.0, seed=4)
+    result = proto.run([alg], sizes=(128,), threads=(1, 2))
+    engine = NoisyEngine(Engine(machine), NoiseModel(), 4)
+    for p in (1, 2):
+        graph = alg.build_cached(128, p).graph
+        expected = []
+        for _ in range(3):
+            engine.idle_measurement(10.0, label="quiesce")
+            expected.append(engine.simulate(graph, p)[0].elapsed_s)
+        assert [t.elapsed_s for t in result.trials[("openblas", 128, p)]] == expected
+
+
 def test_quiesce_feeds_msr_stream(machine):
     """With a quiesce period, the MSR counter history includes the idle
     energy between tests — what the paper's always-on RAPL saw."""

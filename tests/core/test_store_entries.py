@@ -16,7 +16,7 @@ import pytest
 from repro.algorithms.registry import make_algorithm
 from repro.core import resultstore
 from repro.core.resultstore import STORE_VERSION, ResultStore
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import RunOptions, Study, StudyConfig
 from repro.observability.metrics import registry
 from repro.runtime.scheduler import Scheduler
 from repro.sim.engine import ENGINE_VERSION, Engine
@@ -63,13 +63,13 @@ def test_version_3_entry_is_rejected_unread_and_recomputed(
 ):
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0)
 
-    def study():
-        return EnergyPerformanceStudy(machine, config=cfg)
+    def run():
+        return Study(machine, config=cfg).run(RunOptions(store=root)).result
 
     root = tmp_path / "store"
-    first = study()
-    full = first._run(None, store=root)
-    key, _ = next(iter(first._cell_records(first._cells()).values()))
+    full = run()
+    first = Study(machine, config=cfg)
+    key, _ = next(iter(first._cell_records(Engine(machine), first._cells()).values()))
     path = ResultStore(root)._path(key)
     entry = json.loads(path.read_text())
     entry["version"] = 3  # complete and checksummed, old schema
@@ -85,7 +85,7 @@ def test_version_3_entry_is_rejected_unread_and_recomputed(
     assert registry().delta_since(snap).get("store.corrupt") == 1
 
     snap = registry().snapshot()
-    resumed = study()._run(None, store=root)
+    resumed = run()
     delta = registry().delta_since(snap)
     assert delta.get("study.cells_resumed") == len(full.runs) - 1
     for coords, m in full.runs.items():

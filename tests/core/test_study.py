@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.study import PAPER_SIZES, PAPER_THREADS, EnergyPerformanceStudy, StudyConfig
+from repro.core.study import PAPER_SIZES, PAPER_THREADS, Study, StudyConfig
 from repro.util.errors import ConfigurationError, ValidationError
 
 
 @pytest.fixture(scope="module")
 def small_result(machine):
-    cfg = StudyConfig(sizes=(128, 256), threads=(1, 2, 4), execute_max_n=128)
-    return EnergyPerformanceStudy(machine, config=cfg).run()
+    study = Study(machine, sizes=(128, 256), threads=(1, 2, 4), execute_max_n=128)
+    return study.run().result
 
 
 def test_paper_matrix_constants():
@@ -71,23 +71,26 @@ def test_missing_run_raises(small_result):
 
 
 def test_verification_runs_for_executed_sizes(machine):
-    cfg = StudyConfig(sizes=(64,), threads=(2,), execute_max_n=64, verify=True)
-    result = EnergyPerformanceStudy(machine, config=cfg).run()
+    study = Study(machine, sizes=(64,), threads=(2,), execute_max_n=64, verify=True)
+    result = study.run().result
     assert result.measurement("strassen", 64, 2).flops > 0
 
 
 def test_unknown_baseline_rejected(machine):
     with pytest.raises(ConfigurationError):
-        EnergyPerformanceStudy(
-            machine, config=StudyConfig(baseline="mkl")
-        )
+        Study(machine, baseline="mkl")
 
 
 def test_duplicate_algorithms_rejected(machine):
     from repro.algorithms import BlockedGemm
 
     with pytest.raises(ConfigurationError):
-        EnergyPerformanceStudy(machine, [BlockedGemm(machine), BlockedGemm(machine)])
+        Study(machine, algorithms=[BlockedGemm(machine), BlockedGemm(machine)])
+
+
+def test_empty_algorithm_set_rejected(machine):
+    with pytest.raises(ConfigurationError, match="at least one algorithm"):
+        Study(machine, algorithms=[])
 
 
 def test_config_validation():

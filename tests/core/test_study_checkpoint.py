@@ -1,10 +1,10 @@
 """Study checkpoint/resume against a result store: crash recovery,
 bit-identical, and keys that cannot go stale.
 
-The contract: ``_run(store=DIR)`` looks every cell up by its content
-key; a run that died after K cells leaves K entry files (an entry is
-written to a temp file, fsynced and renamed, so it is either whole or
-absent); rerunning against the same store serves those K cells and
+The contract: ``Study.run(RunOptions(store=DIR))`` looks every cell up
+by its content key; a run that died after K cells leaves K entry files
+(an entry is written to a temp file, fsynced and renamed, so it is
+either whole or absent); rerunning against the same store serves those K cells and
 simulates only the remainder — and the merged result is bit-identical
 to an uninterrupted run, including the parent-side MSR counter stream.
 Because the key describes the whole measurement (algorithm parameters,
@@ -19,7 +19,7 @@ import pytest
 from repro.algorithms.blocked import BlockedGemm
 from repro.algorithms.strassen import StrassenWinograd
 from repro.core.resultstore import STORE_VERSION, ResultStore
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import RunOptions, Study, StudyConfig
 from repro.machine.specs import dual_socket_haswell
 from repro.observability.metrics import registry
 from repro.power.msr import PLANE_MSR, MsrFile
@@ -32,18 +32,23 @@ from repro.util.errors import ConfigurationError
 CFG = StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128)
 
 
-def _study(machine, msr=None, cfg=CFG, engine=None, algorithms=None):
-    return EnergyPerformanceStudy(
-        machine,
-        algorithms,
-        config=cfg,
-        _engine=engine if engine is not None else Engine(machine, msr=msr),
-    )
+class _BoundStudy:
+    """A study bound to the engine its runs use (by default a plain
+    engine that deposits into *msr*)."""
+
+    def __init__(self, machine, msr=None, cfg=CFG, engine=None, algorithms=None):
+        self.study = Study(machine, algorithms=algorithms, config=cfg)
+        self.engine = engine if engine is not None else Engine(machine, msr=msr)
+
+    def run(self, parallel=None, store=None):
+        options = RunOptions(engine=self.engine, parallel=parallel, store=store)
+        return self.study.run(options).result
 
 
-def _keys(study):
+def _keys(bound):
     """The study's store keys in serial (table) order."""
-    return [key for key, _ in study._cell_records(study._cells()).values()]
+    study = bound.study
+    return [key for key, _ in study._cell_records(bound.engine, study._cells()).values()]
 
 
 def _assert_identical(a, b):
@@ -86,8 +91,8 @@ def _counting(fn):
 def test_checkpoint_writes_versioned_journal(machine, tmp_path):
     """The checkpoint is a store: one versioned, checksummed entry per
     cell, each readable back as the measurement the run returned."""
-    study = _study(machine)
-    result = study._run(None, store=tmp_path / "store")
+    study = _BoundStudy(machine)
+    result = study.run(store=tmp_path / "store")
     store = ResultStore(tmp_path / "store", cache_entries=0)
     keys = _keys(study)
     assert sorted(store.keys()) == sorted(keys)
@@ -111,15 +116,15 @@ def test_crash_mid_sweep_resume_is_bit_identical(
     match an uninterrupted serial run exactly."""
     root = tmp_path / "store"
     msr_full = MsrFile()
-    full = _study(machine, msr_full)._run(None)
+    full = _BoundStudy(machine, msr_full).run()
 
-    study = _study(machine)
-    study._run(None, store=root)
+    study = _BoundStudy(machine)
+    study.run(store=root)
     _crash(root, _keys(study), kill_after, torn_tail=torn_tail)
 
     msr_res = MsrFile()
     resumed, delta = _counting(
-        lambda: _study(machine, msr_res)._run(None, store=root)
+        lambda: _BoundStudy(machine, msr_res).run(store=root)
     )
     _assert_identical(full, resumed)
     _assert_same_msr(msr_full, msr_res)
@@ -134,14 +139,14 @@ def test_parallel_resume_is_bit_identical(machine, tmp_path):
     are not resubmitted, the merge is still serial-order, and the
     parent MSR stream matches the serial run."""
     msr_full = MsrFile()
-    full = _study(machine, msr_full)._run(None)
-    study = _study(machine)
+    full = _BoundStudy(machine, msr_full).run()
+    study = _BoundStudy(machine)
     root = tmp_path / "store"
-    study._run(None, store=root)
+    study.run(store=root)
     _crash(root, _keys(study), 5)
     msr_res = MsrFile()
     resumed, delta = _counting(
-        lambda: _study(machine, msr_res)._run(2, store=root)
+        lambda: _BoundStudy(machine, msr_res).run(2, store=root)
     )
     _assert_identical(full, resumed)
     _assert_same_msr(msr_full, msr_res)
@@ -151,10 +156,10 @@ def test_parallel_resume_is_bit_identical(machine, tmp_path):
 
 def test_resume_counts_cells_metric(machine, tmp_path):
     root = tmp_path / "store"
-    study = _study(machine)
-    study._run(None, store=root)
+    study = _BoundStudy(machine)
+    study.run(store=root)
     _crash(root, _keys(study), 4)
-    _, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    _, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("study.cells_resumed") == 4
 
 
@@ -162,7 +167,7 @@ def test_resume_from_missing_journal_starts_fresh(machine, tmp_path):
     """First run of a resumable sweep: a store directory that does not
     exist yet is created and receives every cell."""
     root = tmp_path / "not" / "yet" / "there"
-    result, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    result, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("study.cells_resumed", 0) == 0
     assert len(ResultStore(root)) == len(result.runs)
 
@@ -171,15 +176,15 @@ def test_fingerprint_mismatch_rejected(machine, tmp_path):
     """A store written by a different study setup serves nothing: every
     cell is recomputed and matches a fresh run of the new setup."""
     root = tmp_path / "store"
-    _study(machine)._run(None, store=root)
+    _BoundStudy(machine).run(store=root)
     other_cfg = StudyConfig(
         sizes=(128, 256), threads=(1, 2), execute_max_n=128, seed=7
     )
     resumed, delta = _counting(
-        lambda: _study(machine, cfg=other_cfg)._run(None, store=root)
+        lambda: _BoundStudy(machine, cfg=other_cfg).run(store=root)
     )
     assert delta.get("study.cells_resumed", 0) == 0
-    _assert_identical(_study(machine, cfg=other_cfg)._run(None), resumed)
+    _assert_identical(_BoundStudy(machine, cfg=other_cfg).run(), resumed)
     assert len(ResultStore(root)) == 2 * len(resumed.runs)
 
 
@@ -188,12 +193,12 @@ def test_corrupt_mid_file_entry_rejected(machine, tmp_path):
     reads as a counted miss, is recomputed bit-identically, and is
     overwritten with a good entry."""
     root = tmp_path / "store"
-    study = _study(machine)
-    full = study._run(None, store=root)
+    study = _BoundStudy(machine)
+    full = study.run(store=root)
     key = _keys(study)[3]
     path = ResultStore(root)._path(key)
     path.write_text(path.read_text().replace('"payload": "', '"payload": "AAAA'))
-    resumed, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    resumed, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     _assert_identical(full, resumed)
     assert delta.get("store.corrupt") == 1
     assert delta.get("study.cells_resumed") == len(full.runs) - 1
@@ -211,8 +216,8 @@ def test_store_check_rejects_torn_entry(machine, tmp_path):
         return len(got), all(isinstance(m, RunMeasurement) for m in got), delta
 
     root = tmp_path / "store"
-    study = _study(machine)
-    study._run(None, store=root)
+    study = _BoundStudy(machine)
+    study.run(store=root)
     count, ok, delta = check(root)
     assert (count, ok, delta.get("store.corrupt", 0)) == (12, True, 0)
     _crash(root, _keys(study), 11, torn_tail=True)
@@ -236,7 +241,7 @@ def test_put_fsyncs_before_replace(machine, tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
-    _study(machine)._run(None, store=tmp_path / "store")
+    _BoundStudy(machine).run(store=tmp_path / "store")
     assert len(events) == 2 * 12
     for synced, published in zip(events[::2], events[1::2]):
         assert synced[0] == "fsync" and published[0] == "replace"
@@ -247,12 +252,12 @@ def test_record_is_noop_for_persisted_cells(machine, tmp_path):
     """A resumed run writes only the cells it simulated; served cells
     are not rewritten."""
     root = tmp_path / "store"
-    study = _study(machine)
-    study._run(None, store=root)
+    study = _BoundStudy(machine)
+    study.run(store=root)
     _crash(root, _keys(study), 5)
-    _, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    _, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("store.puts") == 12 - 5
-    _, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    _, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("store.puts", 0) == 0
 
 
@@ -260,11 +265,11 @@ def test_wrong_kind_rejected(machine, tmp_path):
     """An entry file that is not a cell result reads as a counted miss
     and is recomputed, never unpickled into the merge."""
     root = tmp_path / "store"
-    study = _study(machine)
-    study._run(None, store=root)
+    study = _BoundStudy(machine)
+    study.run(store=root)
     key = _keys(study)[0]
     ResultStore(root)._path(key).write_text('{"kind": "something-else"}')
-    _, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    _, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("store.corrupt") == 1
     assert delta.get("study.cells_resumed") == 11
 
@@ -274,7 +279,7 @@ def test_store_path_that_is_a_file_rejected(machine, tmp_path):
     journal = tmp_path / "sweep.jsonl"
     journal.write_text('{"kind": "repro-study-journal"}\n')
     with pytest.raises(ConfigurationError, match="store directories"):
-        _study(machine)._run(None, store=journal)
+        _BoundStudy(machine).run(store=journal)
 
 
 def test_store_refuses_noisy_engine(machine, tmp_path):
@@ -282,23 +287,23 @@ def test_store_refuses_noisy_engine(machine, tmp_path):
     no key describes it: a store-backed study refuses it before the
     sweep (and without creating the store)."""
     root = tmp_path / "store"
-    study = _study(machine, engine=NoisyEngine(Engine(machine), seed=3))
+    study = _BoundStudy(machine, engine=NoisyEngine(Engine(machine), seed=3))
     with pytest.raises(ConfigurationError, match="NoisyEngine"):
-        study._run(None, store=root)
+        study.run(store=root)
     assert not root.exists()
 
 
 def test_fingerprint_covers_engine_and_config(machine):
     """Every knob that changes a measurement changes every cell's key;
     an identically configured study reproduces the keys exactly."""
-    base = _keys(_study(machine))
-    assert _keys(_study(machine)) == base
+    base = _keys(_BoundStudy(machine))
+    assert _keys(_BoundStudy(machine)) == base
     variants = {
-        "seed": _study(machine, cfg=StudyConfig(
+        "seed": _BoundStudy(machine, cfg=StudyConfig(
             sizes=(128, 256), threads=(1, 2), execute_max_n=128, seed=7)),
-        "kernel": _study(machine, engine=Engine(machine, engine="reference")),
-        "segments": _study(machine, engine=Engine(machine, max_trace_segments=4)),
-        "machine": _study(dual_socket_haswell()),
+        "kernel": _BoundStudy(machine, engine=Engine(machine, engine="reference")),
+        "segments": _BoundStudy(machine, engine=Engine(machine, max_trace_segments=4)),
+        "machine": _BoundStudy(dual_socket_haswell()),
     }
     for name, study in variants.items():
         assert not set(_keys(study)) & set(base), name
@@ -308,7 +313,7 @@ def test_fingerprint_covers_engine_and_config(machine):
         StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=0),
         StudyConfig(sizes=(128, 256), threads=(1, 2), execute_max_n=128, verify=False),
     ):
-        flipped = _keys(_study(machine, cfg=cfg))
+        flipped = _keys(_BoundStudy(machine, cfg=cfg))
         assert [a == b for a, b in zip(flipped, base)] == [False, False, True, True] * 3
 
 
@@ -329,9 +334,7 @@ def test_resumed_cutoff_change_is_recomputed(machine, tmp_path):
 
     def run(cutoff, store=None):
         alg = StrassenWinograd(machine, cutoff=cutoff)
-        result = _study(machine, cfg=STRASSEN_CFG, algorithms=[alg])._run(
-            None, store=store
-        )
+        result = _BoundStudy(machine, cfg=STRASSEN_CFG, algorithms=[alg]).run(store=store)
         return result.runs[("strassen", 512, 2)]
 
     stale = run(64, root)
@@ -348,9 +351,9 @@ def test_resumed_trace_segment_change_is_recomputed(machine, tmp_path):
     cfg = StudyConfig(sizes=(512,), threads=(2,), execute_max_n=0, verify=False)
 
     def run(engine):
-        study = _study(machine, cfg=cfg, engine=engine,
+        study = _BoundStudy(machine, cfg=cfg, engine=engine,
                        algorithms=[BlockedGemm(machine)])
-        return study._run(None, store=root).runs[("openblas", 512, 2)]
+        return study.run(store=root).runs[("openblas", 512, 2)]
 
     assert len(run(Engine(machine, max_trace_segments=4)).trace.segments) == 4
     assert len(run(Engine(machine)).trace.segments) == 40
@@ -365,7 +368,7 @@ def test_verify_rerun_recomputes_unverified_cells(machine, tmp_path):
     unverified = StudyConfig(
         sizes=(128, 256), threads=(1, 2), execute_max_n=128, verify=False
     )
-    _study(machine, cfg=unverified)._run(None, store=root)
-    _, delta = _counting(lambda: _study(machine)._run(None, store=root))
+    _BoundStudy(machine, cfg=unverified).run(store=root)
+    _, delta = _counting(lambda: _BoundStudy(machine).run(store=root))
     assert delta.get("study.cells_resumed", 0) == 6
     assert delta.get("store.puts") == 6

@@ -74,11 +74,12 @@ class TestDualSocket:
     def test_scaling_study_runs(self):
         """The dual-socket sibling answers the §VIII 'larger platforms'
         question: eight threads on two sockets with two channels."""
-        from repro import EnergyPerformanceStudy, StudyConfig
+        from repro import Study
         from repro.machine import dual_socket_haswell
 
         m = dual_socket_haswell()
-        cfg = StudyConfig(sizes=(256,), threads=(1, 8), execute_max_n=0, verify=False)
-        result = EnergyPerformanceStudy(m, config=cfg).run()
+        result = Study(
+            m, sizes=(256,), threads=(1, 8), execute_max_n=0, verify=False
+        ).run().result
         # Eight threads still scale the baseline well beyond four.
         assert result.speedup("openblas", 256, 8) > 5.0

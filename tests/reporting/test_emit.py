@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import Study
 from repro.reporting.emit import (
     study_to_dict,
     study_to_markdown,
@@ -15,8 +15,9 @@ from repro.reporting.emit import (
 
 @pytest.fixture(scope="module")
 def study(machine):
-    cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False)
-    return EnergyPerformanceStudy(machine, config=cfg).run()
+    return Study(
+        machine, sizes=(128,), threads=(1, 2), execute_max_n=0, verify=False
+    ).run().result
 
 
 def test_dict_structure(study):

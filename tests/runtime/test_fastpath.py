@@ -94,7 +94,7 @@ def strassen_graph(machine) -> TaskArena:
     """A real algorithm lowering (nontrivial structure + cost mix)."""
     from repro.algorithms import StrassenWinograd
 
-    return StrassenWinograd(machine).build_arena(256, 4, seed=0).graph
+    return StrassenWinograd(machine).build_arena(256, 4).graph
 
 
 # ---------------------------------------------------------------------------

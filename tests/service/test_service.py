@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core.resultstore import ResultStore
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import RunOptions, Study, StudyConfig
 from repro.observability.metrics import registry
 from repro.power.msr import PLANE_MSR, MsrFile
 from repro.service import (
@@ -225,6 +225,28 @@ def test_closed_service_rejects_queries(machine):
     run(drive())
 
 
+def test_grids_at_new_seeds_reuse_every_lowering(machine):
+    """A lowering carries no operands, so its build is keyed without the
+    seed: cold grids at two seeds lower each cell once, and the second
+    grid's cells all hit the builds the first one lowered."""
+    from repro.algorithms.base import default_build_cache
+
+    cache = default_build_cache()
+    cache.clear()
+    grid = dict(algorithms=("openblas", "strassen", "caps"), sizes=(64, 128),
+                threads=(1, 2), execute_max_n=0)
+    cells = len(StudyRequest(**grid).cells())
+
+    async def drive():
+        async with StudyService(machine, config=ServiceConfig(workers=0)) as svc:
+            for seed in (11, 12):
+                response = await svc.query(StudyRequest(**grid, seed=seed))
+                assert response.source_counts()["computed"] == cells
+
+    run(drive())
+    assert (cache.misses, cache.hits) == (cells, cells)
+
+
 # ---------------------------------------------------------------------------
 # bit-identity with the serial study + result bridge
 
@@ -232,9 +254,9 @@ def test_closed_service_rejects_queries(machine):
 def test_served_results_bit_identical_to_serial_study(machine, store):
     cfg = StudyConfig(sizes=(48, 64), threads=(1, 2), execute_max_n=64)
     serial_msr = MsrFile()
-    serial = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, msr=serial_msr)
-    )._run(None)
+    serial = Study(machine, config=cfg).run(
+        RunOptions(engine=Engine(machine, msr=serial_msr))
+    ).result
     req = StudyRequest(
         algorithms=tuple(serial.algorithm_names),
         sizes=cfg.sizes,

@@ -185,12 +185,11 @@ def test_key_tracks_engine_version(monkeypatch):
 
 
 def _study_keys(cfg):
-    from repro.core.study import EnergyPerformanceStudy
+    from repro.core.study import Study
 
-    study = EnergyPerformanceStudy(haswell_e3_1225(), config=cfg)
-    return {
-        coords: key for coords, (key, _) in study._cell_records(study._cells()).items()
-    }
+    study = Study(haswell_e3_1225(), config=cfg)
+    records = study._cell_records(Engine(study.machine), study._cells())
+    return {coords: key for coords, (key, _) in records.items()}
 
 
 def test_unverified_numerics_and_cost_only_cells_share_a_key():

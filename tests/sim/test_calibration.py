@@ -67,10 +67,11 @@ class TestCoordinateDescent:
 
 def _score(machine) -> float:
     """The paper-target score of a cost-only study at n = 512, 1024."""
-    from repro import EnergyPerformanceStudy, StudyConfig
+    from repro import Study
 
-    cfg = StudyConfig(sizes=(512, 1024), execute_max_n=0, verify=False)
-    result = EnergyPerformanceStudy(machine, config=cfg).run()
+    result = Study(
+        machine, sizes=(512, 1024), execute_max_n=0, verify=False
+    ).run().result
     return score_study(result, PAPER_TARGETS)
 
 
@@ -86,13 +87,13 @@ class TestScore:
         assert shipped_score < 1.5
 
     def test_detuned_model_scores_worse(self, machine):
-        from repro import EnergyPerformanceStudy, StudyConfig
+        from repro import Study, StudyConfig
         from repro.machine.energy import EnergyModel
 
         bad = machine.with_energy(EnergyModel(package_static_w=60.0))
         cfg = StudyConfig(sizes=(512,), execute_max_n=0, verify=False)
-        good_res = EnergyPerformanceStudy(machine, config=cfg).run()
-        bad_res = EnergyPerformanceStudy(bad, config=cfg).run()
+        good_res = Study(machine, config=cfg).run().result
+        bad_res = Study(bad, config=cfg).run().result
         assert score_study(bad_res) > score_study(good_res)
 
     @pytest.mark.parametrize("core_active_w", [0.5, 4.5])

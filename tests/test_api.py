@@ -5,7 +5,7 @@ import pickle
 import pytest
 
 from repro.api import RunOptions, Study, StudyRun
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import StudyConfig
 from repro.sim.engine import Engine
 from repro.util.errors import ConfigurationError
 
@@ -78,11 +78,15 @@ class TestStudy:
         assert not run.traced
         assert run.tracer is None
 
-    def test_run_options_execute_overrides(self, machine):
-        run = Study(machine, sizes=(128,), threads=(1,), verify=False).run(
+    def test_run_options_hold_only_per_run_policy(self):
+        """The matrix (execute bound, verification) is the study's
+        configuration; a run's options cannot override it."""
+        import dataclasses
+
+        fields = [f.name for f in dataclasses.fields(RunOptions)]
+        assert fields == ["engine", "parallel", "trace", "store"]
+        with pytest.raises(TypeError):
             RunOptions(execute_max_n=0)
-        )
-        assert run.result.measurement("openblas", 128, 1) is not None
 
     def test_untraced_run_rejects_trace_accessors(self, machine):
         run = Study(machine, **CFG).run()
@@ -102,15 +106,14 @@ class TestStudy:
             assert f.elapsed_s == pytest.approx(r.elapsed_s, rel=1e-9)
             assert f.energy.package == pytest.approx(r.energy.package, rel=1e-9)
 
-    def test_facade_matches_legacy_driver(self, machine):
-        new = Study(machine, **CFG).run().result
-        legacy = EnergyPerformanceStudy(
-            machine, config=StudyConfig(**CFG)
-        ).run()
-        assert set(new.runs) == set(legacy.runs)
-        for key in new.runs:
-            assert new.runs[key].elapsed_s == legacy.runs[key].elapsed_s
-            assert new.runs[key].energy.package == legacy.runs[key].energy.package
+    def test_config_object_matches_keywords(self, machine):
+        by_keywords = Study(machine, **CFG).run().result
+        by_config = Study(machine, config=StudyConfig(**CFG)).run().result
+        assert list(by_keywords.runs) == list(by_config.runs)
+        for key in by_keywords.runs:
+            a, b = by_keywords.runs[key], by_config.runs[key]
+            assert a.elapsed_s == b.elapsed_s, key
+            assert a.energy.package == b.energy.package, key
 
 
 class TestTracedFacade:
@@ -150,7 +153,7 @@ class TestDeprecationShims:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            EnergyPerformanceStudy(machine, config=StudyConfig(**CFG)).run()
+            Study(machine, config=StudyConfig(**CFG)).run()
 
 
 class TestAvailableEngines:

@@ -8,7 +8,7 @@ representative paths and require bit-identical results.
 import numpy as np
 import pytest
 
-from repro import EnergyPerformanceStudy, StudyConfig
+from repro import Study, StudyConfig
 from repro.algorithms import CapsStrassen, StrassenWinograd, paper_algorithms
 from repro.runtime.scheduler import Scheduler
 from repro.sim import Engine
@@ -49,8 +49,8 @@ def test_engine_measurements_identical(machine):
 
 def test_study_reproducible_end_to_end(machine):
     cfg = StudyConfig(sizes=(128,), threads=(1, 2), execute_max_n=128, seed=5)
-    r1 = EnergyPerformanceStudy(machine, paper_algorithms(machine), cfg).run()
-    r2 = EnergyPerformanceStudy(machine, paper_algorithms(machine), cfg).run()
+    r1 = Study(machine, algorithms=paper_algorithms(machine), config=cfg).run().result
+    r2 = Study(machine, algorithms=paper_algorithms(machine), config=cfg).run().result
     for key in r1.runs:
         assert r1.runs[key].elapsed_s == r2.runs[key].elapsed_s
         assert r1.runs[key].energy.package == r2.runs[key].energy.package
@@ -58,7 +58,7 @@ def test_study_reproducible_end_to_end(machine):
 
 def test_numerics_deterministic(machine):
     alg = StrassenWinograd(machine, cutoff=32, grain=32)
-    arena = alg.build_arena(128, threads=4, seed=3).graph
+    arena = alg.build_arena(128, threads=4).graph
     _, schedule = Engine(machine).simulate(arena, threads=4)
     builds = [
         alg.compute_product(128, 4, schedule.start_order(), arena, seed=3)

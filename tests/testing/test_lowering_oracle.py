@@ -45,7 +45,7 @@ def test_describe_mentions_cell():
 
 def test_missing_arena_path_is_a_violation(monkeypatch):
     class NoArena(StrassenWinograd):
-        def build_arena(self, n, threads, seed=0):
+        def build_arena(self, n, threads):
             return None
 
     real = registry.make_algorithm
@@ -62,8 +62,8 @@ def test_missing_arena_path_is_a_violation(monkeypatch):
 
 def test_wrong_graph_type_is_a_violation(monkeypatch):
     class ObjectArena(StrassenWinograd):
-        def build_arena(self, n, threads, seed=0):
-            build = super().build_arena(n, threads, seed=seed)
+        def build_arena(self, n, threads):
+            build = super().build_arena(n, threads)
             return dataclasses.replace(
                 build, graph=TaskGraph.from_arena(build.graph)
             )
@@ -79,8 +79,8 @@ def test_wrong_graph_type_is_a_violation(monkeypatch):
 
 def test_forged_cost_skew_is_detected(monkeypatch):
     class SkewedArena(StrassenWinograd):
-        def build_arena(self, n, threads, seed=0):
-            build = super().build_arena(n, threads, seed=seed)
+        def build_arena(self, n, threads):
+            build = super().build_arena(n, threads)
             arena = build.graph
             cols = {f: getattr(arena, f).copy() for f in _COST_FIELDS}
             cols["flops"][0] += 1.0  # one ulp-visible forgery

@@ -92,8 +92,8 @@ def test_missing_dependencies_are_detected(monkeypatch):
     stamped ops: the product then depends on the linear extension."""
 
     class Racy(StrassenWinograd):
-        def build_arena(self, n, threads, seed=0):
-            build = super().build_arena(n, threads, seed=seed)
+        def build_arena(self, n, threads):
+            build = super().build_arena(n, threads)
             a = build.graph
             free = TaskArena(
                 a.name,

@@ -134,7 +134,7 @@ from repro.algorithms import StrassenWinograd
 from repro.algorithms.registry import BuildCache
 from repro.machine import haswell_e3_1225
 from repro.machine.cache import CacheHierarchySpec
-from repro.core.study import EnergyPerformanceStudy, StudyConfig
+from repro.core.study import RunOptions, Study
 from repro.runtime.arena import TaskArena
 from repro.runtime.cost import TaskCost
 from repro.runtime.openmp import OpenMP
@@ -285,9 +285,9 @@ def bench_matrix(machine, sizes: tuple[int, ...], pairs: int = 3) -> dict:
 
     def study(engine: str):
         def run():
-            cfg = StudyConfig(sizes=sizes, execute_max_n=0)
-            kernel = Engine(machine, engine=engine)
-            result = EnergyPerformanceStudy(machine, config=cfg, _engine=kernel).run()
+            result = Study(machine, sizes=sizes, execute_max_n=0).run(
+                RunOptions(engine=engine)
+            ).result
             cells.append(len(result.runs))
 
         return run
@@ -357,7 +357,6 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
     (the best of *repeats* timed units, each the mean of cold runs on
     fresh algorithm instances over at least ``STUDY_UNIT_S`` of CPU)."""
     from repro.algorithms.registry import default_build_cache
-    from repro.api import RunOptions, Study
     from repro.observability import trace as obtrace
     from repro.observability.export import layer_times
     from repro.runtime.compiledpath import compiled_available, warm_compile
@@ -409,7 +408,6 @@ def bench_study_verified(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     (the ``temp_mb`` of the report-memo misses' ``numerics`` spans),
     and the reference products the best pass computed."""
     from repro.algorithms.base import default_build_cache, numerics_memo
-    from repro.api import RunOptions, Study
     from repro.observability import trace as obtrace
     from repro.observability.export import layer_times
     from repro.observability.metrics import registry
@@ -454,16 +452,16 @@ def bench_lowering_cache(machine, n: int, pairs: int) -> dict:
     fresh = iter([StrassenWinograd(machine) for _ in range(pairs)])
     alg = StrassenWinograd(machine)
     cache = BuildCache()
-    alg.build_cached(n, 4, seed=0, cache=cache)  # warm
+    alg.build_cached(n, 4, cache=cache)  # warm
 
     # A cache hit is sub-microsecond — below what one perf_counter pair
     # resolves reliably — so time a batch of hits per sample.
     def hit_batch():
         for _ in range(100):
-            alg.build_cached(n, 4, seed=0, cache=cache)
+            alg.build_cached(n, 4, cache=cache)
 
     cold, batch, ratio = _paired(
-        lambda: next(fresh).build_arena(n, 4, seed=0), hit_batch, pairs
+        lambda: next(fresh).build_arena(n, 4), hit_batch, pairs
     )
     return {
         "n": n,
@@ -558,10 +556,8 @@ def bench_study_parallel(machine, sizes: tuple[int, ...], workers: int = 2) -> d
 
     n_big = max(sizes)
     alg = StrassenWinograd(machine)
-    study = EnergyPerformanceStudy(
-        machine, [alg], config=StudyConfig(baseline=alg.name)
-    )
-    payload = study._payload(study._cell_engine(), alg, n_big, 4)
+    study = Study(machine, algorithms=[alg], baseline=alg.name)
+    payload = study._payload(Engine(machine), alg, n_big, 4)
     out = {
         "n": n_big,
         "arena_bytes": len(pickle.dumps(alg.build_arena(n_big, 4).graph)),
@@ -570,12 +566,9 @@ def bench_study_parallel(machine, sizes: tuple[int, ...], workers: int = 2) -> d
     out["bytes_ratio"] = out["arena_bytes"] / out["payload_bytes"]
 
     bench_sizes = tuple(s for s in sizes if s <= 1024) or (min(sizes),)
-    cfg = StudyConfig(sizes=bench_sizes, execute_max_n=0, verify=False)
-    study = EnergyPerformanceStudy(
-        machine, config=cfg, _engine=Engine(machine, engine="fast")
-    )
+    study = Study(machine, sizes=bench_sizes, execute_max_n=0, verify=False)
     t0 = time.perf_counter()
-    result = study._run(workers)
+    result = study.run(RunOptions(engine="fast", parallel=workers)).result
     out["parallel_s"] = time.perf_counter() - t0
     out["cells"] = len(result.runs)
     out["workers"] = workers

@@ -5,7 +5,7 @@ Run: python tools/calibrate_defaults.py [--rounds N]
 import argparse, time
 from repro.machine import haswell_e3_1225
 from repro.machine.energy import EnergyModel
-from repro import EnergyPerformanceStudy, StudyConfig
+from repro import Study
 from repro.algorithms import BlockedGemm, StrassenWinograd, CapsStrassen
 from repro.sim.calibration import PAPER_TARGETS, calibrate, score_study
 
@@ -29,12 +29,12 @@ def build_study(params):
                      add_locality=params["c_add_loc"],
                      leaf_locality=params["c_leaf_loc"]),
     ]
-    cfg = StudyConfig(sizes=(512, 1024, 2048), execute_max_n=0, verify=False)
-    return EnergyPerformanceStudy(m, algs, cfg)
+    return Study(m, algorithms=algs, sizes=(512, 1024, 2048),
+                 execute_max_n=0, verify=False)
 
 
 def objective(params):
-    res = build_study(params).run()
+    res = build_study(params).run().result
     return score_study(res, PAPER_TARGETS)
 
 

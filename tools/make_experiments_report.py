@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from repro import EnergyPerformanceStudy, StudyConfig, haswell_e3_1225
+from repro import Study, haswell_e3_1225
 from repro.core import analyze_crossover
 from repro.core.scaling import ScalingClass
 from repro.sim.calibration import PAPER_TARGETS, score_study
@@ -43,15 +43,15 @@ def main() -> int:
 
     machine = haswell_e3_1225()
     sizes = (512, 1024) if args.quick else (512, 1024, 2048, 4096)
-    config = StudyConfig(sizes=sizes, execute_max_n=0, verify=False)
+    study = Study(machine, sizes=sizes, execute_max_n=0, verify=False)
     t0 = time.time()
-    result = EnergyPerformanceStudy(machine, config=config).run()
+    result = study.run().result
     wall = time.time() - t0
 
     lines = [
         "# Paper-vs-measured report",
         "",
-        f"matrix: sizes {list(sizes)} x threads {list(config.threads)}; "
+        f"matrix: sizes {list(sizes)} x threads {list(study.config.threads)}; "
         f"{wall:.1f}s simulated wall; calibration loss "
         f"{score_study(result):.4f}",
         "",

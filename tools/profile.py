@@ -12,7 +12,7 @@ Three phases cover the pipeline end to end:
     The event kernel on a pre-built arena (lowering excluded).  Honors
     ``--engine``.
 ``--phase study``
-    The full execution matrix through :class:`EnergyPerformanceStudy`
+    The full execution matrix through :meth:`repro.api.Study.run`
     (lowering + simulation + measurement), the closest thing to a
     production workload.
 
@@ -107,13 +107,12 @@ def phase_sim(args) -> None:
 
 
 def phase_study(args) -> None:
-    from repro.core.study import EnergyPerformanceStudy, StudyConfig
+    from repro.api import Study
 
     machine = machine_from_args(args)
-    cfg = StudyConfig(sizes=tuple(args.sizes), execute_max_n=0)
-    study = EnergyPerformanceStudy(machine, config=cfg)
+    study = Study(machine, sizes=args.sizes, execute_max_n=0)
     print(f"== study matrix: sizes={args.sizes} (cost-only) ==")
-    result = _profiled(lambda: study.run(), args.top, args.sort)
+    result = _profiled(lambda: study.run().result, args.top, args.sort)
     print(f"   {len(result.runs)} cells")
 
 
