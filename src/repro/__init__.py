@@ -17,6 +17,10 @@ The package provides:
   future-work extensions (distributed-memory EP, sparse-format EP);
 * :mod:`repro.reporting` — ASCII figures and table emission.
 
+Every public name and subpackage resolves on first use (PEP 562,
+:mod:`repro._lazy`): ``import repro`` loads no subsystem, and a command
+imports only the modules it runs.
+
 Quickstart (the stable facade is :mod:`repro.api`)::
 
     from repro.api import Study, RunOptions
@@ -27,26 +31,15 @@ Quickstart (the stable facade is :mod:`repro.api`)::
     print(run.phase_summary().to_ascii())
 """
 
-from .api import RunOptions, Study, StudyRun
-from .core.study import PAPER_SIZES, PAPER_THREADS, StudyConfig, StudyResult
-from .machine.specs import MachineSpec, generic_smp, haswell_e3_1225
-from .sim.engine import Engine
-from .sim.measurement import RunMeasurement
+from ._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
-__all__ = [
-    "Engine",
-    "MachineSpec",
-    "PAPER_SIZES",
-    "PAPER_THREADS",
-    "RunMeasurement",
-    "RunOptions",
-    "Study",
-    "StudyConfig",
-    "StudyResult",
-    "StudyRun",
-    "__version__",
-    "generic_smp",
-    "haswell_e3_1225",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.study": ("PAPER_SIZES", "PAPER_THREADS", "RunOptions", "Study", "StudyConfig",
+                    "StudyResult", "StudyRun"),
+    ".machine.specs": ("MachineSpec", "generic_smp", "haswell_e3_1225"),
+    ".sim.engine": ("Engine",),
+    ".sim.measurement": ("RunMeasurement",),
+})
+__all__ += ["__version__"]

@@ -2,38 +2,16 @@
 lowerings: tuned blocked DGEMM ("OpenBLAS"), BOTS-style Strassen-Winograd
 and Communication Avoiding Parallel Strassen (CAPS)."""
 
-from .base import BuildResult, MatmulAlgorithm
-from .blocked import BlockedGemm
-from .caps import CapsStrassen
-from .kernels import addition_cost, blocked_tile_cost, leaf_gemm_cost
-from .mixed import BlockLU, LUBuildResult, MixedEPReport, mixed_ep
-from .registry import ALGORITHMS, make_algorithm, paper_algorithms
-from .strassen import StrassenWinograd
-from .traffic import LevelTraffic, block_factor, gemm_traffic, streaming_traffic
-from .tuning import Blocking, select_blocking, tile_grid, tune_parameter
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALGORITHMS",
-    "BlockLU",
-    "Blocking",
-    "BlockedGemm",
-    "BuildResult",
-    "LUBuildResult",
-    "MixedEPReport",
-    "mixed_ep",
-    "CapsStrassen",
-    "LevelTraffic",
-    "MatmulAlgorithm",
-    "StrassenWinograd",
-    "addition_cost",
-    "block_factor",
-    "blocked_tile_cost",
-    "gemm_traffic",
-    "leaf_gemm_cost",
-    "make_algorithm",
-    "paper_algorithms",
-    "select_blocking",
-    "streaming_traffic",
-    "tile_grid",
-    "tune_parameter",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("BuildResult", "MatmulAlgorithm"),
+    ".blocked": ("BlockedGemm",),
+    ".caps": ("CapsStrassen",),
+    ".kernels": ("addition_cost", "blocked_tile_cost", "leaf_gemm_cost"),
+    ".mixed": ("BlockLU", "LUBuildResult", "MixedEPReport", "mixed_ep"),
+    ".registry": ("ALGORITHMS", "make_algorithm", "paper_algorithms"),
+    ".strassen": ("StrassenWinograd",),
+    ".traffic": ("LevelTraffic", "block_factor", "gemm_traffic", "streaming_traffic"),
+    ".tuning": ("Blocking", "select_blocking", "tile_grid", "tune_parameter"),
+})

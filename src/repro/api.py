@@ -20,66 +20,31 @@ Design rules (CONTRIBUTING.md "Deprecation policy"):
   shims for one minor release; this module never calls one itself.
 
 :class:`Study`, :class:`RunOptions` and :class:`StudyRun` live in
-:mod:`repro.core.study`; this module re-exports them.
+:mod:`repro.core.study`; this module re-exports them.  Every re-export
+resolves on first use (:mod:`repro._lazy`), so importing this module is
+cheap: the study stack loads with the first :class:`Study`, the service
+with the first :class:`StudyService`.
 """
 
 from __future__ import annotations
 
-from .algorithms import MatmulAlgorithm
-from .distributed import (
-    ClusterSpec,
-    NetRunResult,
-    NetworkConfig,
-    NetworkSweep,
-    NetworkSweepResult,
-    Topology,
-)
-from .core.study import (
-    PAPER_SIZES,
-    PAPER_THREADS,
-    RunOptions,
-    Study,
-    StudyConfig,
-    StudyResult,
-    StudyRun,
-)
-from .machine.specs import (
-    MachineSpec,
-    dual_socket_haswell,
-    generic_smp,
-    haswell_e3_1225,
-)
-from .service.cells import StudyRequest
-from .service.service import ServiceConfig, StudyService
-from .sim.engine import Engine
-from .sim.measurement import RunMeasurement
+from ._lazy import lazy_exports
 
-__all__ = [
-    "ClusterSpec",
-    "Engine",
-    "MachineSpec",
-    "MatmulAlgorithm",
-    "NetRunResult",
-    "NetworkConfig",
-    "NetworkSweep",
-    "NetworkSweepResult",
-    "PAPER_SIZES",
-    "PAPER_THREADS",
-    "RunMeasurement",
-    "RunOptions",
-    "ServiceConfig",
-    "Study",
-    "StudyConfig",
-    "StudyRequest",
-    "StudyResult",
-    "StudyRun",
-    "StudyService",
-    "Topology",
-    "available_engines",
-    "dual_socket_haswell",
-    "generic_smp",
-    "haswell_e3_1225",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".algorithms.base": ("MatmulAlgorithm",),
+    ".core.study": ("PAPER_SIZES", "PAPER_THREADS", "RunOptions", "Study", "StudyConfig",
+                    "StudyResult", "StudyRun"),
+    ".distributed.netsim": ("NetRunResult", "NetworkConfig", "NetworkSweep",
+                            "NetworkSweepResult"),
+    ".distributed.network": ("ClusterSpec", "Topology"),
+    ".machine.specs": ("MachineSpec", "dual_socket_haswell", "generic_smp",
+                       "haswell_e3_1225"),
+    ".service.client": ("StudyRequest",),
+    ".service.service": ("ServiceConfig", "StudyService"),
+    ".sim.engine": ("Engine",),
+    ".sim.measurement": ("RunMeasurement",),
+})
+__all__ += ["available_engines"]
 
 
 def available_engines() -> dict[str, tuple[bool, str]]:

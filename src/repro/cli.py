@@ -34,15 +34,6 @@ from .cliargs import (
     get_format,
     machine_from_args,
 )
-from .core import (
-    analyze_crossover,
-    choice_table,
-    communication_bound_words,
-    select_under_power_cap,
-    table2_slowdown,
-    table3_power,
-    table4_ep,
-)
 from .util.errors import ReproError
 from .util.tables import TextTable
 
@@ -111,6 +102,7 @@ def cmd_describe(args) -> int:
 
 def cmd_study(args) -> int:
     from .api import RunOptions, Study
+    from .core.report import table2_slowdown, table3_power, table4_ep
     from .observability.metrics import registry as metrics_registry
 
     check_trace_path(args.trace)
@@ -197,6 +189,7 @@ def cmd_engines(args) -> int:
 
 def cmd_choose(args) -> int:
     from .api import Study
+    from .core.choice import choice_table, select_under_power_cap
 
     result = Study(
         machine_from_args(args),
@@ -222,6 +215,8 @@ def cmd_choose(args) -> int:
 
 
 def cmd_crossover(args) -> int:
+    from .core.crossover import analyze_crossover
+
     machine = _machine_from_args(args)
     a = analyze_crossover(machine, efficiency=args.efficiency)
     table = TextTable(["quantity", "value"], ndigits=5)
@@ -236,6 +231,8 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .core.bounds import communication_bound_words
+
     table = TextTable(
         ["M (words)", "CAPS words", "classical words", "regime"], ndigits=5
     )
@@ -268,6 +265,8 @@ def cmd_sparse(args) -> int:
 
 
 def cmd_distributed(args) -> int:
+    if args.simulate:
+        return _cmd_distributed_simulate(args)
     from .distributed import (
         CapsDistributed,
         ClusterSpec,
@@ -276,9 +275,6 @@ def cmd_distributed(args) -> int:
         Summa2D,
     )
     from .power.planes import Plane
-
-    if args.simulate:
-        return _cmd_distributed_simulate(args)
 
     cluster = ClusterSpec(node=_machine_from_args(args))
     study = DistributedEPStudy(
@@ -378,7 +374,8 @@ def cmd_verify(args) -> int:
 def cmd_serve(args) -> int:
     import asyncio
 
-    from .service import ServiceConfig, serve
+    from .service.server import serve
+    from .service.service import ServiceConfig
 
     config = ServiceConfig(
         engine=args.engine,
@@ -399,7 +396,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_query(args) -> int:
-    from .service import ServiceClient, StudyRequest
+    from .service.client import ServiceClient, StudyRequest
 
     with ServiceClient(args.socket, timeout=args.timeout) as client:
         if args.stats:

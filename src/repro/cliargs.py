@@ -13,7 +13,6 @@ import argparse
 import os
 from pathlib import Path
 
-from .machine import generic_smp, haswell_e3_1225
 from .util.errors import ConfigurationError
 from .util.tables import TextTable
 from .util.units import GHZ, GiB
@@ -74,7 +73,7 @@ def add_engine_arg(
     ``compiled`` with a C toolchain, else ``fast`` with a one-time
     warning); use ``repro engines`` to see what this host runs.
     """
-    from .runtime.scheduler import ENGINES
+    from .runtime.engines import ENGINES
 
     parser.add_argument(
         "--engine",
@@ -153,6 +152,8 @@ def add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 def machine_from_args(args: argparse.Namespace):
     """The paper's Haswell E3-1225 unless any machine flag was given."""
+    from .machine.specs import generic_smp, haswell_e3_1225
+
     cores = getattr(args, "cores", None)
     channels = getattr(args, "channels", None)
     frequency_ghz = getattr(args, "frequency_ghz", None)

@@ -47,7 +47,7 @@ from .resultstore import ResultStore, cell_record
 from .scaling import ScalingPoint, scaling_series
 
 if TYPE_CHECKING:
-    from ..service.cells import StudyRequest
+    from ..service.client import StudyRequest
     from ..service.service import ServiceConfig, StudyService
 
 __all__ = [
@@ -578,11 +578,11 @@ class Study:
 
     def request(self) -> "StudyRequest":
         """This study's matrix as a service
-        :class:`~repro.service.cells.StudyRequest`: its algorithm names,
+        :class:`~repro.service.client.StudyRequest`: its algorithm names,
         sizes, threads, seed and execute bound — so
         ``service.query(study.request())`` answers exactly the grid
         ``study.run()`` would compute."""
-        from ..service.cells import StudyRequest
+        from ..service.client import StudyRequest
 
         return StudyRequest(
             algorithms=tuple(a.name for a in self.algorithms),

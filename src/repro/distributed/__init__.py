@@ -4,87 +4,18 @@ comparing CAPS against SUMMA/2.5D/1.5D baselines, and the
 discrete-event network simulator that prices whole schedules on
 configurable topologies."""
 
-from .bsp import (
-    BspResult,
-    BspSimulator,
-    Superstep,
-    bsp_constants,
-    caps_program,
-    idle_times,
-    rank_energies,
-    summa_program,
-)
-from .comm import (
-    CommCost,
-    allgather,
-    alltoall,
-    broadcast,
-    pipelined_broadcast,
-    point_to_point,
-    reduce,
-)
-from .dmatmul import (
-    CapsDistributed,
-    DistributedMatmul,
-    RankProfile,
-    Summa15D,
-    Summa25D,
-    Summa2D,
-    strassen_flops,
-)
-from .netsim import (
-    NET_ALGORITHMS,
-    NetRunResult,
-    NetworkConfig,
-    NetworkSweep,
-    NetworkSweepResult,
-    broadcast_events,
-    bsp_events,
-    build_events,
-    simulate,
-    simulate_bsp,
-)
-from .network import TOPOLOGY_KINDS, ClusterSpec, InterconnectSpec, Topology
-from .study import DistributedEPStudy, DistributedRun, DistributedStudyResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BspResult",
-    "BspSimulator",
-    "CapsDistributed",
-    "ClusterSpec",
-    "CommCost",
-    "DistributedEPStudy",
-    "DistributedMatmul",
-    "DistributedRun",
-    "DistributedStudyResult",
-    "InterconnectSpec",
-    "NET_ALGORITHMS",
-    "NetRunResult",
-    "NetworkConfig",
-    "NetworkSweep",
-    "NetworkSweepResult",
-    "RankProfile",
-    "Summa15D",
-    "Summa25D",
-    "Summa2D",
-    "Superstep",
-    "TOPOLOGY_KINDS",
-    "Topology",
-    "allgather",
-    "alltoall",
-    "broadcast",
-    "broadcast_events",
-    "bsp_constants",
-    "bsp_events",
-    "build_events",
-    "caps_program",
-    "idle_times",
-    "pipelined_broadcast",
-    "point_to_point",
-    "rank_energies",
-    "reduce",
-    "simulate",
-    "simulate_bsp",
-    "strassen_flops",
-    "summa_program",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bsp": ("BspResult", "BspSimulator", "Superstep", "bsp_constants", "caps_program",
+             "idle_times", "rank_energies", "summa_program"),
+    ".comm": ("CommCost", "allgather", "alltoall", "broadcast", "pipelined_broadcast",
+              "point_to_point", "reduce"),
+    ".dmatmul": ("CapsDistributed", "DistributedMatmul", "RankProfile", "Summa15D",
+                 "Summa25D", "Summa2D", "strassen_flops"),
+    ".netsim": ("NET_ALGORITHMS", "NetRunResult", "NetworkConfig", "NetworkSweep",
+                "NetworkSweepResult", "broadcast_events", "bsp_events", "build_events",
+                "simulate", "simulate_bsp"),
+    ".network": ("TOPOLOGY_KINDS", "ClusterSpec", "InterconnectSpec", "Topology"),
+    ".study": ("DistributedEPStudy", "DistributedRun", "DistributedStudyResult"),
+})

@@ -5,46 +5,16 @@ Substitutes for the paper's physical platform (Intel E3-1225 Haswell,
 per-plane energy model.
 """
 
-from .cache import CacheHierarchySpec, CacheLevelSpec
-from .dram import DramSpec
-from .energy import Activity, EnergyModel, PlaneEnergy
-from .frequency import FrequencyDomain, PState, fixed_frequency
-from .roofline import RooflinePoint, attainable_flops, locate, ridge_intensity
-from .governor import (
-    Governor,
-    OndemandGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-    governed_machine,
-)
-from .specs import MachineSpec, dual_socket_haswell, generic_smp, haswell_e3_1225
-from .topology import CoreId, CoreSpec, MachineTopology, SocketSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Activity",
-    "CacheHierarchySpec",
-    "CacheLevelSpec",
-    "CoreId",
-    "CoreSpec",
-    "DramSpec",
-    "EnergyModel",
-    "FrequencyDomain",
-    "Governor",
-    "MachineSpec",
-    "OndemandGovernor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "governed_machine",
-    "MachineTopology",
-    "PState",
-    "PlaneEnergy",
-    "RooflinePoint",
-    "attainable_flops",
-    "locate",
-    "ridge_intensity",
-    "SocketSpec",
-    "fixed_frequency",
-    "dual_socket_haswell",
-    "generic_smp",
-    "haswell_e3_1225",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": ("CacheHierarchySpec", "CacheLevelSpec"),
+    ".dram": ("DramSpec",),
+    ".energy": ("Activity", "EnergyModel", "PlaneEnergy"),
+    ".frequency": ("FrequencyDomain", "PState", "fixed_frequency"),
+    ".governor": ("Governor", "OndemandGovernor", "PerformanceGovernor", "PowersaveGovernor",
+                  "governed_machine"),
+    ".roofline": ("RooflinePoint", "attainable_flops", "locate", "ridge_intensity"),
+    ".specs": ("MachineSpec", "dual_socket_haswell", "generic_smp", "haswell_e3_1225"),
+    ".topology": ("CoreId", "CoreSpec", "MachineTopology", "SocketSpec"),
+})

@@ -14,41 +14,13 @@ Zero-dependency subsystem with three layers:
 See DESIGN.md §10 for the architecture and the instrumentation map.
 """
 
-from . import trace
-from .export import (
-    metrics_table,
-    phase_table,
-    read_trace_json,
-    spans_to_chrome_events,
-    trace_payload,
-    validate_chrome_trace,
-    write_trace_json,
-)
-from .metrics import Counter, Gauge, MetricsRegistry, counter, gauge, registry
-from .trace import NULL_SPAN, Span, Tracer, active, enabled, install, span, tracing, uninstall
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Span",
-    "Tracer",
-    "active",
-    "counter",
-    "enabled",
-    "gauge",
-    "install",
-    "metrics_table",
-    "phase_table",
-    "read_trace_json",
-    "registry",
-    "span",
-    "spans_to_chrome_events",
-    "trace",
-    "trace_payload",
-    "tracing",
-    "uninstall",
-    "validate_chrome_trace",
-    "write_trace_json",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": ("trace",),
+    ".export": ("metrics_table", "phase_table", "read_trace_json", "spans_to_chrome_events",
+                "trace_payload", "validate_chrome_trace", "write_trace_json"),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry", "counter", "gauge", "registry"),
+    ".trace": ("NULL_SPAN", "Span", "Tracer", "active", "enabled", "install", "span",
+               "tracing", "uninstall"),
+})

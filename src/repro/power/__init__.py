@@ -5,41 +5,14 @@ a wrap-aware RAPL reader, a PAPI-like component API, and power traces
 with the average/peak statistics the evaluation tabulates.
 """
 
-from .capping import CappedRun, PowerLimit, enforce_power_limit
-from .msr import (
-    ENERGY_STATUS_MASK,
-    MSR_DRAM_ENERGY_STATUS,
-    MSR_PKG_ENERGY_STATUS,
-    MSR_PP0_ENERGY_STATUS,
-    MSR_RAPL_POWER_UNIT,
-    MsrFile,
-)
-from .papi import RAPL_EVENTS, EventSet, EventSetState, PapiComponent, PapiLibrary
-from .planes import PAPER_PLANES, Plane, PlaneSet, aggregate_planes
-from .rapl import RaplDomain, RaplReader
-from .sampling import PowerSegment, PowerTrace
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ENERGY_STATUS_MASK",
-    "MSR_DRAM_ENERGY_STATUS",
-    "MSR_PKG_ENERGY_STATUS",
-    "MSR_PP0_ENERGY_STATUS",
-    "MSR_RAPL_POWER_UNIT",
-    "CappedRun",
-    "MsrFile",
-    "PAPER_PLANES",
-    "PowerLimit",
-    "enforce_power_limit",
-    "Plane",
-    "PlaneSet",
-    "PowerSegment",
-    "PowerTrace",
-    "RAPL_EVENTS",
-    "EventSet",
-    "EventSetState",
-    "PapiComponent",
-    "PapiLibrary",
-    "RaplDomain",
-    "RaplReader",
-    "aggregate_planes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".capping": ("CappedRun", "PowerLimit", "enforce_power_limit"),
+    ".msr": ("ENERGY_STATUS_MASK", "MSR_DRAM_ENERGY_STATUS", "MSR_PKG_ENERGY_STATUS",
+             "MSR_PP0_ENERGY_STATUS", "MSR_RAPL_POWER_UNIT", "MsrFile"),
+    ".papi": ("RAPL_EVENTS", "EventSet", "EventSetState", "PapiComponent", "PapiLibrary"),
+    ".planes": ("PAPER_PLANES", "Plane", "PlaneSet", "aggregate_planes"),
+    ".rapl": ("RaplDomain", "RaplReader"),
+    ".sampling": ("PowerSegment", "PowerTrace"),
+})

@@ -38,6 +38,7 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from .arena import TaskArena
+from .engines import ENGINES, SchedulerEngine
 from .timeline import CoreTimeline
 from .stats import RuntimeStats
 
@@ -62,12 +63,6 @@ __all__ = [
 ]
 
 SchedulePolicy = Literal["fifo", "lifo", "critical", "steal"]
-SchedulerEngine = Literal["fast", "reference", "compiled"]
-
-#: Every engine name the scheduler knows, in documentation order.
-#: ``compiled`` additionally needs a working C toolchain — probe with
-#: :func:`repro.runtime.compiledpath.compiled_available`.
-ENGINES: tuple[SchedulerEngine, ...] = ("reference", "fast", "compiled")
 
 
 def default_engine() -> SchedulerEngine:

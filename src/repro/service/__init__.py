@@ -1,9 +1,13 @@
 """Async batched EP-study service with a content-addressed result store.
 
-The service layer (PR 6) turns the one-shot study driver into a
+The service layer turns the one-shot study driver into a
 long-running, query-oriented front end:
 
-* :mod:`repro.service.cells` — requests, cell specs, results.
+* :mod:`repro.service.client` — requests, cell specs and the blocking
+  :class:`ServiceClient`: everything ``repro query`` loads (no numpy,
+  no study stack).
+* :mod:`repro.service.cells` — results, responses and the reply
+  encoding.
 * :mod:`repro.service.service` — the asyncio :class:`StudyService`
   (dedup, batching, store traffic).
 * :mod:`repro.service.executor` — the synchronous :class:`CellExecutor`
@@ -14,20 +18,12 @@ long-running, query-oriented front end:
 The persistent store itself lives in :mod:`repro.core.resultstore`.
 """
 
-from .cells import SOURCES, CellResult, CellSpec, StudyRequest, StudyResponse
-from .executor import CellExecutor
-from .server import ServiceClient, serve
-from .service import ServiceConfig, StudyService
+from .._lazy import lazy_exports
 
-__all__ = [
-    "SOURCES",
-    "CellExecutor",
-    "CellResult",
-    "CellSpec",
-    "ServiceClient",
-    "ServiceConfig",
-    "StudyRequest",
-    "StudyResponse",
-    "StudyService",
-    "serve",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cells": ("SOURCES", "CellResult", "StudyResponse"),
+    ".client": ("CellSpec", "ServiceClient", "StudyRequest"),
+    ".executor": ("CellExecutor",),
+    ".server": ("serve",),
+    ".service": ("ServiceConfig", "StudyService"),
+})

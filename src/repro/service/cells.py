@@ -1,13 +1,8 @@
-"""Requests, cells and responses of the study service.
+"""Results and responses of the study service, and the reply encoding.
 
-A :class:`StudyRequest` is what a client asks for — the same
-(algorithm × size × threads) grid :class:`~repro.core.study.StudyConfig`
-describes, plus the knobs that change simulated numbers (operand seed,
-execute bound).  The service never works on requests directly: it
-splits them into :class:`CellSpec`\\ s — one per grid point, in the
-study's serial (table) order — because cells, not requests, are the
-unit of dedup, batching and content addressing.  Two requests that
-overlap in 30 cells share 30 computations.
+Requests and cell specs (:class:`StudyRequest`, :class:`CellSpec`) live
+in :mod:`repro.service.client`, which the query client loads without
+this module's study stack; they are re-exported here.
 
 A :class:`CellResult` pairs a cell with its measurement, content key
 and provenance (``"store"``, ``"computed"``, or ``"inflight"`` when the
@@ -23,14 +18,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from ..core.study import PAPER_THREADS, StudyConfig, StudyResult
+from ..core.study import StudyConfig, StudyResult
 from ..machine.specs import MachineSpec
 from ..power.msr import deposit_planes
 from ..power.planes import Plane
 from ..sim.measurement import RunMeasurement
-from ..util.validation import require_nonempty, require_positive
+from .client import CellSpec, StudyRequest
 
 __all__ = [
     "CellResult",
@@ -51,95 +45,6 @@ def remember(memo: dict, key, value, bound: int) -> None:
         if key not in memo and len(memo) >= bound:
             del memo[next(iter(memo))]
         memo[key] = value
-
-
-@dataclass(frozen=True, order=True)
-class CellSpec:
-    """One point of the study grid: the unit of dedup and caching.
-
-    ``execute`` mirrors the study's ``n <= execute_max_n`` decision —
-    it changes what the cell *does* (a numerics replay + verification
-    when the service verifies), so it is part of the spec, and the
-    content key records whether the cell was verified, even though the
-    simulated timings and energies are identical either way.
-    """
-
-    algorithm: str
-    n: int
-    threads: int
-    seed: int = 2015
-    execute: bool = False
-
-    def __post_init__(self) -> None:
-        require_positive(self.n, "n")
-        require_positive(self.threads, "threads")
-
-    def describe(self) -> str:
-        return (
-            f"{self.algorithm}[n={self.n},p={self.threads},seed={self.seed}"
-            f"{',execute' if self.execute else ''}]"
-        )
-
-
-@dataclass(frozen=True)
-class StudyRequest:
-    """One client's study grid (the service's query unit)."""
-
-    algorithms: tuple[str, ...]
-    sizes: tuple[int, ...]
-    threads: tuple[int, ...] = PAPER_THREADS
-    seed: int = 2015
-    execute_max_n: int = 1024
-
-    def __post_init__(self) -> None:
-        # Normalise sequences passed as lists so requests hash/compare
-        # predictably and JSON round-trips cleanly.
-        object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "threads", tuple(self.threads))
-        require_nonempty(self.algorithms, "algorithms")
-        require_nonempty(self.sizes, "sizes")
-        require_nonempty(self.threads, "threads")
-        for n in self.sizes:
-            require_positive(n, "size")
-        for p in self.threads:
-            require_positive(p, "threads")
-
-    def cells(self) -> list[CellSpec]:
-        """The grid as cell specs, in the study's serial (table) order."""
-        return [
-            CellSpec(
-                algorithm=alg,
-                n=n,
-                threads=p,
-                seed=self.seed,
-                execute=n <= self.execute_max_n,
-            )
-            for alg in self.algorithms
-            for n in self.sizes
-            for p in self.threads
-        ]
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StudyRequest":
-        """Build a request from a JSON-shaped dict (the wire format)."""
-        kwargs = {}
-        for name in ("algorithms", "sizes", "threads"):
-            if name in payload:
-                kwargs[name] = tuple(payload[name])
-        for name in ("seed", "execute_max_n"):
-            if name in payload:
-                kwargs[name] = int(payload[name])
-        return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithms": list(self.algorithms),
-            "sizes": list(self.sizes),
-            "threads": list(self.threads),
-            "seed": self.seed,
-            "execute_max_n": self.execute_max_n,
-        }
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ rebuilt for the next.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING
 
 from ..algorithms.base import MatmulAlgorithm
 from ..algorithms.registry import make_algorithm
@@ -35,7 +34,10 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..sim.engine import Engine
 from ..sim.measurement import RunMeasurement
-from .cells import CellSpec
+from .client import CellSpec
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["CellExecutor"]
 
@@ -129,12 +131,18 @@ class CellExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here: the process machinery loads only when a
+            # pool is built.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _discard_pool(self) -> None:
         pool, self._pool = self._pool, None
         if pool is not None:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 pool.shutdown(wait=False, cancel_futures=True)
             except (BrokenProcessPool, OSError):  # pragma: no cover

@@ -27,8 +27,8 @@ or a store-less service yields a new object and a new fragment.  The
 other replies are plain ``json.dumps``.
 
 :func:`serve` runs a service behind a socket path until a client sends
-``shutdown``; :class:`ServiceClient` is the matching blocking client
-used by ``repro query`` and the CI smoke job.
+``shutdown``; :class:`~repro.service.client.ServiceClient` is the
+matching blocking client used by ``repro query`` and the CI smoke job.
 """
 
 from __future__ import annotations
@@ -39,25 +39,16 @@ import os
 import socket
 from pathlib import Path
 
-from ..util.errors import ConfigurationError, ServiceError
-from .cells import CellSpec, ReplyEncoder, StudyRequest
+from ..util.errors import ConfigurationError
+from .cells import ReplyEncoder
+from .client import CellSpec, StudyRequest
 from .service import ServiceConfig, StudyService
 
-__all__ = ["ServiceClient", "serve"]
+__all__ = ["serve"]
 
 #: Refuse absurd lines instead of buffering them (asyncio's default
 #: readline limit is 64 KiB; a study grid request is a few hundred bytes).
 _LIMIT = 1 << 20
-
-
-def _cell_from_payload(payload: dict) -> CellSpec:
-    return CellSpec(
-        algorithm=str(payload["algorithm"]),
-        n=int(payload["n"]),
-        threads=int(payload["threads"]),
-        seed=int(payload.get("seed", 2015)),
-        execute=bool(payload.get("execute", False)),
-    )
 
 
 def _dumps(reply: dict) -> bytes:
@@ -77,7 +68,7 @@ async def _handle_request(
         request = StudyRequest.from_dict(message.get("request") or {})
         return encoder.query_reply(await service.query(request))
     if op == "cell":
-        spec = _cell_from_payload(message.get("cell") or {})
+        spec = CellSpec.from_dict(message.get("cell") or {})
         return encoder.cell_reply(await service.query_cell(spec))
     raise ConfigurationError(f"unknown op {op!r}")
 
@@ -168,80 +159,3 @@ async def serve(
             await service.close()
         if path.exists():
             path.unlink()
-
-
-class ServiceClient:
-    """Blocking JSON-lines client for a served socket.
-
-    Deliberately synchronous: the consumers are the CLI and shell-ish
-    CI steps, and a blocking socket keeps them dependency-free.
-    """
-
-    def __init__(self, path: "str | Path", timeout: float = 300.0):
-        self.path = str(path)
-        self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        try:
-            self._sock.connect(self.path)
-        except OSError as exc:
-            self._sock.close()
-            raise ServiceError(
-                f"cannot connect to service socket {self.path}: {exc}"
-            ) from exc
-        self._file = self._sock.makefile("rwb")
-
-    def request(self, message: dict) -> dict:
-        self._file.write(json.dumps(message).encode() + b"\n")
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ServiceError(f"service at {self.path} closed the connection")
-        reply = json.loads(line)
-        if not reply.get("ok"):
-            raise ServiceError(
-                f"service error ({reply.get('kind', 'Error')}): "
-                f"{reply.get('error', 'unknown')}"
-            )
-        return reply
-
-    def ping(self) -> bool:
-        return bool(self.request({"op": "ping"}).get("ok"))
-
-    def stats(self) -> dict:
-        return self.request({"op": "stats"})["stats"]
-
-    def query(self, request: StudyRequest) -> dict:
-        return self.request({"op": "query", "request": request.to_dict()})
-
-    def query_cell(self, spec: CellSpec) -> dict:
-        return self.request(
-            {
-                "op": "cell",
-                "cell": {
-                    "algorithm": spec.algorithm,
-                    "n": spec.n,
-                    "threads": spec.threads,
-                    "seed": spec.seed,
-                    "execute": spec.execute,
-                },
-            }
-        )["cell"]
-
-    def shutdown(self) -> None:
-        try:
-            self.request({"op": "shutdown"})
-        except (ServiceError, OSError):  # pragma: no cover - racy close
-            pass
-
-    def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
-
-    def __enter__(self) -> "ServiceClient":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.close()
-        return False

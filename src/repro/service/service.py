@@ -3,7 +3,7 @@
 :class:`StudyService` turns the one-shot study driver into a
 long-running query service:
 
-* **Split** — a :class:`~repro.service.cells.StudyRequest` becomes cell
+* **Split** — a :class:`~repro.service.client.StudyRequest` becomes cell
   specs in serial (table) order; cells, not requests, are the unit of
   work.
 * **Hot path** — a request's cells (its validated cell specs,
@@ -64,7 +64,8 @@ from ..observability import trace
 from ..observability.metrics import counter, registry
 from ..sim.measurement import RunMeasurement
 from ..util.errors import ConfigurationError
-from .cells import CellResult, CellSpec, StudyRequest, StudyResponse, remember
+from .cells import CellResult, StudyResponse, remember
+from .client import CellSpec, StudyRequest
 from .executor import CellExecutor
 
 __all__ = ["ServiceConfig", "StudyService"]

@@ -6,29 +6,13 @@ activity, feeds the emulated RAPL counters and returns the quantities
 the paper's evaluation records.
 """
 
-from .attribution import TaskEnergy, attribute_energy, attribution_table
-from .calibration import (
-    PAPER_TARGETS,
-    CalibrationResult,
-    PaperTargets,
-    calibrate,
-    score_study,
-)
-from .engine import Engine
-from .measurement import RunMeasurement
-from .noise import NoiseModel, NoisyEngine
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationResult",
-    "TaskEnergy",
-    "attribute_energy",
-    "attribution_table",
-    "Engine",
-    "NoiseModel",
-    "NoisyEngine",
-    "PAPER_TARGETS",
-    "PaperTargets",
-    "RunMeasurement",
-    "calibrate",
-    "score_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".attribution": ("TaskEnergy", "attribute_energy", "attribution_table"),
+    ".calibration": ("PAPER_TARGETS", "CalibrationResult", "PaperTargets", "calibrate",
+                     "score_study"),
+    ".engine": ("Engine",),
+    ".measurement": ("RunMeasurement",),
+    ".noise": ("NoiseModel", "NoisyEngine"),
+})

@@ -2,47 +2,15 @@
 from scratch (COO/CSR/ELL/BSR), SpMV lowering with per-format cost
 models, synthetic pattern generators and the storage-scheme EP study."""
 
-from .formats import BSRMatrix, COOMatrix, CSRMatrix, DIAMatrix, ELLMatrix, SparseMatrix
-from .generators import banded, power_law, uniform_random
-from .spgemm import (
-    SpgemmBuild,
-    build_spgemm_graph,
-    intermediate_products,
-    spgemm,
-    spgemm_chunk_cost,
-    spgemm_rows,
-)
-from .spmm import SpmmBuild, build_spmm_graph, spmm, spmm_chunk_cost, spmm_range
-from .spmv import SpmvBuild, build_spmv_graph, row_chunks, spmv_chunk_cost
-from .study import FORMATS, SparseEPStudy, SparseStudyResult, convert
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BSRMatrix",
-    "COOMatrix",
-    "CSRMatrix",
-    "DIAMatrix",
-    "ELLMatrix",
-    "FORMATS",
-    "SparseEPStudy",
-    "SparseMatrix",
-    "SparseStudyResult",
-    "SpgemmBuild",
-    "SpmmBuild",
-    "SpmvBuild",
-    "banded",
-    "build_spgemm_graph",
-    "build_spmm_graph",
-    "build_spmv_graph",
-    "intermediate_products",
-    "spgemm",
-    "spgemm_chunk_cost",
-    "spgemm_rows",
-    "spmm",
-    "spmm_chunk_cost",
-    "spmm_range",
-    "convert",
-    "power_law",
-    "row_chunks",
-    "spmv_chunk_cost",
-    "uniform_random",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".formats": ("BSRMatrix", "COOMatrix", "CSRMatrix", "DIAMatrix", "ELLMatrix",
+                 "SparseMatrix"),
+    ".generators": ("banded", "power_law", "uniform_random"),
+    ".spgemm": ("SpgemmBuild", "build_spgemm_graph", "intermediate_products", "spgemm",
+                "spgemm_chunk_cost", "spgemm_rows"),
+    ".spmm": ("SpmmBuild", "build_spmm_graph", "spmm", "spmm_chunk_cost", "spmm_range"),
+    ".spmv": ("SpmvBuild", "build_spmv_graph", "row_chunks", "spmv_chunk_cost"),
+    ".study": ("FORMATS", "SparseEPStudy", "SparseStudyResult", "convert"),
+})

@@ -41,73 +41,20 @@ CI and developers run the same entry point::
     python tools/verify.py --cases 200 --seed 0
 """
 
-from .generators import (
-    POLICIES,
-    GraphCase,
-    NetworkCase,
-    NumericsCase,
-    gen_algorithm_case,
-    gen_graph_case,
-    gen_machine,
-    gen_network_case,
-    gen_numerics_case,
-    gen_scaling_case,
-    gen_study_config,
-    shrink_graph_case,
-)
-from .invariants import (
-    Violation,
-    assert_no_violations,
-    check_bound_algebra,
-    check_comm_bounds,
-    check_ep_scaling,
-    check_measurement,
-    check_network_bounds,
-)
-from .oracle import (
-    compare_event_programs,
-    differential_engine_check,
-    differential_network_check,
-    differential_numerics_check,
-    differential_service_check,
-    differential_study_check,
-)
-from .faults import FaultyMsr, check_fault_modes
-from .harness import Counterexample, VerifyReport, run_verify, verify_case
-from .taskgraph import Task, TaskGraph
+from .._lazy import lazy_exports
 
-__all__ = [
-    "POLICIES",
-    "Counterexample",
-    "FaultyMsr",
-    "GraphCase",
-    "NetworkCase",
-    "NumericsCase",
-    "Task",
-    "TaskGraph",
-    "VerifyReport",
-    "Violation",
-    "assert_no_violations",
-    "check_bound_algebra",
-    "check_comm_bounds",
-    "check_ep_scaling",
-    "check_fault_modes",
-    "check_measurement",
-    "check_network_bounds",
-    "compare_event_programs",
-    "differential_engine_check",
-    "differential_network_check",
-    "differential_numerics_check",
-    "differential_service_check",
-    "differential_study_check",
-    "gen_algorithm_case",
-    "gen_graph_case",
-    "gen_machine",
-    "gen_network_case",
-    "gen_numerics_case",
-    "gen_scaling_case",
-    "gen_study_config",
-    "run_verify",
-    "shrink_graph_case",
-    "verify_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".faults": ("FaultyMsr", "check_fault_modes"),
+    ".generators": ("POLICIES", "GraphCase", "NetworkCase", "NumericsCase",
+                    "gen_algorithm_case", "gen_graph_case", "gen_machine", "gen_network_case",
+                    "gen_numerics_case", "gen_scaling_case", "gen_study_config",
+                    "shrink_graph_case"),
+    ".harness": ("Counterexample", "VerifyReport", "run_verify", "verify_case"),
+    ".invariants": ("Violation", "assert_no_violations", "check_bound_algebra",
+                    "check_comm_bounds", "check_ep_scaling", "check_measurement",
+                    "check_network_bounds"),
+    ".oracle": ("compare_event_programs", "differential_engine_check",
+                "differential_network_check", "differential_numerics_check",
+                "differential_service_check", "differential_study_check"),
+    ".taskgraph": ("Task", "TaskGraph"),
+})

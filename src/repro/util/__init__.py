@@ -1,76 +1,14 @@
 """Shared utilities: errors, units, validation and table rendering."""
 
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    MeasurementError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-    ValidationError,
-)
-from .tables import TextTable, format_cell
-from .units import (
-    GB,
-    GHZ,
-    GiB,
-    KB,
-    KHZ,
-    KiB,
-    MB,
-    MHZ,
-    MiB,
-    fmt_bytes,
-    fmt_flops,
-    fmt_hz,
-    fmt_joules,
-    fmt_seconds,
-    fmt_watts,
-)
-from .validation import (
-    is_power_of_two,
-    next_power_of_two,
-    require_fraction,
-    require_in_range,
-    require_nonempty,
-    require_nonnegative,
-    require_positive,
-    require_power_of_two,
-    require_type,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "ConfigurationError",
-    "ValidationError",
-    "SchedulingError",
-    "SimulationError",
-    "MeasurementError",
-    "CalibrationError",
-    "TextTable",
-    "format_cell",
-    "KiB",
-    "MiB",
-    "GiB",
-    "KB",
-    "MB",
-    "GB",
-    "KHZ",
-    "MHZ",
-    "GHZ",
-    "fmt_bytes",
-    "fmt_hz",
-    "fmt_seconds",
-    "fmt_watts",
-    "fmt_joules",
-    "fmt_flops",
-    "is_power_of_two",
-    "next_power_of_two",
-    "require_fraction",
-    "require_in_range",
-    "require_nonempty",
-    "require_nonnegative",
-    "require_positive",
-    "require_power_of_two",
-    "require_type",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".errors": ("CalibrationError", "ConfigurationError", "MeasurementError", "ReproError",
+                "SchedulingError", "SimulationError", "ValidationError"),
+    ".tables": ("TextTable", "format_cell"),
+    ".units": ("GB", "GHZ", "GiB", "KB", "KHZ", "KiB", "MB", "MHZ", "MiB", "fmt_bytes",
+               "fmt_flops", "fmt_hz", "fmt_joules", "fmt_seconds", "fmt_watts"),
+    ".validation": ("is_power_of_two", "next_power_of_two", "require_fraction",
+                    "require_in_range", "require_nonempty", "require_nonnegative",
+                    "require_positive", "require_power_of_two", "require_type"),
+})

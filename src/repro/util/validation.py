@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -30,13 +28,21 @@ __all__ = [
 def _require(value, ok, name: str, rule: str):
     """Raise unless the predicate result *ok* holds everywhere.
 
-    *ok* is ``value <op> bound``: a bool for a scalar, a bool array for
-    an array.  Predicates are written so NaN fails them (every
-    comparison with NaN is false)."""
-    if ok is True or np.all(ok):
+    *ok* is ``value <op> bound``: a bool for a scalar, a numpy bool or
+    bool array for numpy input.  Predicates are written so NaN fails
+    them (every comparison with NaN is false)."""
+    if ok is True:
         return value
-    bad = value if np.ndim(ok) == 0 else np.asarray(value)[~ok][0].item()
-    raise ValidationError(f"{name} must be {rule}, got {bad!r}")
+    if ok is not False:
+        # numpy input, so numpy is loaded already; plain Python values
+        # never import it.
+        import numpy as np
+
+        if np.all(ok):
+            return value
+        if np.ndim(ok):
+            value = np.asarray(value)[~ok][0].item()
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 def require_positive(value, name: str):

@@ -102,6 +102,18 @@ and the trace-driven cache simulator:
     (0.15 ms), and ``hot_reply_ms`` (the same query through the
     server's request handler, encoded reply included) under
     ``HOT_REPLY_LIMIT_MS``.
+``network_e2e``
+    The 2048-rank 2.5D SUMMA command (``repro distributed --simulate
+    --alg summa25d --n 16384 --nodes 2048 --c 2 --topology torus2d``)
+    start to answer: its whole wall time, and in separate fresh
+    interpreters its imports, lowering, first sweep and warm sweep
+    (medians).  Not gated; the ruler for the import-time work.
+``cold_commands``
+    Import time spent in ``repro.*`` (``python -X importtime``, numpy
+    included when a command pulls it in) by ``import repro``, ``repro
+    query --help`` and ``repro distributed --help``, each in fresh
+    interpreters.  Absolute gate: ``repro query --help`` stays under
+    ``QUERY_HELP_LIMIT_MS`` (50 ms) and never imports numpy.
 
 Host wall-clock numbers are machine-specific, so the regression gate
 compares *ratios* (reference/fast, cold/hit), which are stable across
@@ -122,13 +134,16 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from repro.algorithms import StrassenWinograd
 from repro.algorithms.registry import BuildCache
@@ -619,6 +634,126 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
     return out
 
 
+#: The 2048-rank 2.5D SUMMA command that ``network_e2e`` times whole.
+NETWORK_COMMAND = (
+    "distributed", "--simulate", "--alg", "summa25d", "--n", "16384",
+    "--nodes", "2048", "--c", "2", "--topology", "torus2d",
+)
+
+#: One repeat of ``network_e2e``'s phases, in a fresh interpreter: the
+#: modules the command imports, its lowering, its first (cold) sweep and
+#: a second (warm) sweep of the same program.  Prints one JSON object.
+_NETWORK_PHASES = """
+import json, time
+t0 = time.perf_counter()
+import repro.cli
+from repro.distributed import ClusterSpec, NetworkConfig, Topology, build_events
+from repro.machine import haswell_e3_1225
+t1 = time.perf_counter()
+cluster = ClusterSpec(node=haswell_e3_1225(), topology=Topology("torus2d"))
+prog = build_events(cluster, "summa25d", 16384, 2048, NetworkConfig(c=2))
+t2 = time.perf_counter()
+prog.simulate()
+t3 = time.perf_counter()
+prog.simulate()
+t4 = time.perf_counter()
+print(json.dumps({"import_ms": (t1 - t0) * 1e3, "lower_ms": (t2 - t1) * 1e3,
+                  "first_sweep_ms": (t3 - t2) * 1e3, "warm_sweep_ms": (t4 - t3) * 1e3}))
+"""
+
+#: The cold commands ``cold_commands`` reads ``-X importtime`` of:
+#: name -> interpreter arguments.
+COLD_COMMANDS = {
+    "import_repro": ("-c", "import repro"),
+    "query_help": ("-m", "repro", "query", "--help"),
+    "distributed_help": ("-m", "repro", "distributed", "--help"),
+}
+
+#: Absolute ceiling on the import time ``repro query --help`` spends in
+#: ``repro.*`` (``cold_commands`` ``query_help_repro_ms``): the client
+#: loads the parser, the query client and the table renderer, never
+#: numpy.  Read at ~22 ms (2-vCPU x86-64 VM); the eager package spent
+#: ~400 ms, most of it numpy and the study stack.
+QUERY_HELP_LIMIT_MS = 50.0
+
+
+def _python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on *args* with this checkout's ``src``
+    first on ``PYTHONPATH``; stdout and stderr are captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, **kwargs)
+
+
+def repro_import_ms(importtime: str) -> tuple[float, bool]:
+    """``(ms, numpy imported)`` from ``-X importtime`` output: *ms* sums
+    the cumulative time of each ``repro`` import not nested in another,
+    so it counts everything the package pulled in (numpy included)."""
+    lines = [line[len("import time:"):] for line in importtime.splitlines()
+             if line.startswith("import time:") and "[us]" not in line]
+    total_us, numpy = 0, False
+    stack: list[tuple[int, bool]] = []  # (depth, inside a repro import)
+    for line in reversed(lines):  # parents print after their children
+        _, cumulative, name = line.split("|")
+        depth = len(name) - len(name.lstrip())
+        name = name.strip()
+        while stack and stack[-1][0] >= depth:
+            stack.pop()
+        inside = bool(stack) and stack[-1][1]
+        ours = name == "repro" or name.startswith("repro.")
+        if ours and not inside:
+            total_us += int(cumulative)
+        numpy = numpy or name == "numpy"
+        stack.append((depth, inside or ours))
+    return total_us / 1e3, numpy
+
+
+def bench_cold_commands(repeats: int) -> dict:
+    """Import time each cold command spends in ``repro.*``.
+
+    Each command runs *repeats* times under ``python -X importtime`` in
+    a fresh interpreter (after one untimed run that writes bytecode);
+    ``<name>_repro_ms`` is the median of :func:`repro_import_ms` and
+    ``<name>_numpy`` whether any run imported numpy.  ``repro query
+    --help`` is gated at ``QUERY_HELP_LIMIT_MS`` and must not import
+    numpy: the query client is a JSON-lines socket and a table.
+    """
+    out: dict = {"repeats": repeats}
+    for name, args in COLD_COMMANDS.items():
+        _python(args)
+        runs = [repro_import_ms(_python(("-X", "importtime", *args)).stderr)
+                for _ in range(repeats)]
+        out[f"{name}_repro_ms"] = statistics.median(ms for ms, _ in runs)
+        out[f"{name}_numpy"] = any(numpy for _, numpy in runs)
+    return out
+
+
+def bench_network_e2e(repeats: int) -> dict:
+    """The 2048-rank 2.5D SUMMA command, start to answer.
+
+    ``wall_ms`` is the median wall time of ``repro`` +
+    ``NETWORK_COMMAND`` run whole in a fresh interpreter.  Each of
+    *repeats* further fresh interpreters times the command's phases
+    (``_NETWORK_PHASES``): the imports, the lowering, the first sweep
+    of the freshly lowered program and a warm second sweep; each field
+    is the median.  The rest of ``wall_ms`` is interpreter start-up,
+    argument parsing, result assembly and printing.  Not gated: it is
+    the ruler the import-time work is read against.
+    """
+    _python(("-m", "repro", *NETWORK_COMMAND))  # writes bytecode
+    walls, phases = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _python(("-m", "repro", *NETWORK_COMMAND))
+        walls.append(time.perf_counter() - t0)
+        phases.append(json.loads(_python(("-c", _NETWORK_PHASES)).stdout))
+    out = {"ranks": 2048, "repeats": repeats, "wall_ms": statistics.median(walls) * 1e3}
+    for field in phases[0]:
+        out[field] = statistics.median(p[field] for p in phases)
+    return out
+
+
 def bench_study_service(machine, smoke: bool, requests: int = 100) -> dict:
     """The service under overlapping load, then hot-lookup latency.
 
@@ -784,6 +919,8 @@ def run_suite(smoke: bool) -> dict:
         "study_parallel": bench_study_parallel(machine, sizes),
         "network_sim": bench_network_sim(machine, smoke, repeats),
         "study_service": bench_study_service(machine, smoke),
+        "network_e2e": bench_network_e2e(3 if smoke else 5),
+        "cold_commands": bench_cold_commands(3 if smoke else 5),
         "trace_overhead": bench_trace_overhead(machine, repeats, sizes),
     }
 
@@ -984,6 +1121,26 @@ def gate(current: dict, baseline: dict) -> int:
                 f"study_service: dedup ratio {dedup:.1f}x below floor "
                 f"{DEDUP_FLOOR:.1f}x"
             )
+    cold = current.get("cold_commands", {})
+    query_ms = cold.get("query_help_repro_ms")
+    if query_ms is None:
+        failures.append("cold_commands: missing query_help_repro_ms")
+    else:
+        numpy = cold.get("query_help_numpy")
+        status = "ok" if query_ms <= QUERY_HELP_LIMIT_MS and not numpy else "TOO SLOW"
+        print(
+            f"  {'cold_commands':20s} query_help_repro_ms: {query_ms:.1f} ms "
+            f"importing repro.* for `repro query --help`, numpy "
+            f"{'imported' if numpy else 'not imported'} (limit "
+            f"{QUERY_HELP_LIMIT_MS:.0f} ms, no numpy) {status}"
+        )
+        if query_ms > QUERY_HELP_LIMIT_MS:
+            failures.append(
+                f"cold_commands: `repro query --help` spends {query_ms:.1f} ms "
+                f"in repro.* imports, over {QUERY_HELP_LIMIT_MS:.0f} ms"
+            )
+        if numpy:
+            failures.append("cold_commands: `repro query --help` imports numpy")
     if failures:
         print("\nFAIL:")
         for f in failures:
