@@ -39,12 +39,6 @@ from .util.tables import TextTable
 
 __all__ = ["main", "build_parser"]
 
-# Backwards-compatible private aliases (the canonical home of these
-# helpers is repro.cliargs, shared with tools/).
-_machine_from_args = machine_from_args
-_add_machine_args = add_machine_args
-_emit = emit
-
 
 class _scoped_tracing:
     """``--trace OUT.json`` plumbing for subcommands that drive a study
@@ -96,7 +90,7 @@ class _scoped_tracing:
 
 
 def cmd_describe(args) -> int:
-    print(_machine_from_args(args).describe())
+    print(machine_from_args(args).describe())
     return 0
 
 
@@ -199,7 +193,7 @@ def cmd_choose(args) -> int:
         verify=False,
     ).run().result
     print(f"operating points for n={args.n} (pareto-optimal marked *):")
-    print(_emit(choice_table(result, args.n), get_format(args)))
+    print(emit(choice_table(result, args.n), get_format(args)))
     print()
     if args.cap is not None:
         pick = select_under_power_cap(result, args.n, args.cap, args.metric)
@@ -217,7 +211,7 @@ def cmd_choose(args) -> int:
 def cmd_crossover(args) -> int:
     from .core.crossover import analyze_crossover
 
-    machine = _machine_from_args(args)
+    machine = machine_from_args(args)
     a = analyze_crossover(machine, efficiency=args.efficiency)
     table = TextTable(["quantity", "value"], ndigits=5)
     table.add_row("platform", machine.name)
@@ -226,7 +220,7 @@ def cmd_crossover(args) -> int:
     table.add_row("crossover n (Eq. 9)", a.crossover_n)
     table.add_row("max feasible n", a.max_feasible_n)
     table.add_row("reachable", str(a.reachable))
-    print(_emit(table, get_format(args)))
+    print(emit(table, get_format(args)))
     return 0
 
 
@@ -241,14 +235,14 @@ def cmd_bounds(args) -> int:
         classical = communication_bound_words(args.n, args.procs, m, omega0=3.0)
         table.add_row(m, strassen.words, classical.words, strassen.binding_term)
     print(f"Eq. 8 bounds for n={args.n}, P={args.procs}:")
-    print(_emit(table, get_format(args)))
+    print(emit(table, get_format(args)))
     return 0
 
 
 def cmd_sparse(args) -> int:
     from .sparse import SparseEPStudy, banded, power_law, uniform_random
 
-    machine = _machine_from_args(args)
+    machine = machine_from_args(args)
     if args.pattern == "banded":
         pattern = banded(args.n, args.bandwidth, seed=args.seed)
     elif args.pattern == "random":
@@ -260,7 +254,7 @@ def cmd_sparse(args) -> int:
             machine, pattern, repeats=args.repeats, verify=not args.no_verify
         ).run()
         print(f"SpMV storage-scheme study: {args.pattern}, n={args.n}, nnz={pattern.nnz}")
-        print(_emit(result.summary_table(), get_format(args)))
+        print(emit(result.summary_table(), get_format(args)))
     return 0
 
 
@@ -276,7 +270,7 @@ def cmd_distributed(args) -> int:
     )
     from .power.planes import Plane
 
-    cluster = ClusterSpec(node=_machine_from_args(args))
+    cluster = ClusterSpec(node=machine_from_args(args))
     study = DistributedEPStudy(
         cluster,
         [Summa2D(cluster), Summa25D(cluster, c=4), CapsDistributed(cluster)],
@@ -298,7 +292,7 @@ def cmd_distributed(args) -> int:
                     run.rank_power_w,
                     run.planes_w[Plane.PSYS],
                 )
-        print(_emit(table, get_format(args)))
+        print(emit(table, get_format(args)))
     return 0
 
 
@@ -307,7 +301,7 @@ def _cmd_distributed_simulate(args) -> int:
     from .distributed import ClusterSpec, NetworkConfig, NetworkSweep, Topology
 
     cluster = ClusterSpec(
-        node=_machine_from_args(args), topology=Topology(args.topology)
+        node=machine_from_args(args), topology=Topology(args.topology)
     )
     cfg = NetworkConfig(protocol=args.protocol, chunks=args.chunks, c=args.c)
     sweep = NetworkSweep(cluster, args.alg, cfg)
@@ -334,7 +328,7 @@ def _cmd_distributed_simulate(args) -> int:
             f"topology (protocol={args.protocol}, chunks={args.chunks}, "
             f"c={args.c})"
         )
-        print(_emit(table, get_format(args)))
+        print(emit(table, get_format(args)))
         bad = result.violations()
         if bad:
             for run in bad:
@@ -449,7 +443,7 @@ def cmd_trace(args) -> int:
     from .runtime import Scheduler
     from .sim import Engine
 
-    machine = _machine_from_args(args)
+    machine = machine_from_args(args)
     algorithm = make_algorithm(args.alg, machine)
     build = algorithm.build_cached(args.n, args.threads)
     schedule = Scheduler(machine, args.threads, policy=args.policy).run(build.graph)
@@ -472,11 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("describe", help="print the simulated platform spec")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("study", help="run the EP study (Tables II-IV)")
-    _add_machine_args(p)
+    add_machine_args(p)
     add_format_arg(p)
     add_trace_arg(p)
     p.add_argument("--sizes", type=int, nargs="+", default=[256, 512])
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_engines)
 
     p = sub.add_parser("choose", help="algorithm choice under a power cap")
-    _add_machine_args(p)
+    add_machine_args(p)
     add_format_arg(p)
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--threads", type=int, nargs="+", default=[1, 2, 3, 4])
@@ -510,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_choose)
 
     p = sub.add_parser("crossover", help="Eq. 9 crossover analysis")
-    _add_machine_args(p)
+    add_machine_args(p)
     add_format_arg(p)
     p.add_argument("--efficiency", type=float, default=0.92)
     p.set_defaults(func=cmd_crossover)
@@ -524,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sparse", help="SpMV storage-scheme EP study")
-    _add_machine_args(p)
+    add_machine_args(p)
     add_format_arg(p)
     add_trace_arg(p)
     p.add_argument("--pattern", choices=("banded", "random", "powerlaw"),
@@ -543,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="distributed-memory EP study (closed-form), or with "
         "--simulate a discrete-event network simulation P-sweep",
     )
-    _add_machine_args(p)
+    add_machine_args(p)
     add_format_arg(p)
     add_trace_arg(p)
     p.add_argument("--n", type=int, default=8192)
@@ -585,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the study service on a unix socket (content-addressed "
         "result store, request dedup, batched computes)",
     )
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--socket", required=True, help="unix socket path to listen on")
     p.add_argument("--store", default=None,
                    help="result-store directory; without one the service "
@@ -612,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("trace", help="schedule one algorithm and export a trace")
-    _add_machine_args(p)
+    add_machine_args(p)
     p.add_argument("--alg", default="caps", help="algorithm name (see registry)")
     p.add_argument("--n", type=int, default=512)
     p.add_argument("--threads", type=int, default=4)

@@ -5,12 +5,15 @@ The kernel is a transcription of the scalar ``reference`` spec
 flattened numeric buffers: the same absolute-exhaust-time store, the
 same EPS adjustment, the same work-space interval corrections, the same
 share refresh, the same policy/queue disciplines and the same pre-order
-zero-cost ``cascade``.  It seats tasks from the precomputed plan bundle
-(:mod:`repro.runtime.plans`), whose columns evaluate the expressions
-the spec evaluates at dispatch.  Every floating-point expression is
-written with the operand order of the spec, and the library is
-compiled with ``-ffp-contract=off`` and no fast-math, so on IEEE-754
-doubles it, the spec and the ``fast`` kernel emit the same
+zero-cost ``cascade``.  Like the spec, it prices each task when it is
+dispatched, from the arena's cost columns and the machine's rates: the
+same expressions (``rate``, ``dur = work / rate``, ``t + dur``,
+``t + (dur - EPS / rate)``) in the same operand order.  Seeds, the
+zero-cost test and creator affinity are read from the arena's columns
+as the sweep needs them, so the kernel reads the arena and nothing
+built for it.  The
+library is compiled with ``-ffp-contract=off`` and no fast-math, so on
+IEEE-754 doubles it, the spec and the ``fast`` kernel emit the same
 :class:`~repro.runtime.scheduler.Schedule` columns bit for bit: its
 output arrays (records, interval rows, busy rows) are that format, and
 the Python kernels pack their row lists into the same arrays.
@@ -26,16 +29,16 @@ from __future__ import annotations
 __all__ = ["ABI_VERSION", "SWEEP_SOURCE"]
 
 #: Version of the SweepArgs struct layout + error-code contract.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 SWEEP_SOURCE = r"""
-/* Compiled event sweep over flattened seat-plan / arena buffers.
+/* Compiled event sweep over an arena's columns.
  *
  * Transcribes Scheduler._run_reference bit for bit; all state lives in
  * one malloc'd scratch block carved below.  Errors are
  * reported through err_code/err_a/err_b (never longjmp, never stdout);
- * the Python wrapper rebuilds the fast engine's exact exception
- * messages from them.
+ * the Python wrapper rebuilds the spec's exact exception messages
+ * from them.
  */
 #include <math.h>
 #include <stdint.h>
@@ -54,35 +57,30 @@ enum {
 };
 
 typedef struct {
-    /* ---- graph + flattened seat plan (all borrowed, read-only) ---- */
+    /* ---- the arena's columns (all borrowed, read-only) ---- */
     int64_t n;
-    const int64_t *priv_ptr;   /* n+1: CSR over private-dim entries   */
-    const int64_t *priv_dim;
-    const double  *priv_rate;
-    const double  *priv_dur;
-    const double  *priv_adj;   /* dur - EPS/rate, precomputed         */
-    const double  *priv_dem;
-    const int64_t *shr_ptr;    /* n+1: CSR over shared-dim entries    */
-    const int64_t *shr_dim;
-    const double  *shr_work;
-    const int64_t *alive0;     /* n: entry count / trivial / bad-dim  */
-    const uint8_t *affinity;   /* n: tied AND has creator             */
-    const uint8_t *zeros;      /* n: cost exactly zero                */
+    const double  *flops;      /* n: the five demand columns and the  */
+    const double  *efficiency; /*    compute efficiency               */
+    const double  *bytes_l1;
+    const double  *bytes_l2;
+    const double  *bytes_l3;
+    const double  *bytes_dram;
+    const uint8_t *untied;     /* n: untied flags                     */
     const int64_t *created;    /* n: creator tid or -1                */
-    const int64_t *indeg0;     /* n: initial indegrees                */
+    const int64_t *indeg0;     /* n: dependency counts                */
     const int64_t *succ_ptr;   /* n+1: successor CSR                  */
     const int64_t *succ_idx;
-    const int64_t *seeds;      /* source tids in task order           */
-    int64_t n_seeds;
     const double *prio;        /* n critical-policy priorities or NULL */
     /* ---- machine ---- */
+    double core_peak;
+    double l1_bw;
+    double l2_bw;
     int64_t threads;
     const int64_t *socket_of;  /* threads */
     int64_t num_sockets;
     double l3_bw;
     double dram_bw;
     int64_t policy;            /* 0 fifo, 1 lifo, 2 critical, 3 steal */
-    int64_t any_created;
     /* ---- outputs (caller-allocated) ---- */
     int64_t *rec_tid;
     int64_t *rec_core;
@@ -110,6 +108,7 @@ typedef struct {
 typedef struct {
     SweepArgs *a;
     int64_t n, P, NE, nsock;
+    const double *work[5];     /* demand column per dim               */
     /* ready queues (policy-dependent storage) */
     int64_t *qbuf;             /* fifo ring head/tail, or lifo stack  */
     int64_t q_head, q_tail;    /* fifo */
@@ -153,6 +152,13 @@ typedef struct {
 } St;
 
 static size_t align16(size_t x) { return (x + 15) & ~(size_t)15; }
+
+/* The spec's `not any(demands[tid])`: every demand exactly zero. */
+static int zero_cost(const St *s, int64_t tid) {
+    return s->work[0][tid] == 0.0 && s->work[1][tid] == 0.0 &&
+           s->work[2][tid] == 0.0 && s->work[3][tid] == 0.0 &&
+           s->work[4][tid] == 0.0;
+}
 
 static int fail(St *s, int64_t code, int64_t ea, int64_t eb) {
     s->a->err_code = code;
@@ -322,7 +328,7 @@ static int64_t cascade(St *s, int64_t root, double when) {
         {
             int64_t succ = a->succ_idx[pos];
             if (--s->indeg[succ] == 0) {
-                if (a->zeros[succ]) {
+                if (zero_cost(s, succ)) {
                     if (emit_rec(s, succ, -1, when, when)) return -1;
                     count++;
                     sp++;
@@ -476,6 +482,7 @@ int64_t repro_sweep(SweepArgs *a) {
     int64_t n = a->n, P = a->threads, NE = P * 5, nsock = a->num_sockets;
     int64_t un_cap = 2 * P + 2;
     int64_t k, e;
+    int track_affinity = a->policy == 3;
 
     memset(&s, 0, sizeof(s));
     s.a = a;
@@ -483,6 +490,11 @@ int64_t repro_sweep(SweepArgs *a) {
     s.P = P;
     s.NE = NE;
     s.nsock = nsock;
+    s.work[0] = a->flops;
+    s.work[1] = a->bytes_l1;
+    s.work[2] = a->bytes_l2;
+    s.work[3] = a->bytes_l3;
+    s.work[4] = a->bytes_dram;
     a->rec_count = a->iv_count = a->busy_count = 0;
     a->makespan = 0.0;
     a->migrations = a->steals = 0;
@@ -574,17 +586,20 @@ int64_t repro_sweep(SweepArgs *a) {
     s.fc_len = P;
     s.t = 0.0;
 
+    for (k = 0; k < n && !track_affinity; k++)   /* any task has a creator */
+        if (a->created[k] >= 0) track_affinity = 1;
+
     /* ---- seed the sources in tid order, as the spec does ---- */
-    for (k = 0; k < a->n_seeds; k++) {
-        int64_t tid = a->seeds[k];
-        if (a->zeros[tid]) {
+    for (k = 0; k < n; k++) {
+        if (a->indeg0[k] != 0) continue;
+        if (zero_cost(&s, k)) {
             int64_t c;
-            if (emit_rec(&s, tid, -1, 0.0, 0.0)) goto out;
-            c = cascade(&s, tid, 0.0);
+            if (emit_rec(&s, k, -1, 0.0, 0.0)) goto out;
+            c = cascade(&s, k, 0.0);
             if (c < 0) goto out;
             s.done += c;
         } else {
-            push_ready(&s, tid);
+            push_ready(&s, k);
         }
     }
 
@@ -594,7 +609,6 @@ int64_t repro_sweep(SweepArgs *a) {
             int64_t nfree = s.fc_len;
             int64_t nready = qlen(&s);
             int64_t batch = nfree < nready ? nfree : nready;
-            int track_affinity = (a->policy == 3) || a->any_created;
             while (batch--) {
                 int64_t core = s.fc[s.fc_len - 1];
                 int64_t tid;
@@ -604,7 +618,7 @@ int64_t repro_sweep(SweepArgs *a) {
                 else tid = heap_pop(&s);
                 if (track_affinity) {
                     int64_t creator = a->created[tid];
-                    if (a->policy != 3 && a->affinity[tid]) {
+                    if (a->policy != 3 && !a->untied[tid] && creator >= 0) {
                         int64_t want = s.task_core[creator];
                         if (want >= 0) {
                             int found = 0;
@@ -640,50 +654,49 @@ int64_t repro_sweep(SweepArgs *a) {
                 s.run_tail = core;
                 s.run_count++;
                 s.start_of[core] = s.t;
-                /* seat private entries from the precomputed plan */
+                /* price the task's entries, as the spec does */
                 {
-                    int64_t p0 = a->priv_ptr[tid], p1 = a->priv_ptr[tid + 1];
-                    int64_t base = core * 5, p;
-                    for (p = p0; p < p1; p++) {
-                        int64_t dim = a->priv_dim[p];
-                        double rate = a->priv_rate[p];
-                        int64_t ent = base + dim;
-                        s.rof[ent] = rate;
-                        s.tt[ent] = s.t + a->priv_dur[p];
-                        s.ta[ent] = s.t + a->priv_adj[p];
-                        s.dem[ent] = a->priv_dem[p];
-                        s.seat[ent] = s.t;
-                        s.rs[dim] += rate;
-                        s.du[dim]++;
+                    int64_t base = core * 5, entries = 0, dim;
+                    double t = s.t;
+                    for (dim = 0; dim < 3; dim++) {
+                        double work = s.work[dim][tid];
+                        double rate = dim == 0 ? a->efficiency[tid] * a->core_peak
+                                      : dim == 1 ? a->l1_bw : a->l2_bw;
+                        if (work > EPS) {
+                            int64_t ent = base + dim;
+                            double dur;
+                            if (rate <= 0.0) {
+                                fail(&s, ERR_ZERO_RATE, tid, dim);
+                                goto out;
+                            }
+                            dur = work / rate;
+                            s.rof[ent] = rate;
+                            s.tt[ent] = t + dur;
+                            s.ta[ent] = t + (dur - EPS / rate);
+                            s.dem[ent] = work;
+                            s.seat[ent] = t;
+                            s.rs[dim] += rate;
+                            s.du[dim]++;
+                            entries++;
+                        }
                     }
-                }
-                /* shared entries queue on `unseated` until post-batch */
-                {
-                    int64_t h0 = a->shr_ptr[tid], h1 = a->shr_ptr[tid + 1];
-                    int64_t h;
-                    if (h1 > h0) {
-                        for (h = h0; h < h1; h++) {
-                            int64_t dim = a->shr_dim[h];
+                    /* shared entries queue on `unseated` until post-batch */
+                    for (dim = 3; dim < 5; dim++) {
+                        double work = s.work[dim][tid];
+                        if (work > EPS) {
                             s.un_core[s.un_n] = core;
                             s.un_dim[s.un_n] = dim;
-                            s.un_work[s.un_n] = a->shr_work[h];
+                            s.un_work[s.un_n] = work;
                             s.un_n++;
                             s.du[dim]++;
                             if (dim == 3) s.l3_users[a->socket_of[core]]++;
+                            s.shares_dirty = 1;
+                            entries++;
                         }
-                        s.shares_dirty = 1;
                     }
-                }
-                {
-                    int64_t al = a->alive0[tid];
-                    s.alive[core] = al;
-                    if (al <= 0) {
-                        if (al < 0) {
-                            fail(&s, ERR_ZERO_RATE, tid, -1 - al);
-                            goto out;
-                        }
+                    s.alive[core] = entries;
+                    if (entries == 0)   /* every demand within EPS */
                         s.ptriv[s.ptriv_n++] = core;
-                    }
                 }
             }
         }

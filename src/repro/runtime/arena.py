@@ -164,8 +164,8 @@ class TaskArena:
     """A task graph as structure-of-arrays columns + CSR dependencies.
 
     Immutable by convention: every consumer treats the arrays as
-    read-only (the event kernels cache their plan bundle on the
-    instance, see :mod:`repro.runtime.plans`).  Derived structures
+    read-only (the fast kernel caches its plan bundle on the instance,
+    see :mod:`repro.runtime.plans`).  Derived structures
     (successor CSR, resolved name lists) are cached under ``_c_*``
     attributes and dropped on pickling.
     """
@@ -236,10 +236,20 @@ class TaskArena:
     def validate(self) -> None:
         """Check the CSR invariants; every dependency must point at a
         *lower* tid, which rules out cycles wholesale (the same
-        by-construction property the builders enforce row by row).  Memoized — arenas are immutable."""
+        by-construction property the builders enforce row by row).
+        Every per-task column must have one row per task: the C kernel
+        reads them through raw pointers.  Memoized — arenas are
+        immutable."""
         if self._validated:
             return
         n = len(self)
+        for field in (*_COST_FIELDS, "untied", "created_by"):
+            rows = len(getattr(self, field))
+            if rows != n:
+                raise ValidationError(
+                    f"arena {self.name!r}: column {field} has {rows} rows "
+                    f"for {n} tasks"
+                )
         ptr = self.dep_indptr
         if len(ptr) != n + 1 or ptr[0] != 0 or int(ptr[-1]) != len(self.dep_indices):
             raise ValidationError(
@@ -463,8 +473,8 @@ class TaskArena:
     # ---- pickling ------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Drop derived caches (and the engines' plan bundle) — they are
-        rebuilt lazily; only the core columns are pickled."""
+        """Drop derived caches (and the fast kernel's plan bundle) —
+        they are rebuilt lazily; only the core columns are pickled."""
         return {
             k: v
             for k, v in self.__dict__.items()

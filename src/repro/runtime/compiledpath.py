@@ -5,12 +5,15 @@ The third interchangeable engine: the event sweep of the scalar
 transcribed to C (source embedded in
 :mod:`repro.runtime._sweep_src`), compiled once per process with the
 system C compiler and driven through :mod:`ctypes`.  The hot loop
-touches only flat numeric buffers — the arena's
-:class:`~repro.runtime.plans.PlanBundle` of contiguous numpy arrays
-(CSR seat plans, successor CSR, per-task flags), built vectorized once
-per ``(arena, machine)`` — and the kernel writes records, interval rows
-and busy spans straight into preallocated output arrays.  No Python
-objects, dicts, or per-event allocation anywhere in the sweep.
+touches only flat numeric buffers: the arena's own columns (the cost
+columns, dependency counts, untied flags, creators and the cached
+successor CSR) and the machine's rates.  Like the spec, it prices each
+task when it dispatches it, so a run builds and keeps nothing per
+``(arena, machine)``; only the ``critical`` policy's priorities are
+computed per run (:meth:`~repro.runtime.arena.TaskArena.critical_priorities`).
+The kernel writes records, interval rows and busy spans straight into
+preallocated output arrays.  No Python objects, dicts, or per-event
+allocation anywhere in the sweep.
 
 Numerics contract: the C kernel evaluates the same IEEE-754 double
 expressions in the same order as ``reference`` and ``run_fast``
@@ -59,8 +62,7 @@ from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
 from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
-from .plans import plan_bundle
-from .scheduler import _NO_PROGRESS, Schedule
+from .scheduler import _EPS, _NO_PROGRESS, Schedule
 from .stats import RuntimeStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -313,32 +315,27 @@ class _SweepArgs(ctypes.Structure):
 
     _fields_ = [
         ("n", _I),
-        ("priv_ptr", _P),
-        ("priv_dim", _P),
-        ("priv_rate", _P),
-        ("priv_dur", _P),
-        ("priv_adj", _P),
-        ("priv_dem", _P),
-        ("shr_ptr", _P),
-        ("shr_dim", _P),
-        ("shr_work", _P),
-        ("alive0", _P),
-        ("affinity", _P),
-        ("zeros", _P),
+        ("flops", _P),
+        ("efficiency", _P),
+        ("bytes_l1", _P),
+        ("bytes_l2", _P),
+        ("bytes_l3", _P),
+        ("bytes_dram", _P),
+        ("untied", _P),
         ("created", _P),
         ("indeg0", _P),
         ("succ_ptr", _P),
         ("succ_idx", _P),
-        ("seeds", _P),
-        ("n_seeds", _I),
         ("prio", _P),
+        ("core_peak", _D),
+        ("l1_bw", _D),
+        ("l2_bw", _D),
         ("threads", _I),
         ("socket_of", _P),
         ("num_sockets", _I),
         ("l3_bw", _D),
         ("dram_bw", _D),
         ("policy", _I),
-        ("any_created", _I),
         ("rec_tid", _P),
         ("rec_core", _P),
         ("rec_start", _P),
@@ -373,6 +370,9 @@ _ERR_NO_PROGRESS = 3
 
 _POLICY_CODE = {"fifo": 0, "lifo": 1, "critical": 2, "steal": 3}
 
+#: The arena's demand columns, in the kernel's dimension order.
+_DEMAND_FIELDS = ("flops", "bytes_l1", "bytes_l2", "bytes_l3", "bytes_dram")
+
 
 # ---------------------------------------------------------------------------
 # run
@@ -385,26 +385,29 @@ def run_compiled(sched: "Scheduler", arena: "TaskArena") -> Schedule:
     and :class:`_KernelInternalError` on internal kernel bounds — both
     handled by :func:`run_compiled_or_fallback`.  Workload errors
     (zero service rate, deadlock, no progress) raise
-    :class:`~repro.util.errors.SchedulingError` with the fast engine's
-    exact messages and never fall back.
+    :class:`~repro.util.errors.SchedulingError` with the spec's exact
+    messages and never fall back.
     """
     fn = _load_kernel()
     arena.validate()
     n = len(arena)
     threads = sched.threads
-    with trace.span("plan", tasks=n) as span:
-        cp, cached = plan_bundle(arena, sched._plan_key)
-        prio_ptr = None
-        if sched.policy == "critical":
-            prio_ptr = cp.priorities(arena).ctypes.data
-        span.set(cached=cached)
-
+    key = sched._plan_key
+    prio = None
+    if sched.policy == "critical":
+        prio = arena.critical_priorities(arena.uncontended_durations(*key))
+    succ_ptr, succ_idx = arena.successors_csr()
+    indeg0 = arena.dep_counts
     socket_arr = np.asarray(sched._socket_of, dtype=np.int64)
 
     rec_cap = max(n, 1)
     # Every interval row retires >= 1 seat entry (an event that retires
-    # none raises ERR_NO_PROGRESS), so the total entry count bounds it.
-    iv_cap = cp.total_entries + 1
+    # none raises ERR_NO_PROGRESS), and a task seats one entry per
+    # demand above EPS, so their count bounds the rows.
+    iv_cap = 1 + sum(
+        int(np.count_nonzero(getattr(arena, field) > _EPS))
+        for field in _DEMAND_FIELDS
+    )
     busy_cap = n + 1
     rec_tid = np.empty(rec_cap, dtype=np.int64)
     rec_core = np.empty(rec_cap, dtype=np.int64)
@@ -417,32 +420,27 @@ def run_compiled(sched: "Scheduler", arena: "TaskArena") -> Schedule:
 
     args = _SweepArgs(
         n=n,
-        priv_ptr=cp.priv_ptr.ctypes.data,
-        priv_dim=cp.priv_dim.ctypes.data,
-        priv_rate=cp.priv_rate.ctypes.data,
-        priv_dur=cp.priv_dur.ctypes.data,
-        priv_adj=cp.priv_adj.ctypes.data,
-        priv_dem=cp.priv_dem.ctypes.data,
-        shr_ptr=cp.shr_ptr.ctypes.data,
-        shr_dim=cp.shr_dim.ctypes.data,
-        shr_work=cp.shr_work.ctypes.data,
-        alive0=cp.alive0.ctypes.data,
-        affinity=cp.affinity.ctypes.data,
-        zeros=cp.zeros.ctypes.data,
-        created=cp.created.ctypes.data,
-        indeg0=cp.indeg0.ctypes.data,
-        succ_ptr=cp.succ_ptr.ctypes.data,
-        succ_idx=cp.succ_idx.ctypes.data,
-        seeds=cp.seeds.ctypes.data,
-        n_seeds=len(cp.seeds),
-        prio=prio_ptr,
+        flops=arena.flops.ctypes.data,
+        efficiency=arena.efficiency.ctypes.data,
+        bytes_l1=arena.bytes_l1.ctypes.data,
+        bytes_l2=arena.bytes_l2.ctypes.data,
+        bytes_l3=arena.bytes_l3.ctypes.data,
+        bytes_dram=arena.bytes_dram.ctypes.data,
+        untied=arena.untied.ctypes.data,
+        created=arena.created_by.ctypes.data,
+        indeg0=indeg0.ctypes.data,
+        succ_ptr=succ_ptr.ctypes.data,
+        succ_idx=succ_idx.ctypes.data,
+        prio=None if prio is None else prio.ctypes.data,
+        core_peak=key[0],
+        l1_bw=key[1],
+        l2_bw=key[2],
         threads=threads,
         socket_of=socket_arr.ctypes.data,
         num_sockets=sched._num_sockets,
-        l3_bw=sched.machine.l3_bandwidth,
-        dram_bw=sched.machine.dram_bandwidth,
+        l3_bw=key[3],
+        dram_bw=key[4],
         policy=_POLICY_CODE[sched.policy],
-        any_created=1 if cp.any_created else 0,
         rec_tid=rec_tid.ctypes.data,
         rec_core=rec_core.ctypes.data,
         rec_start=rec_start.ctypes.data,
@@ -508,10 +506,10 @@ def run_compiled_or_fallback(
     Returns the schedule and the kernel that produced it.  Workload
     :class:`SchedulingError`\\ s propagate — falling back would just
     re-raise the identical error slower."""
-    from .fastpath import run_fast
-
     try:
         return run_compiled(sched, arena), "compiled"
     except (_JitError, _KernelInternalError) as exc:
         record_fallback(str(exc))
-        return run_fast(sched, arena), "fast"
+    from .fastpath import run_fast  # only a fallback pays its import
+
+    return run_fast(sched, arena), "fast"

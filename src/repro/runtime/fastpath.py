@@ -13,11 +13,12 @@ float expressions, in the same operand order, and adds only what makes
 Python fast:
 
 * a per-``(arena, machine)`` **seat plan**, cached on the arena's plan
-  bundle (:mod:`repro.runtime.plans`): for every task, the private
-  dimensions above EPS with their precomputed ``(rate, d/rate,
-  d/rate - EPS/rate)`` and the shared dimensions with their work.  The
-  spec evaluates the same expressions at dispatch; tasks with equal
-  cost rows share one tuple.
+  bundle (:mod:`repro.runtime.plans`, which only this kernel reads):
+  for every task, the private dimensions above EPS with their
+  precomputed ``(rate, d/rate, d/rate - EPS/rate)`` and the shared
+  dimensions with their work.  The spec and the C kernel evaluate the
+  same expressions at dispatch instead; tasks with equal cost rows
+  share one tuple.
 * skipped bookkeeping where it cannot fire: creator affinity when no
   task has a creator, the membership filter when every running task
   finished, the recursion into zero-cost successors when there is

@@ -1,17 +1,18 @@
-"""The scheduler's plan bundle, built vectorized from arena columns.
+"""The fast kernel's plan bundle, built vectorized from arena columns.
 
-Both production event kernels seat tasks from one per-(arena, machine)
+The ``fast`` kernel seats tasks from one per-(arena, machine)
 :class:`PlanBundle`: CSR private seat entries ``(dim, rate, dur,
 adj_dur, demand)`` for the compute/L1/L2 demands above EPS, CSR shared
 ``(dim, work)`` L3/DRAM entries, per-task ``alive0`` codes, affinity and
-exactly-zero flags, indegrees, seeds and the successor CSR.
+exactly-zero flags, indegrees and seeds.
 :func:`build_bundle` derives them with whole-column numpy passes that
 evaluate the object builder's IEEE expressions
 (:func:`repro.testing.seatplans.object_seat_plan`, the oracle) in its
 operand order, so every float is bit-identical (DESIGN.md §13.2).
-``compiled`` hands the arrays to C; ``fast`` derives its seat tuples
-from them once.  The bundle is cached on the arena under
-:data:`_PLAN_ATTR` (dropped from pickles).
+``fast`` derives its seat tuples from the bundle once; the bundle is
+cached on the arena under :data:`_PLAN_ATTR` (dropped from pickles).
+The spec and the C kernel price each task at dispatch from the arena's
+columns instead, so this module has one reader and goes with ``fast``.
 """
 
 from __future__ import annotations
@@ -39,12 +40,9 @@ class PlanBundle:
         "alive0",         # int64 entry count / 0 trivial / -1-dim bad
         "affinity",       # uint8: tied AND has a creator
         "zeros",          # uint8: cost exactly zero
-        "created",        # int64 creator tid, -1 for none
         "indeg0",         # int64 initial indegrees
-        "succ_ptr", "succ_idx",  # successor CSR (ascending tids)
         "seeds",          # int64 tids with no dependencies, in tid order
         "any_created",    # any task has a creator (affinity can fire)
-        "total_entries",  # finite seat entries; bounds the interval count
         "crit_prio",      # float64 critical-policy priorities or None
         "seat_plan",      # the fast kernel's derived seat tuples or None
     )
@@ -105,16 +103,14 @@ def build_bundle(arena: TaskArena, key: tuple) -> PlanBundle:
     cp.alive0 = np.where(
         bad.any(axis=1), -1 - bad.argmax(axis=1), n_priv + n_shr
     ).astype(np.int64)
-    cp.created = arena.created_by
-    cp.affinity = (~arena.untied & (cp.created >= 0)).astype(np.uint8)
+    created = arena.created_by
+    cp.affinity = (~arena.untied & (created >= 0)).astype(np.uint8)
     cp.zeros = (
         (f == 0.0) & (b1 == 0.0) & (b2 == 0.0) & (b3 == 0.0) & (bd == 0.0)
     ).astype(np.uint8)
     cp.indeg0 = arena.dep_counts
-    cp.succ_ptr, cp.succ_idx = arena.successors_csr()
     cp.seeds = np.flatnonzero(cp.indeg0 == 0)
-    cp.any_created = bool((cp.created >= 0).any())
-    cp.total_entries = int(np.maximum(cp.alive0, 0).sum())
+    cp.any_created = bool((created >= 0).any())
     cp.crit_prio = None
     cp.seat_plan = None
     return cp

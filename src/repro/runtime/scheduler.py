@@ -376,7 +376,8 @@ class Scheduler:
 
     @property
     def _plan_key(self) -> tuple[float, float, float, float, float]:
-        """The machine constants a seat plan depends on (its cache key)."""
+        """The machine constants a task's pricing depends on: the rates
+        the C kernel prices with, and the fast kernel's plan cache key."""
         m = self.machine
         return (self._core_peak, self._l1_bw, self._l2_bw, m.l3_bandwidth, m.dram_bandwidth)
 

@@ -1,6 +1,6 @@
 """Reference seat-plan builder: one ``Task`` object at a time.
 
-:func:`repro.runtime.plans.build_bundle` derives the event kernels'
+:func:`repro.runtime.plans.build_bundle` derives the fast kernel's
 seat plan from an arena's columns with whole-column numpy passes, and
 the fast kernel derives its per-task seat tuples from that bundle.
 This module is the slow, obvious version they must equal: each task's

@@ -342,6 +342,13 @@ class TestValidate:
         with pytest.raises(ValidationError):
             _rebuild(arena, name_ids=bad).validate()
 
+    @pytest.mark.parametrize("field", ["bytes_dram", "untied", "created_by"])
+    def test_short_column_rejected(self, field):
+        arena = _rebuild(_graph_with_deps().to_arena())
+        setattr(arena, field, getattr(arena, field)[:-1])
+        with pytest.raises(ValidationError, match=f"column {field} has 2 rows for 3"):
+            arena.validate()
+
     def test_template_builder_rejects_unresolved_splice(self):
         tb = TemplateBuilder(NameInterner())
         tb.emit("dangling", ZERO_COST, (EXT_DEP,), created_by=EXT_CREATOR)

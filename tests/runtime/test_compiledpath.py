@@ -116,6 +116,42 @@ def test_bit_identical_strassen_arena(machine, policy):
     assert_bit_identical(fast, comp)
 
 
+#: (flops, bytes_l1, bytes_l2, bytes_l3, bytes_dram): demands at the
+#: edges of the dispatch pricing's ``work > EPS`` test.
+EPS = 1e-9
+EDGE_DEMANDS = [
+    (1e6, 0.0, 32.0, 128.0, 256.0),       # every kind of live entry
+    (0.0, 0.0, 0.0, 0.0, 0.0),            # exactly zero (a join)
+    (EPS / 2, 0.0, 0.0, EPS, 0.0),        # sub-EPS / at-EPS only: trivial
+    (EPS, 2 * EPS, 0.0, 0.0, EPS / 4),    # EPS itself is not above EPS
+    (1e3, 1e3, 1e3, 0.0, 1e-12),          # sub-EPS shared demand dropped
+    (-0.0, 0.0, 0.0, 0.0, 0.0),           # negative zero is exactly zero
+]
+
+
+@requires_cc
+@pytest.mark.parametrize("policy", POLICIES)
+def test_bit_identical_to_the_spec_on_edge_demands(machine, policy):
+    """The C kernel prices tasks at dispatch itself: on sub-EPS, at-EPS,
+    exactly-zero and negative-zero demands, tied and untied tasks with
+    creators, it emits the spec's schedule bit for bit."""
+    omp = OpenMP("edges")
+    for i in range(24):
+        f, b1, b2, b3, bd = EDGE_DEMANDS[i % len(EDGE_DEMANDS)]
+        omp.task(
+            f"e{i}",
+            TaskCost(flops=f, efficiency=0.25 + 0.125 * (i % 5), bytes_l1=b1,
+                     bytes_l2=b2, bytes_l3=b3, bytes_dram=bd),
+            deps=[i - 3] if i >= 3 else [],
+            untied=i % 2 == 0,
+            created_by=i - 1 if i % 3 else None,
+        )
+    for threads in (1, 2, 3):
+        ref = _run(machine, omp.graph, policy, threads, "reference")
+        comp = _run(machine, omp.graph, policy, threads, "compiled")
+        assert_bit_identical(ref, comp)
+
+
 @requires_cc
 def test_zero_cost_only(machine):
     omp = OpenMP("zeros")
@@ -130,39 +166,52 @@ def test_zero_cost_only(machine):
 
 
 # ---------------------------------------------------------------------------
-# plan bundle caching
+# per-arena state: the C kernel keeps none, the fast kernel's bundle
 
 
 @requires_cc
+def test_compiled_run_keeps_no_plan_bundle(machine):
+    """The C kernel prices each task at dispatch from the arena's
+    columns: a compiled run builds no plan bundle, and all it leaves on
+    the arena are derived ``_c_*`` caches, which pickles drop."""
+    from repro.algorithms import StrassenWinograd
+
+    arena = StrassenWinograd(machine).build_arena(128, 2).graph
+    before = set(vars(arena))
+    for policy in POLICIES:
+        Scheduler(machine, 2, policy, engine="compiled").run(arena)
+    assert not hasattr(arena, plans._PLAN_ATTR)
+    added = set(vars(arena)) - before
+    assert all(k.startswith("_c_") for k in added), added
+
+
 def test_plan_bundle_cached_and_dropped_from_pickles(machine):
     omp = wide_region(30)
-    sched = Scheduler(machine, 2, engine="compiled")
+    sched = Scheduler(machine, 2, engine="fast")
     arena = omp.graph
     sched.run(arena)
-    # The bundle is cached on the arena and reused across runs.
+    # The fast kernel caches its bundle on the arena and reuses it.
     bundle = getattr(arena, plans._PLAN_ATTR)
     sched.run(omp.graph)
     assert omp.graph is arena
     assert getattr(arena, plans._PLAN_ATTR) is bundle  # reused, not rebuilt
 
     omp.task("late", TaskCost(flops=1e6), deps=[0])
-    fast = Scheduler(machine, 2, engine="fast").run(omp.graph)
-    comp = sched.run(omp.graph)
+    ref = Scheduler(machine, 2, engine="reference").run(omp.graph)
+    fast = sched.run(omp.graph)
     grown = getattr(omp.graph, plans._PLAN_ATTR)
     assert grown is not bundle and grown.n == 31  # regrown for the new task
-    assert_bit_identical(fast, comp)
+    assert_bit_identical(ref, fast)
     clone = pickle.loads(pickle.dumps(omp.graph))
     assert getattr(clone, plans._PLAN_ATTR, None) is None
 
 
-@requires_cc
 def test_arena_pickle_drops_plan_bundle(machine):
     from repro.algorithms import StrassenWinograd
 
     arena = StrassenWinograd(machine).build_arena(128, 2).graph
-    Scheduler(machine, 2, engine="compiled").run(arena)
     Scheduler(machine, 2, engine="fast").run(arena)
-    # One cache attribute serves both kernels.
+    # One cache attribute holds the bundle and the seat tuples.
     bundle = getattr(arena, plans._PLAN_ATTR)
     assert bundle.seat_plan is not None
     assert [k for k in vars(arena) if "plan" in k] == [plans._PLAN_ATTR]
@@ -316,8 +365,8 @@ def test_zero_rate_message_parity(machine):
             sched.run(g)
         return str(exc.value)
 
-    assert run("fast") == run("compiled")
-    assert "zero service rate" in run("fast")
+    assert run("reference") == run("fast") == run("compiled")
+    assert "zero service rate" in run("reference")
 
 
 # ---------------------------------------------------------------------------

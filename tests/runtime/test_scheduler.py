@@ -174,21 +174,21 @@ class TestValidation:
     def test_an_event_that_retires_nothing_raises(self, machine, engine):
         """An event whose seat entries all sit past it (``ta > tt``)
         retires nothing; each kernel raises instead of repeating it for
-        ever.  ``reference`` prices the entry from a NaN efficiency
-        column (every comparison with it is false); ``fast`` and
-        ``compiled`` seat from a plan bundle whose EPS-adjusted time is
-        one ulp past the true exhaust time."""
+        ever.  ``reference`` and ``compiled`` price the entry at
+        dispatch from a NaN efficiency column (every comparison with it
+        is false); ``fast`` seats from a plan bundle whose EPS-adjusted
+        time is one ulp past the true exhaust time."""
         if engine == "compiled" and not compiled_available()[0]:
             pytest.skip("compiled engine unavailable")
         omp = OpenMP("spin")
         omp.task("a", TaskCost(flops=1e9))
         arena = omp.graph
         sched = Scheduler(machine, threads=1, engine=engine)
-        if engine == "reference":
-            arena.efficiency[0] = np.nan
-        else:
+        if engine == "fast":
             cp, _ = plan_bundle(arena, sched._plan_key)
             cp.priv_adj = np.nextafter(cp.priv_dur, np.inf)
+        else:
+            arena.efficiency[0] = np.nan
         with pytest.raises(SchedulingError, match="made no progress"):
             sched.run(arena)
 

@@ -217,3 +217,24 @@ def test_request_threads_default_to_the_papers():
     from repro.service.client import StudyRequest
 
     assert StudyRequest(("caps",), (256,)).threads == PAPER_THREADS
+
+
+def test_a_compiled_study_loads_no_fast_kernel():
+    """The C kernel prices each task at dispatch from the arena's
+    columns, so a compiled study never imports the fast kernel or the
+    plan bundle it seats from."""
+    from repro.runtime.compiledpath import compiled_available
+
+    if not compiled_available()[0]:
+        pytest.skip("compiled engine unavailable")
+    proc = _python("""
+        import sys
+        from repro.api import RunOptions, Study
+        from repro.machine import haswell_e3_1225
+        study = Study(haswell_e3_1225(), sizes=(128,), execute_max_n=0, verify=False)
+        study.run(RunOptions(engine="compiled"))
+        print(sorted(m for m in sys.modules if m.startswith("repro.runtime.")
+                     and m.split(".")[-1] in ("compiledpath", "fastpath", "plans")))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['repro.runtime.compiledpath']"

@@ -14,30 +14,37 @@ and the trace-driven cache simulator:
     The paper's full 48-cell execution matrix (3 algorithms x sizes
     {512..4096} x threads {1..4}), simulated cost-only by each engine
     in three alternating pairs after one warm-up study each (lowering
-    and plan bundles cached); the gated ``ratio`` is the median pair's.
+    and the fast kernel's plan bundles cached); the gated ``ratio`` is
+    the median pair's.
 ``compiled``
     The same 48-cell matrix as pure scheduler sweeps (no measurement
-    pipeline), fast versus the JIT-compiled C kernel.  Arenas, plan
-    bundles and the JIT cache are warmed before timing, so the gated
-    ``ratio`` (fast/compiled wall time) isolates the event sweep the
-    compiled engine replaces; it must stay above the absolute
-    ``COMPILED_FLOOR`` (3x).  The compiled wall time is small enough
-    that run-to-run noise dominates the ratio, so this section is not
-    held to the baseline-relative tolerance.
+    pipeline), fast versus the JIT-compiled C kernel.  Arenas, the fast
+    kernel's plan bundles and the JIT cache are warmed before timing
+    (the C kernel prices tasks at dispatch and keeps nothing per
+    arena), so the gated ``ratio`` (fast/compiled wall time) isolates
+    the event sweep the compiled engine replaces; it must stay above
+    the absolute ``COMPILED_FLOOR`` (3x).  The compiled wall time is
+    small enough that run-to-run noise dominates the ratio, so this
+    section is not held to the baseline-relative tolerance.
 ``study_e2e``
     The command users wait for: a cold cost-only ``Study.run`` of the
     execution matrix per engine (fresh algorithm instances each time,
-    so lowering, plan bundles and measurement are all paid; only the
-    JIT compile is excluded).  Each of five alternating timed units
-    per engine runs such studies until it has taken ``STUDY_UNIT_S``
-    (0.3 s) of CPU; a study's time is the best unit's mean.  Traced to
+    so lowering, the fast kernel's plan bundles and measurement are all
+    paid; only the JIT compile is excluded).  Each of five alternating
+    timed units per engine runs such studies until it has taken
+    ``STUDY_UNIT_S`` (0.3 s) of CPU; a study's time is the best unit's
+    mean.  Traced to
     split the CPU time (steadier than wall time on a shared host) into
     the ``plan``, ``sweep`` (the ``schedule`` span's self time) and
-    ``measure`` layers.  The gated ``ratio`` is fast/compiled
-    end-to-end CPU time: the kernel ratio above only counts if it
-    moves this one.  ``compiled_measure_share`` has the absolute
-    ceiling ``MEASURE_SHARE_LIMIT`` (0.25): the columnar measure layer
-    must not again lead the compiled study.  The ``compiled_verified_*``
+    ``measure`` layers (a compiled run has no ``plan`` span: it builds
+    no plan).  The gated ``ratio`` is fast/compiled end-to-end CPU
+    time: the kernel ratio above only counts if it moves this one.
+    ``compiled_measure_share`` has the absolute ceiling
+    ``MEASURE_SHARE_LIMIT`` (0.25): the columnar measure layer must not
+    again lead the compiled study.  ``compiled_plan_bundles`` counts
+    the arenas in the build cache that carry a plan bundle after the
+    compiled study; it must be 0, since the C kernel prices tasks at
+    dispatch from the arena's columns.  The ``compiled_verified_*``
     row times the default study as users run it — compiled, cells up to
     n=1024 verified — and the ``numerics`` and ``verify`` layers'
     shares of its CPU time, plus the largest planned temporary storage
@@ -308,7 +315,7 @@ def bench_matrix(machine, sizes: tuple[int, ...], pairs: int = 3) -> dict:
         return run
 
     runs = [study("reference"), study("fast")]
-    for run in runs:  # lowering and plan bundles are cached after this
+    for run in runs:  # lowering and fast's plan bundles are cached after this
         run()
     ref_s, fast_s, ratio = _paired(*runs, pairs)
     return {
@@ -325,11 +332,12 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
     """Execution-matrix scheduler sweeps, fast vs the compiled C kernel.
 
     Every cell of the matrix is lowered once up front and each engine
-    runs a full warm-up pass (plan bundles cached on the arenas, kernel
-    JIT-compiled via :func:`warm_compile`), so the timed sweeps compare
-    only the event kernels themselves — the paper-study work the
-    compiled engine accelerates.  Per-cell ``Scheduler.run`` only; the
-    measurement pipeline is identical across engines and excluded.
+    runs a full warm-up pass (the fast kernel's plan bundles cached on
+    the arenas, kernel JIT-compiled via :func:`warm_compile`), so the
+    timed sweeps compare only the event kernels themselves — the
+    paper-study work the compiled engine accelerates.  Per-cell
+    ``Scheduler.run`` only; the measurement pipeline is identical
+    across engines and excluded.
     """
     from repro.algorithms.registry import paper_algorithms
     from repro.runtime.compiledpath import compiled_available, warm_compile
@@ -358,7 +366,7 @@ def bench_compiled(machine, sizes: tuple[int, ...], repeats: int) -> dict:
         for graph, p in cells:
             table[p].run(graph)
 
-    sweep("fast")  # warm both engines' per-arena plan caches
+    sweep("fast")  # warm the fast kernel's per-arena plan cache
     sweep("compiled")
     reps = min(repeats, 3)
     out["fast_s"] = _best_of(lambda: sweep("fast"), reps)
@@ -403,6 +411,11 @@ def bench_study_e2e(machine, sizes: tuple[int, ...], repeats: int = 5) -> dict:
                     studies += 1
             if engine not in best or cpu / studies < best[engine][0]:
                 best[engine] = (cpu / studies, cpu, tr)
+    # The loop ends on a compiled study, whose arenas the cache holds.
+    out["compiled_plan_bundles"] = sum(
+        hasattr(build.graph, "_plan_bundle")
+        for _, build in default_build_cache()._entries.values()
+    )
     for engine, (per_study, cpu, tr) in best.items():
         layers = layer_times(tr, cpu=True)
         out[f"{engine}_s"] = per_study
@@ -1022,6 +1035,21 @@ def gate(current: dict, baseline: dict) -> int:
             failures.append(
                 f"study_e2e: measure share {share:.3f} exceeds "
                 f"{MEASURE_SHARE_LIMIT:.2f}"
+            )
+    bundles = current.get("study_e2e", {}).get("compiled_plan_bundles")
+    if bundles is None:
+        failures.append("study_e2e: missing compiled_plan_bundles")
+    else:
+        status = "ok" if bundles == 0 else "KEPT"
+        print(
+            f"  {'study_e2e':20s} compiled_plan_bundles: {bundles} cached "
+            f"arenas carry a plan bundle after the compiled study "
+            f"(limit 0) {status}"
+        )
+        if bundles:
+            failures.append(
+                f"study_e2e: {bundles} arenas keep a plan bundle after a "
+                f"compiled study"
             )
     netsim = current.get("network_sim", {})
     nratio = netsim.get("ratio")

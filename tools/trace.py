@@ -10,8 +10,8 @@ phase-summary table and the metrics dump, and optionally validates it::
   python tools/trace.py out.json --depth 2     # + each cell split into layers
 
 From ``--depth 2`` on, a study trace also gets a per-cell layer table:
-the self time of every span inside the ``cell`` spans (``plan``,
-``schedule`` — the event sweep — ``measure``, lowering, ``numerics`` —
+the self time of every span inside the ``cell`` spans (``plan`` on
+the fast kernel, ``schedule`` — the event sweep — ``measure``, lowering, ``numerics`` —
 stamping the numerics program, checking the start order and running
 the program — and ``verify``).  Each ``numerics`` span carries
 ``memo="hit"`` when the cell reused a memoized verification report (no
