@@ -57,6 +57,7 @@ import numpy as np
 
 from ..core.bounds import communication_floor_bytes, omega_for_algorithm
 from ..observability import trace
+from ..runtime.arena import longest_path_pass
 from ..runtime.rankevents import EventStreamBuilder, RankEventProgram
 from ..util.errors import ConfigurationError, ValidationError
 from ..util.validation import require_nonempty, require_positive
@@ -470,8 +471,9 @@ def simulate(
     with trace.span("netsim.lower", algorithm=algorithm, ranks=ranks) as sp:
         prog = build_events(cluster, algorithm, n, ranks, cfg)
         sp.set(events=prog.n_events)
-    with trace.span("netsim.events", events=prog.n_events):
+    with trace.span("netsim.events", events=prog.n_events) as sp:
         agg = prog.simulate()
+        sp.set(finish_pass=longest_path_pass())
     floor = communication_floor_bytes(
         n, ranks, cluster.node_memory_words(), omega_for_algorithm(algorithm)
     )

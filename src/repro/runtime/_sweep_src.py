@@ -1,6 +1,8 @@
-"""C source of the compiled event sweep (see ``compiledpath.py``).
+"""C source of the compiled library: the event sweep (see
+``compiledpath.py``) and the arena's longest-path passes.
 
-The kernel is a transcription of the scalar ``reference`` spec
+The event sweep ``repro_sweep`` is a transcription of the scalar
+``reference`` spec
 (:meth:`repro.runtime.scheduler.Scheduler._run_reference`) over
 flattened numeric buffers: the same absolute-exhaust-time store, the
 same EPS adjustment, the same work-space interval corrections, the same
@@ -18,18 +20,27 @@ IEEE-754 doubles it, the spec and the ``fast`` kernel emit the same
 output arrays (records, interval rows, busy rows) are that format, and
 the Python kernels pack their row lists into the same arrays.
 
+``repro_finish_times`` and ``repro_critical_priorities`` are the
+forward and reverse longest-path passes of
+:meth:`~repro.runtime.arena.TaskArena.finish_times` and
+:meth:`~repro.runtime.arena.TaskArena.critical_priorities`: one loop in
+task-id order over the arena's dependency CSR each, which
+``TaskArena.validate`` makes sound (every dependency names a lower id).
+
 The source lives in a Python string so the JIT cache can key the
 compiled ``.so`` by ``sha256(source + ABI + compiler)`` — editing the
 kernel automatically invalidates stale libraries.  Bump
-:data:`ABI_VERSION` whenever the ``SweepArgs`` struct layout changes.
+:data:`ABI_VERSION` whenever the ``SweepArgs`` struct layout or an
+exported function's signature changes.
 """
 
 from __future__ import annotations
 
 __all__ = ["ABI_VERSION", "SWEEP_SOURCE"]
 
-#: Version of the SweepArgs struct layout + error-code contract.
-ABI_VERSION = 2
+#: Version of the SweepArgs struct layout, the exported signatures and
+#: the error-code contract.
+ABI_VERSION = 3
 
 SWEEP_SOURCE = r"""
 /* Compiled event sweep over an arena's columns.
@@ -833,5 +844,45 @@ out:
     a->steals = s.steals;
     free(mem);
     return a->err_code;
+}
+
+/* ---- longest paths in task-id order ---------------------------------- *
+ *
+ * TaskArena.validate() has checked that every dependency names a lower
+ * tid, so one pass in tid order sees each task's dependencies final
+ * (forward) or each task's dependents final (reverse): no successor CSR,
+ * no frontier, no scratch.  max is exact in any order and every task
+ * gets one add, so both passes equal the scalar loops bit for bit.
+ * Durations hold no NaN (the caller rejects it).
+ */
+
+/* finish[t] = max(0, finish[deps of t]) + dur[t]. */
+void repro_finish_times(int64_t n, const int64_t *dep_ptr,
+                        const int64_t *dep_idx, const double *dur,
+                        double *finish) {
+    for (int64_t t = 0; t < n; t++) {
+        double start = 0.0;
+        for (int64_t k = dep_ptr[t]; k < dep_ptr[t + 1]; k++) {
+            double f = finish[dep_idx[k]];
+            if (f > start) start = f;
+        }
+        finish[t] = start + dur[t];
+    }
+}
+
+/* prio[t] = max(0, prio[dependents of t]) + dur[t]: from n-1 down to 0,
+ * each task finishes its own value and scatters it into its
+ * dependencies.  prio must arrive zeroed. */
+void repro_critical_priorities(int64_t n, const int64_t *dep_ptr,
+                               const int64_t *dep_idx, const double *dur,
+                               double *prio) {
+    for (int64_t t = n - 1; t >= 0; t--) {
+        double p = prio[t] + dur[t];
+        prio[t] = p;
+        for (int64_t k = dep_ptr[t]; k < dep_ptr[t + 1]; k++) {
+            int64_t d = dep_idx[k];
+            if (p > prio[d]) prio[d] = p;
+        }
+    }
 }
 """

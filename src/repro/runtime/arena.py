@@ -14,12 +14,15 @@ Two layers live here:
 
 * :class:`TaskArena` — the SoA/CSR container, with the structural
   metrics (``total_work_seconds``, ``critical_path_seconds``,
-  critical-policy priorities) computed by one linear-time Kahn frontier
-  pass over the CSR arrays (:func:`_longest_path`).  Each round pushes
-  the frontier's finish times to its successors with ``np.maximum.at``
-  and releases the successors whose last in-edge it was, so no round
-  touches a task outside the frontier's out-edges.  The pass is
-  bit-identical to the scalar loops of the object oracle
+  critical-policy priorities) computed by one longest-path pass in
+  task-id order over the dependency CSR.  :meth:`TaskArena.validate`
+  makes every dependency name a lower id, so a forward pass
+  (``finish_times``) sees each task's dependencies final and a reverse
+  pass (``critical_priorities``) each task's dependents; neither needs
+  a successor CSR.  Both passes run in the compiled library
+  (:mod:`repro.runtime.jit`); without a toolchain a numpy Kahn frontier
+  (:func:`_longest_path`) computes the same bits, counted as a fallback.
+  Either is bit-identical to the scalar loops of the object oracle
   (:mod:`repro.testing.taskgraph`): ``max`` is exact in any order and
   every task gets one add.
 * :class:`SubtreeTemplate` / :class:`TemplateBuilder` — relocatable
@@ -57,6 +60,7 @@ __all__ = [
     "SubtreeTemplate",
     "TaskArena",
     "TemplateBuilder",
+    "longest_path_pass",
 ]
 
 #: Dependency-list sentinel: "splice the external dependency list of the
@@ -127,7 +131,8 @@ def _longest_path(
     durations: np.ndarray,
 ) -> np.ndarray:
     """Longest weighted path ending at each node of a DAG, by Kahn's
-    algorithm in whole frontier rounds.
+    algorithm in whole frontier rounds: the no-toolchain twin of the
+    compiled passes (:func:`_compiled_passes`).
 
     ``in_ptr`` gives each node's incoming edge count (readiness),
     ``(out_ptr, out_idx)`` the outgoing adjacency along which finish
@@ -158,6 +163,44 @@ def _longest_path(
             f"task arena contains a cycle ({n - done} tasks unreachable)"
         )
     return finish
+
+
+#: The compiled passes ``(finish_times, critical_priorities)``, typed.
+_passes = None
+
+
+def _compiled_passes():
+    """The compiled library's two longest-path passes, or ``None`` when
+    the library cannot be had here.  A degraded pass is counted in
+    ``engine.compiled_fallbacks`` and warned about once, as the default
+    engine's is."""
+    global _passes
+    from . import jit
+
+    try:
+        lib = jit.load_library()
+    except jit.JitError as exc:
+        jit.record_fallback(str(exc), to="the numpy frontier sweep")
+        return None
+    if _passes is None:
+        import ctypes
+
+        argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 4
+        fns = (lib.repro_finish_times, lib.repro_critical_priorities)
+        for fn in fns:
+            fn.argtypes = argtypes
+            fn.restype = None
+        _passes = fns
+    return _passes
+
+
+def longest_path_pass() -> str:
+    """The pass :meth:`TaskArena.finish_times` and
+    :meth:`TaskArena.critical_priorities` run in this process:
+    ``"compiled"`` or ``"frontier"`` (the numpy fallback)."""
+    from .jit import compiled_available
+
+    return "compiled" if compiled_available()[0] else "frontier"
 
 
 class TaskArena:
@@ -353,7 +396,7 @@ class TaskArena:
             self._c_succ_lists = out
         return out
 
-    # ---- structural metrics (one frontier pass each) -------------------
+    # ---- structural metrics (one longest-path pass each) ---------------
 
     def uncontended_durations(
         self,
@@ -382,12 +425,43 @@ class TaskArena:
         order rounding)."""
         return float(np.sum(durations))
 
-    def finish_times(self, durations: np.ndarray) -> np.ndarray:
-        """Earliest-finish time of every task under *durations* — the
-        forward critical-path sweep over the dependency CSR."""
+    def _longest_paths(self, durations: np.ndarray, reverse: bool) -> np.ndarray:
+        """The forward (finish times) or reverse (priorities) longest
+        path of every task.  The arena is validated and *durations*
+        checked before any pass reads them: one float per task, no NaN
+        (``np.maximum`` would propagate one, the scalar loops skip it)."""
         self.validate()
-        sptr, sidx = self.successors_csr()
-        return _longest_path(len(self), self.dep_indptr, sptr, sidx, durations)
+        n = len(self)
+        durations = np.ascontiguousarray(durations, dtype=np.float64)
+        if durations.shape != (n,):
+            raise ValidationError(
+                f"arena {self.name!r}: durations of shape {durations.shape} "
+                f"for {n} tasks"
+            )
+        if n and np.isnan(durations.max()):
+            tid = int(np.flatnonzero(np.isnan(durations))[0])
+            raise ValidationError(f"arena {self.name!r}: task {tid} has a NaN duration")
+        passes = _compiled_passes()
+        if passes is None:
+            sptr, sidx = self.successors_csr()
+            if reverse:
+                return _longest_path(n, sptr, self.dep_indptr, self.dep_indices, durations)
+            return _longest_path(n, self.dep_indptr, sptr, sidx, durations)
+        out = np.zeros(n) if reverse else np.empty(n)
+        passes[reverse](
+            n,
+            self.dep_indptr.ctypes.data,
+            self.dep_indices.ctypes.data,
+            durations.ctypes.data,
+            out.ctypes.data,
+        )
+        return out
+
+    def finish_times(self, durations: np.ndarray) -> np.ndarray:
+        """Earliest-finish time of every task under *durations*:
+        ``max(0, finish of its dependencies) + duration``, one forward
+        pass in tid order."""
+        return self._longest_paths(durations, reverse=False)
 
     def critical_path_seconds(self, durations: np.ndarray) -> float:
         """T_inf: longest dependency chain under *durations*."""
@@ -396,13 +470,10 @@ class TaskArena:
 
     def critical_priorities(self, durations: np.ndarray) -> np.ndarray:
         """Longest path to any sink, per task — the ``critical`` policy
-        priority.  Bit-identical to the reference scalar loop: the same
-        sweep as :meth:`finish_times`, over the successor CSR."""
-        self.validate()
-        sptr, _ = self.successors_csr()
-        return _longest_path(
-            len(self), sptr, self.dep_indptr, self.dep_indices, durations
-        )
+        priority.  Bit-identical to the reference scalar loop: the
+        reverse of :meth:`finish_times`, from the last tid down, each
+        task scattering its value into its dependencies."""
+        return self._longest_paths(durations, reverse=True)
 
     def average_parallelism(self, durations: np.ndarray) -> float:
         """T1 / T_inf — the DAG's inherent parallelism."""

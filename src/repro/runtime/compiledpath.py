@@ -10,7 +10,8 @@ columns, dependency counts, untied flags, creators and the cached
 successor CSR) and the machine's rates.  Like the spec, it prices each
 task when it dispatches it, so a run builds and keeps nothing per
 ``(arena, machine)``; only the ``critical`` policy's priorities are
-computed per run (:meth:`~repro.runtime.arena.TaskArena.critical_priorities`).
+computed per run, by the same library's reverse longest-path pass
+(:meth:`~repro.runtime.arena.TaskArena.critical_priorities`).
 The kernel writes records, interval rows and busy spans straight into
 preallocated output arrays.  No Python objects, dicts, or per-event
 allocation anywhere in the sweep.
@@ -38,30 +39,34 @@ platform default degrades gracefully.
 * *Naming* ``engine="compiled"`` when the toolchain is absent raises
   :class:`~repro.util.errors.ConfigurationError` at construction.
 
-Compilation happens lazily on first use inside a
+The probe, the JIT cache and the loader live in :mod:`repro.runtime.jit`
+(re-exported here), which needs no scheduler: the kernel is one exported
+function of the library that also holds the arena's longest-path
+passes.  Compilation happens lazily on first use inside a
 ``trace.span("engine.jit_compile")`` so the one-time cost is attributed
-in traces and excluded from gated sweep timings; the resulting shared
-library is cached under ``$REPRO_JIT_CACHE`` (default
-``~/.cache/repro-jit``) keyed by a hash of the source + ABI + compiler,
-so later processes skip the compile entirely.
+in traces and excluded from gated sweep timings; later processes load
+the cached library.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shutil
-import subprocess
-import warnings
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..observability import trace
 from ..observability.metrics import counter
-from ..util.errors import ConfigurationError, SchedulingError
-from ._sweep_src import ABI_VERSION, SWEEP_SOURCE
+from ..util.errors import SchedulingError
+from .jit import COMPILED_FALLBACKS as _COMPILED_FALLBACKS
+from .jit import JitError as _JitError
+from .jit import (
+    compiled_available,
+    compiled_cc,
+    jit_cache_dir,
+    load_library,
+    record_fallback,
+    reset_fallback_warning,
+)
 from .scheduler import _EPS, _NO_PROGRESS, Schedule
 from .stats import RuntimeStats
 
@@ -80,26 +85,12 @@ __all__ = [
     "reset_fallback_warning",
 ]
 
-#: Compiled-engine requests that degraded to the fast kernel.
-_COMPILED_FALLBACKS = counter(
-    "engine.compiled_fallbacks",
-    description="compiled-engine requests degraded to the fast kernel",
-)
 #: Contention sweeps performed by the compiled kernel (per-run tally of
 #: the interval count it emitted — never touched inside the C loop).
 _CSWEEPS = counter(
     "engine.compiled_sweeps",
     description="contention intervals swept by the compiled event kernel",
 )
-
-_ENV_TOOLCHAIN = "REPRO_COMPILED_TOOLCHAIN"
-_ENV_CACHE = "REPRO_JIT_CACHE"
-
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-
-
-class _JitError(Exception):
-    """Toolchain absent or JIT compilation/load failed (fallback-able)."""
 
 
 class _KernelInternalError(Exception):
@@ -108,183 +99,19 @@ class _KernelInternalError(Exception):
     Never a property of the workload — always fallback-able."""
 
 
-# ---------------------------------------------------------------------------
-# fallback accounting
-
-_fallback_warned = False
-
-
-def record_fallback(reason: str) -> None:
-    """Count a compiled→fast engine fallback and warn once per process."""
-    global _fallback_warned
-    _COMPILED_FALLBACKS.add()
-    if not _fallback_warned:
-        _fallback_warned = True
-        warnings.warn(
-            f"compiled event kernel unavailable ({reason}); falling back "
-            f"to the fast engine (results are identical, sweeps are "
-            f"slower)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
-def reset_fallback_warning() -> None:
-    """Re-arm the once-per-process fallback warning.
-
-    The latch is process-global, so long-lived processes (the study
-    service, pytest) reset it at unit-of-work boundaries; the counter
-    is unaffected.
-    """
-    global _fallback_warned
-    _fallback_warned = False
-
-
-# ---------------------------------------------------------------------------
-# toolchain probe + JIT compile
-
-_cc_probe: tuple[str | None, str] | None = None
 _kernel = None  # ctypes function, once loaded
-_kernel_error: str | None = None  # sticky first compile/load failure
-
-
-def _find_cc() -> tuple[str | None, str]:
-    """Locate a C compiler: ``$CC`` first, then cc/gcc/clang (memoized)."""
-    global _cc_probe
-    if _cc_probe is None:
-        candidates = []
-        env_cc = os.environ.get("CC")
-        if env_cc:
-            candidates.append(env_cc)
-        candidates += ["cc", "gcc", "clang"]
-        for cand in candidates:
-            path = shutil.which(cand)
-            if path:
-                _cc_probe = (path, "")
-                break
-        else:
-            _cc_probe = (None, "no C compiler found (tried $CC, cc, gcc, clang)")
-    return _cc_probe
-
-
-def compiled_available() -> tuple[bool, str]:
-    """Can the compiled engine run here?  ``(ok, reason)``.
-
-    *reason* explains unavailability, or describes the toolchain when
-    available.  The compiler probe is memoized; the
-    ``REPRO_COMPILED_TOOLCHAIN`` override is re-read per call
-    (``auto``/``cc`` use the probe, ``none`` forces the degraded path —
-    the testing/CI knob for exercising fallbacks on a machine that has
-    a compiler).
-    """
-    mode = os.environ.get(_ENV_TOOLCHAIN, "auto")
-    if mode not in ("auto", "cc", "none"):
-        raise ConfigurationError(
-            f"{_ENV_TOOLCHAIN} must be 'auto', 'cc' or 'none', got {mode!r}"
-        )
-    if mode == "none":
-        return False, f"disabled via {_ENV_TOOLCHAIN}=none"
-    if _kernel is not None:
-        return True, "kernel loaded"
-    if _kernel_error is not None:
-        return False, f"JIT compilation failed: {_kernel_error}"
-    cc, reason = _find_cc()
-    if cc is None:
-        return False, reason
-    return True, f"cc={cc}"
-
-
-def compiled_cc() -> str | None:
-    """Path of the C compiler the JIT would use (``None`` when absent)."""
-    return _find_cc()[0]
-
-
-def jit_cache_dir() -> str:
-    """Where compiled kernels live (``REPRO_JIT_CACHE`` override)."""
-    return _cache_dir()
-
-
-def _cache_dir() -> str:
-    override = os.environ.get(_ENV_CACHE)
-    if override:
-        return override
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(base, "repro-jit")
-
-
-def _ensure_compiled(cc: str) -> str:
-    """Compile the kernel into the JIT cache (if not already there) and
-    return the shared-library path.
-
-    The library name is keyed by ``sha256(ABI + compiler + source)`` so
-    editing the kernel or switching compilers never loads a stale
-    binary; the write is atomic (tmp + rename) so concurrent processes
-    race benignly.
-    """
-    digest = hashlib.sha256(
-        f"{ABI_VERSION}\n{cc}\n{SWEEP_SOURCE}".encode()
-    ).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"repro_sweep_{digest}.so")
-    if os.path.exists(lib_path):
-        return lib_path
-    os.makedirs(cache, exist_ok=True)
-    src_path = os.path.join(cache, f"repro_sweep_{digest}.c")
-    tmp_path = f"{lib_path}.tmp.{os.getpid()}"
-    with open(src_path, "w") as fh:
-        fh.write(SWEEP_SOURCE)
-    proc = subprocess.run(
-        [cc, *_CFLAGS, src_path, "-o", tmp_path, "-lm"],
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        tail = (proc.stderr or proc.stdout or "").strip().splitlines()[-3:]
-        raise _JitError(
-            f"{cc} exited {proc.returncode}: {' | '.join(tail) or 'no output'}"
-        )
-    os.replace(tmp_path, lib_path)
-    return lib_path
 
 
 def _load_kernel():
-    """Compile (first use) and load the sweep kernel; memoized.
-
-    A failure is sticky for the life of the process (``_kernel_error``)
-    so every later run falls back immediately instead of re-running the
-    compiler per sweep.
-    """
-    global _kernel, _kernel_error
-    if _kernel is not None:
-        return _kernel
-    if _kernel_error is not None:
-        raise _JitError(_kernel_error)
-    ok, reason = compiled_available()
-    if not ok:
-        raise _JitError(reason)
-    cc, _ = _find_cc()
-    assert cc is not None
-    with trace.span("engine.jit_compile", abi=ABI_VERSION):
-        try:
-            lib_path = _ensure_compiled(cc)
-            lib = ctypes.CDLL(lib_path)
-            fn = lib.repro_sweep
-        except _JitError as exc:
-            _kernel_error = str(exc)
-            raise
-        except OSError as exc:  # corrupt/unloadable .so
-            _kernel_error = f"loading compiled kernel failed: {exc}"
-            raise _JitError(_kernel_error) from exc
-    fn.argtypes = [ctypes.POINTER(_SweepArgs)]
-    fn.restype = ctypes.c_int64
-    _kernel = fn
-    return fn
+    """The library's ``repro_sweep`` entry point, typed; memoized.
+    Raises :class:`_JitError` when the library cannot be had."""
+    global _kernel
+    if _kernel is None:
+        fn = load_library().repro_sweep
+        fn.argtypes = [ctypes.POINTER(_SweepArgs)]
+        fn.restype = ctypes.c_int64
+        _kernel = fn
+    return _kernel
 
 
 def warm_compile() -> bool:

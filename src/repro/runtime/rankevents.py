@@ -6,11 +6,13 @@ compute, point-to-point sends/receives, barriers — whose dependency
 structure is a DAG: each rank's events chain in program order (a rank
 is single-ported: one NIC transaction at a time), and every receive
 additionally depends on the matching send.  Simulating the network is
-then exactly the earliest-finish sweep the scheduler's arena already
-vectorizes: ``finish = max(dep finishes) + duration``, computed by one
-Kahn frontier pass that pushes each frontier's finish times to its
-successors (``np.maximum.at``) and so visits every event and dependency
-once, however deep the DAG.
+then exactly the earliest-finish sweep of the scheduler's arena:
+``finish = max(0, dep finishes) + duration``, computed by one pass in
+event-id order over the dependency CSR (every dependency is an earlier
+event), which visits every event and dependency once, however deep
+the DAG.  The pass runs in the compiled library, or, without a C
+toolchain, as a numpy frontier with the same bits
+(:meth:`TaskArena.finish_times <repro.runtime.arena.TaskArena.finish_times>`).
 
 Streams are built in batches (:class:`EventStreamBuilder`): a whole
 collective round is appended as numpy column chunks, and every event's
@@ -352,7 +354,7 @@ class RankEventProgram:
         return len(self.kind)
 
     def finish_times(self) -> np.ndarray:
-        """Earliest finish of every event: the arena's frontier sweep."""
+        """Earliest finish of every event: the arena's forward pass."""
         return self.arena.finish_times(self.durations)
 
     def aggregate(self, finish: np.ndarray) -> EventAggregate:

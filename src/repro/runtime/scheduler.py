@@ -37,7 +37,7 @@ from ..machine.specs import MachineSpec
 from ..observability import trace
 from ..observability.metrics import counter
 from ..util.errors import ConfigurationError, SchedulingError
-from .arena import TaskArena
+from .arena import TaskArena, longest_path_pass
 from .engines import ENGINES, SchedulerEngine
 from .timeline import CoreTimeline
 from .stats import RuntimeStats
@@ -70,14 +70,14 @@ def default_engine() -> SchedulerEngine:
     an unnamed engine is resolved.
 
     The platform decides, never a user-set option: ``"compiled"`` when
-    :func:`~repro.runtime.compiledpath.compiled_available` finds a C
+    :func:`~repro.runtime.jit.compiled_available` finds a C
     toolchain, else ``"fast"`` (the same numbers, bit for bit), with a
     warn-once and a tick of ``engine.compiled_fallbacks``.  A default
     degrades; an explicit ``engine="compiled"`` stays strict
     (:class:`Scheduler` raises :class:`ConfigurationError` without a
     toolchain).
     """
-    from .compiledpath import compiled_available, record_fallback
+    from .jit import compiled_available, record_fallback
 
     ok, reason = compiled_available()
     if ok:
@@ -351,7 +351,7 @@ class Scheduler:
             # Explicitly named (not the platform default): a kernel the
             # caller asked for by name fails fast rather than degrade.
             # Compile cost itself stays lazy (first run).
-            from .compiledpath import compiled_available
+            from .jit import compiled_available
 
             ok, reason = compiled_available()
             if not ok:
@@ -437,6 +437,12 @@ class Scheduler:
                 schedule = self._run_reference(arena)
             # Set after dispatch: a run-time JIT fallback reads "fast".
             span.set(engine=ran)
+            if self.policy == "critical":
+                # Which pass computed the priorities: the reference
+                # kernel's scalar loop, else the arena's.
+                span.set(
+                    priorities="reference" if ran == "reference" else longest_path_pass()
+                )
             return schedule
 
     def _reference_priorities(self, arena: TaskArena) -> list[float]:

@@ -379,14 +379,18 @@ def test_warm_compile_loads_kernel(tmp_path, monkeypatch):
     second call hits the cached .so (same mtime)."""
     import os
 
+    from repro.runtime import jit
+
     monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
     monkeypatch.setattr(cp, "_kernel", None)
-    monkeypatch.setattr(cp, "_kernel_error", None)
+    monkeypatch.setattr(jit, "_lib", None)
+    monkeypatch.setattr(jit, "_lib_error", None)
     assert cp.warm_compile() is True
     sos = [f for f in os.listdir(tmp_path) if f.endswith(".so")]
     assert len(sos) == 1
     mtime = (tmp_path / sos[0]).stat().st_mtime_ns
     monkeypatch.setattr(cp, "_kernel", None)
+    monkeypatch.setattr(jit, "_lib", None)
     assert cp.warm_compile() is True
     assert (tmp_path / sos[0]).stat().st_mtime_ns == mtime
 
