@@ -27,7 +27,14 @@ from ..sim.measurement import RunMeasurement
 from ..util.errors import ValidationError
 from ..util.validation import require_nonempty, require_nonnegative, require_positive
 
-__all__ = ["EPConvention", "ep_ratio", "ep_total", "ep_total_planes", "EPMeasurement"]
+__all__ = [
+    "EPConvention",
+    "eavg",
+    "ep_ratio",
+    "ep_total",
+    "ep_total_planes",
+    "EPMeasurement",
+]
 
 EPConvention = Literal["power", "energy"]
 
@@ -37,6 +44,18 @@ def ep_ratio(eavg: float, time_s: float) -> float:
     require_nonnegative(eavg, "eavg")
     require_positive(time_s, "time_s")
     return eavg / time_s
+
+
+def eavg(joules: float, time_s: float, convention: EPConvention) -> float:
+    """The EAvg term of a run from its joules on one plane and its
+    length: average watts under ``"power"``, the joules under
+    ``"energy"``."""
+    if convention == "power":
+        require_positive(time_s, "time_s")
+        return joules / time_s
+    if convention == "energy":
+        return joules
+    raise ValidationError(f"unknown convention {convention!r}")
 
 
 def ep_total(
@@ -101,11 +120,8 @@ class EPMeasurement:
     @property
     def eavg(self) -> float:
         """The EAvg term under the chosen convention."""
-        if self.convention == "power":
-            return self.measurement.avg_power_w(self.plane)
-        if self.convention == "energy":
-            return self.measurement.energy_j(self.plane)
-        raise ValidationError(f"unknown convention {self.convention!r}")
+        m = self.measurement
+        return eavg(m.energy_j(self.plane), m.elapsed_s, self.convention)
 
     @property
     def time_s(self) -> float:

@@ -752,8 +752,8 @@ def _run_cells(
     ``study.worker_failures`` and the cell is recomputed in-process
     (``study.cells_recomputed``, ``recomputed=True``): the same code, so
     the same bits.  Pool cells and recomputed cells draw their own
-    inputs.  Only an exception from that in-process run escapes,
-    as a :class:`StudyCellError` naming the cell.
+    inputs.  Only an exception from an in-process run escapes, serial
+    or recomputed, as a :class:`StudyCellError` naming the cell.
     """
     if pool is None:
         inputs = NumericsInputs(
@@ -762,7 +762,7 @@ def _run_cells(
         )
         try:
             for step, payload in enumerate(payloads):
-                measurement = _run_cell(payload, inputs)
+                measurement = _run_cell_or_raise(payload, inputs)
                 inputs.done(step)
                 yield measurement, None, None, False
         finally:
@@ -778,9 +778,18 @@ def _run_cells(
             yield measurement, spans, metric_delta, False
             continue
         _CELLS_RECOMPUTED.add()
-        try:
-            measurement = _run_cell(payload)
-        except Exception as exc:
-            _, alg, n, threads, _, _ = payload
-            raise StudyCellError(alg.name, n, threads, exc) from exc
-        yield measurement, None, None, True
+        yield _run_cell_or_raise(payload), None, None, True
+
+
+def _run_cell_or_raise(payload: tuple, inputs=None):
+    """:func:`_run_cell` in-process; a failure escapes as a
+    :class:`StudyCellError` naming the cell, serial or recomputed alike.
+    A :class:`ConfigurationError` (a kernel named but unavailable here)
+    is the run's, not the cell's, and propagates as it is."""
+    try:
+        return _run_cell(payload, inputs)
+    except ConfigurationError:
+        raise
+    except Exception as exc:
+        _, alg, n, threads, _, _ = payload
+        raise StudyCellError(alg.name, n, threads, exc) from exc

@@ -10,8 +10,11 @@ import json
 from pathlib import Path
 from typing import Mapping
 
+from ..core.ep import eavg, ep_ratio
 from ..core.report import table2_slowdown, table3_power, table4_ep
+from ..core.scaling import ep_scaling
 from ..core.study import StudyResult
+from ..power.planes import Plane
 from ..util.errors import ValidationError
 
 __all__ = [
@@ -49,6 +52,8 @@ def study_to_dict(study: StudyResult) -> dict:
         "sizes": list(study.config.sizes),
         "threads": list(study.config.threads),
         "baseline": study.config.baseline,
+        "plane": study.config.plane.value,
+        "convention": study.config.convention,
         "runs": runs,
         "table2_avg_slowdown": {
             alg: study.avg_slowdown(alg)
@@ -106,6 +111,13 @@ class FrozenStudy:
     as a live :class:`~repro.core.study.StudyResult` — slowdowns, power
     rows, EP values, scaling — without re-simulating anything.  Useful
     for comparing runs across code versions or sharing results.
+
+    Power and EP are rebuilt from each run's dumped plane joules and
+    ``elapsed_s`` under the dump's ``plane`` and ``convention``, through
+    :mod:`repro.core.ep`, so they equal the live study's.  A dump
+    without those keys (written before they were recorded) reads as the
+    paper's definition, package watts over seconds, and
+    ``definition_recorded`` is ``False``.
     """
 
     def __init__(self, data: dict):
@@ -117,6 +129,10 @@ class FrozenStudy:
         self.sizes = [int(n) for n in data["sizes"]]
         self.threads = [int(p) for p in data["threads"]]
         self.baseline = data["baseline"]
+        self.definition_recorded = "plane" in data and "convention" in data
+        self.plane = Plane(data.get("plane", Plane.PACKAGE.value))
+        self.convention = data.get("convention", "power")
+        self._joules_key = f"{self.plane.value.lower()}_j"
         self._runs = {
             (r["algorithm"], int(r["n"]), int(r["threads"])): r
             for r in data["runs"]
@@ -132,12 +148,22 @@ class FrozenStudy:
     def time_s(self, alg: str, n: int, threads: int) -> float:
         return float(self._run(alg, n, threads)["elapsed_s"])
 
+    def _joules(self, alg: str, n: int, threads: int) -> float:
+        run = self._run(alg, n, threads)
+        if self._joules_key not in run:
+            raise ValidationError(f"dump records no {self.plane.value} joules")
+        return float(run[self._joules_key])
+
     def power_w(self, alg: str, n: int, threads: int) -> float:
-        return float(self._run(alg, n, threads)["avg_package_w"])
+        """Average watts on the study's plane."""
+        return eavg(self._joules(alg, n, threads), self.time_s(alg, n, threads), "power")
 
     def ep(self, alg: str, n: int, threads: int) -> float:
-        """Eq. 1 under the power convention (the dump stores watts)."""
-        return self.power_w(alg, n, threads) / self.time_s(alg, n, threads)
+        """Eq. 1 under the study's plane and convention."""
+        time_s = self.time_s(alg, n, threads)
+        return ep_ratio(
+            eavg(self._joules(alg, n, threads), time_s, self.convention), time_s
+        )
 
     def slowdown(self, alg: str, n: int, threads: int) -> float:
         return self.time_s(alg, n, threads) / self.time_s(self.baseline, n, threads)
@@ -151,7 +177,7 @@ class FrozenStudy:
     def scaling_s(self, alg: str, n: int) -> list[tuple[int, float]]:
         """Eq. 5 over the thread sweep (needs a 1-thread run)."""
         ep1 = self.ep(alg, n, 1)
-        return [(p, self.ep(alg, n, p) / ep1) for p in sorted(self.threads)]
+        return [(p, ep_scaling(self.ep(alg, n, p), ep1)) for p in sorted(self.threads)]
 
 
 def load_study_json(path: str | Path) -> FrozenStudy:

@@ -280,3 +280,26 @@ def test_parallel_payload_carries_no_arena_and_is_constant_in_n(
         assert (p, seed, verified) == (1, cfg.seed, False)
     arena = algs[0].build_cached(4096, 1).graph
     assert len(pickle.dumps(arena)) > 100 * big
+
+
+def test_serial_crash_raises_the_same_cell_error_as_parallel(machine):
+    """A cell that fails in-process names its cell too: serial and
+    ``parallel=2`` runs raise the same exception type and message."""
+    cfg = StudyConfig(
+        sizes=(64, 128),
+        threads=(1, 2),
+        execute_max_n=0,
+        verify=False,
+        baseline="crasher",
+    )
+    errors = []
+    for options in (RunOptions(), RunOptions(parallel=2)):
+        study = Study(machine, algorithms=[_CrashingAlg(machine)], config=cfg)
+        with pytest.raises(StudyCellError) as exc_info:
+            study.run(options)
+        errors.append(exc_info.value)
+    serial, parallel = errors
+    assert type(serial) is type(parallel)
+    assert str(serial) == str(parallel)
+    assert (serial.algorithm, serial.size, serial.threads) == ("crasher", 128, 2)
+    assert isinstance(serial.__cause__, RuntimeError)

@@ -29,7 +29,7 @@ from repro.observability import trace
 from repro.observability.metrics import registry
 from repro.runtime.scheduler import Scheduler
 from repro.service import ServiceConfig, StudyRequest, StudyService
-from repro.util.errors import ValidationError
+from repro.util.errors import StudyCellError, ValidationError
 
 SIZES = (128, 256)
 THREADS = (1, 2, 3, 4)
@@ -222,8 +222,9 @@ def test_a_perturbed_product_fails_through_the_shared_inputs(machine, monkeypatc
     entry = inputs.get(128, 0)
     assert np.array_equal(entry.reference(), entry.a @ entry.b)
     numerics_memo().clear()
-    with pytest.raises(ValidationError, match="exceeds bound"):
+    with pytest.raises(StudyCellError, match="exceeds bound") as exc_info:
         Study(machine, sizes=(128,), threads=(1, 2)).run()
+    assert isinstance(exc_info.value.__cause__, ValidationError)
 
 
 def test_protocol_checks_share_inputs_and_release_them(machine, monkeypatch):

@@ -89,3 +89,46 @@ class TestFrozenStudy:
         frozen = load_study_json(write_study_json(study, tmp_path / "s.json"))
         with pytest.raises(ValidationError):
             frozen.time_s("openblas", 9999, 1)
+
+
+@pytest.fixture(scope="module")
+def measured(machine):
+    """One cost-only run's measurements, re-read under each definition."""
+    return Study(
+        machine, sizes=(256,), threads=(1, 2), execute_max_n=0, verify=False
+    ).run().result
+
+
+@pytest.mark.parametrize("convention", ["power", "energy"])
+@pytest.mark.parametrize("plane", ["PACKAGE", "PP0", "DRAM"])
+def test_dump_answers_the_live_ep_for_every_definition(measured, plane, convention):
+    """A dumped-and-reloaded study answers the EP, power and scaling of
+    the live study it came from, whatever its plane and convention."""
+    from dataclasses import replace
+
+    from repro.power.planes import Plane
+    from repro.reporting.emit import FrozenStudy
+
+    config = replace(measured.config, plane=Plane(plane), convention=convention)
+    live = replace(measured, config=config)
+    frozen = FrozenStudy(json.loads(json.dumps(study_to_dict(live))))
+    assert (frozen.plane, frozen.convention) == (Plane(plane), convention)
+    assert frozen.definition_recorded
+    for alg in live.algorithm_names:
+        for p in config.threads:
+            assert frozen.ep(alg, 256, p) == live.ep(alg, 256, p), (alg, p)
+            assert frozen.power_w(alg, 256, p) == live.power_w(alg, 256, p), (alg, p)
+        got = frozen.scaling_s(alg, 256)
+        want = [(pt.parallelism, pt.s) for pt in live.scaling_curve(alg, 256)]
+        assert got == want, alg
+
+
+def test_dump_without_a_definition_reads_as_the_papers(measured):
+    from repro.reporting.emit import FrozenStudy
+
+    data = study_to_dict(measured)
+    del data["plane"], data["convention"]
+    frozen = FrozenStudy(data)
+    assert not frozen.definition_recorded
+    for alg in measured.algorithm_names:
+        assert frozen.ep(alg, 256, 2) == measured.ep(alg, 256, 2)

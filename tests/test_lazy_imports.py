@@ -238,3 +238,16 @@ def test_a_compiled_study_loads_no_fast_kernel():
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['repro.runtime.compiledpath']"
+
+
+def test_network_simulation_loads_no_scheduler_and_no_study():
+    """``repro distributed --simulate`` lowers events and runs the
+    arena's longest-path pass: the compiled library is loaded without
+    the event scheduler, the fast kernel or the study driver."""
+    proc, state = _run_cli("distributed", "--simulate", "--alg", "caps-dist",
+                           "--n", "1024", "--nodes", "7")
+    assert state["rc"] in (0, None), proc.stderr
+    assert "caps-dist" in proc.stdout
+    for module in ("repro.runtime.scheduler", "repro.runtime.fastpath",
+                   "repro.runtime.compiledpath", "repro.core.study"):
+        assert module not in state["modules"], module
