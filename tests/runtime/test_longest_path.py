@@ -245,3 +245,17 @@ def test_spans_name_the_pass_that_ran(machine, monkeypatch):
     assert [sp.attrs.get("priorities") for sp in schedules] == [
         expected, "reference", None,
     ]
+
+
+def test_network_command_prints_the_same_table_on_both_passes(capsys, monkeypatch):
+    from repro.cli import main
+
+    argv = ["distributed", "--simulate", "--alg", "caps-dist", "--n", "8192",
+            "--nodes", "49", "343"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    monkeypatch.setenv("REPRO_COMPILED_TOOLCHAIN", "none")
+    with pytest.warns(RuntimeWarning, match="numpy frontier sweep"):
+        assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert "caps-dist" in first

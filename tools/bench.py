@@ -85,10 +85,13 @@ and the trace-driven cache simulator:
     n = 4096.
 ``network_sim``
     The discrete-event network simulator on a thousand-rank 2.5D SUMMA
-    schedule (torus topology, c=2): the arena-lowered vectorized
-    earliest-finish sweep (the first sweep of a freshly lowered
-    program, the one a command pays) versus the per-rank Python-object
-    loop of ``repro.testing.netlowering`` over the same schedule.  Both
+    schedule (torus topology, c=2): the arena's earliest-finish pass
+    (the first sweep of a freshly lowered program, the one a command
+    pays; the compiled pass in task-id order where a C toolchain
+    exists) versus the per-rank Python-object loop of
+    ``repro.testing.netlowering`` over the same schedule.  ``frontier_ms``
+    (not gated) times the numpy frontier the arena falls back to
+    without a toolchain, successor CSR included.  Both
     produce bit-identical results (the
     ``network_sim`` verify family asserts it); the gated ``ratio``
     (object/arena wall time) must stay above the absolute
@@ -608,10 +611,15 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
 
     One 2.5D SUMMA schedule (torus2d, c=2) is swept by the arena and by
     the object loop of ``repro.testing.netlowering``, so the gated
-    ``ratio`` isolates the earliest-finish recurrence the arena lowering
-    vectorizes.  ``events_ms`` is the *first* sweep of a
-    freshly lowered program (best over fresh programs, lowering outside
-    the timer): the cold sweep ``repro distributed --simulate`` pays.
+    ``ratio`` isolates the earliest-finish recurrence
+    ``finish = max(0, dep finishes) + duration``.  ``events_ms`` is the
+    *first* sweep of a freshly lowered program (best over fresh
+    programs, lowering outside the timer): the cold sweep ``repro
+    distributed --simulate`` pays, in the pass this host runs (compiled
+    in task-id order when a C toolchain exists).  ``frontier_ms`` (not
+    gated) is the same cold sweep through the numpy Kahn frontier the
+    arena falls back to without a toolchain, its successor CSR built
+    inside the timer as the fallback builds it.
     The object loop builds its per-rank objects on every call, so
     ``ratio`` compares cold to cold.  2048 ranks full / 512 smoke — at
     trivial rank counts the object loop wins (vectorization overhead),
@@ -619,7 +627,13 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
     sweeps run at.
     """
     from repro.distributed import ClusterSpec, NetworkConfig, Topology, build_events
+    from repro.runtime.arena import _longest_path
     from repro.testing.netlowering import reference_events, reference_simulate
+
+    def frontier_simulate(p):
+        a = p.arena
+        sptr, sidx = a.successors_csr()
+        return p.aggregate(_longest_path(len(a), a.dep_indptr, sptr, sidx, p.durations))
 
     cluster = ClusterSpec(node=machine, topology=Topology("torus2d"))
     cfg = NetworkConfig(c=2)
@@ -639,6 +653,8 @@ def bench_network_sim(machine, smoke: bool, repeats: int) -> dict:
         "events_ms": _best_cold(
             lambda: build_events(*args), lambda p: p.simulate(), reps
         )
+        * 1e3,
+        "frontier_ms": _best_cold(lambda: build_events(*args), frontier_simulate, reps)
         * 1e3,
         "ranks_ms": _best_of(lambda: reference_simulate(prog), min(reps, 3)) * 1e3,
     }
