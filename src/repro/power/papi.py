@@ -4,8 +4,12 @@ The paper instruments its test driver with PAPI ("configured to read the
 values from the entire package and the primary power plane (PP0)",
 §V-C).  This module reproduces the PAPI workflow — component discovery,
 event sets with a start/stop lifecycle, and energy values reported in
-nanojoules, as PAPI's RAPL component does — so the study driver reads
-energy exactly the way the paper's driver did.
+nanojoules, as PAPI's RAPL component does — so energy can be read the
+way the paper's driver read it.  The study driver does not go through
+it: a study reads each run's plane energies from the
+:class:`~repro.sim.engine.Engine` measurement directly.  This API is
+read by the tests and ``examples/power_trace_demo.py``, over an engine's
+:class:`~repro.power.msr.MsrFile`.
 """
 
 from __future__ import annotations
